@@ -32,6 +32,7 @@ from .trackdata import (
 
 MAGIC = b"RTAE"
 FORMAT_VERSION = 1
+DTYPES = ("float32", "float64")
 
 
 class AutoencoderError(Exception):
@@ -65,7 +66,7 @@ class AutoencoderSpec:
     encoder_convs lists (kernel_size, stride, channels) per stage.  Each
     stride must divide the incoming length so the mirrored transposed
     convolutions restore exactly input_len; build() rejects specs that
-    cannot.
+    cannot.  dtype is the arithmetic width of every layer.
     """
 
     input_len: int = WINDOW_LEN
@@ -74,6 +75,7 @@ class AutoencoderSpec:
     latent_dim: int = 16
     activation: str = "relu"
     seed: int = 1107
+    dtype: str = "float64"
 
     def __post_init__(self):
         if self.input_len < 1 or self.n_features < 1:
@@ -87,6 +89,8 @@ class AutoencoderSpec:
                 raise SpecError(f"bad conv stage {stage!r}; want (kernel, stride, channels)")
         if self.activation != "relu":
             raise SpecError(f"unsupported activation {self.activation!r}")
+        if self.dtype not in DTYPES:
+            raise SpecError(f"unsupported dtype {self.dtype!r}; expected one of {DTYPES}")
 
     def encoded_shape(self) -> tuple[int, int]:
         """(length, channels) at the top of the encoder."""
@@ -109,6 +113,7 @@ class AutoencoderSpec:
             "latent_dim": self.latent_dim,
             "activation": self.activation,
             "seed": self.seed,
+            "dtype": self.dtype,
         }
 
     @classmethod
@@ -120,6 +125,7 @@ class AutoencoderSpec:
             latent_dim=int(d["latent_dim"]),
             activation=str(d["activation"]),
             seed=int(d["seed"]),
+            dtype=str(d["dtype"]),
         )
 
 
@@ -180,21 +186,21 @@ def build(spec: AutoencoderSpec) -> ModelParams:
 
     c_in = spec.n_features
     for k, s, c_out in spec.encoder_convs:
-        model.encoder_convs.append(nn.Conv1DLayer.init(rng, k, s, c_in, c_out))
+        model.encoder_convs.append(nn.Conv1DLayer.init(rng, k, s, c_in, c_out, dtype=spec.dtype))
         c_in = c_out
     flat = top_len * top_ch
-    model.enc_dense = nn.DenseLayer.init(rng, flat, spec.latent_dim)
-    model.dec_dense = nn.DenseLayer.init(rng, spec.latent_dim, flat)
+    model.enc_dense = nn.DenseLayer.init(rng, flat, spec.latent_dim, spec.dtype)
+    model.dec_dense = nn.DenseLayer.init(rng, spec.latent_dim, flat, spec.dtype)
 
     # Mirror of the encoder: channel plan walks back to n_features.
     stages = list(spec.encoder_convs)
     for i in range(len(stages) - 1, -1, -1):
         k, s, _ = stages[i]
         c_out = stages[i - 1][2] if i > 0 else spec.n_features
-        model.decoder_convs.append(nn.ConvTranspose1DLayer.init(rng, k, s, c_in, c_out))
+        model.decoder_convs.append(nn.ConvTranspose1DLayer.init(rng, k, s, c_in, c_out, dtype=spec.dtype))
         c_in = c_out
 
-    probe = np.zeros((2, spec.input_len, spec.n_features), dtype=nn.active_dtype())
+    probe = np.zeros((2, spec.input_len, spec.n_features), dtype=spec.dtype)
     out = _forward(model, probe)
     if out.shape != probe.shape:
         raise SpecError(f"decoder restores {out.shape[1:]}, expected "
@@ -460,24 +466,30 @@ def load(path) -> ModelParams:
 
     r = _Reader(body)
     r.take(len(MAGIC) + 4)
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
-    spec = AutoencoderSpec.from_dict(header["spec"])
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        dtype = np.dtype(r.take(r.u32()).decode("utf-8"))
-        shape = tuple(r.u32() for _ in range(r.u32()))
-        payload = r.take(r.u64())
-        arrays[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-
-    model = build(spec)
+    # Past the checksum the bytes are intact but can still be malformed:
+    # every decoding defect becomes a ModelFormatError.
+    try:
+        header = json.loads(r.take(r.u32()).decode("utf-8"))
+        spec = AutoencoderSpec.from_dict({**header["spec"], "dtype": header["dtype"]})
+        has_norm_stats = header["has_norm_stats"]
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(r.u32()):
+            name = r.take(r.u32()).decode("utf-8")
+            dtype = np.dtype(r.take(r.u32()).decode("utf-8"))
+            shape = tuple(r.u32() for _ in range(r.u32()))
+            payload = r.take(r.u64())
+            arrays[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+        model = build(spec)
+    except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
+        raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
 
     def fetch(name: str, like: np.ndarray) -> np.ndarray:
         if name not in arrays:
             raise ModelFormatError(f"model file missing array {name!r}")
         arr = arrays[name]
-        if arr.shape != like.shape:
-            raise ModelFormatError(f"array {name!r} has shape {arr.shape}, expected {like.shape}")
+        if arr.shape != like.shape or arr.dtype != like.dtype:
+            raise ModelFormatError(f"array {name!r} is {arr.dtype}{arr.shape}, "
+                                   f"expected {like.dtype}{like.shape}")
         return arr
 
     for i, layer in enumerate(model.encoder_convs):
@@ -490,7 +502,7 @@ def load(path) -> ModelParams:
     for i, layer in enumerate(model.decoder_convs):
         layer.w = fetch(f"dec{i}.w", layer.w)
         layer.b = fetch(f"dec{i}.b", layer.b)
-    if header["has_norm_stats"]:
+    if has_norm_stats:
         shape = (spec.input_len, spec.n_features)
         like = np.empty(shape)
         model.norm_stats = NormStats(mean=fetch("norm.mean", like), std=fetch("norm.std", like))

@@ -146,6 +146,13 @@ def _write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
+def _write_csv(path: Path, rows: list[list]) -> None:
+    def write(tmp: Path) -> None:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    _atomic_write(path, write)
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -236,8 +243,6 @@ def cmd_synth(args, cfg: dict, paths: Paths) -> None:
 
 def cmd_train(args, cfg: dict, paths: Paths) -> None:
     ac = cfg["autoencoder"]
-    from . import neuralcore as nn
-    nn.set_dtype(ac.get("dtype", "float64"))
     tracks = _load_tracks(paths, args.strict)
     labels = sg.load_labels(paths.input("labels"))
     runways = td.load_runways(paths.input("runways"))
@@ -251,6 +256,7 @@ def cmd_train(args, cfg: dict, paths: Paths) -> None:
         latent_dim=ac["latent_dim"],
         activation=ac["activation"],
         seed=ac["seed"],
+        dtype=ac["dtype"],
     )
     model = ae.build(spec)
     tc = cfg["training"]
@@ -262,9 +268,9 @@ def cmd_train(args, cfg: dict, paths: Paths) -> None:
     log.info("trained %d epochs, final val MAE %.6f", len(history), history[-1].val_mae)
 
     _atomic_write(paths.model, lambda tmp: ae.save(model, tmp))
-    lines = ["epoch,train_mae,val_mae"]
-    lines += [f"{h.epoch},{_fmt(h.train_mae)},{_fmt(h.val_mae)}" for h in history]
-    _write_text(paths.loss_history, "\n".join(lines) + "\n")
+    rows = [["epoch", "train_mae", "val_mae"]]
+    rows += [[h.epoch, _fmt(h.train_mae), _fmt(h.val_mae)] for h in history]
+    _write_csv(paths.loss_history, rows)
 
 
 def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
@@ -291,9 +297,9 @@ def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
     }
     _write_text(paths.thresholds, json.dumps(thresholds, indent=2) + "\n")
     bins = idf.histogram_report(maes, cfg["histogram_bins"])
-    lines = ["bin_lo,bin_hi,count"]
-    lines += [f"{_fmt(b.lo)},{_fmt(b.hi)},{b.count}" for b in bins]
-    _write_text(paths.histogram, "\n".join(lines) + "\n")
+    rows = [["bin_lo", "bin_hi", "count"]]
+    rows += [[_fmt(b.lo), _fmt(b.hi), b.count] for b in bins]
+    _write_csv(paths.histogram, rows)
 
 
 def cmd_classify(args, cfg: dict, paths: Paths) -> None:
@@ -302,7 +308,7 @@ def cmd_classify(args, cfg: dict, paths: Paths) -> None:
     tracks = _load_tracks(paths, args.strict)
     runways = td.load_runways(paths.input("runways"))
     score_params = _score_params(cfg)
-    lines = ["track_id,mae,runway_score,pred_is_helicopter,reasons"]
+    rows = [["track_id", "mae", "runway_score", "pred_is_helicopter", "reasons"]]
     n_heli = n_unclassifiable = 0
     for track in tracks:
         runway = _runway_for_track(track, runways)
@@ -310,14 +316,14 @@ def cmd_classify(args, cfg: dict, paths: Paths) -> None:
             res = idf.classify(model, thresholds, track, runway, score_params)
         except idf.Unclassifiable as e:
             n_unclassifiable += 1
-            lines.append(f"{track.track_id},,,false,unclassifiable:{e.reason}")
+            rows.append([track.track_id, "", "", "false", f"unclassifiable:{e.reason}"])
             continue
         n_heli += res.pred_is_helicopter
-        lines.append(f"{res.track_id},{_fmt(res.mae)},{_fmt(res.runway_score)},"
-                     f"{'true' if res.pred_is_helicopter else 'false'},{';'.join(res.reasons)}")
+        rows.append([res.track_id, _fmt(res.mae), _fmt(res.runway_score),
+                     "true" if res.pred_is_helicopter else "false", ";".join(res.reasons)])
     log.info("classified %d tracks: %d helicopters, %d unclassifiable",
              len(tracks), n_heli, n_unclassifiable)
-    _write_text(paths.results, "\n".join(lines) + "\n")
+    _write_csv(paths.results, rows)
 
 
 def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
@@ -359,24 +365,24 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
     header = ["track_id", "mae", "runway_score", "pred_is_helicopter", "matched",
               "is_helicopter_ac_reg", "aircraft_class", "model", "manufacturer",
               "type_designator", "declared_type", "class_conflict"]
-    lines = [",".join(header)]
+    rows = [header]
     for r in records:
         truth = "" if r.is_helicopter_ac_reg is None else str(r.is_helicopter_ac_reg).lower()
-        lines.append(",".join([
+        rows.append([
             r.track_id, _fmt(r.mae), _fmt(r.runway_score),
             str(r.pred_is_helicopter).lower(), r.matched.value, truth,
             r.aircraft_class or "", r.model or "", r.manufacturer or "",
             r.type_designator or "", r.declared_type or "", str(r.class_conflict).lower(),
-        ]))
-    _write_text(paths.validation, "\n".join(lines) + "\n")
+        ])
+    _write_csv(paths.validation, rows)
 
     ae_ids = {r.track_id for r in results if r.pred_is_helicopter}
     candidate_ids = set(tracks_by_id) & ({r.track_id for r in results} | set(unclassifiable))
     bl_ids = {tid for tid in candidate_ids
               if vl.rule_based_baseline(tracks_by_id[tid], heli_types)}
     venn = vl.venn_compare(ae_ids, bl_ids)
-    _write_text(paths.venn_csv, "both,autoencoder_only,baseline_only\n"
-                f"{venn.both},{venn.autoencoder_only},{venn.baseline_only}\n")
+    _write_csv(paths.venn_csv, [["both", "autoencoder_only", "baseline_only"],
+                                [venn.both, venn.autoencoder_only, venn.baseline_only]])
     venn_txt = (
         "predicted-helicopter set overlap\n"
         f"  autoencoder only : {venn.autoencoder_only}\n"
@@ -388,10 +394,10 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
     _write_text(paths.venn_txt, venn_txt)
 
     pseudo = vl.resolve_pseudo_types(records)
-    lines = ["track_id,declared_type,model,manufacturer,type_designator"]
-    lines += [f"{r.track_id},{r.declared_type or ''},{r.model},{r.manufacturer or ''},"
-              f"{r.type_designator or ''}" for r in pseudo]
-    _write_text(paths.pseudo_types, "\n".join(lines) + "\n")
+    rows = [["track_id", "declared_type", "model", "manufacturer", "type_designator"]]
+    rows += [[r.track_id, r.declared_type or "", r.model, r.manufacturer or "",
+              r.type_designator or ""] for r in pseudo]
+    _write_csv(paths.pseudo_types, rows)
 
     payload = {
         "tp": metrics.tp, "fp": metrics.fp, "fn": metrics.fn, "tn": metrics.tn,

@@ -3,11 +3,17 @@
 Tensors are ndarrays of shape (batch, length, channels).  Every layer
 carries its own weights and exposes an analytic backward pass; the test
 suite checks each one against central finite differences and a naive
-convolution oracle.  All math runs in float64 by default; production code
-can flip the whole module to float32 with :func:`set_dtype`.
+convolution oracle.
 
-Nothing here owns global state besides the dtype switch, so layers can be
-used from several threads as long as each thread works on its own arrays.
+Both convolution layers run on one im2col kernel pair.  ``_unfold`` lays
+the kernel windows of a padded input side by side as the rows of a matrix,
+so each pass is a single matrix product with the weights, and ``_fold`` is
+its adjoint, summing such rows back onto the length axis.  A convolution
+unfolds its input and a transposed convolution folds its output.
+
+Layers are built in the dtype given to their ``init`` (float64 by
+default).  Nothing here holds global state, so layers can be used from
+several threads as long as each thread works on its own arrays.
 """
 
 from __future__ import annotations
@@ -15,22 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-_active_dtype = np.float64
-
-
-def set_dtype(name: str) -> None:
-    """Select arithmetic width for newly created layers: float64 or float32."""
-    global _active_dtype
-    try:
-        _active_dtype = _DTYPES[name]
-    except KeyError:
-        raise ValueError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}") from None
-
-
-def active_dtype():
-    return _active_dtype
 
 
 class ShapeMismatch(ValueError):
@@ -44,25 +34,47 @@ def _check_tensor3(x: np.ndarray, c_in: int, what: str) -> None:
         raise ShapeMismatch(f"{what}: expected {c_in} channels, got {x.shape[2]}")
 
 
-def _same_pads(kernel_size: int) -> tuple[int, int]:
-    # Total zero padding is kernel_size - 1, with the extra column on the right.
-    left = (kernel_size - 1) // 2
-    return left, (kernel_size - 1) - left
-
-
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
+                  dtype) -> np.ndarray:
     limit = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(_active_dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+
+def _zero_pad(a: np.ndarray, left: int, length: int) -> np.ndarray:
+    """a placed at offset left along the length axis of a zero (batch, length, channels) array."""
+    out = np.zeros((a.shape[0], length, a.shape[2]), dtype=a.dtype)
+    out[:, left:left + a.shape[1]] = a
+    return out
+
+
+def _unfold(xp: np.ndarray, k: int, s: int, n: int) -> np.ndarray:
+    """(batch, n, k*c) im2col rows of xp: row t is xp[:, t*s:t*s + k, :] flattened.
+
+    The rows are a read-only strided view of xp; the window count is checked
+    first so the view can never reach past the end of the buffer.
+    """
+    batch, length, c = xp.shape
+    if (n - 1) * s + k > length:
+        raise ShapeMismatch(f"{n} windows of {k} at stride {s} overrun length {length}")
+    sb, sl, sc = xp.strides
+    rows = np.lib.stride_tricks.as_strided(xp, (batch, n, k, c), (sb, s * sl, sl, sc),
+                                           writeable=False)
+    return rows.reshape(batch, n, k * c)
+
+
+def _fold(cols: np.ndarray, k: int, s: int, length: int) -> np.ndarray:
+    """Adjoint of _unfold: scatter-add (batch, n, k*c) rows onto a zero length axis."""
+    batch, n, kc = cols.shape
+    taps = cols.reshape(batch, n, k, kc // k)
+    out = np.zeros((batch, length, kc // k), dtype=cols.dtype)
+    for j in range(k):
+        out[:, j:j + (n - 1) * s + 1:s] += taps[:, :, j]
+    return out
 
 
 @dataclass
-class Conv1DLayer:
-    """Strided 1-D convolution over (batch, length, channels) tensors.
-
-    "same" padding pads the length axis with kernel_size - 1 zeros split
-    symmetrically (extra zero on the right) and yields ceil(length/stride)
-    outputs; "valid" slides the kernel only over fully covered positions.
-    """
+class _ConvLayer:
+    """Fields, validation and init shared by the two convolution layers."""
 
     kernel_size: int
     stride: int
@@ -80,9 +92,9 @@ class Conv1DLayer:
         if self.padding not in ("same", "valid"):
             raise ValueError(f"unknown padding {self.padding!r}")
         if self.w is None:
-            self.w = np.zeros((self.kernel_size, self.c_in, self.c_out), dtype=_active_dtype)
+            self.w = np.zeros((self.kernel_size, self.c_in, self.c_out))
         if self.b is None:
-            self.b = np.zeros(self.c_out, dtype=_active_dtype)
+            self.b = np.zeros(self.c_out, dtype=self.w.dtype)
         if self.w.shape != (self.kernel_size, self.c_in, self.c_out):
             raise ShapeMismatch(f"weight shape {self.w.shape} does not match layer geometry")
         if self.b.shape != (self.c_out,):
@@ -90,10 +102,27 @@ class Conv1DLayer:
 
     @classmethod
     def init(cls, rng: np.random.Generator, kernel_size: int, stride: int,
-             c_in: int, c_out: int, padding: str = "same") -> "Conv1DLayer":
-        w = _uniform_init(rng, (kernel_size, c_in, c_out), kernel_size * c_in)
-        b = np.zeros(c_out, dtype=_active_dtype)
-        return cls(kernel_size, stride, c_in, c_out, padding, w, b)
+             c_in: int, c_out: int, padding: str = "same", dtype="float64"):
+        w = _uniform_init(rng, (kernel_size, c_in, c_out), kernel_size * c_in, dtype)
+        return cls(kernel_size, stride, c_in, c_out, padding, w, np.zeros(c_out, dtype=dtype))
+
+    @property
+    def _pad_left(self) -> int:
+        # "same" pads kernel_size - 1 zeros in all, the extra one on the right.
+        return (self.kernel_size - 1) // 2 if self.padding == "same" else 0
+
+    def _check_grad_out(self, x: np.ndarray, grad_out: np.ndarray) -> None:
+        if grad_out.shape != (x.shape[0], self.out_length(x.shape[1]), self.c_out):
+            raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
+
+
+class Conv1DLayer(_ConvLayer):
+    """Strided 1-D convolution over (batch, length, channels) tensors.
+
+    "same" padding pads the length axis with kernel_size - 1 zeros split
+    symmetrically (extra zero on the right) and yields ceil(length/stride)
+    outputs; "valid" slides the kernel only over fully covered positions.
+    """
 
     def out_length(self, length: int) -> int:
         if self.padding == "same":
@@ -105,45 +134,29 @@ class Conv1DLayer:
     def _padded(self, x: np.ndarray) -> np.ndarray:
         if self.padding == "valid":
             return x
-        left, right = _same_pads(self.kernel_size)
-        return np.pad(x, ((0, 0), (left, right), (0, 0)))
+        return _zero_pad(x, self._pad_left, x.shape[1] + self.kernel_size - 1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         _check_tensor3(x, self.c_in, "Conv1DLayer.forward")
-        n_out = self.out_length(x.shape[1])
-        xp = self._padded(x)
-        s = self.stride
-        y = np.broadcast_to(self.b, (x.shape[0], n_out, self.c_out)).astype(self.w.dtype).copy()
-        for j in range(self.kernel_size):
-            # strided view of the padded input aligned with kernel tap j
-            y += xp[:, j:j + (n_out - 1) * s + 1:s, :] @ self.w[j]
-        return y
+        cols = _unfold(self._padded(x), self.kernel_size, self.stride, self.out_length(x.shape[1]))
+        return cols @ self.w.reshape(-1, self.c_out) + self.b
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray):
         """Gradients for inputs, weights, and bias given upstream grad_out."""
         _check_tensor3(x, self.c_in, "Conv1DLayer.backward")
-        n_out = self.out_length(x.shape[1])
-        if grad_out.shape != (x.shape[0], n_out, self.c_out):
-            raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
+        self._check_grad_out(x, grad_out)
+        k, s = self.kernel_size, self.stride
         xp = self._padded(x)
-        s = self.stride
-        grad_b = grad_out.sum(axis=(0, 1))
-        grad_w = np.zeros_like(self.w)
-        grad_xp = np.zeros_like(xp)
-        for j in range(self.kernel_size):
-            sl = slice(j, j + (n_out - 1) * s + 1, s)
-            grad_w[j] = np.einsum("bli,blo->io", xp[:, sl, :], grad_out)
-            grad_xp[:, sl, :] += grad_out @ self.w[j].T
-        if self.padding == "same":
-            left, _ = _same_pads(self.kernel_size)
-            grad_x = grad_xp[:, left:left + x.shape[1], :]
-        else:
-            grad_x = grad_xp
-        return grad_x, grad_w, grad_b
+        cols = _unfold(xp, k, s, grad_out.shape[1]).reshape(-1, k * self.c_in)
+        g = grad_out.reshape(-1, self.c_out)
+        grad_w = (cols.T @ g).reshape(self.w.shape)
+        grad_cols = (g @ self.w.reshape(-1, self.c_out).T).reshape(x.shape[0], -1, k * self.c_in)
+        left = self._pad_left
+        grad_x = _fold(grad_cols, k, s, xp.shape[1])[:, left:left + x.shape[1]]
+        return grad_x, grad_w, grad_out.sum(axis=(0, 1))
 
 
-@dataclass
-class ConvTranspose1DLayer:
+class ConvTranspose1DLayer(_ConvLayer):
     """Strided transposed 1-D convolution (the adjoint of Conv1DLayer).
 
     With "same" padding the output length is input length * stride; with
@@ -152,85 +165,37 @@ class ConvTranspose1DLayer:
     convolution, which the tests assert via the inner-product identity.
     """
 
-    kernel_size: int
-    stride: int
-    c_in: int
-    c_out: int
-    padding: str = "same"
-    w: np.ndarray = field(default=None, repr=False)  # (kernel_size, c_in, c_out)
-    b: np.ndarray = field(default=None, repr=False)  # (c_out,)
-
-    def __post_init__(self):
-        if self.kernel_size < 1 or self.stride < 1:
-            raise ValueError("kernel_size and stride must be >= 1")
-        if self.c_in < 1 or self.c_out < 1:
-            raise ValueError("channel counts must be >= 1")
-        if self.padding not in ("same", "valid"):
-            raise ValueError(f"unknown padding {self.padding!r}")
-        if self.w is None:
-            self.w = np.zeros((self.kernel_size, self.c_in, self.c_out), dtype=_active_dtype)
-        if self.b is None:
-            self.b = np.zeros(self.c_out, dtype=_active_dtype)
-        if self.w.shape != (self.kernel_size, self.c_in, self.c_out):
-            raise ShapeMismatch(f"weight shape {self.w.shape} does not match layer geometry")
-        if self.b.shape != (self.c_out,):
-            raise ShapeMismatch(f"bias shape {self.b.shape} does not match c_out")
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, kernel_size: int, stride: int,
-             c_in: int, c_out: int, padding: str = "same") -> "ConvTranspose1DLayer":
-        w = _uniform_init(rng, (kernel_size, c_in, c_out), kernel_size * c_in)
-        b = np.zeros(c_out, dtype=_active_dtype)
-        return cls(kernel_size, stride, c_in, c_out, padding, w, b)
-
     def out_length(self, length: int) -> int:
         if self.padding == "same":
             return length * self.stride
         return (length - 1) * self.stride + self.kernel_size
 
-    def _tap_ranges(self, j: int, n_in: int, n_out: int):
-        # Input step t writes output position u = t*stride + j - pad_left.
-        offset = j - (_same_pads(self.kernel_size)[0] if self.padding == "same" else 0)
-        # smallest t with t*stride + offset >= 0, i.e. ceil(-offset / stride)
-        t_lo = -(offset // self.stride) if offset < 0 else 0
-        t_hi = min(n_in - 1, (n_out - 1 - offset) // self.stride)
-        return offset, t_lo, t_hi
+    def _full_length(self, n_in: int) -> int:
+        # Length covered by every tap of every input step, before the crop to
+        # out_length; with stride > kernel_size the "same" crop reaches further.
+        return max((n_in - 1) * self.stride + self.kernel_size,
+                   self._pad_left + self.out_length(n_in))
+
+    def _taps(self) -> np.ndarray:
+        # w as one (c_in, kernel_size * c_out) matrix, column block j holding tap j.
+        return self.w.transpose(1, 0, 2).reshape(self.c_in, -1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.forward")
         n_in = x.shape[1]
-        n_out = self.out_length(n_in)
-        s = self.stride
-        y = np.broadcast_to(self.b, (x.shape[0], n_out, self.c_out)).astype(self.w.dtype).copy()
-        for j in range(self.kernel_size):
-            offset, t_lo, t_hi = self._tap_ranges(j, n_in, n_out)
-            if t_lo > t_hi:
-                continue
-            u_lo = t_lo * s + offset
-            n = t_hi - t_lo + 1
-            y[:, u_lo:u_lo + (n - 1) * s + 1:s, :] += x[:, t_lo:t_hi + 1, :] @ self.w[j]
-        return y
+        left = self._pad_left
+        full = _fold(x @ self._taps(), self.kernel_size, self.stride, self._full_length(n_in))
+        return full[:, left:left + self.out_length(n_in)] + self.b
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.backward")
-        n_in = x.shape[1]
-        n_out = self.out_length(n_in)
-        if grad_out.shape != (x.shape[0], n_out, self.c_out):
-            raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
-        s = self.stride
-        grad_b = grad_out.sum(axis=(0, 1))
-        grad_w = np.zeros_like(self.w)
-        grad_x = np.zeros_like(x)
-        for j in range(self.kernel_size):
-            offset, t_lo, t_hi = self._tap_ranges(j, n_in, n_out)
-            if t_lo > t_hi:
-                continue
-            u_lo = t_lo * s + offset
-            n = t_hi - t_lo + 1
-            g = grad_out[:, u_lo:u_lo + (n - 1) * s + 1:s, :]
-            grad_w[j] = np.einsum("bli,blo->io", x[:, t_lo:t_hi + 1, :], g)
-            grad_x[:, t_lo:t_hi + 1, :] += g @ self.w[j].T
-        return grad_x, grad_w, grad_b
+        self._check_grad_out(x, grad_out)
+        k, n_in = self.kernel_size, x.shape[1]
+        gp = _zero_pad(grad_out, self._pad_left, self._full_length(n_in))
+        cols = _unfold(gp, k, self.stride, n_in).reshape(-1, k * self.c_out)
+        grad_x = (cols @ self._taps().T).reshape(x.shape)
+        grad_w = (cols.T @ x.reshape(-1, self.c_in)).reshape(k, self.c_out, self.c_in)
+        return grad_x, grad_w.transpose(0, 2, 1), grad_out.sum(axis=(0, 1))
 
 
 @dataclass
@@ -246,19 +211,19 @@ class DenseLayer:
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("dense dimensions must be >= 1")
         if self.w is None:
-            self.w = np.zeros((self.d_in, self.d_out), dtype=_active_dtype)
+            self.w = np.zeros((self.d_in, self.d_out))
         if self.b is None:
-            self.b = np.zeros(self.d_out, dtype=_active_dtype)
+            self.b = np.zeros(self.d_out, dtype=self.w.dtype)
         if self.w.shape != (self.d_in, self.d_out):
             raise ShapeMismatch(f"weight shape {self.w.shape} does not match ({self.d_in}, {self.d_out})")
         if self.b.shape != (self.d_out,):
             raise ShapeMismatch(f"bias shape {self.b.shape} does not match d_out")
 
     @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, d_out: int) -> "DenseLayer":
-        w = _uniform_init(rng, (d_in, d_out), d_in)
-        b = np.zeros(d_out, dtype=_active_dtype)
-        return cls(d_in, d_out, w, b)
+    def init(cls, rng: np.random.Generator, d_in: int, d_out: int,
+             dtype="float64") -> "DenseLayer":
+        w = _uniform_init(rng, (d_in, d_out), d_in, dtype)
+        return cls(d_in, d_out, w, np.zeros(d_out, dtype=dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.d_in:

@@ -1,5 +1,7 @@
 """Autoencoder architecture checks, training behavior, and the model container."""
 
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -52,6 +54,16 @@ class TestSpec:
     def test_dict_round_trip(self):
         spec = ae.AutoencoderSpec(encoder_convs=((3, 2, 4), (3, 5, 6)), latent_dim=5)
         assert ae.AutoencoderSpec.from_dict(spec.to_dict()) == spec
+
+    def test_dtype_field_sets_the_layer_dtype_of_that_model_only(self):
+        narrow = ae.build(ae.AutoencoderSpec(dtype="float32"))
+        assert all(p.dtype == np.float32 for p in narrow.parameters())
+        # a default spec built afterwards in the same process is unaffected
+        assert all(p.dtype == np.float64 for p in ae.build(ae.AutoencoderSpec()).parameters())
+
+    def test_unknown_dtype_rejected(self):
+        with pytest.raises(ae.SpecError):
+            ae.AutoencoderSpec(dtype="float16")
 
 
 class TestForwardShapes:
@@ -154,6 +166,36 @@ def trained_small_model(with_stats=True):
     return model
 
 
+def resign(path, header_edit=None, arrays_edit=None):
+    """Rewrite a saved model with its header or arrays edited, under a valid checksum."""
+    body = path.read_bytes()[:-32]
+    start = len(ae.MAGIC) + 4
+    (n,) = struct.unpack("<I", body[start:start + 4])
+    header, arrays = body[start + 4:start + 4 + n], body[start + 4 + n:]
+    if header_edit is not None:
+        header = header_edit(header)
+    if arrays_edit is not None:
+        arrays = arrays_edit(arrays)
+    body = body[:start] + struct.pack("<I", len(header)) + header + arrays
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def edit_json(fn):
+    def edit(header):
+        doc = json.loads(header)
+        fn(doc)
+        return json.dumps(doc).encode("utf-8")
+    return edit
+
+
+def retag_first_array(tag):
+    """Arrays edit that replaces the length-prefixed dtype tag of the first array."""
+    def edit(arrays):
+        i = arrays.index(b"float64")
+        return arrays[:i - 4] + struct.pack("<I", len(tag)) + tag + arrays[i + len(b"float64"):]
+    return edit
+
+
 class TestModelContainer:
     def test_round_trip_reproduces_reconstructions_bitwise(self, tmp_path):
         model = trained_small_model()
@@ -206,6 +248,34 @@ class TestModelContainer:
         raw[len(ae.MAGIC):len(ae.MAGIC) + 4] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
         with pytest.raises(ae.VersionError):
+            ae.load(path)
+
+    @pytest.mark.parametrize("header_edit", [
+        edit_json(lambda d: d.pop("has_norm_stats")),
+        edit_json(lambda d: d.pop("dtype")),
+        edit_json(lambda d: d["spec"].pop("latent_dim")),
+        edit_json(lambda d: d.update(dtype="float16")),
+        edit_json(lambda d: d.update(spec=[1, 2])),
+        edit_json(lambda d: d["spec"].update(latent_dim=float("inf"))),
+        lambda h: b"[1, 2]",
+        lambda h: b"{not json",
+        lambda h: b"\xff\xfe",
+    ], ids=["no_norm_flag", "no_dtype", "no_spec_key", "bad_dtype", "spec_not_object",
+            "infinite_size", "header_not_object", "bad_json", "bad_utf8"])
+    def test_checksum_valid_malformed_header_is_format_error(self, tmp_path, header_edit):
+        path = tmp_path / "model.rtae"
+        ae.save(trained_small_model(with_stats=False), path)
+        resign(path, header_edit=header_edit)
+        with pytest.raises(ae.ModelFormatError):
+            ae.load(path)
+
+    @pytest.mark.parametrize("tag", [b"float99", b"int64", b"float32"],
+                             ids=["unknown_dtype", "wrong_kind", "payload_does_not_fit_shape"])
+    def test_checksum_valid_malformed_array_is_format_error(self, tmp_path, tag):
+        path = tmp_path / "model.rtae"
+        ae.save(trained_small_model(with_stats=False), path)
+        resign(path, arrays_edit=retag_first_array(tag))
+        with pytest.raises(ae.ModelFormatError):
             ae.load(path)
 
     def test_foreign_file_is_rejected_on_magic(self, tmp_path):

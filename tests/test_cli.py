@@ -1,7 +1,10 @@
 """End-to-end checks of the command line pipeline on a small scenario."""
 
 import csv
+import dataclasses
+import hashlib
 import json
+import struct
 
 import pytest
 
@@ -139,6 +142,51 @@ class TestCliBehavior:
         results, unclassifiable = cli.read_results(work / "results.csv")
         assert results == []
         assert unclassifiable == {"SHORT1": "fewer_than_100_points"}
+
+
+    def test_track_id_with_comma_and_quote_survives_classify_and_validate(self, pipeline,
+                                                                         tmp_path):
+        work = tmp_path / "quoted"
+        work.mkdir()
+        for name in ("model.rtae", "thresholds.json", "runways.csv", "registration.csv",
+                     "heli_types.txt"):
+            (work / name).write_bytes((pipeline / name).read_bytes())
+        odd = 'N1,"X'
+        tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks[:3]
+        tracks[0] = dataclasses.replace(tracks[0], track_id=odd)
+        td.save_tracks(tracks, work / "tracks.jsonl")
+        assert run("--out-dir", str(work), "classify") == 0
+        results, _ = cli.read_results(work / "results.csv")
+        assert [r.track_id for r in results] == [t.track_id for t in tracks]
+        assert run("--out-dir", str(work), "validate") == 0
+        with open(work / "validation.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == [t.track_id for t in tracks]
+        assert {len(row) for row in rows} == {len(rows[0])}
+
+    def test_checksum_valid_model_without_norm_flag_exits_1(self, pipeline, tmp_path):
+        work = tmp_path / "badheader"
+        work.mkdir()
+        for name in ("tracks.jsonl", "labels.csv", "runways.csv"):
+            (work / name).write_bytes((pipeline / name).read_bytes())
+        body = (pipeline / "model.rtae").read_bytes()[:-32]
+        start = len(ae.MAGIC) + 4
+        (n,) = struct.unpack_from("<I", body, start)
+        header = json.loads(body[start + 4:start + 4 + n])
+        del header["has_norm_stats"]
+        new = json.dumps(header).encode("utf-8")
+        body = body[:start] + struct.pack("<I", len(new)) + new + body[start + 4 + n:]
+        (work / "model.rtae").write_bytes(body + hashlib.sha256(body).digest())
+        assert run("--out-dir", str(work), "calibrate") == 1
+
+    def test_unknown_dtype_in_config_exits_1(self, pipeline, tmp_path):
+        work = tmp_path / "f16"
+        work.mkdir()
+        for name in ("tracks.jsonl", "labels.csv", "runways.csv"):
+            (work / name).write_bytes((pipeline / name).read_bytes())
+        cfg = work / "cfg.json"
+        cfg.write_text(json.dumps({"autoencoder": {"dtype": "float16"}}))
+        assert run("--out-dir", str(work), "--config", str(cfg), "train") == 1
 
 
 class TestCalibratePercentileFlag:

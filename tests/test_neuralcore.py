@@ -62,9 +62,32 @@ def random_cases(n):
         yield k, stride, c_in, c_out, padding, n_in, batch, rng
 
 
+# (kernel, stride, c_in, c_out, padding, n_in, batch) at the edges of the geometry
+EDGE_CASES = [
+    (1, 3, 2, 3, "same", 10, 2),     # stride greater than kernel
+    (1, 3, 2, 3, "valid", 10, 1),
+    (2, 3, 3, 2, "same", 11, 2),
+    (2, 3, 3, 2, "valid", 11, 1),
+    (4, 2, 2, 3, "valid", 4, 2),     # n_in == kernel: a single valid window
+    (7, 1, 1, 2, "valid", 7, 1),
+    (7, 2, 6, 16, "same", 25, 2),    # the shipped kernels and lengths
+    (7, 2, 16, 6, "same", 50, 2),
+    (5, 2, 32, 16, "same", 25, 2),
+    (5, 2, 16, 32, "same", 50, 2),
+]
+
+
+def geometry_cases():
+    """The 20 random cases, then the explicit edge cases."""
+    yield from random_cases(20)
+    rng = np.random.default_rng(20240192)
+    for case in EDGE_CASES:
+        yield (*case, rng)
+
+
 class TestConv1DForward:
     def test_matches_naive_loop_on_20_random_cases(self):
-        for k, stride, c_in, c_out, padding, n_in, batch, rng in random_cases(20):
+        for k, stride, c_in, c_out, padding, n_in, batch, rng in geometry_cases():
             layer = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, padding)
             x = rng.normal(size=(batch, n_in, c_in))
             got = layer.forward(x)
@@ -93,9 +116,23 @@ class TestConv1DForward:
             layer.forward(np.zeros((1, 10, 3)))
 
 
+class TestUnfold:
+    def test_rows_are_the_strided_windows(self):
+        xp = np.arange(2 * 10 * 3, dtype=float).reshape(2, 10, 3)
+        rows = nn._unfold(xp, 3, 2, 4)
+        assert rows.shape == (2, 4, 9)
+        for t in range(4):
+            assert np.array_equal(rows[:, t], xp[:, 2 * t:2 * t + 3].reshape(2, 9))
+
+    def test_overrunning_window_count_raises(self):
+        # 5 windows of 3 at stride 2 need 11 positions; only 10 exist
+        with pytest.raises(nn.ShapeMismatch):
+            nn._unfold(np.zeros((1, 10, 2)), 3, 2, 5)
+
+
 class TestConvTranspose1DForward:
     def test_matches_naive_scatter_on_20_random_cases(self):
-        for k, stride, c_in, c_out, padding, n_in, batch, rng in random_cases(20):
+        for k, stride, c_in, c_out, padding, n_in, batch, rng in geometry_cases():
             layer = nn.ConvTranspose1DLayer.init(rng, k, stride, c_in, c_out, padding)
             x = rng.normal(size=(batch, n_in, c_in))
             got = layer.forward(x)
@@ -112,7 +149,7 @@ class TestConvTranspose1DForward:
 class TestAdjointIdentity:
     def test_conv_and_transpose_are_adjoint(self):
         # <conv(x), y> == <x, convT(y)> when convT uses the transposed weights
-        for k, stride, c_in, c_out, padding, n_in, batch, rng in random_cases(20):
+        for k, stride, c_in, c_out, padding, n_in, batch, rng in geometry_cases():
             conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, padding)
             conv.b[:] = 0.0
             x = rng.normal(size=(batch, n_in, c_in))
@@ -255,17 +292,3 @@ class TestAdam:
     def test_invalid_learning_rate_rejected(self):
         with pytest.raises(ValueError):
             nn.adam_init([np.zeros(1)], lr=-0.1)
-
-
-class TestDtypeSwitch:
-    def teardown_method(self):
-        nn.set_dtype("float64")
-
-    def test_layers_build_in_active_dtype(self):
-        nn.set_dtype("float32")
-        layer = nn.Conv1DLayer.init(np.random.default_rng(0), 3, 1, 2, 2, "same")
-        assert layer.w.dtype == np.float32
-
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            nn.set_dtype("float16")

@@ -6,9 +6,17 @@ layer, restoring exactly (window, feature) shaped output.  Training is
 plain Adam on mean absolute reconstruction error with a validation split
 and early stopping, fully deterministic for a fixed seed.
 
+The architecture is one layer plan worked out from the spec by arithmetic
+alone: the stages ``enc0..``, ``enc_dense``, ``dec_dense``, ``dec0..`` in
+data-flow order, each a layer plus whether a ReLU follows it.  Building,
+both passes, the parameter list and the model file walk that one list, and
+a stage's name prefixes its arrays in the file.
+
 Models are stored in a single binary file: magic ``RTAE``, a format
 version, a JSON header describing the architecture, the weight arrays as
 length-prefixed little-endian blocks, and a trailing SHA-256 checksum.
+Loading builds each planned layer from the arrays read from the file, so
+no size claimed by a header is ever allocated.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -106,52 +114,55 @@ class AutoencoderSpec:
         return length, channels
 
     def to_dict(self) -> dict:
-        return {
-            "input_len": self.input_len,
-            "n_features": self.n_features,
-            "encoder_convs": [list(stage) for stage in self.encoder_convs],
-            "latent_dim": self.latent_dim,
-            "activation": self.activation,
-            "seed": self.seed,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderSpec":
-        return cls(
-            input_len=int(d["input_len"]),
-            n_features=int(d["n_features"]),
-            encoder_convs=tuple(tuple(int(v) for v in stage) for stage in d["encoder_convs"]),
-            latent_dim=int(d["latent_dim"]),
-            activation=str(d["activation"]),
-            seed=int(d["seed"]),
-            dtype=str(d["dtype"]),
-        )
+        sizes = {key: int(d[key]) for key in ("input_len", "n_features", "latent_dim", "seed")}
+        convs = tuple(tuple(int(v) for v in stage) for stage in d["encoder_convs"])
+        return cls(**sizes, encoder_convs=convs, activation=str(d["activation"]), dtype=str(d["dtype"]))
+
+
+class Stage(NamedTuple):
+    """One step of the layer plan."""
+
+    name: str     # enc<i>, enc_dense, dec_dense or dec<i>; prefixes its arrays in the file
+    layer: object  # nn.Conv1DLayer, nn.DenseLayer or nn.ConvTranspose1DLayer
+    relu: bool    # whether a ReLU follows the layer
+
+
+def _plan(spec: AutoencoderSpec) -> list[tuple[str, type, tuple[int, ...], bool]]:
+    """(name, layer class, geometry, relu) per stage in data-flow order.
+
+    Arithmetic only, so huge sizes claimed by a file header cost nothing
+    here.  The decoder walks the encoder backwards; its last layer is linear.
+    """
+    top_len, top_ch = spec.encoded_shape()
+    convs = spec.encoder_convs
+    chans = [spec.n_features] + [c for _, _, c in convs]
+    plan = [(f"enc{i}", nn.Conv1DLayer, (k, s, chans[i], c), True)
+            for i, (k, s, c) in enumerate(convs)]
+    plan += [("enc_dense", nn.DenseLayer, (top_len * top_ch, spec.latent_dim), False),
+             ("dec_dense", nn.DenseLayer, (spec.latent_dim, top_len * top_ch), True)]
+    plan += [(f"dec{len(convs) - 1 - i}", nn.ConvTranspose1DLayer,
+              (k, s, chans[i + 1], chans[i]), i > 0)
+             for i, (k, s, _) in reversed(list(enumerate(convs)))]
+    return plan
 
 
 @dataclass
 class ModelParams:
-    """A built autoencoder: layers, spec, and the NormStats used at training.
+    """A built autoencoder: spec, layer plan stages, and the training NormStats.
 
-    NormStats are embedded after training so inference needs only this
-    object (plus a raw window).
+    The NormStats are embedded so inference needs only this object (plus a raw window).
     """
 
     spec: AutoencoderSpec
-    encoder_convs: list = field(repr=False, default_factory=list)
-    enc_dense: nn.DenseLayer = field(repr=False, default=None)
-    dec_dense: nn.DenseLayer = field(repr=False, default=None)
-    decoder_convs: list = field(repr=False, default_factory=list)
+    stages: list[Stage] = field(repr=False, default_factory=list)
     norm_stats: Optional[NormStats] = field(repr=False, default=None)
 
     def parameters(self) -> list[np.ndarray]:
-        params = []
-        for layer in self.encoder_convs:
-            params += [layer.w, layer.b]
-        params += [self.enc_dense.w, self.enc_dense.b, self.dec_dense.w, self.dec_dense.b]
-        for layer in self.decoder_convs:
-            params += [layer.w, layer.b]
-        return params
+        return [p for stage in self.stages for p in (stage.layer.w, stage.layer.b)]
 
 
 @dataclass(frozen=True)
@@ -180,126 +191,71 @@ MIN_TRAIN_WINDOWS = 32
 
 def build(spec: AutoencoderSpec) -> ModelParams:
     """Assemble and initialize a model; weights are uniform, fan-in scaled."""
-    top_len, top_ch = spec.encoded_shape()
     rng = np.random.default_rng(spec.seed)
-    model = ModelParams(spec=spec)
-
-    c_in = spec.n_features
-    for k, s, c_out in spec.encoder_convs:
-        model.encoder_convs.append(nn.Conv1DLayer.init(rng, k, s, c_in, c_out, dtype=spec.dtype))
-        c_in = c_out
-    flat = top_len * top_ch
-    model.enc_dense = nn.DenseLayer.init(rng, flat, spec.latent_dim, spec.dtype)
-    model.dec_dense = nn.DenseLayer.init(rng, spec.latent_dim, flat, spec.dtype)
-
-    # Mirror of the encoder: channel plan walks back to n_features.
-    stages = list(spec.encoder_convs)
-    for i in range(len(stages) - 1, -1, -1):
-        k, s, _ = stages[i]
-        c_out = stages[i - 1][2] if i > 0 else spec.n_features
-        model.decoder_convs.append(nn.ConvTranspose1DLayer.init(rng, k, s, c_in, c_out, dtype=spec.dtype))
-        c_in = c_out
-
-    probe = np.zeros((2, spec.input_len, spec.n_features), dtype=spec.dtype)
-    out = _forward(model, probe)
-    if out.shape != probe.shape:
-        raise SpecError(f"decoder restores {out.shape[1:]}, expected "
-                        f"({spec.input_len}, {spec.n_features})")
-    return model
+    return ModelParams(spec, [Stage(name, cls.init(rng, *geometry, dtype=spec.dtype), relu)
+                              for name, cls, geometry, relu in _plan(spec)])
 
 
-def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+def _fit(layer, h: np.ndarray) -> np.ndarray:
+    """h as (batch, features) for a dense layer, (batch, length, channels) for a conv."""
+    if isinstance(layer, nn.DenseLayer):
+        return h.reshape(len(h), layer.d_in)
+    return h if h.ndim == 3 else h.reshape(len(h), h.shape[1] // layer.c_in, layer.c_in)
+
+
+def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None,
+             stop: Optional[str] = None) -> np.ndarray:
+    """Run the stages in order, ending after the one named stop if given.
+
+    A cache receives each stage's (stage, input, pre-activation) for _backward.
+    """
+    if cache is not None:
+        cache["trail"] = []
     h = x
-    if cache is not None:
-        cache["enc_in"], cache["enc_pre"] = [], []
-    for layer in model.encoder_convs:
+    for stage in model.stages:
+        h = _fit(stage.layer, h)
+        z = stage.layer.forward(h)
         if cache is not None:
-            cache["enc_in"].append(h)
-        z = layer.forward(h)
-        if cache is not None:
-            cache["enc_pre"].append(z)
-        h = nn.relu_forward(z)
-    b, top_len, top_ch = h.shape
-    flat = h.reshape(b, top_len * top_ch)
-    latent = model.enc_dense.forward(flat)
-    dec_pre = model.dec_dense.forward(latent)
-    dh = nn.relu_forward(dec_pre).reshape(b, top_len, top_ch)
-    if cache is not None:
-        cache.update(flat=flat, latent=latent, dec_pre=dec_pre,
-                     top_shape=(top_len, top_ch), dec_in=[], dec_pre_acts=[])
-    last = len(model.decoder_convs) - 1
-    for i, layer in enumerate(model.decoder_convs):
-        if cache is not None:
-            cache["dec_in"].append(dh)
-        z = layer.forward(dh)
-        if i == last:
-            dh = z   # linear output layer
-        else:
-            if cache is not None:
-                cache["dec_pre_acts"].append(z)
-            dh = nn.relu_forward(z)
-    return dh
+            cache["trail"].append((stage, h, z))
+        h = nn.relu_forward(z) if stage.relu else z
+        if stage.name == stop:
+            break
+    return h
 
 
 def _backward(model: ModelParams, cache: dict, grad_out: np.ndarray) -> list[np.ndarray]:
-    """Gradients aligned with ModelParams.parameters() order."""
-    dec_grads = []
-    g = grad_out
-    last = len(model.decoder_convs) - 1
-    for i in range(last, -1, -1):
-        if i != last:
-            g = nn.relu_backward(cache["dec_pre_acts"][i], g)
-        gx, gw, gb = model.decoder_convs[i].backward(cache["dec_in"][i], g)
-        dec_grads.append((gw, gb))
-        g = gx
-    b = g.shape[0]
-    g = g.reshape(b, -1)
-    g = nn.relu_backward(cache["dec_pre"], g)
-    g, gw_dd, gb_dd = model.dec_dense.backward(cache["latent"], g)
-    g, gw_ed, gb_ed = model.enc_dense.backward(cache["flat"], g)
-    top_len, top_ch = cache["top_shape"]
-    g = g.reshape(b, top_len, top_ch)
-    enc_grads = []
-    for i in range(len(model.encoder_convs) - 1, -1, -1):
-        g = nn.relu_backward(cache["enc_pre"][i], g)
-        gx, gw, gb = model.encoder_convs[i].backward(cache["enc_in"][i], g)
-        enc_grads.append((gw, gb))
-        g = gx
-
+    """Gradients in ModelParams.parameters() order; frees the cache's activations as it goes."""
     grads: list[np.ndarray] = []
-    for gw, gb in reversed(enc_grads):
-        grads += [gw, gb]
-    grads += [gw_ed, gb_ed, gw_dd, gb_dd]
-    for gw, gb in reversed(dec_grads):
-        grads += [gw, gb]
-    return grads
+    g = grad_out
+    trail = cache.pop("trail")
+    while trail:
+        stage, h, z = trail.pop()
+        g = g.reshape(z.shape)
+        if stage.relu:
+            g = nn.relu_backward(z, g)
+        g, gw, gb = stage.layer.backward(h, g)
+        grads += [gb, gw]
+    return grads[::-1]
 
 
-def _as_batch(window_values: np.ndarray, model: ModelParams) -> np.ndarray:
-    v = np.asarray(window_values, dtype=model.enc_dense.w.dtype)
-    if v.ndim == 2:
-        v = v[np.newaxis]
-    if v.ndim != 3 or v.shape[1:] != (model.spec.input_len, model.spec.n_features):
-        raise AutoencoderError(
-            f"expected windows shaped ({model.spec.input_len}, {model.spec.n_features}), got {v.shape}")
-    return v
+def _run(model: ModelParams, window_values: np.ndarray, stop: Optional[str] = None) -> np.ndarray:
+    """_forward over one window (a batch of one, unwrapped again) or a batch of them."""
+    v = np.asarray(window_values, dtype=model.spec.dtype)
+    shape = (model.spec.input_len, model.spec.n_features)
+    if v.ndim not in (2, 3) or v.shape[-2:] != shape:
+        raise AutoencoderError(f"expected windows shaped {shape}, got {v.shape}")
+    out = _forward(model, v[np.newaxis] if v.ndim == 2 else v, stop=stop)
+    return out[0] if v.ndim == 2 else out
 
 
 def encode(model: ModelParams, window_values: np.ndarray) -> np.ndarray:
     """Latent vector for one normalized window (or a batch of them)."""
-    x = _as_batch(window_values, model)
-    h = x
-    for layer in model.encoder_convs:
-        h = nn.relu_forward(layer.forward(h))
-    latent = model.enc_dense.forward(h.reshape(h.shape[0], -1))
-    return latent[0] if np.asarray(window_values).ndim == 2 else latent
+    return _run(model, window_values, stop="enc_dense")
 
 
 def reconstruct(model: ModelParams, window_values: np.ndarray) -> np.ndarray:
     """Autoencoder reconstruction of one normalized window (or a batch)."""
-    x = _as_batch(window_values, model)
-    out = _forward(model, x)
-    return out[0] if np.asarray(window_values).ndim == 2 else out
+    return _run(model, window_values)
 
 
 def reconstruction_error(model: ModelParams, window_values: np.ndarray) -> float:
@@ -334,8 +290,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
                 f"window from track {w.source_track_id} is tagged {w.label!r}, not "
                 f"{CLASS_HELICOPTER!r}; refusing to train on it")
 
-    dtype = model.enc_dense.w.dtype
-    data = np.stack([w.values for w in windows]).astype(dtype)
+    data = np.stack([w.values for w in windows]).astype(model.spec.dtype)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(data))
     n_val = max(1, round(config.validation_fraction * len(data)))
@@ -397,16 +352,16 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
 
 
 class _Reader:
+    """Sequential reads from a byte buffer; none can run past its end."""
+
     def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+        self.buf, self.pos = buf, 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
             raise ModelFormatError("model file ends unexpectedly")
-        out = self.buf[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.buf[self.pos - n:self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -416,13 +371,7 @@ class _Reader:
 
 
 def _named_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
-    named = []
-    for i, layer in enumerate(model.encoder_convs):
-        named += [(f"enc{i}.w", layer.w), (f"enc{i}.b", layer.b)]
-    named += [("enc_dense.w", model.enc_dense.w), ("enc_dense.b", model.enc_dense.b),
-              ("dec_dense.w", model.dec_dense.w), ("dec_dense.b", model.dec_dense.b)]
-    for i, layer in enumerate(model.decoder_convs):
-        named += [(f"dec{i}.w", layer.w), (f"dec{i}.b", layer.b)]
+    named = [(f"{stage.name}.{p}", getattr(stage.layer, p)) for stage in model.stages for p in "wb"]
     if model.norm_stats is not None:
         named += [("norm.mean", model.norm_stats.mean), ("norm.std", model.norm_stats.std)]
     return named
@@ -430,23 +379,16 @@ def _named_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 def save(model: ModelParams, path) -> None:
     """Write the model container; always safe to re-load bit-exactly."""
-    dtype_name = str(model.enc_dense.w.dtype)
     header = json.dumps({
         "spec": model.spec.to_dict(),
-        "dtype": dtype_name,
+        "dtype": model.spec.dtype,
         "has_norm_stats": model.norm_stats is not None,
     }, separators=(",", ":")).encode("utf-8")
     arrays = _named_arrays(model)
-    body = MAGIC
-    body += struct.pack("<I", FORMAT_VERSION)
-    body += struct.pack("<I", len(header)) + header
-    body += struct.pack("<I", len(arrays))
-    for name, arr in arrays:
-        body += _pack_array(name, arr)
-    digest = hashlib.sha256(body).digest()
+    body = MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
+    body += struct.pack("<I", len(arrays)) + b"".join(_pack_array(n, a) for n, a in arrays)
     with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(digest)
+        fh.write(body + hashlib.sha256(body).digest())
 
 
 def load(path) -> ModelParams:
@@ -479,31 +421,30 @@ def load(path) -> ModelParams:
             shape = tuple(r.u32() for _ in range(r.u32()))
             payload = r.take(r.u64())
             arrays[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-        model = build(spec)
+        plan = _plan(spec)
     except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
         raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
 
-    def fetch(name: str, like: np.ndarray) -> np.ndarray:
+    def fetch(name: str, dtype: str, shape: Optional[tuple] = None) -> np.ndarray:
         if name not in arrays:
             raise ModelFormatError(f"model file missing array {name!r}")
         arr = arrays[name]
-        if arr.shape != like.shape or arr.dtype != like.dtype:
+        if arr.dtype != dtype or shape not in (None, arr.shape):
             raise ModelFormatError(f"array {name!r} is {arr.dtype}{arr.shape}, "
-                                   f"expected {like.dtype}{like.shape}")
+                                   f"expected {dtype}{shape or ''}")
         return arr
 
-    for i, layer in enumerate(model.encoder_convs):
-        layer.w = fetch(f"enc{i}.w", layer.w)
-        layer.b = fetch(f"enc{i}.b", layer.b)
-    model.enc_dense.w = fetch("enc_dense.w", model.enc_dense.w)
-    model.enc_dense.b = fetch("enc_dense.b", model.enc_dense.b)
-    model.dec_dense.w = fetch("dec_dense.w", model.dec_dense.w)
-    model.dec_dense.b = fetch("dec_dense.b", model.dec_dense.b)
-    for i, layer in enumerate(model.decoder_convs):
-        layer.w = fetch(f"dec{i}.w", layer.w)
-        layer.b = fetch(f"dec{i}.b", layer.b)
+    # Each layer checks the shapes of its arrays against its planned geometry.
+    stages = []
+    for name, cls, geometry, relu in plan:
+        try:
+            stages.append(Stage(name, cls(*geometry, w=fetch(f"{name}.w", spec.dtype),
+                                          b=fetch(f"{name}.b", spec.dtype)), relu))
+        except nn.ShapeMismatch as e:
+            raise ModelFormatError(f"stage {name!r}: {e}") from None
+    model = ModelParams(spec, stages)
     if has_norm_stats:
         shape = (spec.input_len, spec.n_features)
-        like = np.empty(shape)
-        model.norm_stats = NormStats(mean=fetch("norm.mean", like), std=fetch("norm.std", like))
+        model.norm_stats = NormStats(mean=fetch("norm.mean", "float64", shape),
+                                     std=fetch("norm.std", "float64", shape))
     return model

@@ -103,13 +103,7 @@ def load_config(path: Optional[str]) -> dict:
     p = Path(path)
     if not p.is_file():
         raise CliError(f"config file not found: {p}")
-    try:
-        user = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise CliError(f"config file {p} is not valid JSON: {e.msg} (line {e.lineno})") from None
-    if not isinstance(user, dict):
-        raise CliError(f"config file {p} must contain a JSON object")
-    return _deep_merge(DEFAULT_CONFIG, user)
+    return _deep_merge(DEFAULT_CONFIG, _read_json_object(p))
 
 
 class Paths:
@@ -211,13 +205,37 @@ def _score_params(cfg: dict) -> rs.ScoreParams:
     )
 
 
+def _read_json_object(path: Path, numbers: tuple[str, ...] = (),
+                      nullable: tuple[str, ...] = ()) -> dict:
+    """The JSON object in path; each key in numbers must hold a number (or null if nullable).
+
+    Any defect, from bad JSON to a missing or non-numeric key, is a CliError
+    naming the file.
+    """
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise CliError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise CliError(f"{path} must hold a JSON object, not {type(doc).__name__}")
+    for key in numbers:
+        if key not in doc:
+            raise CliError(f"{path} lacks the key {key!r}")
+        value = doc[key]
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (is_number or value is None and key in nullable):
+            raise CliError(f"{path}: {key!r} must be a number, got {value!r}")
+    return doc
+
+
 def _read_thresholds(paths: Paths) -> idf.Thresholds:
-    raw = json.loads(paths.input("thresholds").read_text(encoding="utf-8"))
-    return idf.Thresholds(
-        mae_threshold=raw["mae_threshold"],
-        percentile=raw["percentile"],
-        runway_score_threshold=raw["runway_score_threshold"],
-    )
+    path = paths.input("thresholds")
+    keys = ("mae_threshold", "percentile", "runway_score_threshold")
+    doc = _read_json_object(path, keys)
+    try:
+        return idf.Thresholds(**{key: doc[key] for key in keys})
+    except ValueError as e:
+        raise CliError(f"{path}: {e}") from None
 
 
 # --------------------------------------------------------------------------
@@ -414,8 +432,10 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
 
 
 def cmd_report(args, cfg: dict, paths: Paths) -> None:
-    thresholds = json.loads(paths.input("thresholds").read_text(encoding="utf-8"))
-    metrics = json.loads(paths.input("metrics").read_text(encoding="utf-8"))
+    thresholds = _read_thresholds(paths)
+    counts = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable")
+    metrics = _read_json_object(paths.input("metrics"), counts + ("precision", "recall"),
+                                nullable=("precision", "recall"))
     venn_txt = paths.input("venn_txt").read_text(encoding="utf-8")
 
     def ratio(value) -> str:
@@ -425,9 +445,9 @@ def cmd_report(args, cfg: dict, paths: Paths) -> None:
         "helicopter identification report\n"
         "================================\n\n"
         "thresholds\n"
-        f"  reconstruction MAE gate : {thresholds['mae_threshold']!r}"
-        f" (percentile {thresholds['percentile']:g})\n"
-        f"  runway score gate       : {thresholds['runway_score_threshold']!r}\n\n"
+        f"  reconstruction MAE gate : {thresholds.mae_threshold!r}"
+        f" (percentile {thresholds.percentile:g})\n"
+        f"  runway score gate       : {thresholds.runway_score_threshold!r}\n\n"
         "registration check (matched tracks)\n"
         f"  tp={metrics['tp']} fp={metrics['fp']} fn={metrics['fn']} tn={metrics['tn']}"
         f" unmatched={metrics['unmatched']} unclassifiable={metrics['unclassifiable']}\n"

@@ -12,6 +12,10 @@ from rotortrack import neuralcore as nn
 from rotortrack import trackdata as td
 
 SMALL_SPEC = ae.AutoencoderSpec(encoder_convs=((5, 2, 8),), latent_dim=8, seed=42)
+# Two conv stages, so a ReLU sits between the decoder convs; small enough to
+# check every parameter by finite differences.
+TWO_STAGE_SPEC = ae.AutoencoderSpec(input_len=8, n_features=2,
+                                    encoder_convs=((3, 2, 4), (3, 2, 3)), latent_dim=3, seed=0)
 FAST_TRAIN = ae.TrainConfig(epochs=25, batch_size=16, seed=3)
 
 
@@ -89,6 +93,29 @@ class TestForwardShapes:
         model = ae.build(SMALL_SPEC)
         x = np.random.default_rng(1).normal(size=(td.WINDOW_LEN, td.FEATURE_COUNT))
         assert ae.reconstruction_error(model, x) == nn.mae(x, ae.reconstruct(model, x))
+
+    def test_two_stage_gradients_match_finite_differences(self):
+        worst = 0.0
+        for seed in range(3):
+            model = ae.build(ae.AutoencoderSpec(**{**TWO_STAGE_SPEC.__dict__, "seed": seed}))
+            batch = np.random.default_rng(2000 + seed).normal(size=(2, 8, 2))
+            cache = {}
+            rec = ae._forward(model, batch, cache)
+            analytic = ae._backward(model, cache, nn.mae_grad(batch, rec))
+            h = 1e-5
+            for p, g in zip(model.parameters(), analytic):
+                flat, gflat = p.reshape(-1), g.reshape(-1)
+                for i in range(flat.size):
+                    keep = flat[i]
+                    flat[i] = keep + h
+                    up = nn.mae(batch, ae._forward(model, batch))
+                    flat[i] = keep - h
+                    dn = nn.mae(batch, ae._forward(model, batch))
+                    flat[i] = keep
+                    numeric = (up - dn) / (2.0 * h)
+                    err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1.0)
+                    worst = max(worst, err)
+        assert worst < 1e-6, f"max relative gradient error {worst:.3e}"
 
     def test_build_is_deterministic_for_a_seed(self):
         a = ae.build(SMALL_SPEC)
@@ -257,11 +284,14 @@ class TestModelContainer:
         edit_json(lambda d: d.update(dtype="float16")),
         edit_json(lambda d: d.update(spec=[1, 2])),
         edit_json(lambda d: d["spec"].update(latent_dim=float("inf"))),
+        edit_json(lambda d: d["spec"].update(latent_dim=10**12)),
+        edit_json(lambda d: d["spec"].update(input_len=10**12, encoder_convs=[[1, 10**12, 8]])),
         lambda h: b"[1, 2]",
         lambda h: b"{not json",
         lambda h: b"\xff\xfe",
     ], ids=["no_norm_flag", "no_dtype", "no_spec_key", "bad_dtype", "spec_not_object",
-            "infinite_size", "header_not_object", "bad_json", "bad_utf8"])
+            "infinite_size", "huge_latent_dim", "huge_input_and_stride", "header_not_object",
+            "bad_json", "bad_utf8"])
     def test_checksum_valid_malformed_header_is_format_error(self, tmp_path, header_edit):
         path = tmp_path / "model.rtae"
         ae.save(trained_small_model(with_stats=False), path)
@@ -283,3 +313,45 @@ class TestModelContainer:
         path.write_bytes(b"PK\x03\x04" + bytes(64))
         with pytest.raises(ae.ModelFormatError):
             ae.load(path)
+
+    def test_save_writes_the_layer_plan_names_in_order(self, tmp_path):
+        path = tmp_path / "model.rtae"
+        ae.save(two_stage_model_with_stats(), path)
+        assert array_names(path.read_bytes()[:-32]) == [
+            "enc0.w", "enc0.b", "enc1.w", "enc1.b", "enc_dense.w", "enc_dense.b",
+            "dec_dense.w", "dec_dense.b", "dec0.w", "dec0.b", "dec1.w", "dec1.b",
+            "norm.mean", "norm.std"]
+
+    def test_body_truncated_at_any_offset_and_resigned_is_format_error(self, tmp_path):
+        path = tmp_path / "model.rtae"
+        ae.save(two_stage_model_with_stats(), path)
+        body = path.read_bytes()[:-32]
+        for end in range(len(body)):
+            path.write_bytes(body[:end] + hashlib.sha256(body[:end]).digest())
+            with pytest.raises(ae.ModelFormatError):
+                ae.load(path)
+
+
+def two_stage_model_with_stats():
+    model = ae.build(TWO_STAGE_SPEC)
+    shape = (TWO_STAGE_SPEC.input_len, TWO_STAGE_SPEC.n_features)
+    model.norm_stats = td.NormStats(mean=np.full(shape, 0.5), std=np.full(shape, 2.0))
+    return model
+
+
+def array_names(body):
+    """Names of the arrays in a model file body, in file order."""
+    def u32(pos):
+        return struct.unpack_from("<I", body, pos)[0]
+    pos = len(ae.MAGIC) + 4
+    pos += 4 + u32(pos)                     # header
+    count, pos = u32(pos), pos + 4
+    names = []
+    for _ in range(count):
+        names.append(body[pos + 4:pos + 4 + u32(pos)].decode("utf-8"))
+        pos += 4 + u32(pos)                 # name
+        pos += 4 + u32(pos)                 # dtype
+        pos += 4 + 4 * u32(pos)             # shape
+        pos += 8 + struct.unpack_from("<Q", body, pos)[0]   # payload
+    assert pos == len(body)
+    return names

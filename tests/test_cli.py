@@ -24,6 +24,26 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def copy_inputs(src, work, names):
+    """A fresh directory work holding copies of the named files of src."""
+    work.mkdir()
+    for name in names:
+        (work / name).write_bytes((src / name).read_bytes())
+    return work
+
+
+def write_resigned_model(src, dst, header_edit):
+    """Copy a model file with its JSON header edited in place, under a valid checksum."""
+    body = src.read_bytes()[:-32]
+    start = len(ae.MAGIC) + 4
+    (n,) = struct.unpack_from("<I", body, start)
+    header = json.loads(body[start + 4:start + 4 + n])
+    header_edit(header)
+    new = json.dumps(header).encode("utf-8")
+    body = body[:start] + struct.pack("<I", len(new)) + new + body[start + 4 + n:]
+    dst.write_bytes(body + hashlib.sha256(body).digest())
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full synth/train/calibrate/classify/validate/report run."""
@@ -165,19 +185,20 @@ class TestCliBehavior:
         assert {len(row) for row in rows} == {len(rows[0])}
 
     def test_checksum_valid_model_without_norm_flag_exits_1(self, pipeline, tmp_path):
-        work = tmp_path / "badheader"
-        work.mkdir()
-        for name in ("tracks.jsonl", "labels.csv", "runways.csv"):
-            (work / name).write_bytes((pipeline / name).read_bytes())
-        body = (pipeline / "model.rtae").read_bytes()[:-32]
-        start = len(ae.MAGIC) + 4
-        (n,) = struct.unpack_from("<I", body, start)
-        header = json.loads(body[start + 4:start + 4 + n])
-        del header["has_norm_stats"]
-        new = json.dumps(header).encode("utf-8")
-        body = body[:start] + struct.pack("<I", len(new)) + new + body[start + 4 + n:]
-        (work / "model.rtae").write_bytes(body + hashlib.sha256(body).digest())
+        work = copy_inputs(pipeline, tmp_path / "badheader",
+                           ("tracks.jsonl", "labels.csv", "runways.csv"))
+        write_resigned_model(pipeline / "model.rtae", work / "model.rtae",
+                             lambda header: header.pop("has_norm_stats"))
         assert run("--out-dir", str(work), "calibrate") == 1
+
+    def test_checksum_valid_model_claiming_a_huge_latent_dim_exits_1(self, pipeline, tmp_path,
+                                                                      capsys):
+        work = copy_inputs(pipeline, tmp_path / "huge",
+                           ("tracks.jsonl", "labels.csv", "runways.csv"))
+        write_resigned_model(pipeline / "model.rtae", work / "model.rtae",
+                             lambda header: header["spec"].update(latent_dim=10**12))
+        assert run("--out-dir", str(work), "calibrate") == 1
+        assert "enc_dense" in capsys.readouterr().err
 
     def test_unknown_dtype_in_config_exits_1(self, pipeline, tmp_path):
         work = tmp_path / "f16"
@@ -187,6 +208,48 @@ class TestCliBehavior:
         cfg = work / "cfg.json"
         cfg.write_text(json.dumps({"autoencoder": {"dtype": "float16"}}))
         assert run("--out-dir", str(work), "--config", str(cfg), "train") == 1
+
+
+class TestMalformedJsonInputs:
+    INPUTS = ("model.rtae", "tracks.jsonl", "runways.csv", "thresholds.json", "metrics.json",
+              "venn_summary.txt")
+
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    @pytest.mark.parametrize("text", [
+        '{"percentile": 80}',
+        "[1, 2]",
+        '{"mae_threshold": "0.3", "percentile": 80, "runway_score_threshold": 0.5}',
+        '{"mae_threshold": -1.0, "percentile": 80, "runway_score_threshold": 0.5}',
+        "{not json",
+    ], ids=["missing_key", "not_an_object", "non_numeric", "out_of_range", "bad_json"])
+    def test_malformed_thresholds_exit_1_naming_the_file(self, pipeline, tmp_path, capsys,
+                                                         command, text):
+        work = copy_inputs(pipeline, tmp_path / "th", self.INPUTS)
+        (work / "thresholds.json").write_text(text)
+        assert run("--out-dir", str(work), command) == 1
+        assert "thresholds.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("recall"),
+        lambda m: m.update(tp="3"),
+        lambda m: m.update(precision=[1.0]),
+        lambda m: m.update(tn=None),
+    ], ids=["missing_key", "string_count", "list_ratio", "null_count"])
+    def test_malformed_metrics_exit_1_naming_the_file(self, pipeline, tmp_path, capsys, edit):
+        work = copy_inputs(pipeline, tmp_path / "m", self.INPUTS)
+        metrics = json.loads((work / "metrics.json").read_text())
+        edit(metrics)
+        (work / "metrics.json").write_text(json.dumps(metrics))
+        assert run("--out-dir", str(work), "report") == 1
+        assert "metrics.json" in capsys.readouterr().err
+
+    def test_metrics_with_undefined_ratios_still_report(self, pipeline, tmp_path):
+        work = copy_inputs(pipeline, tmp_path / "none", self.INPUTS)
+        metrics = json.loads((work / "metrics.json").read_text())
+        metrics.update(precision=None, recall=None)
+        (work / "metrics.json").write_text(json.dumps(metrics))
+        assert run("--out-dir", str(work), "report") == 0
+        assert "precision: n/a" in (work / "report.txt").read_text()
 
 
 class TestCalibratePercentileFlag:

@@ -16,7 +16,8 @@ Models are stored in a single binary file: magic ``RTAE``, a format
 version, a JSON header describing the architecture, the weight arrays as
 length-prefixed little-endian blocks, and a trailing SHA-256 checksum.
 Loading builds each planned layer from the arrays read from the file, so
-no size claimed by a header is ever allocated.
+no size claimed by a header is ever allocated, and refuses a file holding
+any byte or array the model does not use.
 """
 
 from __future__ import annotations
@@ -420,7 +421,11 @@ def load(path) -> ModelParams:
             dtype = np.dtype(r.take(r.u32()).decode("utf-8"))
             shape = tuple(r.u32() for _ in range(r.u32()))
             payload = r.take(r.u64())
+            if name in arrays:
+                raise ModelFormatError(f"model file repeats array {name!r}")
             arrays[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+        if r.pos != len(body):
+            raise ModelFormatError(f"model file has {len(body) - r.pos} bytes after its last array")
         plan = _plan(spec)
     except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
         raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
@@ -428,7 +433,7 @@ def load(path) -> ModelParams:
     def fetch(name: str, dtype: str, shape: Optional[tuple] = None) -> np.ndarray:
         if name not in arrays:
             raise ModelFormatError(f"model file missing array {name!r}")
-        arr = arrays[name]
+        arr = arrays.pop(name)
         if arr.dtype != dtype or shape not in (None, arr.shape):
             raise ModelFormatError(f"array {name!r} is {arr.dtype}{arr.shape}, "
                                    f"expected {dtype}{shape or ''}")
@@ -447,4 +452,6 @@ def load(path) -> ModelParams:
         shape = (spec.input_len, spec.n_features)
         model.norm_stats = NormStats(mean=fetch("norm.mean", "float64", shape),
                                      std=fetch("norm.std", "float64", shape))
+    if arrays:
+        raise ModelFormatError(f"model file has arrays the model does not use: {sorted(arrays)}")
     return model

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import autoencoder as ae
 from . import identify as idf
@@ -29,6 +29,7 @@ from . import validate as vl
 
 log = logging.getLogger("rotortrack")
 
+# Defaults of the config keys the library does not own.
 DEFAULT_CONFIG: dict = {
     "paths": {
         "out_dir": ".",
@@ -50,60 +51,73 @@ DEFAULT_CONFIG: dict = {
         "report": "report.txt",
     },
     "synth": {"seed": 7, "helicopters": 100, "ga": 100, "commercial": 100},
-    "autoencoder": {
-        "encoder_convs": [[7, 2, 16], [5, 2, 32]],
-        "latent_dim": 16,
-        "activation": "relu",
-        "seed": 1107,
-        "dtype": "float64",
-    },
-    "training": {
-        "epochs": 200,
-        "batch_size": 32,
-        "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "validation_fraction": 0.2,
-        "patience": 20,
-        "seed": 7,
-    },
-    "thresholds": {
-        "percentile": idf.DEFAULT_PERCENTILE,
-        "runway_score_threshold": idf.DEFAULT_SCORE_THRESHOLD,
-    },
-    "runway_score": {
-        "distance_scale_nm": 1.0,
-        "course_full_scale_deg": 30.0,
-        "lateral_full_scale_ft": 500.0,
-        "length_full_scale_ft": 3000.0,
-        "weights": [0.3, 0.25, 0.25, 0.1, 0.1],
-    },
     "histogram_bins": 30,
 }
 
+# Config sections that build a library object, whose field defaults are the
+# section's defaults, and the fields a config may not set: trackdata fixes the
+# window shape, and calibrate derives the MAE gate.
+_BUILT = {
+    "autoencoder": (ae.AutoencoderSpec, ("input_len", "n_features")),
+    "training": (ae.TrainConfig, ()),
+    "runway_score": (rs.ScoreParams, ()),
+    "thresholds": (idf.Thresholds, ("mae_threshold",)),
+}
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", tuple: "a list",
+          dict: "an object"}
+
 
 class CliError(Exception):
-    """A user-facing pipeline failure; the message names the offending file."""
+    """A user-facing pipeline failure; the message names the offending file or config key."""
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = val
-    return out
+def _checked(value, default, name: str):
+    """A JSON value as the kind of default, or a CliError naming it.
+
+    An object may set any subset of its default's keys, and no other.  A float
+    default takes any finite number, integers included, and a tuple default
+    takes a list whose items each have the kind of the default's first item.
+    """
+    if isinstance(default, dict) and isinstance(value, dict):
+        unknown = sorted(value.keys() - default.keys())
+        if unknown:
+            raise CliError(f"{name}.{unknown[0]} is not a settable key")
+        return {key: _checked(value[key], d, f"{name}.{key}") if key in value else d
+                for key, d in default.items()}
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(_checked(v, default[0], f"{name}[{i}]") for i, v in enumerate(value))
+    if type(default) is float and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is type(default):
+        return value
+    raise CliError(f"{name} must be {_KINDS[type(default)]}, got {json.dumps(value)}")
 
 
 def load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"config file not found: {p}")
-    return _deep_merge(DEFAULT_CONFIG, _read_json_object(p))
+    """The checked config: paths, synth and histogram_bins as plain values, the rest built.
+
+    A config file sets any subset of the keys.  An unknown key, a value of the
+    wrong JSON kind or one the library rejects is a CliError naming the key.
+    """
+    doc: dict = {}
+    if path is not None:
+        p = Path(path)
+        if not p.is_file():
+            raise CliError(f"config file not found: {p}")
+        doc = _read_json_object(p)
+    defaults = dict(DEFAULT_CONFIG)
+    for section, (cls, fixed) in _BUILT.items():
+        defaults[section] = {f.name: f.default for f in dataclasses.fields(cls)
+                             if f.name not in fixed}
+    cfg = _checked(doc, defaults, "config")
+    for section, (cls, _) in _BUILT.items():
+        try:
+            cfg[section] = cls(**cfg[section])
+        except (ValueError, ae.SpecError) as e:
+            raise CliError(f"config.{section}: {e}") from None
+    return cfg
 
 
 class Paths:
@@ -141,10 +155,13 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
-    def write(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    _atomic_write(path, write)
+    # csv.writer quotes a field holding a character of its lineterminator and
+    # makes one write per row, so rows written with "\r\n" quote a lone \r
+    # as well, and can then end in "\n" alone.
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    text = "".join(line[:-2] + "\n" for line in lines)
+    _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline=""))
 
 
 def _fmt(value: float) -> str:
@@ -176,33 +193,26 @@ def _runway_for_track(track: td.Track, runways: dict[str, td.Runway]) -> td.Runw
     return best
 
 
-def _heli_track_windows(tracks: list[td.Track], labels: dict[str, str],
-                        runways: dict[str, td.Runway]) -> tuple[list[str], list[np.ndarray]]:
-    """Raw (unnormalized) arrival windows for helicopter-labeled tracks."""
-    ids, raw = [], []
+def _per_heli_track(paths: Paths, strict: bool, stage: str,
+                    fn: Callable[[td.Track, td.Runway], object]) -> tuple[list[str], list]:
+    """(track ids, fn(track, runway)) over the helicopter-labeled tracks.
+
+    A track that fn cannot window is skipped with a warning naming the stage.
+    """
+    tracks = _load_tracks(paths, strict)
+    labels = sg.load_labels(paths.input("labels"))
+    runways = td.load_runways(paths.input("runways"))
+    ids, out = [], []
     for track in tracks:
         if labels.get(track.track_id) != td.CLASS_HELICOPTER:
             continue
-        runway = _runway_for_track(track, runways)
         try:
-            points = td.window_arrival(track, runway)
+            out.append(fn(track, _runway_for_track(track, runways)))
         except td.WindowingError as e:
-            log.warning("training track %s skipped: %s", track.track_id, e)
+            log.warning("%s track %s skipped: %s", stage, track.track_id, e)
             continue
         ids.append(track.track_id)
-        raw.append(td.featurize(points, runway))
-    return ids, raw
-
-
-def _score_params(cfg: dict) -> rs.ScoreParams:
-    c = cfg["runway_score"]
-    return rs.ScoreParams(
-        distance_scale_nm=c["distance_scale_nm"],
-        course_full_scale_deg=c["course_full_scale_deg"],
-        lateral_full_scale_ft=c["lateral_full_scale_ft"],
-        length_full_scale_ft=c["length_full_scale_ft"],
-        weights=tuple(c["weights"]),
-    )
+    return ids, out
 
 
 def _read_json_object(path: Path, numbers: tuple[str, ...] = (),
@@ -260,28 +270,14 @@ def cmd_synth(args, cfg: dict, paths: Paths) -> None:
 
 
 def cmd_train(args, cfg: dict, paths: Paths) -> None:
-    ac = cfg["autoencoder"]
-    tracks = _load_tracks(paths, args.strict)
-    labels = sg.load_labels(paths.input("labels"))
-    runways = td.load_runways(paths.input("runways"))
-    ids, raw = _heli_track_windows(tracks, labels, runways)
+    ids, raw = _per_heli_track(paths, args.strict, "training", lambda track, runway:
+                               td.featurize(td.window_arrival(track, runway), runway))
     log.info("training on %d helicopter windows", len(raw))
     stats = td.fit_norm_stats(raw)
     windows = [td.normalize(r, stats, i, td.CLASS_HELICOPTER) for i, r in zip(ids, raw)]
 
-    spec = ae.AutoencoderSpec(
-        encoder_convs=tuple(tuple(st) for st in ac["encoder_convs"]),
-        latent_dim=ac["latent_dim"],
-        activation=ac["activation"],
-        seed=ac["seed"],
-        dtype=ac["dtype"],
-    )
-    model = ae.build(spec)
-    tc = cfg["training"]
-    history = ae.train(model, windows, ae.TrainConfig(
-        epochs=tc["epochs"], batch_size=tc["batch_size"], learning_rate=tc["learning_rate"],
-        beta1=tc["beta1"], beta2=tc["beta2"], eps=tc["eps"],
-        validation_fraction=tc["validation_fraction"], patience=tc["patience"], seed=tc["seed"]))
+    model = ae.build(cfg["autoencoder"])
+    history = ae.train(model, windows, cfg["training"])
     model.norm_stats = stats
     log.info("trained %d epochs, final val MAE %.6f", len(history), history[-1].val_mae)
 
@@ -293,31 +289,26 @@ def cmd_train(args, cfg: dict, paths: Paths) -> None:
 
 def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
     model = ae.load(paths.input("model"))
-    tracks = _load_tracks(paths, args.strict)
-    labels = sg.load_labels(paths.input("labels"))
-    runways = td.load_runways(paths.input("runways"))
-    maes = []
-    for track in tracks:
-        if labels.get(track.track_id) != td.CLASS_HELICOPTER:
-            continue
-        try:
-            maes.append(idf.window_mae(model, track, _runway_for_track(track, runways)))
-        except td.WindowingError as e:
-            log.warning("calibration track %s skipped: %s", track.track_id, e)
-    percentile = args.percentile if args.percentile is not None else cfg["thresholds"]["percentile"]
+    _, maes = _per_heli_track(paths, args.strict, "calibration", lambda track, runway:
+                              idf.window_mae(model, track, runway))
+    percentile = args.percentile if args.percentile is not None else cfg["thresholds"].percentile
     delta = idf.calibrate(maes, percentile)
     log.info("calibrated MAE threshold %.6g at percentile %s over %d windows",
              delta, percentile, len(maes))
-    thresholds = {
-        "mae_threshold": delta,
-        "percentile": float(percentile),
-        "runway_score_threshold": float(cfg["thresholds"]["runway_score_threshold"]),
-    }
-    _write_text(paths.thresholds, json.dumps(thresholds, indent=2) + "\n")
+    thresholds = dataclasses.replace(cfg["thresholds"], mae_threshold=delta, percentile=percentile)
+    _write_text(paths.thresholds, json.dumps(dataclasses.asdict(thresholds), indent=2) + "\n")
     bins = idf.histogram_report(maes, cfg["histogram_bins"])
     rows = [["bin_lo", "bin_hi", "count"]]
     rows += [[_fmt(b.lo), _fmt(b.hi), b.count] for b in bins]
     _write_csv(paths.histogram, rows)
+
+
+RESULTS_HEADER = ["track_id", "mae", "runway_score", "pred_is_helicopter", "reasons"]
+
+
+def _result_row(res: idf.ClassificationResult) -> list[str]:
+    return [res.track_id, _fmt(res.mae), _fmt(res.runway_score),
+            "true" if res.pred_is_helicopter else "false", ";".join(res.reasons)]
 
 
 def cmd_classify(args, cfg: dict, paths: Paths) -> None:
@@ -325,20 +316,18 @@ def cmd_classify(args, cfg: dict, paths: Paths) -> None:
     thresholds = _read_thresholds(paths)
     tracks = _load_tracks(paths, args.strict)
     runways = td.load_runways(paths.input("runways"))
-    score_params = _score_params(cfg)
-    rows = [["track_id", "mae", "runway_score", "pred_is_helicopter", "reasons"]]
+    rows = [RESULTS_HEADER]
     n_heli = n_unclassifiable = 0
     for track in tracks:
         runway = _runway_for_track(track, runways)
         try:
-            res = idf.classify(model, thresholds, track, runway, score_params)
+            res = idf.classify(model, thresholds, track, runway, cfg["runway_score"])
         except idf.Unclassifiable as e:
             n_unclassifiable += 1
             rows.append([track.track_id, "", "", "false", f"unclassifiable:{e.reason}"])
             continue
         n_heli += res.pred_is_helicopter
-        rows.append([res.track_id, _fmt(res.mae), _fmt(res.runway_score),
-                     "true" if res.pred_is_helicopter else "false", ";".join(res.reasons)])
+        rows.append(_result_row(res))
     log.info("classified %d tracks: %d helicopters, %d unclassifiable",
              len(tracks), n_heli, n_unclassifiable)
     _write_csv(paths.results, rows)
@@ -350,9 +339,8 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     unclassifiable: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        expect = ["track_id", "mae", "runway_score", "pred_is_helicopter", "reasons"]
-        if reader.fieldnames != expect:
-            raise CliError(f"results file {path} must have header {','.join(expect)}")
+        if reader.fieldnames != RESULTS_HEADER:
+            raise CliError(f"results file {path} must have header {','.join(RESULTS_HEADER)}")
         for row in reader:
             reasons = row["reasons"]
             if reasons.startswith("unclassifiable:"):
@@ -517,7 +505,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         paths.out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, cfg, paths)
     except (CliError, td.TrackDataError, ae.AutoencoderError, idf.IdentifyError,
-            sg.ScenarioError, OSError, ValueError) as e:
+            sg.ScenarioError, OSError, ValueError, csv.Error) as e:
         log.error("%s", e)
         return 1
     return 0

@@ -95,31 +95,32 @@ def decide(track_id: str, mae_value: float, score: float, thresholds: Thresholds
                                 not reasons, tuple(reasons))
 
 
+def _window_mae(model: ae.ModelParams, track: td.Track, runway: td.Runway) -> float:
+    """Window, normalize and reconstruct one track; a WindowingError passes through."""
+    if model.norm_stats is None:
+        raise IdentifyError("model has no embedded normalization stats; train before using it")
+    points = td.window_arrival(track, runway)
+    window = td.normalize(td.featurize(points, runway), model.norm_stats, track.track_id)
+    return ae.reconstruction_error(model, window.values)
+
+
 def classify(model: ae.ModelParams, thresholds: Thresholds, track: td.Track,
              runway: td.Runway,
              score_params: rs.ScoreParams = rs.DEFAULT_SCORE_PARAMS) -> ClassificationResult:
     """Window, normalize, reconstruct, score, and gate one track."""
-    if model.norm_stats is None:
-        raise IdentifyError("model has no embedded normalization stats; train before classifying")
     try:
-        points = td.window_arrival(track, runway)
+        mae_value = _window_mae(model, track, runway)   # window_mae counts calibration calls only
     except td.NoApproach as e:
         raise Unclassifiable(track.track_id, "no_approach") from e
     except td.FewerThan100Points as e:
         raise Unclassifiable(track.track_id, "fewer_than_100_points") from e
-    window = td.normalize(td.featurize(points, runway), model.norm_stats, track.track_id)
-    mae_value = ae.reconstruction_error(model, window.values)
     score = rs.runway_score(rs.score_inputs_for_track(track, runway), score_params)
     return decide(track.track_id, mae_value, score, thresholds)
 
 
 def window_mae(model: ae.ModelParams, track: td.Track, runway: td.Runway) -> float:
     """Reconstruction MAE only, for calibration runs over the training set."""
-    if model.norm_stats is None:
-        raise IdentifyError("model has no embedded normalization stats")
-    points = td.window_arrival(track, runway)
-    window = td.normalize(td.featurize(points, runway), model.norm_stats, track.track_id)
-    return ae.reconstruction_error(model, window.values)
+    return _window_mae(model, track, runway)
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,14 @@ def retag_first_array(tag):
     return edit
 
 
+def append_array(name, arr):
+    """Arrays edit that adds one more array block and counts it."""
+    def edit(arrays):
+        (count,) = struct.unpack("<I", arrays[:4])
+        return struct.pack("<I", count + 1) + arrays[4:] + ae._pack_array(name, arr)
+    return edit
+
+
 class TestModelContainer:
     def test_round_trip_reproduces_reconstructions_bitwise(self, tmp_path):
         model = trained_small_model()
@@ -299,12 +307,19 @@ class TestModelContainer:
         with pytest.raises(ae.ModelFormatError):
             ae.load(path)
 
-    @pytest.mark.parametrize("tag", [b"float99", b"int64", b"float32"],
-                             ids=["unknown_dtype", "wrong_kind", "payload_does_not_fit_shape"])
-    def test_checksum_valid_malformed_array_is_format_error(self, tmp_path, tag):
+    @pytest.mark.parametrize("arrays_edit", [
+        retag_first_array(b"float99"),
+        retag_first_array(b"int64"),
+        retag_first_array(b"float32"),
+        lambda arrays: arrays + b"junk-after-arrays",
+        append_array("spare.w", np.zeros(3)),
+        append_array("enc0.b", np.ones(SMALL_SPEC.encoder_convs[0][2])),
+    ], ids=["unknown_dtype", "wrong_kind", "payload_does_not_fit_shape", "bytes_after_arrays",
+            "unused_name", "repeated_name"])
+    def test_checksum_valid_malformed_array_is_format_error(self, tmp_path, arrays_edit):
         path = tmp_path / "model.rtae"
         ae.save(trained_small_model(with_stats=False), path)
-        resign(path, arrays_edit=retag_first_array(tag))
+        resign(path, arrays_edit=arrays_edit)
         with pytest.raises(ae.ModelFormatError):
             ae.load(path)
 

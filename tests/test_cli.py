@@ -11,6 +11,7 @@ import pytest
 from rotortrack import autoencoder as ae
 from rotortrack import cli
 from rotortrack import identify as idf
+from rotortrack import runwayscore as rs
 from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
 
@@ -163,15 +164,14 @@ class TestCliBehavior:
         assert results == []
         assert unclassifiable == {"SHORT1": "fewer_than_100_points"}
 
-
-    def test_track_id_with_comma_and_quote_survives_classify_and_validate(self, pipeline,
-                                                                         tmp_path):
+    @pytest.mark.parametrize("odd", ['N1,"X', "H\rX"], ids=["comma_and_quote", "carriage_return"])
+    def test_track_id_with_csv_specials_survives_classify_and_validate(self, pipeline,
+                                                                        tmp_path, odd):
         work = tmp_path / "quoted"
         work.mkdir()
         for name in ("model.rtae", "thresholds.json", "runways.csv", "registration.csv",
                      "heli_types.txt"):
             (work / name).write_bytes((pipeline / name).read_bytes())
-        odd = 'N1,"X'
         tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks[:3]
         tracks[0] = dataclasses.replace(tracks[0], track_id=odd)
         td.save_tracks(tracks, work / "tracks.jsonl")
@@ -183,6 +183,16 @@ class TestCliBehavior:
             rows = list(csv.reader(fh))
         assert [row[0] for row in rows[1:]] == [t.track_id for t in tracks]
         assert {len(row) for row in rows} == {len(rows[0])}
+
+    def test_track_id_past_the_csv_field_limit_exits_1_in_validate(self, pipeline, tmp_path):
+        work = copy_inputs(pipeline, tmp_path / "long", ("model.rtae", "thresholds.json",
+                                                         "runways.csv", "registration.csv",
+                                                         "heli_types.txt"))
+        tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks[:2]
+        tracks[0] = dataclasses.replace(tracks[0], track_id="L" * (csv.field_size_limit() + 1))
+        td.save_tracks(tracks, work / "tracks.jsonl")
+        assert run("--out-dir", str(work), "classify") == 0
+        assert run("--out-dir", str(work), "validate") == 1
 
     def test_checksum_valid_model_without_norm_flag_exits_1(self, pipeline, tmp_path):
         work = copy_inputs(pipeline, tmp_path / "badheader",
@@ -272,11 +282,23 @@ class TestCalibratePercentileFlag:
 
 
 class TestConfigMerge:
-    def test_nested_overrides_keep_sibling_defaults(self):
-        cfg = cli._deep_merge(cli.DEFAULT_CONFIG, {"training": {"epochs": 5}})
-        assert cfg["training"]["epochs"] == 5
-        assert cfg["training"]["batch_size"] == 32
-        assert cfg["synth"]["seed"] == 7
+    def test_nested_overrides_keep_sibling_defaults(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"training": {"epochs": 5}, "synth": {"ga": 3}}))
+        cfg = cli.load_config(str(path))
+        assert cfg["training"].epochs == 5
+        assert cfg["training"].batch_size == 32
+        assert cfg["synth"] == {"seed": 7, "helicopters": 100, "ga": 3, "commercial": 100}
+
+    def test_empty_config_builds_the_library_defaults(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        for cfg in (cli.load_config(str(path)), cli.load_config(None)):
+            assert cfg["autoencoder"] == ae.AutoencoderSpec()
+            assert cfg["training"] == ae.TrainConfig()
+            assert cfg["runway_score"] == rs.ScoreParams()
+            assert cfg["thresholds"].percentile == idf.DEFAULT_PERCENTILE
+            assert cfg["thresholds"].runway_score_threshold == idf.DEFAULT_SCORE_THRESHOLD
 
     def test_paths_resolve_against_out_dir(self, tmp_path):
         paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
@@ -287,3 +309,35 @@ class TestConfigMerge:
         paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
         with pytest.raises(cli.CliError, match="tracks.jsonl"):
             paths.input("tracks")
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("command", ["synth", "train", "calibrate", "classify", "validate",
+                                         "report"])
+    @pytest.mark.parametrize("doc, named", [
+        ({"training": {"epoch": 5}}, "training.epoch"),
+        ({"training": {"epochs": "5"}}, "training.epochs"),
+        ({"thresholds": {"percentile": "80"}}, "thresholds.percentile"),
+        ({"runway_score": {"weights": 3}}, "runway_score.weights"),
+        ({"histogram_bins": "x"}, "histogram_bins"),
+        ({"paths": {"tracks": 5}}, "paths.tracks"),
+        ({"training": []}, "training"),
+        ({"training": {"epochs": 5.5}}, "training.epochs"),
+        ({"training": {"patience": True}}, "training.patience"),
+        ({"synth": {"seed": None}}, "synth.seed"),
+        ({"runway_score": {"distance_scale_nm": float("nan")}}, "runway_score.distance_scale_nm"),
+        ({"training": {"learning_rate": float("inf")}}, "training.learning_rate"),
+        ({"training": {"eps": 10**400}}, "training.eps"),
+        ({"autoencoder": {"input_len": 50}}, "autoencoder.input_len"),
+        ({"thresholds": {"mae_threshold": 0.2}}, "thresholds.mae_threshold"),
+        ({"autoencoder": {"encoder_convs": [7, 2, 16]}}, "autoencoder.encoder_convs"),
+        ({"autoencoder": {"encoder_convs": [[7, 2, 16.5]]}}, "autoencoder.encoder_convs"),
+        ({"thresholds": {"runway_score_threshold": 5}}, "runway_score_threshold must lie"),
+        ({"runway_score": {"weights": [1, 0, 0, 0]}}, "runway_score: need 5"),
+        ({"autoencoder": {"dtype": "float16"}}, "autoencoder: unsupported dtype"),
+    ])
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, command, doc, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("--out-dir", str(tmp_path), "--config", str(cfg), command) == 1
+        assert named in capsys.readouterr().err

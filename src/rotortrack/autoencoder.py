@@ -74,8 +74,8 @@ class AutoencoderSpec:
 
     encoder_convs lists (kernel_size, stride, channels) per stage.  Each
     stride must divide the incoming length so the mirrored transposed
-    convolutions restore exactly input_len; build() rejects specs that
-    cannot.  dtype is the arithmetic width of every layer.
+    convolutions restore exactly input_len; a spec that cannot is refused
+    at construction.  dtype is the arithmetic width of every layer.
     """
 
     input_len: int = WINDOW_LEN
@@ -100,6 +100,7 @@ class AutoencoderSpec:
             raise SpecError(f"unsupported activation {self.activation!r}")
         if self.dtype not in DTYPES:
             raise SpecError(f"unsupported dtype {self.dtype!r}; expected one of {DTYPES}")
+        self.encoded_shape()
 
     def encoded_shape(self) -> tuple[int, int]:
         """(length, channels) at the top of the encoder."""
@@ -204,9 +205,8 @@ def _fit(layer, h: np.ndarray) -> np.ndarray:
     return h if h.ndim == 3 else h.reshape(len(h), h.shape[1] // layer.c_in, layer.c_in)
 
 
-def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None,
-             stop: Optional[str] = None) -> np.ndarray:
-    """Run the stages in order, ending after the one named stop if given.
+def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
+    """Run the stages in order.
 
     A cache receives each stage's (stage, input, pre-activation) for _backward.
     """
@@ -219,8 +219,6 @@ def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None,
         if cache is not None:
             cache["trail"].append((stage, h, z))
         h = nn.relu_forward(z) if stage.relu else z
-        if stage.name == stop:
-            break
     return h
 
 
@@ -239,24 +237,14 @@ def _backward(model: ModelParams, cache: dict, grad_out: np.ndarray) -> list[np.
     return grads[::-1]
 
 
-def _run(model: ModelParams, window_values: np.ndarray, stop: Optional[str] = None) -> np.ndarray:
-    """_forward over one window (a batch of one, unwrapped again) or a batch of them."""
+def reconstruct(model: ModelParams, window_values: np.ndarray) -> np.ndarray:
+    """Autoencoder reconstruction of one normalized window (or a batch)."""
     v = np.asarray(window_values, dtype=model.spec.dtype)
     shape = (model.spec.input_len, model.spec.n_features)
     if v.ndim not in (2, 3) or v.shape[-2:] != shape:
         raise AutoencoderError(f"expected windows shaped {shape}, got {v.shape}")
-    out = _forward(model, v[np.newaxis] if v.ndim == 2 else v, stop=stop)
+    out = _forward(model, v[np.newaxis] if v.ndim == 2 else v)
     return out[0] if v.ndim == 2 else out
-
-
-def encode(model: ModelParams, window_values: np.ndarray) -> np.ndarray:
-    """Latent vector for one normalized window (or a batch of them)."""
-    return _run(model, window_values, stop="enc_dense")
-
-
-def reconstruct(model: ModelParams, window_values: np.ndarray) -> np.ndarray:
-    """Autoencoder reconstruction of one normalized window (or a batch)."""
-    return _run(model, window_values)
 
 
 def reconstruction_error(model: ModelParams, window_values: np.ndarray) -> float:

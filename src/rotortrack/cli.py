@@ -1,10 +1,10 @@
 """Command-line pipeline: synth, train, calibrate, classify, validate, report.
 
-Stages communicate only through files, so any stage can be rerun in
-isolation.  Every artifact is written to a temporary name and renamed into
-place once complete, and all outputs are byte-for-byte deterministic for a
-fixed config and seed; wall-clock timestamps appear only in the optional
-log file.
+Each stage reads files, calls the library's stage functions and writes files,
+so any stage can be rerun in isolation.  Every artifact is written to a
+temporary name and renamed into place once complete, and all outputs are
+byte-for-byte deterministic for a fixed config and seed; wall-clock
+timestamps appear only in the optional log file.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import sys
+from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -129,11 +129,9 @@ class Paths:
 
     def __getattr__(self, name: str) -> Path:
         try:
-            raw = self._cfg[name]
+            return self.out_dir / self._cfg[name]   # an absolute path replaces out_dir
         except KeyError:
             raise AttributeError(name) from None
-        p = Path(raw)
-        return p if p.is_absolute() else self.out_dir / p
 
     def input(self, name: str) -> Path:
         p = getattr(self, name)
@@ -154,18 +152,26 @@ def _write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
+def _cell(value):
+    """A value as every CSV artifact spells it: None empty, booleans lower case, floats by repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(float(value))
+    return value.value if isinstance(value, Enum) else value
+
+
 def _write_csv(path: Path, rows: list[list]) -> None:
     # csv.writer quotes a field holding a character of its lineterminator and
     # makes one write per row, so rows written with "\r\n" quote a lone \r
     # as well, and can then end in "\n" alone.
     lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    csv.writer(SimpleNamespace(write=lines.append),
+               lineterminator="\r\n").writerows([_cell(v) for v in row] for row in rows)
     text = "".join(line[:-2] + "\n" for line in lines)
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline=""))
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 # --------------------------------------------------------------------------
@@ -180,39 +186,15 @@ def _load_tracks(paths: Paths, strict: bool) -> list[td.Track]:
     return result.tracks
 
 
-def _runway_for_track(track: td.Track, runways: dict[str, td.Runway]) -> td.Runway:
-    if track.runway_id and track.runway_id in runways:
-        return runways[track.runway_id]
-    # trust runway_id when present; otherwise pick the nearest threshold
-    best = None
-    best_d = math.inf
-    for rw in runways.values():
-        _, d = td.closest_approach_index(track, rw)
-        if d < best_d:
-            best, best_d = rw, d
-    return best
-
-
-def _per_heli_track(paths: Paths, strict: bool, stage: str,
-                    fn: Callable[[td.Track, td.Runway], object]) -> tuple[list[str], list]:
-    """(track ids, fn(track, runway)) over the helicopter-labeled tracks.
-
-    A track that fn cannot window is skipped with a warning naming the stage.
-    """
-    tracks = _load_tracks(paths, strict)
-    labels = sg.load_labels(paths.input("labels"))
-    runways = td.load_runways(paths.input("runways"))
-    ids, out = [], []
-    for track in tracks:
-        if labels.get(track.track_id) != td.CLASS_HELICOPTER:
-            continue
-        try:
-            out.append(fn(track, _runway_for_track(track, runways)))
-        except td.WindowingError as e:
-            log.warning("%s track %s skipped: %s", stage, track.track_id, e)
-            continue
-        ids.append(track.track_id)
-    return ids, out
+def _per_helicopter(paths: Paths, strict: bool, stage: str,
+                    fn: Callable[[td.Track, td.Runway], object]) -> dict[str, object]:
+    """td.per_helicopter over the input files, each skipped track logged naming the stage."""
+    out, skipped = td.per_helicopter(_load_tracks(paths, strict),
+                                     td.load_labels(paths.input("labels")),
+                                     td.load_runways(paths.input("runways")), fn)
+    for track_id, e in skipped:
+        log.warning("%s track %s skipped: %s", stage, track_id, e)
+    return out
 
 
 def _read_json_object(path: Path, numbers: tuple[str, ...] = (),
@@ -252,15 +234,11 @@ def _read_thresholds(paths: Paths) -> idf.Thresholds:
 # subcommands
 
 def cmd_synth(args, cfg: dict, paths: Paths) -> None:
-    seed = args.seed if args.seed is not None else cfg["synth"]["seed"]
-    spec = sg.ScenarioSpec(
-        seed=seed,
-        n_helicopter=args.helicopters if args.helicopters is not None else cfg["synth"]["helicopters"],
-        n_ga=args.ga if args.ga is not None else cfg["synth"]["ga"],
-        n_commercial=args.commercial if args.commercial is not None else cfg["synth"]["commercial"],
-    )
-    scenario = sg.generate(spec)
-    log.info("generated %d tracks (seed %d)", len(scenario.tracks), seed)
+    synth = {key: value if getattr(args, key) is None else getattr(args, key)
+             for key, value in cfg["synth"].items()}
+    scenario = sg.generate(sg.ScenarioSpec(synth["seed"], synth["helicopters"], synth["ga"],
+                                           synth["commercial"]))
+    log.info("generated %d tracks (seed %d)", len(scenario.tracks), synth["seed"])
     _atomic_write(paths.tracks, lambda tmp: td.save_tracks(scenario.tracks, tmp))
     _atomic_write(paths.labels, lambda tmp: sg.write_labels(scenario.labels, tmp))
     _atomic_write(paths.runways, lambda tmp: sg.write_runways_csv([scenario.runway], tmp))
@@ -270,11 +248,10 @@ def cmd_synth(args, cfg: dict, paths: Paths) -> None:
 
 
 def cmd_train(args, cfg: dict, paths: Paths) -> None:
-    ids, raw = _per_heli_track(paths, args.strict, "training", lambda track, runway:
-                               td.featurize(td.window_arrival(track, runway), runway))
+    raw = _per_helicopter(paths, args.strict, "training", td.arrival_features)
     log.info("training on %d helicopter windows", len(raw))
-    stats = td.fit_norm_stats(raw)
-    windows = [td.normalize(r, stats, i, td.CLASS_HELICOPTER) for i, r in zip(ids, raw)]
+    stats = td.fit_norm_stats(list(raw.values()))
+    windows = [td.normalize(r, stats, i, td.CLASS_HELICOPTER) for i, r in raw.items()]
 
     model = ae.build(cfg["autoencoder"])
     history = ae.train(model, windows, cfg["training"])
@@ -282,15 +259,14 @@ def cmd_train(args, cfg: dict, paths: Paths) -> None:
     log.info("trained %d epochs, final val MAE %.6f", len(history), history[-1].val_mae)
 
     _atomic_write(paths.model, lambda tmp: ae.save(model, tmp))
-    rows = [["epoch", "train_mae", "val_mae"]]
-    rows += [[h.epoch, _fmt(h.train_mae), _fmt(h.val_mae)] for h in history]
-    _write_csv(paths.loss_history, rows)
+    _write_csv(paths.loss_history,
+               [["epoch", "train_mae", "val_mae"]] + [dataclasses.astuple(h) for h in history])
 
 
 def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
     model = ae.load(paths.input("model"))
-    _, maes = _per_heli_track(paths, args.strict, "calibration", lambda track, runway:
-                              idf.window_mae(model, track, runway))
+    maes = list(_per_helicopter(paths, args.strict, "calibration", lambda track, runway:
+                                idf.window_mae(model, track, runway)).values())
     percentile = args.percentile if args.percentile is not None else cfg["thresholds"].percentile
     delta = idf.calibrate(maes, percentile)
     log.info("calibrated MAE threshold %.6g at percentile %s over %d windows",
@@ -298,17 +274,19 @@ def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
     thresholds = dataclasses.replace(cfg["thresholds"], mae_threshold=delta, percentile=percentile)
     _write_text(paths.thresholds, json.dumps(dataclasses.asdict(thresholds), indent=2) + "\n")
     bins = idf.histogram_report(maes, cfg["histogram_bins"])
-    rows = [["bin_lo", "bin_hi", "count"]]
-    rows += [[_fmt(b.lo), _fmt(b.hi), b.count] for b in bins]
-    _write_csv(paths.histogram, rows)
+    _write_csv(paths.histogram,
+               [["bin_lo", "bin_hi", "count"]] + [dataclasses.astuple(b) for b in bins])
 
 
 RESULTS_HEADER = ["track_id", "mae", "runway_score", "pred_is_helicopter", "reasons"]
 
 
-def _result_row(res: idf.ClassificationResult) -> list[str]:
-    return [res.track_id, _fmt(res.mae), _fmt(res.runway_score),
-            "true" if res.pred_is_helicopter else "false", ";".join(res.reasons)]
+def _result_row(outcome) -> list:
+    """The results.csv row of one classify_tracks outcome."""
+    if not isinstance(outcome, idf.ClassificationResult):
+        return [outcome.track_id, None, None, False, f"unclassifiable:{outcome.reason}"]
+    return [outcome.track_id, outcome.mae, outcome.runway_score, outcome.pred_is_helicopter,
+            ";".join(outcome.reasons)]
 
 
 def cmd_classify(args, cfg: dict, paths: Paths) -> None:
@@ -316,79 +294,57 @@ def cmd_classify(args, cfg: dict, paths: Paths) -> None:
     thresholds = _read_thresholds(paths)
     tracks = _load_tracks(paths, args.strict)
     runways = td.load_runways(paths.input("runways"))
-    rows = [RESULTS_HEADER]
-    n_heli = n_unclassifiable = 0
-    for track in tracks:
-        runway = _runway_for_track(track, runways)
-        try:
-            res = idf.classify(model, thresholds, track, runway, cfg["runway_score"])
-        except idf.Unclassifiable as e:
-            n_unclassifiable += 1
-            rows.append([track.track_id, "", "", "false", f"unclassifiable:{e.reason}"])
-            continue
-        n_heli += res.pred_is_helicopter
-        rows.append(_result_row(res))
+    outcomes = idf.classify_tracks(model, thresholds, tracks, runways, cfg["runway_score"])
+    results = [o for o in outcomes if isinstance(o, idf.ClassificationResult)]
     log.info("classified %d tracks: %d helicopters, %d unclassifiable",
-             len(tracks), n_heli, n_unclassifiable)
-    _write_csv(paths.results, rows)
+             len(tracks), sum(r.pred_is_helicopter for r in results), len(tracks) - len(results))
+    _write_csv(paths.results, [RESULTS_HEADER] + [_result_row(o) for o in outcomes])
 
 
 def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
-    """Parse results.csv back into results plus {track_id: reason} rejects."""
+    """Parse results.csv back into results plus {track_id: reason} of the unclassifiable rows.
+
+    A row of the wrong length or with a value of the wrong kind is a CliError
+    naming the file and the line.
+    """
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULTS_HEADER:
-            raise CliError(f"results file {path} must have header {','.join(RESULTS_HEADER)}")
-        for row in reader:
-            reasons = row["reasons"]
-            if reasons.startswith("unclassifiable:"):
-                unclassifiable[row["track_id"]] = reasons.split(":", 1)[1]
-                continue
-            results.append(idf.ClassificationResult(
-                track_id=row["track_id"],
-                mae=float(row["mae"]),
-                runway_score=float(row["runway_score"]),
-                pred_is_helicopter=row["pred_is_helicopter"] == "true",
-                reasons=tuple(r for r in reasons.split(";") if r),
-            ))
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != RESULTS_HEADER:
+                raise CliError(f"results file {path} must have header {','.join(RESULTS_HEADER)}")
+            for row in filter(None, reader):   # skips blank lines
+                if len(row) != len(RESULTS_HEADER):
+                    raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(row)}")
+                track_id, mae, score, pred, reasons = row
+                if reasons.startswith("unclassifiable:"):
+                    unclassifiable[track_id] = reasons.split(":", 1)[1]
+                elif pred not in ("true", "false"):
+                    raise ValueError(f"pred_is_helicopter must be true or false, got {pred!r}")
+                else:
+                    results.append(idf.ClassificationResult(
+                        track_id, float(mae), float(score), pred == "true",
+                        tuple(r for r in reasons.split(";") if r)))
+        except (csv.Error, ValueError) as e:
+            raise CliError(f"{path} line {reader.line_num}: {e}") from None
     return results, unclassifiable
 
 
 def cmd_validate(args, cfg: dict, paths: Paths) -> None:
     results, unclassifiable = read_results(paths.input("results"))
     tracks = _load_tracks(paths, args.strict)
-    tracks_by_id = {t.track_id: t for t in tracks}
     table = td.load_registration(paths.input("registration"))
     for msg in table.duplicates:
         log.warning("registration: %s", msg)
     heli_types = vl.load_heli_types(paths.input("heli_types"))
+    records, metrics, venn, pseudo_types = vl.validate_predictions(
+        results, unclassifiable, {t.track_id: t for t in tracks}, table, heli_types)
 
-    records = vl.join_registration(results, tracks_by_id, table)
-    metrics = vl.confusion_metrics(records)
-
-    header = ["track_id", "mae", "runway_score", "pred_is_helicopter", "matched",
-              "is_helicopter_ac_reg", "aircraft_class", "model", "manufacturer",
-              "type_designator", "declared_type", "class_conflict"]
-    rows = [header]
-    for r in records:
-        truth = "" if r.is_helicopter_ac_reg is None else str(r.is_helicopter_ac_reg).lower()
-        rows.append([
-            r.track_id, _fmt(r.mae), _fmt(r.runway_score),
-            str(r.pred_is_helicopter).lower(), r.matched.value, truth,
-            r.aircraft_class or "", r.model or "", r.manufacturer or "",
-            r.type_designator or "", r.declared_type or "", str(r.class_conflict).lower(),
-        ])
-    _write_csv(paths.validation, rows)
-
-    ae_ids = {r.track_id for r in results if r.pred_is_helicopter}
-    candidate_ids = set(tracks_by_id) & ({r.track_id for r in results} | set(unclassifiable))
-    bl_ids = {tid for tid in candidate_ids
-              if vl.rule_based_baseline(tracks_by_id[tid], heli_types)}
-    venn = vl.venn_compare(ae_ids, bl_ids)
-    _write_csv(paths.venn_csv, [["both", "autoencoder_only", "baseline_only"],
-                                [venn.both, venn.autoencoder_only, venn.baseline_only]])
+    # validation.csv: a column per ValidationRecord field; venn_summary.csv: per VennCounts field
+    header = [f.name for f in dataclasses.fields(vl.ValidationRecord)]
+    _write_csv(paths.validation, [header] + [[getattr(r, f) for f in header] for r in records])
+    _write_csv(paths.venn_csv, [list(dataclasses.asdict(venn)), dataclasses.astuple(venn)])
     venn_txt = (
         "predicted-helicopter set overlap\n"
         f"  autoencoder only : {venn.autoencoder_only}\n"
@@ -399,11 +355,9 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
     )
     _write_text(paths.venn_txt, venn_txt)
 
-    pseudo = vl.resolve_pseudo_types(records)
-    rows = [["track_id", "declared_type", "model", "manufacturer", "type_designator"]]
-    rows += [[r.track_id, r.declared_type or "", r.model, r.manufacturer or "",
-              r.type_designator or ""] for r in pseudo]
-    _write_csv(paths.pseudo_types, rows)
+    header = ["track_id", "declared_type", "model", "manufacturer", "type_designator"]
+    _write_csv(paths.pseudo_types,
+               [header] + [[getattr(r, f) for f in header] for r in pseudo_types])
 
     payload = {
         "tp": metrics.tp, "fp": metrics.fp, "fn": metrics.fn, "tn": metrics.tn,
@@ -411,8 +365,7 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
         "unclassifiable": len(unclassifiable),
         "precision": metrics.precision,
         "recall": metrics.recall,
-        "venn": {"both": venn.both, "autoencoder_only": venn.autoencoder_only,
-                 "baseline_only": venn.baseline_only},
+        "venn": dataclasses.asdict(venn),
     }
     _write_text(paths.metrics, json.dumps(payload, indent=2) + "\n")
     log.info("validation: tp=%d fp=%d fn=%d tn=%d unmatched=%d",
@@ -505,7 +458,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         paths.out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, cfg, paths)
     except (CliError, td.TrackDataError, ae.AutoencoderError, idf.IdentifyError,
-            sg.ScenarioError, OSError, ValueError, csv.Error) as e:
+            sg.ScenarioError, vl.ValidationError, OSError, ValueError, csv.Error) as e:
         log.error("%s", e)
         return 1
     return 0

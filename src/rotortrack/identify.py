@@ -10,7 +10,7 @@ how close a track came to either gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,8 +99,7 @@ def _window_mae(model: ae.ModelParams, track: td.Track, runway: td.Runway) -> fl
     """Window, normalize and reconstruct one track; a WindowingError passes through."""
     if model.norm_stats is None:
         raise IdentifyError("model has no embedded normalization stats; train before using it")
-    points = td.window_arrival(track, runway)
-    window = td.normalize(td.featurize(points, runway), model.norm_stats, track.track_id)
+    window = td.normalize(td.arrival_features(track, runway), model.norm_stats, track.track_id)
     return ae.reconstruction_error(model, window.values)
 
 
@@ -116,6 +115,24 @@ def classify(model: ae.ModelParams, thresholds: Thresholds, track: td.Track,
         raise Unclassifiable(track.track_id, "fewer_than_100_points") from e
     score = rs.runway_score(rs.score_inputs_for_track(track, runway), score_params)
     return decide(track.track_id, mae_value, score, thresholds)
+
+
+def classify_tracks(model: ae.ModelParams, thresholds: Thresholds, tracks: Sequence[td.Track],
+                    runways: dict[str, td.Runway],
+                    score_params: rs.ScoreParams = rs.DEFAULT_SCORE_PARAMS
+                    ) -> list[ClassificationResult | Unclassifiable]:
+    """classify() each track on its td.pick_runway, in track order.
+
+    A track that cannot be scored keeps its place as an Unclassifiable.
+    """
+    outcomes: list[ClassificationResult | Unclassifiable] = []
+    for track in tracks:
+        try:
+            outcomes.append(classify(model, thresholds, track, td.pick_runway(track, runways),
+                                     score_params))
+        except Unclassifiable as e:
+            outcomes.append(Unclassifiable(e.track_id, e.reason))   # without the traceback's frames
+    return outcomes
 
 
 def window_mae(model: ae.ModelParams, track: td.Track, runway: td.Runway) -> float:

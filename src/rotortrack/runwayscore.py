@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .trackdata import (
     FT_PER_KM,
-    KM_PER_NM,
     Runway,
     Track,
     closest_approach_index,

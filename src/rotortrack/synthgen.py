@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -467,17 +467,6 @@ def write_labels(labels: list[tuple[str, str]], path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["track_id", "class"])
         writer.writerows(labels)
-
-
-def load_labels(path) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["track_id", "class"]:
-            raise ScenarioError("labels header must be track_id,class")
-        for row in reader:
-            out[row["track_id"]] = row["class"]
-    return out
 
 
 def write_registration_csv(records: list[RegistrationRecord], path) -> None:

@@ -14,8 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -322,6 +321,34 @@ def window_arrival(track: Track, runway: Runway) -> list[TrackPoint]:
     return track.points[idx + 1 - WINDOW_LEN:idx + 1]
 
 
+def pick_runway(track: Track, runways: dict[str, Runway]) -> Runway:
+    """The track's runway_id when the table holds it, else the nearest threshold."""
+    if track.runway_id in runways:
+        return runways[track.runway_id]
+    return min(runways.values(), key=lambda rw: closest_approach_index(track, rw)[1])
+
+
+def per_helicopter(tracks: Sequence[Track], labels: dict[str, str], runways: dict[str, Runway],
+                   fn: Callable[[Track, Runway], object]) -> tuple[dict[str, object], list]:
+    """({track id: fn(track, its pick_runway)}, skipped) over the helicopter-labelled tracks.
+
+    skipped holds (track id, WindowingError) per track fn cannot window; both keep track order.
+    """
+    out, skipped = {}, []
+    for track in tracks:
+        if labels.get(track.track_id) == CLASS_HELICOPTER:
+            try:
+                out[track.track_id] = fn(track, pick_runway(track, runways))
+            except WindowingError as e:
+                skipped.append((track.track_id, e))
+    return out, skipped
+
+
+def arrival_features(track: Track, runway: Runway) -> np.ndarray:
+    """featurize() of the track's arrival window."""
+    return featurize(window_arrival(track, runway), runway)
+
+
 def featurize(points: Sequence[TrackPoint], runway: Runway) -> np.ndarray:
     """Per-point feature vectors relative to the runway, shape (len(points), 6).
 
@@ -369,7 +396,21 @@ def normalize(raw_window: np.ndarray, stats: NormStats, source_track_id: str,
 
 
 # --------------------------------------------------------------------------
-# runway and registration tables
+# label, runway and registration tables
+
+def _csv_rows(fh, fields: tuple[str, ...], what: str) -> csv.DictReader:
+    """A DictReader over fh whose header must be fields."""
+    reader = csv.DictReader(fh)
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(fields):
+        raise MalformedRecord(1, f"{what} header must be {','.join(fields)}")
+    return reader
+
+
+def load_labels(path) -> dict[str, str]:
+    """{track_id: class} from a track_id,class CSV."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return {r["track_id"]: r["class"] for r in _csv_rows(fh, ("track_id", "class"), "labels")}
+
 
 _RUNWAY_FIELDS = ("runway_id", "threshold_lat", "threshold_lon",
                   "threshold_elev", "centerline_course", "length")
@@ -378,10 +419,7 @@ _RUNWAY_FIELDS = ("runway_id", "threshold_lat", "threshold_lon",
 def load_runways(path) -> dict[str, Runway]:
     runways: dict[str, Runway] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(_RUNWAY_FIELDS):
-            raise MalformedRecord(1, f"runway header must be {','.join(_RUNWAY_FIELDS)}")
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in enumerate(_csv_rows(fh, _RUNWAY_FIELDS, "runway"), start=2):
             rid = (row.get("runway_id") or "").strip()
             if not rid:
                 raise MalformedRecord(row_no, "empty runway_id")
@@ -425,10 +463,7 @@ def load_registration(path) -> RegistrationTable:
     """Read the registration CSV; duplicate keys keep the first row and are reported."""
     table = RegistrationTable(records=[])
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(_REGISTRATION_FIELDS):
-            raise MalformedRecord(1, f"registration header must be {','.join(_REGISTRATION_FIELDS)}")
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in enumerate(_csv_rows(fh, _REGISTRATION_FIELDS, "registration"), start=2):
             n_number = (row.get("n_number") or "").strip().upper()
             if not n_number:
                 raise MalformedRecord(row_no, "empty n_number")
@@ -446,13 +481,10 @@ def load_registration(path) -> RegistrationTable:
                 type_designator=(row.get("type_designator") or "").strip().upper() or None,
             )
             table.records.append(rec)
-            if n_number in table.by_tail:
-                table.duplicates.append(f"row {row_no}: duplicate n_number {n_number}")
-            else:
-                table.by_tail[n_number] = rec
-            if rec.mode_s_code:
-                if rec.mode_s_code in table.by_mode_s:
-                    table.duplicates.append(f"row {row_no}: duplicate mode_s_code {rec.mode_s_code}")
-                else:
-                    table.by_mode_s[rec.mode_s_code] = rec
+            for index, key, name in ((table.by_tail, n_number, "n_number"),
+                                     (table.by_mode_s, rec.mode_s_code, "mode_s_code")):
+                if key in index:
+                    table.duplicates.append(f"row {row_no}: duplicate {name} {key}")
+                elif key:
+                    index[key] = rec
     return table

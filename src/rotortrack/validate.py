@@ -18,6 +18,10 @@ from .trackdata import AircraftClass, RegistrationTable, Track
 PSEUDO_TYPES = frozenset({"HELO", "HELI"})
 
 
+class ValidationError(Exception):
+    """A prediction that cannot be checked, such as one whose track is missing."""
+
+
 class MatchKind(Enum):
     BY_TAIL = "by_tail"
     BY_MODE_S = "by_mode_s"
@@ -88,7 +92,7 @@ def join_registration(results: Iterable[ClassificationResult],
     for res in results:
         track = tracks_by_id.get(res.track_id)
         if track is None:
-            raise KeyError(f"no track for result {res.track_id!r}")
+            raise ValidationError(f"no track for result {res.track_id!r}")
         by_tail = table.lookup_tail(track.tail_number)
         by_mode_s = table.lookup_mode_s(track.mode_s)
         rec = by_tail or by_mode_s
@@ -154,3 +158,20 @@ def resolve_pseudo_types(records: Iterable[ValidationRecord],
         if not declared or declared in pseudo_types:
             out.append(r)
     return out
+
+
+def validate_predictions(results: list[ClassificationResult], unclassifiable: Iterable[str],
+                         tracks_by_id: dict[str, Track], table: RegistrationTable,
+                         heli_types: frozenset[str]) -> tuple:
+    """(join_registration records, their confusion_metrics, venn_compare counts, and
+    resolve_pseudo_types records) of the results.
+
+    The rule-based baseline of the Venn counts also sees the unclassifiable
+    track ids.  A result without a track is a ValidationError.
+    """
+    records = join_registration(results, tracks_by_id, table)
+    autoencoder_ids = {r.track_id for r in results if r.pred_is_helicopter}
+    candidates = tracks_by_id.keys() & ({r.track_id for r in results} | set(unclassifiable))
+    baseline_ids = {tid for tid in candidates if rule_based_baseline(tracks_by_id[tid], heli_types)}
+    return (records, confusion_metrics(records), venn_compare(autoencoder_ids, baseline_ids),
+            resolve_pseudo_types(records))

@@ -17,7 +17,6 @@ from rotortrack import autoencoder as ae
 from rotortrack import cli
 from rotortrack import identify as idf
 from rotortrack import neuralcore as nn
-from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
 from rotortrack import validate as va
 
@@ -190,7 +189,7 @@ def test_two_gate_decision_truth_table():
 def test_end_to_end_recall_and_precision(pipeline_runs):
     out = pipeline_runs["dirs"][0]
     train_ids = pipeline_runs["train_ids"]
-    labels = sg.load_labels(out / "labels.csv")
+    labels = td.load_labels(out / "labels.csv")
     results, unclassifiable = cli.read_results(out / "results.csv")
     assert not unclassifiable
 

@@ -39,11 +39,10 @@ class TestSpec:
 
     def test_stride_must_divide_length(self):
         with pytest.raises(ae.SpecError):
-            ae.AutoencoderSpec(encoder_convs=((3, 3, 8),)).encoded_shape()
+            ae.AutoencoderSpec(encoder_convs=((3, 3, 8),))
         # a third halving stage would need to split a length of 25
         with pytest.raises(ae.SpecError):
-            ae.AutoencoderSpec(
-                encoder_convs=((3, 2, 8), (3, 2, 8), (3, 2, 8))).encoded_shape()
+            ae.AutoencoderSpec(encoder_convs=((3, 2, 8), (3, 2, 8), (3, 2, 8)))
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ae.SpecError):
@@ -79,10 +78,10 @@ class TestForwardShapes:
         assert ae.reconstruct(model, batch).shape == batch.shape
 
     def test_latent_has_requested_width(self):
-        model = ae.build(SMALL_SPEC)
-        x = np.zeros((td.WINDOW_LEN, td.FEATURE_COUNT))
-        assert ae.encode(model, x).shape == (SMALL_SPEC.latent_dim,)
-        assert ae.encode(model, np.stack([x, x])).shape == (2, SMALL_SPEC.latent_dim)
+        stages = {stage.name: stage for stage in ae.build(SMALL_SPEC).stages}
+        enc_dense = stages["enc_dense"].layer
+        assert enc_dense.d_out == SMALL_SPEC.latent_dim
+        assert enc_dense.forward(np.zeros((2, enc_dense.d_in))).shape == (2, SMALL_SPEC.latent_dim)
 
     def test_wrong_window_shape_rejected(self):
         model = ae.build(SMALL_SPEC)

@@ -12,7 +12,6 @@ from rotortrack import autoencoder as ae
 from rotortrack import cli
 from rotortrack import identify as idf
 from rotortrack import runwayscore as rs
-from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
 
 SMALL_CFG = {
@@ -194,6 +193,15 @@ class TestCliBehavior:
         assert run("--out-dir", str(work), "classify") == 0
         assert run("--out-dir", str(work), "validate") == 1
 
+    def test_result_whose_track_line_went_bad_exits_1_naming_it(self, pipeline, tmp_path,
+                                                               capsys):
+        work = copy_inputs(pipeline, tmp_path / "gone", ("results.csv", "tracks.jsonl",
+                                                         "registration.csv", "heli_types.txt"))
+        first, *rest = (work / "tracks.jsonl").read_text().splitlines(keepends=True)
+        (work / "tracks.jsonl").write_text("{not json\n" + "".join(rest))
+        assert run("--out-dir", str(work), "validate") == 1
+        assert f"no track for result {json.loads(first)['track_id']!r}" in capsys.readouterr().err
+
     def test_checksum_valid_model_without_norm_flag_exits_1(self, pipeline, tmp_path):
         work = copy_inputs(pipeline, tmp_path / "badheader",
                            ("tracks.jsonl", "labels.csv", "runways.csv"))
@@ -262,6 +270,21 @@ class TestMalformedJsonInputs:
         assert "precision: n/a" in (work / "report.txt").read_text()
 
 
+class TestMalformedResults:
+    @pytest.mark.parametrize("row, named", [
+        ("H0000", "expected 5 fields, got 1"),
+        ("H0000,abc,0.2,true,", "could not convert string to float: 'abc'"),
+        ("H0000,0.1,0.2,yes,", "pred_is_helicopter must be true or false, got 'yes'"),
+        ('"' + "x" * (csv.field_size_limit() + 1) + '",0.1,0.2,true,', "field larger"),
+    ], ids=["short_row", "non_numeric_mae", "non_boolean_prediction", "csv_error"])
+    def test_bad_row_is_a_cli_error_naming_file_and_line(self, tmp_path, row, named):
+        path = tmp_path / "results.csv"
+        path.write_text(",".join(cli.RESULTS_HEADER) + "\nH0001,0.1,0.2,false,x\n" + row + "\n")
+        with pytest.raises(cli.CliError) as exc:
+            cli.read_results(path)
+        assert f"results.csv line 3: {named}" in str(exc.value)
+
+
 class TestCalibratePercentileFlag:
     def test_percentile_100_equals_the_maximum_training_error(self, pipeline, tmp_path):
         work = tmp_path / "p100"
@@ -274,7 +297,7 @@ class TestCalibratePercentileFlag:
 
         model = ae.load(work / "model.rtae")
         runway = next(iter(td.load_runways(work / "runways.csv").values()))
-        labels = sg.load_labels(work / "labels.csv")
+        labels = td.load_labels(work / "labels.csv")
         maes = [idf.window_mae(model, t, runway)
                 for t in td.load_tracks(work / "tracks.jsonl").tracks
                 if labels[t.track_id] == td.CLASS_HELICOPTER]
@@ -335,6 +358,7 @@ class TestMalformedConfig:
         ({"thresholds": {"runway_score_threshold": 5}}, "runway_score_threshold must lie"),
         ({"runway_score": {"weights": [1, 0, 0, 0]}}, "runway_score: need 5"),
         ({"autoencoder": {"dtype": "float16"}}, "autoencoder: unsupported dtype"),
+        ({"autoencoder": {"encoder_convs": [[7, 3, 16]]}}, "config.autoencoder: stride 3"),
     ])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, doc, named):
         cfg = tmp_path / "cfg.json"

@@ -162,7 +162,7 @@ class TestSidecarWriters:
     def test_labels_round_trip(self, scenario, tmp_path):
         p = tmp_path / "labels.csv"
         sg.write_labels(scenario.labels, p)
-        assert sg.load_labels(p) == dict(scenario.labels)
+        assert td.load_labels(p) == dict(scenario.labels)
 
     def test_registration_round_trip(self, scenario, tmp_path):
         p = tmp_path / "registration.csv"

@@ -144,6 +144,43 @@ class TestWindowing:
         assert win[0].t == 0.0 and win[-1].t == 99.0
 
 
+class TestStageSelection:
+    FAR = td.Runway("KXYZ-09", 40.0, -85.0, 600.0, 90.0, 8000.0)
+    RUNWAYS = {"KXYZ-09": FAR, "KXYZ-27": RUNWAY}
+
+    def test_pick_runway_trusts_a_known_runway_id(self):
+        assert td.pick_runway(approach_track(runway_id="KXYZ-09"), self.RUNWAYS) is self.FAR
+
+    @pytest.mark.parametrize("runway_id", [None, "KNOPE"])
+    def test_pick_runway_otherwise_takes_the_nearest_threshold(self, runway_id):
+        assert td.pick_runway(approach_track(runway_id=runway_id), self.RUNWAYS) is RUNWAY
+
+    def test_per_helicopter_keeps_track_order_and_returns_the_skipped(self):
+        tracks = [approach_track(track_id="H1"), approach_track(n=120, closest=50, track_id="H2"),
+                  approach_track(track_id="G1"), approach_track(track_id="X1"),
+                  approach_track(closest=200, track_id="H3")]
+        labels = {"H1": td.CLASS_HELICOPTER, "H2": td.CLASS_HELICOPTER, "G1": td.CLASS_GA,
+                  "H3": td.CLASS_HELICOPTER}
+        out, skipped = td.per_helicopter(tracks, labels, self.RUNWAYS, td.arrival_features)
+        assert list(out) == ["H1", "H3"]
+        want = td.featurize(td.window_arrival(tracks[4], RUNWAY), RUNWAY)
+        np.testing.assert_array_equal(out["H3"], want)
+        assert [(tid, type(e)) for tid, e in skipped] == [("H2", td.FewerThan100Points)]
+
+
+class TestLabels:
+    def test_loads_classes_by_track_id(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("track_id,class\nH1,helicopter\nG1,ga\n")
+        assert td.load_labels(p) == {"H1": "helicopter", "G1": "ga"}
+
+    def test_wrong_header_rejected(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("id,label\nH1,helicopter\n")
+        with pytest.raises(td.MalformedRecord, match="labels header"):
+            td.load_labels(p)
+
+
 class TestFeaturize:
     def test_hand_built_point_maps_to_expected_columns(self):
         pt = td.TrackPoint(0.0, RUNWAY.threshold_lat, RUNWAY.threshold_lon,

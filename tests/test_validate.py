@@ -95,8 +95,24 @@ class TestJoinRegistration:
         assert rec.class_conflict is False      # both rotorcraft
 
     def test_result_without_track_is_an_error(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(va.ValidationError, match="ghost"):
             va.join_registration([make_result("ghost", True)], {}, TABLE)
+
+
+class TestValidatePredictions:
+    def test_parts_agree_and_the_baseline_sees_unclassifiable_tracks(self):
+        tracks = {"a": make_track("a", tail="N1HELO", declared="HELO"),
+                  "b": make_track("b", tail="N2WING", declared="SR22"),
+                  "c": make_track("c", mode_s="AAA003", declared="R44"),
+                  "u": make_track("u", declared="EC30")}
+        results = [make_result("a", True), make_result("b", False), make_result("c", False)]
+        records, metrics, venn, pseudo = va.validate_predictions(
+            results, {"u": "no_approach", "gone": "no_approach"}, tracks, TABLE,
+            frozenset({"R44", "EC30"}))
+        assert records == va.join_registration(results, tracks, TABLE)
+        assert metrics == va.ConfusionMetrics(1, 0, 1, 1, 0, 1.0, 0.5)
+        assert venn == va.VennCounts(both=1, autoencoder_only=0, baseline_only=2)
+        assert [r.track_id for r in pseudo] == ["a"]
 
 
 def record(pred, actual, track_id="t"):

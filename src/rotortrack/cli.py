@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from enum import Enum
 from pathlib import Path
@@ -301,11 +302,18 @@ def cmd_classify(args, cfg: dict, paths: Paths) -> None:
     _write_csv(paths.results, [RESULTS_HEADER] + [_result_row(o) for o in outcomes])
 
 
+def _finite(name: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
+
+
 def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     """Parse results.csv back into results plus {track_id: reason} of the unclassifiable rows.
 
-    A row of the wrong length or with a value of the wrong kind is a CliError
-    naming the file and the line.
+    A row of the wrong length, with a value of the wrong kind or a non-finite
+    number is a CliError naming the file and the line.
     """
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
@@ -324,8 +332,8 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
                     raise ValueError(f"pred_is_helicopter must be true or false, got {pred!r}")
                 else:
                     results.append(idf.ClassificationResult(
-                        track_id, float(mae), float(score), pred == "true",
-                        tuple(r for r in reasons.split(";") if r)))
+                        track_id, _finite("mae", mae), _finite("runway_score", score),
+                        pred == "true", tuple(r for r in reasons.split(";") if r)))
         except (csv.Error, ValueError) as e:
             raise CliError(f"{path} line {reader.line_num}: {e}") from None
     return results, unclassifiable

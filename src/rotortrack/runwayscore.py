@@ -91,15 +91,15 @@ def runway_score(inputs: RunwayScoreInputs,
 def score_inputs_for_track(track: Track, runway: Runway) -> RunwayScoreInputs:
     """Measure the score inputs at the track's point of closest approach."""
     idx, dist_nm = closest_approach_index(track, runway)
-    p = track.points[idx]
-    east, north = en_offset_km(p.lat, p.lon, runway.threshold_lat, runway.threshold_lon)
+    _, lat, lon, _, course, _ = track.points[idx].item()
+    east, north = en_offset_km(lat, lon, runway.threshold_lat, runway.threshold_lon)
     theta = math.radians(runway.centerline_course)
     # cross-track distance from the line through the threshold along the centerline
     cross_km = east * math.cos(theta) - north * math.sin(theta)
     return RunwayScoreInputs(
         distance_nm=dist_nm,
         runway_length_ft=runway.length,
-        course_diff_deg=course_diff_deg(p.course, runway.centerline_course),
+        course_diff_deg=course_diff_deg(course, runway.centerline_course),
         lateral_deviation_ft=abs(cross_km) * FT_PER_KM,
         scratchpad_runway_reported=bool(track.scratchpad_runway),
     )

@@ -1,8 +1,10 @@
 """Surveillance-track domain types, file IO, and feature extraction.
 
 Tracks arrive as JSON Lines, one track per line; runways and aircraft
-registration rows arrive as CSV.  Arrival windows are the last 100 track
-points at or before the point of closest approach to the runway threshold.
+registration rows arrive as CSV.  Each track's points are checked and stored
+once, as one float64 array of POINT_DTYPE (t, lat, lon, alt, course, gs), and
+the geometry below works on its columns.  Arrival windows are the last 100
+track points at or before the point of closest approach to the runway threshold.
 All functions here are pure and safe to call concurrently on shared,
 already-loaded data.
 """
@@ -12,8 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,10 +81,30 @@ class TrackPoint:
     gs: float       # groundspeed, knots, >= 0
 
 
-@dataclass(slots=True)
+_POINT_KEYS = ("t", "lat", "lon", "alt", "course", "gs")
+# One float64 field per point key; its elements are numpy records, so p.t reads a point's time
+POINT_DTYPE = np.dtype((np.record, [(k, np.float64) for k in _POINT_KEYS]))
+
+
+def as_points(points) -> np.ndarray:
+    """Points as one array of POINT_DTYPE: pts["lat"] is a column, pts[i].lat a value.
+
+    An array with the POINT_DTYPE fields passes through as a view; any other
+    sequence is read point by point through the TrackPoint attribute names.
+    """
+    if isinstance(points, np.ndarray) and points.dtype == POINT_DTYPE:
+        return np.asarray(points).view(POINT_DTYPE)
+    rows = [(p.t, p.lat, p.lon, p.alt, p.course, p.gs) for p in points]
+    return np.array(rows, dtype=POINT_DTYPE)
+
+
+@dataclass(slots=True, eq=False)
 class Track:
+    """One surveillance track.  points is an array of POINT_DTYPE, oldest first;
+    a list of TrackPoint is converted on construction."""
+
     track_id: str
-    points: list[TrackPoint]
+    points: np.ndarray
     callsign: Optional[str] = None
     mode_s: Optional[str] = None
     tail_number: Optional[str] = None
@@ -88,6 +112,16 @@ class Track:
     arrival_airport: Optional[str] = None
     runway_id: Optional[str] = None
     scratchpad_runway: Optional[bool] = None
+
+    def __post_init__(self):
+        self.points = as_points(self.points)
+
+    def __eq__(self, other):
+        if not isinstance(other, Track):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   if f.name == "points" else getattr(self, f.name) == getattr(other, f.name)
+                   for f in fields(self))
 
 
 @dataclass(slots=True, frozen=True)
@@ -141,10 +175,16 @@ class NormStats:
 # --------------------------------------------------------------------------
 # geometry helpers
 
-def en_offset_km(lat: float, lon: float, ref_lat: float, ref_lon: float) -> tuple[float, float]:
-    """(east, north) km offset of a point from a reference, local tangent plane."""
-    north = math.radians(lat - ref_lat) * EARTH_RADIUS_KM
-    east = math.radians(lon - ref_lon) * EARTH_RADIUS_KM * math.cos(math.radians(ref_lat))
+_RAD_PER_DEG = math.pi / 180.0   # the factor math.radians and np.radians multiply by
+
+
+def en_offset_km(lat, lon, ref_lat: float, ref_lon: float):
+    """(east, north) km offset of a point from a reference, local tangent plane.
+
+    lat and lon may be floats or arrays; both give the same bits per point.
+    """
+    north = (lat - ref_lat) * _RAD_PER_DEG * EARTH_RADIUS_KM
+    east = (lon - ref_lon) * _RAD_PER_DEG * EARTH_RADIUS_KM * math.cos(math.radians(ref_lat))
     return east, north
 
 
@@ -153,14 +193,27 @@ def threshold_distance_nm(point: TrackPoint, runway: Runway) -> float:
     return math.hypot(east, north) / KM_PER_NM
 
 
+# np.hypot and math.hypot are each within an ulp of the exact value, so the
+# scalar minimum lies within this factor of the vectorized one.
+_NEAR_TIE = 1.0 + 16 * np.finfo(float).eps
+
+
 def closest_approach_index(track: Track, runway: Runway) -> tuple[int, float]:
-    """Index of the point nearest the runway threshold (first index on ties)."""
-    if not track.points:
+    """Index of the point nearest the runway threshold (first index on ties), and its NM.
+
+    The minimum is found with np.hypot; every point within _NEAR_TIE of it is
+    measured again with math.hypot, as threshold_distance_nm does, so index
+    and distance are those of a scalar loop over the points.
+    """
+    pts = track.points
+    if not len(pts):
         raise FewerThan100Points(f"track {track.track_id} has no points")
-    best_i = 0
-    best_d = math.inf
-    for i, p in enumerate(track.points):
-        d = threshold_distance_nm(p, runway)
+    east, north = en_offset_km(pts["lat"], pts["lon"], runway.threshold_lat, runway.threshold_lon)
+    dist = np.hypot(east, north)
+    near = np.flatnonzero(dist <= dist.min() * _NEAR_TIE)
+    best_i, best_d = 0, math.inf
+    for i, e, n in zip(near.tolist(), east[near].tolist(), north[near].tolist()):
+        d = math.hypot(e, n) / KM_PER_NM
         if d < best_d:
             best_i, best_d = i, d
     return best_i, best_d
@@ -174,16 +227,17 @@ def course_diff_deg(a: float, b: float) -> float:
 # --------------------------------------------------------------------------
 # track file IO
 
-_POINT_KEYS = ("t", "lat", "lon", "alt", "course", "gs")
-
-
 def _point_error(d: dict) -> Optional[str]:
     for k in _POINT_KEYS:
         if k not in d:
             return f"point missing field {k!r}"
         if not isinstance(d[k], (int, float)) or isinstance(d[k], bool):
             return f"point field {k!r} is not a number"
-        if not math.isfinite(d[k]):
+        try:
+            finite = math.isfinite(d[k])
+        except OverflowError:   # an integer beyond the float range
+            return f"point field {k!r} is out of float range"
+        if not finite:
             return f"point field {k!r} is not finite"
     if not -90.0 <= d["lat"] <= 90.0:
         return f"lat {d['lat']} out of [-90, 90]"
@@ -196,6 +250,49 @@ def _point_error(d: dict) -> Optional[str]:
     return None
 
 
+def _first_point_error(raw_points: list) -> Optional[str]:
+    """The reject reason of the first bad point, checked one point at a time."""
+    prev_t = None
+    for i, rp in enumerate(raw_points):
+        if not isinstance(rp, dict):
+            return f"point {i} is not an object"
+        err = _point_error(rp)
+        if err is not None:
+            return f"point {i}: {err}"
+        if prev_t is not None and float(rp["t"]) <= prev_t:
+            return f"point {i}: time not strictly increasing"
+        prev_t = float(rp["t"])
+    return None
+
+
+_point_values = operator.itemgetter(*_POINT_KEYS)
+_NUMBER_TYPES = frozenset((int, float))
+# Per-column bounds; the largest finite float bounds a column without a range,
+# so one comparison also refuses NaN and infinities.  Course must be < 360.
+_BIG = np.finfo(np.float64).max
+_LOW = np.array([-_BIG, -90.0, -180.0, -_BIG, 0.0, 0.0])
+_HIGH = np.array([_BIG, 90.0, 180.0, _BIG, np.nextafter(360.0, 0.0), _BIG])
+
+
+def _point_array(raw_points: list) -> Optional[np.ndarray]:
+    """The (n, 6) float64 array of the raw points when every point passes _point_error
+    and time strictly increases, else None."""
+    try:
+        rows = list(map(_point_values, raw_points))
+    except (KeyError, TypeError):      # a point that is not an object, or lacks a key
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
+        return None                    # a bool, string, null, list or object value
+    try:
+        values = np.fromiter(chain.from_iterable(rows), np.float64, 6 * len(rows)).reshape(-1, 6)
+    except OverflowError:
+        return None
+    t = values[:, 0]
+    if ((values >= _LOW) & (values <= _HIGH)).all() and (t[1:] > t[:-1]).all():
+        return values
+    return None
+
+
 def _parse_track(obj: dict) -> tuple[Optional[Track], Optional[str]]:
     if not isinstance(obj, dict):
         return None, "record is not a JSON object"
@@ -205,19 +302,10 @@ def _parse_track(obj: dict) -> tuple[Optional[Track], Optional[str]]:
     raw_points = obj.get("points")
     if not isinstance(raw_points, list) or not raw_points:
         return None, "missing or empty points array"
-    points = []
-    prev_t = None
-    for i, rp in enumerate(raw_points):
-        if not isinstance(rp, dict):
-            return None, f"point {i} is not an object"
-        err = _point_error(rp)
-        if err is not None:
-            return None, f"point {i}: {err}"
-        if prev_t is not None and rp["t"] <= prev_t:
-            return None, f"point {i}: time not strictly increasing"
-        prev_t = rp["t"]
-        points.append(TrackPoint(float(rp["t"]), float(rp["lat"]), float(rp["lon"]),
-                                 float(rp["alt"]), float(rp["course"]), float(rp["gs"])))
+    values = _point_array(raw_points)
+    if values is None:
+        return None, _first_point_error(raw_points)
+    points = values.view(POINT_DTYPE)[:, 0]
     scratch = obj.get("scratchpad_runway")
     if scratch is not None and not isinstance(scratch, bool):
         return None, "scratchpad_runway must be a boolean when present"
@@ -268,6 +356,12 @@ def load_tracks(path, strict: bool = False) -> LoadResult:
             except json.JSONDecodeError as e:
                 reject(line_no, f"invalid JSON: {e.msg}")
                 continue
+            except ValueError:      # an integer of more digits than int() converts
+                reject(line_no, "invalid JSON: integer with too many digits")
+                continue
+            except RecursionError:
+                reject(line_no, "invalid JSON: nested too deeply")
+                continue
             track, err = _parse_track(obj)
             if err is not None:
                 reject(line_no, err)
@@ -289,8 +383,7 @@ def track_to_json(track: Track) -> str:
                      ("scratchpad_runway", track.scratchpad_runway)):
         if val is not None:
             obj[key] = val
-    obj["points"] = [{"t": p.t, "lat": p.lat, "lon": p.lon, "alt": p.alt,
-                      "course": p.course, "gs": p.gs} for p in track.points]
+    obj["points"] = [dict(zip(_POINT_KEYS, p)) for p in track.points.tolist()]
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -304,7 +397,7 @@ def save_tracks(tracks: Sequence[Track], path) -> None:
 # --------------------------------------------------------------------------
 # arrival windowing and features
 
-def window_arrival(track: Track, runway: Runway) -> list[TrackPoint]:
+def window_arrival(track: Track, runway: Runway) -> np.ndarray:
     """The last WINDOW_LEN points at or before closest approach, oldest first.
 
     Raises NoApproach if the track never comes within MAX_APPROACH_NM of the
@@ -349,19 +442,18 @@ def arrival_features(track: Track, runway: Runway) -> np.ndarray:
     return featurize(window_arrival(track, runway), runway)
 
 
-def featurize(points: Sequence[TrackPoint], runway: Runway) -> np.ndarray:
+def featurize(points, runway: Runway) -> np.ndarray:
     """Per-point feature vectors relative to the runway, shape (len(points), 6).
 
-    Columns: east offset (km), north offset (km), height above threshold
-    (kilofeet), groundspeed (kt/100), sin and cos of course minus centerline.
+    points is anything as_points takes.  Columns: east offset (km), north
+    offset (km), height above threshold (kilofeet), groundspeed (kt/100), sin
+    and cos of course minus centerline.
     """
-    out = np.empty((len(points), FEATURE_COUNT), dtype=float)
-    for i, p in enumerate(points):
-        east, north = en_offset_km(p.lat, p.lon, runway.threshold_lat, runway.threshold_lon)
-        dc = math.radians(p.course - runway.centerline_course)
-        out[i] = (east, north, (p.alt - runway.threshold_elev) / 1000.0,
-                  p.gs / 100.0, math.sin(dc), math.cos(dc))
-    return out
+    pts = as_points(points)
+    east, north = en_offset_km(pts["lat"], pts["lon"], runway.threshold_lat, runway.threshold_lon)
+    dc = (pts["course"] - runway.centerline_course) * _RAD_PER_DEG
+    return np.column_stack((east, north, (pts["alt"] - runway.threshold_elev) / 1000.0,
+                            pts["gs"] / 100.0, np.sin(dc), np.cos(dc)))
 
 
 _MIN_STD = 1e-12

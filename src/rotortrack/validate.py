@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .identify import ClassificationResult
 from .trackdata import AircraftClass, RegistrationTable, Track
@@ -160,18 +160,21 @@ def resolve_pseudo_types(records: Iterable[ValidationRecord],
     return out
 
 
-def validate_predictions(results: list[ClassificationResult], unclassifiable: Iterable[str],
+def validate_predictions(results: list[ClassificationResult], unclassifiable: Collection[str],
                          tracks_by_id: dict[str, Track], table: RegistrationTable,
                          heli_types: frozenset[str]) -> tuple:
     """(join_registration records, their confusion_metrics, venn_compare counts, and
     resolve_pseudo_types records) of the results.
 
     The rule-based baseline of the Venn counts also sees the unclassifiable
-    track ids.  A result without a track is a ValidationError.
+    track ids.  A result or unclassifiable id without a track is a ValidationError.
     """
     records = join_registration(results, tracks_by_id, table)
+    for tid in unclassifiable:
+        if tid not in tracks_by_id:
+            raise ValidationError(f"no track for unclassifiable result {tid!r}")
     autoencoder_ids = {r.track_id for r in results if r.pred_is_helicopter}
-    candidates = tracks_by_id.keys() & ({r.track_id for r in results} | set(unclassifiable))
+    candidates = {r.track_id for r in results} | set(unclassifiable)
     baseline_ids = {tid for tid in candidates if rule_based_baseline(tracks_by_id[tid], heli_types)}
     return (records, confusion_metrics(records), venn_compare(autoencoder_ids, baseline_ids),
             resolve_pseudo_types(records))

@@ -276,7 +276,10 @@ class TestMalformedResults:
         ("H0000,abc,0.2,true,", "could not convert string to float: 'abc'"),
         ("H0000,0.1,0.2,yes,", "pred_is_helicopter must be true or false, got 'yes'"),
         ('"' + "x" * (csv.field_size_limit() + 1) + '",0.1,0.2,true,', "field larger"),
-    ], ids=["short_row", "non_numeric_mae", "non_boolean_prediction", "csv_error"])
+        ("H0000,nan,0.2,true,", "mae must be finite, got 'nan'"),
+        ("H0000,0.1,-inf,false,runway_score", "runway_score must be finite, got '-inf'"),
+    ], ids=["short_row", "non_numeric_mae", "non_boolean_prediction", "csv_error", "nan_mae",
+            "infinite_score"])
     def test_bad_row_is_a_cli_error_naming_file_and_line(self, tmp_path, row, named):
         path = tmp_path / "results.csv"
         path.write_text(",".join(cli.RESULTS_HEADER) + "\nH0001,0.1,0.2,false,x\n" + row + "\n")

@@ -50,6 +50,14 @@ class TestGeometry:
         assert idx == 0
         assert dist == pytest.approx(td.threshold_distance_nm(pts[1], RUNWAY))
 
+    def test_closest_approach_breaks_a_vectorized_tie_as_the_scalar_distance_does(self):
+        # np.hypot gives both points the same distance; math.hypot puts the second nearer
+        near_tie = [make_point(0, -85.98356999999996, lat=40.060249999999876),
+                    make_point(1, -85.9835699999996, lat=40.06024999999982)]
+        want = [td.threshold_distance_nm(p, RUNWAY) for p in near_tie]
+        assert want[1] < want[0]
+        assert td.closest_approach_index(td.Track("near", near_tie), RUNWAY) == (1, want[1])
+
 
 GOOD_LINE = {
     "track_id": "T100",
@@ -103,6 +111,45 @@ class TestLoadTracks:
         assert "gs" in reasons[5]
         assert "duplicate track_id" in reasons[6]
         assert "time not strictly increasing" in reasons[7]
+
+    @pytest.mark.parametrize("key, value", [("lat", 10**400), ("gs", -10**400)])
+    def test_integer_beyond_the_float_range_is_named(self, tmp_path, key, value):
+        line = dict(GOOD_LINE, points=[dict(p) for p in GOOD_LINE["points"]])
+        line["points"][1][key] = value
+        p = tmp_path / "tracks.jsonl"
+        write_jsonl(p, [line])
+        reason = f"point 1: point field {key!r} is out of float range"
+        assert td.load_tracks(p).rejects == [(1, reason)]
+        with pytest.raises(td.MalformedRecord, match=reason):
+            td.load_tracks(p, strict=True)
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"track_id":"X","points":[{"t":0,"lat":' + "1" * 5000 + "}]}",
+         "invalid JSON: integer with too many digits"),
+        ('{"track_id":"X","points":' + "[" * 100_000 + "]" * 100_000 + "}",
+         "invalid JSON: nested too deeply"),
+    ], ids=["5000_digit_integer", "deep_nesting"])
+    def test_json_the_decoder_refuses_is_a_named_reject(self, tmp_path, line, reason):
+        p = tmp_path / "tracks.jsonl"
+        write_jsonl(p, [line, GOOD_LINE])
+        res = td.load_tracks(p)
+        assert res.rejects == [(1, reason)] and [t.track_id for t in res.tracks] == ["T100"]
+        with pytest.raises(td.MalformedRecord, match=reason):
+            td.load_tracks(p, strict=True)
+
+    def test_times_must_increase_as_the_stored_floats(self, tmp_path):
+        lines = []
+        for track_id, last_t in (("distinct", 2**53 + 2), ("rounds_to_equal", 2**53 + 1)):
+            line = dict(GOOD_LINE, track_id=track_id, points=[dict(p) for p in GOOD_LINE["points"]])
+            line["points"][1]["t"] = 2**53
+            line["points"][2]["t"] = last_t
+            lines.append(line)
+        p = tmp_path / "tracks.jsonl"
+        write_jsonl(p, lines)
+        res = td.load_tracks(p)
+        assert [t.track_id for t in res.tracks] == ["distinct"]
+        assert res.tracks[0].points["t"].tolist() == [0.0, 2.0**53, 2.0**53 + 2]
+        assert res.rejects == [(2, "point 2: time not strictly increasing")]
 
     def test_strict_mode_raises_on_first_bad_line(self, tmp_path):
         p = tmp_path / "tracks.jsonl"
@@ -192,6 +239,24 @@ class TestFeaturize:
         assert row[3] == pytest.approx(1.5)
         assert row[4] == pytest.approx(math.sin(math.radians(-270.0)), abs=1e-12)
         assert row[5] == pytest.approx(math.cos(math.radians(-270.0)), abs=1e-12)
+
+    def test_matches_a_per_point_loop(self):
+        rng = np.random.default_rng(7)
+        pts = [td.TrackPoint(float(i), 40.0 + rng.uniform(-0.2, 0.2), -86.0 + rng.uniform(-0.2, 0.2),
+                             rng.uniform(0.0, 9000.0), rng.uniform(0.0, 360.0), rng.uniform(0.0, 400.0))
+               for i in range(300)]
+        want = np.empty((len(pts), td.FEATURE_COUNT))
+        cos_ref = math.cos(math.radians(RUNWAY.threshold_lat))
+        for i, p in enumerate(pts):
+            dc = math.radians(p.course - RUNWAY.centerline_course)
+            want[i] = (math.radians(p.lon - RUNWAY.threshold_lon) * td.EARTH_RADIUS_KM * cos_ref,
+                       math.radians(p.lat - RUNWAY.threshold_lat) * td.EARTH_RADIUS_KM,
+                       (p.alt - RUNWAY.threshold_elev) / 1000.0, p.gs / 100.0,
+                       math.sin(dc), math.cos(dc))
+        got = td.featurize(pts, RUNWAY)
+        np.testing.assert_array_equal(got[:, :4], want[:, :4])
+        # numpy's sin and cos may differ from the C library's in the last bits
+        np.testing.assert_allclose(got[:, 4:], want[:, 4:], rtol=0, atol=4 * np.finfo(float).eps)
 
     def test_window_featurizes_to_100_by_6(self):
         track = approach_track()

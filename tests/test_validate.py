@@ -107,12 +107,20 @@ class TestValidatePredictions:
                   "u": make_track("u", declared="EC30")}
         results = [make_result("a", True), make_result("b", False), make_result("c", False)]
         records, metrics, venn, pseudo = va.validate_predictions(
-            results, {"u": "no_approach", "gone": "no_approach"}, tracks, TABLE,
-            frozenset({"R44", "EC30"}))
+            results, {"u": "no_approach"}, tracks, TABLE, frozenset({"R44", "EC30"}))
         assert records == va.join_registration(results, tracks, TABLE)
         assert metrics == va.ConfusionMetrics(1, 0, 1, 1, 0, 1.0, 0.5)
         assert venn == va.VennCounts(both=1, autoencoder_only=0, baseline_only=2)
         assert [r.track_id for r in pseudo] == ["a"]
+
+    @pytest.mark.parametrize("unclassifiable, results, named", [
+        ({"gone": "no_approach"}, [], "no track for unclassifiable result 'gone'"),
+        ({}, [make_result("gone", True)], "no track for result 'gone'"),
+    ], ids=["unclassifiable", "classified"])
+    def test_an_id_without_a_track_is_an_error(self, unclassifiable, results, named):
+        tracks = {"a": make_track("a")}
+        with pytest.raises(va.ValidationError, match=named):
+            va.validate_predictions(results, unclassifiable, tracks, TABLE, frozenset())
 
 
 def record(pred, actual, track_id="t"):

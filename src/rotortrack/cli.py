@@ -19,7 +19,7 @@ import sys
 from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import autoencoder as ae
 from . import identify as idf
@@ -175,6 +175,11 @@ def _write_csv(path: Path, rows: list[list]) -> None:
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline=""))
 
 
+def _write_records(path: Path, fields: Sequence[str], records) -> None:
+    """A CSV of a header of field names and one row of those attributes per record."""
+    _write_csv(path, [list(fields)] + [[getattr(r, f) for f in fields] for r in records])
+
+
 # --------------------------------------------------------------------------
 # shared stage helpers
 
@@ -241,11 +246,11 @@ def cmd_synth(args, cfg: dict, paths: Paths) -> None:
                                            synth["commercial"]))
     log.info("generated %d tracks (seed %d)", len(scenario.tracks), synth["seed"])
     _atomic_write(paths.tracks, lambda tmp: td.save_tracks(scenario.tracks, tmp))
-    _atomic_write(paths.labels, lambda tmp: sg.write_labels(scenario.labels, tmp))
-    _atomic_write(paths.runways, lambda tmp: sg.write_runways_csv([scenario.runway], tmp))
-    _atomic_write(paths.registration,
-                  lambda tmp: sg.write_registration_csv(scenario.registration, tmp))
-    _atomic_write(paths.heli_types, lambda tmp: sg.write_heli_types(scenario.heli_types, tmp))
+    _write_csv(paths.labels, [td.LABEL_FIELDS, *scenario.labels])
+    _write_records(paths.runways, td.RUNWAY_FIELDS, [scenario.runway])
+    _write_records(paths.registration, td.REGISTRATION_FIELDS, scenario.registration)
+    _write_text(paths.heli_types, "# helicopter type designators\n"
+                + "".join(d + "\n" for d in sorted(scenario.heli_types)))
 
 
 def cmd_train(args, cfg: dict, paths: Paths) -> None:
@@ -280,6 +285,8 @@ def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
 
 
 RESULTS_HEADER = ["track_id", "mae", "runway_score", "pred_is_helicopter", "reasons"]
+VALIDATION_FIELDS = tuple(f.name for f in dataclasses.fields(vl.ValidationRecord))
+PSEUDO_TYPE_FIELDS = ("track_id", "declared_type", "model", "manufacturer", "type_designator")
 
 
 def _result_row(outcome) -> list:
@@ -312,11 +319,12 @@ def _finite(name: str, text: str) -> float:
 def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     """Parse results.csv back into results plus {track_id: reason} of the unclassifiable rows.
 
-    A row of the wrong length, with a value of the wrong kind or a non-finite
-    number is a CliError naming the file and the line.
+    A row of the wrong length, with a value of the wrong kind, a non-finite
+    number or a repeated track_id is a CliError naming the file and the line.
     """
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -326,6 +334,9 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
                 if len(row) != len(RESULTS_HEADER):
                     raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(row)}")
                 track_id, mae, score, pred, reasons = row
+                if track_id in seen:
+                    raise ValueError(f"duplicate track_id {track_id!r}")
+                seen.add(track_id)
                 if reasons.startswith("unclassifiable:"):
                     unclassifiable[track_id] = reasons.split(":", 1)[1]
                 elif pred not in ("true", "false"):
@@ -350,8 +361,7 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
         results, unclassifiable, {t.track_id: t for t in tracks}, table, heli_types)
 
     # validation.csv: a column per ValidationRecord field; venn_summary.csv: per VennCounts field
-    header = [f.name for f in dataclasses.fields(vl.ValidationRecord)]
-    _write_csv(paths.validation, [header] + [[getattr(r, f) for f in header] for r in records])
+    _write_records(paths.validation, VALIDATION_FIELDS, records)
     _write_csv(paths.venn_csv, [list(dataclasses.asdict(venn)), dataclasses.astuple(venn)])
     venn_txt = (
         "predicted-helicopter set overlap\n"
@@ -363,9 +373,7 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
     )
     _write_text(paths.venn_txt, venn_txt)
 
-    header = ["track_id", "declared_type", "model", "manufacturer", "type_designator"]
-    _write_csv(paths.pseudo_types,
-               [header] + [[getattr(r, f) for f in header] for r in pseudo_types])
+    _write_records(paths.pseudo_types, PSEUDO_TYPE_FIELDS, pseudo_types)
 
     payload = {
         "tp": metrics.tp, "fp": metrics.fp, "fn": metrics.fn, "tn": metrics.tn,

@@ -8,15 +8,15 @@ is produced from its own RNG stream derived from (scenario seed, class,
 index), so output is byte-for-byte reproducible regardless of generation
 order.
 
-Ground-truth classes are emitted as a sidecar CSV (track_id,class) and are
-never stored on the Track records themselves.  A matching synthetic
-registration table and a helicopter type-designator list can be built so
-the whole pipeline, including validation, runs hermetically.
+Ground-truth classes are returned as (track_id, class) pairs and are never
+stored on the Track records themselves.  A matching synthetic registration
+table and a helicopter type-designator list come with them, so the whole
+pipeline, including validation, runs hermetically.  This module only
+generates; the command line writes the files.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,7 +31,6 @@ from .trackdata import (
     RegistrationRecord,
     Runway,
     Track,
-    TrackPoint,
 )
 
 NM_TO_M = 1852.0
@@ -173,14 +172,8 @@ def _to_track(samples: list[_Sample], track_id: str, t0: float, runway: Runway,
     points = []
     for i, s in enumerate(samples):
         lat, lon = _en_to_latlon(s.east, s.north, runway)
-        points.append(TrackPoint(
-            t=t0 + float(i),
-            lat=lat,
-            lon=lon,
-            alt=max(runway.threshold_elev, s.alt),
-            course=s.heading % 360.0,
-            gs=max(0.0, s.gs),
-        ))
+        points.append((t0 + float(i), lat, lon, max(runway.threshold_elev, s.alt),
+                       s.heading % 360.0, max(0.0, s.gs)))
     return Track(track_id=track_id, points=points, **identity)
 
 
@@ -457,41 +450,3 @@ def generate(spec: ScenarioSpec) -> Scenario:
                 registration.append(reg)
             global_idx += 1
     return Scenario(tracks=tracks, labels=labels, registration=registration, runway=spec.runway)
-
-
-# --------------------------------------------------------------------------
-# sidecar/fixture writers (callers pass the final or a temp path)
-
-def write_labels(labels: list[tuple[str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["track_id", "class"])
-        writer.writerows(labels)
-
-
-def write_registration_csv(records: list[RegistrationRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n_number", "mode_s_code", "model", "manufacturer",
-                         "aircraft_class", "type_designator"])
-        for r in records:
-            writer.writerow([r.n_number, r.mode_s_code or "", r.model or "",
-                             r.manufacturer or "", r.aircraft_class.value,
-                             r.type_designator or ""])
-
-
-def write_runways_csv(runways: list[Runway], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["runway_id", "threshold_lat", "threshold_lon",
-                         "threshold_elev", "centerline_course", "length"])
-        for rw in runways:
-            writer.writerow([rw.runway_id, repr(rw.threshold_lat), repr(rw.threshold_lon),
-                             repr(rw.threshold_elev), repr(rw.centerline_course), repr(rw.length)])
-
-
-def write_heli_types(designators: frozenset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# helicopter type designators\n")
-        for d in sorted(designators):
-            fh.write(d + "\n")

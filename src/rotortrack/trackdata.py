@@ -41,10 +41,10 @@ class TrackDataError(Exception):
 
 
 class MalformedRecord(TrackDataError):
-    """A line or row that cannot be used, with its 1-based position."""
+    """A line or row of a file that cannot be used, with its 1-based position."""
 
-    def __init__(self, position: int, message: str):
-        super().__init__(f"line {position}: {message}")
+    def __init__(self, path, position: int, message: str):
+        super().__init__(f"{path} line {position}: {message}")
         self.position = position
         self.reason = message
 
@@ -71,37 +71,17 @@ class AircraftClass(Enum):
     OTHER = "OTHER"
 
 
-@dataclass(slots=True)
-class TrackPoint:
-    t: float        # seconds since epoch
-    lat: float      # degrees, [-90, 90]
-    lon: float      # degrees, [-180, 180]
-    alt: float      # feet MSL
-    course: float   # degrees, [0, 360)
-    gs: float       # groundspeed, knots, >= 0
-
-
 _POINT_KEYS = ("t", "lat", "lon", "alt", "course", "gs")
-# One float64 field per point key; its elements are numpy records, so p.t reads a point's time
+# One float64 field per point key: t in seconds since epoch, lat, lon and course in degrees,
+# alt in feet MSL, gs in knots.  Its elements are numpy records, so p.t reads a point's time.
 POINT_DTYPE = np.dtype((np.record, [(k, np.float64) for k in _POINT_KEYS]))
-
-
-def as_points(points) -> np.ndarray:
-    """Points as one array of POINT_DTYPE: pts["lat"] is a column, pts[i].lat a value.
-
-    An array with the POINT_DTYPE fields passes through as a view; any other
-    sequence is read point by point through the TrackPoint attribute names.
-    """
-    if isinstance(points, np.ndarray) and points.dtype == POINT_DTYPE:
-        return np.asarray(points).view(POINT_DTYPE)
-    rows = [(p.t, p.lat, p.lon, p.alt, p.course, p.gs) for p in points]
-    return np.array(rows, dtype=POINT_DTYPE)
 
 
 @dataclass(slots=True, eq=False)
 class Track:
-    """One surveillance track.  points is an array of POINT_DTYPE, oldest first;
-    a list of TrackPoint is converted on construction."""
+    """One surveillance track.  points is an array of POINT_DTYPE, oldest first:
+    points["lat"] is a column and points[i].lat a value.  (t, lat, lon, alt, course, gs)
+    tuples are converted on construction; an array of POINT_DTYPE is kept as it is."""
 
     track_id: str
     points: np.ndarray
@@ -114,7 +94,9 @@ class Track:
     scratchpad_runway: Optional[bool] = None
 
     def __post_init__(self):
-        self.points = as_points(self.points)
+        self.points = np.asarray(self.points, dtype=POINT_DTYPE)
+        if self.points.ndim != 1:   # numpy spreads each value of a list row over all six fields
+            raise TrackDataError("points must be point tuples or a 1-D POINT_DTYPE array")
 
     def __eq__(self, other):
         if not isinstance(other, Track):
@@ -188,7 +170,7 @@ def en_offset_km(lat, lon, ref_lat: float, ref_lon: float):
     return east, north
 
 
-def threshold_distance_nm(point: TrackPoint, runway: Runway) -> float:
+def threshold_distance_nm(point: np.record, runway: Runway) -> float:
     east, north = en_offset_km(point.lat, point.lon, runway.threshold_lat, runway.threshold_lon)
     return math.hypot(east, north) / KM_PER_NM
 
@@ -293,6 +275,12 @@ def _point_array(raw_points: list) -> Optional[np.ndarray]:
     return None
 
 
+# The Track field of each optional string key on the wire, in wire order
+_STRING_KEYS = {"callsign": "callsign", "mode_s": "mode_s", "tail_number": "tail_number",
+                "aircraft_type": "declared_type", "arrival_airport": "arrival_airport",
+                "runway_id": "runway_id"}
+
+
 def _parse_track(obj: dict) -> tuple[Optional[Track], Optional[str]]:
     if not isinstance(obj, dict):
         return None, "record is not a JSON object"
@@ -309,21 +297,12 @@ def _parse_track(obj: dict) -> tuple[Optional[Track], Optional[str]]:
     scratch = obj.get("scratchpad_runway")
     if scratch is not None and not isinstance(scratch, bool):
         return None, "scratchpad_runway must be a boolean when present"
-    for key in ("callsign", "mode_s", "tail_number", "aircraft_type", "arrival_airport", "runway_id"):
+    for key in _STRING_KEYS:
         val = obj.get(key)
         if val is not None and not isinstance(val, str):
             return None, f"{key} must be a string when present"
-    return Track(
-        track_id=track_id,
-        points=points,
-        callsign=obj.get("callsign"),
-        mode_s=obj.get("mode_s"),
-        tail_number=obj.get("tail_number"),
-        declared_type=obj.get("aircraft_type"),
-        arrival_airport=obj.get("arrival_airport"),
-        runway_id=obj.get("runway_id"),
-        scratchpad_runway=scratch,
-    ), None
+    return Track(track_id, points, scratchpad_runway=scratch,
+                 **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
 
 
 @dataclass(slots=True)
@@ -344,7 +323,7 @@ def load_tracks(path, strict: bool = False) -> LoadResult:
 
     def reject(line_no: int, reason: str):
         if strict:
-            raise MalformedRecord(line_no, reason)
+            raise MalformedRecord(path, line_no, reason)
         rejects.append((line_no, reason))
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -377,11 +356,8 @@ def load_tracks(path, strict: bool = False) -> LoadResult:
 def track_to_json(track: Track) -> str:
     """One JSONL line for a track; None-valued optionals are omitted."""
     obj: dict = {"track_id": track.track_id}
-    for key, val in (("callsign", track.callsign), ("mode_s", track.mode_s),
-                     ("tail_number", track.tail_number), ("aircraft_type", track.declared_type),
-                     ("arrival_airport", track.arrival_airport), ("runway_id", track.runway_id),
-                     ("scratchpad_runway", track.scratchpad_runway)):
-        if val is not None:
+    for key, name in (*_STRING_KEYS.items(), ("scratchpad_runway", "scratchpad_runway")):
+        if (val := getattr(track, name)) is not None:
             obj[key] = val
     obj["points"] = [dict(zip(_POINT_KEYS, p)) for p in track.points.tolist()]
     return json.dumps(obj, separators=(",", ":"))
@@ -442,18 +418,17 @@ def arrival_features(track: Track, runway: Runway) -> np.ndarray:
     return featurize(window_arrival(track, runway), runway)
 
 
-def featurize(points, runway: Runway) -> np.ndarray:
+def featurize(points: np.ndarray, runway: Runway) -> np.ndarray:
     """Per-point feature vectors relative to the runway, shape (len(points), 6).
 
-    points is anything as_points takes.  Columns: east offset (km), north
+    points is an array of POINT_DTYPE.  Columns: east offset (km), north
     offset (km), height above threshold (kilofeet), groundspeed (kt/100), sin
     and cos of course minus centerline.
     """
-    pts = as_points(points)
-    east, north = en_offset_km(pts["lat"], pts["lon"], runway.threshold_lat, runway.threshold_lon)
-    dc = (pts["course"] - runway.centerline_course) * _RAD_PER_DEG
-    return np.column_stack((east, north, (pts["alt"] - runway.threshold_elev) / 1000.0,
-                            pts["gs"] / 100.0, np.sin(dc), np.cos(dc)))
+    east, north = en_offset_km(points["lat"], points["lon"], runway.threshold_lat, runway.threshold_lon)
+    dc = (points["course"] - runway.centerline_course) * _RAD_PER_DEG
+    return np.column_stack((east, north, (points["alt"] - runway.threshold_elev) / 1000.0,
+                            points["gs"] / 100.0, np.sin(dc), np.cos(dc)))
 
 
 _MIN_STD = 1e-12
@@ -494,43 +469,61 @@ def _csv_rows(fh, fields: tuple[str, ...], what: str) -> csv.DictReader:
     """A DictReader over fh whose header must be fields."""
     reader = csv.DictReader(fh)
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(fields):
-        raise MalformedRecord(1, f"{what} header must be {','.join(fields)}")
+        raise MalformedRecord(fh.name, 1, f"{what} header must be {','.join(fields)}")
     return reader
 
 
+# The header of each input table: the labels' columns, and the fields of Runway and RegistrationRecord
+LABEL_FIELDS = ("track_id", "class")
+RUNWAY_FIELDS = tuple(f.name for f in fields(Runway))
+REGISTRATION_FIELDS = tuple(f.name for f in fields(RegistrationRecord))
+
+
 def load_labels(path) -> dict[str, str]:
-    """{track_id: class} from a track_id,class CSV."""
+    """{track_id: class} from a track_id,class CSV; a repeated track_id or a class
+    outside TRACK_CLASSES is a MalformedRecord."""
+    labels: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return {r["track_id"]: r["class"] for r in _csv_rows(fh, ("track_id", "class"), "labels")}
+        for row_no, row in enumerate(_csv_rows(fh, LABEL_FIELDS, "labels"), start=2):
+            if row["class"] not in TRACK_CLASSES:
+                raise MalformedRecord(path, row_no, f"unknown class {row['class']!r}")
+            if row["track_id"] in labels:
+                raise MalformedRecord(path, row_no, f"duplicate track_id {row['track_id']!r}")
+            labels[row["track_id"]] = row["class"]
+    return labels
 
 
-_RUNWAY_FIELDS = ("runway_id", "threshold_lat", "threshold_lon",
-                  "threshold_elev", "centerline_course", "length")
+# (low, high, the rule in words) of each runway geometry field; NaN fails every comparison
+_RUNWAY_RULES = {
+    "threshold_lat": (-90.0, 90.0, "in [-90, 90]"),
+    "threshold_lon": (-180.0, 180.0, "in [-180, 180]"),
+    "threshold_elev": (-_BIG, _BIG, "finite"),
+    "centerline_course": (0.0, math.nextafter(360.0, 0.0), "in [0, 360)"),
+    "length": (math.ulp(0.0), _BIG, "finite and > 0"),
+}
 
 
 def load_runways(path) -> dict[str, Runway]:
+    """{runway_id: Runway}; a row with a repeated id or unusable geometry is a MalformedRecord."""
     runways: dict[str, Runway] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(_csv_rows(fh, _RUNWAY_FIELDS, "runway"), start=2):
+        for row_no, row in enumerate(_csv_rows(fh, RUNWAY_FIELDS, "runway"), start=2):
             rid = (row.get("runway_id") or "").strip()
             if not rid:
-                raise MalformedRecord(row_no, "empty runway_id")
+                raise MalformedRecord(path, row_no, "empty runway_id")
             try:
-                rw = Runway(rid, float(row["threshold_lat"]), float(row["threshold_lon"]),
-                            float(row["threshold_elev"]), float(row["centerline_course"]),
-                            float(row["length"]))
+                rw = Runway(rid, *(float(row[f]) for f in RUNWAY_FIELDS[1:]))
             except (TypeError, ValueError):
-                raise MalformedRecord(row_no, "non-numeric runway geometry") from None
+                raise MalformedRecord(path, row_no, "non-numeric runway geometry") from None
+            for name, (low, high, rule) in _RUNWAY_RULES.items():
+                if not low <= (value := getattr(rw, name)) <= high:
+                    raise MalformedRecord(path, row_no, f"{name} must be {rule}, got {value}")
             if rid in runways:
-                raise MalformedRecord(row_no, f"duplicate runway_id {rid!r}")
+                raise MalformedRecord(path, row_no, f"duplicate runway_id {rid!r}")
             runways[rid] = rw
     if not runways:
         raise TrackDataError(f"no runways in {path}")
     return runways
-
-
-_REGISTRATION_FIELDS = ("n_number", "mode_s_code", "model", "manufacturer",
-                        "aircraft_class", "type_designator")
 
 
 @dataclass(slots=True)
@@ -555,15 +548,15 @@ def load_registration(path) -> RegistrationTable:
     """Read the registration CSV; duplicate keys keep the first row and are reported."""
     table = RegistrationTable(records=[])
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(_csv_rows(fh, _REGISTRATION_FIELDS, "registration"), start=2):
+        for row_no, row in enumerate(_csv_rows(fh, REGISTRATION_FIELDS, "registration"), start=2):
             n_number = (row.get("n_number") or "").strip().upper()
             if not n_number:
-                raise MalformedRecord(row_no, "empty n_number")
+                raise MalformedRecord(path, row_no, "empty n_number")
             raw_class = (row.get("aircraft_class") or "").strip()
             try:
                 ac_class = AircraftClass(raw_class)
             except ValueError:
-                raise MalformedRecord(row_no, f"unknown aircraft_class {raw_class!r}") from None
+                raise MalformedRecord(path, row_no, f"unknown aircraft_class {raw_class!r}") from None
             rec = RegistrationRecord(
                 n_number=n_number,
                 mode_s_code=(row.get("mode_s_code") or "").strip().upper() or None,

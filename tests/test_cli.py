@@ -154,9 +154,8 @@ class TestCliBehavior:
         for name in ("model.rtae", "thresholds.json", "runways.csv"):
             (work / name).write_bytes((pipeline / name).read_bytes())
         runway = next(iter(td.load_runways(work / "runways.csv").values()))
-        pts = [td.TrackPoint(float(i), runway.threshold_lat + 0.02,
-                             runway.threshold_lon, runway.threshold_elev + 900.0,
-                             0.0, 60.0) for i in range(40)]
+        pts = [(float(i), runway.threshold_lat + 0.02, runway.threshold_lon,
+                runway.threshold_elev + 900.0, 0.0, 60.0) for i in range(40)]
         td.save_tracks([td.Track("SHORT1", pts)], work / "tracks.jsonl")
         assert run("--out-dir", str(work), "classify") == 0
         results, unclassifiable = cli.read_results(work / "results.csv")
@@ -218,6 +217,17 @@ class TestCliBehavior:
         assert run("--out-dir", str(work), "calibrate") == 1
         assert "enc_dense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "calibrate", "classify"])
+    def test_runway_with_negative_length_exits_1_naming_the_file_and_row(self, pipeline,
+                                                                         tmp_path, capsys,
+                                                                         command):
+        work = copy_inputs(pipeline, tmp_path / "rw", ("model.rtae", "thresholds.json",
+                                                       "tracks.jsonl", "labels.csv"))
+        header, row = (pipeline / "runways.csv").read_text().splitlines()
+        (work / "runways.csv").write_text(f"{header}\n{row.rsplit(',', 1)[0]},-5.0\n")
+        assert run("--out-dir", str(work), command) == 1
+        assert "runways.csv line 2: length must be finite and > 0" in capsys.readouterr().err
+
     def test_unknown_dtype_in_config_exits_1(self, pipeline, tmp_path):
         work = tmp_path / "f16"
         work.mkdir()
@@ -278,8 +288,9 @@ class TestMalformedResults:
         ('"' + "x" * (csv.field_size_limit() + 1) + '",0.1,0.2,true,', "field larger"),
         ("H0000,nan,0.2,true,", "mae must be finite, got 'nan'"),
         ("H0000,0.1,-inf,false,runway_score", "runway_score must be finite, got '-inf'"),
+        ("H0001,0.3,0.4,true,", "duplicate track_id 'H0001'"),
     ], ids=["short_row", "non_numeric_mae", "non_boolean_prediction", "csv_error", "nan_mae",
-            "infinite_score"])
+            "infinite_score", "repeated_track_id"])
     def test_bad_row_is_a_cli_error_naming_file_and_line(self, tmp_path, row, named):
         path = tmp_path / "results.csv"
         path.write_text(",".join(cli.RESULTS_HEADER) + "\nH0001,0.1,0.2,false,x\n" + row + "\n")

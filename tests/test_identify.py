@@ -129,14 +129,13 @@ def training_windows_and_model():
 
 class TestClassifyTrack:
     def approach(self, n=150, closest=120, **extra):
-        pts = [td.TrackPoint(float(i), 40.0, -86.0 + abs(closest - i) * 1e-3,
-                             1600.0, 270.0, 60.0) for i in range(n)]
+        pts = [(float(i), 40.0, -86.0 + abs(closest - i) * 1e-3, 1600.0, 270.0, 60.0)
+               for i in range(n)]
         return td.Track("T1", pts, **extra)
 
     def test_track_without_approach_is_unclassifiable(self):
         model = training_windows_and_model()
-        pts = [td.TrackPoint(float(i), 42.0, -86.0, 1600.0, 270.0, 60.0)
-               for i in range(120)]
+        pts = [(float(i), 42.0, -86.0, 1600.0, 270.0, 60.0) for i in range(120)]
         with pytest.raises(idf.Unclassifiable) as exc:
             idf.classify(model, idf.Thresholds(), td.Track("far", pts), RUNWAY)
         assert exc.value.reason == "no_approach"

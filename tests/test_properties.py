@@ -1,6 +1,7 @@
 """Property tests of the file formats, the config, the point parser and closest approach
 against their oracles: round trips, the per-point rule and a scalar loop."""
 
+import csv
 import functools
 import json
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 from rotortrack import cli  # noqa: E402
 from rotortrack import identify as idf  # noqa: E402
 from rotortrack import trackdata as td  # noqa: E402
+from rotortrack import validate as vl  # noqa: E402
 
 # Every key a config file may set, by section; histogram_bins is a top-level key.
 SETTABLE = {
@@ -46,7 +48,7 @@ points = st.lists(
     st.tuples(finite(), finite(-90.0, 90.0), finite(-180.0, 180.0), finite(),
               finite(0.0, 360.0, exclude_max=True), finite(0.0)),
     min_size=1, max_size=6, unique_by=lambda p: p[0],
-).map(lambda ps: [td.TrackPoint(*p) for p in sorted(ps)])
+).map(sorted)
 tracks = st.builds(
     td.Track, track_id=st.text(min_size=1), points=points, callsign=optional_text,
     mode_s=optional_text, tail_number=optional_text, declared_type=optional_text,
@@ -65,12 +67,48 @@ def test_tracks_round_trip_through_jsonl(workdir, given_tracks):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.text(), finite(0.0), finite(0.0, 1.0)), max_size=4))
+@given(st.lists(st.tuples(st.text(), finite(0.0), finite(0.0, 1.0)), max_size=4,
+                unique_by=lambda row: row[0]))   # classify writes one row per track
 def test_results_csv_round_trips_for_any_track_id(workdir, rows):
     results = [idf.decide(tid, mae, score, idf.Thresholds()) for tid, mae, score in rows]
     path = workdir / "results.csv"
     cli._write_csv(path, [cli.RESULTS_HEADER] + [cli._result_row(r) for r in results])
     assert cli.read_results(path) == (results, {})
+
+
+validation_records = st.builds(
+    vl.ValidationRecord, track_id=st.text(), mae=finite(), runway_score=finite(),
+    pred_is_helicopter=st.booleans(), matched=st.sampled_from(vl.MatchKind),
+    is_helicopter_ac_reg=st.none() | st.booleans(), aircraft_class=optional_text,
+    model=optional_text, manufacturer=optional_text, type_designator=optional_text,
+    declared_type=optional_text, class_conflict=st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(validation_records, max_size=4))
+@pytest.mark.parametrize("fields", [cli.VALIDATION_FIELDS, cli.PSEUDO_TYPE_FIELDS],
+                         ids=["validation", "pseudo_types"])
+def test_record_rows_read_back_as_their_cells(workdir, fields, records):
+    path = workdir / "records.csv"
+    cli._write_records(path, fields, records)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [list(fields)] + [[cli._cell(getattr(r, f)) for f in fields] for r in records]
+
+
+runways = st.builds(
+    td.Runway, runway_id=st.text(min_size=1).filter(lambda s: s == s.strip()),
+    threshold_lat=finite(-90.0, 90.0), threshold_lon=finite(-180.0, 180.0),
+    threshold_elev=finite(), centerline_course=finite(0.0, 360.0, exclude_max=True),
+    length=finite(0.0, exclude_min=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(runways, min_size=1, max_size=3, unique_by=lambda rw: rw.runway_id))
+def test_runways_round_trip_through_csv(workdir, given_runways):
+    path = workdir / "runways.csv"
+    cli._write_records(path, td.RUNWAY_FIELDS, given_runways)
+    assert td.load_runways(path) == {rw.runway_id: rw for rw in given_runways}
 
 
 def test_every_settable_key_can_be_set(workdir):
@@ -264,7 +302,7 @@ def positions(draw):
 @settings(max_examples=300, deadline=None)
 @given(positions())
 def test_closest_approach_matches_a_scalar_loop(spots):
-    track = td.Track("C", [td.TrackPoint(float(i), lat, lon, 1000.0, 270.0, 90.0)
+    track = td.Track("C", [(float(i), lat, lon, 1000.0, 270.0, 90.0)
                            for i, (lat, lon) in enumerate(spots)])
     want_i, want_d = scalar_closest(track.points.tolist(), RUNWAY)
     got_i, got_d = td.closest_approach_index(track, RUNWAY)

@@ -70,22 +70,22 @@ class TestParamValidation:
 class TestTrackMeasurement:
     def test_on_centerline_point_has_no_lateral_deviation(self):
         # directly east of a runway 27 threshold means on the extended centerline
-        pts = [td.TrackPoint(0.0, 40.0, -85.95, 2000.0, 270.0, 120.0)]
-        si = rs.score_inputs_for_track(td.Track("cl", pts), RUNWAY)
+        track = td.Track("cl", [(0.0, 40.0, -85.95, 2000.0, 270.0, 120.0)])
+        si = rs.score_inputs_for_track(track, RUNWAY)
         assert si.lateral_deviation_ft < 1.0
         assert si.course_diff_deg == 0.0
         assert si.distance_nm == pytest.approx(
-            td.threshold_distance_nm(pts[0], RUNWAY))
+            td.threshold_distance_nm(track.points[0], RUNWAY))
 
     def test_northward_offset_becomes_lateral_feet(self):
         east, _ = td.en_offset_km(40.0, -85.95, 40.0, -86.0)
-        pts = [td.TrackPoint(0.0, 40.0009, -85.95, 2000.0, 270.0, 120.0)]
+        pts = [(0.0, 40.0009, -85.95, 2000.0, 270.0, 120.0)]
         si = rs.score_inputs_for_track(td.Track("off", pts), RUNWAY)
         north = math.radians(0.0009) * td.EARTH_RADIUS_KM
         assert si.lateral_deviation_ft == pytest.approx(north * td.FT_PER_KM, rel=1e-6)
 
     def test_scratchpad_flag_carries_through(self):
-        pts = [td.TrackPoint(0.0, 40.0, -85.95, 2000.0, 270.0, 120.0)]
+        pts = [(0.0, 40.0, -85.95, 2000.0, 270.0, 120.0)]
         si = rs.score_inputs_for_track(td.Track("s", pts, scratchpad_runway=True), RUNWAY)
         assert si.scratchpad_runway_reported is True
         si = rs.score_inputs_for_track(td.Track("n", pts), RUNWAY)

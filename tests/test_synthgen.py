@@ -1,8 +1,9 @@
-"""Synthetic arrival scenarios: determinism, geometry guarantees, sidecars."""
+"""Synthetic arrival scenarios: determinism, geometry guarantees, the files synth writes."""
 
 import numpy as np
 import pytest
 
+from rotortrack import cli
 from rotortrack import runwayscore as rs
 from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
@@ -158,27 +159,29 @@ class TestIdentities:
         assert any(d is None for d in declared)
 
 
-class TestSidecarWriters:
-    def test_labels_round_trip(self, scenario, tmp_path):
-        p = tmp_path / "labels.csv"
-        sg.write_labels(scenario.labels, p)
-        assert td.load_labels(p) == dict(scenario.labels)
+class TestSynthFiles:
+    """The files `rotortrack synth` writes load back as the scenario they came from."""
 
-    def test_registration_round_trip(self, scenario, tmp_path):
-        p = tmp_path / "registration.csv"
-        sg.write_registration_csv(scenario.registration, p)
-        table = td.load_registration(p)
-        assert len(table.records) == len(scenario.registration)
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("synth")
+        assert cli.main(["--out-dir", str(d), "--seed", str(SPEC.seed), "synth",
+                         "--helicopters", str(SPEC.n_helicopter), "--ga", str(SPEC.n_ga),
+                         "--commercial", str(SPEC.n_commercial)]) == 0
+        return d
+
+    def test_labels_round_trip(self, scenario, out):
+        assert td.load_labels(out / "labels.csv") == dict(scenario.labels)
+
+    def test_registration_round_trip(self, scenario, out):
+        table = td.load_registration(out / "registration.csv")
+        assert table.records == scenario.registration
         assert table.duplicates == []
         for rec in scenario.registration:
             assert table.lookup_tail(rec.n_number).type_designator == rec.type_designator
 
-    def test_runway_round_trip(self, scenario, tmp_path):
-        p = tmp_path / "runways.csv"
-        sg.write_runways_csv([scenario.runway], p)
-        assert td.load_runways(p)[scenario.runway.runway_id] == scenario.runway
+    def test_runway_round_trip(self, scenario, out):
+        assert td.load_runways(out / "runways.csv") == {scenario.runway.runway_id: scenario.runway}
 
-    def test_heli_types_round_trip(self, scenario, tmp_path):
-        p = tmp_path / "heli_types.txt"
-        sg.write_heli_types(scenario.heli_types, p)
-        assert va.load_heli_types(p) == scenario.heli_types
+    def test_heli_types_round_trip(self, scenario, out):
+        assert va.load_heli_types(out / "heli_types.txt") == scenario.heli_types

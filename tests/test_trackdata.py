@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ RUNWAY = td.Runway("KXYZ-27", 40.0, -86.0, 600.0, 270.0, 8000.0)
 
 
 def make_point(i, lon, lat=40.0, alt=1600.0, course=270.0, gs=110.0):
-    return td.TrackPoint(float(i), lat, lon, alt, course, gs)
+    return (float(i), lat, lon, alt, course, gs)
 
 
 def approach_track(n=250, closest=180, track_id="T1", **extra):
@@ -44,19 +45,19 @@ class TestGeometry:
         assert td.course_diff_deg(90.0, 90.0) == 0.0
 
     def test_closest_approach_prefers_first_on_ties(self):
-        pts = [make_point(0, -86.001), make_point(1, -85.999), make_point(2, -86.002)]
-        track = td.Track("tie", pts)
+        track = td.Track("tie", [make_point(0, -86.001), make_point(1, -85.999),
+                                 make_point(2, -86.002)])
         idx, dist = td.closest_approach_index(track, RUNWAY)
         assert idx == 0
-        assert dist == pytest.approx(td.threshold_distance_nm(pts[1], RUNWAY))
+        assert dist == pytest.approx(td.threshold_distance_nm(track.points[1], RUNWAY))
 
     def test_closest_approach_breaks_a_vectorized_tie_as_the_scalar_distance_does(self):
         # np.hypot gives both points the same distance; math.hypot puts the second nearer
-        near_tie = [make_point(0, -85.98356999999996, lat=40.060249999999876),
-                    make_point(1, -85.9835699999996, lat=40.06024999999982)]
-        want = [td.threshold_distance_nm(p, RUNWAY) for p in near_tie]
+        track = td.Track("near", [make_point(0, -85.98356999999996, lat=40.060249999999876),
+                                  make_point(1, -85.9835699999996, lat=40.06024999999982)])
+        want = [td.threshold_distance_nm(p, RUNWAY) for p in track.points]
         assert want[1] < want[0]
-        assert td.closest_approach_index(td.Track("near", near_tie), RUNWAY) == (1, want[1])
+        assert td.closest_approach_index(track, RUNWAY) == (1, want[1])
 
 
 GOOD_LINE = {
@@ -168,6 +169,19 @@ class TestLoadTracks:
         assert [td.track_to_json(t) for t in again] == [td.track_to_json(t) for t in tracks]
 
 
+    def test_track_keeps_a_point_array_and_converts_point_tuples(self):
+        rows = [make_point(0, -86.0), make_point(1, -85.99)]
+        pts = np.array(rows, dtype=td.POINT_DTYPE)
+        assert td.Track("arr", pts).points is pts
+        assert td.Track("rows", rows) == td.Track("rows", pts)
+
+    @pytest.mark.parametrize("points", [[list(make_point(0, -86.0))], np.zeros((2, 6))],
+                             ids=["list_rows", "float_matrix"])
+    def test_points_that_numpy_would_spread_over_the_fields_are_refused(self, points):
+        with pytest.raises(td.TrackDataError, match="point tuples or a 1-D POINT_DTYPE array"):
+            td.Track("bad", points)
+
+
 class TestWindowing:
     def test_window_is_last_100_points_ending_at_closest_approach(self):
         track = approach_track(n=250, closest=180)
@@ -227,12 +241,25 @@ class TestLabels:
         with pytest.raises(td.MalformedRecord, match="labels header"):
             td.load_labels(p)
 
+    @pytest.mark.parametrize("row, reason", [
+        ("H1,ga", "duplicate track_id 'H1'"),
+        ("H2,helicoptr", "unknown class 'helicoptr'"),
+        ("H2", "unknown class None"),
+    ], ids=["repeated_track_id", "misspelt_class", "missing_class"])
+    def test_repeated_id_or_unknown_class_rejected_naming_the_row(self, tmp_path, row, reason):
+        p = tmp_path / "labels.csv"
+        p.write_text("track_id,class\nH1,helicopter\n" + row + "\n")
+        with pytest.raises(td.MalformedRecord, match=reason) as exc:
+            td.load_labels(p)
+        assert exc.value.position == 3
+        assert "labels.csv line 3" in str(exc.value)
+
 
 class TestFeaturize:
     def test_hand_built_point_maps_to_expected_columns(self):
-        pt = td.TrackPoint(0.0, RUNWAY.threshold_lat, RUNWAY.threshold_lon,
-                           RUNWAY.threshold_elev + 1000.0, 0.0, 150.0)
-        row = td.featurize([pt], RUNWAY)[0]
+        pt = (0.0, RUNWAY.threshold_lat, RUNWAY.threshold_lon, RUNWAY.threshold_elev + 1000.0,
+              0.0, 150.0)
+        row = td.featurize(np.array([pt], dtype=td.POINT_DTYPE), RUNWAY)[0]
         # at the threshold, 1000 ft up, 150 kt, course 90 deg off centerline
         assert row[0] == 0.0 and row[1] == 0.0
         assert row[2] == pytest.approx(1.0)
@@ -242,9 +269,9 @@ class TestFeaturize:
 
     def test_matches_a_per_point_loop(self):
         rng = np.random.default_rng(7)
-        pts = [td.TrackPoint(float(i), 40.0 + rng.uniform(-0.2, 0.2), -86.0 + rng.uniform(-0.2, 0.2),
-                             rng.uniform(0.0, 9000.0), rng.uniform(0.0, 360.0), rng.uniform(0.0, 400.0))
-               for i in range(300)]
+        pts = np.array([(float(i), 40.0 + rng.uniform(-0.2, 0.2), -86.0 + rng.uniform(-0.2, 0.2),
+                         rng.uniform(0.0, 9000.0), rng.uniform(0.0, 360.0), rng.uniform(0.0, 400.0))
+                        for i in range(300)], dtype=td.POINT_DTYPE)
         want = np.empty((len(pts), td.FEATURE_COUNT))
         cos_ref = math.cos(math.radians(RUNWAY.threshold_lat))
         for i, p in enumerate(pts):
@@ -349,6 +376,34 @@ class TestRunwayTable:
         p.write_text(RUNWAY_CSV + "KXYZ-27,40.0,-86.0,600.0,270.0,8000.0\n")
         with pytest.raises(td.MalformedRecord):
             td.load_runways(p)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("threshold_lat", "nan", "in [-90, 90]"),
+        ("threshold_lat", "90.5", "in [-90, 90]"),
+        ("threshold_lon", "-180.01", "in [-180, 180]"),
+        ("threshold_lon", "inf", "in [-180, 180]"),
+        ("threshold_elev", "-inf", "finite"),
+        ("threshold_elev", "1e400", "finite"),
+        ("centerline_course", "nan", "in [0, 360)"),
+        ("centerline_course", "360", "in [0, 360)"),
+        ("centerline_course", "-0.5", "in [0, 360)"),
+        ("length", "-5", "finite and > 0"),
+        ("length", "0", "finite and > 0"),
+        ("length", "inf", "finite and > 0"),
+    ])
+    def test_unusable_geometry_rejected_naming_the_row(self, tmp_path, field, value, rule):
+        row = dict(zip(td.RUNWAY_FIELDS, RUNWAY_CSV.splitlines()[2].split(",")), **{field: value})
+        p = tmp_path / "runways.csv"
+        p.write_text(RUNWAY_CSV + "KXYZ-36," + ",".join(list(row.values())[1:]) + "\n")
+        with pytest.raises(td.MalformedRecord, match=re.escape(f"{field} must be {rule}")) as exc:
+            td.load_runways(p)
+        assert exc.value.position == 4
+        assert "runways.csv line 4" in str(exc.value)
+
+    def test_geometry_at_the_edges_of_its_ranges_loads(self, tmp_path):
+        p = tmp_path / "runways.csv"
+        p.write_text(RUNWAY_CSV + "EDGE,-90,180,-1e300,0,5e-324\nEDGE2,90,-180,1e300,359.999,1e300\n")
+        assert td.load_runways(p)["EDGE"].length == 5e-324
 
     def test_empty_table_rejected(self, tmp_path):
         p = tmp_path / "runways.csv"

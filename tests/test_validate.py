@@ -13,7 +13,7 @@ def make_result(track_id, pred, mae=0.01, score=0.2):
 
 
 def make_track(track_id, tail=None, mode_s=None, declared=None):
-    pts = [td.TrackPoint(0.0, 40.0, -86.0, 1000.0, 0.0, 50.0)]
+    pts = [(0.0, 40.0, -86.0, 1000.0, 0.0, 50.0)]
     return td.Track(track_id, pts, tail_number=tail, mode_s=mode_s,
                     declared_type=declared)
 

@@ -10,20 +10,21 @@ The architecture is one layer plan worked out from the spec by arithmetic
 alone: the stages ``enc0..``, ``enc_dense``, ``dec_dense``, ``dec0..`` in
 data-flow order, each a layer plus whether a ReLU follows it.  Building,
 both passes, the parameter list and the model file walk that one list, and
-a stage's name prefixes its arrays in the file.
+a stage's name labels its arrays in load's errors.
 
 Models are stored in a single binary file: magic ``RTAE``, a format
-version, a JSON header describing the architecture, the weight arrays as
-length-prefixed little-endian blocks, and a trailing SHA-256 checksum.
-Loading builds each planned layer from the arrays read from the file, so
-no size claimed by a header is ever allocated, and refuses a file holding
-any byte or array the model does not use.
+version, a JSON header holding the spec, the raw little-endian bytes of
+each stage's w and b in plan order (then the NormStats), and a trailing
+SHA-256 checksum.  The spec fixes every array's shape and dtype, so loading
+allocates no size claimed by a header and refuses a file whose array bytes
+are not exactly the plan's.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -40,7 +41,7 @@ from .trackdata import (
 )
 
 MAGIC = b"RTAE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPES = ("float32", "float64")
 
 
@@ -82,7 +83,6 @@ class AutoencoderSpec:
     n_features: int = FEATURE_COUNT
     encoder_convs: tuple[tuple[int, int, int], ...] = ((7, 2, 16), (5, 2, 32))
     latent_dim: int = 16
-    activation: str = "relu"
     seed: int = 1107
     dtype: str = "float64"
 
@@ -96,8 +96,6 @@ class AutoencoderSpec:
         for stage in self.encoder_convs:
             if len(stage) != 3 or any(int(v) != v or v < 1 for v in stage):
                 raise SpecError(f"bad conv stage {stage!r}; want (kernel, stride, channels)")
-        if self.activation != "relu":
-            raise SpecError(f"unsupported activation {self.activation!r}")
         if self.dtype not in DTYPES:
             raise SpecError(f"unsupported dtype {self.dtype!r}; expected one of {DTYPES}")
         self.encoded_shape()
@@ -122,13 +120,13 @@ class AutoencoderSpec:
     def from_dict(cls, d: dict) -> "AutoencoderSpec":
         sizes = {key: int(d[key]) for key in ("input_len", "n_features", "latent_dim", "seed")}
         convs = tuple(tuple(int(v) for v in stage) for stage in d["encoder_convs"])
-        return cls(**sizes, encoder_convs=convs, activation=str(d["activation"]), dtype=str(d["dtype"]))
+        return cls(**sizes, encoder_convs=convs, dtype=str(d["dtype"]))
 
 
 class Stage(NamedTuple):
     """One step of the layer plan."""
 
-    name: str     # enc<i>, enc_dense, dec_dense or dec<i>; prefixes its arrays in the file
+    name: str     # enc<i>, enc_dense, dec_dense or dec<i>; labels its arrays in load's errors
     layer: object  # nn.Conv1DLayer, nn.DenseLayer or nn.ConvTranspose1DLayer
     relu: bool    # whether a ReLU follows the layer
 
@@ -329,53 +327,29 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
 # --------------------------------------------------------------------------
 # binary model container
 
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    payload = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
-    name_b = name.encode("utf-8")
-    dtype_b = arr.dtype.name.encode("utf-8")   # e.g. float64
-    head = struct.pack("<I", len(name_b)) + name_b
-    head += struct.pack("<I", len(dtype_b)) + dtype_b
-    head += struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    head += struct.pack("<Q", len(payload))
-    return head + payload
-
-
-class _Reader:
-    """Sequential reads from a byte buffer; none can run past its end."""
-
-    def __init__(self, buf: bytes):
-        self.buf, self.pos = buf, 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ModelFormatError("model file ends unexpectedly")
-        self.pos += n
-        return self.buf[self.pos - n:self.pos]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-
-def _named_arrays(model: ModelParams) -> list[tuple[str, np.ndarray]]:
-    named = [(f"{stage.name}.{p}", getattr(stage.layer, p)) for stage in model.stages for p in "wb"]
-    if model.norm_stats is not None:
-        named += [("norm.mean", model.norm_stats.mean), ("norm.std", model.norm_stats.std)]
-    return named
+def _layout(spec: AutoencoderSpec, has_norm_stats: bool) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, dtype) per array in file order: each stage's w and b, then the NormStats."""
+    layout = []
+    for name, cls, geometry, _ in _plan(spec):
+        w_shape = geometry if cls is nn.DenseLayer else (geometry[0], *geometry[2:])
+        layout += [(f"{name}.w", w_shape, spec.dtype), (f"{name}.b", geometry[-1:], spec.dtype)]
+    if has_norm_stats:
+        shape = (spec.input_len, spec.n_features)
+        layout += [("norm.mean", shape, "float64"), ("norm.std", shape, "float64")]
+    return layout
 
 
 def save(model: ModelParams, path) -> None:
     """Write the model container; always safe to re-load bit-exactly."""
-    header = json.dumps({
-        "spec": model.spec.to_dict(),
-        "dtype": model.spec.dtype,
-        "has_norm_stats": model.norm_stats is not None,
-    }, separators=(",", ":")).encode("utf-8")
-    arrays = _named_arrays(model)
+    has_norm_stats = model.norm_stats is not None
+    header = json.dumps({"spec": model.spec.to_dict(), "has_norm_stats": has_norm_stats},
+                        separators=(",", ":")).encode("utf-8")
+    arrays = model.parameters()
+    if has_norm_stats:
+        arrays += [model.norm_stats.mean, model.norm_stats.std]
     body = MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
-    body += struct.pack("<I", len(arrays)) + b"".join(_pack_array(n, a) for n, a in arrays)
+    body += b"".join(np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
+                     for arr, (_, _, dtype) in zip(arrays, _layout(model.spec, has_norm_stats)))
     with open(path, "wb") as fh:
         fh.write(body + hashlib.sha256(body).digest())
 
@@ -395,51 +369,37 @@ def load(path) -> ModelParams:
     if hashlib.sha256(body).digest() != digest:
         raise ChecksumError("model file checksum mismatch (corrupted or truncated)")
 
-    r = _Reader(body)
-    r.take(len(MAGIC) + 4)
-    # Past the checksum the bytes are intact but can still be malformed:
-    # every decoding defect becomes a ModelFormatError.
+    # Past the checksum the bytes are intact but can still be malformed, or too
+    # short to hold a header length: every defect becomes a ModelFormatError.
+    pos = len(MAGIC) + 8
+    header_len = int.from_bytes(body[pos - 4:pos], "little")
     try:
-        header = json.loads(r.take(r.u32()).decode("utf-8"))
-        spec = AutoencoderSpec.from_dict({**header["spec"], "dtype": header["dtype"]})
+        header = json.loads(body[pos:pos + header_len].decode("utf-8"))
+        spec = AutoencoderSpec.from_dict(header["spec"])
         has_norm_stats = header["has_norm_stats"]
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(r.u32()):
-            name = r.take(r.u32()).decode("utf-8")
-            dtype = np.dtype(r.take(r.u32()).decode("utf-8"))
-            shape = tuple(r.u32() for _ in range(r.u32()))
-            payload = r.take(r.u64())
-            if name in arrays:
-                raise ModelFormatError(f"model file repeats array {name!r}")
-            arrays[name] = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-        if r.pos != len(body):
-            raise ModelFormatError(f"model file has {len(body) - r.pos} bytes after its last array")
-        plan = _plan(spec)
+        if not isinstance(has_norm_stats, bool):
+            raise TypeError(f"has_norm_stats is {has_norm_stats!r}, not true or false")
+        layout = _layout(spec, has_norm_stats)
     except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
         raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
 
-    def fetch(name: str, dtype: str, shape: Optional[tuple] = None) -> np.ndarray:
-        if name not in arrays:
-            raise ModelFormatError(f"model file missing array {name!r}")
-        arr = arrays.pop(name)
-        if arr.dtype != dtype or shape not in (None, arr.shape):
-            raise ModelFormatError(f"array {name!r} is {arr.dtype}{arr.shape}, "
-                                   f"expected {dtype}{shape or ''}")
-        return arr
+    # The spec fixes every array's size, so the file must hold exactly those bytes.
+    pos += header_len
+    arrays = []
+    for name, shape, dtype in layout:
+        count = math.prod(shape)
+        end = pos + count * np.dtype(dtype).itemsize
+        if end > len(body):
+            raise ModelFormatError(f"model file ends inside array {name!r} {dtype}{shape}")
+        arrays.append(np.frombuffer(body, np.dtype(dtype).newbyteorder("<"), count, pos)
+                      .astype(dtype).reshape(shape))
+        pos = end
+    if pos != len(body):
+        raise ModelFormatError(f"model file has {len(body) - pos} bytes after its last array")
 
-    # Each layer checks the shapes of its arrays against its planned geometry.
-    stages = []
-    for name, cls, geometry, relu in plan:
-        try:
-            stages.append(Stage(name, cls(*geometry, w=fetch(f"{name}.w", spec.dtype),
-                                          b=fetch(f"{name}.b", spec.dtype)), relu))
-        except nn.ShapeMismatch as e:
-            raise ModelFormatError(f"stage {name!r}: {e}") from None
-    model = ModelParams(spec, stages)
+    it = iter(arrays)
+    model = ModelParams(spec, [Stage(name, cls(*geometry, w=next(it), b=next(it)), relu)
+                               for name, cls, geometry, relu in _plan(spec)])
     if has_norm_stats:
-        shape = (spec.input_len, spec.n_features)
-        model.norm_stats = NormStats(mean=fetch("norm.mean", "float64", shape),
-                                     std=fetch("norm.std", "float64", shape))
-    if arrays:
-        raise ModelFormatError(f"model file has arrays the model does not use: {sorted(arrays)}")
+        model.norm_stats = NormStats(mean=next(it), std=next(it))
     return model

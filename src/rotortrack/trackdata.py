@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -465,12 +465,13 @@ def normalize(raw_window: np.ndarray, stats: NormStats, source_track_id: str,
 # --------------------------------------------------------------------------
 # label, runway and registration tables
 
-def _csv_rows(fh, fields: tuple[str, ...], what: str) -> csv.DictReader:
-    """A DictReader over fh whose header must be fields."""
+def _csv_rows(fh, fields: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
+    """(line number where it ends, row) per record of a CSV whose header must be fields."""
     reader = csv.DictReader(fh)
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(fields):
         raise MalformedRecord(fh.name, 1, f"{what} header must be {','.join(fields)}")
-    return reader
+    for row in reader:
+        yield reader.line_num, row
 
 
 # The header of each input table: the labels' columns, and the fields of Runway and RegistrationRecord
@@ -484,7 +485,7 @@ def load_labels(path) -> dict[str, str]:
     outside TRACK_CLASSES is a MalformedRecord."""
     labels: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(_csv_rows(fh, LABEL_FIELDS, "labels"), start=2):
+        for row_no, row in _csv_rows(fh, LABEL_FIELDS, "labels"):
             if row["class"] not in TRACK_CLASSES:
                 raise MalformedRecord(path, row_no, f"unknown class {row['class']!r}")
             if row["track_id"] in labels:
@@ -507,7 +508,7 @@ def load_runways(path) -> dict[str, Runway]:
     """{runway_id: Runway}; a row with a repeated id or unusable geometry is a MalformedRecord."""
     runways: dict[str, Runway] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(_csv_rows(fh, RUNWAY_FIELDS, "runway"), start=2):
+        for row_no, row in _csv_rows(fh, RUNWAY_FIELDS, "runway"):
             rid = (row.get("runway_id") or "").strip()
             if not rid:
                 raise MalformedRecord(path, row_no, "empty runway_id")
@@ -548,7 +549,7 @@ def load_registration(path) -> RegistrationTable:
     """Read the registration CSV; duplicate keys keep the first row and are reported."""
     table = RegistrationTable(records=[])
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in enumerate(_csv_rows(fh, REGISTRATION_FIELDS, "registration"), start=2):
+        for row_no, row in _csv_rows(fh, REGISTRATION_FIELDS, "registration"):
             n_number = (row.get("n_number") or "").strip().upper()
             if not n_number:
                 raise MalformedRecord(path, row_no, "empty n_number")
@@ -569,7 +570,7 @@ def load_registration(path) -> RegistrationTable:
             for index, key, name in ((table.by_tail, n_number, "n_number"),
                                      (table.by_mode_s, rec.mode_s_code, "mode_s_code")):
                 if key in index:
-                    table.duplicates.append(f"row {row_no}: duplicate {name} {key}")
+                    table.duplicates.append(f"line {row_no}: duplicate {name} {key}")
                 elif key:
                     index[key] = rec
     return table

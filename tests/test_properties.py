@@ -1,8 +1,10 @@
-"""Property tests of the file formats, the config, the point parser and closest approach
-against their oracles: round trips, the per-point rule and a scalar loop."""
+"""Property tests of the file formats, the config, the point parser, closest approach
+and the convolution pair against their oracles: round trips, the per-point rule, a
+scalar loop and the adjoint identity."""
 
 import csv
 import functools
+import hashlib
 import json
 import math
 
@@ -13,8 +15,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from rotortrack import autoencoder as ae  # noqa: E402
 from rotortrack import cli  # noqa: E402
 from rotortrack import identify as idf  # noqa: E402
+from rotortrack import neuralcore as nn  # noqa: E402
 from rotortrack import trackdata as td  # noqa: E402
 from rotortrack import validate as vl  # noqa: E402
 
@@ -24,7 +28,7 @@ SETTABLE = {
               "loss_history", "thresholds", "histogram", "results", "validation", "venn_csv",
               "venn_txt", "pseudo_types", "metrics", "report"),
     "synth": ("seed", "helicopters", "ga", "commercial"),
-    "autoencoder": ("encoder_convs", "latent_dim", "activation", "seed", "dtype"),
+    "autoencoder": ("encoder_convs", "latent_dim", "seed", "dtype"),
     "training": ("epochs", "batch_size", "learning_rate", "beta1", "beta2", "eps",
                  "validation_fraction", "patience", "seed"),
     "thresholds": ("percentile", "runway_score_threshold"),
@@ -308,3 +312,73 @@ def test_closest_approach_matches_a_scalar_loop(spots):
     got_i, got_d = td.closest_approach_index(track, RUNWAY)
     assert got_i == want_i
     assert got_d == want_d
+
+
+# --------------------------------------------------------------------------
+# the model file: any checksum-valid body loads or is a ModelFormatError
+
+
+@functools.cache
+def small_model() -> ae.ModelParams:
+    spec = ae.AutoencoderSpec(input_len=4, n_features=2, encoder_convs=((3, 2, 2),),
+                              latent_dim=2, seed=5)
+    model = ae.build(spec)
+    model.norm_stats = td.NormStats(mean=np.full((4, 2), 0.5), std=np.full((4, 2), 2.0))
+    return model
+
+
+# Any byte, or one that now and then leaves a JSON header parseable but changed.
+EDIT_BYTES = st.integers(0, 255) | st.sampled_from(b'0123456789-.eE,:[]{}" tfn')
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_resigned_model_body_loads_or_is_a_format_error(workdir, data):
+    path = workdir / "model.rtae"
+    ae.save(small_model(), path)
+    body = bytearray(path.read_bytes()[:-32])
+    if data.draw(st.booleans(), label="replace"):
+        for _ in range(data.draw(st.integers(1, 4), label="replacements")):
+            body[data.draw(st.integers(0, len(body) - 1), label="offset")] = data.draw(EDIT_BYTES)
+    else:
+        del body[data.draw(st.integers(0, len(body)), label="cut"):]
+        body += data.draw(st.binary(max_size=64), label="appended")
+    path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+    try:
+        assert isinstance(ae.load(path), ae.ModelParams)
+    except ae.ModelFormatError:
+        pass
+
+
+# --------------------------------------------------------------------------
+# the convolution pair: the transposed conv is the conv's adjoint
+
+
+@st.composite
+def conv_geometries(draw):
+    """(kernel, stride, c_in, c_out, padding, n_in, batch); valid padding needs n_in >= kernel."""
+    k = draw(st.integers(1, 8))
+    padding = draw(st.sampled_from(["same", "valid"]))
+    n_in = draw(st.integers(k if padding == "valid" else 1, 40))
+    return (k, draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+            padding, n_in, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(conv_geometries(), st.integers(0, 2**32 - 1))
+def test_conv_and_transpose_are_adjoint_for_any_geometry(geometry, seed):
+    k, stride, c_in, c_out, padding, n_in, batch = geometry
+    rng = np.random.default_rng(seed)
+    conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, padding)
+    conv.b[:] = 0.0
+    tr = nn.ConvTranspose1DLayer(k, stride, c_out, c_in, padding,
+                                 w=np.ascontiguousarray(np.swapaxes(conv.w, 1, 2)),
+                                 b=np.zeros(c_in))
+    x = rng.normal(size=(batch, n_in, c_in))
+    y = conv.forward(x)
+    cot = rng.normal(size=y.shape)
+    back = tr.forward(cot)
+    n = min(back.shape[1], n_in)   # positions past n belong to padding
+    lhs = float(np.sum(y * cot))
+    rhs = float(np.sum(x[:, :n, :] * back[:, :n, :]))
+    assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))

@@ -241,18 +241,24 @@ class TestLabels:
         with pytest.raises(td.MalformedRecord, match="labels header"):
             td.load_labels(p)
 
-    @pytest.mark.parametrize("row, reason", [
-        ("H1,ga", "duplicate track_id 'H1'"),
-        ("H2,helicoptr", "unknown class 'helicoptr'"),
-        ("H2", "unknown class None"),
-    ], ids=["repeated_track_id", "misspelt_class", "missing_class"])
-    def test_repeated_id_or_unknown_class_rejected_naming_the_row(self, tmp_path, row, reason):
+    # A record is numbered by the file line it ends on, counting blank lines and the
+    # newlines inside quoted fields.
+    @pytest.mark.parametrize("rows, line, reason", [
+        ("H1,helicopter\nH1,ga\n", 3, "duplicate track_id 'H1'"),
+        ("H1,helicopter\nH2,helicoptr\n", 3, "unknown class 'helicoptr'"),
+        ("H1,helicopter\nH2\n", 3, "unknown class None"),
+        ("H1,helicopter\n\nG1,ga\nH1,ga\n", 5, "duplicate track_id 'H1'"),
+        ('"H\n1",helicopter\nG1,ga\n"H\n1",ga\n', 6, "duplicate track_id 'H\\n1'"),
+    ], ids=["repeated_track_id", "misspelt_class", "missing_class", "repeated_after_blank_line",
+            "repeated_with_quoted_newline"])
+    def test_repeated_id_or_unknown_class_rejected_naming_the_row(self, tmp_path, rows, line,
+                                                                  reason):
         p = tmp_path / "labels.csv"
-        p.write_text("track_id,class\nH1,helicopter\n" + row + "\n")
-        with pytest.raises(td.MalformedRecord, match=reason) as exc:
+        p.write_text("track_id,class\n" + rows)
+        with pytest.raises(td.MalformedRecord, match=re.escape(reason)) as exc:
             td.load_labels(p)
-        assert exc.value.position == 3
-        assert "labels.csv line 3" in str(exc.value)
+        assert exc.value.position == line
+        assert f"labels.csv line {line}:" in str(exc.value)
 
 
 class TestFeaturize:
@@ -400,6 +406,18 @@ class TestRunwayTable:
         assert exc.value.position == 4
         assert "runways.csv line 4" in str(exc.value)
 
+    @pytest.mark.parametrize("before, runway_id, line", [
+        ("\n", "KXYZ-36", 5),
+        ('"KXYZ\n18",40.0,-86.0,600.0,180.0,8000.0\n', '"KXYZ\n36"', 7),
+    ], ids=["after_blank_line", "quoted_newlines"])
+    def test_unusable_geometry_names_the_line_it_ends_on(self, tmp_path, before, runway_id, line):
+        p = tmp_path / "runways.csv"
+        p.write_text(RUNWAY_CSV + before + runway_id + ",40.0,-86.0,600.0,360,8000.0\n")
+        with pytest.raises(td.MalformedRecord, match=re.escape("centerline_course must be")) as exc:
+            td.load_runways(p)
+        assert exc.value.position == line
+        assert f"runways.csv line {line}:" in str(exc.value)
+
     def test_geometry_at_the_edges_of_its_ranges_loads(self, tmp_path):
         p = tmp_path / "runways.csv"
         p.write_text(RUNWAY_CSV + "EDGE,-90,180,-1e300,0,5e-324\nEDGE2,90,-180,1e300,359.999,1e300\n")
@@ -452,6 +470,17 @@ class TestRegistrationTable:
         table = td.load_registration(p)
         assert table.lookup_tail("N208SH").model == "EC130 T2"
         assert len(table.duplicates) == 2      # tail and mode_s both collide
+
+    def test_rows_are_numbered_by_file_line(self, tmp_path):
+        p = tmp_path / "reg.csv"
+        p.write_text(REGISTRATION_CSV + '\nN7,B00007,"R44\nII",ROBINSON,ROTORCRAFT,R44\n'
+                     "N208SH,,X,Y,ROTORCRAFT,\nN9,B00009,X,Y,BALLOON,\n")
+        with pytest.raises(td.MalformedRecord) as exc:
+            td.load_registration(p)
+        assert exc.value.position == 9
+        p.write_text(REGISTRATION_CSV + '\nN7,B00007,"R44\nII",ROBINSON,ROTORCRAFT,R44\n'
+                     "N208SH,,X,Y,ROTORCRAFT,\n")
+        assert td.load_registration(p).duplicates == ["line 8: duplicate n_number N208SH"]
 
     def test_unknown_aircraft_class_rejected(self, tmp_path):
         p = tmp_path / "reg.csv"

@@ -4,7 +4,9 @@ The encoder is a stack of strided convolutions feeding a dense bottleneck;
 the decoder mirrors it with transposed convolutions and a linear final
 layer, restoring exactly (window, feature) shaped output.  Training is
 plain Adam on mean absolute reconstruction error with a validation split
-and early stopping, fully deterministic for a fixed seed.
+and early stopping, fully deterministic for a fixed seed.  A training run
+keeps every parameter in one flat vector, updated by one Adam step per
+batch, and writes every pass's arrays into one reused nn.Workspace.
 
 The architecture is one layer plan worked out from the spec by arithmetic
 alone: the stages ``enc0..``, ``enc_dense``, ``dec_dense``, ``dec0..`` in
@@ -203,34 +205,43 @@ def _fit(layer, h: np.ndarray) -> np.ndarray:
     return h if h.ndim == 3 else h.reshape(len(h), h.shape[1] // layer.c_in, layer.c_in)
 
 
-def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None) -> np.ndarray:
-    """Run the stages in order.
+def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None,
+             ws: Optional[nn.Workspace] = None) -> np.ndarray:
+    """Run the stages in order, each ReLU in place on its layer's output.
 
-    A cache receives each stage's (stage, input, pre-activation) for _backward.
+    A cache receives each stage's (stage, input, output) for _backward; the
+    output after its ReLU also gives the ReLU's mask.  A workspace supplies
+    every array the layers write.
     """
     if cache is not None:
         cache["trail"] = []
     h = x
     for stage in model.stages:
-        h = _fit(stage.layer, h)
-        z = stage.layer.forward(h)
+        h_in = _fit(stage.layer, h)
+        h = stage.layer.forward(h_in, ws)
+        if stage.relu:
+            nn.relu_forward(h, out=h)
         if cache is not None:
-            cache["trail"].append((stage, h, z))
-        h = nn.relu_forward(z) if stage.relu else z
+            cache["trail"].append((stage, h_in, h))
     return h
 
 
-def _backward(model: ModelParams, cache: dict, grad_out: np.ndarray) -> list[np.ndarray]:
-    """Gradients in ModelParams.parameters() order; frees the cache's activations as it goes."""
+def _backward(model: ModelParams, cache: dict, grad_out: np.ndarray,
+              ws: Optional[nn.Workspace] = None) -> list[np.ndarray]:
+    """Gradients in ModelParams.parameters() order; frees the cache's activations as it goes.
+
+    With a workspace they are views of its flat gradient vector.
+    """
     grads: list[np.ndarray] = []
     g = grad_out
     trail = cache.pop("trail")
     while trail:
-        stage, h, z = trail.pop()
-        g = g.reshape(z.shape)
+        stage, h, out = trail.pop()
+        g = g.reshape(out.shape)
         if stage.relu:
-            g = nn.relu_backward(z, g)
-        g, gw, gb = stage.layer.backward(h, g)
+            # g came from the stage above: the plan's last stage has no ReLU
+            nn.relu_backward(out, g, out=g)
+        g, gw, gb = stage.layer.backward(h, g, ws)
         grads += [gb, gw]
     return grads[::-1]
 
@@ -267,7 +278,9 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
     Only windows tagged as helicopters are accepted, so mislabeled data
     fails fast rather than polluting the model.  A deterministic shuffle
     splits off the validation fraction; early stopping restores the
-    weights of the best validation epoch.
+    weights of the best validation epoch.  Each layer's w and b become
+    views of one flat vector (nn.flatten), so arrays taken from the model
+    before training are not the trained ones.
     """
     if len(windows) < MIN_TRAIN_WINDOWS:
         raise AutoencoderError(f"need at least {MIN_TRAIN_WINDOWS} training windows, got {len(windows)}")
@@ -285,15 +298,20 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
         raise AutoencoderError("validation split leaves no training windows")
     val = data[order[:n_val]]
     tr = data[order[n_val:]]
+    del data   # the split holds copies
 
-    params = model.parameters()
-    state = nn.adam_init(params, lr=config.learning_rate, beta1=config.beta1,
+    # One flat vector holds every parameter, so one Adam update covers the
+    # model; the workspace keeps every pass's arrays from step to step.
+    layers = [stage.layer for stage in model.stages]
+    flat = nn.flatten(layers)
+    ws = nn.Workspace(layers)
+    state = nn.adam_init([flat], lr=config.learning_rate, beta1=config.beta1,
                          beta2=config.beta2, eps=config.eps)
 
     history: list[EpochStats] = []
     best_val = np.inf
     best_epoch = 0
-    best_params: list[np.ndarray] = [p.copy() for p in params]
+    best_flat = flat.copy()
 
     for epoch in range(1, config.epochs + 1):
         idx = rng.permutation(len(tr))
@@ -301,26 +319,25 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
         for start in range(0, len(tr), config.batch_size):
             batch = tr[idx[start:start + config.batch_size]]
             cache: dict = {}
-            rec = _forward(model, batch, cache)
+            rec = _forward(model, batch, cache, ws)
             loss = nn.mae(batch, rec)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             batch_losses.append(loss)
-            grads = _backward(model, cache, nn.mae_grad(batch, rec))
-            nn.adam_step(params, grads, state)
-        val_mae = nn.mae(val, _forward(model, val))
+            _backward(model, cache, nn.mae_grad(batch, rec), ws)
+            nn.adam_step([flat], [ws.grad], state, ws)
+        val_mae = nn.mae(val, _forward(model, val, ws=ws))
         if not np.isfinite(val_mae):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         history.append(EpochStats(epoch, float(np.mean(batch_losses)), val_mae))
         if val_mae < best_val:
             best_val = val_mae
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best_flat[...] = flat
         elif epoch - best_epoch >= config.patience:
             break
 
-    for p, bp in zip(params, best_params):
-        p[...] = bp
+    flat[...] = best_flat
     return history
 
 

@@ -11,13 +11,21 @@ so each pass is a single matrix product with the weights, and ``_fold`` is
 its adjoint, summing such rows back onto the length axis.  A convolution
 unfolds its input and a transposed convolution folds its output.
 
+Every pass takes an optional ``Workspace``: the arrays a pass writes
+(padding, im2col rows, GEMM and fold output, layer outputs and gradients)
+then come from the workspace and are reused from one training step to the
+next, instead of being allocated afresh.  Without one, each pass allocates
+its arrays; the arithmetic is the same either way.
+
 Layers are built in the dtype given to their ``init`` (float64 by
 default).  Nothing here holds global state, so layers can be used from
-several threads as long as each thread works on its own arrays.
+several threads as long as each thread works on its own arrays and its own
+workspace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +48,74 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _zero_pad(a: np.ndarray, left: int, length: int) -> np.ndarray:
+class Workspace:
+    """Work arrays reused by every pass of one training run.
+
+    ``take(key, shape, dtype)`` hands out the first prod(shape) elements of
+    the key's flat array, reshaped, and grows that array only when it is too
+    small, so arrays sized by the largest batch serve every shorter one.  A
+    key is a role (one array shared by every layer, for a temporary that no
+    longer matters once the pass returns) or a (layer id, role) pair (a
+    layer's output, which backward still reads).  A layer's input gradient
+    is read only by the backward pass below it, so two arrays take turns:
+    ``take_apart`` hands out the one that does not hold the incoming gradient.
+
+    ``grad`` is one flat gradient vector laid out like ``flatten``'s
+    parameter vector for the same layers; each layer's backward writes its
+    weight and bias gradients into its views of it.
+    """
+
+    def __init__(self, layers: list):
+        self.grad = np.zeros(sum(layer.w.size + layer.b.size for layer in layers),
+                             dtype=layers[0].w.dtype)
+        self.grads = {id(layer): views for layer, views in zip(layers, _split(self.grad, layers))}
+        self.arrays: dict = {}
+
+    def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.arrays.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self.arrays[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def take_apart(self, role: str, avoid: np.ndarray, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """take() from whichever of role's two arrays does not hold avoid."""
+        first = self.arrays.get((role, 0))
+        turn = int(first is not None and np.may_share_memory(first, avoid))
+        return self.take((role, turn), shape, dtype)
+
+
+def _buffer(ws: "Workspace | None", key, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised work array: the workspace's under key, or a fresh one without a workspace."""
+    return np.empty(shape, dtype) if ws is None else ws.take(key, shape, dtype)
+
+
+def _split(flat: np.ndarray, layers: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, b) views of flat per layer, packed in layer order, each w before its b."""
+    views, pos = [], 0
+    for layer in layers:
+        w = flat[pos:pos + layer.w.size].reshape(layer.w.shape)
+        pos += layer.w.size
+        views.append((w, flat[pos:pos + layer.b.size]))
+        pos += layer.b.size
+    return views
+
+
+def flatten(layers: list) -> np.ndarray:
+    """Copy every layer's w and b into one new flat vector and rebind them to views of it.
+
+    An optimizer step over the vector then updates every layer at once.
+    """
+    flat = np.concatenate([p.ravel() for layer in layers for p in (layer.w, layer.b)])
+    for layer, (w, b) in zip(layers, _split(flat, layers)):
+        layer.w, layer.b = w, b
+    return flat
+
+
+def _zero_pad(a: np.ndarray, left: int, length: int, ws: "Workspace | None" = None) -> np.ndarray:
     """a placed at offset left along the length axis of a zero (batch, length, channels) array."""
-    out = np.zeros((a.shape[0], length, a.shape[2]), dtype=a.dtype)
+    out = _buffer(ws, "pad", (a.shape[0], length, a.shape[2]), a.dtype)
+    out.fill(0)
     out[:, left:left + a.shape[1]] = a
     return out
 
@@ -50,26 +123,49 @@ def _zero_pad(a: np.ndarray, left: int, length: int) -> np.ndarray:
 def _unfold(xp: np.ndarray, k: int, s: int, n: int) -> np.ndarray:
     """(batch, n, k*c) im2col rows of xp: row t is xp[:, t*s:t*s + k, :] flattened.
 
-    The rows are a read-only strided view of xp; the window count is checked
-    first so the view can never reach past the end of the buffer.
+    The rows are a read-only strided view of xp (of a contiguous copy if xp
+    is not contiguous); the window count is checked first, and numpy checks
+    again that the view stays inside the buffer.
     """
     batch, length, c = xp.shape
     if (n - 1) * s + k > length:
         raise ShapeMismatch(f"{n} windows of {k} at stride {s} overrun length {length}")
+    xp = np.ascontiguousarray(xp)
     sb, sl, sc = xp.strides
-    rows = np.lib.stride_tricks.as_strided(xp, (batch, n, k, c), (sb, s * sl, sl, sc),
-                                           writeable=False)
-    return rows.reshape(batch, n, k * c)
+    rows = np.ndarray((batch, n, k * c), xp.dtype, xp, 0, (sb, s * sl, sc))
+    rows.flags.writeable = False
+    return rows
 
 
-def _fold(cols: np.ndarray, k: int, s: int, length: int) -> np.ndarray:
-    """Adjoint of _unfold: scatter-add (batch, n, k*c) rows onto a zero length axis."""
+def _im2col(xp: np.ndarray, k: int, s: int, n: int, ws: "Workspace | None") -> np.ndarray:
+    """_unfold's rows copied into one contiguous (batch * n, k*c) matrix."""
+    rows = _unfold(xp, k, s, n)
+    cols = _buffer(ws, "cols", (xp.shape[0] * n, rows.shape[2]), xp.dtype)
+    cols.reshape(rows.shape)[...] = rows
+    return cols
+
+
+def _fold(cols: np.ndarray, k: int, s: int, length: int,
+          ws: "Workspace | None" = None) -> np.ndarray:
+    """Adjoint of _unfold: scatter-add (batch, n, k*c) rows onto a zero length axis.
+
+    Tap j of row t lands on position t*s + j.  Taps g*s .. g*s + s-1 of a row
+    are one run of s*c values landing on s consecutive positions, so with the
+    output viewed as (batch, m, s*c) each group g of s taps is one add of all
+    rows, shifted by g.  Every position still receives its taps in
+    increasing j, so the sums are bit for bit those of a tap-by-tap scatter.
+    """
     batch, n, kc = cols.shape
-    taps = cols.reshape(batch, n, k, kc // k)
-    out = np.zeros((batch, length, kc // k), dtype=cols.dtype)
-    for j in range(k):
-        out[:, j:j + (n - 1) * s + 1:s] += taps[:, :, j]
-    return out
+    c = kc // k
+    groups = -(-k // s)
+    m = max(-(-length // s), n - 1 + groups)
+    out = _buffer(ws, "fold", (batch, m * s, c), cols.dtype)
+    out[...] = 0
+    rows = out.reshape(batch, m, s * c)
+    for g in range(groups):
+        first, width = g * s * c, min(s * c, kc - g * s * c)
+        rows[:, g:g + n, :width] += cols[:, :, first:first + width]
+    return out[:, :length]
 
 
 @dataclass
@@ -116,6 +212,25 @@ class _ConvLayer:
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
 
 
+def _output(layer, ws: "Workspace | None", shape: tuple[int, ...], *arrays) -> np.ndarray:
+    """Where a layer's forward writes its output, typed as numpy would type the result."""
+    return _buffer(ws, (id(layer), "out"), shape, np.result_type(*arrays))
+
+
+def _input_grad(ws: "Workspace | None", grad_out: np.ndarray, shape: tuple[int, ...],
+                *arrays) -> np.ndarray:
+    """Where a layer's backward writes its input gradient: never over grad_out."""
+    dtype = np.result_type(*arrays)
+    return np.empty(shape, dtype) if ws is None else ws.take_apart("grad", grad_out, shape, dtype)
+
+
+def _param_grads(layer, ws: "Workspace | None", dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Where a layer's backward writes its weight and bias gradients."""
+    if ws is None:
+        return np.empty(layer.w.shape, dtype), np.empty(layer.b.shape, dtype)
+    return ws.grads[id(layer)]
+
+
 class Conv1DLayer(_ConvLayer):
     """Strided 1-D convolution over (batch, length, channels) tensors.
 
@@ -131,29 +246,38 @@ class Conv1DLayer(_ConvLayer):
             raise ShapeMismatch(f"length {length} shorter than kernel {self.kernel_size} (valid padding)")
         return (length - self.kernel_size) // self.stride + 1
 
-    def _padded(self, x: np.ndarray) -> np.ndarray:
+    def _padded(self, x: np.ndarray, ws: "Workspace | None") -> np.ndarray:
         if self.padding == "valid":
             return x
-        return _zero_pad(x, self._pad_left, x.shape[1] + self.kernel_size - 1)
+        return _zero_pad(x, self._pad_left, x.shape[1] + self.kernel_size - 1, ws)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "Conv1DLayer.forward")
-        cols = _unfold(self._padded(x), self.kernel_size, self.stride, self.out_length(x.shape[1]))
-        return cols @ self.w.reshape(-1, self.c_out) + self.b
+        n = self.out_length(x.shape[1])
+        cols = _im2col(self._padded(x, ws), self.kernel_size, self.stride, n, ws)
+        out = _output(self, ws, (x.shape[0], n, self.c_out), x, self.w, self.b)
+        np.matmul(cols.reshape(x.shape[0], n, -1), self.w.reshape(-1, self.c_out), out=out)
+        out += self.b
+        return out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray):
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         """Gradients for inputs, weights, and bias given upstream grad_out."""
         _check_tensor3(x, self.c_in, "Conv1DLayer.backward")
         self._check_grad_out(x, grad_out)
         k, s = self.kernel_size, self.stride
-        xp = self._padded(x)
-        cols = _unfold(xp, k, s, grad_out.shape[1]).reshape(-1, k * self.c_in)
+        xp = self._padded(x, ws)
+        cols = _im2col(xp, k, s, grad_out.shape[1], ws)
         g = grad_out.reshape(-1, self.c_out)
-        grad_w = (cols.T @ g).reshape(self.w.shape)
-        grad_cols = (g @ self.w.reshape(-1, self.c_out).T).reshape(x.shape[0], -1, k * self.c_in)
+        grad_w, grad_b = _param_grads(self, ws, np.result_type(x, grad_out))
+        np.matmul(cols.T, g, out=grad_w.reshape(cols.shape[1], -1))
+        np.sum(grad_out, axis=(0, 1), out=grad_b)
+        grad_cols = _buffer(ws, "gemm", cols.shape, np.result_type(grad_out, self.w))
+        np.matmul(g, self.w.reshape(-1, self.c_out).T, out=grad_cols)
         left = self._pad_left
-        grad_x = _fold(grad_cols, k, s, xp.shape[1])[:, left:left + x.shape[1]]
-        return grad_x, grad_w, grad_out.sum(axis=(0, 1))
+        full = _fold(grad_cols.reshape(x.shape[0], -1, k * self.c_in), k, s, xp.shape[1], ws)
+        grad_x = _input_grad(ws, grad_out, x.shape, full)
+        grad_x[...] = full[:, left:left + x.shape[1]]
+        return grad_x, grad_w, grad_b
 
 
 class ConvTranspose1DLayer(_ConvLayer):
@@ -180,22 +304,33 @@ class ConvTranspose1DLayer(_ConvLayer):
         # w as one (c_in, kernel_size * c_out) matrix, column block j holding tap j.
         return self.w.transpose(1, 0, 2).reshape(self.c_in, -1)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.forward")
-        n_in = x.shape[1]
-        left = self._pad_left
-        full = _fold(x @ self._taps(), self.kernel_size, self.stride, self._full_length(n_in))
-        return full[:, left:left + self.out_length(n_in)] + self.b
+        batch, n_in = x.shape[:2]
+        taps = self._taps()
+        cols = _buffer(ws, "gemm", (batch, n_in, taps.shape[1]), np.result_type(x, taps))
+        np.matmul(x, taps, out=cols)
+        full = _fold(cols, self.kernel_size, self.stride, self._full_length(n_in), ws)
+        left, length = self._pad_left, self.out_length(n_in)
+        out = _output(self, ws, (batch, length, self.c_out), full, self.b)
+        np.add(full[:, left:left + length], self.b, out=out)
+        return out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray):
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.backward")
         self._check_grad_out(x, grad_out)
         k, n_in = self.kernel_size, x.shape[1]
-        gp = _zero_pad(grad_out, self._pad_left, self._full_length(n_in))
-        cols = _unfold(gp, k, self.stride, n_in).reshape(-1, k * self.c_out)
-        grad_x = (cols @ self._taps().T).reshape(x.shape)
-        grad_w = (cols.T @ x.reshape(-1, self.c_in)).reshape(k, self.c_out, self.c_in)
-        return grad_x, grad_w.transpose(0, 2, 1), grad_out.sum(axis=(0, 1))
+        gp = _zero_pad(grad_out, self._pad_left, self._full_length(n_in), ws)
+        cols = _im2col(gp, k, self.stride, n_in, ws)
+        taps = self._taps()
+        grad_x = _input_grad(ws, grad_out, x.shape, cols, taps)
+        np.matmul(cols, taps.T, out=grad_x.reshape(cols.shape[0], -1))
+        grad_w, grad_b = _param_grads(self, ws, np.result_type(cols, x))
+        grad_taps = _buffer(ws, "gemm", (cols.shape[1], self.c_in), grad_w.dtype)
+        np.matmul(cols.T, x.reshape(-1, self.c_in), out=grad_taps)
+        grad_w[...] = grad_taps.reshape(k, self.c_out, self.c_in).transpose(0, 2, 1)
+        np.sum(grad_out, axis=(0, 1), out=grad_b)
+        return grad_x, grad_w, grad_b
 
 
 @dataclass
@@ -225,24 +360,32 @@ class DenseLayer:
         w = _uniform_init(rng, (d_in, d_out), d_in, dtype)
         return cls(d_in, d_out, w, np.zeros(d_out, dtype=dtype))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeMismatch(f"DenseLayer.forward: expected (batch, {self.d_in}), got {x.shape}")
-        return x @ self.w + self.b
+        out = _output(self, ws, (x.shape[0], self.d_out), x, self.w, self.b)
+        np.matmul(x, self.w, out=out)
+        out += self.b
+        return out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray):
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         if grad_out.shape != (x.shape[0], self.d_out):
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
-        return grad_out @ self.w.T, x.T @ grad_out, grad_out.sum(axis=0)
+        grad_x = _input_grad(ws, grad_out, x.shape, grad_out, self.w)
+        np.matmul(grad_out, self.w.T, out=grad_x)
+        grad_w, grad_b = _param_grads(self, ws, np.result_type(x, grad_out))
+        np.matmul(x.T, grad_out, out=grad_w)
+        np.sum(grad_out, axis=0, out=grad_b)
+        return grad_x, grad_w, grad_b
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu_forward(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    # Subgradient 0 at exactly 0.
-    return grad_out * (x > 0)
+def relu_backward(h: np.ndarray, grad_out: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:
+    """grad_out masked where h, the ReLU's input or its output, is > 0; subgradient 0 at exactly 0."""
+    return np.multiply(grad_out, h > 0, out=out)
 
 
 def mae(x: np.ndarray, x_prime: np.ndarray) -> float:
@@ -290,11 +433,14 @@ def adam_init(params: list, lr: float = 1e-3, beta1: float = 0.9,
     return state
 
 
-def adam_step(params: list, grads: list, state: AdamState) -> None:
+def adam_step(params: list, grads: list, state: AdamState, ws: "Workspace | None" = None) -> None:
     """One bias-corrected Adam update, applied to params in place.
 
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
+
+    Its two temporaries come from a workspace's step-local arrays when one
+    is given, as no pass is running between a step's backward and this.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params, grads, and state must have matching lengths")
@@ -305,8 +451,19 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        step = _buffer(ws, "cols", p.shape, p.dtype)
+        denom = _buffer(ws, "gemm", p.shape, p.dtype)
+        np.multiply(g, 1.0 - state.beta1, out=step)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += step
+        np.square(g, out=step)
+        step *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        v += step
+        np.divide(m, c1, out=step)
+        step *= state.lr
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step

@@ -470,6 +470,7 @@ def _csv_rows(fh, fields: tuple[str, ...], what: str) -> Iterator[tuple[int, dic
     reader = csv.DictReader(fh)
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(fields):
         raise MalformedRecord(fh.name, 1, f"{what} header must be {','.join(fields)}")
+    reader.fieldnames = list(fields)   # rows keyed by the names, not by a space-padded header
     for row in reader:
         yield reader.line_num, row
 

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +182,133 @@ class TestTraining:
                 for i in range(ae.MIN_TRAIN_WINDOWS)]
         ae.train(model, wins, ae.TrainConfig(epochs=150, batch_size=16, seed=3))
         assert ae.reconstruction_error(model, base.values) < 0.05
+
+
+def train_without_workspace(model, wins, cfg):
+    """ae.train's loop with no workspace: every pass allocates its arrays, and
+    Adam updates each parameter array on its own."""
+    data = np.stack([w.values for w in wins]).astype(model.spec.dtype)
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(len(data))
+    n_val = max(1, round(cfg.validation_fraction * len(data)))
+    val, tr = data[order[:n_val]], data[order[n_val:]]
+    params = model.parameters()
+    state = nn.adam_init(params, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+                         eps=cfg.eps)
+    history, best_val, best_epoch, best = [], np.inf, 0, [p.copy() for p in params]
+    for epoch in range(1, cfg.epochs + 1):
+        idx = rng.permutation(len(tr))
+        losses = []
+        for start in range(0, len(tr), cfg.batch_size):
+            batch = tr[idx[start:start + cfg.batch_size]]
+            cache = {}
+            rec = ae._forward(model, batch, cache)
+            losses.append(nn.mae(batch, rec))
+            nn.adam_step(params, ae._backward(model, cache, nn.mae_grad(batch, rec)), state)
+        val_mae = nn.mae(val, ae._forward(model, val))
+        history.append(ae.EpochStats(epoch, float(np.mean(losses)), val_mae))
+        if val_mae < best_val:
+            best_val, best_epoch, best = val_mae, epoch, [p.copy() for p in params]
+        elif epoch - best_epoch >= cfg.patience:
+            break
+    for p, bp in zip(params, best):
+        p[...] = bp
+    return history
+
+
+def parameter_bytes(model) -> list[bytes]:
+    return [p.tobytes() for p in model.parameters()]
+
+
+F32_SPEC = ae.AutoencoderSpec(**{**SMALL_SPEC.__dict__, "dtype": "float32"})
+# 36 windows: a validation pass of 7, then training batches of 16 and 13
+SHORT_BATCHES = ae.TrainConfig(epochs=6, batch_size=16, patience=2, seed=3)
+
+
+@pytest.fixture
+def spaces(monkeypatch):
+    """Every Workspace that ae.train makes, in order."""
+    made = []
+
+    class Recorded(nn.Workspace):
+        def __init__(self, layers):
+            super().__init__(layers)
+            made.append(self)
+
+    monkeypatch.setattr(nn, "Workspace", Recorded)
+    return made
+
+
+class TestWorkspace:
+    def test_short_batches_match_the_loop_without_a_workspace(self, spaces, monkeypatch):
+        wins = sine_windows(36, seed=5)
+        rows = []
+        mae = nn.mae
+        monkeypatch.setattr(nn, "mae", lambda x, x_prime: rows.append(len(x)) or mae(x, x_prime))
+        model = ae.build(SMALL_SPEC)
+        history = ae.train(model, wins, SHORT_BATCHES)
+        assert rows[:3] == [16, 13, 7] and len(spaces) == 1
+        reference = ae.build(SMALL_SPEC)
+        assert train_without_workspace(reference, wins, SHORT_BATCHES) == history
+        assert parameter_bytes(model) == parameter_bytes(reference)
+
+    def test_float64_then_float32_each_match_a_run_in_its_own_process(self, spaces, tmp_path):
+        wins = sine_windows(36, seed=5)
+        np.save(tmp_path / "windows.npy", np.stack([w.values for w in wins]))
+        cfg = ae.TrainConfig(epochs=3, batch_size=16, seed=3)
+        script = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from rotortrack import autoencoder as ae, trackdata as td\n"
+            "spec, cfg, path = sys.argv[1:]\n"
+            "model = ae.build(ae.AutoencoderSpec.from_dict(json.loads(spec)))\n"
+            "wins = [td.FeatureWindow(v, f'w{i}', label=td.CLASS_HELICOPTER)\n"
+            "        for i, v in enumerate(np.load(path))]\n"
+            "history = ae.train(model, wins, ae.TrainConfig(**json.loads(cfg)))\n"
+            "body = repr(history).encode() + b''.join(p.tobytes() for p in model.parameters())\n"
+            "print(hashlib.sha256(body).hexdigest())\n")
+        for spec in (SMALL_SPEC, F32_SPEC):
+            model = ae.build(spec)
+            history = ae.train(model, wins, cfg)
+            digest = hashlib.sha256(repr(history).encode() + b"".join(parameter_bytes(model)))
+            alone = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(spec.to_dict()), json.dumps(cfg.__dict__),
+                 str(tmp_path / "windows.npy")],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout.strip()
+            assert digest.hexdigest() == alone, spec.dtype
+            assert all(p.dtype == np.dtype(spec.dtype) for p in model.parameters())
+        for ws, dtype in zip(spaces, (np.float64, np.float32)):
+            assert ws.grad.dtype == dtype
+            assert {a.dtype for a in ws.arrays.values()} == {np.dtype(dtype)}
+
+    def test_nothing_is_allocated_after_the_first_epoch(self, spaces, monkeypatch):
+        seen = []   # (batch rows, the workspace's arrays by key) at each loss
+        mae = nn.mae
+
+        def spy(x, x_prime):
+            seen.append((len(x), {key: id(a) for key, a in spaces[0].arrays.items()}))
+            return mae(x, x_prime)
+        monkeypatch.setattr(nn, "mae", spy)
+        ae.train(ae.build(SMALL_SPEC), sine_windows(36, seed=5),
+                 ae.TrainConfig(epochs=4, batch_size=16, seed=3))
+        assert [rows for rows, _ in seen] == [16, 13, 7] * 4
+        # a grown array replaces its key's array while that one is still held,
+        # so a new allocation always shows as a new id
+        after_first_epoch = seen[2][1]
+        assert after_first_epoch
+        assert all(arrays == after_first_epoch for _, arrays in seen[2:])
+        assert {key: id(a) for key, a in spaces[0].arrays.items()} == after_first_epoch
+
+    def test_reconstructions_do_not_share_memory(self):
+        model = trained_small_model(with_stats=False)
+        x = sine_windows(3, seed=4)
+        batch = np.stack([w.values for w in x])
+        first, second = ae.reconstruct(model, batch), ae.reconstruct(model, batch)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(ae.reconstruct(model, x[0].values),
+                                    ae.reconstruct(model, x[0].values))
 
 
 def trained_small_model(with_stats=True):

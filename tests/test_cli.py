@@ -228,6 +228,14 @@ class TestCliBehavior:
         assert run("--out-dir", str(work), command) == 1
         assert "runways.csv line 2: length must be finite and > 0" in capsys.readouterr().err
 
+    def test_space_padded_csv_headers_train_the_same_model(self, pipeline, tmp_path):
+        work = copy_inputs(pipeline, tmp_path / "padded", ("tracks.jsonl",))
+        for name in ("labels.csv", "runways.csv"):
+            header, rest = (pipeline / name).read_text().split("\n", 1)
+            (work / name).write_text(header.replace(",", ", ") + "\n" + rest)
+        assert run("--out-dir", str(work), "--config", str(pipeline / "cfg.json"), "train") == 0
+        assert (work / "model.rtae").read_bytes() == (pipeline / "model.rtae").read_bytes()
+
     def test_unknown_dtype_in_config_exits_1(self, pipeline, tmp_path):
         work = tmp_path / "f16"
         work.mkdir()

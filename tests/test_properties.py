@@ -1,6 +1,6 @@
 """Property tests of the file formats, the config, the point parser, closest approach
 and the convolution pair against their oracles: round trips, the per-point rule, a
-scalar loop and the adjoint identity."""
+scalar loop, the adjoint identity and a tap-by-tap scatter."""
 
 import csv
 import functools
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from rotortrack import autoencoder as ae  # noqa: E402
@@ -382,3 +382,38 @@ def test_conv_and_transpose_are_adjoint_for_any_geometry(geometry, seed):
     lhs = float(np.sum(y * cot))
     rhs = float(np.sum(x[:, :n, :] * back[:, :n, :]))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+def per_tap_fold(cols, k, s, length):
+    """The scatter the stride-phase _fold must reproduce: one strided add per tap, in tap order."""
+    batch, n, kc = cols.shape
+    taps = cols.reshape(batch, n, k, kc // k)
+    out = np.zeros((batch, length, kc // k))
+    for j in range(k):
+        out[:, j:j + (n - 1) * s + 1:s] += taps[:, :, j]
+    return out
+
+
+@st.composite
+def fold_geometries(draw):
+    """(batch, n, k, s, c, length); length reaches at least the last tap, possibly further."""
+    n, k, s = draw(st.integers(1, 12)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    length = (n - 1) * s + k + draw(st.integers(0, 7))
+    return draw(st.integers(1, 3)), n, k, s, draw(st.integers(1, 5)), length
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_geometries(), st.integers(0, 2**32 - 1))
+@example((2, 5, 2, 4, 3, 19), 0)   # s > k: every window lands apart
+@example((1, 7, 1, 2, 6, 13), 1)   # k = 1
+@example((3, 4, 7, 2, 2, 16), 2)   # length past the last tap
+def test_stride_phase_fold_equals_a_per_tap_scatter_bit_for_bit(geometry, seed):
+    batch, n, k, s, c, length = geometry
+    rng = np.random.default_rng(seed)
+    cols = rng.normal(size=(batch, n, k * c))
+    want = per_tap_fold(cols, k, s, length).view(np.uint64)
+    assert np.array_equal(nn._fold(cols, k, s, length).view(np.uint64), want)
+    # a workspace's fold array holds the last pass's sums; the next fold starts from zero
+    ws = nn.Workspace([nn.DenseLayer(1, 1)])
+    nn._fold(rng.normal(size=cols.shape), k, s, length, ws)
+    assert np.array_equal(nn._fold(cols, k, s, length, ws).view(np.uint64), want)

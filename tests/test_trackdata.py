@@ -241,6 +241,11 @@ class TestLabels:
         with pytest.raises(td.MalformedRecord, match="labels header"):
             td.load_labels(p)
 
+    def test_space_padded_header_loads_like_a_plain_one(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text(" track_id , class\nH1,helicopter\nG1,ga\n")
+        assert td.load_labels(p) == {"H1": "helicopter", "G1": "ga"}
+
     # A record is numbered by the file line it ends on, counting blank lines and the
     # newlines inside quoted fields.
     @pytest.mark.parametrize("rows, line, reason", [
@@ -371,6 +376,13 @@ class TestRunwayTable:
         assert set(runways) == {"KXYZ-27", "KXYZ-09"}
         assert runways["KXYZ-27"].centerline_course == 270.0
 
+    def test_space_padded_header_loads_like_a_plain_one(self, tmp_path):
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text(RUNWAY_CSV)
+        header, rest = RUNWAY_CSV.split("\n", 1)
+        padded.write_text(header.replace(",", ", ") + "\n" + rest)
+        assert td.load_runways(padded) == td.load_runways(plain)
+
     def test_wrong_header_rejected(self, tmp_path):
         p = tmp_path / "runways.csv"
         p.write_text("id,lat,lon\nKXYZ-27,40,-86\n")
@@ -448,6 +460,13 @@ class TestRegistrationTable:
         assert rec.type_designator == "EC30"
         assert rec.manufacturer == "EUROCOPTER"
         assert table.lookup_mode_s("A1B153") is rec
+
+    def test_space_padded_header_loads_like_a_plain_one(self, tmp_path):
+        plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+        plain.write_text(REGISTRATION_CSV)
+        header, rest = REGISTRATION_CSV.split("\n", 1)
+        padded.write_text(" " + header.replace(",", " ,") + " \n" + rest)
+        assert td.load_registration(padded) == td.load_registration(plain)
 
     def test_lookup_normalizes_case_and_whitespace(self, tmp_path):
         p = tmp_path / "reg.csv"

@@ -305,7 +305,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
     layers = [stage.layer for stage in model.stages]
     flat = nn.flatten(layers)
     ws = nn.Workspace(layers)
-    state = nn.adam_init([flat], lr=config.learning_rate, beta1=config.beta1,
+    state = nn.adam_init(flat, lr=config.learning_rate, beta1=config.beta1,
                          beta2=config.beta2, eps=config.eps)
 
     history: list[EpochStats] = []
@@ -325,7 +325,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             batch_losses.append(loss)
             _backward(model, cache, nn.mae_grad(batch, rec), ws)
-            nn.adam_step([flat], [ws.grad], state, ws)
+            nn.adam_step(flat, ws.grad, state, ws)
         val_mae = nn.mae(val, _forward(model, val, ws=ws))
         if not np.isfinite(val_mae):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")

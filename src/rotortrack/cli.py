@@ -207,8 +207,8 @@ def _read_json_object(path: Path, numbers: tuple[str, ...] = (),
                       nullable: tuple[str, ...] = ()) -> dict:
     """The JSON object in path; each key in numbers must hold a number (or null if nullable).
 
-    Any defect, from bad JSON to a missing or non-numeric key, is a CliError
-    naming the file.
+    Any defect, from bad JSON to a missing, non-numeric or out-of-range key,
+    is a CliError naming the file.
     """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -223,6 +223,8 @@ def _read_json_object(path: Path, numbers: tuple[str, ...] = (),
         is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (is_number or value is None and key in nullable):
             raise CliError(f"{path}: {key!r} must be a number, got {value!r}")
+        if is_number and not abs(value) <= sys.float_info.max:
+            raise CliError(f"{path}: {key!r} must be a finite number a float can hold")
     return doc
 
 

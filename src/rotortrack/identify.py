@@ -9,6 +9,7 @@ how close a track came to either gate.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +49,7 @@ class Thresholds:
     runway_score_threshold: float = DEFAULT_SCORE_THRESHOLD
 
     def __post_init__(self):
-        if not (self.mae_threshold > 0 and np.isfinite(self.mae_threshold)):
+        if not 0 < self.mae_threshold <= sys.float_info.max:
             raise ValueError(f"mae_threshold must be finite and > 0, got {self.mae_threshold}")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError(f"percentile must lie in (0, 100], got {self.percentile}")

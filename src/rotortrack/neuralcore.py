@@ -5,11 +5,12 @@ carries its own weights and exposes an analytic backward pass; the test
 suite checks each one against central finite differences and a naive
 convolution oracle.
 
-Both convolution layers run on one im2col kernel pair.  ``_unfold`` lays
-the kernel windows of a padded input side by side as the rows of a matrix,
-so each pass is a single matrix product with the weights, and ``_fold`` is
-its adjoint, summing such rows back onto the length axis.  A convolution
-unfolds its input and a transposed convolution folds its output.
+Both convolution layers describe one "same"-padded geometry and run on
+one im2col kernel pair.  ``_unfold`` lays the kernel windows of a padded
+input side by side as the rows of a matrix, so each pass is a single matrix
+product with the weights, and ``_fold`` is its adjoint, summing such rows
+back onto the length axis.  A convolution's forward and a transposed
+convolution's backward unfold; the other two passes fold.
 
 Every pass takes an optional ``Workspace``: the arrays a pass writes
 (padding, im2col rows, GEMM and fold output, layer outputs and gradients)
@@ -56,9 +57,8 @@ class Workspace:
     small, so arrays sized by the largest batch serve every shorter one.  A
     key is a role (one array shared by every layer, for a temporary that no
     longer matters once the pass returns) or a (layer id, role) pair (a
-    layer's output, which backward still reads).  A layer's input gradient
-    is read only by the backward pass below it, so two arrays take turns:
-    ``take_apart`` hands out the one that does not hold the incoming gradient.
+    layer's output, which backward still reads, or its input gradient,
+    which the backward pass below it reads).
 
     ``grad`` is one flat gradient vector laid out like ``flatten``'s
     parameter vector for the same layers; each layer's backward writes its
@@ -78,16 +78,17 @@ class Workspace:
             buf = self.arrays[key] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def take_apart(self, role: str, avoid: np.ndarray, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """take() from whichever of role's two arrays does not hold avoid."""
-        first = self.arrays.get((role, 0))
-        turn = int(first is not None and np.may_share_memory(first, avoid))
-        return self.take((role, turn), shape, dtype)
-
 
 def _buffer(ws: "Workspace | None", key, shape: tuple[int, ...], dtype) -> np.ndarray:
     """An uninitialised work array: the workspace's under key, or a fresh one without a workspace."""
     return np.empty(shape, dtype) if ws is None else ws.take(key, shape, dtype)
+
+
+def _layer_array(layer, ws: "Workspace | None", role: str, shape: tuple[int, ...],
+                 *arrays) -> np.ndarray:
+    """Where a layer writes its output ("out") or input gradient ("grad"), typed as numpy
+    would type the result; each is the layer's own, as the next backward pass reads it."""
+    return _buffer(ws, (id(layer), role), shape, np.result_type(*arrays))
 
 
 def _split(flat: np.ndarray, layers: list) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -112,14 +113,6 @@ def flatten(layers: list) -> np.ndarray:
     return flat
 
 
-def _zero_pad(a: np.ndarray, left: int, length: int, ws: "Workspace | None" = None) -> np.ndarray:
-    """a placed at offset left along the length axis of a zero (batch, length, channels) array."""
-    out = _buffer(ws, "pad", (a.shape[0], length, a.shape[2]), a.dtype)
-    out.fill(0)
-    out[:, left:left + a.shape[1]] = a
-    return out
-
-
 def _unfold(xp: np.ndarray, k: int, s: int, n: int) -> np.ndarray:
     """(batch, n, k*c) im2col rows of xp: row t is xp[:, t*s:t*s + k, :] flattened.
 
@@ -135,14 +128,6 @@ def _unfold(xp: np.ndarray, k: int, s: int, n: int) -> np.ndarray:
     rows = np.ndarray((batch, n, k * c), xp.dtype, xp, 0, (sb, s * sl, sc))
     rows.flags.writeable = False
     return rows
-
-
-def _im2col(xp: np.ndarray, k: int, s: int, n: int, ws: "Workspace | None") -> np.ndarray:
-    """_unfold's rows copied into one contiguous (batch * n, k*c) matrix."""
-    rows = _unfold(xp, k, s, n)
-    cols = _buffer(ws, "cols", (xp.shape[0] * n, rows.shape[2]), xp.dtype)
-    cols.reshape(rows.shape)[...] = rows
-    return cols
 
 
 def _fold(cols: np.ndarray, k: int, s: int, length: int,
@@ -170,13 +155,26 @@ def _fold(cols: np.ndarray, k: int, s: int, length: int,
 
 @dataclass
 class _ConvLayer:
-    """Fields, validation and init shared by the two convolution layers."""
+    """One "same"-padded geometry, shared by the two convolution layers.
+
+    It links a long side of length L to a short side of ceil(L/stride)
+    steps.  The long side is padded with kernel_size - 1 zeros, the extra
+    one on the right, and step t covers padded positions t*stride ..
+    t*stride + kernel_size - 1.  The two directions are the two kernels:
+
+    - long to short (``_rows``): pad, then im2col; the pass multiplies the
+      rows by its weights.  ``Conv1DLayer.forward`` and
+      ``ConvTranspose1DLayer.backward`` go this way.
+    - short to long (``_sum_rows``): the pass's own product gives one row
+      per step, which ``_fold`` sums onto the padded long side, then the
+      padding is cropped.  ``Conv1DLayer.backward`` and
+      ``ConvTranspose1DLayer.forward`` go this way.
+    """
 
     kernel_size: int
     stride: int
     c_in: int
     c_out: int
-    padding: str = "same"
     w: np.ndarray = field(default=None, repr=False)  # (kernel_size, c_in, c_out)
     b: np.ndarray = field(default=None, repr=False)  # (c_out,)
 
@@ -185,8 +183,6 @@ class _ConvLayer:
             raise ValueError("kernel_size and stride must be >= 1")
         if self.c_in < 1 or self.c_out < 1:
             raise ValueError("channel counts must be >= 1")
-        if self.padding not in ("same", "valid"):
-            raise ValueError(f"unknown padding {self.padding!r}")
         if self.w is None:
             self.w = np.zeros((self.kernel_size, self.c_in, self.c_out))
         if self.b is None:
@@ -198,30 +194,32 @@ class _ConvLayer:
 
     @classmethod
     def init(cls, rng: np.random.Generator, kernel_size: int, stride: int,
-             c_in: int, c_out: int, padding: str = "same", dtype="float64"):
+             c_in: int, c_out: int, dtype="float64"):
         w = _uniform_init(rng, (kernel_size, c_in, c_out), kernel_size * c_in, dtype)
-        return cls(kernel_size, stride, c_in, c_out, padding, w, np.zeros(c_out, dtype=dtype))
-
-    @property
-    def _pad_left(self) -> int:
-        # "same" pads kernel_size - 1 zeros in all, the extra one on the right.
-        return (self.kernel_size - 1) // 2 if self.padding == "same" else 0
+        return cls(kernel_size, stride, c_in, c_out, w, np.zeros(c_out, dtype=dtype))
 
     def _check_grad_out(self, x: np.ndarray, grad_out: np.ndarray) -> None:
         if grad_out.shape != (x.shape[0], self.out_length(x.shape[1]), self.c_out):
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
 
+    def _rows(self, long: np.ndarray, n: int, ws: "Workspace | None") -> np.ndarray:
+        """Long to short: the (batch * n, kernel_size * channels) im2col rows of the
+        padded long side."""
+        k, left = self.kernel_size, (self.kernel_size - 1) // 2
+        batch, length, c = long.shape
+        xp = _buffer(ws, "pad", (batch, length + k - 1, c), long.dtype)
+        xp.fill(0)
+        xp[:, left:left + length] = long
+        rows = _unfold(xp, k, self.stride, n)
+        cols = _buffer(ws, "cols", (batch * n, rows.shape[2]), long.dtype)
+        cols.reshape(rows.shape)[...] = rows
+        return cols
 
-def _output(layer, ws: "Workspace | None", shape: tuple[int, ...], *arrays) -> np.ndarray:
-    """Where a layer's forward writes its output, typed as numpy would type the result."""
-    return _buffer(ws, (id(layer), "out"), shape, np.result_type(*arrays))
-
-
-def _input_grad(ws: "Workspace | None", grad_out: np.ndarray, shape: tuple[int, ...],
-                *arrays) -> np.ndarray:
-    """Where a layer's backward writes its input gradient: never over grad_out."""
-    dtype = np.result_type(*arrays)
-    return np.empty(shape, dtype) if ws is None else ws.take_apart("grad", grad_out, shape, dtype)
+    def _sum_rows(self, rows: np.ndarray, length: int, ws: "Workspace | None") -> np.ndarray:
+        """Short to long: (batch, n, kernel_size * channels) rows folded onto the padded
+        long side, cropped to length."""
+        k, left = self.kernel_size, (self.kernel_size - 1) // 2
+        return _fold(rows, k, self.stride, length + k - 1, ws)[:, left:left + length]
 
 
 def _param_grads(layer, ws: "Workspace | None", dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -232,30 +230,17 @@ def _param_grads(layer, ws: "Workspace | None", dtype) -> tuple[np.ndarray, np.n
 
 
 class Conv1DLayer(_ConvLayer):
-    """Strided 1-D convolution over (batch, length, channels) tensors.
-
-    "same" padding pads the length axis with kernel_size - 1 zeros split
-    symmetrically (extra zero on the right) and yields ceil(length/stride)
-    outputs; "valid" slides the kernel only over fully covered positions.
-    """
+    """Strided 1-D convolution over (batch, length, channels) tensors: long to short,
+    giving ceil(length/stride) outputs."""
 
     def out_length(self, length: int) -> int:
-        if self.padding == "same":
-            return -(-length // self.stride)
-        if length < self.kernel_size:
-            raise ShapeMismatch(f"length {length} shorter than kernel {self.kernel_size} (valid padding)")
-        return (length - self.kernel_size) // self.stride + 1
-
-    def _padded(self, x: np.ndarray, ws: "Workspace | None") -> np.ndarray:
-        if self.padding == "valid":
-            return x
-        return _zero_pad(x, self._pad_left, x.shape[1] + self.kernel_size - 1, ws)
+        return -(-length // self.stride)
 
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "Conv1DLayer.forward")
         n = self.out_length(x.shape[1])
-        cols = _im2col(self._padded(x, ws), self.kernel_size, self.stride, n, ws)
-        out = _output(self, ws, (x.shape[0], n, self.c_out), x, self.w, self.b)
+        cols = self._rows(x, n, ws)
+        out = _layer_array(self, ws, "out", (x.shape[0], n, self.c_out), x, self.w, self.b)
         np.matmul(cols.reshape(x.shape[0], n, -1), self.w.reshape(-1, self.c_out), out=out)
         out += self.b
         return out
@@ -264,41 +249,30 @@ class Conv1DLayer(_ConvLayer):
         """Gradients for inputs, weights, and bias given upstream grad_out."""
         _check_tensor3(x, self.c_in, "Conv1DLayer.backward")
         self._check_grad_out(x, grad_out)
-        k, s = self.kernel_size, self.stride
-        xp = self._padded(x, ws)
-        cols = _im2col(xp, k, s, grad_out.shape[1], ws)
+        cols = self._rows(x, grad_out.shape[1], ws)
         g = grad_out.reshape(-1, self.c_out)
         grad_w, grad_b = _param_grads(self, ws, np.result_type(x, grad_out))
         np.matmul(cols.T, g, out=grad_w.reshape(cols.shape[1], -1))
         np.sum(grad_out, axis=(0, 1), out=grad_b)
         grad_cols = _buffer(ws, "gemm", cols.shape, np.result_type(grad_out, self.w))
         np.matmul(g, self.w.reshape(-1, self.c_out).T, out=grad_cols)
-        left = self._pad_left
-        full = _fold(grad_cols.reshape(x.shape[0], -1, k * self.c_in), k, s, xp.shape[1], ws)
-        grad_x = _input_grad(ws, grad_out, x.shape, full)
-        grad_x[...] = full[:, left:left + x.shape[1]]
+        full = self._sum_rows(grad_cols.reshape(x.shape[0], grad_out.shape[1], -1), x.shape[1], ws)
+        grad_x = _layer_array(self, ws, "grad", x.shape, full)
+        grad_x[...] = full
         return grad_x, grad_w, grad_b
 
 
 class ConvTranspose1DLayer(_ConvLayer):
-    """Strided transposed 1-D convolution (the adjoint of Conv1DLayer).
+    """Strided transposed 1-D convolution (the adjoint of Conv1DLayer): short to long,
+    giving length * stride outputs.
 
-    With "same" padding the output length is input length * stride; with
-    "valid" it is (length - 1) * stride + kernel_size.  Sharing weights with
-    a Conv1DLayer (axes swapped) makes forward() the exact adjoint of that
-    convolution, which the tests assert via the inner-product identity.
+    Sharing weights with a Conv1DLayer (axes swapped) makes forward() the
+    exact adjoint of that convolution, which the tests assert via the
+    inner-product identity.
     """
 
     def out_length(self, length: int) -> int:
-        if self.padding == "same":
-            return length * self.stride
-        return (length - 1) * self.stride + self.kernel_size
-
-    def _full_length(self, n_in: int) -> int:
-        # Length covered by every tap of every input step, before the crop to
-        # out_length; with stride > kernel_size the "same" crop reaches further.
-        return max((n_in - 1) * self.stride + self.kernel_size,
-                   self._pad_left + self.out_length(n_in))
+        return length * self.stride
 
     def _taps(self) -> np.ndarray:
         # w as one (c_in, kernel_size * c_out) matrix, column block j holding tap j.
@@ -310,25 +284,22 @@ class ConvTranspose1DLayer(_ConvLayer):
         taps = self._taps()
         cols = _buffer(ws, "gemm", (batch, n_in, taps.shape[1]), np.result_type(x, taps))
         np.matmul(x, taps, out=cols)
-        full = _fold(cols, self.kernel_size, self.stride, self._full_length(n_in), ws)
-        left, length = self._pad_left, self.out_length(n_in)
-        out = _output(self, ws, (batch, length, self.c_out), full, self.b)
-        np.add(full[:, left:left + length], self.b, out=out)
+        full = self._sum_rows(cols, self.out_length(n_in), ws)
+        out = _layer_array(self, ws, "out", (batch, full.shape[1], self.c_out), full, self.b)
+        np.add(full, self.b, out=out)
         return out
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.backward")
         self._check_grad_out(x, grad_out)
-        k, n_in = self.kernel_size, x.shape[1]
-        gp = _zero_pad(grad_out, self._pad_left, self._full_length(n_in), ws)
-        cols = _im2col(gp, k, self.stride, n_in, ws)
+        cols = self._rows(grad_out, x.shape[1], ws)
         taps = self._taps()
-        grad_x = _input_grad(ws, grad_out, x.shape, cols, taps)
+        grad_x = _layer_array(self, ws, "grad", x.shape, cols, taps)
         np.matmul(cols, taps.T, out=grad_x.reshape(cols.shape[0], -1))
         grad_w, grad_b = _param_grads(self, ws, np.result_type(cols, x))
         grad_taps = _buffer(ws, "gemm", (cols.shape[1], self.c_in), grad_w.dtype)
         np.matmul(cols.T, x.reshape(-1, self.c_in), out=grad_taps)
-        grad_w[...] = grad_taps.reshape(k, self.c_out, self.c_in).transpose(0, 2, 1)
+        grad_w[...] = grad_taps.reshape(self.kernel_size, self.c_out, self.c_in).transpose(0, 2, 1)
         np.sum(grad_out, axis=(0, 1), out=grad_b)
         return grad_x, grad_w, grad_b
 
@@ -363,7 +334,7 @@ class DenseLayer:
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeMismatch(f"DenseLayer.forward: expected (batch, {self.d_in}), got {x.shape}")
-        out = _output(self, ws, (x.shape[0], self.d_out), x, self.w, self.b)
+        out = _layer_array(self, ws, "out", (x.shape[0], self.d_out), x, self.w, self.b)
         np.matmul(x, self.w, out=out)
         out += self.b
         return out
@@ -371,7 +342,7 @@ class DenseLayer:
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         if grad_out.shape != (x.shape[0], self.d_out):
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
-        grad_x = _input_grad(ws, grad_out, x.shape, grad_out, self.w)
+        grad_x = _layer_array(self, ws, "grad", x.shape, grad_out, self.w)
         np.matmul(grad_out, self.w.T, out=grad_x)
         grad_w, grad_b = _param_grads(self, ws, np.result_type(x, grad_out))
         np.matmul(x.T, grad_out, out=grad_w)
@@ -406,15 +377,15 @@ def mae_grad(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers plus the shared step count."""
+    """First and second moment vectors plus the step count."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list, repr=False)
-    v: list = field(default_factory=list, repr=False)
+    m: np.ndarray = field(default=None, repr=False)
+    v: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -425,16 +396,16 @@ class AdamState:
             raise ValueError("eps must be positive")
 
 
-def adam_init(params: list, lr: float = 1e-3, beta1: float = 0.9,
+def adam_init(params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    state.m = [np.zeros_like(p) for p in params]
-    state.v = [np.zeros_like(p) for p in params]
-    return state
+    """Adam state for one parameter vector, such as flatten's."""
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                     m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(params: list, grads: list, state: AdamState, ws: "Workspace | None" = None) -> None:
-    """One bias-corrected Adam update, applied to params in place.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              ws: "Workspace | None" = None) -> None:
+    """One bias-corrected Adam update, applied to the parameter vector in place.
 
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         p <- p - lr * m_hat / (sqrt(v_hat) + eps)
@@ -442,28 +413,27 @@ def adam_step(params: list, grads: list, state: AdamState, ws: "Workspace | None
     Its two temporaries come from a workspace's step-local arrays when one
     is given, as no pass is running between a step's backward and this.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("params, grads, and state must have matching lengths")
+    if grads.shape != params.shape or state.m.shape != params.shape:
+        raise ShapeMismatch(f"gradient {grads.shape} and state {state.m.shape} do not match "
+                            f"parameters {params.shape}")
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        step = _buffer(ws, "cols", p.shape, p.dtype)
-        denom = _buffer(ws, "gemm", p.shape, p.dtype)
-        np.multiply(g, 1.0 - state.beta1, out=step)
-        m *= state.beta1
-        m += step
-        np.square(g, out=step)
-        step *= 1.0 - state.beta2
-        v *= state.beta2
-        v += step
-        np.divide(m, c1, out=step)
-        step *= state.lr
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step /= denom
-        p -= step
+    m, v = state.m, state.v
+    step = _buffer(ws, "cols", params.shape, params.dtype)
+    denom = _buffer(ws, "gemm", params.shape, params.dtype)
+    np.multiply(grads, 1.0 - state.beta1, out=step)
+    m *= state.beta1
+    m += step
+    np.square(grads, out=step)
+    step *= 1.0 - state.beta2
+    v *= state.beta2
+    v += step
+    np.divide(m, c1, out=step)
+    step *= state.lr
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    params -= step

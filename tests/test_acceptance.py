@@ -96,16 +96,13 @@ def test_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 # criterion: convolutions match naive loops; transpose is the exact adjoint
 
-def naive_conv(x, w, b, stride, padding):
+def naive_conv(x, w, b, stride):
     batch, n_in, _ = x.shape
     k, _, c_out = w.shape
-    if padding == "same":
-        left = (k - 1) // 2
-        xp = np.zeros((batch, n_in + k - 1, x.shape[2]))
-        xp[:, left:left + n_in] = x
-        n_out = -(-n_in // stride)
-    else:
-        xp, n_out = x, (n_in - k) // stride + 1
+    left = (k - 1) // 2
+    xp = np.zeros((batch, n_in + k - 1, x.shape[2]))
+    xp[:, left:left + n_in] = x
+    n_out = -(-n_in // stride)
     y = np.zeros((batch, n_out, c_out))
     for t in range(n_out):
         for j in range(k):
@@ -115,21 +112,20 @@ def naive_conv(x, w, b, stride, padding):
 
 def test_convolutions_match_naive_loops_and_adjoint_identity():
     rng = np.random.default_rng(424242)
-    for case in range(20):
+    for _ in range(20):
         k = int(rng.integers(1, 8))
         stride = int(rng.integers(1, 4))
         c_in, c_out = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        padding = "same" if case % 2 else "valid"
         n_in = int(rng.integers(max(k, 4), 40))
-        conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, padding)
+        conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out)
         x = rng.normal(size=(2, n_in, c_in))
         fast = conv.forward(x)
-        assert np.max(np.abs(fast - naive_conv(x, conv.w, conv.b, stride, padding))) < 1e-12
+        assert np.max(np.abs(fast - naive_conv(x, conv.w, conv.b, stride))) < 1e-12
 
         conv.b[:] = 0.0
         y = conv.forward(x)
         cot = rng.normal(size=y.shape)
-        tr = nn.ConvTranspose1DLayer(k, stride, c_out, c_in, padding,
+        tr = nn.ConvTranspose1DLayer(k, stride, c_out, c_in,
                                      np.ascontiguousarray(np.swapaxes(conv.w, 1, 2)),
                                      np.zeros(c_in))
         back = tr.forward(cot)

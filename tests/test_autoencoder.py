@@ -186,16 +186,16 @@ class TestTraining:
 
 def train_without_workspace(model, wins, cfg):
     """ae.train's loop with no workspace: every pass allocates its arrays, and
-    Adam updates each parameter array on its own."""
+    Adam updates one vector of the gradients concatenated in parameter order."""
     data = np.stack([w.values for w in wins]).astype(model.spec.dtype)
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(data))
     n_val = max(1, round(cfg.validation_fraction * len(data)))
     val, tr = data[order[:n_val]], data[order[n_val:]]
-    params = model.parameters()
-    state = nn.adam_init(params, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+    flat = nn.flatten([stage.layer for stage in model.stages])
+    state = nn.adam_init(flat, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
                          eps=cfg.eps)
-    history, best_val, best_epoch, best = [], np.inf, 0, [p.copy() for p in params]
+    history, best_val, best_epoch, best = [], np.inf, 0, flat.copy()
     for epoch in range(1, cfg.epochs + 1):
         idx = rng.permutation(len(tr))
         losses = []
@@ -204,15 +204,15 @@ def train_without_workspace(model, wins, cfg):
             cache = {}
             rec = ae._forward(model, batch, cache)
             losses.append(nn.mae(batch, rec))
-            nn.adam_step(params, ae._backward(model, cache, nn.mae_grad(batch, rec)), state)
+            grads = ae._backward(model, cache, nn.mae_grad(batch, rec))
+            nn.adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
         val_mae = nn.mae(val, ae._forward(model, val))
         history.append(ae.EpochStats(epoch, float(np.mean(losses)), val_mae))
         if val_mae < best_val:
-            best_val, best_epoch, best = val_mae, epoch, [p.copy() for p in params]
+            best_val, best_epoch, best = val_mae, epoch, flat.copy()
         elif epoch - best_epoch >= cfg.patience:
             break
-    for p, bp in zip(params, best):
-        p[...] = bp
+    flat[...] = best
     return history
 
 

@@ -51,3 +51,20 @@ def test_every_library_name_the_pipeline_uses_exists(perfbench):
     missing = [f"{alias}.{attr}" for alias, attr in sorted(used)
                if not hasattr(getattr(pipeline, alias), attr)]
     assert not missing, f"perfbench/pipeline.py uses names the library lacks: {missing}"
+
+
+def test_the_pipeline_stages_run_on_a_tiny_scenario(perfbench, tmp_path):
+    """The benchmark's own calls, run end to end: a changed signature fails here, not
+    only when the benchmark runs."""
+    pipeline, _ = perfbench
+    pipeline.gen.generate(tmp_path, 1, {"helicopter": 40, "ga": 4, "commercial": 4})
+    labels, model = tmp_path / "labels.csv", tmp_path / "model.rtae"
+    trained = pipeline.stage_train(tmp_path, labels, model, pipeline.ae.TrainConfig(epochs=2))
+    assert trained["epochs"] == 2
+    pipeline.stage_calibrate(tmp_path, labels, model, tmp_path / "thresholds.json")
+    classified = pipeline.stage_classify(tmp_path)
+    assert classified["errors"] == {}
+    assert classified["results"]
+    validated = pipeline.stage_validate(tmp_path, classified["results"],
+                                        classified["unclassifiable"])
+    assert validated["records"] == len(classified["results"])

@@ -257,7 +257,9 @@ class TestMalformedJsonInputs:
         '{"mae_threshold": "0.3", "percentile": 80, "runway_score_threshold": 0.5}',
         '{"mae_threshold": -1.0, "percentile": 80, "runway_score_threshold": 0.5}',
         "{not json",
-    ], ids=["missing_key", "not_an_object", "non_numeric", "out_of_range", "bad_json"])
+        '{"mae_threshold": 1' + "0" * 400 + ', "percentile": 80, "runway_score_threshold": 0.5}',
+    ], ids=["missing_key", "not_an_object", "non_numeric", "out_of_range", "bad_json",
+            "huge_integer"])
     def test_malformed_thresholds_exit_1_naming_the_file(self, pipeline, tmp_path, capsys,
                                                          command, text):
         work = copy_inputs(pipeline, tmp_path / "th", self.INPUTS)
@@ -270,7 +272,8 @@ class TestMalformedJsonInputs:
         lambda m: m.update(tp="3"),
         lambda m: m.update(precision=[1.0]),
         lambda m: m.update(tn=None),
-    ], ids=["missing_key", "string_count", "list_ratio", "null_count"])
+        lambda m: m.update(precision=10 ** 400),
+    ], ids=["missing_key", "string_count", "list_ratio", "null_count", "huge_integer"])
     def test_malformed_metrics_exit_1_naming_the_file(self, pipeline, tmp_path, capsys, edit):
         work = copy_inputs(pipeline, tmp_path / "m", self.INPUTS)
         metrics = json.loads((work / "metrics.json").read_text())

@@ -101,6 +101,8 @@ class TestThresholds:
         with pytest.raises(ValueError):
             idf.Thresholds(mae_threshold=0.0)
         with pytest.raises(ValueError):
+            idf.Thresholds(mae_threshold=10 ** 400)
+        with pytest.raises(ValueError):
             idf.Thresholds(percentile=0.0)
         with pytest.raises(ValueError):
             idf.Thresholds(percentile=101.0)

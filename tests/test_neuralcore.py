@@ -8,19 +8,14 @@ import pytest
 from rotortrack import neuralcore as nn
 
 
-def naive_conv1d(x, w, b, stride, padding):
+def naive_conv1d(x, w, b, stride):
     """Direct triple-loop 1-D convolution; the reference the fast path must match."""
     batch, n_in, c_in = x.shape
     k, _, c_out = w.shape
-    if padding == "same":
-        left = (k - 1) // 2
-        right = k - 1 - left
-        xp = np.zeros((batch, n_in + k - 1, c_in), dtype=x.dtype)
-        xp[:, left:left + n_in, :] = x
-        n_out = -(-n_in // stride)
-    else:
-        xp = x
-        n_out = (n_in - k) // stride + 1
+    left = (k - 1) // 2
+    xp = np.zeros((batch, n_in + k - 1, c_in), dtype=x.dtype)
+    xp[:, left:left + n_in, :] = x
+    n_out = -(-n_in // stride)
     y = np.zeros((batch, n_out, c_out), dtype=x.dtype)
     for t in range(n_out):
         for j in range(k):
@@ -29,16 +24,12 @@ def naive_conv1d(x, w, b, stride, padding):
     return y + b
 
 
-def naive_conv_transpose1d(x, w, b, stride, padding):
+def naive_conv_transpose1d(x, w, b, stride):
     """Scatter-based transposed convolution oracle."""
     batch, n_in, c_in = x.shape
     k, _, c_out = w.shape
-    if padding == "same":
-        n_out = n_in * stride
-        pad_left = (k - 1) // 2
-    else:
-        n_out = (n_in - 1) * stride + k
-        pad_left = 0
+    n_out = n_in * stride
+    pad_left = (k - 1) // 2
     y = np.zeros((batch, n_out, c_out), dtype=x.dtype)
     for t in range(n_in):
         for j in range(k):
@@ -56,24 +47,19 @@ def random_cases(n):
         stride = int(rng.integers(1, 4))
         c_in = int(rng.integers(1, 5))
         c_out = int(rng.integers(1, 5))
-        padding = "same" if rng.random() < 0.5 else "valid"
         n_in = int(rng.integers(max(k, 4), 40))
         batch = int(rng.integers(1, 4))
-        yield k, stride, c_in, c_out, padding, n_in, batch, rng
+        yield k, stride, c_in, c_out, n_in, batch, rng
 
 
-# (kernel, stride, c_in, c_out, padding, n_in, batch) at the edges of the geometry
+# (kernel, stride, c_in, c_out, n_in, batch) at the edges of the geometry
 EDGE_CASES = [
-    (1, 3, 2, 3, "same", 10, 2),     # stride greater than kernel
-    (1, 3, 2, 3, "valid", 10, 1),
-    (2, 3, 3, 2, "same", 11, 2),
-    (2, 3, 3, 2, "valid", 11, 1),
-    (4, 2, 2, 3, "valid", 4, 2),     # n_in == kernel: a single valid window
-    (7, 1, 1, 2, "valid", 7, 1),
-    (7, 2, 6, 16, "same", 25, 2),    # the shipped kernels and lengths
-    (7, 2, 16, 6, "same", 50, 2),
-    (5, 2, 32, 16, "same", 25, 2),
-    (5, 2, 16, 32, "same", 50, 2),
+    (1, 3, 2, 3, 10, 2),     # stride greater than kernel
+    (2, 3, 3, 2, 11, 2),
+    (7, 2, 6, 16, 25, 2),    # the shipped kernels and lengths
+    (7, 2, 16, 6, 50, 2),
+    (5, 2, 32, 16, 25, 2),
+    (5, 2, 16, 32, 50, 2),
 ]
 
 
@@ -87,18 +73,17 @@ def geometry_cases():
 
 class TestConv1DForward:
     def test_matches_naive_loop_on_20_random_cases(self):
-        for k, stride, c_in, c_out, padding, n_in, batch, rng in geometry_cases():
-            layer = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, padding)
+        for k, stride, c_in, c_out, n_in, batch, rng in geometry_cases():
+            layer = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out)
             x = rng.normal(size=(batch, n_in, c_in))
             got = layer.forward(x)
-            want = naive_conv1d(x, layer.w, layer.b, stride, padding)
+            want = naive_conv1d(x, layer.w, layer.b, stride)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_identity_kernel_passes_input_through(self):
         rng = np.random.default_rng(3)
-        layer = nn.Conv1DLayer.init(rng, kernel_size=1, stride=1, c_in=3, c_out=3,
-                                    padding="same")
+        layer = nn.Conv1DLayer.init(rng, kernel_size=1, stride=1, c_in=3, c_out=3)
         layer.w[0] = np.eye(3)
         layer.b[:] = 0.0
         x = rng.normal(size=(2, 9, 3))
@@ -106,12 +91,12 @@ class TestConv1DForward:
 
     def test_same_padding_output_length_is_ceil(self):
         rng = np.random.default_rng(4)
-        layer = nn.Conv1DLayer.init(rng, 5, 2, 2, 3, "same")
+        layer = nn.Conv1DLayer.init(rng, 5, 2, 2, 3)
         assert layer.forward(np.zeros((1, 25, 2))).shape == (1, 13, 3)
 
     def test_wrong_channel_count_raises(self):
         rng = np.random.default_rng(5)
-        layer = nn.Conv1DLayer.init(rng, 3, 1, 2, 2, "same")
+        layer = nn.Conv1DLayer.init(rng, 3, 1, 2, 2)
         with pytest.raises(nn.ShapeMismatch):
             layer.forward(np.zeros((1, 10, 3)))
 
@@ -132,30 +117,30 @@ class TestUnfold:
 
 class TestConvTranspose1DForward:
     def test_matches_naive_scatter_on_20_random_cases(self):
-        for k, stride, c_in, c_out, padding, n_in, batch, rng in geometry_cases():
-            layer = nn.ConvTranspose1DLayer.init(rng, k, stride, c_in, c_out, padding)
+        for k, stride, c_in, c_out, n_in, batch, rng in geometry_cases():
+            layer = nn.ConvTranspose1DLayer.init(rng, k, stride, c_in, c_out)
             x = rng.normal(size=(batch, n_in, c_in))
             got = layer.forward(x)
-            want = naive_conv_transpose1d(x, layer.w, layer.b, stride, padding)
+            want = naive_conv_transpose1d(x, layer.w, layer.b, stride)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_same_padding_doubles_length_at_stride_2(self):
         rng = np.random.default_rng(6)
-        layer = nn.ConvTranspose1DLayer.init(rng, 5, 2, 4, 2, "same")
+        layer = nn.ConvTranspose1DLayer.init(rng, 5, 2, 4, 2)
         assert layer.forward(np.zeros((1, 25, 4))).shape == (1, 50, 2)
 
 
 class TestAdjointIdentity:
     def test_conv_and_transpose_are_adjoint(self):
         # <conv(x), y> == <x, convT(y)> when convT uses the transposed weights
-        for k, stride, c_in, c_out, padding, n_in, batch, rng in geometry_cases():
-            conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, padding)
+        for k, stride, c_in, c_out, n_in, batch, rng in geometry_cases():
+            conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out)
             conv.b[:] = 0.0
             x = rng.normal(size=(batch, n_in, c_in))
             y = conv.forward(x)
             cot = rng.normal(size=y.shape)
-            tr = nn.ConvTranspose1DLayer.init(rng, k, stride, c_out, c_in, padding)
+            tr = nn.ConvTranspose1DLayer.init(rng, k, stride, c_out, c_in)
             tr.w = np.ascontiguousarray(np.swapaxes(conv.w, 1, 2))
             tr.b = np.zeros(c_in, dtype=conv.w.dtype)
             back = tr.forward(cot)
@@ -194,8 +179,8 @@ class TestGradients:
         start = time.monotonic()
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
-            conv = nn.Conv1DLayer.init(rng, 3, 2, 2, 3, "same" if seed % 2 else "valid")
-            trans = nn.ConvTranspose1DLayer.init(rng, 3, 2, 3, 2, "same" if seed % 2 else "valid")
+            conv = nn.Conv1DLayer.init(rng, 3, 2, 2, 3)
+            trans = nn.ConvTranspose1DLayer.init(rng, 3, 2, 3, 2)
             dense_in = 2 * trans.out_length(conv.out_length(8))
             dense = nn.DenseLayer.init(rng, dense_in, 3)
             x = rng.normal(size=(2, 8, 2))
@@ -260,35 +245,41 @@ class TestMae:
 
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
-        p = [np.array([1.0, -1.0, 0.5])]
-        g = [np.array([0.3, -0.2, 0.9])]
+        p = np.array([1.0, -1.0, 0.5])
+        g = np.array([0.3, -0.2, 0.9])
         st = nn.adam_init(p, lr=0.01)
         nn.adam_step(p, g, st)
         # with bias correction the first update is lr * g/|g| up to eps
-        assert np.allclose(p[0], [1.0 - 0.01, -1.0 + 0.01, 0.5 - 0.01], atol=1e-6)
+        assert np.allclose(p, [1.0 - 0.01, -1.0 + 0.01, 0.5 - 0.01], atol=1e-6)
 
     def test_zero_gradient_keeps_parameters(self):
-        p = [np.array([2.0, 3.0])]
+        p = np.array([2.0, 3.0])
         st = nn.adam_init(p, lr=0.1)
-        nn.adam_step(p, [np.zeros(2)], st)
-        assert np.array_equal(p[0], [2.0, 3.0])
+        nn.adam_step(p, np.zeros(2), st)
+        assert np.array_equal(p, [2.0, 3.0])
         assert st.step == 1
 
     def test_two_steps_match_hand_computation(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         st = nn.adam_init(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
         m = v = 0.0
         x = 1.0
         for t, grad in enumerate([0.5, -0.25], start=1):
-            nn.adam_step(p, [np.array([grad])], st)
+            nn.adam_step(p, np.array([grad]), st)
             m = b1 * m + (1 - b1) * grad
             v = b2 * v + (1 - b2) * grad * grad
             mh = m / (1 - b1 ** t)
             vh = v / (1 - b2 ** t)
             x -= lr * mh / (np.sqrt(vh) + eps)
-        assert np.allclose(p[0], [x], atol=1e-14)
+        assert np.allclose(p, [x], atol=1e-14)
 
     def test_invalid_learning_rate_rejected(self):
         with pytest.raises(ValueError):
-            nn.adam_init([np.zeros(1)], lr=-0.1)
+            nn.adam_init(np.zeros(1), lr=-0.1)
+
+    def test_mismatched_gradient_shape_rejected(self):
+        p = np.zeros(3)
+        st = nn.adam_init(p)
+        with pytest.raises(nn.ShapeMismatch):
+            nn.adam_step(p, np.zeros(2), st)

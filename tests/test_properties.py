@@ -1,6 +1,7 @@
 """Property tests of the file formats, the config, the point parser, closest approach
 and the convolution pair against their oracles: round trips, the per-point rule, a
-scalar loop, the adjoint identity and a tap-by-tap scatter."""
+scalar loop, the adjoint identity, each direction through the other layer and a
+tap-by-tap scatter."""
 
 import csv
 import functools
@@ -356,22 +357,19 @@ def test_any_resigned_model_body_loads_or_is_a_format_error(workdir, data):
 
 @st.composite
 def conv_geometries(draw):
-    """(kernel, stride, c_in, c_out, padding, n_in, batch); valid padding needs n_in >= kernel."""
-    k = draw(st.integers(1, 8))
-    padding = draw(st.sampled_from(["same", "valid"]))
-    n_in = draw(st.integers(k if padding == "valid" else 1, 40))
-    return (k, draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 6)),
-            padding, n_in, draw(st.integers(1, 3)))
+    """(kernel, stride, c_in, c_out, n_in, batch)."""
+    return (draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(1, 6)),
+            draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 3)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(conv_geometries(), st.integers(0, 2**32 - 1))
 def test_conv_and_transpose_are_adjoint_for_any_geometry(geometry, seed):
-    k, stride, c_in, c_out, padding, n_in, batch = geometry
+    k, stride, c_in, c_out, n_in, batch = geometry
     rng = np.random.default_rng(seed)
-    conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, padding)
+    conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out)
     conv.b[:] = 0.0
-    tr = nn.ConvTranspose1DLayer(k, stride, c_out, c_in, padding,
+    tr = nn.ConvTranspose1DLayer(k, stride, c_out, c_in,
                                  w=np.ascontiguousarray(np.swapaxes(conv.w, 1, 2)),
                                  b=np.zeros(c_in))
     x = rng.normal(size=(batch, n_in, c_in))
@@ -382,6 +380,29 @@ def test_conv_and_transpose_are_adjoint_for_any_geometry(geometry, seed):
     lhs = float(np.sum(y * cot))
     rhs = float(np.sum(x[:, :n, :] * back[:, :n, :]))
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(conv_geometries(), st.integers(0, 2**32 - 1))
+@example((2, 5, 3, 2, 19, 2), 0)   # s > k: the padded long side reaches past the last tap
+@example((1, 2, 2, 3, 9, 1), 1)    # k = 1
+def test_each_layers_backward_is_the_other_layers_forward(geometry, seed):
+    """The two directions are one geometry: with the weights shared, a layer's input
+    gradient is the other layer's forward of its grad_out."""
+    k, stride, c_in, c_out, n_in, batch = geometry
+    rng = np.random.default_rng(seed)
+    conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out)
+    conv.b[:] = 0.0
+    tr = nn.ConvTranspose1DLayer(k, stride, c_out, c_in,
+                                 w=np.ascontiguousarray(np.swapaxes(conv.w, 1, 2)),
+                                 b=np.zeros(c_in))
+    x = rng.normal(size=(batch, n_in, c_in))
+    grad_short = rng.normal(size=(batch, conv.out_length(n_in), c_out))
+    grad_x = conv.backward(x, grad_short)[0]
+    assert np.max(np.abs(grad_x - tr.forward(grad_short)[:, :n_in])) < 1e-12
+    grad_long = rng.normal(size=(batch, tr.out_length(grad_short.shape[1]), c_in))
+    grad_h = tr.backward(grad_short, grad_long)[0]
+    assert np.max(np.abs(grad_h - conv.forward(grad_long))) < 1e-12
 
 
 def per_tap_fold(cols, k, s, length):

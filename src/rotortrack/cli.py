@@ -3,13 +3,14 @@
 Each stage reads files, calls the library's stage functions and writes files,
 so any stage can be rerun in isolation.  Every artifact is written to a
 temporary name and renamed into place once complete, and all outputs are
-byte-for-byte deterministic for a fixed config and seed; wall-clock
-timestamps appear only in the optional log file.
+byte-for-byte deterministic for a fixed config, seed and BLAS thread count;
+wall-clock timestamps appear only in the optional log file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -455,30 +456,37 @@ _COMMANDS = {
 }
 
 
-def _setup_logging(log_file: Optional[str]) -> None:
-    log.setLevel(logging.INFO)
-    log.handlers.clear()
-    stderr = logging.StreamHandler(sys.stderr)
-    stderr.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    log.addHandler(stderr)
+@contextlib.contextmanager
+def _logging_to(log_file: Optional[str]):
+    """Log to stderr, and to log_file when given, until the block ends; then detach and close."""
+    handlers = [logging.StreamHandler(sys.stderr)]
+    handlers[0].setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     if log_file:
-        fh = logging.FileHandler(log_file)
-        fh.setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-        log.addHandler(fh)
+        handlers.append(logging.FileHandler(log_file))
+        handlers[1].setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
+    log.setLevel(logging.INFO)
+    for handler in handlers:
+        log.addHandler(handler)
+    try:
+        yield
+    finally:
+        for handler in handlers:
+            log.removeHandler(handler)
+            handler.close()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    _setup_logging(args.log_file)
-    try:
-        cfg = load_config(args.config)
-        paths = Paths(cfg, args.out_dir)
-        paths.out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](args, cfg, paths)
-    except (CliError, td.TrackDataError, ae.AutoencoderError, idf.IdentifyError,
-            sg.ScenarioError, vl.ValidationError, OSError, ValueError, csv.Error) as e:
-        log.error("%s", e)
-        return 1
+    with _logging_to(args.log_file):
+        try:
+            cfg = load_config(args.config)
+            paths = Paths(cfg, args.out_dir)
+            paths.out_dir.mkdir(parents=True, exist_ok=True)
+            _COMMANDS[args.command](args, cfg, paths)
+        except (CliError, td.TrackDataError, ae.AutoencoderError, idf.IdentifyError,
+                sg.ScenarioError, vl.ValidationError, OSError, ValueError, csv.Error) as e:
+            log.error("%s", e)
+            return 1
     return 0
 
 

@@ -59,6 +59,9 @@ _HELI_MIN_THRESHOLD_NM = 0.85
 # generated helicopter.
 _PAD_SITE = (62.0, 1.35)
 _HELI_START_NM = (3.4, 4.2)
+_HELI_START_BEARING_DEG = (-12.0, 12.0)   # the start's bearing from the pad, less the pad's
+_HELI_SPEED_KT = (58.0, 88.0)
+_HELI_WANDER_DEG = (0.02, 0.3)            # per-second heading noise of the flown path
 _HELI_AGL0_FT = (800.0, 1100.0)
 _HELI_ALT_NOISE_FT = (6.0, 14.0)
 _HELI_GS_NOISE_KT = (0.6, 1.4)
@@ -68,7 +71,15 @@ _HELI_CRS_NOISE_DEG = (2.0, 3.2)
 _HELI_ROUGH_FRACTION = 0.2
 _HELI_ROUGH_MULT = 4.0
 
-_CLASS_CODES = {CLASS_HELICOPTER: 1, CLASS_GA: 2, CLASS_COMMERCIAL: 3}
+# Fixed-wing sampling ranges, and each class's per-second heading noise on final.
+_GA_SPEED_KT = (65.0, 125.0)
+_GA_DESCENT_FPM = (400.0, 800.0)
+_GA_TURN_DEG_S = (2.0, 3.5)
+_GA_HEADING_NOISE_DEG = 6.0 * 0.12
+_COMMERCIAL_SPEED_KT = (130.0, 175.0)
+_COMMERCIAL_DESCENT_FPM = (600.0, 900.0)
+_COMMERCIAL_HEADING_NOISE_DEG = 1.5 * 0.08
+
 # Domain tag for the per-track seed sequences, so scenario streams never
 # collide with other consumers of the same user seed.
 _STREAM_DOMAIN = 10
@@ -97,32 +108,11 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClassBands:
-    """Kinematic sampling ranges for one traffic class."""
-
-    speed_kt: tuple[float, float]
-    descent_fpm: tuple[float, float]
-    turn_deg_s: tuple[float, float]
-    align_noise_deg: float
-
-    def __post_init__(self):
-        for lo, hi in (self.speed_kt, self.descent_fpm, self.turn_deg_s):
-            if not (0 <= lo <= hi):
-                raise ScenarioError(f"band ({lo}, {hi}) must satisfy 0 <= lo <= hi")
-        if self.align_noise_deg < 0:
-            raise ScenarioError("align_noise_deg must be >= 0")
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     seed: int
     n_helicopter: int
     n_ga: int
     n_commercial: int
-    runway: Runway = DEFAULT_RUNWAY
-    heli: ClassBands = ClassBands((58.0, 88.0), (250.0, 600.0), (0.02, 0.3), 12.0)
-    ga: ClassBands = ClassBands((65.0, 125.0), (400.0, 800.0), (2.0, 3.5), 6.0)
-    commercial: ClassBands = ClassBands((130.0, 175.0), (600.0, 900.0), (0.5, 1.5), 1.5)
 
     def __post_init__(self):
         if min(self.n_helicopter, self.n_ga, self.n_commercial) < 0:
@@ -167,12 +157,12 @@ class _Sample:
     gs: float
 
 
-def _to_track(samples: list[_Sample], track_id: str, t0: float, runway: Runway,
-              identity: dict) -> Track:
+def _to_track(samples: list[_Sample], track_id: str, t0: float, identity: dict) -> Track:
+    rw = DEFAULT_RUNWAY
     points = []
     for i, s in enumerate(samples):
-        lat, lon = _en_to_latlon(s.east, s.north, runway)
-        points.append((t0 + float(i), lat, lon, max(runway.threshold_elev, s.alt),
+        lat, lon = _en_to_latlon(s.east, s.north, rw)
+        points.append((t0 + float(i), lat, lon, max(rw.threshold_elev, s.alt),
                        s.heading % 360.0, max(0.0, s.gs)))
     return Track(track_id=track_id, points=points, **identity)
 
@@ -181,15 +171,33 @@ def _distances_nm(samples: list[_Sample]) -> list[float]:
     return [math.hypot(s.east, s.north) / NM_TO_M for s in samples]
 
 
-def _fly_commercial(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Sample]:
-    rw = spec.runway
+def _advance(pos: list[float], heading: float, v: float) -> None:
+    """Move pos (east, north in meters) one second along heading at v knots."""
+    step = v * KT_TO_MPS
+    ue, un = _unit(heading)
+    pos[0] += step * ue
+    pos[1] += step * un
+
+
+def _roll_out(samples: list[_Sample], pos: list[float], seconds: int, decel_kt: float,
+              floor_kt: float) -> None:
+    """Append a ground roll down the centerline, slowing by decel_kt a second to floor_kt."""
+    rw = DEFAULT_RUNWAY
+    v = samples[-1].gs
+    for i in range(seconds):
+        gs = max(floor_kt, v - decel_kt * (i + 1))
+        _advance(pos, rw.centerline_course, gs)
+        samples.append(_Sample(pos[0], pos[1], rw.threshold_elev, rw.centerline_course, gs))
+
+
+def _fly_commercial(rng: np.random.Generator) -> list[_Sample]:
+    rw = DEFAULT_RUNWAY
     theta = rw.centerline_course
     d0 = rng.uniform(8.0, 11.0)
-    v0 = rng.uniform(*spec.commercial.speed_kt)
-    fpm = rng.uniform(*spec.commercial.descent_fpm)
+    v0 = rng.uniform(*_COMMERCIAL_SPEED_KT)
+    fpm = rng.uniform(*_COMMERCIAL_DESCENT_FPM)
     glide = math.atan2(fpm, v0 * 101.269)
     cross0 = rng.normal(0.0, 120.0)          # meters; decays as the final stabilizes
-    noise = spec.commercial.align_noise_deg
 
     de, dn = _unit(theta)
     pos = [-d0 * NM_TO_M * de - cross0 * dn, -d0 * NM_TO_M * dn + cross0 * de]
@@ -202,38 +210,27 @@ def _fly_commercial(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Sampl
         alt = rw.threshold_elev + math.tan(glide) * dist_m / FT_TO_M + rng.normal(0.0, 8.0)
         samples.append(_Sample(pos[0], pos[1], alt, heading, v + rng.normal(0.0, 1.0)))
         desired = _bearing((pos[0], pos[1]), (0.0, 0.0))
-        heading = _steer(heading, desired, 2.0) + rng.normal(0.0, noise * 0.08)
-        step = v * KT_TO_MPS
-        ue, un = _unit(heading)
-        pos[0] += step * ue
-        pos[1] += step * un
+        heading = _steer(heading, desired, 2.0) + rng.normal(0.0, _COMMERCIAL_HEADING_NOISE_DEG)
+        _advance(pos, heading, v)
         along, _ = _along_cross_nm(pos[0], pos[1], rw)
         if along >= 0.0:
             break
-    # ground roll past the threshold
-    v = samples[-1].gs
-    for i in range(6):
-        step = max(25.0, v - 20.0 * (i + 1)) * KT_TO_MPS
-        pos[0] += step * de
-        pos[1] += step * dn
-        samples.append(_Sample(pos[0], pos[1], rw.threshold_elev, theta,
-                               max(25.0, v - 20.0 * (i + 1))))
+    _roll_out(samples, pos, seconds=6, decel_kt=20.0, floor_kt=25.0)
     return samples
 
 
-def _fly_ga(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Sample]:
-    rw = spec.runway
+def _fly_ga(rng: np.random.Generator) -> list[_Sample]:
+    rw = DEFAULT_RUNWAY
     theta = rw.centerline_course
     final_d = rng.uniform(3.0, 5.5)
     entry_d = rng.uniform(1.5, 3.0)
     side = 1.0 if rng.random() < 0.5 else -1.0
     entry_ang = side * rng.uniform(25.0, 70.0)
-    v0 = rng.uniform(*spec.ga.speed_kt)
-    fpm = rng.uniform(*spec.ga.descent_fpm)
+    v0 = rng.uniform(*_GA_SPEED_KT)
+    fpm = rng.uniform(*_GA_DESCENT_FPM)
     glide = math.atan2(fpm, 0.8 * v0 * 101.269)
     pattern_agl = rng.uniform(800.0, 1200.0)
-    max_turn = rng.uniform(*spec.ga.turn_deg_s)
-    noise = spec.ga.align_noise_deg
+    max_turn = rng.uniform(*_GA_TURN_DEG_S)
 
     de, dn = _unit(theta)
     turn_pt = (-final_d * NM_TO_M * de, -final_d * NM_TO_M * dn)
@@ -253,40 +250,30 @@ def _fly_ga(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Sample]:
         samples.append(_Sample(pos[0], pos[1], alt, heading, v + rng.normal(0.0, 1.2)))
         target = (0.0, 0.0) if on_final else turn_pt
         desired = _bearing((pos[0], pos[1]), target)
-        heading = _steer(heading, desired, max_turn) + rng.normal(0.0, noise * 0.12)
-        step = v * KT_TO_MPS
-        se, sn = _unit(heading)
-        pos[0] += step * se
-        pos[1] += step * sn
+        heading = _steer(heading, desired, max_turn) + rng.normal(0.0, _GA_HEADING_NOISE_DEG)
+        _advance(pos, heading, v)
         along, _ = _along_cross_nm(pos[0], pos[1], rw)
         if along >= 0.0:
             break
-    v = samples[-1].gs
-    for i in range(4):
-        step = max(15.0, v - 15.0 * (i + 1)) * KT_TO_MPS
-        pos[0] += step * de
-        pos[1] += step * dn
-        samples.append(_Sample(pos[0], pos[1], rw.threshold_elev, theta,
-                               max(15.0, v - 15.0 * (i + 1))))
+    _roll_out(samples, pos, seconds=4, decel_kt=15.0, floor_kt=15.0)
     return samples
 
 
-def _fly_helicopter(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Sample]:
-    rw = spec.runway
-    theta = rw.centerline_course
+def _fly_helicopter(rng: np.random.Generator) -> list[_Sample]:
+    rw = DEFAULT_RUNWAY
     off, pad_r = _PAD_SITE
-    pad_bearing = (theta + off) % 360.0
+    pad_bearing = (rw.centerline_course + off) % 360.0
     pe, pn = _unit(pad_bearing)
     pad = (pad_r * NM_TO_M * pe, pad_r * NM_TO_M * pn)
 
-    start_brg = (pad_bearing + rng.uniform(-spec.heli.align_noise_deg, spec.heli.align_noise_deg)) % 360.0
+    start_brg = (pad_bearing + rng.uniform(*_HELI_START_BEARING_DEG)) % 360.0
     d_start = rng.uniform(*_HELI_START_NM)
     se, sn = _unit(start_brg)
     pos = [pad[0] + d_start * NM_TO_M * se, pad[1] + d_start * NM_TO_M * sn]
 
-    v0 = rng.uniform(*spec.heli.speed_kt)
+    v0 = rng.uniform(*_HELI_SPEED_KT)
     agl0 = rng.uniform(*_HELI_AGL0_FT)
-    wander = rng.uniform(*spec.heli.turn_deg_s)
+    wander = rng.uniform(*_HELI_WANDER_DEG)
     # per-aircraft sensor/airmass noise scales; observation noise only, so the
     # flown geometry (and the corridor guarantees) are unaffected
     s_alt = rng.uniform(*_HELI_ALT_NOISE_FT)
@@ -311,10 +298,7 @@ def _fly_helicopter(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Sampl
                                v + rng.normal(0.0, s_gs)))
         desired = _bearing((pos[0], pos[1]), pad)
         heading = _steer(heading, desired, 6.0) + rng.normal(0.0, wander)
-        step = v * KT_TO_MPS
-        ue, un = _unit(heading)
-        pos[0] += step * ue
-        pos[1] += step * un
+        _advance(pos, heading, v)
     # flare and set down on the pad
     for i in range(6):
         samples.append(_Sample(pos[0] + rng.normal(0.0, 2.0), pos[1] + rng.normal(0.0, 2.0),
@@ -323,13 +307,13 @@ def _fly_helicopter(rng: np.random.Generator, spec: ScenarioSpec) -> list[_Sampl
     return samples
 
 
-def _heli_geometry_ok(samples: list[_Sample], runway: Runway) -> bool:
+def _heli_geometry_ok(samples: list[_Sample]) -> bool:
     dists = _distances_nm(samples)
     if min(dists) < _HELI_MIN_THRESHOLD_NM:
         return False
     lo, hi = _CORRIDOR_ALONG_NM
     for s in samples:
-        along, cross = _along_cross_nm(s.east, s.north, runway)
+        along, cross = _along_cross_nm(s.east, s.north, DEFAULT_RUNWAY)
         if lo < along < hi and abs(cross) * NM_TO_M / FT_TO_M < _CORRIDOR_HALF_WIDTH_FT:
             return False
     return True
@@ -411,10 +395,11 @@ class Scenario:
     heli_types: frozenset = frozenset(d for _, _, d in HELI_CATALOG)
 
 
-_FLIERS = {
-    CLASS_HELICOPTER: (_fly_helicopter, HELI_CATALOG, "H"),
-    CLASS_GA: (_fly_ga, GA_CATALOG, "G"),
-    CLASS_COMMERCIAL: (_fly_commercial, COMMERCIAL_CATALOG, "C"),
+# class -> (RNG stream code, flier, registration catalog, track-id prefix)
+_CLASSES = {
+    CLASS_HELICOPTER: (1, _fly_helicopter, HELI_CATALOG, "H"),
+    CLASS_GA: (2, _fly_ga, GA_CATALOG, "G"),
+    CLASS_COMMERCIAL: (3, _fly_commercial, COMMERCIAL_CATALOG, "C"),
 }
 
 
@@ -427,15 +412,15 @@ def generate(spec: ScenarioSpec) -> Scenario:
               (CLASS_COMMERCIAL, spec.n_commercial))
     global_idx = 0
     for cls, n in counts:
-        fly, catalog, prefix = _FLIERS[cls]
+        code, fly, catalog, prefix = _CLASSES[cls]
         for i in range(n):
-            rng = np.random.default_rng([spec.seed, _STREAM_DOMAIN, _CLASS_CODES[cls], i])
+            rng = np.random.default_rng([spec.seed, _STREAM_DOMAIN, code, i])
             samples = None
             for _ in range(60):
-                candidate = fly(rng, spec)
+                candidate = fly(rng)
                 if not _track_shape_ok(candidate):
                     continue
-                if cls == CLASS_HELICOPTER and not _heli_geometry_ok(candidate, spec.runway):
+                if cls == CLASS_HELICOPTER and not _heli_geometry_ok(candidate):
                     continue
                 samples = candidate
                 break
@@ -444,9 +429,9 @@ def generate(spec: ScenarioSpec) -> Scenario:
             track_id = f"{prefix}{i:04d}"
             identity, reg = _identity(rng, cls, global_idx, catalog)
             t0 = 1_700_000_000.0 + 3600.0 * global_idx
-            tracks.append(_to_track(samples, track_id, t0, spec.runway, identity))
+            tracks.append(_to_track(samples, track_id, t0, identity))
             labels.append((track_id, cls))
             if reg is not None:
                 registration.append(reg)
             global_idx += 1
-    return Scenario(tracks=tracks, labels=labels, registration=registration, runway=spec.runway)
+    return Scenario(tracks=tracks, labels=labels, registration=registration)

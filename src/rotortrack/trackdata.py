@@ -466,13 +466,20 @@ def normalize(raw_window: np.ndarray, stats: NormStats, source_track_id: str,
 # label, runway and registration tables
 
 def _csv_rows(fh, fields: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
-    """(line number where it ends, row) per record of a CSV whose header must be fields."""
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(fields):
-        raise MalformedRecord(fh.name, 1, f"{what} header must be {','.join(fields)}")
-    reader.fieldnames = list(fields)   # rows keyed by the names, not by a space-padded header
-    for row in reader:
-        yield reader.line_num, row
+    """(line number where it ends, row keyed by fields) per record of a CSV whose header
+    must be fields; a row of another length or a csv.Error is a MalformedRecord."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != list(fields):
+            raise MalformedRecord(fh.name, 1, f"{what} header must be {','.join(fields)}")
+        for row in filter(None, reader):   # skips blank lines
+            if len(row) != len(fields):
+                raise MalformedRecord(fh.name, reader.line_num,
+                                      f"expected {len(fields)} fields, got {len(row)}")
+            yield reader.line_num, dict(zip(fields, row))
+    except csv.Error as e:
+        raise MalformedRecord(fh.name, reader.line_num, str(e)) from None
 
 
 # The header of each input table: the labels' columns, and the fields of Runway and RegistrationRecord
@@ -510,12 +517,12 @@ def load_runways(path) -> dict[str, Runway]:
     runways: dict[str, Runway] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row_no, row in _csv_rows(fh, RUNWAY_FIELDS, "runway"):
-            rid = (row.get("runway_id") or "").strip()
+            rid = row["runway_id"].strip()
             if not rid:
                 raise MalformedRecord(path, row_no, "empty runway_id")
             try:
                 rw = Runway(rid, *(float(row[f]) for f in RUNWAY_FIELDS[1:]))
-            except (TypeError, ValueError):
+            except ValueError:
                 raise MalformedRecord(path, row_no, "non-numeric runway geometry") from None
             for name, (low, high, rule) in _RUNWAY_RULES.items():
                 if not low <= (value := getattr(rw, name)) <= high:
@@ -551,21 +558,21 @@ def load_registration(path) -> RegistrationTable:
     table = RegistrationTable(records=[])
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row_no, row in _csv_rows(fh, REGISTRATION_FIELDS, "registration"):
-            n_number = (row.get("n_number") or "").strip().upper()
+            n_number = row["n_number"].strip().upper()
             if not n_number:
                 raise MalformedRecord(path, row_no, "empty n_number")
-            raw_class = (row.get("aircraft_class") or "").strip()
+            raw_class = row["aircraft_class"].strip()
             try:
                 ac_class = AircraftClass(raw_class)
             except ValueError:
                 raise MalformedRecord(path, row_no, f"unknown aircraft_class {raw_class!r}") from None
             rec = RegistrationRecord(
                 n_number=n_number,
-                mode_s_code=(row.get("mode_s_code") or "").strip().upper() or None,
-                model=(row.get("model") or "").strip() or None,
-                manufacturer=(row.get("manufacturer") or "").strip() or None,
+                mode_s_code=row["mode_s_code"].strip().upper() or None,
+                model=row["model"].strip() or None,
+                manufacturer=row["manufacturer"].strip() or None,
                 aircraft_class=ac_class,
-                type_designator=(row.get("type_designator") or "").strip().upper() or None,
+                type_designator=row["type_designator"].strip().upper() or None,
             )
             table.records.append(rec)
             for index, key, name in ((table.by_tail, n_number, "n_number"),

@@ -4,7 +4,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,20 @@ class TestCliBehavior:
         assert run("--out-dir", str(tmp_path), "--config", str(small),
                    "--log-file", str(log_path), "synth") == 0
         assert "tracks" in log_path.read_text()
+
+    def test_each_run_closes_and_detaches_its_log_handlers(self, tmp_path, monkeypatch):
+        small = tmp_path / "cfg.json"
+        small.write_text(json.dumps({"synth": {"helicopters": 1, "ga": 0, "commercial": 0}}))
+        opened = []
+        file_handler = logging.FileHandler
+        monkeypatch.setattr(logging, "FileHandler",
+                            lambda path: opened.append(file_handler(path)) or opened[-1])
+        for name in ("first.log", "second.log"):
+            assert run("--out-dir", str(tmp_path), "--config", str(small),
+                       "--log-file", str(tmp_path / name), "synth") == 0
+        assert [Path(h.baseFilename).name for h in opened] == ["first.log", "second.log"]
+        assert all(h.stream is None for h in opened)   # FileHandler.close drops its stream
+        assert not logging.getLogger("rotortrack").handlers
 
     def test_unwindowable_track_gets_an_unclassifiable_row(self, pipeline, tmp_path):
         work = tmp_path / "short"

@@ -71,10 +71,6 @@ class TestShape:
         with pytest.raises(sg.ScenarioError):
             sg.ScenarioSpec(seed=1, n_helicopter=-1, n_ga=0, n_commercial=0)
 
-    def test_bad_class_band_rejected(self):
-        with pytest.raises(sg.ScenarioError):
-            sg.ClassBands((90.0, 60.0), (250.0, 600.0), (0.1, 0.2), 5.0)
-
 
 class TestHelicopterGeometry:
     def test_keeps_clear_of_the_threshold_ring(self, scenario):

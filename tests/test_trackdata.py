@@ -1,5 +1,6 @@
 """Track file parsing, geometry, windowing, features, and table loaders."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -251,7 +252,7 @@ class TestLabels:
     @pytest.mark.parametrize("rows, line, reason", [
         ("H1,helicopter\nH1,ga\n", 3, "duplicate track_id 'H1'"),
         ("H1,helicopter\nH2,helicoptr\n", 3, "unknown class 'helicoptr'"),
-        ("H1,helicopter\nH2\n", 3, "unknown class None"),
+        ("H1,helicopter\nH2\n", 3, "expected 2 fields, got 1"),
         ("H1,helicopter\n\nG1,ga\nH1,ga\n", 5, "duplicate track_id 'H1'"),
         ('"H\n1",helicopter\nG1,ga\n"H\n1",ga\n', 6, "duplicate track_id 'H\\n1'"),
     ], ids=["repeated_track_id", "misspelt_class", "missing_class", "repeated_after_blank_line",
@@ -506,3 +507,41 @@ class TestRegistrationTable:
         p.write_text(REGISTRATION_CSV + "N9,B00002,X,Y,BALLOON,\n")
         with pytest.raises(td.MalformedRecord):
             td.load_registration(p)
+
+
+# Each input table: its loader, a valid file, and a valid row to append to it
+TABLES = {
+    "labels": (td.load_labels, "track_id,class\nH1,helicopter\n", "X1,ga"),
+    "runways": (td.load_runways, RUNWAY_CSV, "KXYZ-36,40.0,-86.0,600.0,180.0,8000.0"),
+    "registration": (td.load_registration, REGISTRATION_CSV, "N9,B00009,X,Y,ROTORCRAFT,R44"),
+}
+
+
+class TestTableRows:
+    """What every table loader refuses, as a MalformedRecord naming the file and the line."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_field_past_the_csv_limit_is_named(self, tmp_path, table):
+        load, text, row = TABLES[table]
+        p = tmp_path / f"{table}.csv"
+        p.write_text(text + "x" * (csv.field_size_limit() + 1) + row[row.index(","):] + "\n")
+        line = text.count("\n") + 1
+        with pytest.raises(td.MalformedRecord, match=re.escape(
+                f"{table}.csv line {line}: field larger than field limit")):
+            load(p)
+
+    @pytest.mark.parametrize("table, edit, got", [
+        ("labels", lambda row: row + ",extra", 3),
+        ("runways", lambda row: row + ",9", 7),
+        ("registration", lambda row: row.rsplit(",", 1)[0], 5),
+    ], ids=["labels_extra_field", "runways_extra_field", "registration_missing_field"])
+    def test_row_of_another_length_is_refused(self, tmp_path, table, edit, got):
+        load, text, row = TABLES[table]
+        p = tmp_path / f"{table}.csv"
+        p.write_text(text + row + "\n")
+        load(p)
+        p.write_text(text + edit(row) + "\n")
+        line = text.count("\n") + 1
+        with pytest.raises(td.MalformedRecord, match=re.escape(
+                f"{table}.csv line {line}: expected {row.count(',') + 1} fields, got {got}")):
+            load(p)

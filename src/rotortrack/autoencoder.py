@@ -172,9 +172,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     validation_fraction: float = 0.2
     patience: int = 20
     seed: int = 7
@@ -305,8 +302,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
     layers = [stage.layer for stage in model.stages]
     flat = nn.flatten(layers)
     ws = nn.Workspace(layers)
-    state = nn.adam_init(flat, lr=config.learning_rate, beta1=config.beta1,
-                         beta2=config.beta2, eps=config.eps)
+    state = nn.adam_init(flat, lr=config.learning_rate)
 
     history: list[EpochStats] = []
     best_val = np.inf

@@ -53,7 +53,6 @@ DEFAULT_CONFIG: dict = {
         "report": "report.txt",
     },
     "synth": {"seed": 7, "helicopters": 100, "ga": 100, "commercial": 100},
-    "histogram_bins": 30,
 }
 
 # Config sections that build a library object, whose field defaults are the
@@ -98,7 +97,7 @@ def _checked(value, default, name: str):
 
 
 def load_config(path: Optional[str]) -> dict:
-    """The checked config: paths, synth and histogram_bins as plain values, the rest built.
+    """The checked config: paths and synth as plain values, the rest built.
 
     A config file sets any subset of the keys.  An unknown key, a value of the
     wrong JSON kind or one the library rejects is a CliError naming the key.
@@ -184,8 +183,8 @@ def _write_records(path: Path, fields: Sequence[str], records) -> None:
 # --------------------------------------------------------------------------
 # shared stage helpers
 
-def _load_tracks(paths: Paths, strict: bool) -> list[td.Track]:
-    result = td.load_tracks(paths.input("tracks"), strict=strict)
+def _load_tracks(paths: Paths) -> list[td.Track]:
+    result = td.load_tracks(paths.input("tracks"))
     for line_no, reason in result.rejects:
         log.warning("tracks line %d rejected: %s", line_no, reason)
     if not result.tracks:
@@ -193,10 +192,10 @@ def _load_tracks(paths: Paths, strict: bool) -> list[td.Track]:
     return result.tracks
 
 
-def _per_helicopter(paths: Paths, strict: bool, stage: str,
+def _per_helicopter(paths: Paths, stage: str,
                     fn: Callable[[td.Track, td.Runway], object]) -> dict[str, object]:
     """td.per_helicopter over the input files, each skipped track logged naming the stage."""
-    out, skipped = td.per_helicopter(_load_tracks(paths, strict),
+    out, skipped = td.per_helicopter(_load_tracks(paths),
                                      td.load_labels(paths.input("labels")),
                                      td.load_runways(paths.input("runways")), fn)
     for track_id, e in skipped:
@@ -257,7 +256,7 @@ def cmd_synth(args, cfg: dict, paths: Paths) -> None:
 
 
 def cmd_train(args, cfg: dict, paths: Paths) -> None:
-    raw = _per_helicopter(paths, args.strict, "training", td.arrival_features)
+    raw = _per_helicopter(paths, "training", td.arrival_features)
     log.info("training on %d helicopter windows", len(raw))
     stats = td.fit_norm_stats(list(raw.values()))
     windows = [td.normalize(r, stats, i, td.CLASS_HELICOPTER) for i, r in raw.items()]
@@ -274,7 +273,7 @@ def cmd_train(args, cfg: dict, paths: Paths) -> None:
 
 def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
     model = ae.load(paths.input("model"))
-    maes = list(_per_helicopter(paths, args.strict, "calibration", lambda track, runway:
+    maes = list(_per_helicopter(paths, "calibration", lambda track, runway:
                                 idf.window_mae(model, track, runway)).values())
     percentile = args.percentile if args.percentile is not None else cfg["thresholds"].percentile
     delta = idf.calibrate(maes, percentile)
@@ -282,12 +281,12 @@ def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
              delta, percentile, len(maes))
     thresholds = dataclasses.replace(cfg["thresholds"], mae_threshold=delta, percentile=percentile)
     _write_text(paths.thresholds, json.dumps(dataclasses.asdict(thresholds), indent=2) + "\n")
-    bins = idf.histogram_report(maes, cfg["histogram_bins"])
+    bins = idf.histogram_report(maes)
     _write_csv(paths.histogram,
                [["bin_lo", "bin_hi", "count"]] + [dataclasses.astuple(b) for b in bins])
 
 
-RESULTS_HEADER = ["track_id", "mae", "runway_score", "pred_is_helicopter", "reasons"]
+RESULTS_HEADER = ("track_id", "mae", "runway_score", "pred_is_helicopter", "reasons")
 VALIDATION_FIELDS = tuple(f.name for f in dataclasses.fields(vl.ValidationRecord))
 PSEUDO_TYPE_FIELDS = ("track_id", "declared_type", "model", "manufacturer", "type_designator")
 
@@ -303,7 +302,7 @@ def _result_row(outcome) -> list:
 def cmd_classify(args, cfg: dict, paths: Paths) -> None:
     model = ae.load(paths.input("model"))
     thresholds = _read_thresholds(paths)
-    tracks = _load_tracks(paths, args.strict)
+    tracks = _load_tracks(paths)
     runways = td.load_runways(paths.input("runways"))
     outcomes = idf.classify_tracks(model, thresholds, tracks, runways, cfg["runway_score"])
     results = [o for o in outcomes if isinstance(o, idf.ClassificationResult)]
@@ -323,20 +322,15 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     """Parse results.csv back into results plus {track_id: reason} of the unclassifiable rows.
 
     A row of the wrong length, with a value of the wrong kind, a non-finite
-    number or a repeated track_id is a CliError naming the file and the line.
+    number or a repeated track_id is a td.MalformedRecord naming the file and the line.
     """
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != RESULTS_HEADER:
-                raise CliError(f"results file {path} must have header {','.join(RESULTS_HEADER)}")
-            for row in filter(None, reader):   # skips blank lines
-                if len(row) != len(RESULTS_HEADER):
-                    raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(row)}")
-                track_id, mae, score, pred, reasons = row
+        for line_no, row in td.csv_rows(fh, RESULTS_HEADER, "results"):
+            track_id, mae, score, pred, reasons = row.values()
+            try:
                 if track_id in seen:
                     raise ValueError(f"duplicate track_id {track_id!r}")
                 seen.add(track_id)
@@ -348,14 +342,14 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
                     results.append(idf.ClassificationResult(
                         track_id, _finite("mae", mae), _finite("runway_score", score),
                         pred == "true", tuple(r for r in reasons.split(";") if r)))
-        except (csv.Error, ValueError) as e:
-            raise CliError(f"{path} line {reader.line_num}: {e}") from None
+            except ValueError as e:
+                raise td.MalformedRecord(path, line_no, str(e)) from None
     return results, unclassifiable
 
 
 def cmd_validate(args, cfg: dict, paths: Paths) -> None:
     results, unclassifiable = read_results(paths.input("results"))
-    tracks = _load_tracks(paths, args.strict)
+    tracks = _load_tracks(paths)
     table = td.load_registration(paths.input("registration"))
     for msg in table.duplicates:
         log.warning("registration: %s", msg)
@@ -427,8 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Identify helicopter arrival tracks with a convolutional autoencoder.")
     parser.add_argument("--config", help="JSON config file; defaults are used when omitted")
     parser.add_argument("--seed", type=int, help="override the scenario seed (synth)")
-    parser.add_argument("--strict", action="store_true",
-                        help="abort on the first malformed track line instead of skipping")
     parser.add_argument("--out-dir", help="directory for artifacts (default from config)")
     parser.add_argument("--log-file", help="append timestamped logs to this file")
 
@@ -457,28 +449,27 @@ _COMMANDS = {
 
 
 @contextlib.contextmanager
-def _logging_to(log_file: Optional[str]):
-    """Log to stderr, and to log_file when given, until the block ends; then detach and close."""
-    handlers = [logging.StreamHandler(sys.stderr)]
-    handlers[0].setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    if log_file:
-        handlers.append(logging.FileHandler(log_file))
-        handlers[1].setFormatter(logging.Formatter("%(asctime)s %(levelname)s %(message)s"))
-    log.setLevel(logging.INFO)
-    for handler in handlers:
-        log.addHandler(handler)
+def _attached(handler: logging.Handler, fmt: str):
+    """Attach handler to the rotortrack logger until the block ends; then detach and close it."""
+    handler.setFormatter(logging.Formatter(fmt))
+    log.addHandler(handler)
     try:
         yield
     finally:
-        for handler in handlers:
-            log.removeHandler(handler)
-            handler.close()
+        log.removeHandler(handler)
+        handler.close()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    with _logging_to(args.log_file):
+    log.setLevel(logging.INFO)
+    with contextlib.ExitStack() as handlers:
+        handlers.enter_context(_attached(logging.StreamHandler(sys.stderr),
+                                         "%(levelname)s %(message)s"))
         try:
+            if args.log_file:   # a path that cannot be opened is an OSError like any other
+                handlers.enter_context(_attached(logging.FileHandler(args.log_file),
+                                                 "%(asctime)s %(levelname)s %(message)s"))
             cfg = load_config(args.config)
             paths = Paths(cfg, args.out_dir)
             paths.out_dir.mkdir(parents=True, exist_ok=True)

@@ -375,14 +375,17 @@ def mae_grad(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
     return np.sign(x_prime - x) / x.size
 
 
+# Adam's moment decay rates and the term that keeps its denominator above zero
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First and second moment vectors plus the step count."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default=None, repr=False)
     v: np.ndarray = field(default=None, repr=False)
@@ -390,17 +393,11 @@ class AdamState:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
 
 
-def adam_init(params: np.ndarray, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: np.ndarray, lr: float = 1e-3) -> AdamState:
     """Adam state for one parameter vector, such as flatten's."""
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                     m=np.zeros_like(params), v=np.zeros_like(params))
+    return AdamState(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -418,22 +415,22 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
                             f"parameters {params.shape}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
     step = _buffer(ws, "cols", params.shape, params.dtype)
     denom = _buffer(ws, "gemm", params.shape, params.dtype)
-    np.multiply(grads, 1.0 - state.beta1, out=step)
-    m *= state.beta1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
+    m *= ADAM_BETA1
     m += step
     np.square(grads, out=step)
-    step *= 1.0 - state.beta2
-    v *= state.beta2
+    step *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += step
     np.divide(m, c1, out=step)
     step *= state.lr
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     params -= step

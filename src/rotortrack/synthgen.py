@@ -319,12 +319,15 @@ def _heli_geometry_ok(samples: list[_Sample]) -> bool:
     return True
 
 
-def _track_shape_ok(samples: list[_Sample], tail_window: int = 20) -> bool:
+_TAIL_WINDOW = 20   # closest approach falls within a track's last this many samples
+
+
+def _track_shape_ok(samples: list[_Sample]) -> bool:
     if len(samples) < 130:
         return False
     dists = _distances_nm(samples)
     closest = dists.index(min(dists))
-    return closest >= 110 and closest >= len(samples) - tail_window
+    return closest >= 110 and closest >= len(samples) - _TAIL_WINDOW
 
 
 _TAIL_LETTERS = "ABCDEFGHJKLMNPQRSTUVWXYZ"   # no I or O, as in real tail numbers

@@ -311,21 +311,11 @@ class LoadResult:
     rejects: list[tuple[int, str]]   # (1-based line number, reason)
 
 
-def load_tracks(path, strict: bool = False) -> LoadResult:
-    """Read a JSON Lines track file.
-
-    Bad lines are reported in LoadResult.rejects; with strict=True the first
-    bad line aborts the load with MalformedRecord instead.
-    """
+def load_tracks(path) -> LoadResult:
+    """Read a JSON Lines track file; bad lines are reported in LoadResult.rejects."""
     tracks: list[Track] = []
     rejects: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
-
-    def reject(line_no: int, reason: str):
-        if strict:
-            raise MalformedRecord(path, line_no, reason)
-        rejects.append((line_no, reason))
-
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -333,20 +323,20 @@ def load_tracks(path, strict: bool = False) -> LoadResult:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                reject(line_no, f"invalid JSON: {e.msg}")
+                rejects.append((line_no, f"invalid JSON: {e.msg}"))
                 continue
             except ValueError:      # an integer of more digits than int() converts
-                reject(line_no, "invalid JSON: integer with too many digits")
+                rejects.append((line_no, "invalid JSON: integer with too many digits"))
                 continue
             except RecursionError:
-                reject(line_no, "invalid JSON: nested too deeply")
+                rejects.append((line_no, "invalid JSON: nested too deeply"))
                 continue
             track, err = _parse_track(obj)
             if err is not None:
-                reject(line_no, err)
+                rejects.append((line_no, err))
                 continue
             if track.track_id in seen_ids:
-                reject(line_no, f"duplicate track_id {track.track_id!r}")
+                rejects.append((line_no, f"duplicate track_id {track.track_id!r}"))
                 continue
             seen_ids.add(track.track_id)
             tracks.append(track)
@@ -465,7 +455,7 @@ def normalize(raw_window: np.ndarray, stats: NormStats, source_track_id: str,
 # --------------------------------------------------------------------------
 # label, runway and registration tables
 
-def _csv_rows(fh, fields: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
+def csv_rows(fh, fields: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
     """(line number where it ends, row keyed by fields) per record of a CSV whose header
     must be fields; a row of another length or a csv.Error is a MalformedRecord."""
     reader = csv.reader(fh)
@@ -493,7 +483,7 @@ def load_labels(path) -> dict[str, str]:
     outside TRACK_CLASSES is a MalformedRecord."""
     labels: dict[str, str] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in _csv_rows(fh, LABEL_FIELDS, "labels"):
+        for row_no, row in csv_rows(fh, LABEL_FIELDS, "labels"):
             if row["class"] not in TRACK_CLASSES:
                 raise MalformedRecord(path, row_no, f"unknown class {row['class']!r}")
             if row["track_id"] in labels:
@@ -516,7 +506,7 @@ def load_runways(path) -> dict[str, Runway]:
     """{runway_id: Runway}; a row with a repeated id or unusable geometry is a MalformedRecord."""
     runways: dict[str, Runway] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in _csv_rows(fh, RUNWAY_FIELDS, "runway"):
+        for row_no, row in csv_rows(fh, RUNWAY_FIELDS, "runway"):
             rid = row["runway_id"].strip()
             if not rid:
                 raise MalformedRecord(path, row_no, "empty runway_id")
@@ -557,7 +547,7 @@ def load_registration(path) -> RegistrationTable:
     """Read the registration CSV; duplicate keys keep the first row and are reported."""
     table = RegistrationTable(records=[])
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in _csv_rows(fh, REGISTRATION_FIELDS, "registration"):
+        for row_no, row in csv_rows(fh, REGISTRATION_FIELDS, "registration"):
             n_number = row["n_number"].strip().upper()
             if not n_number:
                 raise MalformedRecord(path, row_no, "empty n_number")

@@ -75,13 +75,12 @@ def load_heli_types(path) -> frozenset[str]:
     return frozenset(designators)
 
 
-def rule_based_baseline(track: Track, heli_types: frozenset[str],
-                        pseudo_types: frozenset[str] = PSEUDO_TYPES) -> bool:
+def rule_based_baseline(track: Track, heli_types: frozenset[str]) -> bool:
     """True when the declared aircraft type names a helicopter outright."""
     declared = (track.declared_type or "").strip().upper()
     if not declared:
         return False
-    return declared in heli_types or declared in pseudo_types
+    return declared in heli_types or declared in PSEUDO_TYPES
 
 
 def join_registration(results: Iterable[ClassificationResult],
@@ -143,8 +142,7 @@ def venn_compare(autoencoder_ids: Iterable[str], baseline_ids: Iterable[str]) ->
     return VennCounts(both=len(a & b), autoencoder_only=len(a - b), baseline_only=len(b - a))
 
 
-def resolve_pseudo_types(records: Iterable[ValidationRecord],
-                         pseudo_types: frozenset[str] = PSEUDO_TYPES) -> list[ValidationRecord]:
+def resolve_pseudo_types(records: Iterable[ValidationRecord]) -> list[ValidationRecord]:
     """Matched records whose declared type is a pseudo type or missing.
 
     These are the tracks where the registration join supplies the concrete
@@ -155,7 +153,7 @@ def resolve_pseudo_types(records: Iterable[ValidationRecord],
         if r.matched is MatchKind.UNMATCHED or r.model is None:
             continue
         declared = (r.declared_type or "").strip().upper()
-        if not declared or declared in pseudo_types:
+        if not declared or declared in PSEUDO_TYPES:
             out.append(r)
     return out
 

@@ -193,8 +193,7 @@ def train_without_workspace(model, wins, cfg):
     n_val = max(1, round(cfg.validation_fraction * len(data)))
     val, tr = data[order[:n_val]], data[order[n_val:]]
     flat = nn.flatten([stage.layer for stage in model.stages])
-    state = nn.adam_init(flat, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-                         eps=cfg.eps)
+    state = nn.adam_init(flat, lr=cfg.learning_rate)
     history, best_val, best_epoch, best = [], np.inf, 0, flat.copy()
     for epoch in range(1, cfg.epochs + 1):
         idx = rng.permutation(len(tr))

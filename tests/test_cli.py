@@ -164,6 +164,15 @@ class TestCliBehavior:
         assert all(h.stream is None for h in opened)   # FileHandler.close drops its stream
         assert not logging.getLogger("rotortrack").handlers
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unopenable_log_file_exits_1_naming_it(self, tmp_path, capsys, where):
+        log_path = tmp_path / "missing" / "x.log" if where == "missing_dir" else tmp_path
+        assert run("--out-dir", str(tmp_path / "out"), "--log-file", str(log_path), "synth") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and str(log_path) in err
+        assert not logging.getLogger("rotortrack").handlers
+        assert not (tmp_path / "out").exists()
+
     def test_unwindowable_track_gets_an_unclassifiable_row(self, pipeline, tmp_path):
         work = tmp_path / "short"
         work.mkdir()
@@ -321,7 +330,7 @@ class TestMalformedResults:
     def test_bad_row_is_a_cli_error_naming_file_and_line(self, tmp_path, row, named):
         path = tmp_path / "results.csv"
         path.write_text(",".join(cli.RESULTS_HEADER) + "\nH0001,0.1,0.2,false,x\n" + row + "\n")
-        with pytest.raises(cli.CliError) as exc:
+        with pytest.raises(td.MalformedRecord) as exc:
             cli.read_results(path)
         assert f"results.csv line 3: {named}" in str(exc.value)
 
@@ -383,7 +392,7 @@ class TestMalformedConfig:
         ({"training": {"epochs": "5"}}, "training.epochs"),
         ({"thresholds": {"percentile": "80"}}, "thresholds.percentile"),
         ({"runway_score": {"weights": 3}}, "runway_score.weights"),
-        ({"histogram_bins": "x"}, "histogram_bins"),
+        ({"histogram_bins": 30}, "histogram_bins is not a settable key"),
         ({"paths": {"tracks": 5}}, "paths.tracks"),
         ({"training": []}, "training"),
         ({"training": {"epochs": 5.5}}, "training.epochs"),
@@ -391,7 +400,7 @@ class TestMalformedConfig:
         ({"synth": {"seed": None}}, "synth.seed"),
         ({"runway_score": {"distance_scale_nm": float("nan")}}, "runway_score.distance_scale_nm"),
         ({"training": {"learning_rate": float("inf")}}, "training.learning_rate"),
-        ({"training": {"eps": 10**400}}, "training.eps"),
+        ({"training": {"learning_rate": 10**400}}, "training.learning_rate"),
         ({"autoencoder": {"input_len": 50}}, "autoencoder.input_len"),
         ({"thresholds": {"mae_threshold": 0.2}}, "thresholds.mae_threshold"),
         ({"autoencoder": {"encoder_convs": [7, 2, 16]}}, "autoencoder.encoder_convs"),
@@ -400,6 +409,7 @@ class TestMalformedConfig:
         ({"runway_score": {"weights": [1, 0, 0, 0]}}, "runway_score: need 5"),
         ({"autoencoder": {"dtype": "float16"}}, "autoencoder: unsupported dtype"),
         ({"autoencoder": {"encoder_convs": [[7, 3, 16]]}}, "config.autoencoder: stride 3"),
+        ({"training": {"beta1": 0.9}}, "training.beta1 is not a settable key"),
     ])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, doc, named):
         cfg = tmp_path / "cfg.json"

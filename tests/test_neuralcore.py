@@ -262,7 +262,7 @@ class TestAdam:
     def test_two_steps_match_hand_computation(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         p = np.array([1.0])
-        st = nn.adam_init(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        st = nn.adam_init(p, lr=lr)
         m = v = 0.0
         x = 1.0
         for t, grad in enumerate([0.5, -0.25], start=1):

@@ -23,20 +23,19 @@ from rotortrack import neuralcore as nn  # noqa: E402
 from rotortrack import trackdata as td  # noqa: E402
 from rotortrack import validate as vl  # noqa: E402
 
-# Every key a config file may set, by section; histogram_bins is a top-level key.
+# Every key a config file may set, by section.
 SETTABLE = {
     "paths": ("out_dir", "tracks", "labels", "runways", "registration", "heli_types", "model",
               "loss_history", "thresholds", "histogram", "results", "validation", "venn_csv",
               "venn_txt", "pseudo_types", "metrics", "report"),
     "synth": ("seed", "helicopters", "ga", "commercial"),
     "autoencoder": ("encoder_convs", "latent_dim", "seed", "dtype"),
-    "training": ("epochs", "batch_size", "learning_rate", "beta1", "beta2", "eps",
-                 "validation_fraction", "patience", "seed"),
+    "training": ("epochs", "batch_size", "learning_rate", "validation_fraction", "patience",
+                 "seed"),
     "thresholds": ("percentile", "runway_score_threshold"),
     "runway_score": ("distance_scale_nm", "course_full_scale_deg", "lateral_full_scale_ft",
                      "length_full_scale_ft", "weights"),
 }
-TOP_LEVEL = tuple(SETTABLE) + ("histogram_bins",)
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +124,12 @@ def test_every_settable_key_can_be_set(workdir):
             value = built[key] if isinstance(built, dict) else getattr(built, key)
             path.write_text(json.dumps({section: {key: value}}))
             assert cli.load_config(str(path)) == defaults, f"{section}.{key}"
-    path.write_text(json.dumps({"histogram_bins": 12}))
-    assert cli.load_config(str(path))["histogram_bins"] == 12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((None,) + tuple(SETTABLE)), st.text())
 def test_any_key_outside_the_settable_set_exits_1(workdir, section, key):
-    allowed = TOP_LEVEL if section is None else SETTABLE[section]
+    allowed = tuple(SETTABLE) if section is None else SETTABLE[section]
     hypothesis.assume(key not in allowed)
     doc = {key: 1} if section is None else {section: {key: 1}}
     name = key if section is None else f"{section}.{key}"

@@ -59,7 +59,8 @@ class TestShape:
     def test_every_track_survives_a_strict_reload(self, scenario, tmp_path):
         p = tmp_path / "tracks.jsonl"
         td.save_tracks(scenario.tracks, p)
-        res = td.load_tracks(p, strict=True)
+        res = td.load_tracks(p)
+        assert res.rejects == []
         assert len(res.tracks) == len(scenario.tracks)
 
     def test_every_track_yields_an_arrival_window(self, scenario):

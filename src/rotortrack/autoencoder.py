@@ -238,7 +238,10 @@ def _backward(model: ModelParams, cache: dict, grad_out: np.ndarray,
         if stage.relu:
             # g came from the stage above: the plan's last stage has no ReLU
             nn.relu_backward(out, g, out=g)
-        g, gw, gb = stage.layer.backward(h, g, ws)
+        if trail:
+            g, gw, gb = stage.layer.backward(h, g, ws)
+        else:   # the first stage, a conv: nothing reads the input windows' gradient
+            _, gw, gb = stage.layer.backward(h, g, ws, input_grad=False)
         grads += [gb, gw]
     return grads[::-1]
 

@@ -327,23 +327,22 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in td.csv_rows(fh, RESULTS_HEADER, "results"):
-            track_id, mae, score, pred, reasons = row.values()
-            try:
-                if track_id in seen:
-                    raise ValueError(f"duplicate track_id {track_id!r}")
-                seen.add(track_id)
-                if reasons.startswith("unclassifiable:"):
-                    unclassifiable[track_id] = reasons.split(":", 1)[1]
-                elif pred not in ("true", "false"):
-                    raise ValueError(f"pred_is_helicopter must be true or false, got {pred!r}")
-                else:
-                    results.append(idf.ClassificationResult(
-                        track_id, _finite("mae", mae), _finite("runway_score", score),
-                        pred == "true", tuple(r for r in reasons.split(";") if r)))
-            except ValueError as e:
-                raise td.MalformedRecord(path, line_no, str(e)) from None
+    for line_no, row in td.csv_rows(path, RESULTS_HEADER, "results"):
+        track_id, mae, score, pred, reasons = row.values()
+        try:
+            if track_id in seen:
+                raise ValueError(f"duplicate track_id {track_id!r}")
+            seen.add(track_id)
+            if reasons.startswith("unclassifiable:"):
+                unclassifiable[track_id] = reasons.split(":", 1)[1]
+            elif pred not in ("true", "false"):
+                raise ValueError(f"pred_is_helicopter must be true or false, got {pred!r}")
+            else:
+                results.append(idf.ClassificationResult(
+                    track_id, _finite("mae", mae), _finite("runway_score", score),
+                    pred == "true", tuple(r for r in reasons.split(";") if r)))
+        except ValueError as e:
+            raise td.MalformedRecord(path, line_no, str(e)) from None
     return results, unclassifiable
 
 
@@ -390,7 +389,7 @@ def cmd_report(args, cfg: dict, paths: Paths) -> None:
     counts = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable")
     metrics = _read_json_object(paths.input("metrics"), counts + ("precision", "recall"),
                                 nullable=("precision", "recall"))
-    venn_txt = paths.input("venn_txt").read_text(encoding="utf-8")
+    venn_txt = "".join(td.utf8_lines(paths.input("venn_txt")))
 
     def ratio(value) -> str:
         return "n/a" if value is None else f"{value:.4f}"

@@ -15,8 +15,9 @@ convolution's backward unfold; the other two passes fold.
 Every pass takes an optional ``Workspace``: the arrays a pass writes
 (padding, im2col rows, GEMM and fold output, layer outputs and gradients)
 then come from the workspace and are reused from one training step to the
-next, instead of being allocated afresh.  Without one, each pass allocates
-its arrays; the arithmetic is the same either way.
+next; without one, each pass allocates them, with the same arithmetic.  A
+convolution's backward reads the im2col rows its forward kept there, and
+skips its input gradient on request (a first layer's input needs none).
 
 Layers are built in the dtype given to their ``init`` (float64 by
 default).  Nothing here holds global state, so layers can be used from
@@ -57,8 +58,9 @@ class Workspace:
     small, so arrays sized by the largest batch serve every shorter one.  A
     key is a role (one array shared by every layer, for a temporary that no
     longer matters once the pass returns) or a (layer id, role) pair (a
-    layer's output, which backward still reads, or its input gradient,
-    which the backward pass below it reads).
+    layer's output, which backward still reads, its input gradient, which
+    the backward pass below it reads, or a convolution's im2col rows, which
+    its backward reuses while ``unfolded`` names the input they came from).
 
     ``grad`` is one flat gradient vector laid out like ``flatten``'s
     parameter vector for the same layers; each layer's backward writes its
@@ -70,6 +72,7 @@ class Workspace:
                              dtype=layers[0].w.dtype)
         self.grads = {id(layer): views for layer, views in zip(layers, _split(self.grad, layers))}
         self.arrays: dict = {}
+        self.unfolded: dict = {}   # id of a conv layer -> (its last input, that input's rows)
 
     def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         size = math.prod(shape)
@@ -202,16 +205,17 @@ class _ConvLayer:
         if grad_out.shape != (x.shape[0], self.out_length(x.shape[1]), self.c_out):
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
 
-    def _rows(self, long: np.ndarray, n: int, ws: "Workspace | None") -> np.ndarray:
+    def _rows(self, long: np.ndarray, n: int, ws: "Workspace | None", key="cols") -> np.ndarray:
         """Long to short: the (batch * n, kernel_size * channels) im2col rows of the
-        padded long side."""
+        padded long side, written to the workspace's array under key."""
         k, left = self.kernel_size, (self.kernel_size - 1) // 2
         batch, length, c = long.shape
         xp = _buffer(ws, "pad", (batch, length + k - 1, c), long.dtype)
-        xp.fill(0)
+        xp[:, :left] = 0
+        xp[:, left + length:] = 0
         xp[:, left:left + length] = long
         rows = _unfold(xp, k, self.stride, n)
-        cols = _buffer(ws, "cols", (batch * n, rows.shape[2]), long.dtype)
+        cols = _buffer(ws, key, (batch * n, rows.shape[2]), long.dtype)
         cols.reshape(rows.shape)[...] = rows
         return cols
 
@@ -239,21 +243,28 @@ class Conv1DLayer(_ConvLayer):
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "Conv1DLayer.forward")
         n = self.out_length(x.shape[1])
-        cols = self._rows(x, n, ws)
+        cols = self._rows(x, n, ws, (id(self), "cols"))
+        if ws is not None:
+            ws.unfolded[id(self)] = (x, cols)
         out = _layer_array(self, ws, "out", (x.shape[0], n, self.c_out), x, self.w, self.b)
         np.matmul(cols.reshape(x.shape[0], n, -1), self.w.reshape(-1, self.c_out), out=out)
         out += self.b
         return out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
-        """Gradients for inputs, weights, and bias given upstream grad_out."""
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None,
+                 input_grad: bool = True):
+        """Gradients for inputs (None unless input_grad), weights, and bias given upstream grad_out."""
         _check_tensor3(x, self.c_in, "Conv1DLayer.backward")
         self._check_grad_out(x, grad_out)
-        cols = self._rows(x, grad_out.shape[1], ws)
+        source, cols = (None, None) if ws is None else ws.unfolded.get(id(self), (None, None))
+        if source is not x:
+            cols = self._rows(x, grad_out.shape[1], ws)
         g = grad_out.reshape(-1, self.c_out)
         grad_w, grad_b = _param_grads(self, ws, np.result_type(x, grad_out))
         np.matmul(cols.T, g, out=grad_w.reshape(cols.shape[1], -1))
         np.sum(grad_out, axis=(0, 1), out=grad_b)
+        if not input_grad:
+            return None, grad_w, grad_b
         grad_cols = _buffer(ws, "gemm", cols.shape, np.result_type(grad_out, self.w))
         np.matmul(g, self.w.reshape(-1, self.c_out).T, out=grad_cols)
         full = self._sum_rows(grad_cols.reshape(x.shape[0], grad_out.shape[1], -1), x.shape[1], ws)

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
@@ -209,6 +210,15 @@ def course_diff_deg(a: float, b: float) -> float:
 # --------------------------------------------------------------------------
 # track file IO
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _encodable(text: str) -> bool:
+    """Whether text holds no lone surrogate, as a JSON "\\ud800" gives, or a byte that is not
+    UTF-8 in a file read with errors="surrogateescape" (which keeps such a byte to its line)."""
+    return text.isascii() or _SURROGATE.search(text) is None
+
+
 def _point_error(d: dict) -> Optional[str]:
     for k in _POINT_KEYS:
         if k not in d:
@@ -281,7 +291,18 @@ _STRING_KEYS = {"callsign": "callsign", "mode_s": "mode_s", "tail_number": "tail
                 "runway_id": "runway_id"}
 
 
-def _parse_track(obj: dict) -> tuple[Optional[Track], Optional[str]]:
+def _parse_track(line: str) -> tuple[Optional[Track], Optional[str]]:
+    """The track of one JSON Lines line, or the reason it is rejected."""
+    if not _encodable(line):
+        return None, "invalid UTF-8"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        return None, f"invalid JSON: {e.msg}"
+    except ValueError:      # an integer of more digits than int() converts
+        return None, "invalid JSON: integer with too many digits"
+    except RecursionError:
+        return None, "invalid JSON: nested too deeply"
     if not isinstance(obj, dict):
         return None, "record is not a JSON object"
     track_id = obj.get("track_id")
@@ -297,10 +318,10 @@ def _parse_track(obj: dict) -> tuple[Optional[Track], Optional[str]]:
     scratch = obj.get("scratchpad_runway")
     if scratch is not None and not isinstance(scratch, bool):
         return None, "scratchpad_runway must be a boolean when present"
-    for key in _STRING_KEYS:
+    for key in ("track_id", *_STRING_KEYS):
         val = obj.get(key)
-        if val is not None and not isinstance(val, str):
-            return None, f"{key} must be a string when present"
+        if val is not None and not (isinstance(val, str) and _encodable(val)):
+            return None, f"{key} must be a string without lone surrogates when present"
     return Track(track_id, points, scratchpad_runway=scratch,
                  **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
 
@@ -313,34 +334,20 @@ class LoadResult:
 
 def load_tracks(path) -> LoadResult:
     """Read a JSON Lines track file; bad lines are reported in LoadResult.rejects."""
-    tracks: list[Track] = []
+    by_id: dict[str, Track] = {}
     rejects: list[tuple[int, str]] = []
-    seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                rejects.append((line_no, f"invalid JSON: {e.msg}"))
-                continue
-            except ValueError:      # an integer of more digits than int() converts
-                rejects.append((line_no, "invalid JSON: integer with too many digits"))
-                continue
-            except RecursionError:
-                rejects.append((line_no, "invalid JSON: nested too deeply"))
-                continue
-            track, err = _parse_track(obj)
+            track, err = _parse_track(line)
+            if err is None and track.track_id in by_id:
+                err = f"duplicate track_id {track.track_id!r}"
             if err is not None:
                 rejects.append((line_no, err))
-                continue
-            if track.track_id in seen_ids:
-                rejects.append((line_no, f"duplicate track_id {track.track_id!r}"))
-                continue
-            seen_ids.add(track.track_id)
-            tracks.append(track)
-    return LoadResult(tracks, rejects)
+            else:
+                by_id[track.track_id] = track
+    return LoadResult(list(by_id.values()), rejects)
 
 
 def track_to_json(track: Track) -> str:
@@ -455,21 +462,31 @@ def normalize(raw_window: np.ndarray, stats: NormStats, source_track_id: str,
 # --------------------------------------------------------------------------
 # label, runway and registration tables
 
-def csv_rows(fh, fields: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
-    """(line number where it ends, row keyed by fields) per record of a CSV whose header
-    must be fields; a row of another length or a csv.Error is a MalformedRecord."""
-    reader = csv.reader(fh)
+def utf8_lines(path, newline: Optional[str] = None) -> list[str]:
+    """The lines of the text file at path; a line that is not UTF-8 is a MalformedRecord."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        lines = fh.readlines()
+    for line_no, line in enumerate(lines, start=1):
+        if not _encodable(line):
+            raise MalformedRecord(path, line_no, "invalid UTF-8")
+    return lines
+
+
+def csv_rows(path, fields: tuple[str, ...], what: str) -> Iterator[tuple[int, dict]]:
+    """(line number where it ends, row keyed by fields) per record of the CSV at path, whose
+    header must be fields; a row of another length or a csv.Error is a MalformedRecord."""
+    reader = csv.reader(utf8_lines(path, newline=""))
     try:
         header = next(reader, None)
         if header is None or [f.strip() for f in header] != list(fields):
-            raise MalformedRecord(fh.name, 1, f"{what} header must be {','.join(fields)}")
+            raise MalformedRecord(path, 1, f"{what} header must be {','.join(fields)}")
         for row in filter(None, reader):   # skips blank lines
             if len(row) != len(fields):
-                raise MalformedRecord(fh.name, reader.line_num,
+                raise MalformedRecord(path, reader.line_num,
                                       f"expected {len(fields)} fields, got {len(row)}")
             yield reader.line_num, dict(zip(fields, row))
     except csv.Error as e:
-        raise MalformedRecord(fh.name, reader.line_num, str(e)) from None
+        raise MalformedRecord(path, reader.line_num, str(e)) from None
 
 
 # The header of each input table: the labels' columns, and the fields of Runway and RegistrationRecord
@@ -482,13 +499,12 @@ def load_labels(path) -> dict[str, str]:
     """{track_id: class} from a track_id,class CSV; a repeated track_id or a class
     outside TRACK_CLASSES is a MalformedRecord."""
     labels: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in csv_rows(fh, LABEL_FIELDS, "labels"):
-            if row["class"] not in TRACK_CLASSES:
-                raise MalformedRecord(path, row_no, f"unknown class {row['class']!r}")
-            if row["track_id"] in labels:
-                raise MalformedRecord(path, row_no, f"duplicate track_id {row['track_id']!r}")
-            labels[row["track_id"]] = row["class"]
+    for row_no, row in csv_rows(path, LABEL_FIELDS, "labels"):
+        if row["class"] not in TRACK_CLASSES:
+            raise MalformedRecord(path, row_no, f"unknown class {row['class']!r}")
+        if row["track_id"] in labels:
+            raise MalformedRecord(path, row_no, f"duplicate track_id {row['track_id']!r}")
+        labels[row["track_id"]] = row["class"]
     return labels
 
 
@@ -505,21 +521,20 @@ _RUNWAY_RULES = {
 def load_runways(path) -> dict[str, Runway]:
     """{runway_id: Runway}; a row with a repeated id or unusable geometry is a MalformedRecord."""
     runways: dict[str, Runway] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in csv_rows(fh, RUNWAY_FIELDS, "runway"):
-            rid = row["runway_id"].strip()
-            if not rid:
-                raise MalformedRecord(path, row_no, "empty runway_id")
-            try:
-                rw = Runway(rid, *(float(row[f]) for f in RUNWAY_FIELDS[1:]))
-            except ValueError:
-                raise MalformedRecord(path, row_no, "non-numeric runway geometry") from None
-            for name, (low, high, rule) in _RUNWAY_RULES.items():
-                if not low <= (value := getattr(rw, name)) <= high:
-                    raise MalformedRecord(path, row_no, f"{name} must be {rule}, got {value}")
-            if rid in runways:
-                raise MalformedRecord(path, row_no, f"duplicate runway_id {rid!r}")
-            runways[rid] = rw
+    for row_no, row in csv_rows(path, RUNWAY_FIELDS, "runway"):
+        rid = row["runway_id"].strip()
+        if not rid:
+            raise MalformedRecord(path, row_no, "empty runway_id")
+        try:
+            rw = Runway(rid, *(float(row[f]) for f in RUNWAY_FIELDS[1:]))
+        except ValueError:
+            raise MalformedRecord(path, row_no, "non-numeric runway geometry") from None
+        for name, (low, high, rule) in _RUNWAY_RULES.items():
+            if not low <= (value := getattr(rw, name)) <= high:
+                raise MalformedRecord(path, row_no, f"{name} must be {rule}, got {value}")
+        if rid in runways:
+            raise MalformedRecord(path, row_no, f"duplicate runway_id {rid!r}")
+        runways[rid] = rw
     if not runways:
         raise TrackDataError(f"no runways in {path}")
     return runways
@@ -546,29 +561,28 @@ class RegistrationTable:
 def load_registration(path) -> RegistrationTable:
     """Read the registration CSV; duplicate keys keep the first row and are reported."""
     table = RegistrationTable(records=[])
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row_no, row in csv_rows(fh, REGISTRATION_FIELDS, "registration"):
-            n_number = row["n_number"].strip().upper()
-            if not n_number:
-                raise MalformedRecord(path, row_no, "empty n_number")
-            raw_class = row["aircraft_class"].strip()
-            try:
-                ac_class = AircraftClass(raw_class)
-            except ValueError:
-                raise MalformedRecord(path, row_no, f"unknown aircraft_class {raw_class!r}") from None
-            rec = RegistrationRecord(
-                n_number=n_number,
-                mode_s_code=row["mode_s_code"].strip().upper() or None,
-                model=row["model"].strip() or None,
-                manufacturer=row["manufacturer"].strip() or None,
-                aircraft_class=ac_class,
-                type_designator=row["type_designator"].strip().upper() or None,
-            )
-            table.records.append(rec)
-            for index, key, name in ((table.by_tail, n_number, "n_number"),
-                                     (table.by_mode_s, rec.mode_s_code, "mode_s_code")):
-                if key in index:
-                    table.duplicates.append(f"line {row_no}: duplicate {name} {key}")
-                elif key:
-                    index[key] = rec
+    for row_no, row in csv_rows(path, REGISTRATION_FIELDS, "registration"):
+        n_number = row["n_number"].strip().upper()
+        if not n_number:
+            raise MalformedRecord(path, row_no, "empty n_number")
+        raw_class = row["aircraft_class"].strip()
+        try:
+            ac_class = AircraftClass(raw_class)
+        except ValueError:
+            raise MalformedRecord(path, row_no, f"unknown aircraft_class {raw_class!r}") from None
+        rec = RegistrationRecord(
+            n_number=n_number,
+            mode_s_code=row["mode_s_code"].strip().upper() or None,
+            model=row["model"].strip() or None,
+            manufacturer=row["manufacturer"].strip() or None,
+            aircraft_class=ac_class,
+            type_designator=row["type_designator"].strip().upper() or None,
+        )
+        table.records.append(rec)
+        for index, key, name in ((table.by_tail, n_number, "n_number"),
+                                 (table.by_mode_s, rec.mode_s_code, "mode_s_code")):
+            if key in index:
+                table.duplicates.append(f"line {row_no}: duplicate {name} {key}")
+            elif key:
+                index[key] = rec
     return table

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Collection, Iterable, Optional
 
 from .identify import ClassificationResult
-from .trackdata import AircraftClass, RegistrationTable, Track
+from .trackdata import AircraftClass, RegistrationTable, Track, utf8_lines
 
 PSEUDO_TYPES = frozenset({"HELO", "HELI"})
 
@@ -65,14 +65,10 @@ class VennCounts:
 
 
 def load_heli_types(path) -> frozenset[str]:
-    """Helicopter type designators, one per line; '#' starts a comment."""
-    designators = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tok = line.split("#", 1)[0].strip().upper()
-            if tok:
-                designators.add(tok)
-    return frozenset(designators)
+    """Helicopter type designators, one per line; '#' starts a comment.  A line that
+    is not UTF-8 is a MalformedRecord."""
+    designators = (line.split("#", 1)[0].strip().upper() for line in utf8_lines(path))
+    return frozenset(filter(None, designators))
 
 
 def rule_based_baseline(track: Track, heli_types: frozenset[str]) -> bool:

@@ -299,6 +299,29 @@ class TestWorkspace:
         assert all(arrays == after_first_epoch for _, arrays in seen[2:])
         assert {key: id(a) for key, a in spaces[0].arrays.items()} == after_first_epoch
 
+    def test_first_stage_keeps_no_input_gradient(self, spaces):
+        model = ae.build(SMALL_SPEC)
+        ae.train(model, sine_windows(36, seed=5), SHORT_BATCHES)
+        first, second = (id(stage.layer) for stage in model.stages[:2])
+        assert (second, "grad") in spaces[0].arrays
+        assert (first, "grad") not in spaces[0].arrays
+
+    def test_a_default_step_on_stale_work_arrays_matches_one_without_a_workspace(self):
+        model = ae.build(ae.AutoencoderSpec())
+        batch = np.random.default_rng(8).normal(size=(32, td.WINDOW_LEN, td.FEATURE_COUNT))
+        ws = nn.Workspace([stage.layer for stage in model.stages])
+
+        def step(ws):
+            cache = {}
+            rec = ae._forward(model, batch, cache, ws)
+            return ae._backward(model, cache, nn.mae_grad(batch, rec), ws)
+        step(ws)
+        for a in ws.arrays.values():   # padding margins and kept rows must not leak in
+            a.fill(np.nan)
+        step(ws)
+        alone = np.concatenate([g.ravel() for g in step(None)])
+        assert ws.grad.tobytes() == alone.tobytes()
+
     def test_reconstructions_do_not_share_memory(self):
         model = trained_small_model(with_stats=False)
         x = sine_windows(3, seed=4)

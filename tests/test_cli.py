@@ -217,6 +217,47 @@ class TestCliBehavior:
         assert run("--out-dir", str(work), "classify") == 0
         assert run("--out-dir", str(work), "validate") == 1
 
+    def test_lone_surrogate_track_id_is_rejected_and_classify_exits_0(self, pipeline, tmp_path,
+                                                                       capsys):
+        work = copy_inputs(pipeline, tmp_path / "surrogate", ("model.rtae", "thresholds.json",
+                                                              "runways.csv"))
+        first, *rest = (pipeline / "tracks.jsonl").read_text().splitlines(keepends=True)
+        bad = json.loads(first)
+        bad["track_id"] = "\ud800C0007"
+        (work / "tracks.jsonl").write_text(json.dumps(bad) + "\n" + "".join(rest))
+        assert run("--out-dir", str(work), "classify") == 0
+        assert "tracks line 1 rejected: track_id must be a string without lone surrogates" in capsys.readouterr().err
+        results, unclassifiable = cli.read_results(work / "results.csv")
+        assert len(results) + len(unclassifiable) == len(rest)
+
+    @pytest.mark.parametrize("name, command", [("labels.csv", "train"),
+                                               ("runways.csv", "classify"),
+                                               ("registration.csv", "validate"),
+                                               ("heli_types.txt", "validate"),
+                                               ("venn_summary.txt", "report")])
+    def test_undecodable_byte_in_a_table_exits_1_naming_file_and_line(self, pipeline, tmp_path,
+                                                                      capsys, name, command):
+        work = copy_inputs(pipeline, tmp_path / "bytes", (
+            "tracks.jsonl", "labels.csv", "runways.csv", "registration.csv", "heli_types.txt",
+            "model.rtae", "thresholds.json", "results.csv", "metrics.json", "venn_summary.txt"))
+        lines = (work / name).read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        (work / name).write_bytes(b"".join(lines))
+        assert run("--out-dir", str(work), command) == 1
+        assert f"{name} line 2: invalid UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_byte_in_a_track_line_rejects_only_that_line(self, pipeline, tmp_path,
+                                                                     capsys):
+        work = copy_inputs(pipeline, tmp_path / "callsign", ("model.rtae", "thresholds.json",
+                                                             "runways.csv"))
+        lines = (pipeline / "tracks.jsonl").read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b'"callsign":"', b'"callsign":"\xff', 1)
+        (work / "tracks.jsonl").write_bytes(b"".join(lines))
+        assert run("--out-dir", str(work), "classify") == 0
+        assert "tracks line 2 rejected: invalid UTF-8" in capsys.readouterr().err
+        results, unclassifiable = cli.read_results(work / "results.csv")
+        assert len(results) + len(unclassifiable) == len(lines) - 1
+
     def test_result_whose_track_line_went_bad_exits_1_naming_it(self, pipeline, tmp_path,
                                                                capsys):
         work = copy_inputs(pipeline, tmp_path / "gone", ("results.csv", "tracks.jsonl",

@@ -150,6 +150,46 @@ class TestAdjointIdentity:
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
+class TestKeptRows:
+    """A convolution's backward reuses its forward's im2col rows only for the same input."""
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16)
+        x, other = rng.normal(size=(2, 4, 100, 6))
+        grad_out = rng.normal(size=(4, 50, 16))
+        unfolds = []
+        unfold = nn._unfold
+        monkeypatch.setattr(nn, "_unfold", lambda *a: unfolds.append(a[0].shape) or unfold(*a))
+        return conv, x, other, grad_out, unfolds
+
+    def test_backward_on_the_forward_input_reuses_its_rows(self, case):
+        conv, x, _, grad_out, unfolds = case
+        ws = nn.Workspace([conv])
+        conv.forward(x, ws)
+        got = [a.copy() for a in conv.backward(x, grad_out, ws)]
+        assert len(unfolds) == 1
+        for a, b in zip(got, conv.backward(x, grad_out)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_backward_on_another_input_unfolds_it(self, case):
+        conv, x, other, grad_out, unfolds = case
+        ws = nn.Workspace([conv])
+        conv.forward(x, ws)
+        got = [a.copy() for a in conv.backward(other, grad_out, ws)]
+        assert len(unfolds) == 2
+        for a, b in zip(got, conv.backward(other, grad_out)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_input_gradient_is_skipped_on_request(self, case):
+        conv, x, _, grad_out, _ = case
+        grad_x, grad_w, grad_b = conv.backward(x, grad_out, input_grad=False)
+        full = conv.backward(x, grad_out)
+        assert grad_x is None
+        assert grad_w.tobytes() == full[1].tobytes() and grad_b.tobytes() == full[2].tobytes()
+
+
 def finite_diff(f, arrays, h=1e-5):
     """Central differences of scalar f with respect to each array, in place."""
     grads = []

@@ -71,6 +71,21 @@ def test_tracks_round_trip_through_jsonl(workdir, given_tracks):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.text(st.characters(blacklist_categories=()), min_size=1))   # surrogates included
+@example("\ud800C0007")
+def test_any_json_string_track_id_round_trips_as_utf8_or_is_a_named_reject(workdir, track_id):
+    path = workdir / "tracks.jsonl"
+    td.save_tracks([td.Track(track_id, [(0.0, 40.0, -86.0, 1000.0, 0.0, 50.0)])], path)
+    result = td.load_tracks(path)
+    if result.tracks:
+        assert result.rejects == [] and result.tracks[0].track_id == track_id
+        track_id.encode("utf-8")   # every artifact that names the track can hold it
+    else:
+        assert result.rejects == [(1, "track_id must be a string without lone surrogates "
+                                      "when present")]
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.text(), finite(0.0), finite(0.0, 1.0)), max_size=4,
                 unique_by=lambda row: row[0]))   # classify writes one row per track
 def test_results_csv_round_trips_for_any_track_id(workdir, rows):

@@ -135,6 +135,39 @@ class TestLoadTracks:
         res = td.load_tracks(p)
         assert res.rejects == [(1, reason)] and [t.track_id for t in res.tracks] == ["T100"]
 
+    def test_undecodable_bytes_reject_only_their_line(self, tmp_path):
+        p = tmp_path / "tracks.jsonl"
+        good = json.dumps(GOOD_LINE).encode()
+        spoiled = json.dumps(dict(GOOD_LINE, track_id="T2", callsign="AB")).encode()
+        p.write_bytes(spoiled.replace(b"AB", b"A\xff") + b"\n" + good + b"\n"
+                      + spoiled.replace(b"AB", b"\xed\xa0\x80") + b"\n")   # an encoded surrogate
+        res = td.load_tracks(p)
+        assert res.rejects == [(1, "invalid UTF-8"), (3, "invalid UTF-8")]
+        assert [t.track_id for t in res.tracks] == ["T100"]
+
+    def test_non_ascii_utf8_loads(self, tmp_path):
+        p = tmp_path / "tracks.jsonl"
+        p.write_text(json.dumps(dict(GOOD_LINE, track_id="Zürich-🚁"), ensure_ascii=False) + "\n",
+                     encoding="utf-8")
+        res = td.load_tracks(p)
+        assert res.rejects == [] and res.tracks[0].track_id == "Zürich-🚁"
+
+    @pytest.mark.parametrize("key", ["track_id", "callsign", "aircraft_type", "runway_id"])
+    def test_lone_surrogate_in_a_string_field_is_a_named_reject(self, tmp_path, key):
+        p = tmp_path / "tracks.jsonl"
+        obj = dict(GOOD_LINE, track_id="T2")
+        obj[key] = "\ud800C0007"
+        write_jsonl(p, [json.dumps(obj), GOOD_LINE])   # json.dumps writes the escape "\ud800"
+        res = td.load_tracks(p)
+        assert res.rejects == [(1, f"{key} must be a string without lone surrogates when present")]
+        assert [t.track_id for t in res.tracks] == ["T100"]
+
+    def test_escaped_surrogate_pair_is_one_character_and_loads(self, tmp_path):
+        p = tmp_path / "tracks.jsonl"
+        write_jsonl(p, [json.dumps(dict(GOOD_LINE, callsign="\U0001f681"))])
+        assert '"\\ud83d\\ude81"' in p.read_text()
+        assert td.load_tracks(p).tracks[0].callsign == "\U0001f681"
+
     def test_times_must_increase_as_the_stored_floats(self, tmp_path):
         lines = []
         for track_id, last_t in (("distinct", 2**53 + 2), ("rounds_to_equal", 2**53 + 1)):
@@ -518,6 +551,24 @@ class TestTableRows:
         with pytest.raises(td.MalformedRecord, match=re.escape(
                 f"{table}.csv line {line}: field larger than field limit")):
             load(p)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_undecodable_bytes_are_named_by_file_and_line(self, tmp_path, table):
+        load, text, row = TABLES[table]
+        p = tmp_path / f"{table}.csv"
+        p.write_bytes(text.encode() + b"\n" + row.encode().replace(b",", b"\xff,", 1) + b"\n")
+        line = text.count("\n") + 2   # a blank line comes first
+        with pytest.raises(td.MalformedRecord, match=re.escape(
+                f"{table}.csv line {line}: invalid UTF-8")):
+            load(p)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_non_ascii_utf8_fields_load(self, tmp_path, table):
+        load, text, row = TABLES[table]
+        p = tmp_path / f"{table}.csv"
+        first, rest = row.split(",", 1)
+        p.write_text(f"{text}{first}é,{rest}\n", encoding="utf-8")
+        assert load(p)
 
     @pytest.mark.parametrize("table, edit, got", [
         ("labels", lambda row: row + ",extra", 3),

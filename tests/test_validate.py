@@ -43,6 +43,12 @@ class TestHeliTypesFile:
         p.write_text("# rotorcraft designators\n ec30 \nR44  # robinson\n\nB06\n")
         assert va.load_heli_types(p) == frozenset({"EC30", "R44", "B06"})
 
+    def test_undecodable_bytes_are_named_by_file_and_line(self, tmp_path):
+        p = tmp_path / "heli_types.txt"
+        p.write_bytes(b"EC30\nR4\xff4\nB06\n")
+        with pytest.raises(td.MalformedRecord, match="heli_types.txt line 2: invalid UTF-8"):
+            va.load_heli_types(p)
+
     def test_empty_file_gives_empty_set(self, tmp_path):
         p = tmp_path / "heli_types.txt"
         p.write_text("# nothing but comments\n")

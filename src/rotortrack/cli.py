@@ -3,7 +3,7 @@
 Each stage reads files, calls the library's stage functions and writes files,
 so any stage can be rerun in isolation.  Every artifact is written to a
 temporary name and renamed into place once complete, and all outputs are
-byte-for-byte deterministic for a fixed config, seed and BLAS thread count;
+byte-for-byte deterministic for a fixed config and BLAS thread count;
 wall-clock timestamps appear only in the optional log file.
 """
 
@@ -31,7 +31,7 @@ from . import validate as vl
 
 log = logging.getLogger("rotortrack")
 
-# Defaults of the config keys the library does not own.
+# Where each artifact lives: the one config section the library does not own.
 DEFAULT_CONFIG: dict = {
     "paths": {
         "out_dir": ".",
@@ -52,13 +52,13 @@ DEFAULT_CONFIG: dict = {
         "metrics": "metrics.json",
         "report": "report.txt",
     },
-    "synth": {"seed": 7, "helicopters": 100, "ga": 100, "commercial": 100},
 }
 
 # Config sections that build a library object, whose field defaults are the
 # section's defaults, and the fields a config may not set: trackdata fixes the
 # window shape, and calibrate derives the MAE gate.
 _BUILT = {
+    "synth": (sg.ScenarioSpec, ()),
     "autoencoder": (ae.AutoencoderSpec, ("input_len", "n_features")),
     "training": (ae.TrainConfig, ()),
     "runway_score": (rs.ScoreParams, ()),
@@ -97,7 +97,7 @@ def _checked(value, default, name: str):
 
 
 def load_config(path: Optional[str]) -> dict:
-    """The checked config: paths and synth as plain values, the rest built.
+    """The checked config: paths as plain values, every other section built.
 
     A config file sets any subset of the keys.  An unknown key, a value of the
     wrong JSON kind or one the library rejects is a CliError naming the key.
@@ -241,12 +241,10 @@ def _read_thresholds(paths: Paths) -> idf.Thresholds:
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(args, cfg: dict, paths: Paths) -> None:
-    synth = {key: value if getattr(args, key) is None else getattr(args, key)
-             for key, value in cfg["synth"].items()}
-    scenario = sg.generate(sg.ScenarioSpec(synth["seed"], synth["helicopters"], synth["ga"],
-                                           synth["commercial"]))
-    log.info("generated %d tracks (seed %d)", len(scenario.tracks), synth["seed"])
+def cmd_synth(cfg: dict, paths: Paths) -> None:
+    """generate a synthetic labeled scenario"""
+    scenario = sg.generate(cfg["synth"])
+    log.info("generated %d tracks (seed %d)", len(scenario.tracks), cfg["synth"].seed)
     _atomic_write(paths.tracks, lambda tmp: td.save_tracks(scenario.tracks, tmp))
     _write_csv(paths.labels, [td.LABEL_FIELDS, *scenario.labels])
     _write_records(paths.runways, td.RUNWAY_FIELDS, [scenario.runway])
@@ -255,7 +253,8 @@ def cmd_synth(args, cfg: dict, paths: Paths) -> None:
                 + "".join(d + "\n" for d in sorted(scenario.heli_types)))
 
 
-def cmd_train(args, cfg: dict, paths: Paths) -> None:
+def cmd_train(cfg: dict, paths: Paths) -> None:
+    """train the autoencoder on labeled helicopter windows"""
     raw = _per_helicopter(paths, "training", td.arrival_features)
     log.info("training on %d helicopter windows", len(raw))
     stats = td.fit_norm_stats(list(raw.values()))
@@ -271,15 +270,16 @@ def cmd_train(args, cfg: dict, paths: Paths) -> None:
                [["epoch", "train_mae", "val_mae"]] + [dataclasses.astuple(h) for h in history])
 
 
-def cmd_calibrate(args, cfg: dict, paths: Paths) -> None:
+def cmd_calibrate(cfg: dict, paths: Paths) -> None:
+    """set the MAE threshold from training errors"""
     model = ae.load(paths.input("model"))
     maes = list(_per_helicopter(paths, "calibration", lambda track, runway:
                                 idf.window_mae(model, track, runway)).values())
-    percentile = args.percentile if args.percentile is not None else cfg["thresholds"].percentile
+    percentile = cfg["thresholds"].percentile
     delta = idf.calibrate(maes, percentile)
     log.info("calibrated MAE threshold %.6g at percentile %s over %d windows",
              delta, percentile, len(maes))
-    thresholds = dataclasses.replace(cfg["thresholds"], mae_threshold=delta, percentile=percentile)
+    thresholds = dataclasses.replace(cfg["thresholds"], mae_threshold=delta)
     _write_text(paths.thresholds, json.dumps(dataclasses.asdict(thresholds), indent=2) + "\n")
     bins = idf.histogram_report(maes)
     _write_csv(paths.histogram,
@@ -299,7 +299,8 @@ def _result_row(outcome) -> list:
             ";".join(outcome.reasons)]
 
 
-def cmd_classify(args, cfg: dict, paths: Paths) -> None:
+def cmd_classify(cfg: dict, paths: Paths) -> None:
+    """classify every track in the tracks file"""
     model = ae.load(paths.input("model"))
     thresholds = _read_thresholds(paths)
     tracks = _load_tracks(paths)
@@ -346,7 +347,8 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     return results, unclassifiable
 
 
-def cmd_validate(args, cfg: dict, paths: Paths) -> None:
+def cmd_validate(cfg: dict, paths: Paths) -> None:
+    """check predictions against the registration table"""
     results, unclassifiable = read_results(paths.input("results"))
     tracks = _load_tracks(paths)
     table = td.load_registration(paths.input("registration"))
@@ -384,7 +386,8 @@ def cmd_validate(args, cfg: dict, paths: Paths) -> None:
              metrics.tp, metrics.fp, metrics.fn, metrics.tn, metrics.unmatched)
 
 
-def cmd_report(args, cfg: dict, paths: Paths) -> None:
+def cmd_report(cfg: dict, paths: Paths) -> None:
+    """write a consolidated text report"""
     thresholds = _read_thresholds(paths)
     counts = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable")
     metrics = _read_json_object(paths.input("metrics"), counts + ("precision", "recall"),
@@ -414,37 +417,23 @@ def cmd_report(args, cfg: dict, paths: Paths) -> None:
 # --------------------------------------------------------------------------
 # argument parsing and entry point
 
+# A stage's name is its function's without "cmd_", and its help text is its docstring.
+_COMMANDS = {stage.__name__[4:]: stage for stage in (cmd_synth, cmd_train, cmd_calibrate,
+                                                     cmd_classify, cmd_validate, cmd_report)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """Options that say where to read and write; every run value comes from the config."""
     parser = argparse.ArgumentParser(
         prog="rotortrack",
         description="Identify helicopter arrival tracks with a convolutional autoencoder.")
     parser.add_argument("--config", help="JSON config file; defaults are used when omitted")
-    parser.add_argument("--seed", type=int, help="override the scenario seed (synth)")
     parser.add_argument("--out-dir", help="directory for artifacts (default from config)")
     parser.add_argument("--log-file", help="append timestamped logs to this file")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("synth", help="generate a synthetic labeled scenario")
-    p.add_argument("--helicopters", type=int)
-    p.add_argument("--ga", type=int)
-    p.add_argument("--commercial", type=int)
-    sub.add_parser("train", help="train the autoencoder on labeled helicopter windows")
-    p = sub.add_parser("calibrate", help="set the MAE threshold from training errors")
-    p.add_argument("--percentile", type=float)
-    sub.add_parser("classify", help="classify every track in the tracks file")
-    sub.add_parser("validate", help="check predictions against the registration table")
-    sub.add_parser("report", help="write a consolidated text report")
+    for name, stage in _COMMANDS.items():
+        sub.add_parser(name, help=stage.__doc__)
     return parser
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "calibrate": cmd_calibrate,
-    "classify": cmd_classify,
-    "validate": cmd_validate,
-    "report": cmd_report,
-}
 
 
 @contextlib.contextmanager
@@ -472,10 +461,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = load_config(args.config)
             paths = Paths(cfg, args.out_dir)
             paths.out_dir.mkdir(parents=True, exist_ok=True)
-            _COMMANDS[args.command](args, cfg, paths)
+            _COMMANDS[args.command](cfg, paths)
         except (CliError, td.TrackDataError, ae.AutoencoderError, idf.IdentifyError,
-                sg.ScenarioError, vl.ValidationError, OSError, ValueError, csv.Error) as e:
+                vl.ValidationError, OSError, ValueError, csv.Error) as e:
             log.error("%s", e)
+            return 1
+        except MemoryError as e:   # a config size too large to allocate
+            log.error("out of memory: %s", e)
             return 1
     return 0
 

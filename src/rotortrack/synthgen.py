@@ -109,14 +109,16 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    seed: int
-    n_helicopter: int
-    n_ga: int
-    n_commercial: int
+    """The scenario's seed and its number of tracks per class: the config's synth section."""
+
+    seed: int = 7
+    helicopters: int = 100
+    ga: int = 100
+    commercial: int = 100
 
     def __post_init__(self):
-        if min(self.n_helicopter, self.n_ga, self.n_commercial) < 0:
-            raise ScenarioError("class counts must be >= 0")
+        if min(self.seed, self.helicopters, self.ga, self.commercial) < 0:
+            raise ScenarioError("seed and class counts must be >= 0")
 
 
 def _unit(bearing_deg: float) -> tuple[float, float]:
@@ -411,8 +413,8 @@ def generate(spec: ScenarioSpec) -> Scenario:
     tracks: list[Track] = []
     labels: list[tuple[str, str]] = []
     registration: list[RegistrationRecord] = []
-    counts = ((CLASS_HELICOPTER, spec.n_helicopter), (CLASS_GA, spec.n_ga),
-              (CLASS_COMMERCIAL, spec.n_commercial))
+    counts = ((CLASS_HELICOPTER, spec.helicopters), (CLASS_GA, spec.ga),
+              (CLASS_COMMERCIAL, spec.commercial))
     global_idx = 0
     for cls, n in counts:
         code, fly, catalog, prefix = _CLASSES[cls]

@@ -143,7 +143,7 @@ class FeatureWindow:
             raise TrackDataError(
                 f"feature window must be ({WINDOW_LEN}, {FEATURE_COUNT}), got {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise TrackDataError("feature window contains non-finite values")
+            raise TrackDataError(f"track {self.source_track_id}: feature window contains non-finite values")
         self.values = v
 
 
@@ -424,8 +424,9 @@ def featurize(points: np.ndarray, runway: Runway) -> np.ndarray:
     """
     east, north = en_offset_km(points["lat"], points["lon"], runway.threshold_lat, runway.threshold_lon)
     dc = (points["course"] - runway.centerline_course) * _RAD_PER_DEG
-    return np.column_stack((east, north, (points["alt"] - runway.threshold_elev) / 1000.0,
-                            points["gs"] / 100.0, np.sin(dc), np.cos(dc)))
+    with np.errstate(over="ignore"):   # an overflowing height is inf, which FeatureWindow names
+        height = (points["alt"] - runway.threshold_elev) / 1000.0
+    return np.column_stack((east, north, height, points["gs"] / 100.0, np.sin(dc), np.cos(dc)))
 
 
 _MIN_STD = 1e-12
@@ -435,15 +436,19 @@ def fit_norm_stats(raw_windows: Sequence[np.ndarray]) -> NormStats:
     """Fit per-cell mean/std over raw training windows (population std).
 
     Raises ZeroVarianceFeature when any feature has a cell whose std is
-    (numerically) zero, e.g. a constant feature column or a single window.
+    (numerically) zero, e.g. a constant feature column or a single window;
+    TrackDataError when a mean or std is not finite (say, overflows).
     """
     if not raw_windows:
         raise ZeroVarianceFeature("cannot fit normalization stats on zero windows")
     stack = np.stack([np.asarray(w, dtype=float) for w in raw_windows])
     if stack.shape[1:] != (WINDOW_LEN, FEATURE_COUNT):
         raise TrackDataError(f"windows must be ({WINDOW_LEN}, {FEATURE_COUNT}), got {stack.shape[1:]}")
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = stack.mean(axis=0), stack.std(axis=0)
+    bad = np.flatnonzero(~np.isfinite(std).all(axis=0))   # a non-finite mean makes std so
+    if bad.size:
+        raise TrackDataError(f"features whose mean or std is not finite: {bad.tolist()}")
     dead = np.flatnonzero((std <= _MIN_STD).any(axis=0))
     if dead.size:
         raise ZeroVarianceFeature(f"features with zero variance: {dead.tolist()}")

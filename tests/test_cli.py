@@ -14,6 +14,7 @@ from rotortrack import autoencoder as ae
 from rotortrack import cli
 from rotortrack import identify as idf
 from rotortrack import runwayscore as rs
+from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
 
 SMALL_CFG = {
@@ -133,14 +134,58 @@ class TestCliBehavior:
         bad.write_text("{not json")
         assert run("--out-dir", str(tmp_path), "--config", str(bad), "synth") == 1
 
-    def test_seed_flag_changes_the_scenario(self, tmp_path):
+    def test_config_seed_changes_the_scenario(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
         small = tmp_path / "cfg.json"
         small.write_text(json.dumps({"synth": {"helicopters": 2, "ga": 0, "commercial": 0}}))
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps({"synth": {"seed": 8, "helicopters": 2, "ga": 0,
+                                                "commercial": 0}}))
         assert run("--out-dir", str(a), "--config", str(small), "synth") == 0
-        assert run("--out-dir", str(b), "--config", str(small), "--seed", "8", "synth") == 0
+        assert run("--out-dir", str(b), "--config", str(seeded), "synth") == 0
         assert (a / "tracks.jsonl").read_bytes() != (b / "tracks.jsonl").read_bytes()
+
+    def test_config_scenario_matches_the_recorded_digest(self, tmp_path):
+        # the digest of the tracks that `--seed 8 synth --helicopters 40 --ga 8
+        # --commercial 8` wrote while those flags existed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"seed": 8, "helicopters": 40, "ga": 8,
+                                             "commercial": 8}}))
+        assert run("--out-dir", str(tmp_path), "--config", str(cfg), "synth") == 0
+        assert hashlib.sha256((tmp_path / "tracks.jsonl").read_bytes()).hexdigest() == (
+            "5d08e217d5544129a6bc421282764d6337a10e3264be5b23a26725ce8a43fbe6")
+
+    @pytest.mark.parametrize("argv", [["--seed", "8", "synth"], ["synth", "--helicopters", "5"],
+                                      ["calibrate", "--percentile", "90"]],
+                             ids=["seed", "helicopters", "percentile"])
+    def test_run_values_are_not_flags(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run("--out-dir", str(tmp_path), *argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_lists_the_six_stages_and_three_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{synth,train,calibrate,classify,validate,report}" in out
+        for stage in cli._COMMANDS.values():
+            assert stage.__doc__ in out
+        options = {word for word in out.split() if word.startswith("--")}
+        assert options == {"--help", "--config", "--out-dir", "--log-file"}
+
+    def test_a_size_too_large_to_allocate_exits_1(self, pipeline, tmp_path, capsys):
+        # 10**13 latent units ask for 56.8 PiB, beyond any address space, so
+        # the allocation fails at once
+        work = copy_inputs(pipeline, tmp_path / "huge", ("tracks.jsonl", "labels.csv",
+                                                         "runways.csv"))
+        cfg = work / "cfg.json"
+        cfg.write_text(json.dumps({"autoencoder": {"latent_dim": 10**13}}))
+        assert run("--out-dir", str(work), "--config", str(cfg), "train") == 1
+        assert "ERROR out of memory: " in capsys.readouterr().err
+        assert not (work / "model.rtae").exists()
 
     def test_log_file_captures_progress(self, tmp_path):
         small = tmp_path / "cfg.json"
@@ -376,13 +421,45 @@ class TestMalformedResults:
         assert f"results.csv line 3: {named}" in str(exc.value)
 
 
-class TestCalibratePercentileFlag:
+class TestOverflowingFeatures:
+    """Finite inputs whose features overflow exit 1 with a named error and no warning."""
+
+    @staticmethod
+    def with_huge_altitude(pipeline, work, names):
+        """Copies of names, and tracks.jsonl with H0000's closest approach at altitude 1.7e308."""
+        copy_inputs(pipeline, work, names)
+        runway = next(iter(td.load_runways(pipeline / "runways.csv").values()))
+        tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks
+        assert tracks[0].track_id == "H0000"
+        idx, _ = td.closest_approach_index(tracks[0], runway)
+        tracks[0].points["alt"][idx] = 1.7e308
+        td.save_tracks(tracks, work / "tracks.jsonl")
+
+    def test_train_refuses_an_infinite_std(self, pipeline, tmp_path, capsys):
+        work = tmp_path / "train"
+        self.with_huge_altitude(pipeline, work, ("labels.csv", "runways.csv"))
+        assert run("--out-dir", str(work), "train") == 1
+        assert "features whose mean or std is not finite: [2]" in capsys.readouterr().err
+        assert not (work / "model.rtae").exists()
+
+    def test_classify_names_the_track(self, pipeline, tmp_path, capsys):
+        work = tmp_path / "classify"
+        self.with_huge_altitude(pipeline, work, ("model.rtae", "thresholds.json"))
+        text = (pipeline / "runways.csv").read_text()
+        (work / "runways.csv").write_text(text.replace(",2145.0,", ",-1e308,"))
+        assert run("--out-dir", str(work), "classify") == 1
+        assert "track H0000: feature window contains non-finite values" in capsys.readouterr().err
+
+
+class TestCalibratePercentileConfig:
     def test_percentile_100_equals_the_maximum_training_error(self, pipeline, tmp_path):
         work = tmp_path / "p100"
         work.mkdir()
         for name in ("model.rtae", "tracks.jsonl", "labels.csv", "runways.csv"):
             (work / name).write_bytes((pipeline / name).read_bytes())
-        assert run("--out-dir", str(work), "calibrate", "--percentile", "100") == 0
+        cfg = work / "cfg.json"
+        cfg.write_text(json.dumps({"thresholds": {"percentile": 100}}))
+        assert run("--out-dir", str(work), "--config", str(cfg), "calibrate") == 0
         th = json.loads((work / "thresholds.json").read_text())
         assert th["percentile"] == 100.0
 
@@ -402,12 +479,13 @@ class TestConfigMerge:
         cfg = cli.load_config(str(path))
         assert cfg["training"].epochs == 5
         assert cfg["training"].batch_size == 32
-        assert cfg["synth"] == {"seed": 7, "helicopters": 100, "ga": 3, "commercial": 100}
+        assert cfg["synth"] == sg.ScenarioSpec(seed=7, helicopters=100, ga=3, commercial=100)
 
     def test_empty_config_builds_the_library_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}")
         for cfg in (cli.load_config(str(path)), cli.load_config(None)):
+            assert cfg["synth"] == sg.ScenarioSpec()
             assert cfg["autoencoder"] == ae.AutoencoderSpec()
             assert cfg["training"] == ae.TrainConfig()
             assert cfg["runway_score"] == rs.ScoreParams()
@@ -439,6 +517,8 @@ class TestMalformedConfig:
         ({"training": {"epochs": 5.5}}, "training.epochs"),
         ({"training": {"patience": True}}, "training.patience"),
         ({"synth": {"seed": None}}, "synth.seed"),
+        ({"synth": {"helicopters": -1}}, "config.synth: seed and class counts must be >= 0"),
+        ({"synth": {"seed": -1}}, "config.synth: seed and class counts must be >= 0"),
         ({"runway_score": {"distance_scale_nm": float("nan")}}, "runway_score.distance_scale_nm"),
         ({"training": {"learning_rate": float("inf")}}, "training.learning_rate"),
         ({"training": {"learning_rate": 10**400}}, "training.learning_rate"),

@@ -1,5 +1,8 @@
 """Synthetic arrival scenarios: determinism, geometry guarantees, the files synth writes."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
 from rotortrack import validate as va
 
-SPEC = sg.ScenarioSpec(seed=11, n_helicopter=24, n_ga=16, n_commercial=16)
+SPEC = sg.ScenarioSpec(seed=11, helicopters=24, ga=16, commercial=16)
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +34,13 @@ class TestDeterminism:
         assert again.registration == scenario.registration
 
     def test_different_seed_changes_tracks(self, scenario):
-        other = sg.generate(sg.ScenarioSpec(seed=12, n_helicopter=2, n_ga=0,
-                                            n_commercial=0))
+        other = sg.generate(sg.ScenarioSpec(seed=12, helicopters=2, ga=0, commercial=0))
         assert td.track_to_json(other.tracks[0]) != td.track_to_json(scenario.tracks[0])
 
     def test_helicopter_streams_are_stable_under_counts(self, scenario):
         # fewer helicopters must not change the ones that remain; later
         # classes shift identity assignment, so only the first class is stable
-        small = sg.generate(sg.ScenarioSpec(seed=11, n_helicopter=3, n_ga=2,
-                                            n_commercial=1))
+        small = sg.generate(sg.ScenarioSpec(seed=11, helicopters=3, ga=2, commercial=1))
         want = {t.track_id: td.track_to_json(t) for t in scenario.tracks}
         for t in small.tracks:
             if t.track_id.startswith("H"):
@@ -70,7 +71,7 @@ class TestShape:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(sg.ScenarioError):
-            sg.ScenarioSpec(seed=1, n_helicopter=-1, n_ga=0, n_commercial=0)
+            sg.ScenarioSpec(seed=1, helicopters=-1, ga=0, commercial=0)
 
 
 class TestHelicopterGeometry:
@@ -162,9 +163,9 @@ class TestSynthFiles:
     @pytest.fixture(scope="class")
     def out(self, tmp_path_factory):
         d = tmp_path_factory.mktemp("synth")
-        assert cli.main(["--out-dir", str(d), "--seed", str(SPEC.seed), "synth",
-                         "--helicopters", str(SPEC.n_helicopter), "--ga", str(SPEC.n_ga),
-                         "--commercial", str(SPEC.n_commercial)]) == 0
+        cfg = d / "cfg.json"
+        cfg.write_text(json.dumps({"synth": dataclasses.asdict(SPEC)}))
+        assert cli.main(["--out-dir", str(d), "--config", str(cfg), "synth"]) == 0
         return d
 
     def test_labels_round_trip(self, scenario, out):

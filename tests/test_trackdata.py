@@ -353,6 +353,13 @@ class TestNormStats:
             td.fit_norm_stats(wins)
         assert "3" in str(exc.value)
 
+    def test_overflowing_std_is_named(self):
+        wins = random_windows(4, seed=4)
+        wins[0][5, 2] = 1.7e305   # finite, but its square overflows
+        with pytest.raises(td.TrackDataError, match=r"mean or std is not finite: \[2\]") as exc:
+            td.fit_norm_stats(wins)
+        assert not isinstance(exc.value, td.ZeroVarianceFeature)
+
     def test_normalized_fit_inputs_have_zero_mean_unit_std(self):
         wins = random_windows(6, seed=2)
         stats = td.fit_norm_stats(wins)
@@ -371,7 +378,7 @@ class TestNormStats:
             td.FeatureWindow(np.zeros((10, td.FEATURE_COUNT)), "short")
         bad = np.zeros((td.WINDOW_LEN, td.FEATURE_COUNT))
         bad[0, 0] = np.nan
-        with pytest.raises(td.TrackDataError):
+        with pytest.raises(td.TrackDataError, match="track nan: "):
             td.FeatureWindow(bad, "nan")
 
 

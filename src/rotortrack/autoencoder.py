@@ -93,6 +93,8 @@ class AutoencoderSpec:
             raise SpecError("input_len and n_features must be >= 1")
         if self.latent_dim < 1:
             raise SpecError("latent_dim must be >= 1")
+        if self.seed < 0:
+            raise SpecError("seed must be >= 0")
         if not self.encoder_convs:
             raise SpecError("need at least one encoder conv stage")
         for stage in self.encoder_convs:
@@ -183,6 +185,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 MIN_TRAIN_WINDOWS = 32

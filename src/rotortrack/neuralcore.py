@@ -20,8 +20,9 @@ convolution's backward reads the im2col rows its forward kept there, and
 skips its input gradient on request (a first layer's input needs none).
 
 Layers are built in the dtype given to their ``init`` (float64 by
-default).  Nothing here holds global state, so layers can be used from
-several threads as long as each thread works on its own arrays and its own
+default), and every array a pass writes takes that dtype: an input of
+another dtype is computed into the layer's, never upcast.  No global state
+is held, so threads may share layers, each with its own arrays and
 workspace.
 """
 
@@ -51,10 +52,10 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int,
 
 
 class Workspace:
-    """Work arrays reused by every pass of one training run.
+    """Work arrays reused by every pass of one training run, all in its layers' one dtype.
 
-    ``take(key, shape, dtype)`` hands out the first prod(shape) elements of
-    the key's flat array, reshaped, and grows that array only when it is too
+    ``take(key, shape)`` hands out the first prod(shape) elements of the
+    key's flat array, reshaped, and grows that array only when it is too
     small, so arrays sized by the largest batch serve every shorter one.  A
     key is a role (one array shared by every layer, for a temporary that no
     longer matters once the pass returns) or a (layer id, role) pair (a
@@ -74,24 +75,23 @@ class Workspace:
         self.arrays: dict = {}
         self.unfolded: dict = {}   # id of a conv layer -> (its last input, that input's rows)
 
-    def take(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
+    def take(self, key, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
         buf = self.arrays.get(key)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self.arrays[key] = np.empty(size, dtype)
+        if buf is None or buf.size < size:
+            buf = self.arrays[key] = np.empty(size, self.grad.dtype)
         return buf[:size].reshape(shape)
 
 
 def _buffer(ws: "Workspace | None", key, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised work array: the workspace's under key, or a fresh one without a workspace."""
-    return np.empty(shape, dtype) if ws is None else ws.take(key, shape, dtype)
+    """An uninitialised work array: the workspace's under key, or a fresh one of dtype."""
+    return np.empty(shape, dtype) if ws is None else ws.take(key, shape)
 
 
-def _layer_array(layer, ws: "Workspace | None", role: str, shape: tuple[int, ...],
-                 *arrays) -> np.ndarray:
-    """Where a layer writes its output ("out") or input gradient ("grad"), typed as numpy
-    would type the result; each is the layer's own, as the next backward pass reads it."""
-    return _buffer(ws, (id(layer), role), shape, np.result_type(*arrays))
+def _layer_array(layer, ws: "Workspace | None", role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Where a layer writes its output ("out") or input gradient ("grad"); each is the
+    layer's own, as the next backward pass reads it."""
+    return _buffer(ws, (id(layer), role), shape, layer.w.dtype)
 
 
 def _split(flat: np.ndarray, layers: list) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -210,12 +210,12 @@ class _ConvLayer:
         padded long side, written to the workspace's array under key."""
         k, left = self.kernel_size, (self.kernel_size - 1) // 2
         batch, length, c = long.shape
-        xp = _buffer(ws, "pad", (batch, length + k - 1, c), long.dtype)
+        xp = _buffer(ws, "pad", (batch, length + k - 1, c), self.w.dtype)
         xp[:, :left] = 0
         xp[:, left + length:] = 0
         xp[:, left:left + length] = long
         rows = _unfold(xp, k, self.stride, n)
-        cols = _buffer(ws, key, (batch * n, rows.shape[2]), long.dtype)
+        cols = _buffer(ws, key, (batch * n, rows.shape[2]), self.w.dtype)
         cols.reshape(rows.shape)[...] = rows
         return cols
 
@@ -226,10 +226,10 @@ class _ConvLayer:
         return _fold(rows, k, self.stride, length + k - 1, ws)[:, left:left + length]
 
 
-def _param_grads(layer, ws: "Workspace | None", dtype) -> tuple[np.ndarray, np.ndarray]:
+def _param_grads(layer, ws: "Workspace | None") -> tuple[np.ndarray, np.ndarray]:
     """Where a layer's backward writes its weight and bias gradients."""
     if ws is None:
-        return np.empty(layer.w.shape, dtype), np.empty(layer.b.shape, dtype)
+        return np.empty(layer.w.shape, layer.w.dtype), np.empty(layer.b.shape, layer.w.dtype)
     return ws.grads[id(layer)]
 
 
@@ -246,7 +246,7 @@ class Conv1DLayer(_ConvLayer):
         cols = self._rows(x, n, ws, (id(self), "cols"))
         if ws is not None:
             ws.unfolded[id(self)] = (x, cols)
-        out = _layer_array(self, ws, "out", (x.shape[0], n, self.c_out), x, self.w, self.b)
+        out = _layer_array(self, ws, "out", (x.shape[0], n, self.c_out))
         np.matmul(cols.reshape(x.shape[0], n, -1), self.w.reshape(-1, self.c_out), out=out)
         out += self.b
         return out
@@ -260,15 +260,15 @@ class Conv1DLayer(_ConvLayer):
         if source is not x:
             cols = self._rows(x, grad_out.shape[1], ws)
         g = grad_out.reshape(-1, self.c_out)
-        grad_w, grad_b = _param_grads(self, ws, np.result_type(x, grad_out))
+        grad_w, grad_b = _param_grads(self, ws)
         np.matmul(cols.T, g, out=grad_w.reshape(cols.shape[1], -1))
-        np.sum(grad_out, axis=(0, 1), out=grad_b)
+        np.einsum("ij->j", g, out=grad_b, casting="same_kind")
         if not input_grad:
             return None, grad_w, grad_b
-        grad_cols = _buffer(ws, "gemm", cols.shape, np.result_type(grad_out, self.w))
+        grad_cols = _buffer(ws, "gemm", cols.shape, self.w.dtype)
         np.matmul(g, self.w.reshape(-1, self.c_out).T, out=grad_cols)
         full = self._sum_rows(grad_cols.reshape(x.shape[0], grad_out.shape[1], -1), x.shape[1], ws)
-        grad_x = _layer_array(self, ws, "grad", x.shape, full)
+        grad_x = _layer_array(self, ws, "grad", x.shape)
         grad_x[...] = full
         return grad_x, grad_w, grad_b
 
@@ -293,10 +293,10 @@ class ConvTranspose1DLayer(_ConvLayer):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.forward")
         batch, n_in = x.shape[:2]
         taps = self._taps()
-        cols = _buffer(ws, "gemm", (batch, n_in, taps.shape[1]), np.result_type(x, taps))
+        cols = _buffer(ws, "gemm", (batch, n_in, taps.shape[1]), self.w.dtype)
         np.matmul(x, taps, out=cols)
         full = self._sum_rows(cols, self.out_length(n_in), ws)
-        out = _layer_array(self, ws, "out", (batch, full.shape[1], self.c_out), full, self.b)
+        out = _layer_array(self, ws, "out", (batch, full.shape[1], self.c_out))
         np.add(full, self.b, out=out)
         return out
 
@@ -305,13 +305,13 @@ class ConvTranspose1DLayer(_ConvLayer):
         self._check_grad_out(x, grad_out)
         cols = self._rows(grad_out, x.shape[1], ws)
         taps = self._taps()
-        grad_x = _layer_array(self, ws, "grad", x.shape, cols, taps)
+        grad_x = _layer_array(self, ws, "grad", x.shape)
         np.matmul(cols, taps.T, out=grad_x.reshape(cols.shape[0], -1))
-        grad_w, grad_b = _param_grads(self, ws, np.result_type(cols, x))
-        grad_taps = _buffer(ws, "gemm", (cols.shape[1], self.c_in), grad_w.dtype)
+        grad_w, grad_b = _param_grads(self, ws)
+        grad_taps = _buffer(ws, "gemm", (cols.shape[1], self.c_in), self.w.dtype)
         np.matmul(cols.T, x.reshape(-1, self.c_in), out=grad_taps)
         grad_w[...] = grad_taps.reshape(self.kernel_size, self.c_out, self.c_in).transpose(0, 2, 1)
-        np.sum(grad_out, axis=(0, 1), out=grad_b)
+        np.einsum("ij->j", grad_out.reshape(-1, self.c_out), out=grad_b, casting="same_kind")
         return grad_x, grad_w, grad_b
 
 
@@ -345,7 +345,7 @@ class DenseLayer:
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeMismatch(f"DenseLayer.forward: expected (batch, {self.d_in}), got {x.shape}")
-        out = _layer_array(self, ws, "out", (x.shape[0], self.d_out), x, self.w, self.b)
+        out = _layer_array(self, ws, "out", (x.shape[0], self.d_out))
         np.matmul(x, self.w, out=out)
         out += self.b
         return out
@@ -353,9 +353,9 @@ class DenseLayer:
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         if grad_out.shape != (x.shape[0], self.d_out):
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
-        grad_x = _layer_array(self, ws, "grad", x.shape, grad_out, self.w)
+        grad_x = _layer_array(self, ws, "grad", x.shape)
         np.matmul(grad_out, self.w.T, out=grad_x)
-        grad_w, grad_b = _param_grads(self, ws, np.result_type(x, grad_out))
+        grad_w, grad_b = _param_grads(self, ws)
         np.matmul(x.T, grad_out, out=grad_w)
         np.sum(grad_out, axis=0, out=grad_b)
         return grad_x, grad_w, grad_b
@@ -372,8 +372,7 @@ def relu_backward(h: np.ndarray, grad_out: np.ndarray, out: "np.ndarray | None" 
 
 def mae(x: np.ndarray, x_prime: np.ndarray) -> float:
     """Mean absolute error between two equally shaped arrays."""
-    x = np.asarray(x)
-    x_prime = np.asarray(x_prime)
+    x, x_prime = np.asarray(x), np.asarray(x_prime)
     if x.shape != x_prime.shape:
         raise ShapeMismatch(f"mae: shapes {x.shape} and {x_prime.shape} differ")
     return float(np.mean(np.abs(x - x_prime)))

@@ -531,6 +531,8 @@ class TestMalformedConfig:
         ({"autoencoder": {"dtype": "float16"}}, "autoencoder: unsupported dtype"),
         ({"autoencoder": {"encoder_convs": [[7, 3, 16]]}}, "config.autoencoder: stride 3"),
         ({"training": {"beta1": 0.9}}, "training.beta1 is not a settable key"),
+        ({"autoencoder": {"seed": -1}}, "config.autoencoder: seed must be >= 0"),
+        ({"training": {"seed": -1}}, "config.training: seed must be >= 0"),
     ])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, doc, named):
         cfg = tmp_path / "cfg.json"

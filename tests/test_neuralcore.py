@@ -190,6 +190,24 @@ class TestKeptRows:
         assert grad_w.tobytes() == full[1].tobytes() and grad_b.tobytes() == full[2].tobytes()
 
 
+def test_every_pass_writes_its_layers_dtype_whatever_the_input_dtype():
+    """float64 inputs into float32 layers: all six passes compute into float32, with a
+    workspace (whose arrays stay float32) or without one."""
+    rng = np.random.default_rng(11)
+    conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16, dtype="float32")
+    trans = nn.ConvTranspose1DLayer.init(rng, 5, 2, 16, 6, dtype="float32")
+    dense = nn.DenseLayer.init(rng, 800, 16, dtype="float32")
+    x, long = rng.normal(size=(2, 4, 100, 6))
+    short, flat = rng.normal(size=(4, 50, 16)), rng.normal(size=(4, 800))
+    for ws in (None, nn.Workspace([conv, trans, dense])):
+        arrays = [conv.forward(x, ws), *conv.backward(x, short, ws),
+                  trans.forward(short, ws), *trans.backward(short, long, ws),
+                  dense.forward(flat, ws), *dense.backward(flat, short[:, 0], ws)]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        if ws is not None:
+            assert {a.dtype for a in ws.arrays.values()} == {np.dtype(np.float32)}
+
+
 def finite_diff(f, arrays, h=1e-5):
     """Central differences of scalar f with respect to each array, in place."""
     grads = []

@@ -450,3 +450,28 @@ def test_stride_phase_fold_equals_a_per_tap_scatter_bit_for_bit(geometry, seed):
     ws = nn.Workspace([nn.DenseLayer(1, 1)])
     nn._fold(rng.normal(size=cols.shape), k, s, length, ws)
     assert np.array_equal(nn._fold(cols, k, s, length, ws).view(np.uint64), want)
+
+
+def row_by_row_sum(rows):
+    """The bias-gradient oracle: one row added at a time, from +0.0, in the rows' dtype."""
+    acc = np.zeros(rows.shape[1], rows.dtype)
+    for row in rows:
+        acc += row
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(conv_geometries().filter(lambda g: g[3] >= 2), st.sampled_from(("float32", "float64")),
+       st.integers(0, 2**32 - 1))
+@example((7, 2, 6, 16, 100, 32), "float64", 0)   # the shipped first stage at batch 32
+@example((5, 2, 32, 16, 25, 32), "float32", 1)   # the shipped inner transposed conv
+def test_conv_bias_gradients_equal_a_row_by_row_sum_bit_for_bit(geometry, dtype, seed):
+    k, stride, c_in, c_out, n_in, batch = geometry
+    rng = np.random.default_rng(seed)
+    conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, dtype=dtype)
+    tr = nn.ConvTranspose1DLayer.init(rng, k, stride, c_in, c_out, dtype=dtype)
+    x = rng.normal(size=(batch, n_in, c_in)).astype(dtype)
+    for layer in (conv, tr):
+        grad_out = rng.normal(size=(batch, layer.out_length(n_in), c_out)).astype(dtype)
+        grad_b = layer.backward(x, grad_out)[2]
+        assert grad_b.tobytes() == row_by_row_sum(grad_out.reshape(-1, c_out)).tobytes()

@@ -6,14 +6,16 @@ suite checks each one against central finite differences and a naive
 convolution oracle.
 
 Both convolution layers describe one "same"-padded geometry and run on
-one im2col kernel pair.  ``_unfold`` lays the kernel windows of a padded
-input side by side as the rows of a matrix, so each pass is a single matrix
-product with the weights, and ``_fold`` is its adjoint, summing such rows
-back onto the length axis.  A convolution's forward and a transposed
-convolution's backward unfold; the other two passes fold.
+one im2col kernel.  ``_unfold`` lays the windows of a padded input side by
+side as the rows of a matrix, so each of the four convolution passes is one
+unfold and one matrix product.  A convolution's forward and a transposed
+convolution's backward unfold the long side in kernel windows at the
+stride; the other two passes unfold the short side at stride 1, and their
+product's rows are already consecutive long positions, so nothing is
+scatter-added.
 
 Every pass takes an optional ``Workspace``: the arrays a pass writes
-(padding, im2col rows, GEMM and fold output, layer outputs and gradients)
+(padding, im2col rows, GEMM output, layer outputs and gradients)
 then come from the workspace and are reused from one training step to the
 next; without one, each pass allocates them, with the same arithmetic.  A
 convolution's backward reads the im2col rows its forward kept there, and
@@ -58,7 +60,8 @@ class Workspace:
     key's flat array, reshaped, and grows that array only when it is too
     small, so arrays sized by the largest batch serve every shorter one.  A
     key is a role (one array shared by every layer, for a temporary that no
-    longer matters once the pass returns) or a (layer id, role) pair (a
+    longer matters once the pass returns: a padded input "pad", its im2col
+    rows "cols" and a product "gemm") or a (layer id, role) pair (a
     layer's output, which backward still reads, its input gradient, which
     the backward pass below it reads, or a convolution's im2col rows, which
     its backward reuses while ``unfolded`` names the input they came from).
@@ -133,29 +136,6 @@ def _unfold(xp: np.ndarray, k: int, s: int, n: int) -> np.ndarray:
     return rows
 
 
-def _fold(cols: np.ndarray, k: int, s: int, length: int,
-          ws: "Workspace | None" = None) -> np.ndarray:
-    """Adjoint of _unfold: scatter-add (batch, n, k*c) rows onto a zero length axis.
-
-    Tap j of row t lands on position t*s + j.  Taps g*s .. g*s + s-1 of a row
-    are one run of s*c values landing on s consecutive positions, so with the
-    output viewed as (batch, m, s*c) each group g of s taps is one add of all
-    rows, shifted by g.  Every position still receives its taps in
-    increasing j, so the sums are bit for bit those of a tap-by-tap scatter.
-    """
-    batch, n, kc = cols.shape
-    c = kc // k
-    groups = -(-k // s)
-    m = max(-(-length // s), n - 1 + groups)
-    out = _buffer(ws, "fold", (batch, m * s, c), cols.dtype)
-    out[...] = 0
-    rows = out.reshape(batch, m, s * c)
-    for g in range(groups):
-        first, width = g * s * c, min(s * c, kc - g * s * c)
-        rows[:, g:g + n, :width] += cols[:, :, first:first + width]
-    return out[:, :length]
-
-
 @dataclass
 class _ConvLayer:
     """One "same"-padded geometry, shared by the two convolution layers.
@@ -168,10 +148,11 @@ class _ConvLayer:
     - long to short (``_rows``): pad, then im2col; the pass multiplies the
       rows by its weights.  ``Conv1DLayer.forward`` and
       ``ConvTranspose1DLayer.backward`` go this way.
-    - short to long (``_sum_rows``): the pass's own product gives one row
-      per step, which ``_fold`` sums onto the padded long side, then the
-      padding is cropped.  ``Conv1DLayer.backward`` and
-      ``ConvTranspose1DLayer.forward`` go this way.
+    - short to long (``_spread``): pad the short side, im2col it at stride
+      1 and multiply by a matrix of the taps grouped by stride phase, then
+      crop.  ``ConvTranspose1DLayer.forward`` passes its weights and
+      ``Conv1DLayer.backward`` (for the input gradient) its weights with
+      the channel axes swapped.
     """
 
     kernel_size: int
@@ -205,25 +186,54 @@ class _ConvLayer:
         if grad_out.shape != (x.shape[0], self.out_length(x.shape[1]), self.c_out):
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
 
-    def _rows(self, long: np.ndarray, n: int, ws: "Workspace | None", key="cols") -> np.ndarray:
-        """Long to short: the (batch * n, kernel_size * channels) im2col rows of the
-        padded long side, written to the workspace's array under key."""
-        k, left = self.kernel_size, (self.kernel_size - 1) // 2
-        batch, length, c = long.shape
-        xp = _buffer(ws, "pad", (batch, length + k - 1, c), self.w.dtype)
-        xp[:, :left] = 0
-        xp[:, left + length:] = 0
-        xp[:, left:left + length] = long
-        rows = _unfold(xp, k, self.stride, n)
+    def _im2col(self, x: np.ndarray, lead: int, steps: int, k: int, s: int, n: int,
+                ws: "Workspace | None", key="cols") -> np.ndarray:
+        """The (batch * n, k * channels) rows of _unfold(xp, k, s, n), xp being x
+        zero-padded to steps steps, lead of them before x, written to the
+        workspace's array under key.  Only the margins are zeroed."""
+        batch, length, c = x.shape
+        xp = _buffer(ws, "pad", (batch, steps, c), self.w.dtype)
+        xp[:, :lead] = 0
+        xp[:, lead + length:] = 0
+        xp[:, lead:lead + length] = x
+        rows = _unfold(xp, k, s, n)
         cols = _buffer(ws, key, (batch * n, rows.shape[2]), self.w.dtype)
         cols.reshape(rows.shape)[...] = rows
         return cols
 
-    def _sum_rows(self, rows: np.ndarray, length: int, ws: "Workspace | None") -> np.ndarray:
-        """Short to long: (batch, n, kernel_size * channels) rows folded onto the padded
-        long side, cropped to length."""
-        k, left = self.kernel_size, (self.kernel_size - 1) // 2
-        return _fold(rows, k, self.stride, length + k - 1, ws)[:, left:left + length]
+    def _rows(self, long: np.ndarray, n: int, ws: "Workspace | None", key="cols") -> np.ndarray:
+        """Long to short: the (batch * n, kernel_size * channels) im2col rows of the
+        padded long side, written to the workspace's array under key."""
+        k = self.kernel_size
+        return self._im2col(long, (k - 1) // 2, long.shape[1] + k - 1, k, self.stride, n, ws, key)
+
+    def _spread(self, short: np.ndarray, taps: np.ndarray, length: int,
+                ws: "Workspace | None") -> np.ndarray:
+        """Short to long: step t's product with tap j summed onto padded long
+        position t*stride + j, cropped to length; taps is (kernel_size, a, b).
+
+        Padded long position q*s + r receives tap r + g*s of step q - g, for
+        g < G = ceil(k/s).  So the stride-1 im2col rows of the short side,
+        G steps each, times one (G*a, s*b) matrix give the s long positions
+        q*s .. q*s + s-1 as row q, and nothing is scatter-added.  The matrix
+        has zero rows where r + g*s >= k.
+        """
+        k, s, left = self.kernel_size, self.stride, (self.kernel_size - 1) // 2
+        batch, a = short.shape[0], short.shape[2]
+        groups, first = -(-k // s), left // s   # first: the first row q the crop keeps
+        nq = -(-(left + length) // s) - first
+        # long row q reads steps q - groups + 1 .. q, so the first row kept
+        # starts groups - 1 - first steps before step 0
+        cols = self._im2col(short, groups - 1 - first, nq + groups - 1, groups, 1, nq, ws)
+        phases = np.zeros((groups * s,) + taps.shape[1:], self.w.dtype)
+        phases[:k] = taps
+        # window slot i holds step q - (groups - 1 - i): row block i is group groups - 1 - i
+        blocks = phases.reshape(groups, s, a, -1)[::-1].transpose(0, 2, 1, 3)
+        matrix = blocks.reshape(groups * a, -1)
+        out = _buffer(ws, "gemm", (batch, nq * s, taps.shape[2]), self.w.dtype)
+        np.matmul(cols, matrix, out=out.reshape(cols.shape[0], -1))
+        crop = left - first * s
+        return out[:, crop:crop + length]
 
 
 def _param_grads(layer, ws: "Workspace | None") -> tuple[np.ndarray, np.ndarray]:
@@ -265,11 +275,8 @@ class Conv1DLayer(_ConvLayer):
         np.einsum("ij->j", g, out=grad_b, casting="same_kind")
         if not input_grad:
             return None, grad_w, grad_b
-        grad_cols = _buffer(ws, "gemm", cols.shape, self.w.dtype)
-        np.matmul(g, self.w.reshape(-1, self.c_out).T, out=grad_cols)
-        full = self._sum_rows(grad_cols.reshape(x.shape[0], grad_out.shape[1], -1), x.shape[1], ws)
-        grad_x = _layer_array(self, ws, "grad", x.shape)
-        grad_x[...] = full
+        grad_x = _layer_array(self, ws, "grad", x.shape)   # after grad_w: this reuses "cols"
+        grad_x[...] = self._spread(grad_out, self.w.transpose(0, 2, 1), x.shape[1], ws)
         return grad_x, grad_w, grad_b
 
 
@@ -285,18 +292,10 @@ class ConvTranspose1DLayer(_ConvLayer):
     def out_length(self, length: int) -> int:
         return length * self.stride
 
-    def _taps(self) -> np.ndarray:
-        # w as one (c_in, kernel_size * c_out) matrix, column block j holding tap j.
-        return self.w.transpose(1, 0, 2).reshape(self.c_in, -1)
-
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.forward")
-        batch, n_in = x.shape[:2]
-        taps = self._taps()
-        cols = _buffer(ws, "gemm", (batch, n_in, taps.shape[1]), self.w.dtype)
-        np.matmul(x, taps, out=cols)
-        full = self._sum_rows(cols, self.out_length(n_in), ws)
-        out = _layer_array(self, ws, "out", (batch, full.shape[1], self.c_out))
+        full = self._spread(x, self.w, self.out_length(x.shape[1]), ws)
+        out = _layer_array(self, ws, "out", full.shape)
         np.add(full, self.b, out=out)
         return out
 
@@ -304,7 +303,7 @@ class ConvTranspose1DLayer(_ConvLayer):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.backward")
         self._check_grad_out(x, grad_out)
         cols = self._rows(grad_out, x.shape[1], ws)
-        taps = self._taps()
+        taps = self.w.transpose(1, 0, 2).reshape(self.c_in, -1)   # column block j: tap j
         grad_x = _layer_array(self, ws, "grad", x.shape)
         np.matmul(cols, taps.T, out=grad_x.reshape(cols.shape[0], -1))
         grad_w, grad_b = _param_grads(self, ws)

@@ -159,9 +159,14 @@ class TestKeptRows:
         conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16)
         x, other = rng.normal(size=(2, 4, 100, 6))
         grad_out = rng.normal(size=(4, 50, 16))
-        unfolds = []
+        unfolds = []   # long-side unfolds only: the input gradient unfolds grad_out at step 1
         unfold = nn._unfold
-        monkeypatch.setattr(nn, "_unfold", lambda *a: unfolds.append(a[0].shape) or unfold(*a))
+
+        def spy(xp, k, s, n):
+            if s == conv.stride:
+                unfolds.append(xp.shape)
+            return unfold(xp, k, s, n)
+        monkeypatch.setattr(nn, "_unfold", spy)
         return conv, x, other, grad_out, unfolds
 
     def test_backward_on_the_forward_input_reuses_its_rows(self, case):

@@ -418,7 +418,8 @@ def test_each_layers_backward_is_the_other_layers_forward(geometry, seed):
 
 
 def per_tap_fold(cols, k, s, length):
-    """The scatter the stride-phase _fold must reproduce: one strided add per tap, in tap order."""
+    """The short-to-long oracle: each tap's rows added onto the long side at stride s,
+    one strided add per tap, in tap order."""
     batch, n, kc = cols.shape
     taps = cols.reshape(batch, n, k, kc // k)
     out = np.zeros((batch, length, kc // k))
@@ -427,29 +428,55 @@ def per_tap_fold(cols, k, s, length):
     return out
 
 
-@st.composite
-def fold_geometries(draw):
-    """(batch, n, k, s, c, length); length reaches at least the last tap, possibly further."""
-    n, k, s = draw(st.integers(1, 12)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
-    length = (n - 1) * s + k + draw(st.integers(0, 7))
-    return draw(st.integers(1, 3)), n, k, s, draw(st.integers(1, 5)), length
+def per_tap_spread(short, taps, s, length):
+    """Short to long by the per-tap scatter of per-tap products, in float64, cropped to
+    length, with the same scatter of |short| @ |taps| that bounds its rounding error."""
+    k, left = len(taps), (len(taps) - 1) // 2
+
+    def scatter(x, w):
+        cols = np.concatenate([x @ w[j] for j in range(k)], axis=2)
+        return per_tap_fold(cols, k, s, length + k - 1)[:, left:left + length]
+    short, taps = short.astype(np.float64), taps.astype(np.float64)
+    return scatter(short, taps), scatter(np.abs(short), np.abs(taps))
 
 
 @settings(max_examples=300, deadline=None)
-@given(fold_geometries(), st.integers(0, 2**32 - 1))
-@example((2, 5, 2, 4, 3, 19), 0)   # s > k: every window lands apart
-@example((1, 7, 1, 2, 6, 13), 1)   # k = 1
-@example((3, 4, 7, 2, 2, 16), 2)   # length past the last tap
-def test_stride_phase_fold_equals_a_per_tap_scatter_bit_for_bit(geometry, seed):
-    batch, n, k, s, c, length = geometry
+@given(conv_geometries(), st.sampled_from(("float32", "float64")), st.integers(0, 2**32 - 1))
+@example((2, 5, 3, 2, 19, 2), "float64", 0)   # k < s: every window lands apart
+@example((3, 3, 2, 4, 10, 1), "float32", 1)   # k = s, batch 1
+@example((7, 2, 6, 16, 50, 3), "float64", 2)  # s does not divide k: zero taps
+@example((1, 2, 2, 3, 9, 1), "float32", 3)    # k = 1
+def test_both_short_to_long_passes_match_a_per_tap_scatter(geometry, dtype, seed):
+    """The transposed conv's forward and the conv's input gradient, each one polyphase
+    GEMM, against the per-tap scatter of per-tap products.  Both sum the same terms in
+    other orders, so each position may differ by the rounding of a sum of at most
+    (k + 1)(a + 1) terms (a the short side's channels): that many units of the dtype's
+    eps times the sum of the terms' magnitudes.  With a workspace whose arrays hold
+    stale values, each pass gives the same bits as without one."""
+    k, stride, c_long, c_short, n_short, batch = geometry
     rng = np.random.default_rng(seed)
-    cols = rng.normal(size=(batch, n, k * c))
-    want = per_tap_fold(cols, k, s, length).view(np.uint64)
-    assert np.array_equal(nn._fold(cols, k, s, length).view(np.uint64), want)
-    # a workspace's fold array holds the last pass's sums; the next fold starts from zero
-    ws = nn.Workspace([nn.DenseLayer(1, 1)])
-    nn._fold(rng.normal(size=cols.shape), k, s, length, ws)
-    assert np.array_equal(nn._fold(cols, k, s, length, ws).view(np.uint64), want)
+    eps = np.finfo(dtype).eps
+    tr = nn.ConvTranspose1DLayer.init(rng, k, stride, c_short, c_long, dtype=dtype)
+    conv = nn.Conv1DLayer.init(rng, k, stride, c_long, c_short, dtype=dtype)
+    ws = nn.Workspace([tr, conv])
+
+    def within_bound(run, short, taps, length):
+        got = run(None)
+        want, scale = per_tap_spread(short, taps, stride, length)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.all(np.abs(got - want) <= (k + 1) * (c_short + 1) * eps * scale)
+        run(ws)
+        for a in ws.arrays.values():
+            a.fill(np.nan)
+        assert run(ws).tobytes() == got.tobytes()
+
+    short = rng.normal(size=(batch, n_short, c_short)).astype(dtype)
+    within_bound(lambda w: tr.forward(short, w), short, tr.w, n_short * stride)
+    length = (n_short - 1) * stride + int(rng.integers(1, stride + 1))
+    x = rng.normal(size=(batch, length, c_long)).astype(dtype)
+    grad_out = rng.normal(size=(batch, conv.out_length(length), c_short)).astype(dtype)
+    within_bound(lambda w: conv.backward(x, grad_out, w)[0], grad_out, conv.w.transpose(0, 2, 1),
+                 length)
 
 
 def row_by_row_sum(rows):

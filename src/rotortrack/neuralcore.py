@@ -61,7 +61,8 @@ class Workspace:
     small, so arrays sized by the largest batch serve every shorter one.  A
     key is a role (one array shared by every layer, for a temporary that no
     longer matters once the pass returns: a padded input "pad", its im2col
-    rows "cols" and a product "gemm") or a (layer id, role) pair (a
+    rows "cols", a product "gemm" and a transposed conv's bias block
+    "bias") or a (layer id, role) pair (a
     layer's output, which backward still reads, its input gradient, which
     the backward pass below it reads, or a convolution's im2col rows, which
     its backward reuses while ``unfolded`` names the input they came from).
@@ -296,7 +297,11 @@ class ConvTranspose1DLayer(_ConvLayer):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.forward")
         full = self._spread(x, self.w, self.out_length(x.shape[1]), ws)
         out = _layer_array(self, ws, "out", full.shape)
-        np.add(full, self.b, out=out)
+        # the bias as a (length, c_out) block, so the add runs over contiguous
+        # rows of length * c_out values, not c_out at a time
+        bias = _buffer(ws, "bias", full.shape[1:], self.w.dtype)
+        bias[...] = self.b
+        np.add(full, bias, out=out)
         return out
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):

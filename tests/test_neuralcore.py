@@ -125,6 +125,16 @@ class TestConvTranspose1DForward:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_bias_add_matches_a_broadcast_add_bit_for_bit(self):
+        for k, stride, c_in, c_out, n_in, batch, rng in geometry_cases():
+            layer = nn.ConvTranspose1DLayer.init(rng, k, stride, c_in, c_out)
+            layer.b[:] = rng.normal(size=c_out)
+            x = rng.normal(size=(batch, n_in, c_in))
+            want = layer._spread(x, layer.w, n_in * stride, None) + layer.b
+            ws = nn.Workspace([layer])
+            for space in (None, ws, ws):
+                assert layer.forward(x, space).tobytes() == want.tobytes()
+
     def test_same_padding_doubles_length_at_stride_2(self):
         rng = np.random.default_rng(6)
         layer = nn.ConvTranspose1DLayer.init(rng, 5, 2, 4, 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ class TestShape:
         res = td.load_tracks(p)
         assert res.rejects == []
         assert len(res.tracks) == len(scenario.tracks)
+
+    def test_every_line_of_the_default_scenario_takes_the_text_route(self, tmp_path):
+        tracks = sg.generate(sg.ScenarioSpec()).tracks
+        p = tmp_path / "tracks.jsonl"
+        td.save_tracks(tracks, p)
+        with mock.patch.object(td, "_point_array", side_effect=AssertionError("general route")):
+            res = td.load_tracks(p)
+        assert res.rejects == [] and res.tracks == tracks
 
     def test_every_track_yields_an_arrival_window(self, scenario):
         for t in scenario.tracks:

@@ -14,8 +14,12 @@ full record:
   RSS from os.wait4 and OPENBLAS_NUM_THREADS=1: three passes over the
   default 300-track scenario and one over a 10x scenario (3,000 tracks);
 - times perfbench.pipeline.Clock's reference task, which uses no program
-  code, before and after every run, so a reader can tell the host's fast
-  phase (about Clock.REFERENCE_S) from its slow one.
+  code, before and after every perfbench run and every CLI stage, so a
+  reader can tell the host's fast phase (about Clock.REFERENCE_S) from its
+  slow one.  Each CLI stage's wall time is also recorded scaled as Clock
+  scales CPU time: times REFERENCE_S over the mean of the reference times
+  just before and after the stage, so that records made in different phases
+  compare.
 
 A timing is recorded as its median, interquartile range and sample count.
 --quick makes one CLI pass over 40/8/8 tracks at 2 epochs and runs no
@@ -112,6 +116,10 @@ class Reference:
         self.times.append(float(self.proc.stdout.readline()))
         return self.times[-1]
 
+    def scaled(self, seconds: float, before: float, after: float) -> float:
+        """seconds at the fast phase's speed, given the reference times around them."""
+        return seconds * self.info["fast_phase_s"] * 2.0 / (before + after)
+
     def around(self, fn, *args):
         """fn(*args) with its result's "reference_s" set to the times before and after."""
         before = self.time()
@@ -171,8 +179,9 @@ def timed_process(cmd: list[str], env: dict, log) -> tuple[int, float, float]:
     return proc.returncode, wall, usage.ru_maxrss / 1024.0   # Linux reports KB
 
 
-def cli_pass(config: dict, out_dir: Path) -> dict:
-    """The six stages, each its own process, writing into a new out_dir."""
+def cli_pass(ref: Reference, config: dict, out_dir: Path) -> dict:
+    """The six stages, each its own process, writing into a new out_dir, with the
+    reference task timed before the first stage and after each."""
     out_dir.mkdir(parents=True)
     cfg = out_dir / "config.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -180,27 +189,30 @@ def cli_pass(config: dict, out_dir: Path) -> dict:
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     stages = {}
+    reference = [ref.time()]
     with open(out_dir / "stderr.log", "wb") as log:
         for stage in STAGES:
             code, wall, rss = timed_process(
                 [sys.executable, "-m", "rotortrack.cli", "--config", str(cfg),
                  "--out-dir", str(out_dir), stage], env, log)
-            stages[stage] = {"exit": code, "wall_s": wall, "peak_rss_mb": rss}
+            reference.append(ref.time())
+            stages[stage] = {"exit": code, "wall_s": wall,
+                             "scaled_wall_s": ref.scaled(wall, *reference[-2:]),
+                             "peak_rss_mb": rss}
             if code != 0:
                 print(f"{stage} exited {code}:\n{(out_dir / 'stderr.log').read_text()[-2000:]}",
                       file=sys.stderr)
                 break
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                for name in BYTE_COMPARED if (out_dir / name).is_file()}
-    return {"stages": stages, "digests": digests}
+    return {"stages": stages, "digests": digests, "reference_s": reference}
 
 
 def record_cli(ref: Reference, scenarios: dict) -> dict:
     out = {}
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
         for name, (config, passes) in scenarios.items():
-            runs = [ref.around(cli_pass, config, Path(tmp) / name / str(i))
-                    for i in range(passes)]
+            runs = [cli_pass(ref, config, Path(tmp) / name / str(i)) for i in range(passes)]
             complete = all(len(r["stages"]) == len(STAGES)
                            and all(s["exit"] == 0 for s in r["stages"].values()) for r in runs)
             same_bytes = all(r["digests"] == runs[0]["digests"] for r in runs)
@@ -211,7 +223,7 @@ def record_cli(ref: Reference, scenarios: dict) -> dict:
                 "correct": complete and same_bytes,
                 "digests": runs[0]["digests"],
                 "stages": {stage: {key: summary([r["stages"][stage][key] for r in runs])
-                                   for key in ("wall_s", "peak_rss_mb")}
+                                   for key in ("wall_s", "scaled_wall_s", "peak_rss_mb")}
                            for stage in STAGES if complete},
                 "total_wall_s": summary([sum(s["wall_s"] for s in r["stages"].values())
                                          for r in runs]),

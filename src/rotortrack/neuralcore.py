@@ -61,11 +61,11 @@ class Workspace:
     small, so arrays sized by the largest batch serve every shorter one.  A
     key is a role (one array shared by every layer, for a temporary that no
     longer matters once the pass returns: a padded input "pad", its im2col
-    rows "cols", a product "gemm" and a transposed conv's bias block
-    "bias") or a (layer id, role) pair (a
-    layer's output, which backward still reads, its input gradient, which
-    the backward pass below it reads, or a convolution's im2col rows, which
-    its backward reuses while ``unfolded`` names the input they came from).
+    rows "cols", a product "gemm" and a conv's bias block "bias") or a
+    (layer id, role) pair (a layer's output, which backward still reads, its
+    input gradient, which the backward pass below it reads, or a
+    convolution's im2col rows, which its backward reuses while ``unfolded``
+    names the input they came from).
 
     ``grad`` is one flat gradient vector laid out like ``flatten``'s
     parameter vector for the same layers; each layer's backward writes its
@@ -208,6 +208,14 @@ class _ConvLayer:
         k = self.kernel_size
         return self._im2col(long, (k - 1) // 2, long.shape[1] + k - 1, k, self.stride, n, ws, key)
 
+    def _add_bias(self, y: np.ndarray, out: np.ndarray, ws: "Workspace | None") -> np.ndarray:
+        """y plus the bias, written to out.  The bias is laid out as a (length, c_out)
+        block, so that the add runs over contiguous rows of length * c_out values,
+        not c_out at a time."""
+        bias = _buffer(ws, "bias", y.shape[1:], self.w.dtype)
+        bias[...] = self.b
+        return np.add(y, bias, out=out)
+
     def _spread(self, short: np.ndarray, taps: np.ndarray, length: int,
                 ws: "Workspace | None") -> np.ndarray:
         """Short to long: step t's product with tap j summed onto padded long
@@ -259,8 +267,7 @@ class Conv1DLayer(_ConvLayer):
             ws.unfolded[id(self)] = (x, cols)
         out = _layer_array(self, ws, "out", (x.shape[0], n, self.c_out))
         np.matmul(cols.reshape(x.shape[0], n, -1), self.w.reshape(-1, self.c_out), out=out)
-        out += self.b
-        return out
+        return self._add_bias(out, out, ws)
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None,
                  input_grad: bool = True):
@@ -296,13 +303,7 @@ class ConvTranspose1DLayer(_ConvLayer):
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.forward")
         full = self._spread(x, self.w, self.out_length(x.shape[1]), ws)
-        out = _layer_array(self, ws, "out", full.shape)
-        # the bias as a (length, c_out) block, so the add runs over contiguous
-        # rows of length * c_out values, not c_out at a time
-        bias = _buffer(ws, "bias", full.shape[1:], self.w.dtype)
-        bias[...] = self.b
-        np.add(full, bias, out=out)
-        return out
+        return self._add_bias(full, _layer_array(self, ws, "out", full.shape), ws)
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.backward")

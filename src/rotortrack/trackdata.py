@@ -291,60 +291,98 @@ def _checked(values: np.ndarray) -> Optional[np.ndarray]:
 
 
 # The writers' form of a line: compact separators, point keys in _POINT_KEYS order
-# and "points" last, as track_to_json writes it.
-_POINTS_KEY = ',"points":['
-_POINT_FORM = "{" + ",".join(f'"{k}":' for k in _POINT_KEYS) + "}"
-_NUMBER_CHARS = str.maketrans("", "", "0123456789.-+")
-# Keys, quotes and "{" go; ":" and "}" become spaces.  A number outside a value
-# slot (inside a key, say) then sits beside a slot's number with only a space
-# between, which JSON refuses, instead of being joined to it.
-_TO_NUMBERS = str.maketrans({c: " " if c in ":}" else None for c in set(_POINT_FORM) - {","}})
-_raw_decode = json.JSONDecoder().raw_decode
+# and "points" last, as track_to_json writes it.  The text route works on its UTF-8 bytes.
+_POINTS_KEY = b',"points":['
+_POINT_FORM = ("{" + ",".join(f'"{k}":' for k in _POINT_KEYS) + "}").encode()
+_NUMBER_CHARS = b"0123456789.-+"
+# Keys, quotes and "{" go; ":" becomes a space before each value and "}" a tab after each
+# point.  A number outside a value slot (inside a key, say) then sits beside a slot's number
+# with only whitespace between, which numpy's reader refuses, or fills an empty slot, whose
+# space no number follows, which _json_numbers refuses.
+_TO_NUMBERS = bytes.maketrans(b":}", b" \t")
+_DROPPED = bytes(set(_POINT_FORM) - set(b",:}"))
+_SPACE, _MINUS, _DOT, _ZERO = b" -.0"
 
 
-def _point_count(line: str, split: int, end: int) -> int:
-    """n when the points array of a line that ends "]}" at end, its key at split, is
-    n copies of _POINT_FORM once its number characters are deleted, else 0."""
-    skeleton = line.translate(_NUMBER_CHARS)
-    first = len(line[:split].translate(_NUMBER_CHARS)) + len(_POINTS_KEY)
-    last = len(skeleton) - (len(line) - end) - 2     # the closing "]"
+def _in_point_form(data: bytes, split: int, end: int) -> bool:
+    """Whether the points array of a line that ends "]}" at end, its key at split, is
+    copies of _POINT_FORM joined by commas once its number characters are deleted."""
+    skeleton = data.translate(None, _NUMBER_CHARS)
+    first = len(data[:split].translate(None, _NUMBER_CHARS)) + len(_POINTS_KEY)
+    last = len(skeleton) - (len(data) - end) - 2     # the closing "]"
     n, rest = divmod(last - first + 1, len(_POINT_FORM) + 1)   # n >= 1: "[" and "]" differ
     joined = first + (n - 1) * (len(_POINT_FORM) + 1)          # n - 1 points and their commas
-    if (rest or skeleton.count(_POINT_FORM + ",", first, joined) != n - 1
-            or not skeleton.startswith(_POINT_FORM + "]}", joined)):
-        return 0
-    return n
+    return (not rest and skeleton.count(_POINT_FORM + b",", first, joined) == n - 1
+            and skeleton.startswith(_POINT_FORM + b"]}", joined))
+
+
+def _json_numbers(text: bytes, lo: int, hi: int) -> bool:
+    """Whether JSON reads every number of text[lo:hi], the translated points array, as
+    numpy's reader does, or the reader refuses it.  The reader also takes an empty value
+    slot beside a number outside it, a "+", a "." without a digit on both sides and a
+    leading zero, which JSON refuses, and makes -0.0 of "-0", which JSON reads as the int
+    0.  text[hi:hi + 2] must be "]" and a tab, so that every character has two after it.
+    The masks are built in place, as each is as long as the array."""
+    c = np.frombuffer(text, np.uint8, hi - lo + 3, lo - 1)   # from "[" to the tab
+    digit = c - ord("0") < 10     # uint8 wraps below "0"
+    char, nxt, after = c[:-2], c[1:-1], c[2:]
+    # A space must be followed by a digit or "-" (so no slot is empty or starts with "+"
+    # or "."), and a "-" or "." by a digit.
+    bad = char == _SPACE
+    bad &= nxt != _MINUS
+    bad |= char == _MINUS
+    bad |= char == _DOT
+    bad &= ~digit[1:-1]
+    if bad.any():
+        return False
+    # A "0" after a space must not be followed by a digit (a leading zero), and one
+    # after "-" must be followed by "." (a leading zero, or "-0").
+    bad = char == _MINUS
+    bad &= after != _DOT
+    bad |= (char == _SPACE) & digit[2:]
+    bad &= nxt == _ZERO
+    return not bad.any()
+
+
+def _number_row(line: str) -> Optional[tuple[str, str]]:
+    """The text before the points key of a line in the writers' form, and its points
+    array's 6n numbers as one row for numpy's reader, or None when the line is in another
+    form or holds a number that JSON reads otherwise.  line must hold no lone surrogate.
+    Its bytes and their translation are freed on return, before the reader's buffers
+    (four bytes a character) are made."""
+    data = line.encode()
+    split = data.find(_POINTS_KEY)
+    end = len(data) - data.endswith(b"\n")
+    if split < 0 or not data.startswith(b"]}", end - 2) or not _in_point_form(data, split, end):
+        return None
+    text = data.translate(_TO_NUMBERS, _DROPPED)
+    lo = len(data[:split + len(_POINTS_KEY)].translate(_TO_NUMBERS, _DROPPED))
+    hi = len(text) - (len(data) - end) - 2            # the closing "]"
+    if not _json_numbers(text, lo, hi):
+        return None
+    return data[:split].decode(), text[lo:hi].decode()
 
 
 def _writer_form(line: str) -> Optional[tuple[dict, np.ndarray]]:
     """The other fields and the checked (n, 6) point values of a line in the writers'
     form, or None when the line is in another form or fails any check.
 
-    Its numbers are decoded by json.loads' scanner as one flat list, so JSON's
-    number grammar and its int and float values apply as in the general route.
-    Both translations run over the whole line rather than a copy of the array,
-    and the large temporaries are freed before the head's objects are made, so
-    that objects the track keeps do not pin the heap above them: without that,
-    peak RSS on long lines rose by about a tenth."""
-    split = line.find(_POINTS_KEY)
-    end = len(line) - line.endswith("\n")
-    if split < 0 or not line.startswith("]}", end - 2):
+    numpy's text reader reads the 6n numbers as one row, after _json_numbers has sent
+    every number that JSON reads otherwise, or refuses, to the general route.  Both
+    convert a decimal to the nearest float, so the values are the general route's, and
+    no Python object is made per number."""
+    found = _number_row(line)
+    if found is None:
         return None
-    n = _point_count(line, split, end)
-    if not n:
-        return None
-    start = split + len(_POINTS_KEY) - 1     # the "[" of the points array
+    head, row = found
     try:
-        numbers, _ = _raw_decode(line.translate(_TO_NUMBERS),
-                                 len(line[:start].translate(_TO_NUMBERS)))
-        values = np.fromiter(numbers, np.float64, 6 * n).reshape(n, 6)
-        del numbers   # before the head is decoded, as the docstring says
-        head = json.loads(line[:split] + "}")
-    except (ValueError, RecursionError, OverflowError):
+        values = np.loadtxt([row], np.float64, delimiter=",", comments=None)
+        head = json.loads(head + "}")
+    except (ValueError, RecursionError):
         return None
     if not isinstance(head, dict) or not head:
         return None      # "{" alone before the points is not JSON
-    values = _checked(values)
+    values = _checked(values.reshape(-1, 6))
     return None if values is None else (head, values)
 
 
@@ -408,11 +446,13 @@ def load_tracks(path) -> LoadResult:
 
     A line takes one of two routes.  One in the writers' form (track_to_json's:
     compact separators, point keys in order, "points" last, numbers without an
-    exponent) takes the text route, which decodes its points as one flat list
-    of numbers.  Every other line, and any line that fails a check on the text
-    route, is decoded whole by json.loads and checked point by point.  The
-    text route is only faster: it accepts the same lines, with the same values,
-    and every reject reason comes from the general route."""
+    exponent) takes the text route: once its points array has passed the form
+    and JSON number checks, numpy's text reader reads all its numbers as one
+    row, with no Python object per number.  Every other line, and any line
+    that fails a check on the text route, is decoded whole by json.loads and
+    checked point by point.  The text route is only faster: it accepts the
+    same lines, with the same values, and every reject reason comes from the
+    general route."""
     by_id: dict[str, Track] = {}
     rejects: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:

@@ -125,15 +125,23 @@ class TestConvTranspose1DForward:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12
 
+
     def test_bias_add_matches_a_broadcast_add_bit_for_bit(self):
+        """Both conv layers add the bias through a (length, c_out) block."""
         for k, stride, c_in, c_out, n_in, batch, rng in geometry_cases():
-            layer = nn.ConvTranspose1DLayer.init(rng, k, stride, c_in, c_out)
-            layer.b[:] = rng.normal(size=c_out)
-            x = rng.normal(size=(batch, n_in, c_in))
-            want = layer._spread(x, layer.w, n_in * stride, None) + layer.b
-            ws = nn.Workspace([layer])
-            for space in (None, ws, ws):
-                assert layer.forward(x, space).tobytes() == want.tobytes()
+            for cls in (nn.Conv1DLayer, nn.ConvTranspose1DLayer):
+                layer = cls.init(rng, k, stride, c_in, c_out)
+                layer.b[:] = rng.normal(size=c_out)
+                x = rng.normal(size=(batch, n_in, c_in))
+                n = layer.out_length(n_in)
+                if cls is nn.Conv1DLayer:
+                    cols = layer._rows(x, n, None).reshape(batch, n, -1)
+                    want = cols @ layer.w.reshape(-1, c_out) + layer.b
+                else:
+                    want = layer._spread(x, layer.w, n, None) + layer.b
+                ws = nn.Workspace([layer])
+                for space in (None, ws, ws):
+                    assert layer.forward(x, space).tobytes() == want.tobytes()
 
     def test_same_padding_doubles_length_at_stride_2(self):
         rng = np.random.default_rng(6)

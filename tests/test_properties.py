@@ -271,7 +271,8 @@ plain_points = st.lists(
     min_size=1, max_size=4, unique_by=lambda p: p[0],
 ).map(sorted)
 LITERALS = ["0", "-0", "-0.0", "1e5", "1E5", "1.", "01", "+1", ".5", "1-2", "--1", "", "NaN",
-            "Infinity", "-Infinity", "true", "null", '"1"', "1" * 400, "1" * 5000]
+            "Infinity", "-Infinity", "true", "null", '"1"', "1" * 400, "1" * 5000,
+            "-01", "-.5", "00", "0.", "-0.", "-00.5", "1.2.3", "-", "0.-5", "1.5-"]
 
 
 def loaded(path):
@@ -284,7 +285,8 @@ def loaded(path):
 
 @st.composite
 def mutated_lines(draw):
-    """A line track_to_json writes, with one textual change, and a line ending."""
+    """A line track_to_json writes, with one textual change (or an emptied value and a
+    number character put elsewhere), and a line ending."""
     track = draw(st.builds(td.Track, track_id=st.text(min_size=1), points=plain_points,
                            callsign=optional_text, runway_id=optional_text,
                            scratchpad_runway=st.none() | st.booleans()))
@@ -297,7 +299,7 @@ def mutated_lines(draw):
     kind = draw(st.sampled_from(["none", "literal", "int", "swap_keys", "repeat_key",
                                  "digit_in_key", "number_char", "space_after_comma",
                                  "points_in_head", "points_text_in_head", "empty_head",
-                                 "empty_points"]))
+                                 "empty_points", "empty_value_and_number_char"]))
     if kind == "literal":
         points[i][j][1] = draw(st.sampled_from(LITERALS))
     elif kind == "int":
@@ -316,6 +318,8 @@ def mutated_lines(draw):
         head += ',"callsign":' + json.dumps(',"points":[')
     elif kind == "empty_head":
         head = "{"
+    elif kind == "empty_value_and_number_char":   # a number char may fill the emptied slot
+        points[i][j][1] = ""
     body = ",".join("{" + ",".join(f'"{k}":{v}' for k, v in p) + "}" for p in points)
     if kind == "empty_points":
         body = ""
@@ -323,7 +327,8 @@ def mutated_lines(draw):
     if kind == "space_after_comma":
         at = line.find(",", draw(st.integers(0, len(line) - 1))) + 1 or len(line) - 1
         line = line[:at] + " " + line[at:]
-    elif kind == "number_char":   # anywhere in the points array: a value, a key, between objects
+    elif kind in ("number_char", "empty_value_and_number_char"):
+        # anywhere in the points array: a value, a key, between objects
         at = draw(st.integers(split + len(',"points":['), len(line) - 1))
         line = line[:at] + draw(st.sampled_from("0123456789.-+")) + line[at:]
     return line + draw(st.sampled_from(["\n", "\r\n", ""]))
@@ -339,9 +344,21 @@ def mutated_lines(draw):
          '{"t":2,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
 @example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6},'
          '{"t":2,"lon":3,"lat":2,"alt":4,"course":5,"gs":6}]}\n')
+# an emptied value slot beside a number character in its key or after its point's "}"
+@example('{"track_id":"X","points":[{"9t":,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
+@example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":}6]}\n')
+# numbers numpy's text reader takes but JSON refuses, and "-0", which JSON reads as 0.0
+@example('{"track_id":"X","points":[{"t":1,"lat":+1,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
+@example('{"track_id":"X","points":[{"t":1,"lat":01,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
+@example('{"track_id":"X","points":[{"t":1,"lat":-01,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
+@example('{"track_id":"X","points":[{"t":1,"lat":1.,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
+@example('{"track_id":"X","points":[{"t":1,"lat":.5,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
+@example('{"track_id":"X","points":[{"t":1,"lat":-.5,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
+@example('{"track_id":"X","points":[{"t":1,"lat":-0,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
 def test_the_text_route_loads_what_the_general_route_loads(workdir, line):
-    """A writer's line with any one change loads as the general route alone loads it:
-    the same tracks, bit for bit, and the same rejects."""
+    """A writer's line with any one change (or an emptied value and a stray number
+    character) loads as the general route alone loads it: the same tracks, bit for bit,
+    and the same rejects."""
     path = workdir / "mutated.jsonl"
     path.write_bytes(line.encode())   # bytes, so that "\r\n" reaches the reader
     both = loaded(path)

@@ -135,6 +135,31 @@ class TestLoadTracks:
         res = td.load_tracks(p)
         assert res.rejects == [(1, reason)] and [t.track_id for t in res.tracks] == ["T100"]
 
+    @staticmethod
+    def writers_line(alt: str) -> str:
+        return '{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":%s,"course":5,"gs":6}]}' % alt
+
+    @pytest.mark.parametrize("number", ["0", "-0.0", "0.5", "-0.5", "10", "-10.25", "0.000001",
+                                        "12345678901234567890", "1.00000000000000011102"])
+    def test_a_json_number_takes_the_text_route_with_its_json_value(self, number):
+        head, values = td._writer_form(self.writers_line(number))
+        assert head == {"track_id": "X"}
+        assert values[0, 3].tobytes() == np.float64(json.loads(number)).tobytes()
+
+    @pytest.mark.parametrize("number", ["+1", "01", "-01", "00", "1.", ".5", "-.5", "-00.5", "-0"])
+    def test_a_number_json_reads_otherwise_takes_the_general_route(self, tmp_path, number):
+        """numpy's text reader takes each of these; JSON refuses all but "-0", the int 0."""
+        line = self.writers_line(number)
+        assert td._writer_form(line) is None
+        p = tmp_path / "tracks.jsonl"
+        p.write_text(line + "\n", encoding="utf-8")
+        res = td.load_tracks(p)
+        if number == "-0":
+            assert res.tracks[0].points["alt"].tobytes() == np.zeros(1).tobytes()   # not -0.0
+        else:
+            [(_, reason)] = res.rejects
+            assert reason.startswith("invalid JSON: Expecting")
+
     def test_undecodable_bytes_reject_only_their_line(self, tmp_path):
         p = tmp_path / "tracks.jsonl"
         good = json.dumps(GOOD_LINE).encode()

@@ -109,6 +109,7 @@ class Reference:
     def __exit__(self, *exc):
         self.proc.stdin.close()
         self.proc.wait()
+        self.proc.stdout.close()
 
     def time(self) -> float:
         self.proc.stdin.write("\n")
@@ -193,7 +194,7 @@ def cli_pass(ref: Reference, config: dict, out_dir: Path) -> dict:
     with open(out_dir / "stderr.log", "wb") as log:
         for stage in STAGES:
             code, wall, rss = timed_process(
-                [sys.executable, "-m", "rotortrack.cli", "--config", str(cfg),
+                [sys.executable, "-m", "rotortrack", "--config", str(cfg),
                  "--out-dir", str(out_dir), stage], env, log)
             reference.append(ref.time())
             stages[stage] = {"exit": code, "wall_s": wall,

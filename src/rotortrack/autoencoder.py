@@ -162,7 +162,7 @@ class ModelParams:
     """
 
     spec: AutoencoderSpec
-    stages: list[Stage] = field(repr=False, default_factory=list)
+    stages: list[Stage] = field(repr=False)
     norm_stats: Optional[NormStats] = field(repr=False, default=None)
 
     def parameters(self) -> list[np.ndarray]:

@@ -34,7 +34,6 @@ log = logging.getLogger("rotortrack")
 # Where each artifact lives: the one config section the library does not own.
 DEFAULT_CONFIG: dict = {
     "paths": {
-        "out_dir": ".",
         "tracks": "tracks.jsonl",
         "labels": "labels.csv",
         "runways": "runways.csv",
@@ -124,8 +123,8 @@ def load_config(path: Optional[str]) -> dict:
 class Paths:
     """Config paths resolved against the output directory."""
 
-    def __init__(self, cfg: dict, out_dir_flag: Optional[str]):
-        self.out_dir = Path(out_dir_flag or cfg["paths"]["out_dir"])
+    def __init__(self, cfg: dict, out_dir: str):
+        self.out_dir = Path(out_dir)
         self._cfg = cfg["paths"]
 
     def __getattr__(self, name: str) -> Path:
@@ -428,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rotortrack",
         description="Identify helicopter arrival tracks with a convolutional autoencoder.")
     parser.add_argument("--config", help="JSON config file; defaults are used when omitted")
-    parser.add_argument("--out-dir", help="directory for artifacts (default from config)")
+    parser.add_argument("--out-dir", default=".", help="directory for artifacts (default: .)")
     parser.add_argument("--log-file", help="append timestamped logs to this file")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, stage in _COMMANDS.items():
@@ -470,7 +469,3 @@ def main(argv: Optional[list[str]] = None) -> int:
             log.error("out of memory: %s", e)
             return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

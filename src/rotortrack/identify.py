@@ -110,10 +110,8 @@ def classify(model: ae.ModelParams, thresholds: Thresholds, track: td.Track,
     """Window, normalize, reconstruct, score, and gate one track."""
     try:
         mae_value = _window_mae(model, track, runway)   # window_mae counts calibration calls only
-    except td.NoApproach as e:
-        raise Unclassifiable(track.track_id, "no_approach") from e
-    except td.FewerThan100Points as e:
-        raise Unclassifiable(track.track_id, "fewer_than_100_points") from e
+    except td.WindowingError as e:
+        raise Unclassifiable(track.track_id, e.reason) from e
     score = rs.runway_score(rs.score_inputs_for_track(track, runway), score_params)
     return decide(track.track_id, mae_value, score, thresholds)
 

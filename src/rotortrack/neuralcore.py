@@ -160,18 +160,14 @@ class _ConvLayer:
     stride: int
     c_in: int
     c_out: int
-    w: np.ndarray = field(default=None, repr=False)  # (kernel_size, c_in, c_out)
-    b: np.ndarray = field(default=None, repr=False)  # (c_out,)
+    w: np.ndarray = field(repr=False)  # (kernel_size, c_in, c_out)
+    b: np.ndarray = field(repr=False)  # (c_out,)
 
     def __post_init__(self):
         if self.kernel_size < 1 or self.stride < 1:
             raise ValueError("kernel_size and stride must be >= 1")
         if self.c_in < 1 or self.c_out < 1:
             raise ValueError("channel counts must be >= 1")
-        if self.w is None:
-            self.w = np.zeros((self.kernel_size, self.c_in, self.c_out))
-        if self.b is None:
-            self.b = np.zeros(self.c_out, dtype=self.w.dtype)
         if self.w.shape != (self.kernel_size, self.c_in, self.c_out):
             raise ShapeMismatch(f"weight shape {self.w.shape} does not match layer geometry")
         if self.b.shape != (self.c_out,):
@@ -326,16 +322,12 @@ class DenseLayer:
 
     d_in: int
     d_out: int
-    w: np.ndarray = field(default=None, repr=False)
-    b: np.ndarray = field(default=None, repr=False)
+    w: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("dense dimensions must be >= 1")
-        if self.w is None:
-            self.w = np.zeros((self.d_in, self.d_out))
-        if self.b is None:
-            self.b = np.zeros(self.d_out, dtype=self.w.dtype)
         if self.w.shape != (self.d_in, self.d_out):
             raise ShapeMismatch(f"weight shape {self.w.shape} does not match ({self.d_in}, {self.d_out})")
         if self.b.shape != (self.d_out,):
@@ -400,10 +392,10 @@ ADAM_EPS = 1e-8
 class AdamState:
     """First and second moment vectors plus the step count."""
 
-    lr: float = 1e-3
+    lr: float
+    m: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
     step: int = 0
-    m: np.ndarray = field(default=None, repr=False)
-    v: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lr <= 0:

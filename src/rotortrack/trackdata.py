@@ -51,15 +51,19 @@ class MalformedRecord(TrackDataError):
 
 
 class WindowingError(TrackDataError):
-    """Base for arrival-window rejections."""
+    """Base for arrival-window rejections; reason names the rejection in results.csv."""
+
+    reason: str
 
 
 class FewerThan100Points(WindowingError):
     """Track has fewer than 100 points at or before closest approach."""
+    reason = "fewer_than_100_points"
 
 
 class NoApproach(WindowingError):
     """Track never comes within MAX_APPROACH_NM of the runway threshold."""
+    reason = "no_approach"
 
 
 class ZeroVarianceFeature(TrackDataError):
@@ -380,7 +384,7 @@ def _writer_form(line: str) -> Optional[tuple[dict, np.ndarray]]:
         head = json.loads(head + "}")
     except (ValueError, RecursionError):
         return None
-    if not isinstance(head, dict) or not head:
+    if not head:
         return None      # "{" alone before the points is not JSON
     values = _checked(values.reshape(-1, 6))
     return None if values is None else (head, values)
@@ -457,7 +461,7 @@ def load_tracks(path) -> LoadResult:
     rejects: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             track, err = _parse_track(line)
             if err is None and track.track_id in by_id:

@@ -365,6 +365,12 @@ def edit_json(fn):
     return edit
 
 
+def test_a_model_is_built_with_its_stages():
+    # build and load give every model its layer plan's stages
+    with pytest.raises(TypeError):
+        ae.ModelParams(ae.AutoencoderSpec())
+
+
 class TestModelContainer:
     def test_round_trip_reproduces_reconstructions_bitwise(self, tmp_path):
         model = trained_small_model()

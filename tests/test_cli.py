@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from rotortrack import runwayscore as rs
 from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SMALL_CFG = {
     "synth": {"seed": 11, "helicopters": 40, "ga": 8, "commercial": 8},
     "training": {"epochs": 30, "batch_size": 16},
@@ -513,6 +517,7 @@ class TestMalformedConfig:
         ({"runway_score": {"weights": 3}}, "runway_score.weights"),
         ({"histogram_bins": 30}, "histogram_bins is not a settable key"),
         ({"paths": {"tracks": 5}}, "paths.tracks"),
+        ({"paths": {"out_dir": "x"}}, "config.paths.out_dir is not a settable key"),
         ({"training": []}, "training"),
         ({"training": {"epochs": 5.5}}, "training.epochs"),
         ({"training": {"patience": True}}, "training.patience"),
@@ -539,3 +544,80 @@ class TestMalformedConfig:
         cfg.write_text(json.dumps(doc))
         assert run("--out-dir", str(tmp_path), "--config", str(cfg), command) == 1
         assert named in capsys.readouterr().err
+
+
+class TestOtherJsonForms:
+    def test_tracks_in_other_json_forms_give_the_same_results(self, pipeline, tmp_path):
+        # json.dumps' default separators put every line on the general route, which must
+        # classify and validate exactly as the text route did.  Numbers of 6 decimals,
+        # as perfbench's generator writes lat and lon, have numpy's text reader on the
+        # text route read more than 17-digit floats: the writers' compact form and
+        # default separators must then give the same results.
+        original = (pipeline / "tracks.jsonl").read_text(encoding="utf-8")
+        tracks = [json.loads(line) for line in original.splitlines()]
+        rounded = [{**t, "points": [{k: round(v, 6) for k, v in p.items()} for p in t["points"]]}
+                   for t in tracks]
+        forms = {"spaced": (tracks, None), "rounded_compact": (rounded, (",", ":")),
+                 "rounded_spaced": (rounded, None)}
+        for form, (doc, separators) in forms.items():
+            work = copy_inputs(pipeline, tmp_path / form, ("model.rtae", "thresholds.json",
+                                                           "runways.csv", "registration.csv",
+                                                           "heli_types.txt"))
+            text = "".join(json.dumps(t, separators=separators) + "\n" for t in doc)
+            assert text != original, f"the {form} rewrite left tracks.jsonl as it was"
+            (work / "tracks.jsonl").write_text(text, encoding="utf-8")
+            for stage in ("classify", "validate"):
+                assert run("--out-dir", str(work), "--config", str(pipeline / "cfg.json"),
+                           stage) == 0, f"{stage} failed on the {form} form"
+        for name in ("results.csv", "validation.csv"):
+            assert (tmp_path / "spaced" / name).read_bytes() == (pipeline / name).read_bytes()
+            assert ((tmp_path / "rounded_compact" / name).read_bytes()
+                    == (tmp_path / "rounded_spaced" / name).read_bytes())
+
+
+def without_thread_counts(**extra):
+    """This process's environment with no BLAS thread count set, src/ importable, plus extra."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+class TestEntryModule:
+    def test_unset_thread_count_trains_the_model_one_thread_does(self, tmp_path):
+        # The default scenario's last training batch of each epoch holds 16 windows,
+        # whose weight-gradient GEMM sums in another order on more than one BLAS thread.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"training": {"epochs": 2}}))
+        models = []
+        for name, env in (("unset", without_thread_counts()),
+                          ("one", without_thread_counts(OPENBLAS_NUM_THREADS="1"))):
+            for stage in ("synth", "train"):
+                subprocess.run([sys.executable, "-m", "rotortrack", "--config", str(cfg),
+                                "--out-dir", str(tmp_path / name), stage],
+                               env=env, check=True, capture_output=True)
+            models.append((tmp_path / name / "model.rtae").read_bytes())
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("env, want", [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+        ({"OMP_NUM_THREADS": "2"}, None),
+    ])
+    def test_the_command_sets_one_thread_unless_a_count_is_set(self, monkeypatch, env, want):
+        from rotortrack import __main__ as entry
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        seen = []
+        monkeypatch.setattr(cli, "main",
+                            lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
+        entry.main()
+        assert seen == [want]
+
+    def test_importing_the_library_sets_no_thread_count(self):
+        code = "import os, rotortrack.cli; print('OPENBLAS_NUM_THREADS' in os.environ)"
+        proc = subprocess.run([sys.executable, "-c", code], env=without_thread_counts(),
+                              check=True, capture_output=True, text=True)
+        assert proc.stdout == "False\n"

@@ -148,6 +148,18 @@ class TestClassifyTrack:
             idf.classify(model, idf.Thresholds(), self.approach(n=80, closest=40), RUNWAY)
         assert exc.value.reason == "fewer_than_100_points"
 
+    def test_any_windowing_error_is_unclassifiable_with_its_own_reason(self, monkeypatch):
+        class Sideways(td.WindowingError):
+            reason = "sideways"
+
+        def refuse(track, runway):
+            raise Sideways(f"track {track.track_id} flew sideways")
+
+        monkeypatch.setattr(td, "arrival_features", refuse)
+        with pytest.raises(idf.Unclassifiable) as exc:
+            idf.classify(training_windows_and_model(), idf.Thresholds(), self.approach(), RUNWAY)
+        assert (exc.value.track_id, exc.value.reason) == ("T1", "sideways")
+
     def test_classify_agrees_with_window_mae_and_score(self):
         model = training_windows_and_model()
         track = self.approach()

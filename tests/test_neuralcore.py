@@ -71,6 +71,18 @@ def geometry_cases():
         yield (*case, rng)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: nn.Conv1DLayer(3, 2, 1, 1),
+    lambda: nn.ConvTranspose1DLayer(3, 2, 1, 1),
+    lambda: nn.DenseLayer(3, 2),
+    lambda: nn.AdamState(lr=0.1),
+], ids=["conv", "conv_transpose", "dense", "adam"])
+def test_layers_and_adam_state_are_built_whole_or_not_at_all(build):
+    # weights, biases and Adam's moments have no default: init and adam_init build them
+    with pytest.raises(TypeError):
+        build()
+
+
 class TestConv1DForward:
     def test_matches_naive_loop_on_20_random_cases(self):
         for k, stride, c_in, c_out, n_in, batch, rng in geometry_cases():

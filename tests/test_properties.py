@@ -26,7 +26,7 @@ from rotortrack import validate as vl  # noqa: E402
 
 # Every key a config file may set, by section.
 SETTABLE = {
-    "paths": ("out_dir", "tracks", "labels", "runways", "registration", "heli_types", "model",
+    "paths": ("tracks", "labels", "runways", "registration", "heli_types", "model",
               "loss_history", "thresholds", "histogram", "results", "validation", "venn_csv",
               "venn_txt", "pseudo_types", "metrics", "report"),
     "synth": ("seed", "helicopters", "ga", "commercial"),

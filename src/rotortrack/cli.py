@@ -164,12 +164,15 @@ def _cell(value):
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
-    # csv.writer quotes a field holding a character of its lineterminator and
-    # makes one write per row, so rows written with "\r\n" quote a lone \r
-    # as well, and can then end in "\n" alone.
+    # Python 3.10's csv.writer cannot write NUL, so no Python may.  csv.writer
+    # quotes a field holding a character of its lineterminator and makes one
+    # write per row, so rows written with "\r\n" quote a lone \r as well, and
+    # can then end in "\n" alone.
+    cells = [[_cell(v) for v in row] for row in rows]
+    if any(isinstance(c, str) and "\0" in c for row in cells for c in row):
+        raise CliError(f"{path}: a cell holds NUL, which Python 3.10's csv module cannot write")
     lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append),
-               lineterminator="\r\n").writerows([_cell(v) for v in row] for row in rows)
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(cells)
     text = "".join(line[:-2] + "\n" for line in lines)
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline=""))
 
@@ -469,3 +472,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             log.error("out of memory: %s", e)
             return 1
     return 0
+
+
+if __name__ == "__main__":   # numpy is loaded by now, too late for __main__'s one-thread default
+    sys.exit("rotortrack: run the stages with `python -m rotortrack` or `rotortrack`, "
+             "not `python -m rotortrack.cli`")

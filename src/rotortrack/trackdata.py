@@ -223,27 +223,19 @@ def _encodable(text: str) -> bool:
     return text.isascii() or _SURROGATE.search(text) is None
 
 
-def _point_error(d: dict) -> Optional[str]:
-    for k in _POINT_KEYS:
-        if k not in d:
-            return f"point missing field {k!r}"
-        if not isinstance(d[k], (int, float)) or isinstance(d[k], bool):
-            return f"point field {k!r} is not a number"
-        try:
-            finite = math.isfinite(d[k])
-        except OverflowError:   # an integer beyond the float range
-            return f"point field {k!r} is out of float range"
-        if not finite:
-            return f"point field {k!r} is not finite"
-    if not -90.0 <= d["lat"] <= 90.0:
-        return f"lat {d['lat']} out of [-90, 90]"
-    if not -180.0 <= d["lon"] <= 180.0:
-        return f"lon {d['lon']} out of [-180, 180]"
-    if not 0.0 <= d["course"] < 360.0:
-        return f"course {d['course']} out of [0, 360)"
-    if d["gs"] < 0.0:
-        return f"gs {d['gs']} is negative"
-    return None
+# (low, high, the rule in words) of each bounded point field.  t and alt need only be finite:
+# the largest finite float bounds them, so one comparison per bound also refuses NaN and inf.
+_BIG = np.finfo(np.float64).max
+_POINT_RULES = {
+    "lat": (-90.0, 90.0, "out of [-90, 90]"),
+    "lon": (-180.0, 180.0, "out of [-180, 180]"),
+    "course": (0.0, math.nextafter(360.0, 0.0), "out of [0, 360)"),
+    "gs": (0.0, _BIG, "is negative"),
+}
+_LOW = np.array([_POINT_RULES.get(k, (-_BIG, _BIG))[0] for k in _POINT_KEYS])
+_HIGH = np.array([_POINT_RULES.get(k, (-_BIG, _BIG))[1] for k in _POINT_KEYS])
+_point_values = operator.itemgetter(*_POINT_KEYS)
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _first_point_error(raw_points: list) -> Optional[str]:
@@ -252,27 +244,29 @@ def _first_point_error(raw_points: list) -> Optional[str]:
     for i, rp in enumerate(raw_points):
         if not isinstance(rp, dict):
             return f"point {i} is not an object"
-        err = _point_error(rp)
-        if err is not None:
-            return f"point {i}: {err}"
+        for k in _POINT_KEYS:
+            if k not in rp:
+                return f"point {i}: point missing field {k!r}"
+            if not isinstance(rp[k], (int, float)) or isinstance(rp[k], bool):
+                return f"point {i}: point field {k!r} is not a number"
+            try:
+                finite = math.isfinite(rp[k])
+            except OverflowError:   # an integer beyond the float range
+                return f"point {i}: point field {k!r} is out of float range"
+            if not finite:
+                return f"point {i}: point field {k!r} is not finite"
+        for k, (low, high, rule) in _POINT_RULES.items():
+            if not low <= rp[k] <= high:
+                return f"point {i}: {k} {rp[k]} {rule}"
         if prev_t is not None and float(rp["t"]) <= prev_t:
             return f"point {i}: time not strictly increasing"
         prev_t = float(rp["t"])
     return None
 
 
-_point_values = operator.itemgetter(*_POINT_KEYS)
-_NUMBER_TYPES = frozenset((int, float))
-# Per-column bounds; the largest finite float bounds a column without a range,
-# so one comparison also refuses NaN and infinities.  Course must be < 360.
-_BIG = np.finfo(np.float64).max
-_LOW = np.array([-_BIG, -90.0, -180.0, -_BIG, 0.0, 0.0])
-_HIGH = np.array([_BIG, 90.0, 180.0, _BIG, np.nextafter(360.0, 0.0), _BIG])
-
-
 def _point_array(raw_points: list) -> Optional[np.ndarray]:
-    """The (n, 6) float64 array of the raw points when every point passes _point_error
-    and time strictly increases, else None."""
+    """The (n, 6) float64 array of the raw points when _first_point_error finds no bad
+    point, else None."""
     try:
         rows = list(map(_point_values, raw_points))
     except (KeyError, TypeError):      # a point that is not an object, or lacks a key
@@ -310,14 +304,12 @@ _SPACE, _MINUS, _DOT, _ZERO = b" -.0"
 
 def _in_point_form(data: bytes, split: int, end: int) -> bool:
     """Whether the points array of a line that ends "]}" at end, its key at split, is
-    copies of _POINT_FORM joined by commas once its number characters are deleted."""
+    n >= 1 copies of _POINT_FORM joined by commas once its number characters are deleted."""
     skeleton = data.translate(None, _NUMBER_CHARS)
     first = len(data[:split].translate(None, _NUMBER_CHARS)) + len(_POINTS_KEY)
-    last = len(skeleton) - (len(data) - end) - 2     # the closing "]"
-    n, rest = divmod(last - first + 1, len(_POINT_FORM) + 1)   # n >= 1: "[" and "]" differ
-    joined = first + (n - 1) * (len(_POINT_FORM) + 1)          # n - 1 points and their commas
-    return (not rest and skeleton.count(_POINT_FORM + b",", first, joined) == n - 1
-            and skeleton.startswith(_POINT_FORM + b"]}", joined))
+    n, rest = divmod(len(skeleton) - (len(data) - end) - 1 - first, len(_POINT_FORM) + 1)
+    return (not rest and skeleton.count(_POINT_FORM + b",", first) == n - 1
+            and skeleton.endswith(_POINT_FORM + b"]}" + data[end:]))
 
 
 def _json_numbers(text: bytes, lo: int, hi: int) -> bool:
@@ -431,10 +423,10 @@ def _parse_track(line: str) -> tuple[Optional[Track], Optional[str]]:
     scratch = obj.get("scratchpad_runway")
     if scratch is not None and not isinstance(scratch, bool):
         return None, "scratchpad_runway must be a boolean when present"
-    for key in ("track_id", *_STRING_KEYS):
+    for key in ("track_id", *_STRING_KEYS):   # Python 3.10's csv module refuses NUL
         val = obj.get(key)
-        if val is not None and not (isinstance(val, str) and _encodable(val)):
-            return None, f"{key} must be a string without lone surrogates when present"
+        if val is not None and not (isinstance(val, str) and _encodable(val) and "\0" not in val):
+            return None, f"{key} must be a string without lone surrogates or NUL when present"
     return Track(track_id, points, scratchpad_runway=scratch,
                  **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
 
@@ -591,12 +583,15 @@ def normalize(raw_window: np.ndarray, stats: NormStats, source_track_id: str,
 # label, runway and registration tables
 
 def utf8_lines(path, newline: Optional[str] = None) -> list[str]:
-    """The lines of the text file at path; a line that is not UTF-8 is a MalformedRecord."""
+    """The lines of the text file at path; a line that is not UTF-8, or holds NUL (which
+    Python 3.10's csv reader refuses), is a MalformedRecord."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
         lines = fh.readlines()
     for line_no, line in enumerate(lines, start=1):
         if not _encodable(line):
             raise MalformedRecord(path, line_no, "invalid UTF-8")
+        if "\0" in line:
+            raise MalformedRecord(path, line_no, "line contains NUL")
     return lines
 
 

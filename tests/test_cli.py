@@ -295,6 +295,12 @@ class TestCliBehavior:
         assert run("--out-dir", str(work), command) == 1
         assert f"{name} line 2: invalid UTF-8" in capsys.readouterr().err
 
+    def test_a_csv_cell_holding_nul_is_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "results.csv"
+        with pytest.raises(cli.CliError, match=f"{path}: a cell holds NUL"):
+            cli._write_csv(path, [cli.RESULTS_HEADER, ["a\x00b", None, None, False, ""]])
+        assert not path.exists()
+
     def test_undecodable_byte_in_a_track_line_rejects_only_that_line(self, pipeline, tmp_path,
                                                                      capsys):
         work = copy_inputs(pipeline, tmp_path / "callsign", ("model.rtae", "thresholds.json",
@@ -621,3 +627,12 @@ class TestEntryModule:
         proc = subprocess.run([sys.executable, "-c", code], env=without_thread_counts(),
                               check=True, capture_output=True, text=True)
         assert proc.stdout == "False\n"
+
+    def test_running_the_cli_module_exits_nonzero_and_runs_no_stage(self, tmp_path):
+        """Run that way, the stage would start after numpy loaded, with no one-thread default."""
+        proc = subprocess.run([sys.executable, "-m", "rotortrack.cli",
+                               "--out-dir", str(tmp_path / "x"), "synth"],
+                              env=without_thread_counts(), capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "python -m rotortrack` or `rotortrack`" in proc.stderr
+        assert not (tmp_path / "x").exists()

@@ -178,13 +178,18 @@ class TestLoadTracks:
         assert res.rejects == [] and res.tracks[0].track_id == "Zürich-🚁"
 
     @pytest.mark.parametrize("key", ["track_id", "callsign", "aircraft_type", "runway_id"])
-    def test_lone_surrogate_in_a_string_field_is_a_named_reject(self, tmp_path, key):
+    @pytest.mark.parametrize("text", ["\ud800C0007", "a\x00b"], ids=["lone_surrogate", "nul"])
+    def test_lone_surrogate_or_nul_in_a_string_field_is_a_named_reject(self, tmp_path, key,
+                                                                       text):
+        """No UTF-8 output can hold a lone surrogate, and Python 3.10's csv module can
+        neither write nor read NUL, so no track may hold either."""
         p = tmp_path / "tracks.jsonl"
         obj = dict(GOOD_LINE, track_id="T2")
-        obj[key] = "\ud800C0007"
-        write_jsonl(p, [json.dumps(obj), GOOD_LINE])   # json.dumps writes the escape "\ud800"
+        obj[key] = text
+        write_jsonl(p, [json.dumps(obj), GOOD_LINE])   # json.dumps writes "\ud800" or "\u0000"
         res = td.load_tracks(p)
-        assert res.rejects == [(1, f"{key} must be a string without lone surrogates when present")]
+        assert res.rejects == [(1, f"{key} must be a string without lone surrogates or NUL "
+                                   "when present")]
         assert [t.track_id for t in res.tracks] == ["T100"]
 
     def test_escaped_surrogate_pair_is_one_character_and_loads(self, tmp_path):
@@ -592,6 +597,17 @@ class TestTableRows:
         line = text.count("\n") + 2   # a blank line comes first
         with pytest.raises(td.MalformedRecord, match=re.escape(
                 f"{table}.csv line {line}: invalid UTF-8")):
+            load(p)
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_nul_is_named_by_file_and_line(self, tmp_path, table):
+        """As Python 3.10's csv reader names it, on every Python."""
+        load, text, row = TABLES[table]
+        p = tmp_path / f"{table}.csv"
+        p.write_text(text + row.replace(",", "\x00,", 1) + "\n")
+        line = text.count("\n") + 1
+        with pytest.raises(td.MalformedRecord, match=re.escape(
+                f"{table}.csv line {line}: line contains NUL")):
             load(p)
 
     @pytest.mark.parametrize("table", TABLES)

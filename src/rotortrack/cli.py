@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence
 
 from . import autoencoder as ae
 from . import identify as idf
-from . import runwayscore as rs
 from . import synthgen as sg
 from . import trackdata as td
 from . import validate as vl
@@ -53,19 +52,15 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-# Config sections that build a library object, whose field defaults are the
-# section's defaults, and the fields a config may not set: trackdata fixes the
-# window shape, and calibrate derives the MAE gate.
+# Config sections that build a library object, and the fields a config may set;
+# every other field keeps its library default.
 _BUILT = {
-    "synth": (sg.ScenarioSpec, ()),
-    "autoencoder": (ae.AutoencoderSpec, ("input_len", "n_features")),
-    "training": (ae.TrainConfig, ()),
-    "runway_score": (rs.ScoreParams, ()),
-    "thresholds": (idf.Thresholds, ("mae_threshold",)),
+    "synth": (sg.ScenarioSpec, ("seed", "helicopters", "ga", "commercial")),
+    "autoencoder": (ae.AutoencoderSpec, ("seed",)),
+    "training": (ae.TrainConfig, ("epochs", "seed")),
 }
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string", tuple: "a list",
-          dict: "an object"}
+_KINDS = {int: "an integer", str: "a string", dict: "an object"}
 
 
 class CliError(Exception):
@@ -75,9 +70,7 @@ class CliError(Exception):
 def _checked(value, default, name: str):
     """A JSON value as the kind of default, or a CliError naming it.
 
-    An object may set any subset of its default's keys, and no other.  A float
-    default takes any finite number, integers included, and a tuple default
-    takes a list whose items each have the kind of the default's first item.
+    An object may set any subset of its default's keys, and no other.
     """
     if isinstance(default, dict) and isinstance(value, dict):
         unknown = sorted(value.keys() - default.keys())
@@ -85,12 +78,7 @@ def _checked(value, default, name: str):
             raise CliError(f"{name}.{unknown[0]} is not a settable key")
         return {key: _checked(value[key], d, f"{name}.{key}") if key in value else d
                 for key, d in default.items()}
-    if isinstance(default, tuple) and isinstance(value, list):
-        return tuple(_checked(v, default[0], f"{name}[{i}]") for i, v in enumerate(value))
-    if type(default) is float and type(value) in (int, float):
-        if abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is type(default):
+    if type(value) is type(default):
         return value
     raise CliError(f"{name} must be {_KINDS[type(default)]}, got {json.dumps(value)}")
 
@@ -108,9 +96,9 @@ def load_config(path: Optional[str]) -> dict:
             raise CliError(f"config file not found: {p}")
         doc = _read_json_object(p)
     defaults = dict(DEFAULT_CONFIG)
-    for section, (cls, fixed) in _BUILT.items():
+    for section, (cls, settable) in _BUILT.items():
         defaults[section] = {f.name: f.default for f in dataclasses.fields(cls)
-                             if f.name not in fixed}
+                             if f.name in settable}
     cfg = _checked(doc, defaults, "config")
     for section, (cls, _) in _BUILT.items():
         try:
@@ -143,8 +131,12 @@ class Paths:
 def _atomic_write(path: Path, write_fn: Callable[[Path], None]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    write_fn(tmp)
-    tmp.replace(path)
+    try:
+        write_fn(tmp)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     log.info("wrote %s", path)
 
 
@@ -277,11 +269,9 @@ def cmd_calibrate(cfg: dict, paths: Paths) -> None:
     model = ae.load(paths.input("model"))
     maes = list(_per_helicopter(paths, "calibration", lambda track, runway:
                                 idf.window_mae(model, track, runway)).values())
-    percentile = cfg["thresholds"].percentile
-    delta = idf.calibrate(maes, percentile)
+    thresholds = idf.Thresholds(idf.calibrate(maes))
     log.info("calibrated MAE threshold %.6g at percentile %s over %d windows",
-             delta, percentile, len(maes))
-    thresholds = dataclasses.replace(cfg["thresholds"], mae_threshold=delta)
+             thresholds.mae_threshold, thresholds.percentile, len(maes))
     _write_text(paths.thresholds, json.dumps(dataclasses.asdict(thresholds), indent=2) + "\n")
     bins = idf.histogram_report(maes)
     _write_csv(paths.histogram,
@@ -307,7 +297,7 @@ def cmd_classify(cfg: dict, paths: Paths) -> None:
     thresholds = _read_thresholds(paths)
     tracks = _load_tracks(paths)
     runways = td.load_runways(paths.input("runways"))
-    outcomes = idf.classify_tracks(model, thresholds, tracks, runways, cfg["runway_score"])
+    outcomes = idf.classify_tracks(model, thresholds, tracks, runways)
     results = [o for o in outcomes if isinstance(o, idf.ClassificationResult)]
     log.info("classified %d tracks: %d helicopters, %d unclassifiable",
              len(tracks), sum(r.pred_is_helicopter for r in results), len(tracks) - len(results))
@@ -468,7 +458,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 vl.ValidationError, OSError, ValueError, csv.Error) as e:
             log.error("%s", e)
             return 1
-        except MemoryError as e:   # a config size too large to allocate
+        except MemoryError as e:   # an input too large for the memory at hand
             log.error("out of memory: %s", e)
             return 1
     return 0

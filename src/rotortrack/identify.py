@@ -117,9 +117,7 @@ def classify(model: ae.ModelParams, thresholds: Thresholds, track: td.Track,
 
 
 def classify_tracks(model: ae.ModelParams, thresholds: Thresholds, tracks: Sequence[td.Track],
-                    runways: dict[str, td.Runway],
-                    score_params: rs.ScoreParams = rs.DEFAULT_SCORE_PARAMS
-                    ) -> list[ClassificationResult | Unclassifiable]:
+                    runways: dict[str, td.Runway]) -> list[ClassificationResult | Unclassifiable]:
     """classify() each track on its td.pick_runway, in track order.
 
     A track that cannot be scored keeps its place as an Unclassifiable.
@@ -127,8 +125,7 @@ def classify_tracks(model: ae.ModelParams, thresholds: Thresholds, tracks: Seque
     outcomes: list[ClassificationResult | Unclassifiable] = []
     for track in tracks:
         try:
-            outcomes.append(classify(model, thresholds, track, td.pick_runway(track, runways),
-                                     score_params))
+            outcomes.append(classify(model, thresholds, track, td.pick_runway(track, runways)))
         except Unclassifiable as e:
             outcomes.append(Unclassifiable(e.track_id, e.reason))   # without the traceback's frames
     return outcomes

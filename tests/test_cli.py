@@ -3,9 +3,11 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,14 +18,14 @@ import pytest
 from rotortrack import autoencoder as ae
 from rotortrack import cli
 from rotortrack import identify as idf
-from rotortrack import runwayscore as rs
 from rotortrack import synthgen as sg
 from rotortrack import trackdata as td
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SMALL_CFG = {
     "synth": {"seed": 11, "helicopters": 40, "ga": 8, "commercial": 8},
-    "training": {"epochs": 30, "batch_size": 16},
+    "training": {"epochs": 30},
 }
 
 
@@ -180,16 +182,26 @@ class TestCliBehavior:
         options = {word for word in out.split() if word.startswith("--")}
         assert options == {"--help", "--config", "--out-dir", "--log-file"}
 
-    def test_a_size_too_large_to_allocate_exits_1(self, pipeline, tmp_path, capsys):
-        # 10**13 latent units ask for 56.8 PiB, beyond any address space, so
-        # the allocation fails at once
+    def test_an_allocation_that_fails_exits_1(self, pipeline, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError("Unable to allocate 56.8 PiB")
+
+        monkeypatch.setattr(ae, "build", exhausted)
         work = copy_inputs(pipeline, tmp_path / "huge", ("tracks.jsonl", "labels.csv",
                                                          "runways.csv"))
-        cfg = work / "cfg.json"
-        cfg.write_text(json.dumps({"autoencoder": {"latent_dim": 10**13}}))
-        assert run("--out-dir", str(work), "--config", str(cfg), "train") == 1
+        assert run("--out-dir", str(work), "train") == 1
         assert "ERROR out of memory: " in capsys.readouterr().err
         assert not (work / "model.rtae").exists()
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"helicopters": 1, "ga": 1, "commercial": 1},
+                                   "paths": {"tracks": str(taken)}}))
+        assert run("--out-dir", str(tmp_path), "--config", str(cfg), "synth") == 1
+        assert str(taken) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
 
     def test_log_file_captures_progress(self, tmp_path):
         small = tmp_path / "cfg.json"
@@ -357,15 +369,6 @@ class TestCliBehavior:
         assert run("--out-dir", str(work), "--config", str(pipeline / "cfg.json"), "train") == 0
         assert (work / "model.rtae").read_bytes() == (pipeline / "model.rtae").read_bytes()
 
-    def test_unknown_dtype_in_config_exits_1(self, pipeline, tmp_path):
-        work = tmp_path / "f16"
-        work.mkdir()
-        for name in ("tracks.jsonl", "labels.csv", "runways.csv"):
-            (work / name).write_bytes((pipeline / name).read_bytes())
-        cfg = work / "cfg.json"
-        cfg.write_text(json.dumps({"autoencoder": {"dtype": "float16"}}))
-        assert run("--out-dir", str(work), "--config", str(cfg), "train") == 1
-
 
 class TestMalformedJsonInputs:
     INPUTS = ("model.rtae", "tracks.jsonl", "runways.csv", "thresholds.json", "metrics.json",
@@ -461,17 +464,13 @@ class TestOverflowingFeatures:
         assert "track H0000: feature window contains non-finite values" in capsys.readouterr().err
 
 
-class TestCalibratePercentileConfig:
-    def test_percentile_100_equals_the_maximum_training_error(self, pipeline, tmp_path):
-        work = tmp_path / "p100"
-        work.mkdir()
-        for name in ("model.rtae", "tracks.jsonl", "labels.csv", "runways.csv"):
-            (work / name).write_bytes((pipeline / name).read_bytes())
-        cfg = work / "cfg.json"
-        cfg.write_text(json.dumps({"thresholds": {"percentile": 100}}))
-        assert run("--out-dir", str(work), "--config", str(cfg), "calibrate") == 0
+class TestCalibrateGate:
+    def test_the_gate_is_the_80th_percentile_of_the_training_errors(self, pipeline, tmp_path):
+        work = copy_inputs(pipeline, tmp_path / "gate", ("model.rtae", "tracks.jsonl",
+                                                         "labels.csv", "runways.csv"))
+        assert run("--out-dir", str(work), "calibrate") == 0
         th = json.loads((work / "thresholds.json").read_text())
-        assert th["percentile"] == 100.0
+        assert th["percentile"] == 80.0
 
         model = ae.load(work / "model.rtae")
         runway = next(iter(td.load_runways(work / "runways.csv").values()))
@@ -479,7 +478,7 @@ class TestCalibratePercentileConfig:
         maes = [idf.window_mae(model, t, runway)
                 for t in td.load_tracks(work / "tracks.jsonl").tracks
                 if labels[t.track_id] == td.CLASS_HELICOPTER]
-        assert th["mae_threshold"] == max(maes)
+        assert th["mae_threshold"] == idf.calibrate(maes, 80.0)
 
 
 class TestConfigMerge:
@@ -498,9 +497,7 @@ class TestConfigMerge:
             assert cfg["synth"] == sg.ScenarioSpec()
             assert cfg["autoencoder"] == ae.AutoencoderSpec()
             assert cfg["training"] == ae.TrainConfig()
-            assert cfg["runway_score"] == rs.ScoreParams()
-            assert cfg["thresholds"].percentile == idf.DEFAULT_PERCENTILE
-            assert cfg["thresholds"].runway_score_threshold == idf.DEFAULT_SCORE_THRESHOLD
+            assert set(cfg) == {"paths", "synth", "autoencoder", "training"}
 
     def test_paths_resolve_against_out_dir(self, tmp_path):
         paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
@@ -519,37 +516,85 @@ class TestMalformedConfig:
     @pytest.mark.parametrize("doc, named", [
         ({"training": {"epoch": 5}}, "training.epoch"),
         ({"training": {"epochs": "5"}}, "training.epochs"),
-        ({"thresholds": {"percentile": "80"}}, "thresholds.percentile"),
-        ({"runway_score": {"weights": 3}}, "runway_score.weights"),
         ({"histogram_bins": 30}, "histogram_bins is not a settable key"),
         ({"paths": {"tracks": 5}}, "paths.tracks"),
         ({"paths": {"out_dir": "x"}}, "config.paths.out_dir is not a settable key"),
         ({"training": []}, "training"),
         ({"training": {"epochs": 5.5}}, "training.epochs"),
-        ({"training": {"patience": True}}, "training.patience"),
+        ({"training": {"epochs": True}}, "training.epochs"),
         ({"synth": {"seed": None}}, "synth.seed"),
         ({"synth": {"helicopters": -1}}, "config.synth: seed and class counts must be >= 0"),
         ({"synth": {"seed": -1}}, "config.synth: seed and class counts must be >= 0"),
-        ({"runway_score": {"distance_scale_nm": float("nan")}}, "runway_score.distance_scale_nm"),
-        ({"training": {"learning_rate": float("inf")}}, "training.learning_rate"),
-        ({"training": {"learning_rate": 10**400}}, "training.learning_rate"),
-        ({"autoencoder": {"input_len": 50}}, "autoencoder.input_len"),
-        ({"thresholds": {"mae_threshold": 0.2}}, "thresholds.mae_threshold"),
-        ({"autoencoder": {"encoder_convs": [7, 2, 16]}}, "autoencoder.encoder_convs"),
-        ({"autoencoder": {"encoder_convs": [[7, 2, 16.5]]}}, "autoencoder.encoder_convs"),
-        ({"thresholds": {"runway_score_threshold": 5}}, "runway_score_threshold must lie"),
-        ({"runway_score": {"weights": [1, 0, 0, 0]}}, "runway_score: need 5"),
-        ({"autoencoder": {"dtype": "float16"}}, "autoencoder: unsupported dtype"),
-        ({"autoencoder": {"encoder_convs": [[7, 3, 16]]}}, "config.autoencoder: stride 3"),
+        ({"autoencoder": {"input_len": 50}}, "config.autoencoder.input_len is not a settable key"),
         ({"training": {"beta1": 0.9}}, "training.beta1 is not a settable key"),
         ({"autoencoder": {"seed": -1}}, "config.autoencoder: seed must be >= 0"),
         ({"training": {"seed": -1}}, "config.training: seed must be >= 0"),
+        # the model, training, score and gate values that only the library sets,
+        # refused even at their defaults
+        ({"autoencoder": {"encoder_convs": [[7, 2, 16], [5, 2, 32]]}},
+         "config.autoencoder.encoder_convs is not a settable key"),
+        ({"autoencoder": {"latent_dim": 16}}, "config.autoencoder.latent_dim is not a settable key"),
+        ({"autoencoder": {"dtype": "float64"}}, "config.autoencoder.dtype is not a settable key"),
+        ({"training": {"batch_size": 32}}, "config.training.batch_size is not a settable key"),
+        ({"training": {"learning_rate": 0.001}},
+         "config.training.learning_rate is not a settable key"),
+        ({"training": {"validation_fraction": 0.2}},
+         "config.training.validation_fraction is not a settable key"),
+        ({"training": {"patience": 20}}, "config.training.patience is not a settable key"),
+        ({"runway_score": {"distance_scale_nm": 1.0}}, "config.runway_score is not a settable key"),
+        ({"runway_score": {"course_full_scale_deg": 30.0}},
+         "config.runway_score is not a settable key"),
+        ({"runway_score": {"lateral_full_scale_ft": 500.0}},
+         "config.runway_score is not a settable key"),
+        ({"runway_score": {"length_full_scale_ft": 3000.0}},
+         "config.runway_score is not a settable key"),
+        ({"runway_score": {"weights": [0.3, 0.25, 0.25, 0.1, 0.1]}},
+         "config.runway_score is not a settable key"),
+        ({"runway_score": {}}, "config.runway_score is not a settable key"),
+        ({"thresholds": {"percentile": 80}}, "config.thresholds is not a settable key"),
+        ({"thresholds": {"runway_score_threshold": 0.5}},
+         "config.thresholds is not a settable key"),
+        ({"thresholds": {"mae_threshold": 0.2}}, "config.thresholds is not a settable key"),
+        ({"thresholds": {}}, "config.thresholds is not a settable key"),
     ])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, doc, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert run("--out-dir", str(tmp_path), "--config", str(cfg), command) == 1
         assert named in capsys.readouterr().err
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCallerConfigs:
+    def test_every_config_a_caller_writes_loads(self, tmp_path):
+        # the recorders' scenarios, and the JSON objects the CI workflow and the
+        # README echo into config files
+        bench = load_script("bench_record")
+        quality = load_script("quality_record")
+        configs = [(f"bench_record {name}", config)
+                   for scenarios in (bench.SCENARIOS, bench.QUICK_SCENARIOS)
+                   for name, (config, _) in scenarios.items()]
+        configs += [(f"quality_record {seeded.__name__} {name} {seed}", seeded(config, seed))
+                    for name, config in quality.PROFILES.items() for seed in quality.SEEDS
+                    for seeded in (quality.scenario_seeded, quality.init_seeded)]
+        for doc, count in ((".github/workflows/tier1.yml", 2), ("README.md", 2)):
+            echoed = re.findall(r"echo '(\{.*?\})' >", (ROOT / doc).read_text(encoding="utf-8"),
+                                re.DOTALL)
+            assert len(echoed) == count, doc
+            configs += [(doc, json.loads(text)) for text in echoed]
+        path = tmp_path / "cfg.json"
+        for where, config in configs:
+            path.write_text(json.dumps(config))
+            try:
+                cli.load_config(str(path))
+            except cli.CliError as e:
+                pytest.fail(f"{where}: {e}")
 
 
 class TestOtherJsonForms:

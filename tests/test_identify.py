@@ -173,16 +173,15 @@ class TestClassifyTrack:
     def test_classify_tracks_keeps_each_outcome_in_track_order(self):
         model = training_windows_and_model()
         th = idf.Thresholds(mae_threshold=0.5)
-        params = rs.ScoreParams(distance_scale_nm=2.0)
         runways = {"FAR": td.Runway("FAR", 45.0, -80.0, 0.0, 90.0, 5000.0), "KXYZ-27": RUNWAY}
         first, last = self.approach(), td.Track("T3", self.approach(closest=130).points)
         short = td.Track("T2", self.approach(n=80, closest=40).points)
-        outcomes = idf.classify_tracks(model, th, [first, short, last], runways, params)
+        outcomes = idf.classify_tracks(model, th, [first, short, last], runways)
         assert [o.track_id for o in outcomes] == ["T1", "T2", "T3"]
-        assert outcomes[0] == idf.classify(model, th, first, RUNWAY, params)
+        assert outcomes[0] == idf.classify(model, th, first, RUNWAY)
         assert isinstance(outcomes[1], idf.Unclassifiable)
         assert outcomes[1].reason == "fewer_than_100_points"
-        assert outcomes[2] == idf.classify(model, th, last, RUNWAY, params)
+        assert outcomes[2] == idf.classify(model, th, last, RUNWAY)
 
     def test_model_without_stats_is_refused(self):
         model = training_windows_and_model()

@@ -30,12 +30,8 @@ SETTABLE = {
               "loss_history", "thresholds", "histogram", "results", "validation", "venn_csv",
               "venn_txt", "pseudo_types", "metrics", "report"),
     "synth": ("seed", "helicopters", "ga", "commercial"),
-    "autoencoder": ("encoder_convs", "latent_dim", "seed", "dtype"),
-    "training": ("epochs", "batch_size", "learning_rate", "validation_fraction", "patience",
-                 "seed"),
-    "thresholds": ("percentile", "runway_score_threshold"),
-    "runway_score": ("distance_scale_nm", "course_full_scale_deg", "lateral_full_scale_ft",
-                     "length_full_scale_ft", "weights"),
+    "autoencoder": ("seed",),
+    "training": ("epochs", "seed"),
 }
 
 

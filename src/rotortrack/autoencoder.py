@@ -29,7 +29,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class AutoencoderSpec:
     dtype: str = "float64"
 
     def __post_init__(self):
+        # a bool or a whole float would save back as an int: only an int is a size
+        sizes = (self.input_len, self.n_features, self.latent_dim, self.seed)
+        if any(type(v) is not int for v in sizes):
+            raise SpecError(f"input_len, n_features, latent_dim and seed must be ints, got {sizes}")
         if self.input_len < 1 or self.n_features < 1:
             raise SpecError("input_len and n_features must be >= 1")
         if self.latent_dim < 1:
@@ -98,7 +102,7 @@ class AutoencoderSpec:
         if not self.encoder_convs:
             raise SpecError("need at least one encoder conv stage")
         for stage in self.encoder_convs:
-            if len(stage) != 3 or any(int(v) != v or v < 1 for v in stage):
+            if len(stage) != 3 or any(type(v) is not int or v < 1 for v in stage):
                 raise SpecError(f"bad conv stage {stage!r}; want (kernel, stride, channels)")
         if self.dtype not in DTYPES:
             raise SpecError(f"unsupported dtype {self.dtype!r}; expected one of {DTYPES}")
@@ -122,9 +126,9 @@ class AutoencoderSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AutoencoderSpec":
-        sizes = {key: int(d[key]) for key in ("input_len", "n_features", "latent_dim", "seed")}
-        convs = tuple(tuple(int(v) for v in stage) for stage in d["encoder_convs"])
-        return cls(**sizes, encoder_convs=convs, dtype=str(d["dtype"]))
+        """Values are taken as they are, so a loaded spec saves back to the same header."""
+        sizes = {key: d[key] for key in ("input_len", "n_features", "latent_dim", "seed")}
+        return cls(**sizes, encoder_convs=tuple(map(tuple, d["encoder_convs"])), dtype=d["dtype"])
 
 
 class Stage(NamedTuple):
@@ -171,20 +175,18 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam's step size is nn.ADAM_LR; the validation split is a fixed share."""
+
+    validation_fraction: ClassVar[float] = 0.2
+
     epochs: int = 200
     batch_size: int = 32
-    learning_rate: float = 1e-3
-    validation_fraction: float = 0.2
     patience: int = 20
     seed: int = 7
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size, and patience must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -309,7 +311,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
     layers = [stage.layer for stage in model.stages]
     flat = nn.flatten(layers)
     ws = nn.Workspace(layers)
-    state = nn.adam_init(flat, lr=config.learning_rate)
+    state = nn.adam_init(flat)
 
     history: list[EpochStats] = []
     best_val = np.inf

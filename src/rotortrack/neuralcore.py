@@ -382,7 +382,8 @@ def mae_grad(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
     return np.sign(x_prime - x) / x.size
 
 
-# Adam's moment decay rates and the term that keeps its denominator above zero
+# Adam's step size, moment decay rates and the term that keeps its denominator above zero
+ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -392,19 +393,14 @@ ADAM_EPS = 1e-8
 class AdamState:
     """First and second moment vectors plus the step count."""
 
-    lr: float
     m: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     step: int = 0
 
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
 
-
-def adam_init(params: np.ndarray, lr: float = 1e-3) -> AdamState:
+def adam_init(params: np.ndarray) -> AdamState:
     """Adam state for one parameter vector, such as flatten's."""
-    return AdamState(lr=lr, m=np.zeros_like(params), v=np.zeros_like(params))
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
@@ -412,7 +408,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     """One bias-corrected Adam update, applied to the parameter vector in place.
 
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
-        p <- p - lr * m_hat / (sqrt(v_hat) + eps)
+        p <- p - ADAM_LR * m_hat / (sqrt(v_hat) + eps)
 
     Its two temporaries come from a workspace's step-local arrays when one
     is given, as no pass is running between a step's backward and this.
@@ -435,7 +431,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     v *= ADAM_BETA2
     v += step
     np.divide(m, c1, out=step)
-    step *= state.lr
+    step *= ADAM_LR
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS

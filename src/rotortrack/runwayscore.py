@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .trackdata import (
     FT_PER_KM,
@@ -25,27 +26,18 @@ from .trackdata import (
 
 @dataclass(frozen=True)
 class ScoreParams:
-    """Component scales and weights; defaults match the shipped configuration.
+    """The method's fixed component scales and weights.
 
     distance decays as exp(-d / distance_scale_nm); course and lateral
     components fall linearly to zero at their full-scale values; length
-    saturates at length_full_scale_ft.  Weights must sum to 1.
+    saturates at length_full_scale_ft.  The weights sum to 1.
     """
 
-    distance_scale_nm: float = 1.0
-    course_full_scale_deg: float = 30.0
-    lateral_full_scale_ft: float = 500.0
-    length_full_scale_ft: float = 3000.0
-    weights: tuple[float, float, float, float, float] = (0.3, 0.25, 0.25, 0.1, 0.1)
-
-    def __post_init__(self):
-        if min(self.distance_scale_nm, self.course_full_scale_deg,
-               self.lateral_full_scale_ft, self.length_full_scale_ft) <= 0:
-            raise ValueError("score scales must be positive")
-        if len(self.weights) != 5 or any(w < 0 for w in self.weights):
-            raise ValueError("need 5 non-negative weights")
-        if not math.isclose(sum(self.weights), 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+    distance_scale_nm: ClassVar[float] = 1.0
+    course_full_scale_deg: ClassVar[float] = 30.0
+    lateral_full_scale_ft: ClassVar[float] = 500.0
+    length_full_scale_ft: ClassVar[float] = 3000.0
+    weights: ClassVar[tuple[float, float, float, float, float]] = (0.3, 0.25, 0.25, 0.1, 0.1)
 
 
 DEFAULT_SCORE_PARAMS = ScoreParams()

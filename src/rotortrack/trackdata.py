@@ -665,7 +665,6 @@ def load_runways(path) -> dict[str, Runway]:
 
 @dataclass(slots=True)
 class RegistrationTable:
-    records: list[RegistrationRecord]
     by_tail: dict[str, RegistrationRecord] = field(default_factory=dict)
     by_mode_s: dict[str, RegistrationRecord] = field(default_factory=dict)
     duplicates: list[str] = field(default_factory=list)
@@ -683,7 +682,7 @@ class RegistrationTable:
 
 def load_registration(path) -> RegistrationTable:
     """Read the registration CSV; duplicate keys keep the first row and are reported."""
-    table = RegistrationTable(records=[])
+    table = RegistrationTable()
     for row_no, row in csv_rows(path, REGISTRATION_FIELDS, "registration"):
         n_number = row["n_number"].strip().upper()
         if not n_number:
@@ -701,7 +700,6 @@ def load_registration(path) -> RegistrationTable:
             aircraft_class=ac_class,
             type_designator=row["type_designator"].strip().upper() or None,
         )
-        table.records.append(rec)
         for index, key, name in ((table.by_tail, n_number, "n_number"),
                                  (table.by_mode_s, rec.mode_s_code, "mode_s_code")):
             if key in index:

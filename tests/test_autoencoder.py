@@ -13,6 +13,7 @@ import pytest
 
 from rotortrack import autoencoder as ae
 from rotortrack import neuralcore as nn
+from rotortrack import runwayscore as rs
 from rotortrack import trackdata as td
 
 SMALL_SPEC = ae.AutoencoderSpec(encoder_convs=((5, 2, 8),), latent_dim=8, seed=42)
@@ -59,6 +60,16 @@ class TestSpec:
     def test_dict_round_trip(self):
         spec = ae.AutoencoderSpec(encoder_convs=((3, 2, 4), (3, 5, 6)), latent_dim=5)
         assert ae.AutoencoderSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("fields", [
+        {"latent_dim": 2.0}, {"input_len": 100.0}, {"seed": True}, {"n_features": False},
+        {"encoder_convs": ((7.0, 2, 16), (5, 2, 32))}, {"encoder_convs": ((7, 2, True),)},
+    ], ids=["float_latent_dim", "float_input_len", "bool_seed", "bool_n_features",
+            "float_kernel", "bool_channels"])
+    def test_sizes_and_seed_are_ints_not_floats_or_bools(self, fields):
+        # a whole float or a bool would be written back as an int, so it is refused
+        with pytest.raises(ae.SpecError):
+            ae.AutoencoderSpec(**fields)
 
     def test_dtype_field_sets_the_layer_dtype_of_that_model_only(self):
         narrow = ae.build(ae.AutoencoderSpec(dtype="float32"))
@@ -193,7 +204,7 @@ def train_without_workspace(model, wins, cfg):
     n_val = max(1, round(cfg.validation_fraction * len(data)))
     val, tr = data[order[:n_val]], data[order[n_val:]]
     flat = nn.flatten([stage.layer for stage in model.stages])
-    state = nn.adam_init(flat, lr=cfg.learning_rate)
+    state = nn.adam_init(flat)
     history, best_val, best_epoch, best = [], np.inf, 0, flat.copy()
     for epoch in range(1, cfg.epochs + 1):
         idx = rng.permutation(len(tr))
@@ -363,6 +374,32 @@ def edit_json(fn):
         fn(doc)
         return json.dumps(doc).encode("utf-8")
     return edit
+
+
+class TestFixedValues:
+    """Values the method runs at one setting are constants, not fields."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: rs.ScoreParams(weights=(0.2, 0.2, 0.2, 0.2, 0.2)),
+        lambda: rs.ScoreParams(distance_scale_nm=2.0),
+        lambda: ae.TrainConfig(learning_rate=1e-2),
+        lambda: ae.TrainConfig(validation_fraction=0.5),
+        lambda: nn.adam_init(np.zeros(3), lr=1e-2),
+    ], ids=["score_weights", "score_scale", "learning_rate", "validation_fraction", "adam_lr"])
+    def test_a_fixed_value_cannot_be_set(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_the_fixed_values_are_in_range(self):
+        params = rs.ScoreParams()
+        assert len(params.weights) == 5 and min(params.weights) >= 0
+        assert sum(params.weights) == pytest.approx(1.0, rel=0, abs=1e-9)
+        assert min(params.distance_scale_nm, params.course_full_scale_deg,
+                   params.lateral_full_scale_ft, params.length_full_scale_ft) > 0
+        config = ae.TrainConfig()
+        assert 0 < config.validation_fraction < 1
+        assert (config.validation_fraction, config.batch_size) == (0.2, 32)
+        assert nn.ADAM_LR > 0
 
 
 def test_a_model_is_built_with_its_stages():

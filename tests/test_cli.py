@@ -596,6 +596,14 @@ class TestCallerConfigs:
             except cli.CliError as e:
                 pytest.fail(f"{where}: {e}")
 
+    def test_ci_byte_compares_what_the_recorder_digests(self):
+        # an artifact added to the recorder's set must not go uncompared in CI
+        workflow = (ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8")
+        loops = re.findall(r"for f in ([^;\n]*); do\s+cmp ", workflow)
+        assert len(loops) == 2
+        for names in loops:
+            assert tuple(names.split()) == load_script("bench_record").BYTE_COMPARED
+
 
 class TestOtherJsonForms:
     def test_tracks_in_other_json_forms_give_the_same_results(self, pipeline, tmp_path):

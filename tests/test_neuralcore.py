@@ -75,7 +75,7 @@ def geometry_cases():
     lambda: nn.Conv1DLayer(3, 2, 1, 1),
     lambda: nn.ConvTranspose1DLayer(3, 2, 1, 1),
     lambda: nn.DenseLayer(3, 2),
-    lambda: nn.AdamState(lr=0.1),
+    lambda: nn.AdamState(),
 ], ids=["conv", "conv_transpose", "dense", "adam"])
 def test_layers_and_adam_state_are_built_whole_or_not_at_all(build):
     # weights, biases and Adam's moments have no default: init and adam_init build them
@@ -340,22 +340,23 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         p = np.array([1.0, -1.0, 0.5])
         g = np.array([0.3, -0.2, 0.9])
-        st = nn.adam_init(p, lr=0.01)
+        st = nn.adam_init(p)
         nn.adam_step(p, g, st)
         # with bias correction the first update is lr * g/|g| up to eps
-        assert np.allclose(p, [1.0 - 0.01, -1.0 + 0.01, 0.5 - 0.01], atol=1e-6)
+        lr = nn.ADAM_LR
+        assert np.allclose(p, [1.0 - lr, -1.0 + lr, 0.5 - lr], atol=1e-9)
 
     def test_zero_gradient_keeps_parameters(self):
         p = np.array([2.0, 3.0])
-        st = nn.adam_init(p, lr=0.1)
+        st = nn.adam_init(p)
         nn.adam_step(p, np.zeros(2), st)
         assert np.array_equal(p, [2.0, 3.0])
         assert st.step == 1
 
     def test_two_steps_match_hand_computation(self):
-        lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = nn.ADAM_LR, 0.9, 0.999, 1e-8
         p = np.array([1.0])
-        st = nn.adam_init(p, lr=lr)
+        st = nn.adam_init(p)
         m = v = 0.0
         x = 1.0
         for t, grad in enumerate([0.5, -0.25], start=1):
@@ -366,10 +367,6 @@ class TestAdam:
             vh = v / (1 - b2 ** t)
             x -= lr * mh / (np.sqrt(vh) + eps)
         assert np.allclose(p, [x], atol=1e-14)
-
-    def test_invalid_learning_rate_rejected(self):
-        with pytest.raises(ValueError):
-            nn.adam_init(np.zeros(1), lr=-0.1)
 
     def test_mismatched_gradient_shape_rejected(self):
         p = np.zeros(3)

@@ -8,6 +8,7 @@ import functools
 import hashlib
 import json
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -499,7 +500,8 @@ def test_closest_approach_matches_a_scalar_loop(spots):
 
 
 # --------------------------------------------------------------------------
-# the model file: any checksum-valid body loads or is a ModelFormatError
+# the model file: any checksum-valid body loads and saves back to itself, or is a
+# ModelFormatError
 
 
 @functools.cache
@@ -529,9 +531,33 @@ def test_any_resigned_model_body_loads_or_is_a_format_error(workdir, data):
         body += data.draw(st.binary(max_size=64), label="appended")
     path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
     try:
-        assert isinstance(ae.load(path), ae.ModelParams)
+        model = ae.load(path)
     except ae.ModelFormatError:
-        pass
+        return
+    # a body that loads is one save writes: saving it back gives the same bytes
+    ae.save(model, workdir / "saved_back.rtae")
+    assert (workdir / "saved_back.rtae").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("written, edited", [
+    (b'"latent_dim":2,', b'"latent_dim":2.0,'),
+    (b'"seed":5,', b'"seed":true,'),
+    (b'[[3,2,2]]', b'[[3.0,2,2]]'),
+], ids=["float_latent_dim", "bool_seed", "float_kernel"])
+def test_a_resigned_header_that_would_save_back_changed_is_a_format_error(workdir, written,
+                                                                            edited):
+    path = workdir / "model.rtae"
+    ae.save(small_model(), path)
+    body = path.read_bytes()[:-32]
+    start = len(ae.MAGIC) + 4
+    (n,) = struct.unpack_from("<I", body, start)
+    header = body[start + 4:start + 4 + n]
+    assert written in header
+    header = header.replace(written, edited)
+    body = body[:start] + struct.pack("<I", len(header)) + header + body[start + 4 + n:]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ae.ModelFormatError):
+        ae.load(path)
 
 
 # --------------------------------------------------------------------------

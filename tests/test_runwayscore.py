@@ -48,20 +48,6 @@ class TestRunwayScoreValue:
 
 
 class TestParamValidation:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            rs.ScoreParams(weights=(0.3, 0.3, 0.2, 0.1, 0.05))
-
-    @pytest.mark.parametrize("weights", [(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.25, -0.25, 0.0)],
-                             ids=["four", "negative"])
-    def test_weights_must_be_five_and_non_negative(self, weights):
-        with pytest.raises(ValueError, match="need 5 non-negative weights"):
-            rs.ScoreParams(weights=weights)
-
-    def test_scales_must_be_positive(self):
-        with pytest.raises(ValueError):
-            rs.ScoreParams(distance_scale_nm=0.0)
-
     def test_input_ranges_validated(self):
         with pytest.raises(ValueError):
             inputs(d=-1.0)

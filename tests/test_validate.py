@@ -19,11 +19,10 @@ def make_track(track_id, tail=None, mode_s=None, declared=None):
 
 
 def reg_table(rows):
-    table = td.RegistrationTable(records=[])
+    table = td.RegistrationTable()
     for n_number, mode_s, ac_class, model, designator in rows:
         rec = td.RegistrationRecord(n_number, mode_s, model, "MFR",
                                     td.AircraftClass(ac_class), designator)
-        table.records.append(rec)
         table.by_tail[n_number] = rec
         if mode_s:
             table.by_mode_s[mode_s] = rec

@@ -361,11 +361,16 @@ def _layout(spec: AutoencoderSpec, has_norm_stats: bool) -> list[tuple[str, tupl
     return layout
 
 
+def _header(model: ModelParams) -> bytes:
+    """The JSON header save writes for model, the one form load accepts."""
+    return json.dumps({"spec": model.spec.to_dict(), "has_norm_stats": model.norm_stats is not None},
+                      separators=(",", ":")).encode("utf-8")
+
+
 def save(model: ModelParams, path) -> None:
     """Write the model container; always safe to re-load bit-exactly."""
     has_norm_stats = model.norm_stats is not None
-    header = json.dumps({"spec": model.spec.to_dict(), "has_norm_stats": has_norm_stats},
-                        separators=(",", ":")).encode("utf-8")
+    header = _header(model)
     arrays = model.parameters()
     if has_norm_stats:
         arrays += [model.norm_stats.mean, model.norm_stats.std]
@@ -398,9 +403,7 @@ def load(path) -> ModelParams:
     try:
         header = json.loads(body[pos:pos + header_len].decode("utf-8"))
         spec = AutoencoderSpec.from_dict(header["spec"])
-        has_norm_stats = header["has_norm_stats"]
-        if not isinstance(has_norm_stats, bool):
-            raise TypeError(f"has_norm_stats is {has_norm_stats!r}, not true or false")
+        has_norm_stats = bool(header["has_norm_stats"])
         layout = _layout(spec, has_norm_stats)
     except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
         raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
@@ -424,4 +427,9 @@ def load(path) -> ModelParams:
                                for name, cls, geometry, relu in _plan(spec)])
     if has_norm_stats:
         model.norm_stats = NormStats(mean=next(it), std=next(it))
+    # One model, one file: a header that save would write otherwise (other separators,
+    # key order or keys, or a non-bool has_norm_stats) would not round-trip.
+    if body[len(MAGIC) + 8:len(MAGIC) + 8 + header_len] != _header(model):
+        raise ModelFormatError("malformed model file: its header is not the one save writes "
+                               "for its model")
     return model

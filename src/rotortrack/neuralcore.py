@@ -17,9 +17,12 @@ scatter-added.
 Every pass takes an optional ``Workspace``: the arrays a pass writes
 (padding, im2col rows, GEMM output, layer outputs and gradients)
 then come from the workspace and are reused from one training step to the
-next; without one, each pass allocates them, with the same arithmetic.  A
-convolution's backward reads the im2col rows its forward kept there, and
-skips its input gradient on request (a first layer's input needs none).
+next.  A convolution's backward reads the im2col rows its forward kept
+there, and skips its input gradient on request (a first layer's input
+needs none).  Without one (inference, as in every batch-1 ``reconstruct``)
+a pass builds only the arrays its products read: a zero-filled padding,
+one copy of the im2col rows, and no bias block.  Both ways hand each
+``np.matmul`` the same operands, so they give the same bits.
 
 Layers are built in the dtype given to their ``init`` (float64 by
 default), and every array a pass writes takes that dtype: an input of
@@ -121,19 +124,18 @@ def flatten(layers: list) -> np.ndarray:
 
 
 def _unfold(xp: np.ndarray, k: int, s: int, n: int) -> np.ndarray:
-    """(batch, n, k*c) im2col rows of xp: row t is xp[:, t*s:t*s + k, :] flattened.
+    """(batch, n, k*c) im2col rows of xp, a C-contiguous array: row t is
+    xp[:, t*s:t*s + k, :] flattened.
 
-    The rows are a read-only strided view of xp (of a contiguous copy if xp
-    is not contiguous); the window count is checked first, and numpy checks
-    again that the view stays inside the buffer.
+    The rows are a read-only strided view of xp; the window count is checked
+    first, and numpy checks again that the view stays inside the buffer.
     """
     batch, length, c = xp.shape
     if (n - 1) * s + k > length:
         raise ShapeMismatch(f"{n} windows of {k} at stride {s} overrun length {length}")
-    xp = np.ascontiguousarray(xp)
     sb, sl, sc = xp.strides
     rows = np.ndarray((batch, n, k * c), xp.dtype, xp, 0, (sb, s * sl, sc))
-    rows.flags.writeable = False
+    rows.setflags(write=False)
     return rows
 
 
@@ -185,16 +187,22 @@ class _ConvLayer:
 
     def _im2col(self, x: np.ndarray, lead: int, steps: int, k: int, s: int, n: int,
                 ws: "Workspace | None", key="cols") -> np.ndarray:
-        """The (batch * n, k * channels) rows of _unfold(xp, k, s, n), xp being x
-        zero-padded to steps steps, lead of them before x, written to the
-        workspace's array under key.  Only the margins are zeroed."""
+        """The C-contiguous (batch * n, k * channels) rows of _unfold(xp, k, s, n), xp
+        being x zero-padded to steps steps, lead of them before x.  With a workspace
+        both go to its arrays ("pad" and key), whose margins alone are zeroed;
+        without one they are new arrays."""
         batch, length, c = x.shape
-        xp = _buffer(ws, "pad", (batch, steps, c), self.w.dtype)
-        xp[:, :lead] = 0
-        xp[:, lead + length:] = 0
+        if ws is None:
+            xp = np.zeros((batch, steps, c), self.w.dtype)
+        else:
+            xp = ws.take("pad", (batch, steps, c))
+            xp[:, :lead] = 0
+            xp[:, lead + length:] = 0
         xp[:, lead:lead + length] = x
         rows = _unfold(xp, k, s, n)
-        cols = _buffer(ws, key, (batch * n, rows.shape[2]), self.w.dtype)
+        if ws is None:   # a copy, unless the windows tile xp: overlapping rows are no BLAS operand
+            return np.ascontiguousarray(rows).reshape(batch * n, -1)
+        cols = ws.take(key, (batch * n, rows.shape[2]))
         cols.reshape(rows.shape)[...] = rows
         return cols
 
@@ -205,10 +213,13 @@ class _ConvLayer:
         return self._im2col(long, (k - 1) // 2, long.shape[1] + k - 1, k, self.stride, n, ws, key)
 
     def _add_bias(self, y: np.ndarray, out: np.ndarray, ws: "Workspace | None") -> np.ndarray:
-        """y plus the bias, written to out.  The bias is laid out as a (length, c_out)
-        block, so that the add runs over contiguous rows of length * c_out values,
-        not c_out at a time."""
-        bias = _buffer(ws, "bias", y.shape[1:], self.w.dtype)
+        """y plus the bias, written to out.  With a workspace the bias is laid out as a
+        (length, c_out) block, so that the add runs over contiguous rows of
+        length * c_out values, not c_out at a time; without one it is broadcast, as
+        building the block costs a batch-1 add more than it saves."""
+        if ws is None:
+            return np.add(y, self.b, out=out)
+        bias = ws.take("bias", y.shape[1:])
         bias[...] = self.b
         return np.add(y, bias, out=out)
 
@@ -368,11 +379,13 @@ def relu_backward(h: np.ndarray, grad_out: np.ndarray, out: "np.ndarray | None" 
 
 
 def mae(x: np.ndarray, x_prime: np.ndarray) -> float:
-    """Mean absolute error between two equally shaped arrays."""
+    """Mean absolute error between two equally shaped arrays: np.mean's sum and division,
+    without its per-call bookkeeping."""
     x, x_prime = np.asarray(x), np.asarray(x_prime)
     if x.shape != x_prime.shape:
         raise ShapeMismatch(f"mae: shapes {x.shape} and {x_prime.shape} differ")
-    return float(np.mean(np.abs(x - x_prime)))
+    d = np.abs(x - x_prime)
+    return float(np.add.reduce(d, axis=None) / d.size)
 
 
 def mae_grad(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:

@@ -2,11 +2,13 @@
 
 Tracks arrive as JSON Lines, one track per line; runways and aircraft
 registration rows arrive as CSV.  Each track's points are checked and stored
-once, as one float64 array of POINT_DTYPE (t, lat, lon, alt, course, gs), and
-the geometry below works on its columns.  Arrival windows are the last 100
-track points at or before the point of closest approach to the runway threshold.
-All functions here are pure and safe to call concurrently on shared,
-already-loaded data.
+once, as one read-only float64 array of POINT_DTYPE (t, lat, lon, alt, course,
+gs), and the geometry below works on its columns.  Arrival windows are the last
+100 track points at or before the point of closest approach to the runway
+threshold.  No function here changes its inputs, but closest_approach_index
+memoises its results on the track, so the runway pick, the windowing and the
+runway score compute each (track, threshold) pair once between them.  Threads
+may share loaded data: two that race on one pair both compute the same values.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ POINT_DTYPE = np.dtype((np.record, [(k, np.float64) for k in _POINT_KEYS]))
 
 @dataclass(slots=True, eq=False)
 class Track:
-    """One surveillance track.  points is an array of POINT_DTYPE, oldest first:
+    """One surveillance track.  points is a read-only array of POINT_DTYPE, oldest first:
     points["lat"] is a column and points[i].lat a value.  (t, lat, lon, alt, course, gs)
-    tuples are converted on construction; an array of POINT_DTYPE is kept as it is."""
+    tuples are converted on construction; an array of POINT_DTYPE is kept without a copy,
+    through a read-only view.  To change a track's points, build a new Track."""
 
     track_id: str
     points: np.ndarray
@@ -97,18 +100,22 @@ class Track:
     arrival_airport: Optional[str] = None
     runway_id: Optional[str] = None
     scratchpad_runway: Optional[bool] = None
+    # (points, {(threshold lat, lon): (index, NM)}), set by the first closest_approach_index
+    _approach: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=POINT_DTYPE)
-        if self.points.ndim != 1:   # numpy spreads each value of a list row over all six fields
+        points = np.asarray(self.points, dtype=POINT_DTYPE)
+        if points.ndim != 1:   # numpy spreads each value of a list row over all six fields
             raise TrackDataError("points must be point tuples or a 1-D POINT_DTYPE array")
+        self.points = points.view()
+        self.points.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, Track):
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    if f.name == "points" else getattr(self, f.name) == getattr(other, f.name)
-                   for f in fields(self))
+                   for f in fields(self) if f.compare)
 
 
 @dataclass(slots=True, frozen=True)
@@ -188,16 +195,35 @@ _NEAR_TIE = 1.0 + 16 * np.finfo(float).eps
 def closest_approach_index(track: Track, runway: Runway) -> tuple[int, float]:
     """Index of the point nearest the runway threshold (first index on ties), and its NM.
 
-    The minimum is found with np.hypot; every point within _NEAR_TIE of it is
-    measured again with math.hypot, as threshold_distance_nm does, so index
-    and distance are those of a scalar loop over the points.
+    The result depends on the threshold's lat and lon alone, and the track
+    keeps it under them: a second call for the same pair, with this runway or
+    an equal one, returns the kept tuple.  The memo belongs to the points it
+    was computed on, so a track whose points are replaced starts afresh.
     """
+    memo = getattr(track, "_approach", None)   # the slot is unset until the first call
+    if memo is None or memo[0] is not track.points:
+        memo = track._approach = (track.points, {})
+    key = (runway.threshold_lat, runway.threshold_lon)
+    found = memo[1].get(key)
+    if found is None:
+        found = memo[1][key] = _closest_approach(track, *key)
+    return found
+
+
+def _closest_approach(track: Track, ref_lat: float, ref_lon: float) -> tuple[int, float]:
+    """closest_approach_index, computed.  The minimum is found with np.hypot; every
+    point within _NEAR_TIE of it is measured again with math.hypot, as
+    threshold_distance_nm does, so index and distance are those of a scalar loop over
+    the points."""
     pts = track.points
     if not len(pts):
         raise FewerThan100Points(f"track {track.track_id} has no points")
-    east, north = en_offset_km(pts["lat"], pts["lon"], runway.threshold_lat, runway.threshold_lon)
+    east, north = en_offset_km(pts["lat"], pts["lon"], ref_lat, ref_lon)
     dist = np.hypot(east, north)
     near = np.flatnonzero(dist <= dist.min() * _NEAR_TIE)
+    if len(near) == 1:   # no near tie to break
+        i = int(near[0])
+        return i, math.hypot(east[i], north[i]) / KM_PER_NM
     best_i, best_d = 0, math.inf
     for i, e, n in zip(near.tolist(), east[near].tolist(), north[near].tolist()):
         d = math.hypot(e, n) / KM_PER_NM
@@ -537,11 +563,15 @@ def featurize(points: np.ndarray, runway: Runway) -> np.ndarray:
     offset (km), height above threshold (kilofeet), groundspeed (kt/100), sin
     and cos of course minus centerline.
     """
-    east, north = en_offset_km(points["lat"], points["lon"], runway.threshold_lat, runway.threshold_lon)
+    features = np.empty((len(points), FEATURE_COUNT))
+    features[:, 0], features[:, 1] = en_offset_km(points["lat"], points["lon"],
+                                                  runway.threshold_lat, runway.threshold_lon)
     dc = (points["course"] - runway.centerline_course) * _RAD_PER_DEG
     with np.errstate(over="ignore"):   # an overflowing height is inf, which FeatureWindow names
-        height = (points["alt"] - runway.threshold_elev) / 1000.0
-    return np.column_stack((east, north, height, points["gs"] / 100.0, np.sin(dc), np.cos(dc)))
+        features[:, 2] = (points["alt"] - runway.threshold_elev) / 1000.0
+    features[:, 3] = points["gs"] / 100.0
+    features[:, 4], features[:, 5] = np.sin(dc), np.cos(dc)
+    return features
 
 
 _MIN_STD = 1e-12

@@ -368,11 +368,11 @@ def resign(path, header_edit=None, arrays_edit=None):
     path.write_bytes(body + hashlib.sha256(body).digest())
 
 
-def edit_json(fn):
+def edit_json(fn, separators=None):
     def edit(header):
         doc = json.loads(header)
         fn(doc)
-        return json.dumps(doc).encode("utf-8")
+        return json.dumps(doc, separators=separators).encode("utf-8")
     return edit
 
 
@@ -483,6 +483,20 @@ class TestModelContainer:
         ae.save(trained_small_model(with_stats=True), path)
         resign(path, header_edit=header_edit)
         with pytest.raises(ae.ModelFormatError):
+            ae.load(path)
+
+    @pytest.mark.parametrize("header_edit", [
+        edit_json(lambda d: None),
+        edit_json(lambda d: d.update(y=2), separators=(",", ":")),
+        edit_json(lambda d: d["spec"].update(y=2), separators=(",", ":")),
+    ], ids=["default_separators", "extra_header_key", "extra_spec_key"])
+    def test_a_header_that_save_would_not_write_is_a_format_error(self, tmp_path, header_edit):
+        """Each of these headers reads as a valid spec: only the comparison with the
+        header save writes for the loaded model refuses it."""
+        path = tmp_path / "model.rtae"
+        ae.save(trained_small_model(with_stats=True), path)
+        resign(path, header_edit=header_edit)
+        with pytest.raises(ae.ModelFormatError, match="not the one save writes"):
             ae.load(path)
 
     @pytest.mark.parametrize("edits, named", [

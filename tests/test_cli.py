@@ -445,7 +445,9 @@ class TestOverflowingFeatures:
         tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks
         assert tracks[0].track_id == "H0000"
         idx, _ = td.closest_approach_index(tracks[0], runway)
-        tracks[0].points["alt"][idx] = 1.7e308
+        points = tracks[0].points.copy()   # a track's points are read-only
+        points["alt"][idx] = 1.7e308
+        tracks[0] = dataclasses.replace(tracks[0], points=points)
         td.save_tracks(tracks, work / "tracks.jsonl")
 
     def test_train_refuses_an_infinite_std(self, pipeline, tmp_path, capsys):

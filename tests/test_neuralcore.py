@@ -225,6 +225,39 @@ class TestKeptRows:
         assert grad_w.tobytes() == full[1].tobytes() and grad_b.tobytes() == full[2].tobytes()
 
 
+# (layer class, geometry, input length) of the shipped model's six layers
+SHIPPED_LAYERS = [
+    (nn.Conv1DLayer, (7, 2, 6, 16), 100),
+    (nn.Conv1DLayer, (5, 2, 16, 32), 50),
+    (nn.DenseLayer, (800, 16), None),
+    (nn.DenseLayer, (16, 800), None),
+    (nn.ConvTranspose1DLayer, (5, 2, 32, 16), 25),
+    (nn.ConvTranspose1DLayer, (7, 2, 16, 6), 50),
+]
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+@pytest.mark.parametrize("cls, geometry, length", SHIPPED_LAYERS,
+                         ids=["conv_k7", "conv_k5", "dense_800to16", "dense_16to800",
+                              "convT_k5", "convT_k7"])
+def test_every_pass_gives_the_same_bytes_with_and_without_a_workspace(cls, geometry, length,
+                                                                      batch):
+    """Inference builds its own arrays and training reuses a workspace's; both hand
+    every product the same operands, so forward and backward agree to the bit."""
+    rng = np.random.default_rng(sum(geometry) + batch)
+    layer = cls.init(rng, *geometry)
+    layer.b[...] = rng.normal(size=layer.b.shape)
+    x = rng.normal(size=(batch, geometry[0]) if length is None else (batch, length, geometry[2]))
+    plain_out = layer.forward(x)
+    grad_out = rng.normal(size=plain_out.shape)
+    plain = [plain_out, *layer.backward(x, grad_out)]
+    ws = nn.Workspace([layer])
+    for _ in range(2):   # the second pass reuses the workspace's arrays
+        got = [layer.forward(x, ws).copy()]
+        got += [a.copy() for a in layer.backward(x, grad_out, ws)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in plain]
+
+
 def test_every_pass_writes_its_layers_dtype_whatever_the_input_dtype():
     """float64 inputs into float32 layers: all six passes compute into float32, with a
     workspace (whose arrays stay float32) or without one."""

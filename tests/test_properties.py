@@ -4,6 +4,7 @@ scalar loop, the adjoint identity, each direction through the other layer and a
 tap-by-tap scatter."""
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -497,6 +498,22 @@ def test_closest_approach_matches_a_scalar_loop(spots):
     got_i, got_d = td.closest_approach_index(track, RUNWAY)
     assert got_i == want_i
     assert got_d == want_d
+
+
+@settings(max_examples=300, deadline=None)
+@given(positions(), st.integers(0, 2))
+def test_a_kept_closest_approach_is_a_fresh_tracks(spots, others):
+    """Near ties included, the memo returns what a fresh Track computes, whatever other
+    thresholds it holds, and for an equal but distinct runway."""
+    points = [(float(i), lat, lon, 1000.0, 270.0, 90.0) for i, (lat, lon) in enumerate(spots)]
+    track = td.Track("C", points)
+    first = td.closest_approach_index(track, RUNWAY)
+    for k in range(others):
+        moved = td.Runway("M", RUNWAY.threshold_lat + 0.01 * (k + 1), RUNWAY.threshold_lon,
+                          RUNWAY.threshold_elev, RUNWAY.centerline_course, RUNWAY.length)
+        td.closest_approach_index(track, moved)
+    assert td.closest_approach_index(track, td.Runway(*dataclasses.astuple(RUNWAY))) == first
+    assert first == td.closest_approach_index(td.Track("C", points), RUNWAY)
 
 
 # --------------------------------------------------------------------------

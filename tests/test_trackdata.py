@@ -5,10 +5,13 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from rotortrack import runwayscore as rs
 from rotortrack import trackdata as td
 
 RUNWAY = td.Runway("KXYZ-27", 40.0, -86.0, 600.0, 270.0, 8000.0)
@@ -59,6 +62,85 @@ class TestGeometry:
         want = [td.threshold_distance_nm(p, RUNWAY) for p in track.points]
         assert want[1] < want[0]
         assert td.closest_approach_index(track, RUNWAY) == (1, want[1])
+
+
+class TestClosestApproachMemo:
+    """A track keeps each threshold's closest approach, so each pair is computed once."""
+
+    FAR = td.Runway("KXYZ-09", 40.0, -85.0, 600.0, 90.0, 8000.0)
+
+    def test_a_repeat_call_and_an_equal_runway_return_the_kept_tuple(self):
+        track = approach_track()
+        first = td.closest_approach_index(track, RUNWAY)
+        assert td.closest_approach_index(track, RUNWAY) is first
+        twin = dataclasses.replace(RUNWAY)
+        assert twin == RUNWAY and twin is not RUNWAY
+        assert td.closest_approach_index(track, twin) is first
+        # the key is the threshold's position: another id at the same threshold shares it
+        renamed = dataclasses.replace(RUNWAY, runway_id="KXYZ-27R", length=1.0)
+        assert td.closest_approach_index(track, renamed) is first
+        assert td.closest_approach_index(track, self.FAR) != first
+
+    def test_the_pick_the_window_and_the_score_compute_each_pair_once(self, monkeypatch):
+        computed = []
+        compute = td._closest_approach
+
+        def spy(track, lat, lon):
+            computed.append((track.track_id, lat, lon))
+            return compute(track, lat, lon)
+        monkeypatch.setattr(td, "_closest_approach", spy)
+        track = approach_track()
+        runway = td.pick_runway(track, {"KXYZ-09": self.FAR, "KXYZ-27": RUNWAY})
+        td.window_arrival(track, runway)
+        rs.score_inputs_for_track(track, runway)
+        assert computed == [("T1", 40.0, -85.0), ("T1", 40.0, -86.0)]
+
+    def test_equality_and_repr_ignore_the_memo(self):
+        track, fresh = approach_track(), approach_track()
+        td.closest_approach_index(track, RUNWAY)
+        assert track == fresh
+        assert repr(track) == repr(fresh)
+
+    def test_the_points_are_read_only(self):
+        track = approach_track()
+        with pytest.raises(ValueError, match="read-only"):
+            track.points["alt"][3] = 1.7e308
+        with pytest.raises(ValueError, match="read-only"):
+            track.points[3] = make_point(3, -86.0)
+
+    def test_threads_sharing_tracks_get_the_fresh_values(self):
+        """Threads that race on one track's memo may compute a pair twice, but every
+        call returns what a fresh track computes."""
+        runways = [dataclasses.replace(RUNWAY, threshold_lon=-86.0 + 0.01 * j) for j in range(4)]
+        tracks = [approach_track(closest=120 + k, track_id=f"T{k}") for k in range(8)]
+        want = {(k, j): td.closest_approach_index(approach_track(closest=120 + k), rw)
+                for k in range(8) for j, rw in enumerate(runways)}
+        got, errors = [], []
+
+        def work(step):
+            try:   # each thread walks the runways in its own order
+                got.append({(k, j): td.closest_approach_index(tracks[k], runways[j])
+                            for k in range(8) for j in list(range(4))[::step]})
+            except Exception as e:   # reported by the assertion below
+                errors.append(e)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(1 - 2 * (i % 2),)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert got == [want] * 6
+
+    def test_new_points_start_a_new_memo(self):
+        track = approach_track(closest=180)
+        assert td.closest_approach_index(track, RUNWAY)[0] == 180
+        track.points = approach_track(closest=120).points
+        assert td.closest_approach_index(track, RUNWAY)[0] == 120
 
 
 GOOD_LINE = {
@@ -225,7 +307,8 @@ class TestLoadTracks:
     def test_track_keeps_a_point_array_and_converts_point_tuples(self):
         rows = [make_point(0, -86.0), make_point(1, -85.99)]
         pts = np.array(rows, dtype=td.POINT_DTYPE)
-        assert td.Track("arr", pts).points is pts
+        kept = td.Track("arr", pts).points
+        assert kept.base is pts and not kept.flags.writeable   # a read-only view, not a copy
         assert td.Track("rows", rows) == td.Track("rows", pts)
 
     @pytest.mark.parametrize("points", [[list(make_point(0, -86.0))], np.zeros((2, 6))],

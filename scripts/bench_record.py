@@ -8,7 +8,7 @@ perfbench/ is edited (perfbench is only run, and its Clock imported).  The
 full record:
 
 - runs perfbench/run.py for every workload of BENCHMARK.json over seeds 1-3,
-  for the end-to-end metrics, and once with --trace 1 at seed 1, for the
+  for the end-to-end metrics, and again with --trace 1 at each seed, for the
   per-layer metrics;
 - times the six CLI stages, each as its own process, with wall time and peak
   RSS from os.wait4 and OPENBLAS_NUM_THREADS=1: three passes over the
@@ -21,7 +21,8 @@ full record:
   just before and after the stage, so that records made in different phases
   compare.
 
-A timing is recorded as its median, interquartile range and sample count.
+A timing, and each metric with its unit, is recorded as its median,
+interquartile range and sample count.
 --quick makes one CLI pass over 40/8/8 tracks at 2 epochs and runs no
 perfbench.  The script exits 1 when any perfbench run fails or reports
 "correct": false, when a CLI stage exits non-zero, or when two passes over
@@ -63,6 +64,16 @@ def summary(values: list[float]) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                  if len(values) > 1 else values * 3)
     return {"median": statistics.median(values), "iqr": q3 - q1, "n": len(values)}
+
+
+def summarised(runs: list[dict], names) -> dict:
+    """Each named metric that some run reports, as the summary() of its values plus its unit."""
+    out = {}
+    for name in names:
+        reported = [r["metrics"][name] for r in runs if name in r.get("metrics", {})]
+        if reported:
+            out[name] = {**summary([m["value"] for m in reported]), "unit": reported[0]["unit"]}
+    return out
 
 
 def _git(*args: str) -> str | None:
@@ -155,17 +166,12 @@ def record_perfbench(ref: Reference) -> dict:
     out = {}
     for workload in (w["name"] for w in bench["workloads"]):
         runs = [ref.around(perfbench_run, workload, seed, seconds, False) for seed in SEEDS]
-        traced = ref.around(perfbench_run, workload, SEEDS[0], seconds, True)
-        end_to_end = {}
-        for name in (m["name"] for m in bench["end_to_end"]):
-            values = [r["metrics"][name]["value"] for r in runs if name in r.get("metrics", {})]
-            if values:
-                end_to_end[name] = {**summary(values), "unit": runs[0]["metrics"][name]["unit"]}
+        traced = [ref.around(perfbench_run, workload, seed, seconds, True) for seed in SEEDS]
         out[workload] = {
-            "correct": all(r["correct"] for r in runs + [traced]),
-            "end_to_end": end_to_end,
-            "per_layer": traced.pop("metrics", {}),
-            "runs": [{k: v for k, v in r.items() if k != "metrics"} for r in runs] + [traced],
+            "correct": all(r["correct"] for r in runs + traced),
+            "end_to_end": summarised(runs, (m["name"] for m in bench["end_to_end"])),
+            "per_layer": summarised(traced, (m["name"] for m in bench["per_layer"])),
+            "runs": [{k: v for k, v in r.items() if k != "metrics"} for r in runs + traced],
         }
     return out
 

@@ -30,26 +30,25 @@ from . import validate as vl
 
 log = logging.getLogger("rotortrack")
 
-# Where each artifact lives: the one config section the library does not own.
-DEFAULT_CONFIG: dict = {
-    "paths": {
-        "tracks": "tracks.jsonl",
-        "labels": "labels.csv",
-        "runways": "runways.csv",
-        "registration": "registration.csv",
-        "heli_types": "heli_types.txt",
-        "model": "model.rtae",
-        "loss_history": "loss_history.csv",
-        "thresholds": "thresholds.json",
-        "histogram": "mae_histogram.csv",
-        "results": "results.csv",
-        "validation": "validation.csv",
-        "venn_csv": "venn_summary.csv",
-        "venn_txt": "venn_summary.txt",
-        "pseudo_types": "pseudo_types.csv",
-        "metrics": "metrics.json",
-        "report": "report.txt",
-    },
+# The files a study brings, the one config section the library does not own.
+DEFAULT_CONFIG: dict = {"paths": {
+    "tracks": "tracks.jsonl", "labels": "labels.csv", "runways": "runways.csv",
+    "registration": "registration.csv", "heli_types": "heli_types.txt",
+}}
+
+# The pipeline's own artifacts, at fixed names under --out-dir.
+OUTPUTS = {
+    "model": "model.rtae",
+    "loss_history": "loss_history.csv",
+    "thresholds": "thresholds.json",
+    "histogram": "mae_histogram.csv",
+    "results": "results.csv",
+    "validation": "validation.csv",
+    "venn_csv": "venn_summary.csv",
+    "venn_txt": "venn_summary.txt",
+    "pseudo_types": "pseudo_types.csv",
+    "metrics": "metrics.json",
+    "report": "report.txt",
 }
 
 # Config sections that build a library object, and the fields a config may set;
@@ -109,15 +108,15 @@ def load_config(path: Optional[str]) -> dict:
 
 
 class Paths:
-    """Config paths resolved against the output directory."""
+    """The config's input paths and the fixed output names, resolved against the output directory."""
 
     def __init__(self, cfg: dict, out_dir: str):
         self.out_dir = Path(out_dir)
-        self._cfg = cfg["paths"]
+        self._files = {**cfg["paths"], **OUTPUTS}
 
     def __getattr__(self, name: str) -> Path:
         try:
-            return self.out_dir / self._cfg[name]   # an absolute path replaces out_dir
+            return self.out_dir / self._files[name]   # an absolute input path replaces out_dir
         except KeyError:
             raise AttributeError(name) from None
 
@@ -257,7 +256,10 @@ def cmd_train(cfg: dict, paths: Paths) -> None:
     model = ae.build(cfg["autoencoder"])
     history = ae.train(model, windows, cfg["training"])
     model.norm_stats = stats
-    log.info("trained %d epochs, final val MAE %.6f", len(history), history[-1].val_mae)
+    best = min(history, key=lambda h: h.val_mae)   # the first best epoch: the weights kept
+    log.info("trained %d epochs, early stop %s; kept epoch %d, val MAE %.6f", len(history),
+             "fired" if len(history) - best.epoch >= cfg["training"].patience else "not fired",
+             best.epoch, best.val_mae)
 
     _atomic_write(paths.model, lambda tmp: ae.save(model, tmp))
     _write_csv(paths.loss_history,

@@ -31,6 +31,18 @@ def test_summary_is_median_and_inclusive_quartile_range(recorder):
     assert recorder.summary([2.0]) == {"median": 2.0, "iqr": 0.0, "n": 1}
 
 
+def test_metrics_are_summarised_over_the_runs_with_their_units(recorder):
+    # fake traced runs, as perfbench_run returns them: one lacks a metric, one failed outright
+    runs = [{"metrics": {"a_us": {"value": v, "unit": "us"}, "calls": {"value": 4, "unit": "count"}}}
+            for v in (3.0, 1.0, 2.0)]
+    runs[2]["metrics"].pop("calls")
+    runs.append({"seed": 4, "correct": False})
+    assert recorder.summarised(runs, ("a_us", "calls", "absent")) == {
+        "a_us": {"median": 2.0, "iqr": 1.0, "n": 3, "unit": "us"},
+        "calls": {"median": 4.0, "iqr": 0.0, "n": 2, "unit": "count"},
+    }
+
+
 def test_quick_record_has_the_schema(recorder, tmp_path):
     out = tmp_path / "bench.json"
     proc = subprocess.run([sys.executable, str(SCRIPT), "--quick", str(out)],

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -129,6 +130,22 @@ class TestPipelineArtifacts:
         assert repr(th["mae_threshold"]) in text
         assert "precision" in text and "recall" in text
         assert "both methods" in text and "autoencoder only" in text
+
+    @pytest.mark.parametrize("val_maes, logged", [
+        ([0.5, 0.3, 0.4, 0.3], "trained 4 epochs, early stop not fired; kept epoch 2, val MAE 0.3"),
+        ([0.5, 0.3] + [0.4] * 20, "trained 22 epochs, early stop fired; kept epoch 2, val MAE 0.3"),
+    ])
+    def test_train_logs_the_epoch_whose_weights_it_keeps(self, pipeline, tmp_path, val_maes,
+                                                         logged):
+        # train keeps the first best validation epoch, and stops once patience (20)
+        # epochs have passed without a better one
+        work = copy_inputs(pipeline, tmp_path / "work", ("tracks.jsonl", "labels.csv",
+                                                         "runways.csv"))
+        history = [ae.EpochStats(i + 1, 1.0, v) for i, v in enumerate(val_maes)]
+        with mock.patch.object(cli.ae, "train", return_value=history):
+            assert run("--out-dir", str(work), "--log-file", str(tmp_path / "log.txt"),
+                       "train") == 0
+        assert logged in (tmp_path / "log.txt").read_text(encoding="utf-8")
 
 
 class TestCliBehavior:
@@ -504,7 +521,16 @@ class TestConfigMerge:
     def test_paths_resolve_against_out_dir(self, tmp_path):
         paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
         assert paths.tracks == tmp_path / "tracks.jsonl"
+        assert paths.model == tmp_path / "model.rtae"
         assert paths.out_dir == tmp_path
+        # an absolute input path moves that input alone; the outputs stay under out_dir
+        elsewhere = tmp_path / "study" / "tracks.jsonl"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"paths": {"tracks": str(elsewhere)}}))
+        moved = cli.Paths(cli.load_config(str(path)), str(tmp_path / "out"))
+        assert moved.tracks == elsewhere
+        assert moved.labels == tmp_path / "out" / "labels.csv"
+        assert moved.model == tmp_path / "out" / "model.rtae"
 
     def test_missing_input_has_a_named_error(self, tmp_path):
         paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
@@ -558,6 +584,9 @@ class TestMalformedConfig:
          "config.thresholds is not a settable key"),
         ({"thresholds": {"mae_threshold": 0.2}}, "config.thresholds is not a settable key"),
         ({"thresholds": {}}, "config.thresholds is not a settable key"),
+        # the pipeline's outputs, at fixed names under --out-dir, refused even at their defaults
+        *[({"paths": {name: file}}, f"config.paths.{name} is not a settable key")
+          for name, file in cli.OUTPUTS.items()],
     ])
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, doc, named):
         cfg = tmp_path / "cfg.json"
@@ -603,8 +632,12 @@ class TestCallerConfigs:
         workflow = (ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8")
         loops = re.findall(r"for f in ([^;\n]*); do\s+cmp ", workflow)
         assert len(loops) == 2
+        compared = load_script("bench_record").BYTE_COMPARED
         for names in loops:
-            assert tuple(names.split()) == load_script("bench_record").BYTE_COMPARED
+            assert tuple(names.split()) == compared
+        # and a renamed artifact must not drop out of the comparison unnoticed
+        files = {*cli.DEFAULT_CONFIG["paths"].values(), *cli.OUTPUTS.values()}
+        assert set(compared) <= files, set(compared) - files
 
 
 class TestOtherJsonForms:

@@ -28,9 +28,7 @@ from rotortrack import validate as vl  # noqa: E402
 
 # Every key a config file may set, by section.
 SETTABLE = {
-    "paths": ("tracks", "labels", "runways", "registration", "heli_types", "model",
-              "loss_history", "thresholds", "histogram", "results", "validation", "venn_csv",
-              "venn_txt", "pseudo_types", "metrics", "report"),
+    "paths": ("tracks", "labels", "runways", "registration", "heli_types"),
     "synth": ("seed", "helicopters", "ga", "commercial"),
     "autoencoder": ("seed",),
     "training": ("epochs", "seed"),

@@ -175,18 +175,18 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Adam's step size is nn.ADAM_LR; the validation split is a fixed share."""
+    """The config's training section; nn.ADAM_LR and the ClassVars fix the other values."""
 
     validation_fraction: ClassVar[float] = 0.2
+    batch_size: ClassVar[int] = 32
+    patience: ClassVar[int] = 20
 
     epochs: int = 200
-    batch_size: int = 32
-    patience: int = 20
     seed: int = 7
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
-            raise ValueError("epochs, batch_size, and patience must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

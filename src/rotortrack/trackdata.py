@@ -84,12 +84,12 @@ _POINT_KEYS = ("t", "lat", "lon", "alt", "course", "gs")
 POINT_DTYPE = np.dtype((np.record, [(k, np.float64) for k in _POINT_KEYS]))
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, frozen=True)
 class Track:
     """One surveillance track.  points is a read-only array of POINT_DTYPE, oldest first:
     points["lat"] is a column and points[i].lat a value.  (t, lat, lon, alt, course, gs)
     tuples are converted on construction; an array of POINT_DTYPE is kept without a copy,
-    through a read-only view.  To change a track's points, build a new Track."""
+    through a read-only view.  A Track is immutable: to change its points, build a new one."""
 
     track_id: str
     points: np.ndarray
@@ -100,15 +100,17 @@ class Track:
     arrival_airport: Optional[str] = None
     runway_id: Optional[str] = None
     scratchpad_runway: Optional[bool] = None
-    # (points, {(threshold lat, lon): (index, NM)}), set by the first closest_approach_index
-    _approach: tuple = field(init=False, repr=False, compare=False)
+    # {(threshold lat, lon): (index, NM)}, filled by closest_approach_index
+    _approach: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=POINT_DTYPE)
         if points.ndim != 1:   # numpy spreads each value of a list row over all six fields
             raise TrackDataError("points must be point tuples or a 1-D POINT_DTYPE array")
-        self.points = points.view()
-        self.points.setflags(write=False)
+        points = points.view()
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_approach", {})
 
     def __eq__(self, other):
         if not isinstance(other, Track):
@@ -197,16 +199,12 @@ def closest_approach_index(track: Track, runway: Runway) -> tuple[int, float]:
 
     The result depends on the threshold's lat and lon alone, and the track
     keeps it under them: a second call for the same pair, with this runway or
-    an equal one, returns the kept tuple.  The memo belongs to the points it
-    was computed on, so a track whose points are replaced starts afresh.
+    an equal one, returns the kept tuple.
     """
-    memo = getattr(track, "_approach", None)   # the slot is unset until the first call
-    if memo is None or memo[0] is not track.points:
-        memo = track._approach = (track.points, {})
     key = (runway.threshold_lat, runway.threshold_lon)
-    found = memo[1].get(key)
+    found = track._approach.get(key)
     if found is None:
-        found = memo[1][key] = _closest_approach(track, *key)
+        found = track._approach[key] = _closest_approach(track, *key)
     return found
 
 

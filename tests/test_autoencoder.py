@@ -21,7 +21,7 @@ SMALL_SPEC = ae.AutoencoderSpec(encoder_convs=((5, 2, 8),), latent_dim=8, seed=4
 # check every parameter by finite differences.
 TWO_STAGE_SPEC = ae.AutoencoderSpec(input_len=8, n_features=2,
                                     encoder_convs=((3, 2, 4), (3, 2, 3)), latent_dim=3, seed=0)
-FAST_TRAIN = ae.TrainConfig(epochs=25, batch_size=16, seed=3)
+FAST_TRAIN = ae.TrainConfig(epochs=25, seed=3)
 
 
 def sine_windows(n, seed=0, noise=0.05, label=td.CLASS_HELICOPTER):
@@ -151,7 +151,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = ae.build(SMALL_SPEC)
-            ae.train(model, wins, ae.TrainConfig(epochs=5, batch_size=16, seed=3))
+            ae.train(model, wins, ae.TrainConfig(epochs=5, seed=3))
             runs.append([p.copy() for p in model.parameters()])
         for pa, pb in zip(*runs):
             assert np.array_equal(pa, pb)
@@ -162,7 +162,7 @@ class TestTraining:
         wins = [td.FeatureWindow(rng.normal(size=(td.WINDOW_LEN, td.FEATURE_COUNT)),
                                  f"w{i}", label=td.CLASS_HELICOPTER) for i in range(40)]
         model = ae.build(SMALL_SPEC)
-        cfg = ae.TrainConfig(epochs=60, batch_size=16, patience=3, seed=11)
+        cfg = ae.TrainConfig(epochs=60, seed=11)
         history = ae.train(model, wins, cfg)
         assert len(history) < cfg.epochs       # patience kicked in
         # replay the split to check the restored weights hit the best val loss
@@ -186,12 +186,13 @@ class TestTraining:
             ae.train(model, sine_windows(ae.MIN_TRAIN_WINDOWS - 1), FAST_TRAIN)
 
     def test_memorizes_a_repeated_window(self):
-        # 32 copies of one window: the only optimum is exact reproduction
+        # 32 copies of one window: the only optimum is exact reproduction;
+        # 26 of them train, one batch and so one step an epoch
         model = ae.build(SMALL_SPEC)
         base = sine_windows(1, seed=2, noise=0.0)[0]
         wins = [td.FeatureWindow(base.values.copy(), f"c{i}", label=td.CLASS_HELICOPTER)
                 for i in range(ae.MIN_TRAIN_WINDOWS)]
-        ae.train(model, wins, ae.TrainConfig(epochs=150, batch_size=16, seed=3))
+        ae.train(model, wins, ae.TrainConfig(epochs=400, seed=3))
         assert ae.reconstruction_error(model, base.values) < 0.05
 
 
@@ -231,8 +232,9 @@ def parameter_bytes(model) -> list[bytes]:
 
 
 F32_SPEC = ae.AutoencoderSpec(**{**SMALL_SPEC.__dict__, "dtype": "float32"})
-# 36 windows: a validation pass of 7, then training batches of 16 and 13
-SHORT_BATCHES = ae.TrainConfig(epochs=6, batch_size=16, patience=2, seed=3)
+# 56 windows: training batches of 32 and 13, then a validation pass of 11
+SHORT_BATCH_WINDOWS = 56
+SHORT_BATCHES = ae.TrainConfig(epochs=6, seed=3)
 
 
 @pytest.fixture
@@ -251,13 +253,13 @@ def spaces(monkeypatch):
 
 class TestWorkspace:
     def test_short_batches_match_the_loop_without_a_workspace(self, spaces, monkeypatch):
-        wins = sine_windows(36, seed=5)
+        wins = sine_windows(SHORT_BATCH_WINDOWS, seed=5)
         rows = []
         mae = nn.mae
         monkeypatch.setattr(nn, "mae", lambda x, x_prime: rows.append(len(x)) or mae(x, x_prime))
         model = ae.build(SMALL_SPEC)
         history = ae.train(model, wins, SHORT_BATCHES)
-        assert rows[:3] == [16, 13, 7] and len(spaces) == 1
+        assert rows[:3] == [32, 13, 11] and len(spaces) == 1
         reference = ae.build(SMALL_SPEC)
         assert train_without_workspace(reference, wins, SHORT_BATCHES) == history
         assert parameter_bytes(model) == parameter_bytes(reference)
@@ -265,7 +267,7 @@ class TestWorkspace:
     def test_float64_then_float32_each_match_a_run_in_its_own_process(self, spaces, tmp_path):
         wins = sine_windows(36, seed=5)
         np.save(tmp_path / "windows.npy", np.stack([w.values for w in wins]))
-        cfg = ae.TrainConfig(epochs=3, batch_size=16, seed=3)
+        cfg = ae.TrainConfig(epochs=3, seed=3)
         script = (
             "import hashlib, json, sys\n"
             "import numpy as np\n"
@@ -300,9 +302,9 @@ class TestWorkspace:
             seen.append((len(x), {key: id(a) for key, a in spaces[0].arrays.items()}))
             return mae(x, x_prime)
         monkeypatch.setattr(nn, "mae", spy)
-        ae.train(ae.build(SMALL_SPEC), sine_windows(36, seed=5),
-                 ae.TrainConfig(epochs=4, batch_size=16, seed=3))
-        assert [rows for rows, _ in seen] == [16, 13, 7] * 4
+        ae.train(ae.build(SMALL_SPEC), sine_windows(SHORT_BATCH_WINDOWS, seed=5),
+                 ae.TrainConfig(epochs=4, seed=3))
+        assert [rows for rows, _ in seen] == [32, 13, 11] * 4
         # a grown array replaces its key's array while that one is still held,
         # so a new allocation always shows as a new id
         after_first_epoch = seen[2][1]
@@ -347,7 +349,7 @@ class TestWorkspace:
 def trained_small_model(with_stats=True):
     model = ae.build(SMALL_SPEC)
     wins = sine_windows(36, seed=8)
-    ae.train(model, wins, ae.TrainConfig(epochs=3, batch_size=16, seed=3))
+    ae.train(model, wins, ae.TrainConfig(epochs=3, seed=3))
     if with_stats:
         raw = [w.values + 5.0 for w in wins]
         model.norm_stats = td.fit_norm_stats(raw)
@@ -384,8 +386,11 @@ class TestFixedValues:
         lambda: rs.ScoreParams(distance_scale_nm=2.0),
         lambda: ae.TrainConfig(learning_rate=1e-2),
         lambda: ae.TrainConfig(validation_fraction=0.5),
+        lambda: ae.TrainConfig(batch_size=16),
+        lambda: ae.TrainConfig(patience=3),
         lambda: nn.adam_init(np.zeros(3), lr=1e-2),
-    ], ids=["score_weights", "score_scale", "learning_rate", "validation_fraction", "adam_lr"])
+    ], ids=["score_weights", "score_scale", "learning_rate", "validation_fraction", "batch_size",
+            "patience", "adam_lr"])
     def test_a_fixed_value_cannot_be_set(self, build):
         with pytest.raises(TypeError):
             build()
@@ -398,7 +403,8 @@ class TestFixedValues:
                    params.lateral_full_scale_ft, params.length_full_scale_ft) > 0
         config = ae.TrainConfig()
         assert 0 < config.validation_fraction < 1
-        assert (config.validation_fraction, config.batch_size) == (0.2, 32)
+        assert (config.validation_fraction, config.batch_size, config.patience) == (0.2, 32, 20)
+        assert min(config.batch_size, config.patience) >= 1
         assert nn.ADAM_LR > 0
 
 

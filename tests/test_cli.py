@@ -518,6 +518,13 @@ class TestConfigMerge:
             assert cfg["training"] == ae.TrainConfig()
             assert set(cfg) == {"paths", "synth", "autoencoder", "training"}
 
+    @pytest.mark.parametrize("section", ["synth", "training"])
+    def test_a_built_section_has_exactly_the_settable_fields(self, section):
+        # every field of these objects is a config key; AutoencoderSpec's architecture
+        # fields are the model header's, so only its seed is settable
+        cls, settable = cli._BUILT[section]
+        assert {f.name for f in dataclasses.fields(cls)} == set(settable)
+
     def test_paths_resolve_against_out_dir(self, tmp_path):
         paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
         assert paths.tracks == tmp_path / "tracks.jsonl"
@@ -557,6 +564,7 @@ class TestMalformedConfig:
         ({"training": {"beta1": 0.9}}, "training.beta1 is not a settable key"),
         ({"autoencoder": {"seed": -1}}, "config.autoencoder: seed must be >= 0"),
         ({"training": {"seed": -1}}, "config.training: seed must be >= 0"),
+        ({"training": {"epochs": 0}}, "config.training: epochs must be >= 1"),
         # the model, training, score and gate values that only the library sets,
         # refused even at their defaults
         ({"autoencoder": {"encoder_convs": [[7, 2, 16], [5, 2, 32]]}},

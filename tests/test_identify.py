@@ -124,7 +124,7 @@ def training_windows_and_model():
     wins = [td.normalize(w, stats, f"w{i}", label=td.CLASS_HELICOPTER)
             for i, w in enumerate(raw)]
     model = ae.build(ae.AutoencoderSpec(encoder_convs=((5, 2, 8),), latent_dim=8, seed=6))
-    ae.train(model, wins, ae.TrainConfig(epochs=10, batch_size=16, seed=3))
+    ae.train(model, wins, ae.TrainConfig(epochs=10, seed=3))
     model.norm_stats = stats
     return model
 

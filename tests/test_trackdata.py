@@ -136,11 +136,14 @@ class TestClosestApproachMemo:
         assert not any(t.is_alive() for t in threads) and not errors
         assert got == [want] * 6
 
-    def test_new_points_start_a_new_memo(self):
+    def test_a_track_is_immutable_and_a_replaced_one_starts_a_new_memo(self):
         track = approach_track(closest=180)
         assert td.closest_approach_index(track, RUNWAY)[0] == 180
-        track.points = approach_track(closest=120).points
-        assert td.closest_approach_index(track, RUNWAY)[0] == 120
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            track.points = approach_track(closest=120).points
+        moved = dataclasses.replace(track, points=approach_track(closest=120).points)
+        assert td.closest_approach_index(moved, RUNWAY)[0] == 120
+        assert td.closest_approach_index(track, RUNWAY)[0] == 180
 
 
 GOOD_LINE = {

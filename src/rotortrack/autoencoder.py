@@ -16,7 +16,7 @@ a stage's name labels its arrays in load's errors.
 
 Models are stored in a single binary file: magic ``RTAE``, a format
 version, a JSON header holding the spec, the raw little-endian bytes of
-each stage's w and b in plan order (then the NormStats), and a trailing
+each stage's w and b in plan order, then the NormStats, and a trailing
 SHA-256 checksum.  The spec fixes every array's shape and dtype, so loading
 allocates no size claimed by a header and refuses a file whose array bytes
 are not exactly the plan's.
@@ -299,9 +299,8 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
     data = np.stack([w.values for w in windows]).astype(model.spec.dtype)
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(data))
+    # MIN_TRAIN_WINDOWS and the fixed fraction leave training windows after the split
     n_val = max(1, round(config.validation_fraction * len(data)))
-    if n_val >= len(data):
-        raise AutoencoderError("validation split leaves no training windows")
     val = data[order[:n_val]]
     tr = data[order[n_val:]]
     del data   # the split holds copies
@@ -349,34 +348,31 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
 # --------------------------------------------------------------------------
 # binary model container
 
-def _layout(spec: AutoencoderSpec, has_norm_stats: bool) -> list[tuple[str, tuple[int, ...], str]]:
+def _layout(spec: AutoencoderSpec) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, dtype) per array in file order: each stage's w and b, then the NormStats."""
     layout = []
     for name, cls, geometry, _ in _plan(spec):
         w_shape = geometry if cls is nn.DenseLayer else (geometry[0], *geometry[2:])
         layout += [(f"{name}.w", w_shape, spec.dtype), (f"{name}.b", geometry[-1:], spec.dtype)]
-    if has_norm_stats:
-        shape = (spec.input_len, spec.n_features)
-        layout += [("norm.mean", shape, "float64"), ("norm.std", shape, "float64")]
-    return layout
+    shape = (spec.input_len, spec.n_features)
+    return layout + [("norm.mean", shape, "float64"), ("norm.std", shape, "float64")]
 
 
-def _header(model: ModelParams) -> bytes:
-    """The JSON header save writes for model, the one form load accepts."""
-    return json.dumps({"spec": model.spec.to_dict(), "has_norm_stats": model.norm_stats is not None},
+def _header(spec: AutoencoderSpec) -> bytes:
+    """The JSON header save writes for spec, the one form load accepts; every file has stats."""
+    return json.dumps({"spec": spec.to_dict(), "has_norm_stats": True},
                       separators=(",", ":")).encode("utf-8")
 
 
 def save(model: ModelParams, path) -> None:
     """Write the model container; always safe to re-load bit-exactly."""
-    has_norm_stats = model.norm_stats is not None
-    header = _header(model)
-    arrays = model.parameters()
-    if has_norm_stats:
-        arrays += [model.norm_stats.mean, model.norm_stats.std]
+    if model.norm_stats is None:   # it could not score a raw window: refused before any write
+        raise AutoencoderError("model has no normalization stats; set norm_stats before saving")
+    header = _header(model.spec)
+    arrays = model.parameters() + [model.norm_stats.mean, model.norm_stats.std]
     body = MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
     body += b"".join(np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
-                     for arr, (_, _, dtype) in zip(arrays, _layout(model.spec, has_norm_stats)))
+                     for arr, (_, _, dtype) in zip(arrays, _layout(model.spec)))
     with open(path, "wb") as fh:
         fh.write(body + hashlib.sha256(body).digest())
 
@@ -403,8 +399,7 @@ def load(path) -> ModelParams:
     try:
         header = json.loads(body[pos:pos + header_len].decode("utf-8"))
         spec = AutoencoderSpec.from_dict(header["spec"])
-        has_norm_stats = bool(header["has_norm_stats"])
-        layout = _layout(spec, has_norm_stats)
+        layout = _layout(spec)
     except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
         raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
 
@@ -422,14 +417,12 @@ def load(path) -> ModelParams:
     if pos != len(body):
         raise ModelFormatError(f"model file has {len(body) - pos} bytes after its last array")
 
-    it = iter(arrays)
-    model = ModelParams(spec, [Stage(name, cls(*geometry, w=next(it), b=next(it)), relu)
-                               for name, cls, geometry, relu in _plan(spec)])
-    if has_norm_stats:
-        model.norm_stats = NormStats(mean=next(it), std=next(it))
     # One model, one file: a header that save would write otherwise (other separators,
-    # key order or keys, or a non-bool has_norm_stats) would not round-trip.
-    if body[len(MAGIC) + 8:len(MAGIC) + 8 + header_len] != _header(model):
+    # key order or keys, or a stats flag other than true) would not round-trip.
+    if body[len(MAGIC) + 8:len(MAGIC) + 8 + header_len] != _header(spec):
         raise ModelFormatError("malformed model file: its header is not the one save writes "
                                "for its model")
-    return model
+    it = iter(arrays)
+    return ModelParams(spec, [Stage(name, cls(*geometry, w=next(it), b=next(it)), relu)
+                              for name, cls, geometry, relu in _plan(spec)],
+                       NormStats(mean=next(it), std=next(it)))

@@ -225,6 +225,9 @@ def _read_thresholds(paths: Paths) -> idf.Thresholds:
     path = paths.input("thresholds")
     keys = ("mae_threshold", "percentile", "runway_score_threshold")
     doc = _read_json_object(path, keys)
+    unknown = [key for key in doc if key not in keys]
+    if unknown:   # a misspelt or retired gate would otherwise be silently ignored
+        raise CliError(f"{path} holds unknown keys {unknown}; it names exactly {list(keys)}")
     try:
         return idf.Thresholds(**{key: doc[key] for key in keys})
     except ValueError as e:
@@ -258,7 +261,7 @@ def cmd_train(cfg: dict, paths: Paths) -> None:
     model.norm_stats = stats
     best = min(history, key=lambda h: h.val_mae)   # the first best epoch: the weights kept
     log.info("trained %d epochs, early stop %s; kept epoch %d, val MAE %.6f", len(history),
-             "fired" if len(history) - best.epoch >= cfg["training"].patience else "not fired",
+             "fired" if len(history) < cfg["training"].epochs else "not fired",
              best.epoch, best.val_mae)
 
     _atomic_write(paths.model, lambda tmp: ae.save(model, tmp))

@@ -131,20 +131,23 @@ class TestPipelineArtifacts:
         assert "precision" in text and "recall" in text
         assert "both methods" in text and "autoencoder only" in text
 
-    @pytest.mark.parametrize("val_maes, logged", [
-        ([0.5, 0.3, 0.4, 0.3], "trained 4 epochs, early stop not fired; kept epoch 2, val MAE 0.3"),
-        ([0.5, 0.3] + [0.4] * 20, "trained 22 epochs, early stop fired; kept epoch 2, val MAE 0.3"),
+    @pytest.mark.parametrize("epochs, val_maes, logged", [
+        (4, [0.5, 0.3, 0.4, 0.3],
+         "trained 4 epochs, early stop not fired; kept epoch 2, val MAE 0.3"),
+        (200, [0.5, 0.3] + [0.4] * 20,
+         "trained 22 epochs, early stop fired; kept epoch 2, val MAE 0.3"),
     ])
-    def test_train_logs_the_epoch_whose_weights_it_keeps(self, pipeline, tmp_path, val_maes,
-                                                         logged):
-        # train keeps the first best validation epoch, and stops once patience (20)
-        # epochs have passed without a better one
+    def test_train_logs_the_epoch_whose_weights_it_keeps(self, pipeline, tmp_path, epochs,
+                                                         val_maes, logged):
+        # train keeps the first best validation epoch; early stopping fired when it
+        # ran fewer than the configured epochs
         work = copy_inputs(pipeline, tmp_path / "work", ("tracks.jsonl", "labels.csv",
                                                          "runways.csv"))
+        (work / "cfg.json").write_text(json.dumps({"training": {"epochs": epochs}}))
         history = [ae.EpochStats(i + 1, 1.0, v) for i, v in enumerate(val_maes)]
         with mock.patch.object(cli.ae, "train", return_value=history):
-            assert run("--out-dir", str(work), "--log-file", str(tmp_path / "log.txt"),
-                       "train") == 0
+            assert run("--out-dir", str(work), "--config", str(work / "cfg.json"),
+                       "--log-file", str(tmp_path / "log.txt"), "train") == 0
         assert logged in (tmp_path / "log.txt").read_text(encoding="utf-8")
 
 
@@ -399,14 +402,19 @@ class TestMalformedJsonInputs:
         '{"mae_threshold": -1.0, "percentile": 80, "runway_score_threshold": 0.5}',
         "{not json",
         '{"mae_threshold": 1' + "0" * 400 + ', "percentile": 80, "runway_score_threshold": 0.5}',
+        '{"mae_threshold": 0.3, "percentile": 80, "runway_score_threshold": 0.5, '
+        '"runway_score_gate": 0.9}',
     ], ids=["missing_key", "not_an_object", "non_numeric", "out_of_range", "bad_json",
-            "huge_integer"])
+            "huge_integer", "unknown_key"])
     def test_malformed_thresholds_exit_1_naming_the_file(self, pipeline, tmp_path, capsys,
                                                          command, text):
         work = copy_inputs(pipeline, tmp_path / "th", self.INPUTS)
         (work / "thresholds.json").write_text(text)
         assert run("--out-dir", str(work), command) == 1
-        assert "thresholds.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "thresholds.json" in err
+        # the file is the only place the score gate is set: an unknown key is named
+        assert "'runway_score_gate'" in err or "runway_score_gate" not in text
 
     @pytest.mark.parametrize("edit", [
         lambda m: m.pop("recall"),

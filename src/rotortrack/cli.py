@@ -221,13 +221,19 @@ def _read_json_object(path: Path, numbers: tuple[str, ...] = (),
     return doc
 
 
+def _refuse_unknown_keys(path: Path, doc: dict, keys: tuple[str, ...]) -> None:
+    """A CliError naming the file and its keys outside keys, which would otherwise be
+    silently ignored (a misspelt or retired one, say)."""
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise CliError(f"{path} holds unknown keys {unknown}; it names only {list(keys)}")
+
+
 def _read_thresholds(paths: Paths) -> idf.Thresholds:
     path = paths.input("thresholds")
     keys = ("mae_threshold", "percentile", "runway_score_threshold")
     doc = _read_json_object(path, keys)
-    unknown = [key for key in doc if key not in keys]
-    if unknown:   # a misspelt or retired gate would otherwise be silently ignored
-        raise CliError(f"{path} holds unknown keys {unknown}; it names exactly {list(keys)}")
+    _refuse_unknown_keys(path, doc, keys)
     try:
         return idf.Thresholds(**{key: doc[key] for key in keys})
     except ValueError as e:
@@ -386,9 +392,10 @@ def cmd_validate(cfg: dict, paths: Paths) -> None:
 def cmd_report(cfg: dict, paths: Paths) -> None:
     """write a consolidated text report"""
     thresholds = _read_thresholds(paths)
-    counts = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable")
-    metrics = _read_json_object(paths.input("metrics"), counts + ("precision", "recall"),
-                                nullable=("precision", "recall"))
+    numbers = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable", "precision", "recall")
+    path = paths.input("metrics")
+    metrics = _read_json_object(path, numbers, nullable=("precision", "recall"))
+    _refuse_unknown_keys(path, metrics, numbers + ("venn",))   # validate writes venn; unread here
     venn_txt = "".join(td.utf8_lines(paths.input("venn_txt")))
 
     def ratio(value) -> str:

@@ -3,7 +3,9 @@
 Tracks arrive as JSON Lines, one track per line; runways and aircraft
 registration rows arrive as CSV.  Each track's points are checked and stored
 once, as one read-only float64 array of POINT_DTYPE (t, lat, lon, alt, course,
-gs), and the geometry below works on its columns.  Arrival windows are the last
+gs), and the geometry below works on its columns.  What a parse of a track
+file found is kept in a checked binary sidecar next to it, so that later loads
+of the same bytes skip the parse.  Arrival windows are the last
 100 track points at or before the point of closest approach to the runway
 threshold.  No function here changes its inputs, but closest_approach_index
 memoises its results on the track, so the runway pick, the windowing and the
@@ -13,11 +15,17 @@ may share loaded data: two that race on one pair both compute the same values.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import math
 import operator
+import os
 import re
+import struct
+import tempfile
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain
@@ -443,15 +451,26 @@ def _parse_track(line: str) -> tuple[Optional[Track], Optional[str]]:
         values = _point_array(raw_points)
         if values is None:
             return None, _first_point_error(raw_points)
-    points = values.view(POINT_DTYPE)[:, 0]
+    return _track_of(obj, values)
+
+
+def _plain_text(val) -> bool:
+    """Whether val is a string without lone surrogates or NUL (which Python 3.10's csv
+    module refuses): the rule for every string a loaded track or reject carries."""
+    return isinstance(val, str) and _encodable(val) and "\0" not in val
+
+
+def _track_of(obj: dict, values: np.ndarray) -> tuple[Optional[Track], Optional[str]]:
+    """The Track of a record's wire-keyed fields and its checked (n, 6) point values, or
+    the reason a field is refused.  Every loaded track passes here, parsed or not."""
     scratch = obj.get("scratchpad_runway")
     if scratch is not None and not isinstance(scratch, bool):
         return None, "scratchpad_runway must be a boolean when present"
-    for key in ("track_id", *_STRING_KEYS):   # Python 3.10's csv module refuses NUL
+    for key in ("track_id", *_STRING_KEYS):
         val = obj.get(key)
-        if val is not None and not (isinstance(val, str) and _encodable(val) and "\0" not in val):
+        if val is not None and not _plain_text(val):
             return None, f"{key} must be a string without lone surrogates or NUL when present"
-    return Track(track_id, points, scratchpad_runway=scratch,
+    return Track(obj["track_id"], values.view(POINT_DTYPE)[:, 0], scratchpad_runway=scratch,
                  **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
 
 
@@ -464,18 +483,57 @@ class LoadResult:
 def load_tracks(path) -> LoadResult:
     """Read a JSON Lines track file; bad lines are reported in LoadResult.rejects.
 
-    A line takes one of two routes.  One in the writers' form (track_to_json's:
-    compact separators, point keys in order, "points" last, numbers without an
-    exponent) takes the text route: once its points array has passed the form
-    and JSON number checks, numpy's text reader reads all its numbers as one
-    row, with no Python object per number.  Every other line, and any line
-    that fails a check on the text route, is decoded whole by json.loads and
-    checked point by point.  The text route is only faster: it accepts the
-    same lines, with the same values, and every reject reason comes from the
-    general route."""
+    The file's bytes are parsed once.  The first load writes what it found to
+    a sidecar, <path>.rtcache, next to the file; a later load whose SHA-256 of
+    the file's bytes matches the sidecar's rebuilds the same LoadResult from
+    it, bit for bit, without parsing.  A sidecar that is missing, stale or
+    fails any check is ignored, and the file is parsed and the sidecar
+    rewritten; one that cannot be written is skipped.  So a sidecar never
+    changes what a load returns, or makes one fail.
+
+    A parse takes each line by one of two routes.  One in the writers' form
+    (track_to_json's: compact separators, point keys in order, "points" last,
+    numbers without an exponent) takes the text route: once its points array
+    has passed the form and JSON number checks, numpy's text reader reads all
+    its numbers as one row, with no Python object per number.  Every other
+    line, and any line that fails a check on the text route, is decoded whole
+    by json.loads and checked point by point.  The text route is only faster:
+    it accepts the same lines, with the same values, and every reject reason
+    comes from the general route."""
+    result = _read_sidecar(path)
+    if result is None:
+        result, digest = _parse_file(path)
+        _write_sidecar(path, digest, result)
+    return result
+
+
+class _HashedReader(io.RawIOBase):
+    """The bytes of a file, hashed as they are read."""
+
+    def __init__(self, path):
+        self._file = open(path, "rb", buffering=0)
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _parse_file(path) -> tuple[LoadResult, bytes]:
+    """The LoadResult of parsing the file at path, and the SHA-256 of the bytes it read."""
     by_id: dict[str, Track] = {}
     rejects: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with _HashedReader(path) as raw, io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                                                      errors="surrogateescape") as fh:
+        fh._CHUNK_SIZE = _HASH_CHUNK   # hashes fewer, larger reads than the 8 KB default
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
@@ -486,7 +544,143 @@ def load_tracks(path) -> LoadResult:
                 rejects.append((line_no, err))
             else:
                 by_id[track.track_id] = track
-    return LoadResult(list(by_id.values()), rejects)
+        return LoadResult(list(by_id.values()), rejects), raw.sha256.digest()
+
+
+# The sidecar of a parsed track file: magic, format version, the SHA-256 of the parsed
+# bytes and the header's length; the header, compact JSON of
+# {"tracks": [[the _RECORD_KEYS values, point count], ...], "rejects": [[line, reason], ...]};
+# each track's points as little-endian float64 rows, in track order; and the SHA-256 of all
+# that.  Its bytes depend only on the parsed bytes.  _SIDECAR_VERSION must change with any
+# change to what a parse returns, or a sidecar would keep the old result.
+_SIDECAR_SUFFIX = ".rtcache"
+_SIDECAR_MAGIC = b"RTTC"
+_SIDECAR_VERSION = 1
+_SIDECAR_PREFIX = struct.Struct("<4sI32sI")
+_DIGEST_LEN = 32
+_HASH_CHUNK = 1 << 16
+_ROW_DTYPE = np.dtype("<f8")
+_ROW_BYTES = len(_POINT_KEYS) * _ROW_DTYPE.itemsize
+_RECORD_KEYS = ("track_id", *_STRING_KEYS, "scratchpad_runway")
+
+
+def _sidecar_path(path) -> str:
+    return os.fsdecode(path) + _SIDECAR_SUFFIX
+
+
+def _sidecar_header(result: LoadResult) -> bytes:
+    """The header _write_sidecar writes for result, the one form _read_sidecar accepts."""
+    tracks = [[t.track_id, *(getattr(t, name) for name in _STRING_KEYS.values()),
+               t.scratchpad_runway, len(t.points)] for t in result.tracks]
+    return json.dumps({"tracks": tracks, "rejects": result.rejects},
+                      separators=(",", ":")).encode()
+
+
+def _rows(track: Track) -> np.ndarray:
+    """A track's point values as the sidecar holds them: little-endian float64, row by row."""
+    return track.points.view(np.float64).astype(_ROW_DTYPE, copy=False)
+
+
+def _write_sidecar(path, digest: bytes, result: LoadResult) -> None:
+    """Write the sidecar of the parsed bytes whose SHA-256 is digest, one track at a time,
+    to a temporary file renamed into place; a write that fails is skipped, leaving none."""
+    sidecar = _sidecar_path(path)
+    header = _sidecar_header(result)
+    head = _SIDECAR_PREFIX.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(header)) + header
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".",
+                                   dir=os.path.dirname(sidecar) or ".")
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            check = hashlib.sha256()
+            for part in chain([head], map(_rows, result.tracks)):
+                check.update(part)
+                fh.write(part)
+            fh.write(check.digest())
+        os.replace(tmp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _file_sha256(path) -> bytes:
+    """The SHA-256 of the file at path, read in fixed-size chunks."""
+    sha256, chunk = hashlib.sha256(), bytearray(_HASH_CHUNK)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(chunk):
+            sha256.update(memoryview(chunk)[:n])
+    return sha256.digest()
+
+
+def _read_exactly(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError("sidecar ends early")
+    return data
+
+
+def _read_sidecar(path) -> Optional[LoadResult]:
+    """The LoadResult the sidecar of path holds for the file's bytes as they are now, or
+    None when there is no sidecar, it is for other bytes, or it fails any check."""
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            return _sidecar_result(fh, path)
+    except (OSError, ValueError, TypeError, LookupError, RecursionError):
+        return None
+
+
+def _sidecar_result(fh, path) -> LoadResult:
+    """The sidecar in fh, checked as a model file is: magic and version, the parsed bytes'
+    digest, exact lengths, the trailing checksum, one header form, and every track and
+    reject as a parse would give it.  Any defect raises ValueError (or TypeError or
+    LookupError from a header of the wrong shape).  No size is allocated before the file's
+    length bounds it, and each track's rows are read into their own array."""
+    size = os.fstat(fh.fileno()).st_size
+    prefix = _read_exactly(fh, _SIDECAR_PREFIX.size)
+    magic, version, source, header_len = _SIDECAR_PREFIX.unpack(prefix)
+    if magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION:
+        raise ValueError("not a sidecar of this version")
+    if _SIDECAR_PREFIX.size + header_len + _DIGEST_LEN > size:
+        raise ValueError("sidecar header runs past its end")
+    if source != _file_sha256(path):
+        raise ValueError("sidecar of other bytes")
+    header = _read_exactly(fh, header_len)
+    doc = json.loads(header.decode())
+    rows = doc["tracks"]
+    counts = [row[-1] for row in rows]
+    if not all(type(n) is int and n > 0 and len(row) == len(_RECORD_KEYS) + 1
+               for n, row in zip(counts, rows)):
+        raise ValueError("sidecar track row of another form")
+    if _SIDECAR_PREFIX.size + header_len + _ROW_BYTES * sum(counts) + _DIGEST_LEN != size:
+        raise ValueError("sidecar length is not its header's")
+    check = hashlib.sha256(prefix + header)
+    tracks = []
+    for row, n in zip(rows, counts):
+        values = np.empty((n, len(_POINT_KEYS)), _ROW_DTYPE)
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError("sidecar ends early")
+        check.update(values)
+        values = _checked(values.astype(np.float64, copy=False))
+        if values is None:
+            raise ValueError("sidecar points a parse would refuse")
+        track, err = _track_of(dict(zip(_RECORD_KEYS, row)), values)
+        if err is not None or not track.track_id:   # the rules leave None or a string
+            raise ValueError("sidecar track a parse would refuse")
+        tracks.append(track)
+    if _read_exactly(fh, _DIGEST_LEN) != check.digest() or fh.read(1):
+        raise ValueError("sidecar checksum mismatch")
+    rejects = [tuple(r) for r in doc["rejects"]]
+    lines = [line for line, _ in rejects]
+    if not (all(type(line) is int and line > 0 and _plain_text(why) for line, why in rejects)
+            and lines == sorted(set(lines))
+            and len({t.track_id for t in tracks}) == len(tracks)):
+        raise ValueError("sidecar result a parse would not give")
+    result = LoadResult(tracks, rejects)
+    if _sidecar_header(result) != header:
+        raise ValueError("sidecar header is not the one its result writes")
+    return result
 
 
 def track_to_json(track: Track) -> str:

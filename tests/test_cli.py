@@ -98,6 +98,18 @@ class TestPipelineArtifacts:
         for res in results:
             assert res.pred_is_helicopter is (res.reasons == ())
 
+    def test_stages_that_read_the_sidecar_write_what_a_parse_gives(self, pipeline, tmp_path):
+        # train parsed tracks.jsonl and wrote its sidecar, which the later stages read
+        assert (pipeline / "tracks.jsonl.rtcache").is_file()
+        work = copy_inputs(pipeline, tmp_path / "parsed", (
+            "tracks.jsonl", "model.rtae", "thresholds.json", "runways.csv", "registration.csv",
+            "heli_types.txt"))
+        for stage in ("classify", "validate"):
+            (work / "tracks.jsonl.rtcache").unlink(missing_ok=True)
+            assert run("--out-dir", str(work), stage) == 0
+        for name in ("results.csv", "validation.csv", "metrics.json"):
+            assert (work / name).read_bytes() == (pipeline / name).read_bytes(), name
+
     def test_classification_matches_library_decision(self, pipeline):
         model = ae.load(pipeline / "model.rtae")
         th = json.loads((pipeline / "thresholds.json").read_text())
@@ -422,14 +434,18 @@ class TestMalformedJsonInputs:
         lambda m: m.update(precision=[1.0]),
         lambda m: m.update(tn=None),
         lambda m: m.update(precision=10 ** 400),
-    ], ids=["missing_key", "string_count", "list_ratio", "null_count", "huge_integer"])
+        lambda m: m.update(recal=0.1),
+    ], ids=["missing_key", "string_count", "list_ratio", "null_count", "huge_integer",
+            "unknown_key"])
     def test_malformed_metrics_exit_1_naming_the_file(self, pipeline, tmp_path, capsys, edit):
         work = copy_inputs(pipeline, tmp_path / "m", self.INPUTS)
         metrics = json.loads((work / "metrics.json").read_text())
         edit(metrics)
         (work / "metrics.json").write_text(json.dumps(metrics))
         assert run("--out-dir", str(work), "report") == 1
-        assert "metrics.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "metrics.json" in err
+        assert "'recal'" in err or "recal" not in metrics
 
     def test_metrics_with_undefined_ratios_still_report(self, pipeline, tmp_path):
         work = copy_inputs(pipeline, tmp_path / "none", self.INPUTS)

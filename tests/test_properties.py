@@ -305,12 +305,18 @@ LITERALS = ["0", "-0", "-0.0", "1e5", "1E5", "1.", "01", "+1", ".5", "1-2", "--1
             "-01", "-.5", "00", "0.", "-0.", "-00.5", "1.2.3", "-", "0.-5", "1.5-"]
 
 
-def loaded(path):
+def comparable(result):
     """A LoadResult with every track's points as bytes, so -0.0 and 0.0 differ."""
-    result = td.load_tracks(path)
     return ([(t.track_id, t.points.tobytes(), t.callsign, t.mode_s, t.tail_number,
               t.declared_type, t.arrival_airport, t.runway_id, t.scratchpad_runway)
              for t in result.tracks], result.rejects)
+
+
+def parsed(path):
+    """comparable() of a parse of the file.  It calls the parse itself: a second
+    load_tracks of the same bytes would read the sidecar the first one wrote, and take
+    neither route."""
+    return comparable(td._parse_file(path)[0])
 
 
 @st.composite
@@ -398,9 +404,9 @@ def test_the_text_route_loads_what_the_general_route_loads(workdir, line):
     and the same rejects."""
     path = workdir / "mutated.jsonl"
     path.write_bytes(line.encode())   # bytes, so that "\r\n" reaches the reader
-    both = loaded(path)
+    both = parsed(path)
     with mock.patch.object(td, "_writer_form", lambda line: None):
-        assert loaded(path) == both
+        assert parsed(path) == both
 
 
 def plain_json(line: str) -> bool:
@@ -422,7 +428,77 @@ def test_the_writers_lines_take_the_text_route(workdir, given_tracks):
     plain_tracks = [t for t in given_tracks if plain_json(td.track_to_json(t))]
     td.save_tracks(plain_tracks, path)
     with mock.patch.object(td, "_point_array", side_effect=AssertionError("general route")):
-        assert td.load_tracks(path).tracks == loadable(plain_tracks)
+        assert td._parse_file(path)[0].tracks == loadable(plain_tracks)
+
+
+# --------------------------------------------------------------------------
+# the sidecar against the parse
+
+JUNK_LINES = [b"not json {", b"[]", b"{}", b"   ", b'{"track_id":""}',
+              b'{"track_id":"A","points":[]}', b'{"track_id":"\xff"}', b'{"track_id":"\\ud800"}']
+
+
+def track_lines(track):
+    """A track's line in the writers' form and with JSON's default separators."""
+    line = td.track_to_json(track)
+    return st.sampled_from([line, json.dumps(json.loads(line))]).map(str.encode)
+
+
+@st.composite
+def track_files(draw):
+    """The bytes of a track file: writers' and spaced lines, repeated ids, lines that
+    are rejected, one line ending throughout and a last one or not."""
+    repeatable = st.builds(td.Track, track_id=st.sampled_from("AB") | st.text(min_size=1),
+                           points=points, callsign=optional_text, runway_id=optional_text,
+                           scratchpad_runway=st.none() | st.booleans())
+    lines = draw(st.lists(repeatable.flatmap(track_lines) | st.sampled_from(JUNK_LINES),
+                          max_size=5))
+    ending = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, b""]))
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".rtcache")
+
+
+@settings(max_examples=200, deadline=None)
+@given(track_files())
+def test_a_second_load_of_the_same_bytes_reads_what_the_first_parsed(workdir, data):
+    path = workdir / "sidecar.jsonl"
+    path.write_bytes(data)
+    sidecar_of(path).unlink(missing_ok=True)
+    first = td.load_tracks(path)
+    assert sidecar_of(path).read_bytes()[8:40] == hashlib.sha256(data).digest()
+    with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
+        assert comparable(td.load_tracks(path)) == comparable(first)
+
+
+FLIPPED_FILE = b"".join(td.track_to_json(td.Track(tid, [(1.0, 40.0, -86.0, 900.0, 90.0, 60.0),
+                                                        (2.0, 40.0, -86.1, 800.0, 90.0, 60.0)],
+                                                  callsign="C" + tid)).encode() + b"\n"
+                        for tid in ("A", "B")) + b"not json\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_sidecar_with_any_byte_changed_never_fails_a_load(workdir, data):
+    """Unsigned, the change is refused and the file parsed; with the checksum recomputed,
+    the load may read changed values a parse could give, but never raises."""
+    path = workdir / "flipped.jsonl"
+    path.write_bytes(FLIPPED_FILE)
+    sidecar_of(path).unlink(missing_ok=True)
+    expected = comparable(td.load_tracks(path))
+    good = sidecar_of(path).read_bytes()
+    resign = data.draw(st.booleans())
+    at = data.draw(st.integers(0, len(good) - (33 if resign else 1)))
+    changed = good[:at] + bytes([good[at] ^ data.draw(st.integers(1, 255))]) + good[at + 1:]
+    if resign:
+        changed = changed[:-32] + hashlib.sha256(changed[:-32]).digest()
+    sidecar_of(path).write_bytes(changed)
+    loaded = td.load_tracks(path)
+    if not resign:
+        assert comparable(loaded) == expected
+        assert sidecar_of(path).read_bytes() == good
 
 
 # --------------------------------------------------------------------------

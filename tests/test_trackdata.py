@@ -1,12 +1,17 @@
 """Track file parsing, geometry, windowing, features, and table loaders."""
 
+import contextlib
 import csv
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import re
+import shutil
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -319,6 +324,173 @@ class TestLoadTracks:
     def test_points_that_numpy_would_spread_over_the_fields_are_refused(self, points):
         with pytest.raises(td.TrackDataError, match="point tuples or a 1-D POINT_DTYPE array"):
             td.Track("bad", points)
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".rtcache")
+
+
+def tracks_file(directory):
+    """Two tracks of three points and a rejected line between them."""
+    p = directory / "tracks.jsonl"
+    write_jsonl(p, [GOOD_LINE, "not json {", dict(GOOD_LINE, track_id="T101", callsign=None)])
+    return p
+
+
+def snapshot(result):
+    """A LoadResult as comparable values, every track's points as bytes."""
+    return result.tracks, [t.points.tobytes() for t in result.tracks], result.rejects
+
+
+def resigned(data, edit=None, separators=(",", ":"), **prefix):
+    """The sidecar data with its header or point rows edited, or a prefix field replaced,
+    and the checksum recomputed, so that only the check under test can refuse it."""
+    fields = dict(zip(("magic", "version", "source", "header_len"),
+                      td._SIDECAR_PREFIX.unpack_from(data)))
+    start = td._SIDECAR_PREFIX.size
+    doc = json.loads(data[start:start + fields["header_len"]])
+    rows = np.frombuffer(data[start + fields["header_len"]:-32], "<f8").copy()
+    if edit is not None:
+        edit(doc, rows)
+    header = json.dumps(doc, separators=separators).encode()
+    fields = {**fields, "header_len": len(header), **prefix}
+    body = td._SIDECAR_PREFIX.pack(*fields.values()) + header + rows.tobytes()
+    return body + hashlib.sha256(body).digest()
+
+
+def flipped(find):
+    """The sidecar data with one bit changed in the byte at find(data)."""
+    def flip(data):
+        at = find(data) % len(data)
+        return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+    return flip
+
+
+def edited(edit):
+    return lambda data: resigned(data, edit)
+
+
+def set_row(i, key, value):
+    """An edit that sets one field of track i's header row."""
+    def edit(doc, rows):
+        doc["tracks"][i][(*td._RECORD_KEYS, "count").index(key)] = value
+    return edit
+
+
+DAMAGE = {
+    "empty": lambda data: b"",
+    "truncated": lambda data: data[:-1],
+    "cut_in_header": lambda data: data[:td._SIDECAR_PREFIX.size + 5],
+    "trailing_byte": lambda data: data + b"\0",
+    "flipped_header_byte": flipped(lambda data: data.index(b"T100")),   # to "U100"
+    "flipped_point_byte": flipped(lambda data: -40),
+    "flipped_checksum_byte": flipped(lambda data: -1),
+    # the rest carry a recomputed checksum
+    "other_magic": lambda data: resigned(data, magic=b"RTAE"),
+    "other_version": lambda data: resigned(data, version=td._SIDECAR_VERSION + 1),
+    "other_source": lambda data: resigned(data, source=bytes(32)),
+    "huge_header_length": lambda data: resigned(data, header_len=2**32 - 1),
+    "spaced_header": lambda data: resigned(data, separators=(", ", ": ")),
+    "extra_header_key": edited(lambda doc, rows: doc.update(x=1)),
+    "extra_point_row": lambda data: resigned(data[:-32] + bytes(48) + data[-32:]),
+    "lat_out_of_bounds": edited(lambda doc, rows: rows.__setitem__(1, 91.0)),
+    "nan_time": edited(lambda doc, rows: rows.__setitem__(0, math.nan)),
+    "time_not_increasing": edited(lambda doc, rows: rows.__setitem__(6, rows[0])),
+    "nul_in_callsign": edited(set_row(0, "callsign", "a\0b")),
+    "lone_surrogate_in_track_id": edited(set_row(0, "track_id", "\ud800")),
+    "empty_track_id": edited(set_row(0, "track_id", "")),
+    "null_track_id": edited(set_row(0, "track_id", None)),
+    "number_track_id": edited(set_row(0, "track_id", 5)),
+    "duplicate_track_id": edited(set_row(1, "track_id", "T100")),
+    "non_bool_scratchpad": edited(set_row(0, "scratchpad_runway", 0)),
+    "float_point_count": edited(set_row(0, "count", 3.0)),
+    "zero_point_count": edited(lambda doc, rows: [doc["tracks"][0].__setitem__(-1, 0),
+                                                  doc["tracks"][1].__setitem__(-1, 6)]),
+    "short_track_row": edited(lambda doc, rows: doc["tracks"][0].pop(1)),
+    "reject_at_line_zero": edited(lambda doc, rows: doc["rejects"][0].__setitem__(0, 0)),
+    "reject_line_as_float": edited(lambda doc, rows: doc["rejects"][0].__setitem__(0, 2.0)),
+    "nul_in_reject_reason": edited(lambda doc, rows: doc["rejects"][0].__setitem__(1, "a\0")),
+    "rejects_out_of_order": edited(lambda doc, rows: doc["rejects"].append([1, "x"])),
+    "reject_of_three_fields": edited(lambda doc, rows: doc["rejects"][0].append(1)),
+}
+
+
+class TestSidecar:
+    def test_a_second_load_reads_the_sidecar_and_parses_nothing(self, tmp_path):
+        p = tracks_file(tmp_path)
+        first = td.load_tracks(p)
+        data = sidecar_of(p).read_bytes()
+        assert data[8:40] == hashlib.sha256(p.read_bytes()).digest()
+        with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
+            assert snapshot(td.load_tracks(p)) == snapshot(first)
+            # the test helper rebuilds a good sidecar byte for byte, so each damage below
+            # is refused for what it changes
+            assert resigned(data) == data
+
+    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_a_damaged_sidecar_is_ignored_and_rewritten(self, tmp_path, damage):
+        p = tracks_file(tmp_path)
+        first = td.load_tracks(p)
+        good = sidecar_of(p).read_bytes()
+        sidecar_of(p).write_bytes(damage(good))
+        with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            again = td.load_tracks(p)
+        assert parse.call_count == 3
+        assert snapshot(again) == snapshot(first)
+        assert sidecar_of(p).read_bytes() == good
+
+    def test_a_changed_file_is_parsed_again(self, tmp_path):
+        p = tracks_file(tmp_path)
+        td.load_tracks(p)
+        p.write_bytes(p.read_bytes().replace(b"T101", b"T909"))   # the same size
+        with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            changed = td.load_tracks(p)
+        assert parse.call_count == 3
+        assert [t.track_id for t in changed.tracks] == ["T100", "T909"]
+        with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
+            assert snapshot(td.load_tracks(p)) == snapshot(changed)
+
+    @pytest.mark.parametrize("failure", ["read_only_directory", "no_temporary_file",
+                                         "failed_rename"])
+    def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, failure):
+        p = tracks_file(tmp_path)
+        expected = snapshot(td._parse_file(p)[0])
+        fails = {"no_temporary_file": mock.patch.object(
+                     td.tempfile, "mkstemp", side_effect=PermissionError(13, "Permission denied")),
+                 "failed_rename": mock.patch.object(
+                     td.os, "replace", side_effect=OSError(28, "No space left on device"))}
+        tmp_path.chmod(0o555)
+        try:
+            if failure == "read_only_directory" and os.access(tmp_path, os.W_OK):
+                pytest.skip("this user writes to read-only directories")
+            with fails.get(failure, contextlib.nullcontext()):
+                assert snapshot(td.load_tracks(p)) == expected
+                assert snapshot(td.load_tracks(p)) == expected
+        finally:
+            tmp_path.chmod(0o755)
+        assert os.listdir(tmp_path) == ["tracks.jsonl"]
+
+    def test_a_sidecar_path_that_is_a_directory_neither_fails_the_load_nor_is_replaced(
+            self, tmp_path):
+        p = tracks_file(tmp_path)
+        expected = snapshot(td._parse_file(p)[0])
+        sidecar_of(p).mkdir()
+        assert snapshot(td.load_tracks(p)) == expected
+        assert sorted(os.listdir(tmp_path)) == ["tracks.jsonl", "tracks.jsonl.rtcache"]
+        assert os.listdir(sidecar_of(p)) == []
+
+    def test_cold_loads_of_the_same_bytes_write_the_same_sidecar(self, tmp_path):
+        p = tracks_file(tmp_path)
+        td.load_tracks(p)
+        first = sidecar_of(p).read_bytes()
+        sidecar_of(p).unlink()
+        td.load_tracks(p)
+        assert sidecar_of(p).read_bytes() == first
+        other = tmp_path / "elsewhere" / "other.jsonl"
+        other.parent.mkdir()
+        shutil.copyfile(p, other)
+        td.load_tracks(other)
+        assert sidecar_of(other).read_bytes() == first
 
 
 class TestWindowing:

@@ -320,100 +320,6 @@ def _checked(values: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-# The writers' form of a line: compact separators, point keys in _POINT_KEYS order
-# and "points" last, as track_to_json writes it.  The text route works on its UTF-8 bytes.
-_POINTS_KEY = b',"points":['
-_POINT_FORM = ("{" + ",".join(f'"{k}":' for k in _POINT_KEYS) + "}").encode()
-_NUMBER_CHARS = b"0123456789.-+"
-# Keys, quotes and "{" go; ":" becomes a space before each value and "}" a tab after each
-# point.  A number outside a value slot (inside a key, say) then sits beside a slot's number
-# with only whitespace between, which numpy's reader refuses, or fills an empty slot, whose
-# space no number follows, which _json_numbers refuses.
-_TO_NUMBERS = bytes.maketrans(b":}", b" \t")
-_DROPPED = bytes(set(_POINT_FORM) - set(b",:}"))
-_SPACE, _MINUS, _DOT, _ZERO = b" -.0"
-
-
-def _in_point_form(data: bytes, split: int, end: int) -> bool:
-    """Whether the points array of a line that ends "]}" at end, its key at split, is
-    n >= 1 copies of _POINT_FORM joined by commas once its number characters are deleted."""
-    skeleton = data.translate(None, _NUMBER_CHARS)
-    first = len(data[:split].translate(None, _NUMBER_CHARS)) + len(_POINTS_KEY)
-    n, rest = divmod(len(skeleton) - (len(data) - end) - 1 - first, len(_POINT_FORM) + 1)
-    return (not rest and skeleton.count(_POINT_FORM + b",", first) == n - 1
-            and skeleton.endswith(_POINT_FORM + b"]}" + data[end:]))
-
-
-def _json_numbers(text: bytes, lo: int, hi: int) -> bool:
-    """Whether JSON reads every number of text[lo:hi], the translated points array, as
-    numpy's reader does, or the reader refuses it.  The reader also takes an empty value
-    slot beside a number outside it, a "+", a "." without a digit on both sides and a
-    leading zero, which JSON refuses, and makes -0.0 of "-0", which JSON reads as the int
-    0.  text[hi:hi + 2] must be "]" and a tab, so that every character has two after it.
-    The masks are built in place, as each is as long as the array."""
-    c = np.frombuffer(text, np.uint8, hi - lo + 3, lo - 1)   # from "[" to the tab
-    digit = c - ord("0") < 10     # uint8 wraps below "0"
-    char, nxt, after = c[:-2], c[1:-1], c[2:]
-    # A space must be followed by a digit or "-" (so no slot is empty or starts with "+"
-    # or "."), and a "-" or "." by a digit.
-    bad = char == _SPACE
-    bad &= nxt != _MINUS
-    bad |= char == _MINUS
-    bad |= char == _DOT
-    bad &= ~digit[1:-1]
-    if bad.any():
-        return False
-    # A "0" after a space must not be followed by a digit (a leading zero), and one
-    # after "-" must be followed by "." (a leading zero, or "-0").
-    bad = char == _MINUS
-    bad &= after != _DOT
-    bad |= (char == _SPACE) & digit[2:]
-    bad &= nxt == _ZERO
-    return not bad.any()
-
-
-def _number_row(line: str) -> Optional[tuple[str, str]]:
-    """The text before the points key of a line in the writers' form, and its points
-    array's 6n numbers as one row for numpy's reader, or None when the line is in another
-    form or holds a number that JSON reads otherwise.  line must hold no lone surrogate.
-    Its bytes and their translation are freed on return, before the reader's buffers
-    (four bytes a character) are made."""
-    data = line.encode()
-    split = data.find(_POINTS_KEY)
-    end = len(data) - data.endswith(b"\n")
-    if split < 0 or not data.startswith(b"]}", end - 2) or not _in_point_form(data, split, end):
-        return None
-    text = data.translate(_TO_NUMBERS, _DROPPED)
-    lo = len(data[:split + len(_POINTS_KEY)].translate(_TO_NUMBERS, _DROPPED))
-    hi = len(text) - (len(data) - end) - 2            # the closing "]"
-    if not _json_numbers(text, lo, hi):
-        return None
-    return data[:split].decode(), text[lo:hi].decode()
-
-
-def _writer_form(line: str) -> Optional[tuple[dict, np.ndarray]]:
-    """The other fields and the checked (n, 6) point values of a line in the writers'
-    form, or None when the line is in another form or fails any check.
-
-    numpy's text reader reads the 6n numbers as one row, after _json_numbers has sent
-    every number that JSON reads otherwise, or refuses, to the general route.  Both
-    convert a decimal to the nearest float, so the values are the general route's, and
-    no Python object is made per number."""
-    found = _number_row(line)
-    if found is None:
-        return None
-    head, row = found
-    try:
-        values = np.loadtxt([row], np.float64, delimiter=",", comments=None)
-        head = json.loads(head + "}")
-    except (ValueError, RecursionError):
-        return None
-    if not head:
-        return None      # "{" alone before the points is not JSON
-    values = _checked(values.reshape(-1, 6))
-    return None if values is None else (head, values)
-
-
 # The Track field of each optional string key on the wire, in wire order
 _STRING_KEYS = {"callsign": "callsign", "mode_s": "mode_s", "tail_number": "tail_number",
                 "aircraft_type": "declared_type", "arrival_airport": "arrival_airport",
@@ -421,36 +327,30 @@ _STRING_KEYS = {"callsign": "callsign", "mode_s": "mode_s", "tail_number": "tail
 
 
 def _parse_track(line: str) -> tuple[Optional[Track], Optional[str]]:
-    """The track of one JSON Lines line, or the reason it is rejected.  A line in the
-    writers' form takes the text route; any other line, and any line that fails a
-    check there, is decoded whole by json.loads, which names the reason."""
+    """The track of one JSON Lines line, or the reason it is rejected.  The line is
+    decoded whole by json.loads; its points are checked as one array, and a line they
+    fail is checked point by point for the reason."""
     if not _encodable(line):
         return None, "invalid UTF-8"
-    found = _writer_form(line)
-    if found is not None:
-        obj, values = found
-    else:
-        values = None
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            return None, f"invalid JSON: {e.msg}"
-        except ValueError:      # an integer of more digits than int() converts
-            return None, "invalid JSON: integer with too many digits"
-        except RecursionError:
-            return None, "invalid JSON: nested too deeply"
-        if not isinstance(obj, dict):
-            return None, "record is not a JSON object"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        return None, f"invalid JSON: {e.msg}"
+    except ValueError:      # an integer of more digits than int() converts
+        return None, "invalid JSON: integer with too many digits"
+    except RecursionError:
+        return None, "invalid JSON: nested too deeply"
+    if not isinstance(obj, dict):
+        return None, "record is not a JSON object"
     track_id = obj.get("track_id")
     if not isinstance(track_id, str) or not track_id:
         return None, "missing or empty track_id"
+    raw_points = obj.get("points")
+    if not isinstance(raw_points, list) or not raw_points:
+        return None, "missing or empty points array"
+    values = _point_array(raw_points)
     if values is None:
-        raw_points = obj.get("points")
-        if not isinstance(raw_points, list) or not raw_points:
-            return None, "missing or empty points array"
-        values = _point_array(raw_points)
-        if values is None:
-            return None, _first_point_error(raw_points)
+        return None, _first_point_error(raw_points)
     return _track_of(obj, values)
 
 
@@ -491,15 +391,9 @@ def load_tracks(path) -> LoadResult:
     rewritten; one that cannot be written is skipped.  So a sidecar never
     changes what a load returns, or makes one fail.
 
-    A parse takes each line by one of two routes.  One in the writers' form
-    (track_to_json's: compact separators, point keys in order, "points" last,
-    numbers without an exponent) takes the text route: once its points array
-    has passed the form and JSON number checks, numpy's text reader reads all
-    its numbers as one row, with no Python object per number.  Every other
-    line, and any line that fails a check on the text route, is decoded whole
-    by json.loads and checked point by point.  The text route is only faster:
-    it accepts the same lines, with the same values, and every reject reason
-    comes from the general route."""
+    A parse decodes each line with json.loads and checks its points: a line
+    that fails a check is a reject, with the reason of the first check it
+    fails."""
     result = _read_sidecar(path)
     if result is None:
         result, digest = _parse_file(path)
@@ -583,7 +477,9 @@ def _rows(track: Track) -> np.ndarray:
 
 def _write_sidecar(path, digest: bytes, result: LoadResult) -> None:
     """Write the sidecar of the parsed bytes whose SHA-256 is digest, one track at a time,
-    to a temporary file renamed into place; a write that fails is skipped, leaving none."""
+    to a temporary file renamed into place, with the read and write bits of the file at
+    path.  A write that fails is skipped, and one that is interrupted re-raises; neither
+    leaves the temporary file."""
     sidecar = _sidecar_path(path)
     header = _sidecar_header(result)
     head = _SIDECAR_PREFIX.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(header)) + header
@@ -594,15 +490,18 @@ def _write_sidecar(path, digest: bytes, result: LoadResult) -> None:
         return
     try:
         with open(fd, "wb") as fh:
+            os.chmod(tmp, os.stat(path).st_mode & 0o666)   # mkstemp makes it 0o600
             check = hashlib.sha256()
             for part in chain([head], map(_rows, result.tracks)):
                 check.update(part)
                 fh.write(part)
             fh.write(check.digest())
         os.replace(tmp, sidecar)
-    except OSError:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if not isinstance(e, OSError):
+            raise
 
 
 def _file_sha256(path) -> bytes:

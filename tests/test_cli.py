@@ -674,11 +674,9 @@ class TestCallerConfigs:
 
 class TestOtherJsonForms:
     def test_tracks_in_other_json_forms_give_the_same_results(self, pipeline, tmp_path):
-        # json.dumps' default separators put every line on the general route, which must
-        # classify and validate exactly as the text route did.  Numbers of 6 decimals,
-        # as perfbench's generator writes lat and lon, have numpy's text reader on the
-        # text route read more than 17-digit floats: the writers' compact form and
-        # default separators must then give the same results.
+        # A track file with json.dumps' default separators must classify and validate
+        # exactly as the compact one track_to_json writes.  So must numbers of 6
+        # decimals, as perfbench's generator writes lat and lon, in either form.
         original = (pipeline / "tracks.jsonl").read_text(encoding="utf-8")
         tracks = [json.loads(line) for line in original.splitlines()]
         rounded = [{**t, "points": [{k: round(v, 6) for k, v in p.items()} for p in t["points"]]}

@@ -272,7 +272,7 @@ def point_lists(draw):
 @given(point_lists())
 @pytest.mark.parametrize("separators", [None, (",", ":")], ids=["spaced", "compact"])
 def test_parser_accepts_exactly_what_the_per_point_rule_accepts(workdir, separators, raw_points):
-    """Spaced lines take the general route; compact ones the text route where it applies."""
+    """With JSON's default separators and with track_to_json's compact ones."""
     path = workdir / "points.jsonl"
     line = json.dumps({"track_id": "P", "points": raw_points}, separators=separators)
     path.write_text(line + "\n", encoding="utf-8")
@@ -288,22 +288,7 @@ def test_parser_accepts_exactly_what_the_per_point_rule_accepts(workdir, separat
 
 
 # --------------------------------------------------------------------------
-# the text route against the general route
-
-def plain(lo, hi):
-    """Floats in [lo, hi] that repr without an exponent, as the text route reads them."""
-    return st.integers(math.ceil(lo * 64), math.floor(hi * 64)).map(lambda i: i / 64)
-
-
-plain_points = st.lists(
-    st.tuples(plain(-1e9, 1e9), plain(-90.0, 90.0), plain(-180.0, 180.0), plain(-1e5, 1e5),
-              plain(0.0, 359.99), plain(0.0, 1e3)),
-    min_size=1, max_size=4, unique_by=lambda p: p[0],
-).map(sorted)
-LITERALS = ["0", "-0", "-0.0", "1e5", "1E5", "1.", "01", "+1", ".5", "1-2", "--1", "", "NaN",
-            "Infinity", "-Infinity", "true", "null", '"1"', "1" * 400, "1" * 5000,
-            "-01", "-.5", "00", "0.", "-0.", "-00.5", "1.2.3", "-", "0.-5", "1.5-"]
-
+# the sidecar against the parse
 
 def comparable(result):
     """A LoadResult with every track's points as bytes, so -0.0 and 0.0 differ."""
@@ -312,141 +297,19 @@ def comparable(result):
              for t in result.tracks], result.rejects)
 
 
-def parsed(path):
-    """comparable() of a parse of the file.  It calls the parse itself: a second
-    load_tracks of the same bytes would read the sidecar the first one wrote, and take
-    neither route."""
-    return comparable(td._parse_file(path)[0])
-
-
-@st.composite
-def mutated_lines(draw):
-    """A line track_to_json writes, with one textual change (or an emptied value and a
-    number character put elsewhere), and a line ending."""
-    track = draw(st.builds(td.Track, track_id=st.text(min_size=1), points=plain_points,
-                           callsign=optional_text, runway_id=optional_text,
-                           scratchpad_runway=st.none() | st.booleans()))
-    line = td.track_to_json(track)
-    split = line.index(',"points":[')
-    head = line[:split]
-    points = [[[k, json.dumps(v)] for k, v in zip(KEYS, p)] for p in track.points.tolist()]
-    i, j, j2 = (draw(st.integers(0, len(points) - 1)), draw(st.integers(0, 5)),
-                draw(st.integers(0, 5)))
-    kind = draw(st.sampled_from(["none", "literal", "int", "swap_keys", "repeat_key",
-                                 "digit_in_key", "number_char", "space_after_comma",
-                                 "points_in_head", "points_text_in_head", "empty_head",
-                                 "empty_points", "empty_value_and_number_char"]))
-    if kind == "literal":
-        points[i][j][1] = draw(st.sampled_from(LITERALS))
-    elif kind == "int":
-        points[i][j][1] = str(draw(st.integers(-10**20, 10**20)))
-    elif kind == "swap_keys":
-        points[i][j][0], points[i][j2][0] = points[i][j2][0], points[i][j][0]
-    elif kind == "repeat_key":
-        points[i][j2][0] = points[i][j][0]
-    elif kind == "digit_in_key":
-        key = points[i][j][0]
-        at = draw(st.integers(0, len(key)))
-        points[i][j][0] = key[:at] + draw(st.sampled_from("09.-+")) + key[at:]
-    elif kind == "points_in_head":
-        head += ',"points":' + draw(st.sampled_from(["[]", "5", '[{"t":1}]']))
-    elif kind == "points_text_in_head":
-        head += ',"callsign":' + json.dumps(',"points":[')
-    elif kind == "empty_head":
-        head = "{"
-    elif kind == "empty_value_and_number_char":   # a number char may fill the emptied slot
-        points[i][j][1] = ""
-    body = ",".join("{" + ",".join(f'"{k}":{v}' for k, v in p) + "}" for p in points)
-    if kind == "empty_points":
-        body = ""
-    line = f'{head},"points":[{body}]}}'
-    if kind == "space_after_comma":
-        at = line.find(",", draw(st.integers(0, len(line) - 1))) + 1 or len(line) - 1
-        line = line[:at] + " " + line[at:]
-    elif kind in ("number_char", "empty_value_and_number_char"):
-        # anywhere in the points array: a value, a key, between objects
-        at = draw(st.integers(split + len(',"points":['), len(line) - 1))
-        line = line[:at] + draw(st.sampled_from("0123456789.-+")) + line[at:]
-    return line + draw(st.sampled_from(["\n", "\r\n", ""]))
-
-
-@settings(max_examples=500, deadline=None)
-@given(mutated_lines())
-@example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"la9t":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}9]}\n')
-@example('{,"points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lon":3,"lat":2,"alt":4,"course":5,"gs":6},'
-         '{"t":2,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6},'
-         '{"t":2,"lon":3,"lat":2,"alt":4,"course":5,"gs":6}]}\n')
-# an emptied value slot beside a number character in its key or after its point's "}"
-@example('{"track_id":"X","points":[{"9t":,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":}6]}\n')
-# numbers numpy's text reader takes but JSON refuses, and "-0", which JSON reads as 0.0
-@example('{"track_id":"X","points":[{"t":1,"lat":+1,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":01,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":-01,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":1.,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":.5,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":-.5,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":-0,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-# the form check's edges: no points, no final newline, number characters in the head, and
-# a second points key after the array
-@example('{"track_id":"X","points":[]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}')
-@example('{"track_id":"-0.5","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-@example('{"track_id":"X","points":[{"t":1,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}],'
-         '"points":[{"t":2,"lat":2,"lon":3,"alt":4,"course":5,"gs":6}]}\n')
-def test_the_text_route_loads_what_the_general_route_loads(workdir, line):
-    """A writer's line with any one change (or an emptied value and a stray number
-    character) loads as the general route alone loads it: the same tracks, bit for bit,
-    and the same rejects."""
-    path = workdir / "mutated.jsonl"
-    path.write_bytes(line.encode())   # bytes, so that "\r\n" reaches the reader
-    both = parsed(path)
-    with mock.patch.object(td, "_writer_form", lambda line: None):
-        assert parsed(path) == both
-
-
-def plain_json(line: str) -> bool:
-    """Whether every number of a line's points array is written without an exponent."""
-    return "e" not in line[line.index(',"points":['):].replace('"course":', "")
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(tracks, min_size=1, max_size=3, unique_by=lambda t: t.track_id))
-@example([td.Track("X", [(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), (2.0, 2.0, 3.0, 4.0, 5.0, 6.0)])])
-def test_the_writers_lines_take_the_text_route(workdir, given_tracks):
-    """Every line save_tracks writes takes the text route unless a number has an exponent."""
-    path = workdir / "tracks.jsonl"
-    td.save_tracks(given_tracks, path)
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:   # with its newline, and as a last line without one
-            for text in (line, line[:-1]):
-                assert (td._writer_form(text) is not None) == plain_json(text)
-    plain_tracks = [t for t in given_tracks if plain_json(td.track_to_json(t))]
-    td.save_tracks(plain_tracks, path)
-    with mock.patch.object(td, "_point_array", side_effect=AssertionError("general route")):
-        assert td._parse_file(path)[0].tracks == loadable(plain_tracks)
-
-
-# --------------------------------------------------------------------------
-# the sidecar against the parse
-
 JUNK_LINES = [b"not json {", b"[]", b"{}", b"   ", b'{"track_id":""}',
               b'{"track_id":"A","points":[]}', b'{"track_id":"\xff"}', b'{"track_id":"\\ud800"}']
 
 
 def track_lines(track):
-    """A track's line in the writers' form and with JSON's default separators."""
+    """A track's line as track_to_json writes it, and with JSON's default separators."""
     line = td.track_to_json(track)
     return st.sampled_from([line, json.dumps(json.loads(line))]).map(str.encode)
 
 
 @st.composite
 def track_files(draw):
-    """The bytes of a track file: writers' and spaced lines, repeated ids, lines that
+    """The bytes of a track file: compact and spaced lines, repeated ids, lines that
     are rejected, one line ending throughout and a last one or not."""
     repeatable = st.builds(td.Track, track_id=st.sampled_from("AB") | st.text(min_size=1),
                            points=points, callsign=optional_text, runway_id=optional_text,

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import sys
 import threading
 from unittest import mock
@@ -231,18 +232,18 @@ class TestLoadTracks:
 
     @pytest.mark.parametrize("number", ["0", "-0.0", "0.5", "-0.5", "10", "-10.25", "0.000001",
                                         "12345678901234567890", "1.00000000000000011102"])
-    def test_a_json_number_takes_the_text_route_with_its_json_value(self, number):
-        head, values = td._writer_form(self.writers_line(number))
-        assert head == {"track_id": "X"}
-        assert values[0, 3].tobytes() == np.float64(json.loads(number)).tobytes()
+    def test_a_json_number_loads_with_its_json_value(self, tmp_path, number):
+        p = tmp_path / "tracks.jsonl"
+        p.write_text(self.writers_line(number) + "\n", encoding="utf-8")
+        (track,) = td.load_tracks(p).tracks
+        assert track.track_id == "X"
+        assert track.points["alt"].tobytes() == np.float64(json.loads(number)).tobytes()
 
     @pytest.mark.parametrize("number", ["+1", "01", "-01", "00", "1.", ".5", "-.5", "-00.5", "-0"])
-    def test_a_number_json_reads_otherwise_takes_the_general_route(self, tmp_path, number):
-        """numpy's text reader takes each of these; JSON refuses all but "-0", the int 0."""
-        line = self.writers_line(number)
-        assert td._writer_form(line) is None
+    def test_a_number_json_refuses_is_a_reject_and_minus_zero_loads_as_zero(self, tmp_path, number):
+        """A looser number reader takes each of these; JSON refuses all but "-0", the int 0."""
         p = tmp_path / "tracks.jsonl"
-        p.write_text(line + "\n", encoding="utf-8")
+        p.write_text(self.writers_line(number) + "\n", encoding="utf-8")
         res = td.load_tracks(p)
         if number == "-0":
             assert res.tracks[0].points["alt"].tobytes() == np.zeros(1).tobytes()   # not -0.0
@@ -468,6 +469,28 @@ class TestSidecar:
                 assert snapshot(td.load_tracks(p)) == expected
         finally:
             tmp_path.chmod(0o755)
+        assert os.listdir(tmp_path) == ["tracks.jsonl"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640], ids=["0o644", "0o640"])
+    def test_the_sidecar_takes_the_tracks_files_read_and_write_bits(self, tmp_path, mode):
+        p = tracks_file(tmp_path)
+        p.chmod(mode)
+        td.load_tracks(p)
+        assert stat.S_IMODE(sidecar_of(p).stat().st_mode) == mode
+
+    def test_an_interrupted_sidecar_write_raises_and_leaves_no_temporary_file(self, tmp_path):
+        p = tracks_file(tmp_path)
+        rows, written = td._rows, []
+
+        def interrupted_on_the_second_track(track):
+            written.append(track)
+            if len(written) == 2:
+                raise KeyboardInterrupt
+            return rows(track)
+
+        with mock.patch.object(td, "_rows", side_effect=interrupted_on_the_second_track):
+            with pytest.raises(KeyboardInterrupt):
+                td.load_tracks(p)
         assert os.listdir(tmp_path) == ["tracks.jsonl"]
 
     def test_a_sidecar_path_that_is_a_directory_neither_fails_the_load_nor_is_replaced(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import operator
@@ -391,9 +390,10 @@ def load_tracks(path) -> LoadResult:
     rewritten; one that cannot be written is skipped.  So a sidecar never
     changes what a load returns, or makes one fail.
 
-    A parse decodes each line with json.loads and checks its points: a line
-    that fails a check is a reject, with the reason of the first check it
-    fails."""
+    A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
+    lone "\\r" is JSON whitespace, and reject line numbers count "\\n".  A parse decodes
+    each line with json.loads and checks its points: a line that fails a check is a
+    reject, with the reason of the first check it fails."""
     result = _read_sidecar(path)
     if result is None:
         result, digest = _parse_file(path)
@@ -401,34 +401,16 @@ def load_tracks(path) -> LoadResult:
     return result
 
 
-class _HashedReader(io.RawIOBase):
-    """The bytes of a file, hashed as they are read."""
-
-    def __init__(self, path):
-        self._file = open(path, "rb", buffering=0)
-        self.sha256 = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
 def _parse_file(path) -> tuple[LoadResult, bytes]:
-    """The LoadResult of parsing the file at path, and the SHA-256 of the bytes it read."""
+    """The LoadResult of parsing the file at path, and the SHA-256 of the bytes it read,
+    in one binary pass over its lines, each ended by "\\n" (see load_tracks)."""
     by_id: dict[str, Track] = {}
     rejects: list[tuple[int, str]] = []
-    with _HashedReader(path) as raw, io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
-                                                      errors="surrogateescape") as fh:
-        fh._CHUNK_SIZE = _HASH_CHUNK   # hashes fewer, larger reads than the 8 KB default
-        for line_no, line in enumerate(fh, start=1):
+    sha256 = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            sha256.update(raw)
+            line = raw.decode("utf-8", "surrogateescape")
             if line.isspace():
                 continue
             track, err = _parse_track(line)
@@ -438,18 +420,18 @@ def _parse_file(path) -> tuple[LoadResult, bytes]:
                 rejects.append((line_no, err))
             else:
                 by_id[track.track_id] = track
-        return LoadResult(list(by_id.values()), rejects), raw.sha256.digest()
+    return LoadResult(list(by_id.values()), rejects), sha256.digest()
 
 
 # The sidecar of a parsed track file: magic, format version, the SHA-256 of the parsed
 # bytes and the header's length; the header, compact JSON of
 # {"tracks": [[the _RECORD_KEYS values, point count], ...], "rejects": [[line, reason], ...]};
 # each track's points as little-endian float64 rows, in track order; and the SHA-256 of all
-# that.  Its bytes depend only on the parsed bytes.  _SIDECAR_VERSION must change with any
-# change to what a parse returns, or a sidecar would keep the old result.
+# that; its bytes depend only on the parsed bytes.  _SIDECAR_VERSION changes with what a
+# parse returns, or a sidecar would keep the old result (2: a lone "\r" ends no line).
 _SIDECAR_SUFFIX = ".rtcache"
 _SIDECAR_MAGIC = b"RTTC"
-_SIDECAR_VERSION = 1
+_SIDECAR_VERSION = 2
 _SIDECAR_PREFIX = struct.Struct("<4sI32sI")
 _DIGEST_LEN = 32
 _HASH_CHUNK = 1 << 16

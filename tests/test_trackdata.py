@@ -251,6 +251,23 @@ class TestLoadTracks:
             [(_, reason)] = res.rejects
             assert reason.startswith("invalid JSON: Expecting")
 
+    @pytest.mark.parametrize("cr_inside, ending, loaded, rejects", [
+        (False, "\n", True, [(3, "invalid JSON: Expecting value")]),
+        (False, "\r\n", True, [(3, "invalid JSON: Expecting value")]),
+        (False, "\r", False, [(1, "invalid JSON: Extra data")]),
+        (True, "\n", True, []),
+    ], ids=["lf", "crlf", "lone_cr", "cr_as_whitespace"])
+    def test_a_line_ends_at_a_line_feed(self, tmp_path, cr_inside, ending, loaded, rejects):
+        """As JSON Lines define: a "\\r" before "\\n" or anywhere else in a line is JSON
+        whitespace, so a file joined by lone "\\r" is one line, and line numbers count "\\n"."""
+        a, b = json.dumps(GOOD_LINE), json.dumps(dict(GOOD_LINE, track_id="T101"))
+        lines = [a.replace('"points"', '\r"points"'), b] if cr_inside else [a, b, "not json"]
+        p = tmp_path / "tracks.jsonl"
+        p.write_bytes((ending.join(lines) + ending).encode())
+        res = td.load_tracks(p)
+        assert res.rejects == rejects
+        assert res.tracks == ([td._parse_track(a)[0], td._parse_track(b)[0]] if loaded else [])
+
     def test_undecodable_bytes_reject_only_their_line(self, tmp_path):
         p = tmp_path / "tracks.jsonl"
         good = json.dumps(GOOD_LINE).encode()
@@ -477,6 +494,20 @@ class TestSidecar:
         p.chmod(mode)
         td.load_tracks(p)
         assert stat.S_IMODE(sidecar_of(p).stat().st_mode) == mode
+
+    def test_an_owner_only_version_1_sidecar_is_rewritten_with_the_files_bits(self, tmp_path):
+        p = tracks_file(tmp_path)
+        p.chmod(0o644)
+        first = td.load_tracks(p)
+        sidecar_of(p).write_bytes(resigned(sidecar_of(p).read_bytes(), version=1))
+        sidecar_of(p).chmod(0o600)
+        with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            assert snapshot(td.load_tracks(p)) == snapshot(first)
+        assert parse.call_count == 3
+        assert td._SIDECAR_PREFIX.unpack_from(sidecar_of(p).read_bytes())[1] == 2
+        assert stat.S_IMODE(sidecar_of(p).stat().st_mode) == 0o644
+        with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
+            assert snapshot(td.load_tracks(p)) == snapshot(first)
 
     def test_an_interrupted_sidecar_write_raises_and_leaves_no_temporary_file(self, tmp_path):
         p = tracks_file(tmp_path)

@@ -12,7 +12,10 @@ full record:
   per-layer metrics;
 - times the six CLI stages, each as its own process, with wall time and peak
   RSS from os.wait4 and OPENBLAS_NUM_THREADS=1: three passes over the
-  default 300-track scenario and one over a 10x scenario (3,000 tracks);
+  default 300-track scenario and one over a 10x scenario (3,000 tracks).
+  Each pass's train parses the tracks file, and after report train is timed
+  again as warm_train, reading the sidecar the first one wrote, so that a
+  cold load's peak RSS compares with a warm one's;
 - times perfbench.pipeline.Clock's reference task, which uses no program
   code, before and after every perfbench run and every CLI stage, so a
   reader can tell the host's fast phase (about Clock.REFERENCE_S) from its
@@ -23,10 +26,11 @@ full record:
 
 A timing, and each metric with its unit, is recorded as its median,
 interquartile range and sample count.
---quick makes one CLI pass over 40/8/8 tracks at 2 epochs and runs no
-perfbench.  The script exits 1 when any perfbench run fails or reports
-"correct": false, when a CLI stage exits non-zero, or when two passes over
-one scenario write different bytes; the JSON is written either way.
+--quick makes one CLI pass, warm_train included, over 40/8/8 tracks at 2
+epochs and runs no perfbench.  The script exits 1 when any perfbench run
+fails or reports "correct": false, when a CLI stage exits non-zero, or when
+two passes over one scenario write different bytes; the JSON is written
+either way.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 STAGES = ("synth", "train", "calibrate", "classify", "validate", "report")
+# What record_cli times in each pass: the six stages, then train again with the sidecar in place.
+TIMED = (*STAGES, "warm_train")
 # The artifacts a fixed seed must reproduce byte for byte.
 BYTE_COMPARED = ("tracks.jsonl", "model.rtae", "thresholds.json", "results.csv",
                  "validation.csv", "metrics.json", "report.txt")
@@ -186,9 +192,10 @@ def timed_process(cmd: list[str], env: dict, log) -> tuple[int, float, float]:
     return proc.returncode, wall, usage.ru_maxrss / 1024.0   # Linux reports KB
 
 
-def cli_pass(ref: Reference, config: dict, out_dir: Path) -> dict:
+def cli_pass(ref: Reference, config: dict, out_dir: Path, warm_train: bool = False) -> dict:
     """The six stages, each its own process, writing into a new out_dir, with the
-    reference task timed before the first stage and after each."""
+    reference task timed before the first stage and after each; with warm_train, train
+    is then timed again under that name, its tracks load reading the sidecar."""
     out_dir.mkdir(parents=True)
     cfg = out_dir / "config.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
@@ -198,16 +205,16 @@ def cli_pass(ref: Reference, config: dict, out_dir: Path) -> dict:
     stages = {}
     reference = [ref.time()]
     with open(out_dir / "stderr.log", "wb") as log:
-        for stage in STAGES:
+        for name in TIMED if warm_train else STAGES:
             code, wall, rss = timed_process(
                 [sys.executable, "-m", "rotortrack", "--config", str(cfg),
-                 "--out-dir", str(out_dir), stage], env, log)
+                 "--out-dir", str(out_dir), "train" if name == "warm_train" else name], env, log)
             reference.append(ref.time())
-            stages[stage] = {"exit": code, "wall_s": wall,
-                             "scaled_wall_s": ref.scaled(wall, *reference[-2:]),
-                             "peak_rss_mb": rss}
+            stages[name] = {"exit": code, "wall_s": wall,
+                            "scaled_wall_s": ref.scaled(wall, *reference[-2:]),
+                            "peak_rss_mb": rss}
             if code != 0:
-                print(f"{stage} exited {code}:\n{(out_dir / 'stderr.log').read_text()[-2000:]}",
+                print(f"{name} exited {code}:\n{(out_dir / 'stderr.log').read_text()[-2000:]}",
                       file=sys.stderr)
                 break
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
@@ -219,8 +226,9 @@ def record_cli(ref: Reference, scenarios: dict) -> dict:
     out = {}
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
         for name, (config, passes) in scenarios.items():
-            runs = [cli_pass(ref, config, Path(tmp) / name / str(i)) for i in range(passes)]
-            complete = all(len(r["stages"]) == len(STAGES)
+            runs = [cli_pass(ref, config, Path(tmp) / name / str(i), warm_train=True)
+                    for i in range(passes)]
+            complete = all(len(r["stages"]) == len(TIMED)
                            and all(s["exit"] == 0 for s in r["stages"].values()) for r in runs)
             same_bytes = all(r["digests"] == runs[0]["digests"] for r in runs)
             if not same_bytes:
@@ -231,11 +239,12 @@ def record_cli(ref: Reference, scenarios: dict) -> dict:
                 "digests": runs[0]["digests"],
                 "stages": {stage: {key: summary([r["stages"][stage][key] for r in runs])
                                    for key in ("wall_s", "scaled_wall_s", "peak_rss_mb")}
-                           for stage in STAGES if complete},
-                "total_wall_s": summary([sum(s["wall_s"] for s in r["stages"].values())
-                                         for r in runs]),
-                "peak_rss_mb": summary([max(s["peak_rss_mb"] for s in r["stages"].values())
-                                        for r in runs]),
+                           for stage in TIMED if complete},
+                # of the six stages, as in records made before warm_train
+                "total_wall_s": summary([sum(s["wall_s"] for stage, s in r["stages"].items()
+                                             if stage in STAGES) for r in runs]),
+                "peak_rss_mb": summary([max(s["peak_rss_mb"] for stage, s in r["stages"].items()
+                                            if stage in STAGES) for r in runs]),
                 "runs": [{"stages": r["stages"], "reference_s": r["reference_s"]} for r in runs],
             }
     return out

@@ -177,7 +177,10 @@ def _write_records(path: Path, fields: Sequence[str], records) -> None:
 # shared stage helpers
 
 def _load_tracks(paths: Paths) -> list[td.Track]:
-    result = td.load_tracks(paths.input("tracks"))
+    path = paths.input("tracks")
+    result = td.load_tracks(path)
+    log.info("loaded %s: %d tracks, %d rejected lines, %s", path, len(result.tracks),
+             len(result.rejects), "parsed" if result.parsed else "read from its sidecar")
     for line_no, reason in result.rejects:
         log.warning("tracks line %d rejected: %s", line_no, reason)
     if not result.tracks:

@@ -5,7 +5,9 @@ registration rows arrive as CSV.  Each track's points are checked and stored
 once, as one read-only float64 array of POINT_DTYPE (t, lat, lon, alt, course,
 gs), and the geometry below works on its columns.  What a parse of a track
 file found is kept in a checked binary sidecar next to it, so that later loads
-of the same bytes skip the parse.  Arrival windows are the last
+of the same bytes skip the parse.  A parse streams each track's points toward
+the sidecar as soon as its line is parsed and returns what the sidecar reads
+back, so a first load holds no more than a later one.  Arrival windows are the last
 100 track points at or before the point of closest approach to the runway
 threshold.  No function here changes its inputs, but closest_approach_index
 memoises its results on the track, so the runway pick, the windowing and the
@@ -18,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import operator
@@ -377,18 +380,22 @@ def _track_of(obj: dict, values: np.ndarray) -> tuple[Optional[Track], Optional[
 class LoadResult:
     tracks: list[Track]
     rejects: list[tuple[int, str]]   # (1-based line number, reason)
+    parsed: bool = field(default=False, compare=False)   # False when read from the sidecar
 
 
 def load_tracks(path) -> LoadResult:
     """Read a JSON Lines track file; bad lines are reported in LoadResult.rejects.
 
-    The file's bytes are parsed once.  The first load writes what it found to
-    a sidecar, <path>.rtcache, next to the file; a later load whose SHA-256 of
-    the file's bytes matches the sidecar's rebuilds the same LoadResult from
-    it, bit for bit, without parsing.  A sidecar that is missing, stale or
-    fails any check is ignored, and the file is parsed and the sidecar
-    rewritten; one that cannot be written is skipped.  So a sidecar never
-    changes what a load returns, or makes one fail.
+    The file's bytes are parsed once.  The first load streams what it finds to
+    a sidecar, <path>.rtcache, next to the file: each track's points as its
+    line is parsed, then the header.  It returns what the sidecar reads back,
+    so it holds no more than a later load, which, when its SHA-256 of the
+    file's bytes matches the sidecar's, rebuilds the same LoadResult from it,
+    bit for bit, without parsing.  A sidecar that is missing, stale or fails
+    any check is ignored, and the file is parsed and the sidecar rewritten;
+    where none can be written, the parse streams to memory and is read back
+    from there.  So a sidecar never changes what a load returns, or makes one
+    fail.  LoadResult.parsed says which of the two this load did.
 
     A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
     lone "\\r" is JSON whitespace, and reject line numbers count "\\n".  A parse decodes
@@ -396,31 +403,8 @@ def load_tracks(path) -> LoadResult:
     reject, with the reason of the first check it fails."""
     result = _read_sidecar(path)
     if result is None:
-        result, digest = _parse_file(path)
-        _write_sidecar(path, digest, result)
+        result = _parse_file(path)
     return result
-
-
-def _parse_file(path) -> tuple[LoadResult, bytes]:
-    """The LoadResult of parsing the file at path, and the SHA-256 of the bytes it read,
-    in one binary pass over its lines, each ended by "\\n" (see load_tracks)."""
-    by_id: dict[str, Track] = {}
-    rejects: list[tuple[int, str]] = []
-    sha256 = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            sha256.update(raw)
-            line = raw.decode("utf-8", "surrogateescape")
-            if line.isspace():
-                continue
-            track, err = _parse_track(line)
-            if err is None and track.track_id in by_id:
-                err = f"duplicate track_id {track.track_id!r}"
-            if err is not None:
-                rejects.append((line_no, err))
-            else:
-                by_id[track.track_id] = track
-    return LoadResult(list(by_id.values()), rejects), sha256.digest()
 
 
 # The sidecar of a parsed track file: magic, format version, the SHA-256 of the parsed
@@ -444,12 +428,15 @@ def _sidecar_path(path) -> str:
     return os.fsdecode(path) + _SIDECAR_SUFFIX
 
 
-def _sidecar_header(result: LoadResult) -> bytes:
-    """The header _write_sidecar writes for result, the one form _read_sidecar accepts."""
-    tracks = [[t.track_id, *(getattr(t, name) for name in _STRING_KEYS.values()),
-               t.scratchpad_runway, len(t.points)] for t in result.tracks]
-    return json.dumps({"tracks": tracks, "rejects": result.rejects},
-                      separators=(",", ":")).encode()
+def _record(track: Track) -> list:
+    """A track's row of the sidecar header: its _RECORD_KEYS values and its point count."""
+    return [track.track_id, *(getattr(track, name) for name in _STRING_KEYS.values()),
+            track.scratchpad_runway, len(track.points)]
+
+
+def _sidecar_header(records: list, rejects: list) -> bytes:
+    """The header of these track records and rejects, the one form _sidecar_result accepts."""
+    return json.dumps({"tracks": records, "rejects": rejects}, separators=(",", ":")).encode()
 
 
 def _rows(track: Track) -> np.ndarray:
@@ -457,33 +444,77 @@ def _rows(track: Track) -> np.ndarray:
     return track.points.view(np.float64).astype(_ROW_DTYPE, copy=False)
 
 
-def _write_sidecar(path, digest: bytes, result: LoadResult) -> None:
-    """Write the sidecar of the parsed bytes whose SHA-256 is digest, one track at a time,
-    to a temporary file renamed into place, with the read and write bits of the file at
-    path.  A write that fails is skipped, and one that is interrupted re-raises; neither
-    leaves the temporary file."""
+def _parse_file(path) -> LoadResult:
+    """What _parse_into returns for the file at path, with the sidecar written to a
+    temporary file beside it that is renamed into place, with the read and write bits of
+    the file at path, once it has been read back.  Where that file or the spool cannot be
+    made or written, the parse is made into memory instead, from the start; a rename that
+    fails is skipped, and an interrupted parse re-raises.  None of these leaves a
+    temporary file."""
     sidecar = _sidecar_path(path)
-    header = _sidecar_header(result)
-    head = _SIDECAR_PREFIX.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(header)) + header
+    directory = os.path.dirname(sidecar) or "."
+    result = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".",
-                                   dir=os.path.dirname(sidecar) or ".")
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".", dir=directory)
     except OSError:
-        return
+        return _parse_into(path, io.BytesIO(), io.BytesIO())
     try:
-        with open(fd, "wb") as fh:
+        with open(fd, "w+b") as sink, tempfile.TemporaryFile(dir=directory) as spool:
             os.chmod(tmp, os.stat(path).st_mode & 0o666)   # mkstemp makes it 0o600
-            check = hashlib.sha256()
-            for part in chain([head], map(_rows, result.tracks)):
-                check.update(part)
-                fh.write(part)
-            fh.write(check.digest())
+            result = _parse_into(path, spool, sink)
         os.replace(tmp, sidecar)
     except BaseException as e:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         if not isinstance(e, OSError):
             raise
+    if result is None:
+        result = _parse_into(path, io.BytesIO(), io.BytesIO())
+    return result
+
+
+def _parse_into(path, spool, sink) -> LoadResult:
+    """The LoadResult _sidecar_result reads back from the sidecar of the file at path, which
+    this writes to sink.  One binary pass over the file's lines, each ended by "\\n" (see
+    load_tracks), hashes them and writes each accepted track's rows to spool as soon as its
+    line is parsed, keeping only the track's header record: no line's bytes outlive its
+    decode, and no parsed point array outlives its line.  The sidecar is then the header
+    and the spool's bytes, and the read-back checks it against the digest of this pass."""
+    records, ids, rejects = [], set(), []
+    sha256 = hashlib.sha256()
+    line_no = 0
+    with open(path, "rb") as fh:
+        for raw in fh:   # counted here, as enumerate's reused tuple would keep the last line
+            line_no += 1
+            sha256.update(raw)
+            line = raw.decode("utf-8", "surrogateescape")
+            del raw
+            if line.isspace():
+                continue
+            track, err = _parse_track(line)
+            del line
+            if err is None and track.track_id in ids:
+                err = f"duplicate track_id {track.track_id!r}"
+            if err is not None:
+                rejects.append((line_no, err))
+            else:
+                ids.add(track.track_id)
+                records.append(_record(track))
+                spool.write(_rows(track))
+            del track
+    digest = sha256.digest()
+    header = _sidecar_header(records, rejects)
+    check = hashlib.sha256()
+    spool.seek(0)
+    head = _SIDECAR_PREFIX.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(header)) + header
+    for part in chain([head], iter(lambda: spool.read(_HASH_CHUNK), b"")):
+        check.update(part)
+        sink.write(part)
+    sink.write(check.digest())
+    spool.close()   # an in-memory spool's bytes go before the read-back makes the arrays
+    result = _sidecar_result(sink, digest)
+    result.parsed = True
+    return result
 
 
 def _file_sha256(path) -> bytes:
@@ -507,25 +538,27 @@ def _read_sidecar(path) -> Optional[LoadResult]:
     None when there is no sidecar, it is for other bytes, or it fails any check."""
     try:
         with open(_sidecar_path(path), "rb") as fh:
-            return _sidecar_result(fh, path)
+            return _sidecar_result(fh, _file_sha256(path))
     except (OSError, ValueError, TypeError, LookupError, RecursionError):
         return None
 
 
-def _sidecar_result(fh, path) -> LoadResult:
-    """The sidecar in fh, checked as a model file is: magic and version, the parsed bytes'
-    digest, exact lengths, the trailing checksum, one header form, and every track and
-    reject as a parse would give it.  Any defect raises ValueError (or TypeError or
-    LookupError from a header of the wrong shape).  No size is allocated before the file's
-    length bounds it, and each track's rows are read into their own array."""
-    size = os.fstat(fh.fileno()).st_size
+def _sidecar_result(fh, digest: bytes) -> LoadResult:
+    """The sidecar in the seekable binary stream fh, checked as a model file is: magic and
+    version, the parsed bytes' digest (which must be digest), exact lengths, the trailing
+    checksum, one header form, and every track and reject as a parse would give it.  Any
+    defect raises ValueError (or TypeError or LookupError from a header of the wrong
+    shape).  No size is allocated before the stream's length bounds it, and each track's
+    rows are read into their own array."""
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
     prefix = _read_exactly(fh, _SIDECAR_PREFIX.size)
     magic, version, source, header_len = _SIDECAR_PREFIX.unpack(prefix)
     if magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION:
         raise ValueError("not a sidecar of this version")
     if _SIDECAR_PREFIX.size + header_len + _DIGEST_LEN > size:
         raise ValueError("sidecar header runs past its end")
-    if source != _file_sha256(path):
+    if source != digest:
         raise ValueError("sidecar of other bytes")
     header = _read_exactly(fh, header_len)
     doc = json.loads(header.decode())
@@ -558,10 +591,9 @@ def _sidecar_result(fh, path) -> LoadResult:
             and lines == sorted(set(lines))
             and len({t.track_id for t in tracks}) == len(tracks)):
         raise ValueError("sidecar result a parse would not give")
-    result = LoadResult(tracks, rejects)
-    if _sidecar_header(result) != header:
+    if _sidecar_header(list(map(_record, tracks)), rejects) != header:
         raise ValueError("sidecar header is not the one its result writes")
-    return result
+    return LoadResult(tracks, rejects)
 
 
 def track_to_json(track: Track) -> str:

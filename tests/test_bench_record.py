@@ -57,7 +57,7 @@ def test_quick_record_has_the_schema(recorder, tmp_path):
     assert len(record["src_sha256"]) == 64
     assert set(record["env"]) == {"python", "numpy", "blas", "blas_threads", "nproc"}
     assert is_summary({k: v for k, v in record["reference_s"].items() if k != "fast_phase"},
-                      len(recorder.STAGES) + 1)   # one time before the first stage, one after each
+                      len(recorder.TIMED) + 1)   # one time before the first stage, one after each
 
     assert set(record["cli"]) == {"quick"}
     quick = record["cli"]["quick"]
@@ -68,17 +68,23 @@ def test_quick_record_has_the_schema(recorder, tmp_path):
                                "training": {"epochs": 2}}
     assert set(quick["digests"]) == set(recorder.BYTE_COMPARED)
     assert all(len(d) == 64 for d in quick["digests"].values())
-    assert list(quick["stages"]) == list(recorder.STAGES)
+    # the six stages, then train again with the sidecar the first one wrote
+    assert list(quick["stages"]) == [*recorder.STAGES, "warm_train"] == list(recorder.TIMED)
     for stage in quick["stages"].values():
         assert set(stage) == {"wall_s", "scaled_wall_s", "peak_rss_mb"}
         assert all(is_summary(s, 1) for s in stage.values())
     assert is_summary(quick["total_wall_s"], 1) and is_summary(quick["peak_rss_mb"], 1)
     [run] = quick["runs"]
     assert [(name, s["exit"]) for name, s in run["stages"].items()] == \
-        [(name, 0) for name in recorder.STAGES]
+        [(name, 0) for name in recorder.TIMED]
+    # the totals are the six stages', as in records made before warm_train
+    assert quick["total_wall_s"]["median"] == sum(run["stages"][s]["wall_s"]
+                                                  for s in recorder.STAGES)
+    assert quick["peak_rss_mb"]["median"] == max(run["stages"][s]["peak_rss_mb"]
+                                                 for s in recorder.STAGES)
     # each stage is scaled by the reference times just before and after it
     reference, fast = run["reference_s"], record["reference_s"]["fast_phase"]
-    assert len(reference) == len(recorder.STAGES) + 1
+    assert len(reference) == len(recorder.TIMED) + 1
     for i, stage in enumerate(run["stages"].values()):
         want = stage["wall_s"] * fast * 2.0 / (reference[i] + reference[i + 1])
         assert stage["scaled_wall_s"] == pytest.approx(want, rel=1e-12)

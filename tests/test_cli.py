@@ -110,6 +110,21 @@ class TestPipelineArtifacts:
         for name in ("results.csv", "validation.csv", "metrics.json"):
             assert (work / name).read_bytes() == (pipeline / name).read_bytes(), name
 
+    def test_each_tracks_load_logs_its_counts_and_whether_it_parsed(self, pipeline, tmp_path,
+                                                                    capsys):
+        work = copy_inputs(pipeline, tmp_path / "logged", (
+            "tracks.jsonl", "model.rtae", "thresholds.json", "runways.csv"))
+        with open(work / "tracks.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        capsys.readouterr()
+        for _ in range(2):
+            assert run("--out-dir", str(work), "classify") == 0
+        loads = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("INFO loaded ")]
+        name = work / "tracks.jsonl"
+        assert loads == [f"INFO loaded {name}: 56 tracks, 1 rejected lines, parsed",
+                         f"INFO loaded {name}: 56 tracks, 1 rejected lines, read from its sidecar"]
+
     def test_classification_matches_library_decision(self, pipeline):
         model = ae.load(pipeline / "model.rtae")
         th = json.loads((pipeline / "thresholds.json").read_text())
@@ -646,7 +661,7 @@ class TestCallerConfigs:
         configs += [(f"quality_record {seeded.__name__} {name} {seed}", seeded(config, seed))
                     for name, config in quality.PROFILES.items() for seed in quality.SEEDS
                     for seeded in (quality.scenario_seeded, quality.init_seeded)]
-        for doc, count in ((".github/workflows/tier1.yml", 2), ("README.md", 2)):
+        for doc, count in ((".github/workflows/tier1.yml", 3), ("README.md", 2)):
             echoed = re.findall(r"echo '(\{.*?\})' >", (ROOT / doc).read_text(encoding="utf-8"),
                                 re.DOTALL)
             assert len(echoed) == count, doc
@@ -664,9 +679,10 @@ class TestCallerConfigs:
         workflow = (ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8")
         loops = re.findall(r"for f in ([^;\n]*); do\s+cmp ", workflow)
         compared = load_script("bench_record").BYTE_COMPARED
-        # the "\r\n" pass rewrites tracks.jsonl's line endings and compares the rest
-        crlf = tuple(name for name in compared if name != "tracks.jsonl")
-        assert [tuple(names.split()) for names in loops] == [compared, crlf, compared]
+        # the "\r\n" pass rewrites tracks.jsonl's line endings, and the read-only pass reads
+        # it from another directory; each compares the rest
+        rest = tuple(name for name in compared if name != "tracks.jsonl")
+        assert [tuple(names.split()) for names in loops] == [compared, rest, rest, compared]
         # and a renamed artifact must not drop out of the comparison unnoticed
         files = {*cli.DEFAULT_CONFIG["paths"].values(), *cli.OUTPUTS.values()}
         assert set(compared) <= files, set(compared) - files

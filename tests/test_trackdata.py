@@ -3,7 +3,9 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import shutil
 import stat
 import sys
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -355,6 +358,12 @@ def tracks_file(directory):
     return p
 
 
+def parsed(path):
+    """What a parse of the file at path returns, read back from a sidecar made in memory,
+    so that no file is written."""
+    return td._parse_into(path, io.BytesIO(), io.BytesIO())
+
+
 def snapshot(result):
     """A LoadResult as comparable values, every track's points as bytes."""
     return result.tracks, [t.points.tobytes() for t in result.tracks], result.rejects
@@ -437,10 +446,12 @@ class TestSidecar:
     def test_a_second_load_reads_the_sidecar_and_parses_nothing(self, tmp_path):
         p = tracks_file(tmp_path)
         first = td.load_tracks(p)
+        assert first.parsed
         data = sidecar_of(p).read_bytes()
         assert data[8:40] == hashlib.sha256(p.read_bytes()).digest()
         with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
-            assert snapshot(td.load_tracks(p)) == snapshot(first)
+            again = td.load_tracks(p)
+            assert snapshot(again) == snapshot(first) and not again.parsed
             # the test helper rebuilds a good sidecar byte for byte, so each damage below
             # is refused for what it changes
             assert resigned(data) == data
@@ -469,14 +480,37 @@ class TestSidecar:
             assert snapshot(td.load_tracks(p)) == snapshot(changed)
 
     @pytest.mark.parametrize("failure", ["read_only_directory", "no_temporary_file",
-                                         "failed_rename"])
+                                         "failed_rename", "write_fails_mid_parse"])
     def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, failure):
         p = tracks_file(tmp_path)
-        expected = snapshot(td._parse_file(p)[0])
+        expected = snapshot(parsed(p))
+        temporary_file = td.tempfile.TemporaryFile
+
+        class FullOnTheSecondWrite:
+            def __init__(self, *args, **kwargs):
+                self.file, self.writes = temporary_file(*args, **kwargs), 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(28, "No space left on device")
+                return self.file.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
         fails = {"no_temporary_file": mock.patch.object(
                      td.tempfile, "mkstemp", side_effect=PermissionError(13, "Permission denied")),
                  "failed_rename": mock.patch.object(
-                     td.os, "replace", side_effect=OSError(28, "No space left on device"))}
+                     td.os, "replace", side_effect=OSError(28, "No space left on device")),
+                 "write_fails_mid_parse": mock.patch.object(
+                     td.tempfile, "TemporaryFile", side_effect=FullOnTheSecondWrite)}
         tmp_path.chmod(0o555)
         try:
             if failure == "read_only_directory" and os.access(tmp_path, os.W_OK):
@@ -527,11 +561,28 @@ class TestSidecar:
     def test_a_sidecar_path_that_is_a_directory_neither_fails_the_load_nor_is_replaced(
             self, tmp_path):
         p = tracks_file(tmp_path)
-        expected = snapshot(td._parse_file(p)[0])
+        expected = snapshot(parsed(p))
         sidecar_of(p).mkdir()
         assert snapshot(td.load_tracks(p)) == expected
         assert sorted(os.listdir(tmp_path)) == ["tracks.jsonl", "tracks.jsonl.rtcache"]
         assert os.listdir(sidecar_of(p)) == []
+
+    def test_a_cold_load_keeps_no_parsed_points_past_their_line(self, tmp_path):
+        p = tmp_path / "tracks.jsonl"
+        write_jsonl(p, [dict(GOOD_LINE, track_id=f"T{i}") for i in range(4)])
+        parse, last_points = td._parse_track, []
+
+        def parse_with_the_last_points_dead(line):
+            gc.collect()   # so that only a live reference can keep them
+            assert all(points() is None for points in last_points), "points outlived their line"
+            track, err = parse(line)
+            last_points[:] = [weakref.ref(track.points)]
+            return track, err
+
+        with mock.patch.object(td, "_parse_track", side_effect=parse_with_the_last_points_dead):
+            loaded = td.load_tracks(p)
+        assert len(loaded.tracks) == 4 and loaded.parsed
+        assert snapshot(loaded) == snapshot(parsed(p))
 
     def test_cold_loads_of_the_same_bytes_write_the_same_sidecar(self, tmp_path):
         p = tracks_file(tmp_path)

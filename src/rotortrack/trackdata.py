@@ -5,14 +5,15 @@ registration rows arrive as CSV.  Each track's points are checked and stored
 once, as one read-only float64 array of POINT_DTYPE (t, lat, lon, alt, course,
 gs), and the geometry below works on its columns.  What a parse of a track
 file found is kept in a checked binary sidecar next to it, so that later loads
-of the same bytes skip the parse.  A parse streams each track's points toward
-the sidecar as soon as its line is parsed and returns what the sidecar reads
-back, so a first load holds no more than a later one.  Arrival windows are the last
-100 track points at or before the point of closest approach to the runway
-threshold.  No function here changes its inputs, but closest_approach_index
-memoises its results on the track, so the runway pick, the windowing and the
-runway score compute each (track, threshold) pair once between them.  Threads
-may share loaded data: two that race on one pair both compute the same values.
+of the same bytes skip the parse.  A parse writes each track's points into the
+sidecar as soon as its line is parsed, and the header after the last line, and
+returns what the sidecar reads back, so a first load holds no more than a later
+one.  Arrival windows are the last 100 track points at or before the point of
+closest approach to the runway threshold.  No function here changes its inputs,
+but closest_approach_index memoises its results on the track, so the runway
+pick, the windowing and the runway score compute each (track, threshold) pair
+once between them.  Threads may share loaded data: two that race on one pair
+both compute the same values.
 """
 
 from __future__ import annotations
@@ -386,15 +387,14 @@ class LoadResult:
 def load_tracks(path) -> LoadResult:
     """Read a JSON Lines track file; bad lines are reported in LoadResult.rejects.
 
-    The file's bytes are parsed once.  The first load streams what it finds to
-    a sidecar, <path>.rtcache, next to the file: each track's points as its
-    line is parsed, then the header.  It returns what the sidecar reads back,
-    so it holds no more than a later load, which, when its SHA-256 of the
-    file's bytes matches the sidecar's, rebuilds the same LoadResult from it,
-    bit for bit, without parsing.  A sidecar that is missing, stale or fails
-    any check is ignored, and the file is parsed and the sidecar rewritten;
-    where none can be written, the parse streams to memory and is read back
-    from there.  So a sidecar never changes what a load returns, or makes one
+    The file's bytes are parsed once.  The first load streams what it finds to a sidecar,
+    <path>.rtcache, next to the file, writing each byte once: each track's points as its
+    line is parsed, then the header.  It returns what the sidecar reads back, so it holds
+    no more than a later load, which, when its SHA-256 of the file's bytes matches the
+    sidecar's, rebuilds the same LoadResult from it, bit for bit, without parsing.  A
+    sidecar that is missing, stale or fails any check is ignored, and the file is parsed
+    and the sidecar rewritten; where none can be written, the parse streams to memory and
+    is read back from there.  So a sidecar never changes what a load returns, or makes one
     fail.  LoadResult.parsed says which of the two this load did.
 
     A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
@@ -407,17 +407,19 @@ def load_tracks(path) -> LoadResult:
     return result
 
 
-# The sidecar of a parsed track file: magic, format version, the SHA-256 of the parsed
-# bytes and the header's length; the header, compact JSON of
-# {"tracks": [[the _RECORD_KEYS values, point count], ...], "rejects": [[line, reason], ...]};
-# each track's points as little-endian float64 rows, in track order; and the SHA-256 of all
-# that; its bytes depend only on the parsed bytes.  _SIDECAR_VERSION changes with what a
-# parse returns, or a sidecar would keep the old result (2: a lone "\r" ends no line).
+# The sidecar of a parsed track file, whose bytes depend only on the parsed bytes, holds each
+# part once, in the order a parse finds it: each track's points as little-endian float64
+# rows, in track order; the header, compact JSON of {"tracks": [[the _RECORD_KEYS values,
+# point count], ...], "rejects": [[line, reason], ...]}; the end record of magic, format
+# version, the parsed bytes' SHA-256 and the header's length; and the SHA-256 of all that.
+# _SIDECAR_VERSION changes with the layout or with what a parse returns (2: a lone "\r" ends
+# no line; 3: the header moved from the front to behind the rows, so a parse writes it last).
 _SIDECAR_SUFFIX = ".rtcache"
 _SIDECAR_MAGIC = b"RTTC"
-_SIDECAR_VERSION = 2
-_SIDECAR_PREFIX = struct.Struct("<4sI32sI")
+_SIDECAR_VERSION = 3
+_SIDECAR_END = struct.Struct("<4sI32sI")
 _DIGEST_LEN = 32
+_SIDECAR_TAIL = _SIDECAR_END.size + _DIGEST_LEN   # the end record and the checksum
 _HASH_CHUNK = 1 << 16
 _ROW_DTYPE = np.dtype("<f8")
 _ROW_BYTES = len(_POINT_KEYS) * _ROW_DTYPE.itemsize
@@ -447,46 +449,39 @@ def _rows(track: Track) -> np.ndarray:
 def _parse_file(path) -> LoadResult:
     """What _parse_into returns for the file at path, with the sidecar written to a
     temporary file beside it that is renamed into place, with the read and write bits of
-    the file at path, once it has been read back.  Where that file or the spool cannot be
-    made or written, the parse is made into memory instead, from the start; a rename that
-    fails is skipped, and an interrupted parse re-raises.  None of these leaves a
-    temporary file."""
+    the file at path, once it has been read back.  Where that file cannot be made or
+    written, the parse is made into memory instead, from the start; a rename that fails is
+    skipped, and an interrupted parse re-raises.  None of these leaves a temporary file."""
     sidecar = _sidecar_path(path)
-    directory = os.path.dirname(sidecar) or "."
     result = None
-    try:
-        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".", dir=directory)
-    except OSError:
-        return _parse_into(path, io.BytesIO(), io.BytesIO())
-    try:
-        with open(fd, "w+b") as sink, tempfile.TemporaryFile(dir=directory) as spool:
-            os.chmod(tmp, os.stat(path).st_mode & 0o666)   # mkstemp makes it 0o600
-            result = _parse_into(path, spool, sink)
-        os.replace(tmp, sidecar)
-    except BaseException as e:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        if not isinstance(e, OSError):
+    with contextlib.suppress(OSError):
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(sidecar) + ".",
+                                   dir=os.path.dirname(sidecar) or ".")
+        try:
+            with open(fd, "w+b") as sink:
+                os.chmod(tmp, os.stat(path).st_mode & 0o666)   # mkstemp makes it 0o600
+                result = _parse_into(path, sink)
+            os.replace(tmp, sidecar)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
             raise
-    if result is None:
-        result = _parse_into(path, io.BytesIO(), io.BytesIO())
-    return result
+    return _parse_into(path, io.BytesIO()) if result is None else result
 
 
-def _parse_into(path, spool, sink) -> LoadResult:
+def _parse_into(path, sink) -> LoadResult:
     """The LoadResult _sidecar_result reads back from the sidecar of the file at path, which
     this writes to sink.  One binary pass over the file's lines, each ended by "\\n" (see
-    load_tracks), hashes them and writes each accepted track's rows to spool as soon as its
-    line is parsed, keeping only the track's header record: no line's bytes outlive its
-    decode, and no parsed point array outlives its line.  The sidecar is then the header
-    and the spool's bytes, and the read-back checks it against the digest of this pass."""
+    load_tracks), hashes them and writes each accepted track's rows to sink as soon as its
+    line is parsed, keeping only its header record: no line's bytes outlive its decode, and
+    no parsed point array outlives its line.  The header, end record and checksum follow."""
     records, ids, rejects = [], set(), []
-    sha256 = hashlib.sha256()
+    source, check = hashlib.sha256(), hashlib.sha256()
     line_no = 0
     with open(path, "rb") as fh:
         for raw in fh:   # counted here, as enumerate's reused tuple would keep the last line
             line_no += 1
-            sha256.update(raw)
+            source.update(raw)
             line = raw.decode("utf-8", "surrogateescape")
             del raw
             if line.isspace():
@@ -500,18 +495,16 @@ def _parse_into(path, spool, sink) -> LoadResult:
             else:
                 ids.add(track.track_id)
                 records.append(_record(track))
-                spool.write(_rows(track))
+                rows = _rows(track)
+                check.update(rows)
+                sink.write(rows)
+                del rows
             del track
-    digest = sha256.digest()
+    digest = source.digest()
     header = _sidecar_header(records, rejects)
-    check = hashlib.sha256()
-    spool.seek(0)
-    head = _SIDECAR_PREFIX.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(header)) + header
-    for part in chain([head], iter(lambda: spool.read(_HASH_CHUNK), b"")):
-        check.update(part)
-        sink.write(part)
-    sink.write(check.digest())
-    spool.close()   # an in-memory spool's bytes go before the read-back makes the arrays
+    trailer = header + _SIDECAR_END.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(header))
+    check.update(trailer)
+    sink.write(trailer + check.digest())
     result = _sidecar_result(sink, digest)
     result.parsed = True
     return result
@@ -547,19 +540,23 @@ def _sidecar_result(fh, digest: bytes) -> LoadResult:
     """The sidecar in the seekable binary stream fh, checked as a model file is: magic and
     version, the parsed bytes' digest (which must be digest), exact lengths, the trailing
     checksum, one header form, and every track and reject as a parse would give it.  Any
-    defect raises ValueError (or TypeError or LookupError from a header of the wrong
-    shape).  No size is allocated before the stream's length bounds it, and each track's
-    rows are read into their own array."""
+    defect raises ValueError (or TypeError or LookupError from a header of the wrong shape).
+    The end record is read first, then the header, then each track's rows into their own
+    array, from the start; no size is allocated before the stream's length bounds it."""
     size = fh.seek(0, os.SEEK_END)
-    fh.seek(0)
-    prefix = _read_exactly(fh, _SIDECAR_PREFIX.size)
-    magic, version, source, header_len = _SIDECAR_PREFIX.unpack(prefix)
+    if size < _SIDECAR_TAIL:
+        raise ValueError("sidecar ends early")
+    fh.seek(size - _SIDECAR_TAIL)
+    end, checksum = _read_exactly(fh, _SIDECAR_END.size), _read_exactly(fh, _DIGEST_LEN)
+    magic, version, source, header_len = _SIDECAR_END.unpack(end)
     if magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION:
         raise ValueError("not a sidecar of this version")
-    if _SIDECAR_PREFIX.size + header_len + _DIGEST_LEN > size:
-        raise ValueError("sidecar header runs past its end")
+    rows_len = size - _SIDECAR_TAIL - header_len
+    if rows_len < 0:
+        raise ValueError("sidecar header runs past its start")
     if source != digest:
         raise ValueError("sidecar of other bytes")
+    fh.seek(rows_len)
     header = _read_exactly(fh, header_len)
     doc = json.loads(header.decode())
     rows = doc["tracks"]
@@ -567,9 +564,10 @@ def _sidecar_result(fh, digest: bytes) -> LoadResult:
     if not all(type(n) is int and n > 0 and len(row) == len(_RECORD_KEYS) + 1
                for n, row in zip(counts, rows)):
         raise ValueError("sidecar track row of another form")
-    if _SIDECAR_PREFIX.size + header_len + _ROW_BYTES * sum(counts) + _DIGEST_LEN != size:
+    if _ROW_BYTES * sum(counts) != rows_len:
         raise ValueError("sidecar length is not its header's")
-    check = hashlib.sha256(prefix + header)
+    check = hashlib.sha256()
+    fh.seek(0)
     tracks = []
     for row, n in zip(rows, counts):
         values = np.empty((n, len(_POINT_KEYS)), _ROW_DTYPE)
@@ -583,7 +581,8 @@ def _sidecar_result(fh, digest: bytes) -> LoadResult:
         if err is not None or not track.track_id:   # the rules leave None or a string
             raise ValueError("sidecar track a parse would refuse")
         tracks.append(track)
-    if _read_exactly(fh, _DIGEST_LEN) != check.digest() or fh.read(1):
+    check.update(header + end)
+    if check.digest() != checksum:
         raise ValueError("sidecar checksum mismatch")
     rejects = [tuple(r) for r in doc["rejects"]]
     lines = [line for line, _ in rejects]

@@ -12,6 +12,7 @@ import os
 import re
 import shutil
 import stat
+import struct
 import sys
 import threading
 import weakref
@@ -361,7 +362,7 @@ def tracks_file(directory):
 def parsed(path):
     """What a parse of the file at path returns, read back from a sidecar made in memory,
     so that no file is written."""
-    return td._parse_into(path, io.BytesIO(), io.BytesIO())
+    return td._parse_into(path, io.BytesIO())
 
 
 def snapshot(result):
@@ -369,19 +370,23 @@ def snapshot(result):
     return result.tracks, [t.points.tobytes() for t in result.tracks], result.rejects
 
 
-def resigned(data, edit=None, separators=(",", ":"), **prefix):
-    """The sidecar data with its header or point rows edited, or a prefix field replaced,
-    and the checksum recomputed, so that only the check under test can refuse it."""
-    fields = dict(zip(("magic", "version", "source", "header_len"),
-                      td._SIDECAR_PREFIX.unpack_from(data)))
-    start = td._SIDECAR_PREFIX.size
-    doc = json.loads(data[start:start + fields["header_len"]])
-    rows = np.frombuffer(data[start + fields["header_len"]:-32], "<f8").copy()
+def end_record(data):
+    """The (magic, version, source digest, header length) of a sidecar's end record."""
+    return td._SIDECAR_END.unpack_from(data, len(data) - td._SIDECAR_TAIL)
+
+
+def resigned(data, edit=None, separators=(",", ":"), **end):
+    """The sidecar data with its header or point rows edited, or an end record field
+    replaced, and the checksum recomputed, so that only the check under test can refuse it."""
+    fields = dict(zip(("magic", "version", "source", "header_len"), end_record(data)))
+    start = len(data) - td._SIDECAR_TAIL - fields["header_len"]
+    rows = np.frombuffer(data[:start], "<f8").copy()
+    doc = json.loads(data[start:-td._SIDECAR_TAIL])
     if edit is not None:
         edit(doc, rows)
     header = json.dumps(doc, separators=separators).encode()
-    fields = {**fields, "header_len": len(header), **prefix}
-    body = td._SIDECAR_PREFIX.pack(*fields.values()) + header + rows.tobytes()
+    fields = {**fields, "header_len": len(header), **end}
+    body = rows.tobytes() + header + td._SIDECAR_END.pack(*fields.values())
     return body + hashlib.sha256(body).digest()
 
 
@@ -407,10 +412,12 @@ def set_row(i, key, value):
 DAMAGE = {
     "empty": lambda data: b"",
     "truncated": lambda data: data[:-1],
-    "cut_in_header": lambda data: data[:td._SIDECAR_PREFIX.size + 5],
+    "cut_in_header": lambda data: data[:-td._SIDECAR_TAIL - 5],
+    # its last bytes, from inside the end record: fewer than the end record and checksum
+    "cut_in_end_record": lambda data: data[1 - td._SIDECAR_TAIL:],
     "trailing_byte": lambda data: data + b"\0",
     "flipped_header_byte": flipped(lambda data: data.index(b"T100")),   # to "U100"
-    "flipped_point_byte": flipped(lambda data: -40),
+    "flipped_point_byte": flipped(lambda data: 8),   # in the first point's lat
     "flipped_checksum_byte": flipped(lambda data: -1),
     # the rest carry a recomputed checksum
     "other_magic": lambda data: resigned(data, magic=b"RTAE"),
@@ -419,7 +426,7 @@ DAMAGE = {
     "huge_header_length": lambda data: resigned(data, header_len=2**32 - 1),
     "spaced_header": lambda data: resigned(data, separators=(", ", ": ")),
     "extra_header_key": edited(lambda doc, rows: doc.update(x=1)),
-    "extra_point_row": lambda data: resigned(data[:-32] + bytes(48) + data[-32:]),
+    "extra_point_row": lambda data: resigned(bytes(48) + data),
     "lat_out_of_bounds": edited(lambda doc, rows: rows.__setitem__(1, 91.0)),
     "nan_time": edited(lambda doc, rows: rows.__setitem__(0, math.nan)),
     "time_not_increasing": edited(lambda doc, rows: rows.__setitem__(6, rows[0])),
@@ -448,7 +455,7 @@ class TestSidecar:
         first = td.load_tracks(p)
         assert first.parsed
         data = sidecar_of(p).read_bytes()
-        assert data[8:40] == hashlib.sha256(p.read_bytes()).digest()
+        assert end_record(data)[2] == hashlib.sha256(p.read_bytes()).digest()
         with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
             again = td.load_tracks(p)
             assert snapshot(again) == snapshot(first) and not again.parsed
@@ -484,33 +491,28 @@ class TestSidecar:
     def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, failure):
         p = tracks_file(tmp_path)
         expected = snapshot(parsed(p))
-        temporary_file = td.tempfile.TemporaryFile
 
-        class FullOnTheSecondWrite:
-            def __init__(self, *args, **kwargs):
-                self.file, self.writes = temporary_file(*args, **kwargs), 0
+        class FullOnTheSecondWrite(io.FileIO):
+            writes = 0
 
             def write(self, data):
                 self.writes += 1
                 if self.writes == 2:
                     raise OSError(28, "No space left on device")
-                return self.file.write(data)
+                return super().write(data)
 
-            def __getattr__(self, name):
-                return getattr(self.file, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.file.close()
+        def open_with_a_full_sink(file, *args, **kwargs):
+            # the sidecar's sink is the one file opened on a descriptor, mkstemp's
+            if isinstance(file, int):
+                return FullOnTheSecondWrite(file, "w+b")
+            return open(file, *args, **kwargs)
 
         fails = {"no_temporary_file": mock.patch.object(
                      td.tempfile, "mkstemp", side_effect=PermissionError(13, "Permission denied")),
                  "failed_rename": mock.patch.object(
                      td.os, "replace", side_effect=OSError(28, "No space left on device")),
                  "write_fails_mid_parse": mock.patch.object(
-                     td.tempfile, "TemporaryFile", side_effect=FullOnTheSecondWrite)}
+                     td, "open", open_with_a_full_sink, create=True)}
         tmp_path.chmod(0o555)
         try:
             if failure == "read_only_directory" and os.access(tmp_path, os.W_OK):
@@ -538,8 +540,35 @@ class TestSidecar:
         with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
             assert snapshot(td.load_tracks(p)) == snapshot(first)
         assert parse.call_count == 3
-        assert td._SIDECAR_PREFIX.unpack_from(sidecar_of(p).read_bytes())[1] == 2
+        assert end_record(sidecar_of(p).read_bytes())[1] == 3
         assert stat.S_IMODE(sidecar_of(p).stat().st_mode) == 0o644
+        with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
+            assert snapshot(td.load_tracks(p)) == snapshot(first)
+
+    def test_a_header_first_version_2_sidecar_is_parsed_and_rewritten(self, tmp_path):
+        p = tracks_file(tmp_path)
+        first = td.load_tracks(p)
+        good = sidecar_of(p).read_bytes()
+        magic, _, source, header_len = end_record(good)
+        start = len(good) - td._SIDECAR_TAIL - header_len
+        # version 2's layout: magic, version, source digest and header length, the header,
+        # the point rows and the checksum of all that
+        body = (struct.pack("<4sI32sI", magic, 2, source, header_len)
+                + good[start:-td._SIDECAR_TAIL] + good[:start])
+        sidecar_of(p).write_bytes(body + hashlib.sha256(body).digest())
+        with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            again = td.load_tracks(p)
+        assert parse.call_count == 3 and again.parsed
+        assert snapshot(again) == snapshot(first)
+        assert sidecar_of(p).read_bytes() == good
+
+    def test_a_cold_load_writes_its_sidecar_with_no_other_temporary_file(self, tmp_path):
+        p = tracks_file(tmp_path)
+        with mock.patch.object(td.tempfile, "TemporaryFile",
+                               side_effect=OSError(24, "Too many open files")):
+            first = td.load_tracks(p)
+        assert first.parsed
+        assert end_record(sidecar_of(p).read_bytes())[1] == td._SIDECAR_VERSION
         with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
             assert snapshot(td.load_tracks(p)) == snapshot(first)
 
@@ -569,19 +598,22 @@ class TestSidecar:
 
     def test_a_cold_load_keeps_no_parsed_points_past_their_line(self, tmp_path):
         p = tmp_path / "tracks.jsonl"
-        write_jsonl(p, [dict(GOOD_LINE, track_id=f"T{i}") for i in range(4)])
+        # the third line repeats the first one's id, so its track is parsed and refused
+        write_jsonl(p, [dict(GOOD_LINE, track_id=f"T{i}") for i in (0, 1, 0, 2, 3)])
         parse, last_points = td._parse_track, []
 
         def parse_with_the_last_points_dead(line):
             gc.collect()   # so that only a live reference can keep them
             assert all(points() is None for points in last_points), "points outlived their line"
             track, err = parse(line)
-            last_points[:] = [weakref.ref(track.points)]
+            # the array that owns the points' memory, which every view of them keeps
+            last_points[:] = [weakref.ref(track.points.base)]
             return track, err
 
         with mock.patch.object(td, "_parse_track", side_effect=parse_with_the_last_points_dead):
             loaded = td.load_tracks(p)
         assert len(loaded.tracks) == 4 and loaded.parsed
+        assert loaded.rejects == [(3, "duplicate track_id 'T0'")]
         assert snapshot(loaded) == snapshot(parsed(p))
 
     def test_cold_loads_of_the_same_bytes_write_the_same_sidecar(self, tmp_path):

@@ -1,19 +1,19 @@
 """Surveillance-track domain types, file IO, and feature extraction.
 
 Tracks arrive as JSON Lines, one track per line; runways and aircraft
-registration rows arrive as CSV.  Each track's points are checked and stored
-once, as one read-only float64 array of POINT_DTYPE (t, lat, lon, alt, course,
-gs), and the geometry below works on its columns.  What a parse of a track
-file found is kept in a checked binary sidecar next to it, so that later loads
-of the same bytes skip the parse.  A parse writes each track's points into the
-sidecar as soon as its line is parsed, and the header after the last line, and
-returns what the sidecar reads back, so a first load holds no more than a later
-one.  Arrival windows are the last 100 track points at or before the point of
-closest approach to the runway threshold.  No function here changes its inputs,
-but closest_approach_index memoises its results on the track, so the runway
-pick, the windowing and the runway score compute each (track, threshold) pair
-once between them.  Threads may share loaded data: two that race on one pair
-both compute the same values.
+registration rows arrive as CSV.  A track's points are a read-only float64
+array of POINT_DTYPE (t, lat, lon, alt, course, gs), and the geometry below
+works on its columns.  What a parse of a track file found is kept in a checked
+binary sidecar next to it, so that later loads of the same bytes skip the
+parse.  A parse writes each track's points to the sidecar as its line is
+parsed, then the header, and returns what the sidecar reads back, as a later
+load does: one array of all points, read, hashed and checked once, whose row
+runs are the tracks' points.  Arrival windows are the last 100 track points at
+or before the point of closest approach to the runway threshold.  No function
+here changes its inputs, but closest_approach_index memoises its results on the
+track, so the runway pick, the windowing and the runway score compute each
+(track, threshold) pair once between them.  Threads may share loaded data: two
+that race on one pair both compute the same values.
 """
 
 from __future__ import annotations
@@ -271,6 +271,7 @@ _LOW = np.array([_POINT_RULES.get(k, (-_BIG, _BIG))[0] for k in _POINT_KEYS])
 _HIGH = np.array([_POINT_RULES.get(k, (-_BIG, _BIG))[1] for k in _POINT_KEYS])
 _point_values = operator.itemgetter(*_POINT_KEYS)
 _NUMBER_TYPES = frozenset((int, float))
+_CHECK_ROWS = 1 << 14   # the rows _checked compares at a time
 
 
 def _first_point_error(raw_points: list) -> Optional[str]:
@@ -312,15 +313,21 @@ def _point_array(raw_points: list) -> Optional[np.ndarray]:
         values = np.fromiter(chain.from_iterable(rows), np.float64, 6 * len(rows)).reshape(-1, 6)
     except OverflowError:
         return None
-    return _checked(values)
+    return _checked(values, (len(values),))
 
 
-def _checked(values: np.ndarray) -> Optional[np.ndarray]:
-    """values when every column is within its bounds and time strictly increases, else None."""
-    t = values[:, 0]
-    if ((values >= _LOW) & (values <= _HIGH)).all() and (t[1:] > t[:-1]).all():
-        return values
-    return None
+def _checked(values: np.ndarray, ends) -> Optional[np.ndarray]:
+    """values when every column is within its bounds and time strictly increases along each
+    run of rows, else None.  The runs end at the ascending row indices ends, the last at
+    len(values).  Rows are checked a block at a time, so no temporary grows with them."""
+    starts = np.asarray(ends, dtype=np.int64)[:-1]   # the first row of each later run
+    for s in range(0, len(values), _CHECK_ROWS):
+        block = values[s:s + _CHECK_ROWS + 1]   # and the next block's first row
+        later = block[1:, 0] > block[:-1, 0]   # the time steps into rows s + 1 on
+        later[starts[(starts > s) & (starts <= s + _CHECK_ROWS)] - s - 1] = True
+        if not (later.all() and ((block >= _LOW) & (block <= _HIGH)).all()):
+            return None
+    return values
 
 
 # The Track field of each optional string key on the wire, in wire order
@@ -389,13 +396,13 @@ def load_tracks(path) -> LoadResult:
 
     The file's bytes are parsed once.  The first load streams what it finds to a sidecar,
     <path>.rtcache, next to the file, writing each byte once: each track's points as its
-    line is parsed, then the header.  It returns what the sidecar reads back, so it holds
-    no more than a later load, which, when its SHA-256 of the file's bytes matches the
-    sidecar's, rebuilds the same LoadResult from it, bit for bit, without parsing.  A
-    sidecar that is missing, stale or fails any check is ignored, and the file is parsed
-    and the sidecar rewritten; where none can be written, the parse streams to memory and
-    is read back from there.  So a sidecar never changes what a load returns, or makes one
-    fail.  LoadResult.parsed says which of the two this load did.
+    line is parsed, then the header.  It returns what the sidecar reads back, as a later
+    load whose SHA-256 of the file's bytes matches the sidecar's does without parsing: the
+    same LoadResult, bit for bit, whose tracks' points are row runs of one array that
+    cannot be made writable.  A sidecar that is missing, stale or fails any check is
+    ignored, and the file is parsed and the sidecar rewritten; where none can be written,
+    the parse streams to memory and is read back from there.  So a sidecar never changes
+    what a load returns, or makes one fail.  LoadResult.parsed says which this load did.
 
     A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
     lone "\\r" is JSON whitespace, and reject line numbers count "\\n".  A parse decodes
@@ -541,8 +548,9 @@ def _sidecar_result(fh, digest: bytes) -> LoadResult:
     version, the parsed bytes' digest (which must be digest), exact lengths, the trailing
     checksum, one header form, and every track and reject as a parse would give it.  Any
     defect raises ValueError (or TypeError or LookupError from a header of the wrong shape).
-    The end record is read first, then the header, then each track's rows into their own
-    array, from the start; no size is allocated before the stream's length bounds it."""
+    The end record is read first, then the header, then all point rows, from the start, into
+    one array that is hashed and checked once and made read-only; each track's points are
+    its run of rows.  No size is allocated before the stream's length bounds it."""
     size = fh.seek(0, os.SEEK_END)
     if size < _SIDECAR_TAIL:
         raise ValueError("sidecar ends early")
@@ -566,31 +574,33 @@ def _sidecar_result(fh, digest: bytes) -> LoadResult:
         raise ValueError("sidecar track row of another form")
     if _ROW_BYTES * sum(counts) != rows_len:
         raise ValueError("sidecar length is not its header's")
-    check = hashlib.sha256()
+    ends = np.cumsum(counts, dtype=np.int64)   # an int64 array for no tracks too
+    values = np.empty((rows_len // _ROW_BYTES, len(_POINT_KEYS)), _ROW_DTYPE)
     fh.seek(0)
-    tracks = []
-    for row, n in zip(rows, counts):
-        values = np.empty((n, len(_POINT_KEYS)), _ROW_DTYPE)
-        if fh.readinto(values) != values.nbytes:
-            raise ValueError("sidecar ends early")
-        check.update(values)
-        values = _checked(values.astype(np.float64, copy=False))
-        if values is None:
-            raise ValueError("sidecar points a parse would refuse")
-        track, err = _track_of(dict(zip(_RECORD_KEYS, row)), values)
-        if err is not None or not track.track_id:   # the rules leave None or a string
-            raise ValueError("sidecar track a parse would refuse")
-        tracks.append(track)
+    if fh.readinto(values) != rows_len:
+        raise ValueError("sidecar ends early")
+    check = hashlib.sha256(values)
     check.update(header + end)
     if check.digest() != checksum:
         raise ValueError("sidecar checksum mismatch")
+    values = _checked(values.astype(np.float64, copy=False), ends)
+    if values is None:
+        raise ValueError("sidecar points a parse would refuse")
+    values.setflags(write=False)
+    tracks = []
+    for row, a, b in zip(rows, [0, *ends.tolist()], ends.tolist()):
+        track, err = _track_of(dict(zip(_RECORD_KEYS, row)), values[a:b])
+        if err is not None or not track.track_id:   # the rules leave None or a string
+            raise ValueError("sidecar track a parse would refuse")
+        tracks.append(track)
     rejects = [tuple(r) for r in doc["rejects"]]
     lines = [line for line, _ in rejects]
     if not (all(type(line) is int and line > 0 and _plain_text(why) for line, why in rejects)
             and lines == sorted(set(lines))
             and len({t.track_id for t in tracks}) == len(tracks)):
         raise ValueError("sidecar result a parse would not give")
-    if _sidecar_header(list(map(_record, tracks)), rejects) != header:
+    # every row _track_of accepts is the _record of its track
+    if _sidecar_header(rows, rejects) != header:
         raise ValueError("sidecar header is not the one its result writes")
     return LoadResult(tracks, rejects)
 

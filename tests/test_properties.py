@@ -1,12 +1,13 @@
-"""Property tests of the file formats, the config, the point parser, closest approach
-and the convolution pair against their oracles: round trips, the per-point rule, a
-scalar loop, the adjoint identity, each direction through the other layer and a
-tap-by-tap scatter."""
+"""Property tests of the file formats, the config, the point parser, the row check,
+closest approach and the convolution pair against their oracles: round trips, the
+per-point rule, a per-row loop, a scalar loop, the adjoint identity, each direction
+through the other layer and a tap-by-tap scatter."""
 
 import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -285,6 +286,70 @@ def test_parser_accepts_exactly_what_the_per_point_rule_accepts(workdir, separat
     assert result.rejects == []
     (track,) = result.tracks
     assert track.points.tolist() == [tuple(float(p[k]) for k in KEYS) for p in wire_points]
+
+
+# --------------------------------------------------------------------------
+# the one-pass row check against a per-row loop
+
+# Values at and past each field's bounds, among them ones a row may hold
+EDGES = {
+    "t": [math.nan, math.inf, -math.inf, 0.0],
+    "lat": [90.0, -90.0, math.nextafter(90.0, math.inf), math.nextafter(-90.0, -math.inf),
+            math.nan],
+    "lon": [180.0, -180.0, math.nextafter(180.0, math.inf), -math.inf],
+    "alt": [math.inf, -math.inf, math.nan, -1e308],
+    "course": [0.0, -0.0, math.nextafter(360.0, 0.0), 360.0, math.nextafter(0.0, -1.0)],
+    "gs": [-0.0, 0.0, -5e-324, -1.0, math.inf],
+}
+
+
+@st.composite
+def row_runs(draw):
+    """Point rows cut into runs, with the runs' ends: each run's rows in bounds and its times
+    rising, and any step between runs; then a few edge values and equal or falling times,
+    at a run's start or inside it."""
+    runs = draw(st.lists(st.lists(finite(-1e9, 1e9), min_size=1, max_size=5, unique=True)
+                         .map(sorted), max_size=5))
+    rows = [[t, draw(finite(-90.0, 90.0)), draw(finite(-180.0, 180.0)), draw(finite()),
+             draw(finite(0.0, 360.0, exclude_max=True)), draw(finite(0.0))]
+            for times in runs for t in times]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        change = draw(st.sampled_from(["edge", "equal_t", "falling_t"]))
+        if change == "edge":
+            key = draw(st.sampled_from(KEYS))
+            rows[i][KEYS.index(key)] = draw(st.sampled_from(EDGES[key]))
+        elif i > 0:
+            rows[i][0] = rows[i - 1][0] - (0.0 if change == "equal_t" else draw(finite(0.0, 1e6)))
+    ends = list(itertools.accumulate(map(len, runs)))
+    return rows, ends
+
+
+def rows_pass_one_by_one(rows, ends) -> bool:
+    """Whether every row is finite and within _POINT_RULES, and each time after the first
+    of its run is later than the one before: one row at a time."""
+    starts = {0, *ends}
+    for i, row in enumerate(rows):
+        point = dict(zip(KEYS, row))
+        if not all(math.isfinite(v) for v in row):
+            return False
+        for key, (low, high, _) in td._POINT_RULES.items():
+            if not low <= point[key] <= high:
+                return False
+        if i not in starts and not row[0] > rows[i - 1][0]:
+            return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_runs(), st.sampled_from([1, 2, 3, 5, td._CHECK_ROWS]))
+def test_the_row_check_accepts_exactly_what_a_per_row_loop_accepts(runs, block_rows):
+    """With blocks as small as one row, so that block edges meet run edges too."""
+    rows, ends = runs
+    values = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    with mock.patch.object(td, "_CHECK_ROWS", block_rows):
+        checked = td._checked(values, ends)
+    assert checked is (values if rows_pass_one_by_one(rows, ends) else None)
 
 
 # --------------------------------------------------------------------------

@@ -430,6 +430,9 @@ DAMAGE = {
     "lat_out_of_bounds": edited(lambda doc, rows: rows.__setitem__(1, 91.0)),
     "nan_time": edited(lambda doc, rows: rows.__setitem__(0, math.nan)),
     "time_not_increasing": edited(lambda doc, rows: rows.__setitem__(6, rows[0])),
+    # rows 1 -> 2, the last step of the first track, and 3 -> 4, the first of the second
+    "time_equal_at_first_tracks_end": edited(lambda doc, rows: rows.__setitem__(12, rows[6])),
+    "time_equal_at_second_tracks_start": edited(lambda doc, rows: rows.__setitem__(24, rows[18])),
     "nul_in_callsign": edited(set_row(0, "callsign", "a\0b")),
     "lone_surrogate_in_track_id": edited(set_row(0, "track_id", "\ud800")),
     "empty_track_id": edited(set_row(0, "track_id", "")),
@@ -474,6 +477,14 @@ class TestSidecar:
         assert parse.call_count == 3
         assert snapshot(again) == snapshot(first)
         assert sidecar_of(p).read_bytes() == good
+
+    def test_loaded_points_cannot_be_made_writable(self, tmp_path):
+        p = tracks_file(tmp_path)
+        cold, warm = td.load_tracks(p), td.load_tracks(p)
+        assert cold.parsed and not warm.parsed
+        for track in cold.tracks + warm.tracks:
+            with pytest.raises(ValueError):
+                track.points.setflags(write=True)
 
     def test_a_changed_file_is_parsed_again(self, tmp_path):
         p = tracks_file(tmp_path)

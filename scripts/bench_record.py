@@ -98,6 +98,18 @@ def _src_sha256() -> str:
     return h.hexdigest()
 
 
+def provenance() -> dict:
+    """The commit a record was written from, whether a tracked file that its numbers
+    come from differs from that commit, and the source digest.  Those files are the
+    program, the recording scripts, perfbench and the benchmark's declaration."""
+    return {
+        "git_head": _git("rev-parse", "HEAD"),
+        "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no", "--",
+                               "src", "scripts", "perfbench", "BENCHMARK.json")),
+        "src_sha256": _src_sha256(),
+    }
+
+
 # Run in its own process, so this one never loads numpy: a child process starts
 # with its parent's peak RSS as the floor of its own (Linux carries it across
 # exec), and this process's ~10 MB stays below any stage's.
@@ -258,9 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with Reference() as ref:
         record = {
-            "git_head": _git("rev-parse", "HEAD"),
-            "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no", "--", "src")),
-            "src_sha256": _src_sha256(),
+            **provenance(),
             "quick": args.quick,
             "env": ref.info["env"],
             "perfbench": {} if args.quick else record_perfbench(ref),

@@ -1,13 +1,15 @@
-"""Record the default pipeline's quality over five scenario seeds, and over five
-initialisation seeds of one scenario, in a QUALITY_<n>.json file.
+"""Record the default pipeline's quality over a grid of seeded runs, in a
+QUALITY_<n>.json file.
 
-    python3 scripts/quality_record.py QUALITY_23.json
+    python3 scripts/quality_record.py QUALITY_36.json
 
-For synth.seed 1-5 on the default profile ("profiles"), and for autoencoder.seed
-and training.seed both set to 1-5 at synth.seed INIT_SCENARIO_SEED
-("initialisation"), it runs the six CLI stages through scripts/bench_record.py's
-cli_pass, each stage its own process with OPENBLAS_NUM_THREADS=1, and reads back
-from each run:
+GRID names each cell: a config overlay, and the config keys that a run's seed
+sets on top of it.  The "scenario" cell sets synth.seed, so its runs spread
+by scenario; the "initialisation" cell holds the scenario at synth.seed 4 and
+sets autoencoder.seed and training.seed, so its runs spread by model
+initialisation alone.  For each cell and each of SEEDS it runs the six CLI
+stages through scripts/bench_record.py's cli_pass, each stage its own process
+with OPENBLAS_NUM_THREADS=1, and reads back from each run:
 
 - the digests of the seven byte-compared artifacts;
 - mae_threshold, precision, recall and the unclassifiable count;
@@ -18,13 +20,11 @@ from each run:
   accept (the hidden-type set), and fixed-wing tracks.  A track passes when
   it is called a helicopter;
 - the unmatched count;
-- the gate margin: the 5th percentile of fixed-wing MAE over mae_threshold;
-- held_out: null, as the default run gives no track a held-out role.
+- the gate margin: the 5th percentile of fixed-wing MAE over mae_threshold.
 
-Each run names the seed its sweep varies.  The script then gives the median
-and range of each number over the seeds, so the first sweep spreads by scenario
-and the second by model initialisation alone.  It exits 1 when any stage of any
-run fails; the JSON is written either way.
+Each cell then gives the median and range of each number over its seeds.
+The script exits 1 when any stage of any run fails; the JSON is written
+either way.
 """
 
 from __future__ import annotations
@@ -43,10 +43,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
-# The scenario of the initialisation sweep: seed 4 has the largest mae_threshold in QUALITY_22.json.
-INIT_SCENARIO_SEED = 4
-# Profile name -> config file contents; each run sets its sweep's seeds on top.
-PROFILES = {"default": {}}
+# Cell name -> (config overlay, the dotted config keys that each run's seed sets).
+GRID = {
+    "scenario": ({}, ("synth.seed",)),
+    # synth.seed 4 has the largest mae_threshold in QUALITY_22.json
+    "initialisation": ({"synth": {"seed": 4}}, ("autoencoder.seed", "training.seed")),
+}
 
 
 def _load(name: str, path: Path):
@@ -91,7 +93,6 @@ def quality(out_dir: Path) -> dict:
                  "fixed_wing": _pass_rate(fixed_wing)},
         "unmatched": metrics["unmatched"],
         "gate_margin": float(np.percentile(fixed_wing_mae, 5)) / gate if fixed_wing_mae else None,
-        "held_out": None,
     }
 
 
@@ -112,44 +113,39 @@ def spread(values: list) -> dict | None:
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
 
-def scenario_seeded(config: dict, seed: int) -> dict:
-    """config with synth.seed set to seed."""
-    return {**config, "synth": {**config.get("synth", {}), "seed": seed}}
+def overlaid(config: dict, overlay: dict) -> dict:
+    """config with each section of overlay merged over its own."""
+    return {**config, **{name: {**config.get(name, {}), **section}
+                         for name, section in overlay.items()}}
 
 
-def init_seeded(config: dict, seed: int) -> dict:
-    """config at synth.seed INIT_SCENARIO_SEED, with autoencoder.seed and training.seed seed."""
-    return {**scenario_seeded(config, INIT_SCENARIO_SEED),
-            **{section: {**config.get(section, {}), "seed": seed}
-               for section in ("autoencoder", "training")}}
+def seeded(config: dict, seed_keys: tuple[str, ...], seed: int) -> dict:
+    """config with each of seed_keys, a dotted "section.key", set to seed."""
+    for key in seed_keys:
+        section, name = key.split(".")
+        config = overlaid(config, {section: {name: seed}})
+    return config
 
 
-def record(ref, config: dict, seeds=SEEDS, seeded=scenario_seeded) -> dict:
-    """One profile's runs, one per seed, and the spread of each number over them; ref is
-    the bench_record.Reference that cli_pass times the stages against, and seeded(config,
-    seed) gives each run's config."""
+def record(ref, config: dict, seed_keys: tuple[str, ...], seeds=SEEDS) -> dict:
+    """One cell's runs, one per seed, and the spread of each number over them; ref is
+    the bench_record.Reference that cli_pass times the stages against."""
     runs = []
     with tempfile.TemporaryDirectory(prefix="quality_record-") as tmp:
         for seed in seeds:
             out_dir = Path(tmp) / str(seed)
-            cli = bench.cli_pass(ref, seeded(config, seed), out_dir)
+            cli = bench.cli_pass(ref, seeded(config, seed_keys, seed), out_dir)
             complete = [s["exit"] for s in cli["stages"].values()] == [0] * len(bench.STAGES)
             runs.append({"seed": seed, "correct": complete, "digests": cli["digests"],
                          **(quality(out_dir) if complete else {})})
     done = [_flat(r) for r in runs if r["correct"]]
     return {
         "config": config,
+        "seed_keys": list(seed_keys),
         "correct": all(r["correct"] for r in runs),
         "seeds": runs,
         "summary": {name: spread([d[name] for d in done]) for name in done[0]} if done else {},
     }
-
-
-def initialisation(ref, seeds=SEEDS) -> dict:
-    """Each profile's runs at synth.seed INIT_SCENARIO_SEED, one per initialisation seed."""
-    return {"synth_seed": INIT_SCENARIO_SEED,
-            "profiles": {name: record(ref, config, seeds, init_seeded)
-                         for name, config in PROFILES.items()}}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,17 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("out", type=Path, help="the JSON file to write")
     args = parser.parse_args(argv)
     with bench.Reference() as ref:
-        out = {
-            "git_head": bench._git("rev-parse", "HEAD"),
-            "git_dirty": bool(bench._git("status", "--porcelain", "--untracked-files=no", "--",
-                                         "src")),
-            "src_sha256": bench._src_sha256(),
-            "env": ref.info["env"],
-            "profiles": {name: record(ref, config) for name, config in PROFILES.items()},
-            "initialisation": initialisation(ref),
-        }
-    out["correct"] = all(p["correct"] for sweep in (out, out["initialisation"])
-                         for p in sweep["profiles"].values())
+        out = {**bench.provenance(), "env": ref.info["env"],
+               "cells": {name: record(ref, config, seed_keys)
+                         for name, (config, seed_keys) in GRID.items()}}
+    out["correct"] = all(cell["correct"] for cell in out["cells"].values())
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}: correct {str(out['correct']).lower()}")
     return 0 if out["correct"] else 1

@@ -3,6 +3,7 @@ scenario at 2 epochs, no perfbench.  It checks the record's shape, never its tim
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,24 @@ def test_metrics_are_summarised_over_the_runs_with_their_units(recorder):
         "a_us": {"median": 2.0, "iqr": 1.0, "n": 3, "unit": "us"},
         "calls": {"median": 4.0, "iqr": 0.0, "n": 2, "unit": "count"},
     }
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_dirty_covers_every_tracked_file_a_record_reads(recorder, tmp_path, monkeypatch):
+    read = ("src/a.py", "scripts/b.py", "perfbench/c.py", "BENCHMARK.json")
+    for name in (*read, "README.md"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("0\n", encoding="utf-8")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-qm", "records read these"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+    monkeypatch.setattr(recorder, "ROOT", tmp_path)
+    assert recorder.provenance()["git_dirty"] is False
+    for name in (*read, "README.md"):
+        (tmp_path / name).write_text("1\n", encoding="utf-8")
+        assert recorder.provenance()["git_dirty"] is (name in read), name
+        subprocess.run([*git, "checkout", "-q", "--", name], check=True)
 
 
 def test_quick_record_has_the_schema(recorder, tmp_path):

@@ -658,9 +658,9 @@ class TestCallerConfigs:
         configs = [(f"bench_record {name}", config)
                    for scenarios in (bench.SCENARIOS, bench.QUICK_SCENARIOS)
                    for name, (config, _) in scenarios.items()]
-        configs += [(f"quality_record {seeded.__name__} {name} {seed}", seeded(config, seed))
-                    for name, config in quality.PROFILES.items() for seed in quality.SEEDS
-                    for seeded in (quality.scenario_seeded, quality.init_seeded)]
+        configs += [(f"quality_record {name} {seed}", quality.seeded(config, seed_keys, seed))
+                    for name, (config, seed_keys) in quality.GRID.items()
+                    for seed in quality.SEEDS]
         for doc, count in ((".github/workflows/tier1.yml", 3), ("README.md", 2)):
             echoed = re.findall(r"echo '(\{.*?\})' >", (ROOT / doc).read_text(encoding="utf-8"),
                                 re.DOTALL)

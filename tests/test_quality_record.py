@@ -1,5 +1,5 @@
 """Smoke test of scripts/quality_record.py: one seed of a 40/8/8 scenario at 2 epochs, in
-each of its two sweeps.  It checks the record's shape, never its quality values."""
+each cell of its grid.  It checks the record's shape, never its quality values."""
 
 import importlib.util
 from pathlib import Path
@@ -11,27 +11,47 @@ SPREAD = {"median", "min", "max"}
 SMALL = {"synth": {"helicopters": 40, "ga": 8, "commercial": 8}, "training": {"epochs": 2}}
 
 
-@pytest.fixture(scope="module")
-def recorder():
+def _load():
     spec = importlib.util.spec_from_file_location("quality_record", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def test_spread_is_median_and_range_of_the_known_values(recorder):
+recorder = _load()
+
+
+def test_spread_is_median_and_range_of_the_known_values():
     assert recorder.spread([3.0, None, 1.0, 2.0]) == {"median": 2.0, "min": 1.0, "max": 3.0}
     assert recorder.spread([None]) is None
 
 
-def assert_record_schema(recorder, record, config):
-    """A one-seed record of config, with seed 1, in the schema of every sweep."""
-    assert set(record) == {"config", "correct", "seeds", "summary"}
+def _dotted(config: dict) -> dict:
+    return {f"{section}.{key}": value
+            for section, values in config.items() for key, value in values.items()}
+
+
+@pytest.mark.parametrize("cell", recorder.GRID)
+def test_a_run_config_differs_from_its_cell_config_only_in_the_seed_keys(cell):
+    overlay, seed_keys = recorder.GRID[cell]
+    for base in ({}, SMALL):
+        config = recorder.overlaid(base, overlay)
+        assert _dotted(config) == {**_dotted(base), **_dotted(overlay)}
+        before = _dotted(config)
+        run = recorder.seeded(config, seed_keys, 3)
+        assert _dotted(config) == before   # the cell's config is left as it was
+        assert _dotted(run) == {**before, **{key: 3 for key in seed_keys}}
+
+
+def assert_record_schema(record, config, seed_keys):
+    """A one-seed record of config, with seed 1, in the schema of every cell."""
+    assert set(record) == {"config", "seed_keys", "correct", "seeds", "summary"}
     assert record["config"] == config and record["correct"] is True
+    assert record["seed_keys"] == list(seed_keys)
     [run] = record["seeds"]
     assert set(run) == {"seed", "correct", "digests", "mae_threshold", "precision", "recall",
-                        "unclassifiable", "pass", "unmatched", "gate_margin", "held_out"}
-    assert run["seed"] == 1 and run["correct"] is True and run["held_out"] is None
+                        "unclassifiable", "pass", "unmatched", "gate_margin"}
+    assert run["seed"] == 1 and run["correct"] is True
     assert set(run["digests"]) == set(recorder.bench.BYTE_COMPARED)
     assert set(run["pass"]) == {"typed_helicopters", "hidden_type_helicopters", "fixed_wing"}
     for rate in run["pass"].values():
@@ -48,22 +68,10 @@ def assert_record_schema(recorder, record, config):
         assert spread is None or set(spread) == SPREAD, name
 
 
-def test_one_seed_record_has_the_schema(recorder):
+@pytest.mark.parametrize("cell", recorder.GRID)
+def test_one_seed_of_a_cell_has_the_schema(cell):
+    overlay, seed_keys = recorder.GRID[cell]
+    config = recorder.overlaid(SMALL, overlay)
     with recorder.bench.Reference() as ref:
-        record = recorder.record(ref, SMALL, seeds=(1,))
-    assert_record_schema(recorder, record, SMALL)
-
-
-def test_the_initialisation_sweep_sets_only_the_model_seeds_on_its_scenario(recorder):
-    assert recorder.init_seeded(SMALL, 3) == {
-        "synth": {**SMALL["synth"], "seed": recorder.INIT_SCENARIO_SEED},
-        "autoencoder": {"seed": 3}, "training": {**SMALL["training"], "seed": 3}}
-
-
-def test_the_initialisation_block_has_the_schema(recorder, monkeypatch):
-    monkeypatch.setattr(recorder, "PROFILES", {"small": SMALL})
-    with recorder.bench.Reference() as ref:
-        block = recorder.initialisation(ref, seeds=(1,))
-    assert set(block) == {"synth_seed", "profiles"} and block["synth_seed"] == 4
-    assert set(block["profiles"]) == {"small"}
-    assert_record_schema(recorder, block["profiles"]["small"], SMALL)
+        record = recorder.record(ref, config, seed_keys, seeds=(1,))
+    assert_record_schema(record, config, seed_keys)

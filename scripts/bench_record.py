@@ -90,23 +90,32 @@ def _git(*args: str) -> str | None:
         return None
 
 
-def _src_sha256() -> str:
-    """One digest of every source file's path and bytes, naming the code measured."""
+# What a record's numbers come from: the program, the recording scripts and
+# perfbench, and the benchmark's declaration.
+CODE_DIRS = ("src", "scripts", "perfbench")
+DECLARATION = "BENCHMARK.json"
+
+
+def _sha256(paths) -> str:
+    """One digest of the files' paths and bytes, as they are on disk."""
     h = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*.py")):
+    for path in sorted(paths):
         h.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 
 def provenance() -> dict:
-    """The commit a record was written from, whether a tracked file that its numbers
-    come from differs from that commit, and the source digest.  Those files are the
-    program, the recording scripts, perfbench and the benchmark's declaration."""
+    """The commit a record was written from, whether a file that its numbers come
+    from differs from that commit or is untracked, and two digests: src_sha256 of
+    the program's sources, as older records have it, and code_sha256 of every
+    Python file under CODE_DIRS plus the declaration, naming all the code run."""
+    code = [path for name in CODE_DIRS for path in (ROOT / name).rglob("*.py")]
     return {
         "git_head": _git("rev-parse", "HEAD"),
-        "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no", "--",
-                               "src", "scripts", "perfbench", "BENCHMARK.json")),
-        "src_sha256": _src_sha256(),
+        "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=all", "--",
+                               *CODE_DIRS, DECLARATION)),
+        "src_sha256": _sha256((ROOT / "src").rglob("*.py")),
+        "code_sha256": _sha256([*code, ROOT / DECLARATION]),
     }
 
 

@@ -329,7 +329,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             batch_losses.append(loss)
             _backward(model, cache, nn.mae_grad(batch, rec), ws)
-            nn.adam_step(flat, ws.grad, state, ws)
+            nn.adam_step(flat, ws.grad, state)
         val_mae = nn.mae(val, _forward(model, val, ws=ws))
         if not np.isfinite(val_mae):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")

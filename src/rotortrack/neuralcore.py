@@ -17,12 +17,11 @@ scatter-added.
 Every pass takes an optional ``Workspace``: the arrays a pass writes
 (padding, im2col rows, GEMM output, layer outputs and gradients)
 then come from the workspace and are reused from one training step to the
-next.  A convolution's backward reads the im2col rows its forward kept
-there, and skips its input gradient on request (a first layer's input
-needs none).  Without one (inference, as in every batch-1 ``reconstruct``)
-a pass builds only the arrays its products read: a zero-filled padding,
-one copy of the im2col rows, and no bias block.  Both ways hand each
-``np.matmul`` the same operands, so they give the same bits.
+next.  A convolution's backward skips its input gradient on request (a
+first layer's input needs none).  Without one (inference, as in every
+batch-1 ``reconstruct``) a pass builds only the arrays its products read:
+a zero-filled padding and one copy of the im2col rows.  Both ways hand
+each ``np.matmul`` the same operands, so they give the same bits.
 
 Layers are built in the dtype given to their ``init`` (float64 by
 default), and every array a pass writes takes that dtype: an input of
@@ -64,11 +63,9 @@ class Workspace:
     small, so arrays sized by the largest batch serve every shorter one.  A
     key is a role (one array shared by every layer, for a temporary that no
     longer matters once the pass returns: a padded input "pad", its im2col
-    rows "cols", a product "gemm" and a conv's bias block "bias") or a
-    (layer id, role) pair (a layer's output, which backward still reads, its
-    input gradient, which the backward pass below it reads, or a
-    convolution's im2col rows, which its backward reuses while ``unfolded``
-    names the input they came from).
+    rows "cols" and a product "gemm") or a (layer id, role) pair (a layer's
+    output "out", which backward still reads, or its input gradient "grad",
+    which the backward pass below it reads).
 
     ``grad`` is one flat gradient vector laid out like ``flatten``'s
     parameter vector for the same layers; each layer's backward writes its
@@ -80,7 +77,6 @@ class Workspace:
                              dtype=layers[0].w.dtype)
         self.grads = {id(layer): views for layer, views in zip(layers, _split(self.grad, layers))}
         self.arrays: dict = {}
-        self.unfolded: dict = {}   # id of a conv layer -> (its last input, that input's rows)
 
     def take(self, key, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -186,10 +182,10 @@ class _ConvLayer:
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
 
     def _im2col(self, x: np.ndarray, lead: int, steps: int, k: int, s: int, n: int,
-                ws: "Workspace | None", key="cols") -> np.ndarray:
+                ws: "Workspace | None") -> np.ndarray:
         """The C-contiguous (batch * n, k * channels) rows of _unfold(xp, k, s, n), xp
         being x zero-padded to steps steps, lead of them before x.  With a workspace
-        both go to its arrays ("pad" and key), whose margins alone are zeroed;
+        both go to its arrays ("pad" and "cols"), whose margins alone are zeroed;
         without one they are new arrays."""
         batch, length, c = x.shape
         if ws is None:
@@ -202,26 +198,15 @@ class _ConvLayer:
         rows = _unfold(xp, k, s, n)
         if ws is None:   # a copy, unless the windows tile xp: overlapping rows are no BLAS operand
             return np.ascontiguousarray(rows).reshape(batch * n, -1)
-        cols = ws.take(key, (batch * n, rows.shape[2]))
+        cols = ws.take("cols", (batch * n, rows.shape[2]))
         cols.reshape(rows.shape)[...] = rows
         return cols
 
-    def _rows(self, long: np.ndarray, n: int, ws: "Workspace | None", key="cols") -> np.ndarray:
+    def _rows(self, long: np.ndarray, n: int, ws: "Workspace | None") -> np.ndarray:
         """Long to short: the (batch * n, kernel_size * channels) im2col rows of the
-        padded long side, written to the workspace's array under key."""
+        padded long side."""
         k = self.kernel_size
-        return self._im2col(long, (k - 1) // 2, long.shape[1] + k - 1, k, self.stride, n, ws, key)
-
-    def _add_bias(self, y: np.ndarray, out: np.ndarray, ws: "Workspace | None") -> np.ndarray:
-        """y plus the bias, written to out.  With a workspace the bias is laid out as a
-        (length, c_out) block, so that the add runs over contiguous rows of
-        length * c_out values, not c_out at a time; without one it is broadcast, as
-        building the block costs a batch-1 add more than it saves."""
-        if ws is None:
-            return np.add(y, self.b, out=out)
-        bias = ws.take("bias", y.shape[1:])
-        bias[...] = self.b
-        return np.add(y, bias, out=out)
+        return self._im2col(long, (k - 1) // 2, long.shape[1] + k - 1, k, self.stride, n, ws)
 
     def _spread(self, short: np.ndarray, taps: np.ndarray, length: int,
                 ws: "Workspace | None") -> np.ndarray:
@@ -269,21 +254,17 @@ class Conv1DLayer(_ConvLayer):
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "Conv1DLayer.forward")
         n = self.out_length(x.shape[1])
-        cols = self._rows(x, n, ws, (id(self), "cols"))
-        if ws is not None:
-            ws.unfolded[id(self)] = (x, cols)
+        cols = self._rows(x, n, ws)
         out = _layer_array(self, ws, "out", (x.shape[0], n, self.c_out))
         np.matmul(cols.reshape(x.shape[0], n, -1), self.w.reshape(-1, self.c_out), out=out)
-        return self._add_bias(out, out, ws)
+        return np.add(out, self.b, out=out)
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None,
                  input_grad: bool = True):
         """Gradients for inputs (None unless input_grad), weights, and bias given upstream grad_out."""
         _check_tensor3(x, self.c_in, "Conv1DLayer.backward")
         self._check_grad_out(x, grad_out)
-        source, cols = (None, None) if ws is None else ws.unfolded.get(id(self), (None, None))
-        if source is not x:
-            cols = self._rows(x, grad_out.shape[1], ws)
+        cols = self._rows(x, grad_out.shape[1], ws)
         g = grad_out.reshape(-1, self.c_out)
         grad_w, grad_b = _param_grads(self, ws)
         np.matmul(cols.T, g, out=grad_w.reshape(cols.shape[1], -1))
@@ -310,7 +291,7 @@ class ConvTranspose1DLayer(_ConvLayer):
     def forward(self, x: np.ndarray, ws: "Workspace | None" = None) -> np.ndarray:
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.forward")
         full = self._spread(x, self.w, self.out_length(x.shape[1]), ws)
-        return self._add_bias(full, _layer_array(self, ws, "out", full.shape), ws)
+        return np.add(full, self.b, out=_layer_array(self, ws, "out", full.shape))
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.backward")
@@ -416,15 +397,11 @@ def adam_init(params: np.ndarray) -> AdamState:
     return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              ws: "Workspace | None" = None) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to the parameter vector in place.
 
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         p <- p - ADAM_LR * m_hat / (sqrt(v_hat) + eps)
-
-    Its two temporaries come from a workspace's step-local arrays when one
-    is given, as no pass is running between a step's backward and this.
     """
     if grads.shape != params.shape or state.m.shape != params.shape:
         raise ShapeMismatch(f"gradient {grads.shape} and state {state.m.shape} do not match "
@@ -434,8 +411,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
-    step = _buffer(ws, "cols", params.shape, params.dtype)
-    denom = _buffer(ws, "gemm", params.shape, params.dtype)
+    step, denom = np.empty_like(params), np.empty_like(params)
     np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
     m *= ADAM_BETA1
     m += step

@@ -319,6 +319,14 @@ class TestWorkspace:
         assert (second, "grad") in spaces[0].arrays
         assert (first, "grad") not in spaces[0].arrays
 
+    def test_holds_only_the_arrays_a_step_reuses(self, spaces):
+        """The shared temporaries, and each layer's output and input gradient."""
+        model = ae.build(SMALL_SPEC)
+        ae.train(model, sine_windows(36, seed=5), SHORT_BATCHES)
+        shared = {"pad", "cols", "gemm"}
+        per_layer = {(id(stage.layer), role) for stage in model.stages for role in ("out", "grad")}
+        assert shared <= set(spaces[0].arrays) <= shared | per_layer
+
     def test_a_default_step_on_stale_work_arrays_matches_one_without_a_workspace(self):
         model = ae.build(ae.AutoencoderSpec())
         batch = np.random.default_rng(8).normal(size=(32, td.WINDOW_LEN, td.FEATURE_COUNT))
@@ -329,7 +337,7 @@ class TestWorkspace:
             rec = ae._forward(model, batch, cache, ws)
             return ae._backward(model, cache, nn.mae_grad(batch, rec), ws)
         step(ws)
-        for a in ws.arrays.values():   # padding margins and kept rows must not leak in
+        for a in ws.arrays.values():   # stale padding margins and work arrays must not leak in
             a.fill(np.nan)
         step(ws)
         alone = np.concatenate([g.ravel() for g in step(None)])

@@ -44,10 +44,16 @@ def test_metrics_are_summarised_over_the_runs_with_their_units(recorder):
     }
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_git_dirty_covers_every_tracked_file_a_record_reads(recorder, tmp_path, monkeypatch):
-    read = ("src/a.py", "scripts/b.py", "perfbench/c.py", "BENCHMARK.json")
-    for name in (*read, "README.md"):
+READ = ("src/a.py", "scripts/b.py", "perfbench/c.py", "BENCHMARK.json")
+
+
+@pytest.fixture
+def scratch(recorder, tmp_path, monkeypatch):
+    """A committed repository of the files a record reads and a README, as the recorder's
+    ROOT; returns the git command line that works in it."""
+    if shutil.which("git") is None:
+        pytest.skip("needs git")
+    for name in (*READ, "README.md"):
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_text("0\n", encoding="utf-8")
     git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
@@ -55,11 +61,33 @@ def test_git_dirty_covers_every_tracked_file_a_record_reads(recorder, tmp_path, 
     for args in (["init", "-q"], ["add", "."], ["commit", "-qm", "records read these"]):
         subprocess.run([*git, *args], check=True, capture_output=True)
     monkeypatch.setattr(recorder, "ROOT", tmp_path)
+    return git
+
+
+def test_git_dirty_covers_every_tracked_file_a_record_reads(recorder, scratch, tmp_path):
     assert recorder.provenance()["git_dirty"] is False
-    for name in (*read, "README.md"):
+    for name in (*READ, "README.md"):
         (tmp_path / name).write_text("1\n", encoding="utf-8")
-        assert recorder.provenance()["git_dirty"] is (name in read), name
-        subprocess.run([*git, "checkout", "-q", "--", name], check=True)
+        assert recorder.provenance()["git_dirty"] is (name in READ), name
+        subprocess.run([*scratch, "checkout", "-q", "--", name], check=True)
+    # an untracked script is code a record may have run, so it counts too
+    clean = recorder.provenance()
+    (tmp_path / "scripts" / "x.py").write_text("0\n", encoding="utf-8")
+    untracked = recorder.provenance()
+    assert untracked["git_dirty"] is True
+    assert untracked["code_sha256"] != clean["code_sha256"]
+    assert untracked["src_sha256"] == clean["src_sha256"]
+
+
+def test_code_digest_covers_every_file_a_record_reads(recorder, scratch, tmp_path):
+    """code_sha256 changes with any file a record reads; src_sha256 with the sources only."""
+    clean = recorder.provenance()
+    for name in (*READ, "README.md"):
+        (tmp_path / name).write_text("1\n", encoding="utf-8")
+        edited = recorder.provenance()
+        assert (edited["code_sha256"] != clean["code_sha256"]) is (name in READ), name
+        assert (edited["src_sha256"] != clean["src_sha256"]) is name.startswith("src/"), name
+        subprocess.run([*scratch, "checkout", "-q", "--", name], check=True)
 
 
 def test_quick_record_has_the_schema(recorder, tmp_path):
@@ -69,11 +97,11 @@ def test_quick_record_has_the_schema(recorder, tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text(encoding="utf-8"))
 
-    assert set(record) == {"git_head", "git_dirty", "src_sha256", "quick", "env", "perfbench",
-                           "cli", "reference_s", "correct"}
+    assert set(record) == {"git_head", "git_dirty", "src_sha256", "code_sha256", "quick", "env",
+                           "perfbench", "cli", "reference_s", "correct"}
     assert record["quick"] is True and record["correct"] is True
     assert record["perfbench"] == {}
-    assert len(record["src_sha256"]) == 64
+    assert len(record["src_sha256"]) == len(record["code_sha256"]) == 64
     assert set(record["env"]) == {"python", "numpy", "blas", "blas_threads", "nproc"}
     assert is_summary({k: v for k, v in record["reference_s"].items() if k != "fast_phase"},
                       len(recorder.TIMED) + 1)   # one time before the first stage, one after each

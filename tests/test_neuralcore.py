@@ -139,7 +139,8 @@ class TestConvTranspose1DForward:
 
 
     def test_bias_add_matches_a_broadcast_add_bit_for_bit(self):
-        """Both conv layers add the bias through a (length, c_out) block."""
+        """With or without a workspace, both conv layers' outputs are the bytes of their
+        product plus a broadcast bias."""
         for k, stride, c_in, c_out, n_in, batch, rng in geometry_cases():
             for cls in (nn.Conv1DLayer, nn.ConvTranspose1DLayer):
                 layer = cls.init(rng, k, stride, c_in, c_out)
@@ -180,49 +181,15 @@ class TestAdjointIdentity:
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
-class TestKeptRows:
-    """A convolution's backward reuses its forward's im2col rows only for the same input."""
-
-    @pytest.fixture
-    def case(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16)
-        x, other = rng.normal(size=(2, 4, 100, 6))
-        grad_out = rng.normal(size=(4, 50, 16))
-        unfolds = []   # long-side unfolds only: the input gradient unfolds grad_out at step 1
-        unfold = nn._unfold
-
-        def spy(xp, k, s, n):
-            if s == conv.stride:
-                unfolds.append(xp.shape)
-            return unfold(xp, k, s, n)
-        monkeypatch.setattr(nn, "_unfold", spy)
-        return conv, x, other, grad_out, unfolds
-
-    def test_backward_on_the_forward_input_reuses_its_rows(self, case):
-        conv, x, _, grad_out, unfolds = case
-        ws = nn.Workspace([conv])
-        conv.forward(x, ws)
-        got = [a.copy() for a in conv.backward(x, grad_out, ws)]
-        assert len(unfolds) == 1
-        for a, b in zip(got, conv.backward(x, grad_out)):
-            assert a.tobytes() == b.tobytes()
-
-    def test_backward_on_another_input_unfolds_it(self, case):
-        conv, x, other, grad_out, unfolds = case
-        ws = nn.Workspace([conv])
-        conv.forward(x, ws)
-        got = [a.copy() for a in conv.backward(other, grad_out, ws)]
-        assert len(unfolds) == 2
-        for a, b in zip(got, conv.backward(other, grad_out)):
-            assert a.tobytes() == b.tobytes()
-
-    def test_input_gradient_is_skipped_on_request(self, case):
-        conv, x, _, grad_out, _ = case
-        grad_x, grad_w, grad_b = conv.backward(x, grad_out, input_grad=False)
-        full = conv.backward(x, grad_out)
-        assert grad_x is None
-        assert grad_w.tobytes() == full[1].tobytes() and grad_b.tobytes() == full[2].tobytes()
+def test_input_gradient_is_skipped_on_request():
+    rng = np.random.default_rng(5)
+    conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16)
+    x = rng.normal(size=(4, 100, 6))
+    grad_out = rng.normal(size=(4, 50, 16))
+    grad_x, grad_w, grad_b = conv.backward(x, grad_out, input_grad=False)
+    full = conv.backward(x, grad_out)
+    assert grad_x is None
+    assert grad_w.tobytes() == full[1].tobytes() and grad_b.tobytes() == full[2].tobytes()
 
 
 # (layer class, geometry, input length) of the shipped model's six layers

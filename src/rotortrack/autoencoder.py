@@ -400,7 +400,7 @@ def load(path) -> ModelParams:
         header = json.loads(body[pos:pos + header_len].decode("utf-8"))
         spec = AutoencoderSpec.from_dict(header["spec"])
         layout = _layout(spec)
-    except (KeyError, TypeError, ValueError, OverflowError, SpecError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError, SpecError) as e:
         raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
 
     # The spec fixes every array's size, so the file must hold exactly those bytes.

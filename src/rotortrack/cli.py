@@ -210,6 +210,8 @@ def _read_json_object(path: Path, numbers: tuple[str, ...] = (),
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as e:
         raise CliError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise CliError(f"{path} is not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path} must hold a JSON object, not {type(doc).__name__}")
     for key in numbers:

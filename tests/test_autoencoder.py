@@ -488,10 +488,11 @@ class TestModelContainer:
         lambda h: b"[1, 2]",
         lambda h: b"{not json",
         lambda h: b"\xff\xfe",
+        lambda h: b"[" * 100000 + b"]" * 100000,
     ], ids=["no_norm_flag", "no_dtype", "no_spec_key", "bad_dtype", "norm_flag_not_bool",
             "norm_flag_false",
             "spec_not_object", "infinite_size", "huge_latent_dim", "huge_input_and_stride",
-            "header_not_object", "bad_json", "bad_utf8"])
+            "header_not_object", "bad_json", "bad_utf8", "nested_too_deeply"])
     def test_checksum_valid_malformed_header_is_format_error(self, tmp_path, header_edit):
         path = tmp_path / "model.rtae"
         ae.save(trained_small_model(), path)

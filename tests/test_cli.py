@@ -187,6 +187,13 @@ class TestCliBehavior:
         bad.write_text("{not json")
         assert run("--out-dir", str(tmp_path), "--config", str(bad), "synth") == 1
 
+    def test_nested_config_fails_naming_the_file(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        assert run("--out-dir", str(tmp_path), "--config", str(deep), "synth") == 1
+        assert "deep.json is not valid JSON: nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "tracks.jsonl").exists()
+
     def test_config_seed_changes_the_scenario(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -431,8 +438,9 @@ class TestMalformedJsonInputs:
         '{"mae_threshold": 1' + "0" * 400 + ', "percentile": 80, "runway_score_threshold": 0.5}',
         '{"mae_threshold": 0.3, "percentile": 80, "runway_score_threshold": 0.5, '
         '"runway_score_gate": 0.9}',
+        "[" * 200000 + "]" * 200000,
     ], ids=["missing_key", "not_an_object", "non_numeric", "out_of_range", "bad_json",
-            "huge_integer", "unknown_key"])
+            "huge_integer", "unknown_key", "nested_too_deeply"])
     def test_malformed_thresholds_exit_1_naming_the_file(self, pipeline, tmp_path, capsys,
                                                          command, text):
         work = copy_inputs(pipeline, tmp_path / "th", self.INPUTS)
@@ -461,6 +469,13 @@ class TestMalformedJsonInputs:
         err = capsys.readouterr().err
         assert "metrics.json" in err
         assert "'recal'" in err or "recal" not in metrics
+
+    def test_nested_metrics_exit_1_naming_the_file(self, pipeline, tmp_path, capsys):
+        # json.dumps cannot write a document this deep, so the text is written as it is
+        work = copy_inputs(pipeline, tmp_path / "deep", self.INPUTS)
+        (work / "metrics.json").write_text("[" * 200000 + "]" * 200000)
+        assert run("--out-dir", str(work), "report") == 1
+        assert "metrics.json is not valid JSON: nested too deeply" in capsys.readouterr().err
 
     def test_metrics_with_undefined_ratios_still_report(self, pipeline, tmp_path):
         work = copy_inputs(pipeline, tmp_path / "none", self.INPUTS)

@@ -1,7 +1,9 @@
-"""Synthetic arrival scenarios: determinism, geometry guarantees, the files synth writes."""
+"""Synthetic arrival scenarios: determinism, track geometry, the files synth writes."""
 
 import dataclasses
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +16,19 @@ from rotortrack import validate as va
 
 SPEC = sg.ScenarioSpec(seed=11, helicopters=24, ga=16, commercial=16)
 
+# Helicopters never enter this box around the final approach course, and
+# never come closer to the threshold than the ring below.  Together these
+# keep every helicopter's runway score under the default gate.
+_CORRIDOR_HALF_WIDTH_FT = 900.0
+_CORRIDOR_ALONG_NM = (-5.5, 3.5)
+_HELI_MIN_THRESHOLD_NM = 0.85
+
+# Every track has at least MIN_POINTS points, and its closest approach to the
+# threshold is at index MIN_CLOSEST or later, within its last TAIL_WINDOW points.
+MIN_POINTS = 130
+MIN_CLOSEST = 110
+TAIL_WINDOW = 20
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -23,6 +38,18 @@ def scenario():
 def tracks_of(scenario, cls):
     labels = dict(scenario.labels)
     return [t for t in scenario.tracks if labels[t.track_id] == cls]
+
+
+def in_corridor(east_m, north_m, runway):
+    lo, hi = _CORRIDOR_ALONG_NM
+    along, cross = sg._along_cross_nm(east_m, north_m, runway)
+    return abs(cross) * sg.NM_TO_M / sg.FT_TO_M < _CORRIDOR_HALF_WIDTH_FT and lo < along < hi
+
+
+def assert_shape(n_points, closest):
+    assert n_points >= MIN_POINTS
+    assert closest >= MIN_CLOSEST
+    assert closest >= n_points - TAIL_WINDOW
 
 
 class TestDeterminism:
@@ -36,6 +63,13 @@ class TestDeterminism:
     def test_different_seed_changes_tracks(self, scenario):
         other = sg.generate(sg.ScenarioSpec(seed=12, helicopters=2, ga=0, commercial=0))
         assert td.track_to_json(other.tracks[0]) != td.track_to_json(scenario.tracks[0])
+
+    def test_default_scenario_matches_the_recorded_digest(self, tmp_path):
+        # the default tracks.jsonl (BENCH_35.json, cli.default), which every default run reads
+        p = tmp_path / "tracks.jsonl"
+        td.save_tracks(sg.generate(sg.ScenarioSpec()).tracks, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "62ea57f6807fffd3c0809ff492c38c9adae9a3cfe076d92b14fd3cea97073ff8")
 
     def test_helicopter_streams_are_stable_under_counts(self, scenario):
         # fewer helicopters must not change the ones that remain; later
@@ -64,6 +98,25 @@ class TestShape:
         assert res.rejects == []
         assert len(res.tracks) == len(scenario.tracks)
 
+    def test_every_track_is_long_and_ends_at_its_closest_approach(self, scenario):
+        for t in scenario.tracks:
+            assert_shape(len(t.points), td.closest_approach_index(t, scenario.runway)[0])
+
+    @pytest.mark.parametrize("cls", td.TRACK_CLASSES)
+    def test_every_flier_keeps_its_shape_over_many_streams(self, cls):
+        # each class's flier alone, on the streams generate would give it for
+        # seeds 1-3 and every 50th index; helicopters also keep their clearances
+        code, fly, _, _ = sg._CLASSES[cls]
+        for seed in (1, 2, 3):
+            for i in range(0, 1000, 50):
+                samples = fly(np.random.default_rng([seed, sg._STREAM_DOMAIN, code, i]))
+                dists = [math.hypot(s.east, s.north) / sg.NM_TO_M for s in samples]
+                assert_shape(len(samples), dists.index(min(dists)))
+                if cls == td.CLASS_HELICOPTER:
+                    assert min(dists) >= _HELI_MIN_THRESHOLD_NM
+                    assert not any(in_corridor(s.east, s.north, sg.DEFAULT_RUNWAY)
+                                   for s in samples)
+
     def test_every_track_yields_an_arrival_window(self, scenario):
         for t in scenario.tracks:
             win = td.window_arrival(t, scenario.runway)
@@ -79,20 +132,16 @@ class TestHelicopterGeometry:
         for t in tracks_of(scenario, td.CLASS_HELICOPTER):
             closest = min(td.threshold_distance_nm(p, scenario.runway)
                           for p in t.points)
-            assert closest >= sg._HELI_MIN_THRESHOLD_NM
+            assert closest >= _HELI_MIN_THRESHOLD_NM
 
     def test_stays_out_of_the_approach_corridor(self, scenario):
-        lo, hi = sg._CORRIDOR_ALONG_NM
         for t in tracks_of(scenario, td.CLASS_HELICOPTER):
             for p in t.points:
                 east, north = td.en_offset_km(p.lat, p.lon,
                                               scenario.runway.threshold_lat,
                                               scenario.runway.threshold_lon)
-                along, cross = sg._along_cross_nm(east * 1000.0, north * 1000.0,
-                                                  scenario.runway)
-                inside = (abs(cross) * sg.NM_TO_M / sg.FT_TO_M < sg._CORRIDOR_HALF_WIDTH_FT
-                          and lo < along < hi)
-                assert not inside, f"{t.track_id} entered the corridor"
+                assert not in_corridor(east * 1000.0, north * 1000.0, scenario.runway), \
+                    f"{t.track_id} entered the corridor"
 
     def test_helicopter_scores_stay_under_the_gate(self, scenario):
         for t in tracks_of(scenario, td.CLASS_HELICOPTER):

@@ -7,6 +7,7 @@ plain Adam on mean absolute reconstruction error with a validation split
 and early stopping, fully deterministic for a fixed seed.  A training run
 keeps every parameter in one flat vector, updated by one Adam step per
 batch, and writes every pass's arrays into one reused nn.Workspace.
+Inference scores one window per call, never a merged batch.
 
 The architecture is one layer plan worked out from the spec by arithmetic
 alone: the stages ``enc0..``, ``enc_dense``, ``dec_dense``, ``dec0..`` in
@@ -253,21 +254,17 @@ def _backward(model: ModelParams, cache: dict, grad_out: np.ndarray,
 
 
 def reconstruct(model: ModelParams, window_values: np.ndarray) -> np.ndarray:
-    """Autoencoder reconstruction of one normalized window (or a batch)."""
+    """Reconstruction of exactly one normalized window; a merged stack changes the last bits."""
     v = np.asarray(window_values, dtype=model.spec.dtype)
     shape = (model.spec.input_len, model.spec.n_features)
-    if v.ndim not in (2, 3) or v.shape[-2:] != shape:
-        raise AutoencoderError(f"expected windows shaped {shape}, got {v.shape}")
-    out = _forward(model, v[np.newaxis] if v.ndim == 2 else v)
-    return out[0] if v.ndim == 2 else out
+    if v.shape != shape:
+        raise AutoencoderError(f"expected one window shaped {shape}, got {v.shape}")
+    return _forward(model, v[np.newaxis])[0]
 
 
 def reconstruction_error(model: ModelParams, window_values: np.ndarray) -> float:
     """MAE between a normalized window and its reconstruction."""
-    x = np.asarray(window_values)
-    if x.ndim != 2:
-        raise AutoencoderError("reconstruction_error takes a single window")
-    return nn.mae(x, reconstruct(model, x))
+    return nn.mae(window_values, reconstruct(model, window_values))
 
 
 @dataclass(slots=True)

@@ -9,6 +9,7 @@ how close a track came to either gate.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,11 +98,16 @@ def decide(track_id: str, mae_value: float, score: float, thresholds: Thresholds
 
 
 def _window_mae(model: ae.ModelParams, track: td.Track, runway: td.Runway) -> float:
-    """Window, normalize and reconstruct one track; a WindowingError passes through."""
+    """Window, normalize and reconstruct one track; a WindowingError passes through, and a
+    finite window whose error overflows is an IdentifyError naming the track."""
     if model.norm_stats is None:
         raise IdentifyError("model has no embedded normalization stats; train before using it")
     window = td.normalize(td.arrival_features(track, runway), model.norm_stats, track.track_id)
-    return ae.reconstruction_error(model, window.values)
+    with np.errstate(over="ignore", invalid="ignore"):   # thread-local: no global state is set
+        error = ae.reconstruction_error(model, window.values)
+    if not math.isfinite(error):
+        raise IdentifyError(f"track {track.track_id}: reconstruction error is not finite")
+    return error
 
 
 def classify(model: ae.ModelParams, thresholds: Thresholds, track: td.Track,

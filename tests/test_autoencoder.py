@@ -87,8 +87,6 @@ class TestForwardShapes:
         model = ae.build(SMALL_SPEC)
         x = np.random.default_rng(0).normal(size=(td.WINDOW_LEN, td.FEATURE_COUNT))
         assert ae.reconstruct(model, x).shape == x.shape
-        batch = np.stack([x, x, x])
-        assert ae.reconstruct(model, batch).shape == batch.shape
 
     def test_latent_has_requested_width(self):
         stages = {stage.name: stage for stage in ae.build(SMALL_SPEC).stages}
@@ -100,6 +98,15 @@ class TestForwardShapes:
         model = ae.build(SMALL_SPEC)
         with pytest.raises(ae.AutoencoderError):
             ae.reconstruct(model, np.zeros((td.WINDOW_LEN, td.FEATURE_COUNT + 1)))
+
+    @pytest.mark.parametrize("n", [3, 1])
+    def test_a_stack_of_windows_is_refused(self, n):
+        # a merged batch's products differ in the last bits from one window's
+        model = ae.build(SMALL_SPEC)
+        with pytest.raises(ae.AutoencoderError, match="one window"):
+            ae.reconstruct(model, np.zeros((n, td.WINDOW_LEN, td.FEATURE_COUNT)))
+        with pytest.raises(ae.AutoencoderError, match="one window"):
+            ae.reconstruction_error(model, np.zeros((n, td.WINDOW_LEN, td.FEATURE_COUNT)))
 
     def test_reconstruction_error_is_mae_of_reconstruction(self):
         model = ae.build(SMALL_SPEC)
@@ -171,7 +178,7 @@ class TestTraining:
         n_val = max(1, round(cfg.validation_fraction * len(wins)))
         val = np.stack([wins[i].values for i in order[:n_val]])
         best = min(h.val_mae for h in history)
-        assert nn.mae(val, ae.reconstruct(model, val)) == pytest.approx(best, abs=1e-12)
+        assert nn.mae(val, ae._forward(model, val)) == pytest.approx(best, abs=1e-12)
 
     def test_rejects_windows_not_tagged_helicopter(self):
         model = ae.build(SMALL_SPEC)
@@ -345,13 +352,10 @@ class TestWorkspace:
 
     def test_reconstructions_do_not_share_memory(self):
         model = trained_small_model()
-        x = sine_windows(3, seed=4)
-        batch = np.stack([w.values for w in x])
-        first, second = ae.reconstruct(model, batch), ae.reconstruct(model, batch)
+        x = sine_windows(1, seed=4)[0].values
+        first, second = ae.reconstruct(model, x), ae.reconstruct(model, x)
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
-        assert not np.shares_memory(ae.reconstruct(model, x[0].values),
-                                    ae.reconstruct(model, x[0].values))
 
 
 def trained_small_model():
@@ -525,6 +529,16 @@ class TestModelContainer:
         ae.save(trained_small_model(), path)
         resign(path, **edits)
         with pytest.raises(ae.ModelFormatError, match=re.escape(named)):
+            ae.load(path)
+
+    @pytest.mark.parametrize("size", ["input_len", "n_features"])
+    def test_a_size_below_one_is_refused_in_a_spec_and_in_a_model_header(self, tmp_path, size):
+        with pytest.raises(ae.SpecError, match="input_len and n_features must be >= 1"):
+            ae.AutoencoderSpec(**{size: 0})
+        path = tmp_path / "model.rtae"
+        ae.save(trained_small_model(), path)
+        resign(path, header_edit=edit_json(lambda d: d["spec"].update({size: 0})))
+        with pytest.raises(ae.ModelFormatError, match="input_len and n_features must be >= 1"):
             ae.load(path)
 
     def test_foreign_file_is_rejected_on_magic(self, tmp_path):

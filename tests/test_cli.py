@@ -536,6 +536,83 @@ class TestOverflowingFeatures:
         assert run("--out-dir", str(work), "classify") == 1
         assert "track H0000: feature window contains non-finite values" in capsys.readouterr().err
 
+    @staticmethod
+    def with_huge_track(pipeline, work, names, track_id):
+        """Copies of names, and tracks.jsonl with every altitude of track_id at 1.7e308: its
+        window stays finite, and its reconstruction error overflows."""
+        copy_inputs(pipeline, work, names)
+        tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks
+        i = next(i for i, t in enumerate(tracks) if t.track_id == track_id)
+        points = tracks[i].points.copy()   # a track's points are read-only
+        points["alt"] = 1.7e308
+        tracks[i] = dataclasses.replace(tracks[i], points=points)
+        td.save_tracks(tracks, work / "tracks.jsonl")
+
+    def test_classify_names_a_track_whose_error_overflows(self, pipeline, tmp_path, capsys):
+        work = tmp_path / "classify"
+        self.with_huge_track(pipeline, work, ("model.rtae", "thresholds.json", "runways.csv"),
+                             "G0005")
+        assert run("--out-dir", str(work), "classify") == 1
+        assert "track G0005: reconstruction error is not finite" in capsys.readouterr().err
+        assert not (work / "results.csv").exists()
+
+    def test_calibrate_names_a_helicopter_whose_error_overflows(self, pipeline, tmp_path, capsys):
+        work = tmp_path / "calibrate"
+        self.with_huge_track(pipeline, work, ("model.rtae", "labels.csv", "runways.csv"), "H0003")
+        assert run("--out-dir", str(work), "calibrate") == 1
+        assert "track H0003: reconstruction error is not finite" in capsys.readouterr().err
+        assert not (work / "thresholds.json").exists()
+
+
+class TestStageInputsThatStopOrWarn:
+    """Inputs a stage refuses with exit 1 and a named error, or logs a warning for and goes on."""
+
+    def test_a_missing_config_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert run("--out-dir", str(tmp_path), "--config", str(missing), "synth") == 1
+        assert f"config file not found: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "tracks.jsonl").exists()
+
+    def test_a_tracks_file_of_rejected_lines_has_no_usable_tracks(self, pipeline, tmp_path,
+                                                                    capsys):
+        work = copy_inputs(pipeline, tmp_path / "train", ("labels.csv", "runways.csv"))
+        (work / "tracks.jsonl").write_text("{not json\n[]\n")
+        assert run("--out-dir", str(work), "train") == 1
+        err = capsys.readouterr().err
+        assert "tracks line 2 rejected" in err
+        assert f"no usable tracks in {work / 'tracks.jsonl'}" in err
+
+    def test_labels_without_a_helicopter_leave_no_window_to_fit_stats_on(self, pipeline,
+                                                                         tmp_path, capsys):
+        work = copy_inputs(pipeline, tmp_path / "train", ("tracks.jsonl", "runways.csv"))
+        text = (pipeline / "labels.csv").read_text()
+        (work / "labels.csv").write_text(text.replace(",helicopter", ",ga"))
+        assert run("--out-dir", str(work), "train") == 1
+        assert "cannot fit normalization stats on zero windows" in capsys.readouterr().err
+        assert not (work / "model.rtae").exists()
+
+    def test_a_helicopter_too_short_to_window_is_skipped_with_a_warning(self, pipeline,
+                                                                        tmp_path, capsys):
+        work = copy_inputs(pipeline, tmp_path / "calibrate",
+                           ("model.rtae", "labels.csv", "runways.csv"))
+        tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks
+        assert tracks[0].track_id == "H0000"
+        tracks[0] = dataclasses.replace(tracks[0], points=tracks[0].points[-50:])
+        td.save_tracks(tracks, work / "tracks.jsonl")
+        assert run("--out-dir", str(work), "calibrate") == 0
+        assert ("WARNING calibration track H0000 skipped: track H0000: only"
+                in capsys.readouterr().err)
+
+    def test_a_duplicate_registration_row_is_a_warning(self, pipeline, tmp_path, capsys):
+        names = ("tracks.jsonl", "results.csv", "registration.csv", "heli_types.txt")
+        work = copy_inputs(pipeline, tmp_path / "validate", names)
+        rows = (pipeline / "registration.csv").read_text().splitlines(keepends=True)
+        (work / "registration.csv").write_text("".join(rows + rows[1:2]))
+        assert run("--out-dir", str(work), "validate") == 0
+        n_number = rows[1].split(",")[0]
+        assert (f"WARNING registration: line {len(rows) + 1}: duplicate n_number {n_number}"
+                in capsys.readouterr().err)
+
 
 class TestCalibrateGate:
     def test_the_gate_is_the_80th_percentile_of_the_training_errors(self, pipeline, tmp_path):

@@ -1,5 +1,6 @@
 """Oracle tests for the convolution/dense layers, MAE loss, and Adam."""
 
+import re
 import time
 
 import numpy as np
@@ -81,6 +82,41 @@ def test_layers_and_adam_state_are_built_whole_or_not_at_all(build):
     # weights, biases and Adam's moments have no default: init and adam_init build them
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: nn.Conv1DLayer.init(np.random.default_rng(0), 3, 2, 2, 2).forward(np.zeros((10, 2))),
+     nn.ShapeMismatch, "expected (batch, length, channels)"),
+    (lambda: nn.Conv1DLayer(0, 1, 1, 1, np.zeros((0, 1, 1)), np.zeros(1)),
+     ValueError, "kernel_size and stride must be >= 1"),
+    (lambda: nn.ConvTranspose1DLayer(3, 1, 0, 1, np.zeros((3, 0, 1)), np.zeros(1)),
+     ValueError, "channel counts must be >= 1"),
+    (lambda: nn.Conv1DLayer(3, 1, 2, 2, np.zeros((3, 2, 3)), np.zeros(2)),
+     nn.ShapeMismatch, "weight shape (3, 2, 3) does not match"),
+    (lambda: nn.ConvTranspose1DLayer(3, 1, 2, 2, np.zeros((3, 2, 2)), np.zeros(3)),
+     nn.ShapeMismatch, "bias shape (3,) does not match"),
+    (lambda: nn.Conv1DLayer.init(np.random.default_rng(0), 3, 2, 2, 2).backward(
+        np.zeros((1, 10, 2)), np.zeros((1, 4, 2))),
+     nn.ShapeMismatch, "grad_out shape (1, 4, 2) does not match"),
+    (lambda: nn.DenseLayer(0, 1, np.zeros((0, 1)), np.zeros(1)),
+     ValueError, "dense dimensions must be >= 1"),
+    (lambda: nn.DenseLayer(2, 3, np.zeros((3, 2)), np.zeros(3)),
+     nn.ShapeMismatch, "weight shape (3, 2) does not match"),
+    (lambda: nn.DenseLayer(2, 3, np.zeros((2, 3)), np.zeros(2)),
+     nn.ShapeMismatch, "bias shape (2,) does not match"),
+    (lambda: nn.DenseLayer.init(np.random.default_rng(0), 2, 3).forward(np.zeros((1, 3))),
+     nn.ShapeMismatch, "DenseLayer.forward: expected (batch, 2)"),
+    (lambda: nn.DenseLayer.init(np.random.default_rng(0), 2, 3).backward(
+        np.zeros((1, 2)), np.zeros((1, 2))),
+     nn.ShapeMismatch, "grad_out shape (1, 2) does not match"),
+    (lambda: nn.mae_grad(np.zeros((2, 3)), np.zeros((3, 2))),
+     nn.ShapeMismatch, "mae_grad: shapes (2, 3) and (3, 2) differ"),
+], ids=["conv_input_not_3d", "conv_kernel_below_1", "conv_channels_below_1", "conv_weight_shape",
+        "conv_bias_shape", "conv_grad_out_shape", "dense_size_below_1", "dense_weight_shape",
+        "dense_bias_shape", "dense_input_shape", "dense_grad_out_shape", "mae_grad_shapes"])
+def test_every_layer_and_loss_check_raises_its_named_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestConv1DForward:

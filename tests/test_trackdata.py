@@ -896,6 +896,17 @@ class TestRunwayTable:
         assert exc.value.position == line
         assert f"runways.csv line {line}:" in str(exc.value)
 
+    @pytest.mark.parametrize("row, reason", [
+        (" ,40.0,-86.0,600.0,180.0,8000.0", "empty runway_id"),
+        ("KXYZ-36,north,-86.0,600.0,180.0,8000.0", "non-numeric runway geometry"),
+    ], ids=["empty_id", "non_numeric"])
+    def test_an_unreadable_row_is_rejected_naming_the_line(self, tmp_path, row, reason):
+        p = tmp_path / "runways.csv"
+        p.write_text(RUNWAY_CSV + row + "\n")
+        with pytest.raises(td.MalformedRecord, match=re.escape(reason)) as exc:
+            td.load_runways(p)
+        assert exc.value.position == 4
+
     def test_geometry_at_the_edges_of_its_ranges_loads(self, tmp_path):
         p = tmp_path / "runways.csv"
         p.write_text(RUNWAY_CSV + "EDGE,-90,180,-1e300,0,5e-324\nEDGE2,90,-180,1e300,359.999,1e300\n")
@@ -966,6 +977,13 @@ class TestRegistrationTable:
         p.write_text(REGISTRATION_CSV + '\nN7,B00007,"R44\nII",ROBINSON,ROTORCRAFT,R44\n'
                      "N208SH,,X,Y,ROTORCRAFT,\n")
         assert td.load_registration(p).duplicates == ["line 8: duplicate n_number N208SH"]
+
+    def test_empty_n_number_rejected_naming_the_line(self, tmp_path):
+        p = tmp_path / "reg.csv"
+        p.write_text(REGISTRATION_CSV + " ,B00009,X,Y,ROTORCRAFT,R44\n")
+        with pytest.raises(td.MalformedRecord, match="empty n_number") as exc:
+            td.load_registration(p)
+        assert exc.value.position == 5
 
     def test_unknown_aircraft_class_rejected(self, tmp_path):
         p = tmp_path / "reg.csv"

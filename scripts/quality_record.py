@@ -20,7 +20,10 @@ with OPENBLAS_NUM_THREADS=1, and reads back from each run:
   accept (the hidden-type set), and fixed-wing tracks.  A track passes when
   it is called a helicopter;
 - the unmatched count;
-- the gate margin: the 5th percentile of fixed-wing MAE over mae_threshold.
+- the gate margin: the 5th percentile of fixed-wing MAE over mae_threshold;
+- from loss_history.csv, the epochs trained (its row count) and the epoch
+  whose weights training kept (the first with the lowest val_mae), so a
+  record shows whether early stopping fired.
 
 Each cell then gives the median and range of each number over its seeds.
 The script exits 1 when any stage of any run fails; the JSON is written
@@ -83,6 +86,8 @@ def quality(out_dir: Path) -> dict:
             fixed_wing.append(r)
     fixed_wing_mae = [float(r["mae"]) for r in fixed_wing]
     gate = thresholds["mae_threshold"]
+    with open(out_dir / "loss_history.csv", encoding="utf-8", newline="") as fh:
+        epochs = list(csv.DictReader(fh))
     return {
         "mae_threshold": gate,
         "precision": metrics["precision"],
@@ -93,13 +98,15 @@ def quality(out_dir: Path) -> dict:
                  "fixed_wing": _pass_rate(fixed_wing)},
         "unmatched": metrics["unmatched"],
         "gate_margin": float(np.percentile(fixed_wing_mae, 5)) / gate if fixed_wing_mae else None,
+        "epochs_trained": len(epochs),
+        "kept_epoch": int(min(epochs, key=lambda e: float(e["val_mae"]))["epoch"]),
     }
 
 
 def _flat(run: dict) -> dict:
     """A seed's numbers by name, each pass rate as a share."""
     out = {k: run[k] for k in ("mae_threshold", "precision", "recall", "unclassifiable",
-                               "unmatched", "gate_margin")}
+                               "unmatched", "gate_margin", "epochs_trained", "kept_epoch")}
     for group, p in run["pass"].items():
         out[f"{group}_pass_rate"] = p["passed"] / p["of"] if p["of"] else None
     return out

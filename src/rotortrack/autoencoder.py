@@ -209,36 +209,33 @@ def _fit(layer, h: np.ndarray) -> np.ndarray:
     return h if h.ndim == 3 else h.reshape(len(h), h.shape[1] // layer.c_in, layer.c_in)
 
 
-def _forward(model: ModelParams, x: np.ndarray, cache: Optional[dict] = None,
+def _forward(model: ModelParams, x: np.ndarray, trail: Optional[list] = None,
              ws: Optional[nn.Workspace] = None) -> np.ndarray:
     """Run the stages in order, each ReLU in place on its layer's output.
 
-    A cache receives each stage's (stage, input, output) for _backward; the
-    output after its ReLU also gives the ReLU's mask.  A workspace supplies
-    every array the layers write.
+    A trail list receives each stage's (stage, input, output) for _backward;
+    the output after its ReLU also gives the ReLU's mask.  A workspace
+    supplies every array the layers write.
     """
-    if cache is not None:
-        cache["trail"] = []
     h = x
     for stage in model.stages:
         h_in = _fit(stage.layer, h)
         h = stage.layer.forward(h_in, ws)
         if stage.relu:
             nn.relu_forward(h, out=h)
-        if cache is not None:
-            cache["trail"].append((stage, h_in, h))
+        if trail is not None:
+            trail.append((stage, h_in, h))
     return h
 
 
-def _backward(model: ModelParams, cache: dict, grad_out: np.ndarray,
-              ws: Optional[nn.Workspace] = None) -> list[np.ndarray]:
-    """Gradients in ModelParams.parameters() order; frees the cache's activations as it goes.
+def _backward(model: ModelParams, trail: list, grad_out: np.ndarray,
+              ws: nn.Workspace) -> list[np.ndarray]:
+    """Gradients in ModelParams.parameters() order, as views of ws.grad.
 
-    With a workspace they are views of its flat gradient vector.
+    It pops _forward's trail list empty, freeing each stage's activations as it goes.
     """
     grads: list[np.ndarray] = []
     g = grad_out
-    trail = cache.pop("trail")
     while trail:
         stage, h, out = trail.pop()
         g = g.reshape(out.shape)
@@ -319,13 +316,13 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
         batch_losses = []
         for start in range(0, len(tr), config.batch_size):
             batch = tr[idx[start:start + config.batch_size]]
-            cache: dict = {}
-            rec = _forward(model, batch, cache, ws)
+            trail: list = []
+            rec = _forward(model, batch, trail, ws)
             loss = nn.mae(batch, rec)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             batch_losses.append(loss)
-            _backward(model, cache, nn.mae_grad(batch, rec), ws)
+            _backward(model, trail, nn.mae_grad(batch, rec), ws)
             nn.adam_step(flat, ws.grad, state)
         val_mae = nn.mae(val, _forward(model, val, ws=ws))
         if not np.isfinite(val_mae):

@@ -332,6 +332,8 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
 
     A row of the wrong length, with a value of the wrong kind, a non-finite
     number or a repeated track_id is a td.MalformedRecord naming the file and the line.
+    So is a row that _result_row would not write: a prediction of true with reasons or of
+    false without, or an unclassifiable row with a mae, a runway_score or true.
     """
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
@@ -343,13 +345,20 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
                 raise ValueError(f"duplicate track_id {track_id!r}")
             seen.add(track_id)
             if reasons.startswith("unclassifiable:"):
+                if (mae, score, pred) != ("", "", "false"):
+                    raise ValueError("an unclassifiable row has an empty mae and runway_score "
+                                     f"and false, got {mae!r}, {score!r} and {pred!r}")
                 unclassifiable[track_id] = reasons.split(":", 1)[1]
             elif pred not in ("true", "false"):
                 raise ValueError(f"pred_is_helicopter must be true or false, got {pred!r}")
             else:
-                results.append(idf.ClassificationResult(
+                result = idf.ClassificationResult(
                     track_id, _finite("mae", mae), _finite("runway_score", score),
-                    pred == "true", tuple(r for r in reasons.split(";") if r)))
+                    pred == "true", tuple(r for r in reasons.split(";") if r))
+                if result.pred_is_helicopter == bool(result.reasons):
+                    raise ValueError("pred_is_helicopter is true exactly when reasons are empty, "
+                                     f"got {pred} with reasons {reasons!r}")
+                results.append(result)
         except ValueError as e:
             raise td.MalformedRecord(path, line_no, str(e)) from None
     return results, unclassifiable

@@ -14,14 +14,15 @@ stride; the other two passes unfold the short side at stride 1, and their
 product's rows are already consecutive long positions, so nothing is
 scatter-added.
 
-Every pass takes an optional ``Workspace``: the arrays a pass writes
-(padding, im2col rows, GEMM output, layer outputs and gradients)
-then come from the workspace and are reused from one training step to the
-next.  A convolution's backward skips its input gradient on request (a
-first layer's input needs none).  Without one (inference, as in every
-batch-1 ``reconstruct``) a pass builds only the arrays its products read:
-a zero-filled padding and one copy of the im2col rows.  Both ways hand
-each ``np.matmul`` the same operands, so they give the same bits.
+A forward pass runs with or without a ``Workspace``; a backward pass, which
+only training runs, always runs with one.  With one, the arrays a pass
+writes (padding, im2col rows, GEMM output, layer outputs and gradients)
+come from the workspace and are reused from one training step to the next.
+A convolution's backward skips its input gradient on request (a first
+layer's input needs none).  A forward without one (inference, as in every
+batch-1 ``reconstruct``) builds only the arrays its products read: a
+zero-filled padding and one copy of the im2col rows.  Both ways hand each
+``np.matmul`` the same operands, so they give the same bits.
 
 Layers are built in the dtype given to their ``init`` (float64 by
 default), and every array a pass writes takes that dtype: an input of
@@ -237,13 +238,6 @@ class _ConvLayer:
         return out[:, crop:crop + length]
 
 
-def _param_grads(layer, ws: "Workspace | None") -> tuple[np.ndarray, np.ndarray]:
-    """Where a layer's backward writes its weight and bias gradients."""
-    if ws is None:
-        return np.empty(layer.w.shape, layer.w.dtype), np.empty(layer.b.shape, layer.w.dtype)
-    return ws.grads[id(layer)]
-
-
 class Conv1DLayer(_ConvLayer):
     """Strided 1-D convolution over (batch, length, channels) tensors: long to short,
     giving ceil(length/stride) outputs."""
@@ -259,14 +253,15 @@ class Conv1DLayer(_ConvLayer):
         np.matmul(cols.reshape(x.shape[0], n, -1), self.w.reshape(-1, self.c_out), out=out)
         return np.add(out, self.b, out=out)
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None,
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: Workspace,
                  input_grad: bool = True):
-        """Gradients for inputs (None unless input_grad), weights, and bias given upstream grad_out."""
+        """Gradients for inputs (None unless input_grad), weights, and bias given upstream
+        grad_out; the weight and bias gradients are the layer's views of ws.grad."""
         _check_tensor3(x, self.c_in, "Conv1DLayer.backward")
         self._check_grad_out(x, grad_out)
         cols = self._rows(x, grad_out.shape[1], ws)
         g = grad_out.reshape(-1, self.c_out)
-        grad_w, grad_b = _param_grads(self, ws)
+        grad_w, grad_b = ws.grads[id(self)]
         np.matmul(cols.T, g, out=grad_w.reshape(cols.shape[1], -1))
         np.einsum("ij->j", g, out=grad_b, casting="same_kind")
         if not input_grad:
@@ -293,15 +288,15 @@ class ConvTranspose1DLayer(_ConvLayer):
         full = self._spread(x, self.w, self.out_length(x.shape[1]), ws)
         return np.add(full, self.b, out=_layer_array(self, ws, "out", full.shape))
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: Workspace):
         _check_tensor3(x, self.c_in, "ConvTranspose1DLayer.backward")
         self._check_grad_out(x, grad_out)
         cols = self._rows(grad_out, x.shape[1], ws)
         taps = self.w.transpose(1, 0, 2).reshape(self.c_in, -1)   # column block j: tap j
         grad_x = _layer_array(self, ws, "grad", x.shape)
         np.matmul(cols, taps.T, out=grad_x.reshape(cols.shape[0], -1))
-        grad_w, grad_b = _param_grads(self, ws)
-        grad_taps = _buffer(ws, "gemm", (cols.shape[1], self.c_in), self.w.dtype)
+        grad_w, grad_b = ws.grads[id(self)]
+        grad_taps = ws.take("gemm", (cols.shape[1], self.c_in))
         np.matmul(cols.T, x.reshape(-1, self.c_in), out=grad_taps)
         grad_w[...] = grad_taps.reshape(self.kernel_size, self.c_out, self.c_in).transpose(0, 2, 1)
         np.einsum("ij->j", grad_out.reshape(-1, self.c_out), out=grad_b, casting="same_kind")
@@ -339,12 +334,12 @@ class DenseLayer:
         out += self.b
         return out
 
-    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: "Workspace | None" = None):
+    def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: Workspace):
         if grad_out.shape != (x.shape[0], self.d_out):
             raise ShapeMismatch(f"grad_out shape {grad_out.shape} does not match output")
         grad_x = _layer_array(self, ws, "grad", x.shape)
         np.matmul(grad_out, self.w.T, out=grad_x)
-        grad_w, grad_b = _param_grads(self, ws)
+        grad_w, grad_b = ws.grads[id(self)]
         np.matmul(x.T, grad_out, out=grad_w)
         np.sum(grad_out, axis=0, out=grad_b)
         return grad_x, grad_w, grad_b

@@ -139,11 +139,9 @@ def _en_to_latlon(east_m: float, north_m: float, runway: Runway) -> tuple[float,
     return lat, lon
 
 
-def _along_cross_nm(east_m: float, north_m: float, runway: Runway) -> tuple[float, float]:
+def _along_nm(east_m: float, north_m: float, runway: Runway) -> float:
     de, dn = _unit(runway.centerline_course)
-    along = (east_m * de + north_m * dn) / NM_TO_M
-    cross = (east_m * dn - north_m * de) / NM_TO_M
-    return along, cross
+    return (east_m * de + north_m * dn) / NM_TO_M
 
 
 @dataclass
@@ -206,8 +204,7 @@ def _fly_commercial(rng: np.random.Generator) -> list[_Sample]:
         desired = _bearing((pos[0], pos[1]), (0.0, 0.0))
         heading = _steer(heading, desired, 2.0) + rng.normal(0.0, _COMMERCIAL_HEADING_NOISE_DEG)
         _advance(pos, heading, v)
-        along, _ = _along_cross_nm(pos[0], pos[1], rw)
-        if along >= 0.0:
+        if _along_nm(pos[0], pos[1], rw) >= 0.0:
             break
     _roll_out(samples, pos, seconds=6, decel_kt=20.0, floor_kt=25.0)
     return samples
@@ -246,8 +243,7 @@ def _fly_ga(rng: np.random.Generator) -> list[_Sample]:
         desired = _bearing((pos[0], pos[1]), target)
         heading = _steer(heading, desired, max_turn) + rng.normal(0.0, _GA_HEADING_NOISE_DEG)
         _advance(pos, heading, v)
-        along, _ = _along_cross_nm(pos[0], pos[1], rw)
-        if along >= 0.0:
+        if _along_nm(pos[0], pos[1], rw) >= 0.0:
             break
     _roll_out(samples, pos, seconds=4, decel_kt=15.0, floor_kt=15.0)
     return samples

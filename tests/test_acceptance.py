@@ -72,9 +72,10 @@ def test_gradients_match_finite_differences():
         def loss():
             return nn.mae(batch, ae._forward(model, batch))
 
-        cache = {}
-        rec = ae._forward(model, batch, cache)
-        analytic = ae._backward(model, cache, nn.mae_grad(batch, rec))
+        trail = []
+        rec = ae._forward(model, batch, trail)
+        ws = nn.Workspace([stage.layer for stage in model.stages])
+        analytic = ae._backward(model, trail, nn.mae_grad(batch, rec), ws)
 
         h = 1e-5
         for p, g in zip(model.parameters(), analytic):

@@ -118,9 +118,10 @@ class TestForwardShapes:
         for seed in range(3):
             model = ae.build(ae.AutoencoderSpec(**{**TWO_STAGE_SPEC.__dict__, "seed": seed}))
             batch = np.random.default_rng(2000 + seed).normal(size=(2, 8, 2))
-            cache = {}
-            rec = ae._forward(model, batch, cache)
-            analytic = ae._backward(model, cache, nn.mae_grad(batch, rec))
+            trail = []
+            rec = ae._forward(model, batch, trail)
+            ws = nn.Workspace([stage.layer for stage in model.stages])
+            analytic = ae._backward(model, trail, nn.mae_grad(batch, rec), ws)
             h = 1e-5
             for p, g in zip(model.parameters(), analytic):
                 flat, gflat = p.reshape(-1), g.reshape(-1)
@@ -203,15 +204,17 @@ class TestTraining:
         assert ae.reconstruction_error(model, base.values) < 0.05
 
 
-def train_without_workspace(model, wins, cfg):
-    """ae.train's loop with no workspace: every pass allocates its arrays, and
-    Adam updates one vector of the gradients concatenated in parameter order."""
+def train_on_fresh_workspaces(model, wins, cfg):
+    """ae.train's loop with no reused arrays: every forward pass allocates its own,
+    each backward pass writes into a workspace made for its step, and Adam updates
+    one vector of the gradients concatenated in parameter order."""
     data = np.stack([w.values for w in wins]).astype(model.spec.dtype)
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(data))
     n_val = max(1, round(cfg.validation_fraction * len(data)))
     val, tr = data[order[:n_val]], data[order[n_val:]]
-    flat = nn.flatten([stage.layer for stage in model.stages])
+    layers = [stage.layer for stage in model.stages]
+    flat = nn.flatten(layers)
     state = nn.adam_init(flat)
     history, best_val, best_epoch, best = [], np.inf, 0, flat.copy()
     for epoch in range(1, cfg.epochs + 1):
@@ -219,10 +222,10 @@ def train_without_workspace(model, wins, cfg):
         losses = []
         for start in range(0, len(tr), cfg.batch_size):
             batch = tr[idx[start:start + cfg.batch_size]]
-            cache = {}
-            rec = ae._forward(model, batch, cache)
+            trail = []
+            rec = ae._forward(model, batch, trail)
             losses.append(nn.mae(batch, rec))
-            grads = ae._backward(model, cache, nn.mae_grad(batch, rec))
+            grads = ae._backward(model, trail, nn.mae_grad(batch, rec), nn.Workspace(layers))
             nn.adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
         val_mae = nn.mae(val, ae._forward(model, val))
         history.append(ae.EpochStats(epoch, float(np.mean(losses)), val_mae))
@@ -259,7 +262,7 @@ def spaces(monkeypatch):
 
 
 class TestWorkspace:
-    def test_short_batches_match_the_loop_without_a_workspace(self, spaces, monkeypatch):
+    def test_short_batches_match_the_loop_on_fresh_workspaces(self, spaces, monkeypatch):
         wins = sine_windows(SHORT_BATCH_WINDOWS, seed=5)
         rows = []
         mae = nn.mae
@@ -268,7 +271,7 @@ class TestWorkspace:
         history = ae.train(model, wins, SHORT_BATCHES)
         assert rows[:3] == [32, 13, 11] and len(spaces) == 1
         reference = ae.build(SMALL_SPEC)
-        assert train_without_workspace(reference, wins, SHORT_BATCHES) == history
+        assert train_on_fresh_workspaces(reference, wins, SHORT_BATCHES) == history
         assert parameter_bytes(model) == parameter_bytes(reference)
 
     def test_float64_then_float32_each_match_a_run_in_its_own_process(self, spaces, tmp_path):
@@ -334,21 +337,24 @@ class TestWorkspace:
         per_layer = {(id(stage.layer), role) for stage in model.stages for role in ("out", "grad")}
         assert shared <= set(spaces[0].arrays) <= shared | per_layer
 
-    def test_a_default_step_on_stale_work_arrays_matches_one_without_a_workspace(self):
+    def test_a_default_step_on_stale_work_arrays_matches_one_on_a_fresh_workspace(self):
         model = ae.build(ae.AutoencoderSpec())
         batch = np.random.default_rng(8).normal(size=(32, td.WINDOW_LEN, td.FEATURE_COUNT))
-        ws = nn.Workspace([stage.layer for stage in model.stages])
+        layers = [stage.layer for stage in model.stages]
+        ws = nn.Workspace(layers)
 
         def step(ws):
-            cache = {}
-            rec = ae._forward(model, batch, cache, ws)
-            return ae._backward(model, cache, nn.mae_grad(batch, rec), ws)
+            trail = []
+            rec = ae._forward(model, batch, trail, ws)
+            return ae._backward(model, trail, nn.mae_grad(batch, rec), ws)
         step(ws)
-        for a in ws.arrays.values():   # stale padding margins and work arrays must not leak in
+        for a in (*ws.arrays.values(), ws.grad):   # no stale margin, array or gradient leaks in
             a.fill(np.nan)
         step(ws)
-        alone = np.concatenate([g.ravel() for g in step(None)])
-        assert ws.grad.tobytes() == alone.tobytes()
+        fresh = nn.Workspace(layers)
+        grads = step(fresh)
+        assert all(np.shares_memory(g, fresh.grad) for g in grads)
+        assert ws.grad.tobytes() == fresh.grad.tobytes()
 
     def test_reconstructions_do_not_share_memory(self):
         model = trained_small_model()

@@ -495,8 +495,15 @@ class TestMalformedResults:
         ("H0000,nan,0.2,true,", "mae must be finite, got 'nan'"),
         ("H0000,0.1,-inf,false,runway_score", "runway_score must be finite, got '-inf'"),
         ("H0001,0.3,0.4,true,", "duplicate track_id 'H0001'"),
+        ("H0000,0.3,0.4,true,mae_at_or_above_threshold",
+         "pred_is_helicopter is true exactly when reasons are empty, got true with reasons "
+         "'mae_at_or_above_threshold'"),
+        ("H0000,0.3,0.4,false,unclassifiable:no_approach",
+         "an unclassifiable row has an empty mae and runway_score and false, "
+         "got '0.3', '0.4' and 'false'"),
     ], ids=["short_row", "non_numeric_mae", "non_boolean_prediction", "csv_error", "nan_mae",
-            "infinite_score", "repeated_track_id"])
+            "infinite_score", "repeated_track_id", "helicopter_with_reasons",
+            "unclassifiable_with_scores"])
     def test_bad_row_is_a_cli_error_naming_file_and_line(self, tmp_path, row, named):
         path = tmp_path / "results.csv"
         path.write_text(",".join(cli.RESULTS_HEADER) + "\nH0001,0.1,0.2,false,x\n" + row + "\n")

@@ -84,6 +84,11 @@ def test_layers_and_adam_state_are_built_whole_or_not_at_all(build):
         build()
 
 
+def backward_alone(layer, x, grad_out):
+    """A layer's backward pass on a fresh workspace of its own."""
+    return layer.backward(x, grad_out, nn.Workspace([layer]))
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: nn.Conv1DLayer.init(np.random.default_rng(0), 3, 2, 2, 2).forward(np.zeros((10, 2))),
      nn.ShapeMismatch, "expected (batch, length, channels)"),
@@ -95,8 +100,8 @@ def test_layers_and_adam_state_are_built_whole_or_not_at_all(build):
      nn.ShapeMismatch, "weight shape (3, 2, 3) does not match"),
     (lambda: nn.ConvTranspose1DLayer(3, 1, 2, 2, np.zeros((3, 2, 2)), np.zeros(3)),
      nn.ShapeMismatch, "bias shape (3,) does not match"),
-    (lambda: nn.Conv1DLayer.init(np.random.default_rng(0), 3, 2, 2, 2).backward(
-        np.zeros((1, 10, 2)), np.zeros((1, 4, 2))),
+    (lambda: backward_alone(nn.Conv1DLayer.init(np.random.default_rng(0), 3, 2, 2, 2),
+                            np.zeros((1, 10, 2)), np.zeros((1, 4, 2))),
      nn.ShapeMismatch, "grad_out shape (1, 4, 2) does not match"),
     (lambda: nn.DenseLayer(0, 1, np.zeros((0, 1)), np.zeros(1)),
      ValueError, "dense dimensions must be >= 1"),
@@ -106,8 +111,8 @@ def test_layers_and_adam_state_are_built_whole_or_not_at_all(build):
      nn.ShapeMismatch, "bias shape (2,) does not match"),
     (lambda: nn.DenseLayer.init(np.random.default_rng(0), 2, 3).forward(np.zeros((1, 3))),
      nn.ShapeMismatch, "DenseLayer.forward: expected (batch, 2)"),
-    (lambda: nn.DenseLayer.init(np.random.default_rng(0), 2, 3).backward(
-        np.zeros((1, 2)), np.zeros((1, 2))),
+    (lambda: backward_alone(nn.DenseLayer.init(np.random.default_rng(0), 2, 3),
+                            np.zeros((1, 2)), np.zeros((1, 2))),
      nn.ShapeMismatch, "grad_out shape (1, 2) does not match"),
     (lambda: nn.mae_grad(np.zeros((2, 3)), np.zeros((3, 2))),
      nn.ShapeMismatch, "mae_grad: shapes (2, 3) and (3, 2) differ"),
@@ -222,8 +227,8 @@ def test_input_gradient_is_skipped_on_request():
     conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16)
     x = rng.normal(size=(4, 100, 6))
     grad_out = rng.normal(size=(4, 50, 16))
-    grad_x, grad_w, grad_b = conv.backward(x, grad_out, input_grad=False)
-    full = conv.backward(x, grad_out)
+    grad_x, grad_w, grad_b = conv.backward(x, grad_out, nn.Workspace([conv]), input_grad=False)
+    full = backward_alone(conv, x, grad_out)
     assert grad_x is None
     assert grad_w.tobytes() == full[1].tobytes() and grad_b.tobytes() == full[2].tobytes()
 
@@ -243,40 +248,53 @@ SHIPPED_LAYERS = [
 @pytest.mark.parametrize("cls, geometry, length", SHIPPED_LAYERS,
                          ids=["conv_k7", "conv_k5", "dense_800to16", "dense_16to800",
                               "convT_k5", "convT_k7"])
-def test_every_pass_gives_the_same_bytes_with_and_without_a_workspace(cls, geometry, length,
-                                                                      batch):
+def test_every_pass_gives_the_same_bytes_on_a_fresh_and_a_stale_workspace(cls, geometry, length,
+                                                                           batch):
     """Inference builds its own arrays and training reuses a workspace's; both hand
-    every product the same operands, so forward and backward agree to the bit."""
+    every product the same operands, so a forward pass agrees to the bit with and
+    without one.  Forward and backward give the same bytes on a fresh workspace as on
+    one whose arrays a larger batch left NaN-filled."""
     rng = np.random.default_rng(sum(geometry) + batch)
     layer = cls.init(rng, *geometry)
     layer.b[...] = rng.normal(size=layer.b.shape)
-    x = rng.normal(size=(batch, geometry[0]) if length is None else (batch, length, geometry[2]))
-    plain_out = layer.forward(x)
-    grad_out = rng.normal(size=plain_out.shape)
-    plain = [plain_out, *layer.backward(x, grad_out)]
+
+    def inputs(rows):
+        x = rng.normal(size=(rows, geometry[0]) if length is None else (rows, length, geometry[2]))
+        return x, rng.normal(size=layer.forward(x).shape)
+
+    def passes(ws):
+        return [a.copy() for a in (layer.forward(x, ws), *layer.backward(x, grad_out, ws))]
+    x, grad_out = inputs(batch)
+    fresh = passes(nn.Workspace([layer]))
+    assert layer.forward(x).tobytes() == fresh[0].tobytes()
     ws = nn.Workspace([layer])
-    for _ in range(2):   # the second pass reuses the workspace's arrays
-        got = [layer.forward(x, ws).copy()]
-        got += [a.copy() for a in layer.backward(x, grad_out, ws)]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in plain]
+    larger, larger_grad = inputs(batch + 3)
+    layer.backward(larger, larger_grad, ws)
+    layer.forward(larger, ws)
+    for a in (*ws.arrays.values(), ws.grad):
+        a.fill(np.nan)
+    for _ in range(2):   # the second pass reuses the arrays the first one left
+        assert [a.tobytes() for a in passes(ws)] == [a.tobytes() for a in fresh]
 
 
 def test_every_pass_writes_its_layers_dtype_whatever_the_input_dtype():
-    """float64 inputs into float32 layers: all six passes compute into float32, with a
-    workspace (whose arrays stay float32) or without one."""
+    """float64 inputs into float32 layers: all six passes compute into float32, each
+    forward with a workspace (whose arrays stay float32) or without one."""
     rng = np.random.default_rng(11)
     conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16, dtype="float32")
     trans = nn.ConvTranspose1DLayer.init(rng, 5, 2, 16, 6, dtype="float32")
     dense = nn.DenseLayer.init(rng, 800, 16, dtype="float32")
     x, long = rng.normal(size=(2, 4, 100, 6))
     short, flat = rng.normal(size=(4, 50, 16)), rng.normal(size=(4, 800))
-    for ws in (None, nn.Workspace([conv, trans, dense])):
-        arrays = [conv.forward(x, ws), *conv.backward(x, short, ws),
-                  trans.forward(short, ws), *trans.backward(short, long, ws),
-                  dense.forward(flat, ws), *dense.backward(flat, short[:, 0], ws)]
+    ws = nn.Workspace([conv, trans, dense])
+    for forward_ws in (None, ws):
+        arrays = [conv.forward(x, forward_ws), trans.forward(short, forward_ws),
+                  dense.forward(flat, forward_ws)]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-        if ws is not None:
-            assert {a.dtype for a in ws.arrays.values()} == {np.dtype(np.float32)}
+    arrays = [*conv.backward(x, short, ws), *trans.backward(short, long, ws),
+              *dense.backward(flat, short[:, 0], ws)]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert {a.dtype for a in ws.arrays.values()} == {np.dtype(np.float32)}
 
 
 def finite_diff(f, arrays, h=1e-5):
@@ -327,10 +345,11 @@ class TestGradients:
             flat = h2.reshape(h2.shape[0], -1)
             out = dense.forward(flat)
             g_out = out - target
-            g_flat, g_dw, g_db = dense.backward(flat, g_out)
+            ws = nn.Workspace([conv, trans, dense])
+            g_flat, g_dw, g_db = dense.backward(flat, g_out, ws)
             g_h2 = g_flat.reshape(h2.shape)
-            g_h1, g_tw, g_tb = trans.backward(h1, g_h2)
-            g_x, g_cw, g_cb = conv.backward(x, g_h1)
+            g_h1, g_tw, g_tb = trans.backward(h1, g_h2, ws)
+            g_x, g_cw, g_cb = conv.backward(x, g_h1, ws)
 
             analytic = [g_x, g_cw, g_cb, g_tw, g_tb, g_dw, g_db]
             numeric = finite_diff(loss, [x, conv.w, conv.b, trans.w, trans.b,

@@ -627,11 +627,12 @@ def test_each_layers_backward_is_the_other_layers_forward(geometry, seed):
                                  w=np.ascontiguousarray(np.swapaxes(conv.w, 1, 2)),
                                  b=np.zeros(c_in))
     x = rng.normal(size=(batch, n_in, c_in))
+    ws = nn.Workspace([conv, tr])
     grad_short = rng.normal(size=(batch, conv.out_length(n_in), c_out))
-    grad_x = conv.backward(x, grad_short)[0]
+    grad_x = conv.backward(x, grad_short, ws)[0]
     assert np.max(np.abs(grad_x - tr.forward(grad_short)[:, :n_in])) < 1e-12
     grad_long = rng.normal(size=(batch, tr.out_length(grad_short.shape[1]), c_in))
-    grad_h = tr.backward(grad_short, grad_long)[0]
+    grad_h = tr.backward(grad_short, grad_long, ws)[0]
     assert np.max(np.abs(grad_h - conv.forward(grad_long))) < 1e-12
 
 
@@ -670,7 +671,8 @@ def test_both_short_to_long_passes_match_a_per_tap_scatter(geometry, dtype, seed
     other orders, so each position may differ by the rounding of a sum of at most
     (k + 1)(a + 1) terms (a the short side's channels): that many units of the dtype's
     eps times the sum of the terms' magnitudes.  With a workspace whose arrays hold
-    stale values, each pass gives the same bits as without one."""
+    stale values, each pass gives the same bits as the forward without one and the
+    backward on a fresh one."""
     k, stride, c_long, c_short, n_short, batch = geometry
     rng = np.random.default_rng(seed)
     eps = np.finfo(dtype).eps
@@ -678,8 +680,8 @@ def test_both_short_to_long_passes_match_a_per_tap_scatter(geometry, dtype, seed
     conv = nn.Conv1DLayer.init(rng, k, stride, c_long, c_short, dtype=dtype)
     ws = nn.Workspace([tr, conv])
 
-    def within_bound(run, short, taps, length):
-        got = run(None)
+    def within_bound(run, first_ws, short, taps, length):
+        got = run(first_ws)
         want, scale = per_tap_spread(short, taps, stride, length)
         assert got.dtype == dtype and got.shape == want.shape
         assert np.all(np.abs(got - want) <= (k + 1) * (c_short + 1) * eps * scale)
@@ -689,12 +691,12 @@ def test_both_short_to_long_passes_match_a_per_tap_scatter(geometry, dtype, seed
         assert run(ws).tobytes() == got.tobytes()
 
     short = rng.normal(size=(batch, n_short, c_short)).astype(dtype)
-    within_bound(lambda w: tr.forward(short, w), short, tr.w, n_short * stride)
+    within_bound(lambda w: tr.forward(short, w), None, short, tr.w, n_short * stride)
     length = (n_short - 1) * stride + int(rng.integers(1, stride + 1))
     x = rng.normal(size=(batch, length, c_long)).astype(dtype)
     grad_out = rng.normal(size=(batch, conv.out_length(length), c_short)).astype(dtype)
-    within_bound(lambda w: conv.backward(x, grad_out, w)[0], grad_out, conv.w.transpose(0, 2, 1),
-                 length)
+    within_bound(lambda w: conv.backward(x, grad_out, w)[0], nn.Workspace([tr, conv]), grad_out,
+                 conv.w.transpose(0, 2, 1), length)
 
 
 def row_by_row_sum(rows):
@@ -718,5 +720,49 @@ def test_conv_bias_gradients_equal_a_row_by_row_sum_bit_for_bit(geometry, dtype,
     x = rng.normal(size=(batch, n_in, c_in)).astype(dtype)
     for layer in (conv, tr):
         grad_out = rng.normal(size=(batch, layer.out_length(n_in), c_out)).astype(dtype)
-        grad_b = layer.backward(x, grad_out)[2]
+        grad_b = layer.backward(x, grad_out, nn.Workspace([layer]))[2]
         assert grad_b.tobytes() == row_by_row_sum(grad_out.reshape(-1, c_out)).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(conv_geometries(), st.integers(1, 64), st.integers(1, 64), st.integers(1, 4),
+       st.sampled_from(("float32", "float64")), st.integers(0, 2**32 - 1))
+@example((7, 2, 6, 16, 100, 1), 800, 16, 31, "float64", 0)   # shipped sizes, batch 1 after 32
+@example((1, 2, 2, 3, 9, 1), 1, 1, 1, "float32", 1)            # k = 1, one-unit dense
+def test_every_pass_on_a_stale_workspace_gives_a_fresh_ones_bytes(geometry, d_in, d_out, extra,
+                                                                   dtype, seed):
+    """The three layer types' forward and backward passes, run on a workspace whose
+    arrays a larger batch left NaN-filled, give every output and gradient to the bit as
+    on a fresh workspace."""
+    k, stride, c_in, c_out, n_in, batch = geometry
+    rng = np.random.default_rng(seed)
+    conv = nn.Conv1DLayer.init(rng, k, stride, c_in, c_out, dtype=dtype)
+    tr = nn.ConvTranspose1DLayer.init(rng, k, stride, c_in, c_out, dtype=dtype)
+    dense = nn.DenseLayer.init(rng, d_in, d_out, dtype=dtype)
+    layers = [conv, tr, dense]
+    for layer in layers:
+        layer.b[...] = rng.normal(size=layer.b.shape)
+
+    def cases(rows):
+        """(layer, input, grad_out) of each layer at rows rows."""
+        out = []
+        for layer in layers:
+            if layer is dense:
+                x_shape, g_shape = (rows, d_in), (rows, d_out)
+            else:
+                x_shape, g_shape = (rows, n_in, c_in), (rows, layer.out_length(n_in), c_out)
+            out.append((layer, rng.normal(size=x_shape).astype(dtype),
+                        rng.normal(size=g_shape).astype(dtype)))
+        return out
+
+    def passes(runs, ws):
+        return [a.tobytes() for layer, x, grad_out in runs
+                for a in (layer.forward(x, ws), *layer.backward(x, grad_out, ws))]
+
+    runs = cases(batch)
+    fresh = passes(runs, nn.Workspace(layers))
+    ws = nn.Workspace(layers)
+    passes(cases(batch + extra), ws)
+    for a in (*ws.arrays.values(), ws.grad):
+        a.fill(np.nan)
+    assert passes(runs, ws) == fresh

@@ -50,20 +50,22 @@ def assert_record_schema(record, config, seed_keys):
     assert record["seed_keys"] == list(seed_keys)
     [run] = record["seeds"]
     assert set(run) == {"seed", "correct", "digests", "mae_threshold", "precision", "recall",
-                        "unclassifiable", "pass", "unmatched", "gate_margin"}
+                        "unclassifiable", "pass", "unmatched", "gate_margin", "epochs_trained",
+                        "kept_epoch"}
     assert run["seed"] == 1 and run["correct"] is True
     assert set(run["digests"]) == set(recorder.bench.BYTE_COMPARED)
     assert set(run["pass"]) == {"typed_helicopters", "hidden_type_helicopters", "fixed_wing"}
     for rate in run["pass"].values():
         assert set(rate) == {"passed", "of"} and 0 <= rate["passed"] <= rate["of"]
-    for key in ("unclassifiable", "unmatched"):
+    for key in ("unclassifiable", "unmatched", "epochs_trained", "kept_epoch"):
         assert isinstance(run[key], int)
+    assert run["epochs_trained"] == 2 and run["kept_epoch"] in (1, 2)   # SMALL's 2 epochs
     for key in ("mae_threshold", "gate_margin"):
         assert isinstance(run[key], float)
 
     assert set(record["summary"]) == {
         "mae_threshold", "precision", "recall", "unclassifiable", "unmatched", "gate_margin",
-        "typed_helicopters_pass_rate", "hidden_type_helicopters_pass_rate", "fixed_wing_pass_rate"}
+        "epochs_trained", "kept_epoch", "typed_helicopters_pass_rate", "hidden_type_helicopters_pass_rate", "fixed_wing_pass_rate"}
     for name, spread in record["summary"].items():
         assert spread is None or set(spread) == SPREAD, name
 

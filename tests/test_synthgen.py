@@ -42,7 +42,10 @@ def tracks_of(scenario, cls):
 
 def in_corridor(east_m, north_m, runway):
     lo, hi = _CORRIDOR_ALONG_NM
-    along, cross = sg._along_cross_nm(east_m, north_m, runway)
+    course = math.radians(runway.centerline_course)
+    de, dn = math.sin(course), math.cos(course)   # the unit vector along the centerline
+    along = (east_m * de + north_m * dn) / sg.NM_TO_M
+    cross = (east_m * dn - north_m * de) / sg.NM_TO_M
     return abs(cross) * sg.NM_TO_M / sg.FT_TO_M < _CORRIDOR_HALF_WIDTH_FT and lo < along < hi
 
 

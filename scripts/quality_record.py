@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.util
 import json
 import statistics
 import sys
@@ -43,6 +42,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+
+import bench_record as bench
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
@@ -54,14 +55,6 @@ GRID = {
 }
 
 
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load("bench_record", ROOT / "scripts" / "bench_record.py")
 sys.path.insert(0, str(ROOT / "src"))
 from rotortrack import validate as vl  # noqa: E402
 

@@ -228,8 +228,7 @@ def _forward(model: ModelParams, x: np.ndarray, trail: Optional[list] = None,
     return h
 
 
-def _backward(model: ModelParams, trail: list, grad_out: np.ndarray,
-              ws: nn.Workspace) -> list[np.ndarray]:
+def _backward(trail: list, grad_out: np.ndarray, ws: nn.Workspace) -> list[np.ndarray]:
     """Gradients in ModelParams.parameters() order, as views of ws.grad.
 
     It pops _forward's trail list empty, freeing each stage's activations as it goes.
@@ -272,7 +271,7 @@ class EpochStats:
 
 
 def train(model: ModelParams, windows: Sequence[FeatureWindow],
-          config: TrainConfig = TrainConfig()) -> list[EpochStats]:
+          config: TrainConfig) -> list[EpochStats]:
     """Fit the model in place on helicopter windows; returns the loss history.
 
     Only windows tagged as helicopters are accepted, so mislabeled data
@@ -322,7 +321,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             batch_losses.append(loss)
-            _backward(model, trail, nn.mae_grad(batch, rec), ws)
+            _backward(trail, nn.mae_grad(batch, rec), ws)
             nn.adam_step(flat, ws.grad, state)
         val_mae = nn.mae(val, _forward(model, val, ws=ws))
         if not np.isfinite(val_mae):

@@ -190,12 +190,18 @@ def _load_tracks(paths: Paths) -> list[td.Track]:
 
 def _per_helicopter(paths: Paths, stage: str,
                     fn: Callable[[td.Track, td.Runway], object]) -> dict[str, object]:
-    """td.per_helicopter over the input files, each skipped track logged naming the stage."""
-    out, skipped = td.per_helicopter(_load_tracks(paths),
-                                     td.load_labels(paths.input("labels")),
-                                     td.load_runways(paths.input("runways")), fn)
+    """td.per_helicopter over the input files, logging each skipped track and, once, the
+    helicopter labels that name no loaded track, naming the stage."""
+    tracks = _load_tracks(paths)
+    labels = td.load_labels(paths.input("labels"))
+    out, skipped = td.per_helicopter(tracks, labels, td.load_runways(paths.input("runways")), fn)
     for track_id, e in skipped:
         log.warning("%s track %s skipped: %s", stage, track_id, e)
+    loaded = {track.track_id for track in tracks}
+    unmatched = [i for i, cls in labels.items() if cls == td.CLASS_HELICOPTER and i not in loaded]
+    if unmatched:
+        log.warning("%s: %d helicopter labels name no loaded track, the first %r",
+                    stage, len(unmatched), unmatched[0])
     return out
 
 

@@ -25,7 +25,6 @@ REASON_SCORE = "runway_score_at_or_above"
 
 MIN_CALIBRATION_VALUES = 10
 
-DEFAULT_MAE_THRESHOLD = 0.01
 DEFAULT_PERCENTILE = 80.0
 DEFAULT_SCORE_THRESHOLD = 0.5
 
@@ -45,7 +44,7 @@ class Unclassifiable(IdentifyError):
 
 @dataclass(frozen=True)
 class Thresholds:
-    mae_threshold: float = DEFAULT_MAE_THRESHOLD
+    mae_threshold: float
     percentile: float = DEFAULT_PERCENTILE            # how mae_threshold was derived
     runway_score_threshold: float = DEFAULT_SCORE_THRESHOLD
 

@@ -112,7 +112,7 @@ class Track:
     runway_id: Optional[str] = None
     scratchpad_runway: Optional[bool] = None
     # {(threshold lat, lon): (index, NM)}, filled by closest_approach_index
-    _approach: dict = field(init=False, repr=False, compare=False)
+    _approach: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=POINT_DTYPE)
@@ -122,13 +122,6 @@ class Track:
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "_approach", {})
-
-    def __eq__(self, other):
-        if not isinstance(other, Track):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   if f.name == "points" else getattr(self, f.name) == getattr(other, f.name)
-                   for f in fields(self) if f.compare)
 
 
 @dataclass(slots=True, frozen=True)
@@ -195,11 +188,6 @@ def en_offset_km(lat, lon, ref_lat: float, ref_lon: float):
     return east, north
 
 
-def threshold_distance_nm(point: np.record, runway: Runway) -> float:
-    east, north = en_offset_km(point.lat, point.lon, runway.threshold_lat, runway.threshold_lon)
-    return math.hypot(east, north) / KM_PER_NM
-
-
 # np.hypot and math.hypot are each within an ulp of the exact value, so the
 # scalar minimum lies within this factor of the vectorized one.
 _NEAR_TIE = 1.0 + 16 * np.finfo(float).eps
@@ -221,9 +209,8 @@ def closest_approach_index(track: Track, runway: Runway) -> tuple[int, float]:
 
 def _closest_approach(track: Track, ref_lat: float, ref_lon: float) -> tuple[int, float]:
     """closest_approach_index, computed.  The minimum is found with np.hypot; every
-    point within _NEAR_TIE of it is measured again with math.hypot, as
-    threshold_distance_nm does, so index and distance are those of a scalar loop over
-    the points."""
+    point within _NEAR_TIE of it is measured again with math.hypot, so index and
+    distance are those of a scalar math.hypot loop over the points."""
     pts = track.points
     if not len(pts):
         raise FewerThan100Points(f"track {track.track_id} has no points")
@@ -384,11 +371,11 @@ def _track_of(obj: dict, values: np.ndarray) -> tuple[Optional[Track], Optional[
                  **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class LoadResult:
     tracks: list[Track]
     rejects: list[tuple[int, str]]   # (1-based line number, reason)
-    parsed: bool = field(default=False, compare=False)   # False when read from the sidecar
+    parsed: bool = False   # False when read from the sidecar
 
 
 def load_tracks(path) -> LoadResult:

@@ -75,7 +75,7 @@ def test_gradients_match_finite_differences():
         trail = []
         rec = ae._forward(model, batch, trail)
         ws = nn.Workspace([stage.layer for stage in model.stages])
-        analytic = ae._backward(model, trail, nn.mae_grad(batch, rec), ws)
+        analytic = ae._backward(trail, nn.mae_grad(batch, rec), ws)
 
         h = 1e-5
         for p, g in zip(model.parameters(), analytic):
@@ -176,7 +176,7 @@ def test_two_gate_decision_truth_table():
             res = idf.decide("t", mae_value, score, th)
             assert res.pred_is_helicopter is (mae_value < delta and score < gate)
     # a quiet air-ambulance arrival: tiny error, low score, both gates pass
-    res = idf.decide("N208SH", 0.00017365, 0.21, idf.Thresholds())
+    res = idf.decide("N208SH", 0.00017365, 0.21, idf.Thresholds(0.01))
     assert res.pred_is_helicopter is True and res.reasons == ()
 
 

@@ -121,7 +121,7 @@ class TestForwardShapes:
             trail = []
             rec = ae._forward(model, batch, trail)
             ws = nn.Workspace([stage.layer for stage in model.stages])
-            analytic = ae._backward(model, trail, nn.mae_grad(batch, rec), ws)
+            analytic = ae._backward(trail, nn.mae_grad(batch, rec), ws)
             h = 1e-5
             for p, g in zip(model.parameters(), analytic):
                 flat, gflat = p.reshape(-1), g.reshape(-1)
@@ -193,6 +193,17 @@ class TestTraining:
         with pytest.raises(ae.AutoencoderError):
             ae.train(model, sine_windows(ae.MIN_TRAIN_WINDOWS - 1), FAST_TRAIN)
 
+    def test_windows_that_overflow_the_loss_diverge_while_smaller_ones_train(self):
+        # finite windows whose first batch overflows float64 on its way to the loss
+        def scaled(factor):
+            return [td.FeatureWindow(w.values * factor, w.source_track_id, label=w.label)
+                    for w in sine_windows(40)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            history = ae.train(ae.build(SMALL_SPEC), scaled(1e300), ae.TrainConfig(epochs=1))
+            assert np.isfinite(history[0].val_mae)
+            with pytest.raises(ae.TrainingDiverged, match="non-finite loss at epoch 1, batch 0"):
+                ae.train(ae.build(SMALL_SPEC), scaled(1e306), ae.TrainConfig(epochs=1))
+
     def test_memorizes_a_repeated_window(self):
         # 32 copies of one window: the only optimum is exact reproduction;
         # 26 of them train, one batch and so one step an epoch
@@ -225,7 +236,7 @@ def train_on_fresh_workspaces(model, wins, cfg):
             trail = []
             rec = ae._forward(model, batch, trail)
             losses.append(nn.mae(batch, rec))
-            grads = ae._backward(model, trail, nn.mae_grad(batch, rec), nn.Workspace(layers))
+            grads = ae._backward(trail, nn.mae_grad(batch, rec), nn.Workspace(layers))
             nn.adam_step(flat, np.concatenate([g.ravel() for g in grads]), state)
         val_mae = nn.mae(val, ae._forward(model, val))
         history.append(ae.EpochStats(epoch, float(np.mean(losses)), val_mae))
@@ -346,7 +357,7 @@ class TestWorkspace:
         def step(ws):
             trail = []
             rec = ae._forward(model, batch, trail, ws)
-            return ae._backward(model, trail, nn.mae_grad(batch, rec), ws)
+            return ae._backward(trail, nn.mae_grad(batch, rec), ws)
         step(ws)
         for a in (*ws.arrays.values(), ws.grad):   # no stale margin, array or gradient leaks in
             a.fill(np.nan)

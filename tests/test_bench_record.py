@@ -1,7 +1,6 @@
 """Smoke test of scripts/bench_record.py in quick mode: one CLI pass over a 40/8/8
 scenario at 2 epochs, no perfbench.  It checks the record's shape, never its timings."""
 
-import importlib.util
 import json
 import shutil
 import subprocess
@@ -10,16 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import bench_record as recorder
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
 SUMMARY = {"median", "iqr", "n"}
-
-
-@pytest.fixture(scope="module")
-def recorder():
-    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def is_summary(d, n):
@@ -27,12 +20,12 @@ def is_summary(d, n):
             and all(isinstance(d[k], float) for k in ("median", "iqr")))
 
 
-def test_summary_is_median_and_inclusive_quartile_range(recorder):
+def test_summary_is_median_and_inclusive_quartile_range():
     assert recorder.summary([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "iqr": 1.5, "n": 4}
     assert recorder.summary([2.0]) == {"median": 2.0, "iqr": 0.0, "n": 1}
 
 
-def test_metrics_are_summarised_over_the_runs_with_their_units(recorder):
+def test_metrics_are_summarised_over_the_runs_with_their_units():
     # fake traced runs, as perfbench_run returns them: one lacks a metric, one failed outright
     runs = [{"metrics": {"a_us": {"value": v, "unit": "us"}, "calls": {"value": 4, "unit": "count"}}}
             for v in (3.0, 1.0, 2.0)]
@@ -48,7 +41,7 @@ READ = ("src/a.py", "scripts/b.py", "perfbench/c.py", "BENCHMARK.json")
 
 
 @pytest.fixture
-def scratch(recorder, tmp_path, monkeypatch):
+def scratch(tmp_path, monkeypatch):
     """A committed repository of the files a record reads and a README, as the recorder's
     ROOT; returns the git command line that works in it."""
     if shutil.which("git") is None:
@@ -64,7 +57,7 @@ def scratch(recorder, tmp_path, monkeypatch):
     return git
 
 
-def test_git_dirty_covers_every_tracked_file_a_record_reads(recorder, scratch, tmp_path):
+def test_git_dirty_covers_every_tracked_file_a_record_reads(scratch, tmp_path):
     assert recorder.provenance()["git_dirty"] is False
     for name in (*READ, "README.md"):
         (tmp_path / name).write_text("1\n", encoding="utf-8")
@@ -79,7 +72,7 @@ def test_git_dirty_covers_every_tracked_file_a_record_reads(recorder, scratch, t
     assert untracked["src_sha256"] == clean["src_sha256"]
 
 
-def test_code_digest_covers_every_file_a_record_reads(recorder, scratch, tmp_path):
+def test_code_digest_covers_every_file_a_record_reads(scratch, tmp_path):
     """code_sha256 changes with any file a record reads; src_sha256 with the sources only."""
     clean = recorder.provenance()
     for name in (*READ, "README.md"):
@@ -90,7 +83,7 @@ def test_code_digest_covers_every_file_a_record_reads(recorder, scratch, tmp_pat
         subprocess.run([*scratch, "checkout", "-q", "--", name], check=True)
 
 
-def test_quick_record_has_the_schema(recorder, tmp_path):
+def test_quick_record_has_the_schema(tmp_path):
     out = tmp_path / "bench.json"
     proc = subprocess.run([sys.executable, str(SCRIPT), "--quick", str(out)],
                           capture_output=True, text=True, timeout=300)

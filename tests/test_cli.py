@@ -3,7 +3,6 @@
 import csv
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import logging
 import os
@@ -15,6 +14,9 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+
+import bench_record as bench
+import quality_record as quality
 
 from rotortrack import autoencoder as ae
 from rotortrack import cli
@@ -610,6 +612,18 @@ class TestStageInputsThatStopOrWarn:
         assert ("WARNING calibration track H0000 skipped: track H0000: only"
                 in capsys.readouterr().err)
 
+    def test_a_helicopter_label_naming_no_track_is_a_warning(self, pipeline, tmp_path, capsys):
+        work = copy_inputs(pipeline, tmp_path / "train",
+                           ("cfg.json", "tracks.jsonl", "labels.csv", "runways.csv"))
+        with open(work / "labels.csv", "a") as fh:
+            fh.write("NOPE,helicopter\n")
+        for command, stage, name in (("train", "training", "model.rtae"),
+                                     ("calibrate", "calibration", "thresholds.json")):
+            assert run("--out-dir", str(work), "--config", str(work / "cfg.json"), command) == 0
+            assert (f"WARNING {stage}: 1 helicopter labels name no loaded track, the first "
+                    "'NOPE'" in capsys.readouterr().err)
+            assert (work / name).read_bytes() == (pipeline / name).read_bytes()
+
     def test_a_duplicate_registration_row_is_a_warning(self, pipeline, tmp_path, capsys):
         names = ("tracks.jsonl", "results.csv", "registration.csv", "heli_types.txt")
         work = copy_inputs(pipeline, tmp_path / "validate", names)
@@ -741,19 +755,10 @@ class TestMalformedConfig:
         assert named in capsys.readouterr().err
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestCallerConfigs:
     def test_every_config_a_caller_writes_loads(self, tmp_path):
         # the recorders' scenarios, and the JSON objects the CI workflow and the
         # README echo into config files
-        bench = load_script("bench_record")
-        quality = load_script("quality_record")
         configs = [(f"bench_record {name}", config)
                    for scenarios in (bench.SCENARIOS, bench.QUICK_SCENARIOS)
                    for name, (config, _) in scenarios.items()]
@@ -777,7 +782,7 @@ class TestCallerConfigs:
         # an artifact added to the recorder's set must not go uncompared in CI
         workflow = (ROOT / ".github/workflows/tier1.yml").read_text(encoding="utf-8")
         loops = re.findall(r"for f in ([^;\n]*); do\s+cmp ", workflow)
-        compared = load_script("bench_record").BYTE_COMPARED
+        compared = bench.BYTE_COMPARED
         # the "\r\n" pass rewrites tracks.jsonl's line endings, and the read-only pass reads
         # it from another directory; each compares the rest
         rest = tuple(name for name in compared if name != "tracks.jsonl")

@@ -84,16 +84,17 @@ class TestDecide:
         assert res.mae == 0.9 and res.runway_score == 0.2
 
     def test_low_error_low_score_track_is_a_helicopter(self):
-        # a track far below both default gates
-        res = idf.decide("air-ambulance", 0.00017365, 0.21, idf.Thresholds())
+        # a track far below both gates
+        res = idf.decide("air-ambulance", 0.00017365, 0.21, idf.Thresholds(0.01))
         assert res.pred_is_helicopter is True
         assert res.reasons == ()
 
 
 class TestThresholds:
     def test_defaults_are_valid(self):
-        th = idf.Thresholds()
-        assert th.mae_threshold == 0.01
+        with pytest.raises(TypeError, match="mae_threshold"):
+            idf.Thresholds()   # the MAE gate is calibrated or read, never a default
+        th = idf.Thresholds(0.01)
         assert th.percentile == 80.0
         assert th.runway_score_threshold == 0.5
 
@@ -103,11 +104,11 @@ class TestThresholds:
         with pytest.raises(ValueError):
             idf.Thresholds(mae_threshold=10 ** 400)
         with pytest.raises(ValueError):
-            idf.Thresholds(percentile=0.0)
+            idf.Thresholds(0.01, percentile=0.0)
         with pytest.raises(ValueError):
-            idf.Thresholds(percentile=101.0)
+            idf.Thresholds(0.01, percentile=101.0)
         with pytest.raises(ValueError):
-            idf.Thresholds(runway_score_threshold=1.5)
+            idf.Thresholds(0.01, runway_score_threshold=1.5)
 
 
 RUNWAY = td.Runway("KXYZ-27", 40.0, -86.0, 600.0, 270.0, 8000.0)
@@ -139,13 +140,13 @@ class TestClassifyTrack:
         model = training_windows_and_model()
         pts = [(float(i), 42.0, -86.0, 1600.0, 270.0, 60.0) for i in range(120)]
         with pytest.raises(idf.Unclassifiable) as exc:
-            idf.classify(model, idf.Thresholds(), td.Track("far", pts), RUNWAY)
+            idf.classify(model, idf.Thresholds(0.01), td.Track("far", pts), RUNWAY)
         assert exc.value.reason == "no_approach"
 
     def test_short_track_is_unclassifiable(self):
         model = training_windows_and_model()
         with pytest.raises(idf.Unclassifiable) as exc:
-            idf.classify(model, idf.Thresholds(), self.approach(n=80, closest=40), RUNWAY)
+            idf.classify(model, idf.Thresholds(0.01), self.approach(n=80, closest=40), RUNWAY)
         assert exc.value.reason == "fewer_than_100_points"
 
     def test_any_windowing_error_is_unclassifiable_with_its_own_reason(self, monkeypatch):
@@ -157,7 +158,7 @@ class TestClassifyTrack:
 
         monkeypatch.setattr(td, "arrival_features", refuse)
         with pytest.raises(idf.Unclassifiable) as exc:
-            idf.classify(training_windows_and_model(), idf.Thresholds(), self.approach(), RUNWAY)
+            idf.classify(training_windows_and_model(), idf.Thresholds(0.01), self.approach(), RUNWAY)
         assert (exc.value.track_id, exc.value.reason) == ("T1", "sideways")
 
     def test_classify_agrees_with_window_mae_and_score(self):
@@ -187,7 +188,7 @@ class TestClassifyTrack:
         model = training_windows_and_model()
         model.norm_stats = None
         with pytest.raises(idf.IdentifyError):
-            idf.classify(model, idf.Thresholds(), self.approach(), RUNWAY)
+            idf.classify(model, idf.Thresholds(0.01), self.approach(), RUNWAY)
         with pytest.raises(idf.IdentifyError):
             idf.window_mae(model, self.approach(), RUNWAY)
 

@@ -1,24 +1,12 @@
 """Smoke test of scripts/quality_record.py: one seed of a 40/8/8 scenario at 2 epochs, in
 each cell of its grid.  It checks the record's shape, never its quality values."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "quality_record.py"
+import quality_record as recorder
+
 SPREAD = {"median", "min", "max"}
 SMALL = {"synth": {"helicopters": 40, "ga": 8, "commercial": 8}, "training": {"epochs": 2}}
-
-
-def _load():
-    spec = importlib.util.spec_from_file_location("quality_record", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-recorder = _load()
 
 
 def test_spread_is_median_and_range_of_the_known_values():

@@ -67,7 +67,7 @@ class TestTrackMeasurement:
         assert si.lateral_deviation_ft < 1.0
         assert si.course_diff_deg == 0.0
         assert si.distance_nm == pytest.approx(
-            td.threshold_distance_nm(track.points[0], RUNWAY))
+            math.hypot(*td.en_offset_km(40.0, -85.95, 40.0, -86.0)) / td.KM_PER_NM)
 
     def test_northward_offset_becomes_lateral_feet(self):
         east, _ = td.en_offset_km(40.0, -85.95, 40.0, -86.0)

@@ -132,8 +132,10 @@ class TestShape:
 
 class TestHelicopterGeometry:
     def test_keeps_clear_of_the_threshold_ring(self, scenario):
+        rw = scenario.runway
         for t in tracks_of(scenario, td.CLASS_HELICOPTER):
-            closest = min(td.threshold_distance_nm(p, scenario.runway)
+            closest = min(math.hypot(*td.en_offset_km(p.lat, p.lon, rw.threshold_lat,
+                                                      rw.threshold_lon)) / td.KM_PER_NM
                           for p in t.points)
             assert closest >= _HELI_MIN_THRESHOLD_NM
 

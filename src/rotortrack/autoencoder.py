@@ -13,7 +13,7 @@ The architecture is one layer plan worked out from the spec by arithmetic
 alone: the stages ``enc0..``, ``enc_dense``, ``dec_dense``, ``dec0..`` in
 data-flow order, each a layer plus whether a ReLU follows it.  Building,
 both passes, the parameter list and the model file walk that one list, and
-a stage's name labels its arrays in load's errors.
+the plan's stage names label the arrays in load's errors.
 
 Models are stored in a single binary file: magic ``RTAE``, a format
 version, a JSON header holding the spec, the raw little-endian bytes of
@@ -122,20 +122,10 @@ class AutoencoderSpec:
             length, channels = out, c
         return length, channels
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AutoencoderSpec":
-        """Values are taken as they are, so a loaded spec saves back to the same header."""
-        sizes = {key: d[key] for key in ("input_len", "n_features", "latent_dim", "seed")}
-        return cls(**sizes, encoder_convs=tuple(map(tuple, d["encoder_convs"])), dtype=d["dtype"])
-
 
 class Stage(NamedTuple):
-    """One step of the layer plan."""
+    """One step of the layer plan: its layer and whether a ReLU follows."""
 
-    name: str     # enc<i>, enc_dense, dec_dense or dec<i>; labels its arrays in load's errors
     layer: object  # nn.Conv1DLayer, nn.DenseLayer or nn.ConvTranspose1DLayer
     relu: bool    # whether a ReLU follows the layer
 
@@ -198,8 +188,8 @@ MIN_TRAIN_WINDOWS = 32
 def build(spec: AutoencoderSpec) -> ModelParams:
     """Assemble and initialize a model; weights are uniform, fan-in scaled."""
     rng = np.random.default_rng(spec.seed)
-    return ModelParams(spec, [Stage(name, cls.init(rng, *geometry, dtype=spec.dtype), relu)
-                              for name, cls, geometry, relu in _plan(spec)])
+    return ModelParams(spec, [Stage(cls.init(rng, *geometry, dtype=spec.dtype), relu)
+                              for _, cls, geometry, relu in _plan(spec)])
 
 
 def _fit(layer, h: np.ndarray) -> np.ndarray:
@@ -228,12 +218,11 @@ def _forward(model: ModelParams, x: np.ndarray, trail: Optional[list] = None,
     return h
 
 
-def _backward(trail: list, grad_out: np.ndarray, ws: nn.Workspace) -> list[np.ndarray]:
-    """Gradients in ModelParams.parameters() order, as views of ws.grad.
+def _backward(trail: list, grad_out: np.ndarray, ws: nn.Workspace) -> None:
+    """Write every parameter's gradient into ws.grad, laid out like nn.flatten's vector.
 
     It pops _forward's trail list empty, freeing each stage's activations as it goes.
     """
-    grads: list[np.ndarray] = []
     g = grad_out
     while trail:
         stage, h, out = trail.pop()
@@ -242,11 +231,9 @@ def _backward(trail: list, grad_out: np.ndarray, ws: nn.Workspace) -> list[np.nd
             # g came from the stage above: the plan's last stage has no ReLU
             nn.relu_backward(out, g, out=g)
         if trail:
-            g, gw, gb = stage.layer.backward(h, g, ws)
+            g = stage.layer.backward(h, g, ws)
         else:   # the first stage, a conv: nothing reads the input windows' gradient
-            _, gw, gb = stage.layer.backward(h, g, ws, input_grad=False)
-        grads += [gb, gw]
-    return grads[::-1]
+            stage.layer.backward(h, g, ws, input_grad=False)
 
 
 def reconstruct(model: ModelParams, window_values: np.ndarray) -> np.ndarray:
@@ -353,7 +340,7 @@ def _layout(spec: AutoencoderSpec) -> list[tuple[str, tuple[int, ...], str]]:
 
 def _header(spec: AutoencoderSpec) -> bytes:
     """The JSON header save writes for spec, the one form load accepts; every file has stats."""
-    return json.dumps({"spec": spec.to_dict(), "has_norm_stats": True},
+    return json.dumps({"spec": asdict(spec), "has_norm_stats": True},
                       separators=(",", ":")).encode("utf-8")
 
 
@@ -391,7 +378,8 @@ def load(path) -> ModelParams:
     header_len = int.from_bytes(body[pos - 4:pos], "little")
     try:
         header = json.loads(body[pos:pos + header_len].decode("utf-8"))
-        spec = AutoencoderSpec.from_dict(header["spec"])
+        d = header["spec"]   # values as they are, so a loaded spec saves back to this header
+        spec = AutoencoderSpec(**{**d, "encoder_convs": tuple(map(tuple, d["encoder_convs"]))})
         layout = _layout(spec)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError, SpecError) as e:
         raise ModelFormatError(f"malformed model file: {type(e).__name__}: {e}") from None
@@ -416,6 +404,6 @@ def load(path) -> ModelParams:
         raise ModelFormatError("malformed model file: its header is not the one save writes "
                                "for its model")
     it = iter(arrays)
-    return ModelParams(spec, [Stage(name, cls(*geometry, w=next(it), b=next(it)), relu)
-                              for name, cls, geometry, relu in _plan(spec)],
+    return ModelParams(spec, [Stage(cls(*geometry, w=next(it), b=next(it)), relu)
+                              for _, cls, geometry, relu in _plan(spec)],
                        NormStats(mean=next(it), std=next(it)))

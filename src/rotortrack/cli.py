@@ -338,8 +338,9 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
 
     A row of the wrong length, with a value of the wrong kind, a non-finite
     number or a repeated track_id is a td.MalformedRecord naming the file and the line.
-    So is a row that _result_row would not write: a prediction of true with reasons or of
-    false without, or an unclassifiable row with a mae, a runway_score or true.
+    So is a row that _result_row would not write: a negative mae, a runway_score outside
+    [0, 1], a prediction of true with reasons or of false without, or an unclassifiable
+    row with a mae, a runway_score or true.
     """
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
@@ -361,6 +362,10 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
                 result = idf.ClassificationResult(
                     track_id, _finite("mae", mae), _finite("runway_score", score),
                     pred == "true", tuple(r for r in reasons.split(";") if r))
+                if result.mae < 0:   # a mean of absolute values
+                    raise ValueError(f"mae must be >= 0, got {mae!r}")
+                if not 0 <= result.runway_score <= 1:   # a weighted mean of factors in [0, 1]
+                    raise ValueError(f"runway_score must be in [0, 1], got {score!r}")
                 if result.pred_is_helicopter == bool(result.reasons):
                     raise ValueError("pred_is_helicopter is true exactly when reasons are empty, "
                                      f"got {pred} with reasons {reasons!r}")

@@ -70,7 +70,7 @@ class Workspace:
 
     ``grad`` is one flat gradient vector laid out like ``flatten``'s
     parameter vector for the same layers; each layer's backward writes its
-    weight and bias gradients into its views of it.
+    weight and bias gradients into its views of it and returns only its input gradient.
     """
 
     def __init__(self, layers: list):
@@ -255,8 +255,8 @@ class Conv1DLayer(_ConvLayer):
 
     def backward(self, x: np.ndarray, grad_out: np.ndarray, ws: Workspace,
                  input_grad: bool = True):
-        """Gradients for inputs (None unless input_grad), weights, and bias given upstream
-        grad_out; the weight and bias gradients are the layer's views of ws.grad."""
+        """The input gradient given upstream grad_out, or None unless input_grad; the weight
+        and bias gradients go into ws.grads[id(self)], the layer's views of ws.grad."""
         _check_tensor3(x, self.c_in, "Conv1DLayer.backward")
         self._check_grad_out(x, grad_out)
         cols = self._rows(x, grad_out.shape[1], ws)
@@ -265,10 +265,10 @@ class Conv1DLayer(_ConvLayer):
         np.matmul(cols.T, g, out=grad_w.reshape(cols.shape[1], -1))
         np.einsum("ij->j", g, out=grad_b, casting="same_kind")
         if not input_grad:
-            return None, grad_w, grad_b
+            return None
         grad_x = _layer_array(self, ws, "grad", x.shape)   # after grad_w: this reuses "cols"
         grad_x[...] = self._spread(grad_out, self.w.transpose(0, 2, 1), x.shape[1], ws)
-        return grad_x, grad_w, grad_b
+        return grad_x
 
 
 class ConvTranspose1DLayer(_ConvLayer):
@@ -300,7 +300,7 @@ class ConvTranspose1DLayer(_ConvLayer):
         np.matmul(cols.T, x.reshape(-1, self.c_in), out=grad_taps)
         grad_w[...] = grad_taps.reshape(self.kernel_size, self.c_out, self.c_in).transpose(0, 2, 1)
         np.einsum("ij->j", grad_out.reshape(-1, self.c_out), out=grad_b, casting="same_kind")
-        return grad_x, grad_w, grad_b
+        return grad_x
 
 
 @dataclass
@@ -342,7 +342,7 @@ class DenseLayer:
         grad_w, grad_b = ws.grads[id(self)]
         np.matmul(x.T, grad_out, out=grad_w)
         np.sum(grad_out, axis=0, out=grad_b)
-        return grad_x, grad_w, grad_b
+        return grad_x
 
 
 def relu_forward(x: np.ndarray, out: "np.ndarray | None" = None) -> np.ndarray:

@@ -55,12 +55,10 @@ class TrackDataError(Exception):
 
 
 class MalformedRecord(TrackDataError):
-    """A line or row of a file that cannot be used, with its 1-based position."""
+    """A line or row of a file that cannot be used: "<path> line <n>: <reason>", n 1-based."""
 
     def __init__(self, path, position: int, message: str):
         super().__init__(f"{path} line {position}: {message}")
-        self.position = position
-        self.reason = message
 
 
 class WindowingError(TrackDataError):

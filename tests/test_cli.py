@@ -179,6 +179,16 @@ class TestPipelineArtifacts:
                        "--log-file", str(tmp_path / "log.txt"), "train") == 0
         assert logged in (tmp_path / "log.txt").read_text(encoding="utf-8")
 
+    def test_readme_library_example_runs_on_a_run_directory(self, pipeline, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+        assert '"run/' in block
+        exec(block.replace('"run/', f'"{pipeline.as_posix()}/'), {})
+        # one line for the first track, then one per track in order
+        lines = capsys.readouterr().out.splitlines()
+        tracks = td.load_tracks(pipeline / "tracks.jsonl").tracks
+        assert [line.split()[0] for line in lines[1:]] == [t.track_id for t in tracks]
+
 
 class TestCliBehavior:
     def test_missing_input_fails_with_nonzero_exit(self, tmp_path):
@@ -496,6 +506,8 @@ class TestMalformedResults:
         ('"' + "x" * (csv.field_size_limit() + 1) + '",0.1,0.2,true,', "field larger"),
         ("H0000,nan,0.2,true,", "mae must be finite, got 'nan'"),
         ("H0000,0.1,-inf,false,runway_score", "runway_score must be finite, got '-inf'"),
+        ("H0000,-1.5,0.2,true,", "mae must be >= 0, got '-1.5'"),
+        ("H0000,0.1,7.25,false,runway_score", "runway_score must be in [0, 1], got '7.25'"),
         ("H0001,0.3,0.4,true,", "duplicate track_id 'H0001'"),
         ("H0000,0.3,0.4,true,mae_at_or_above_threshold",
          "pred_is_helicopter is true exactly when reasons are empty, got true with reasons "
@@ -504,7 +516,7 @@ class TestMalformedResults:
          "an unclassifiable row has an empty mae and runway_score and false, "
          "got '0.3', '0.4' and 'false'"),
     ], ids=["short_row", "non_numeric_mae", "non_boolean_prediction", "csv_error", "nan_mae",
-            "infinite_score", "repeated_track_id", "helicopter_with_reasons",
+            "infinite_score", "negative_mae", "score_above_one", "repeated_track_id", "helicopter_with_reasons",
             "unclassifiable_with_scores"])
     def test_bad_row_is_a_cli_error_naming_file_and_line(self, tmp_path, row, named):
         path = tmp_path / "results.csv"

@@ -227,10 +227,10 @@ def test_input_gradient_is_skipped_on_request():
     conv = nn.Conv1DLayer.init(rng, 7, 2, 6, 16)
     x = rng.normal(size=(4, 100, 6))
     grad_out = rng.normal(size=(4, 50, 16))
-    grad_x, grad_w, grad_b = conv.backward(x, grad_out, nn.Workspace([conv]), input_grad=False)
-    full = backward_alone(conv, x, grad_out)
-    assert grad_x is None
-    assert grad_w.tobytes() == full[1].tobytes() and grad_b.tobytes() == full[2].tobytes()
+    skipped, full = nn.Workspace([conv]), nn.Workspace([conv])
+    assert conv.backward(x, grad_out, skipped, input_grad=False) is None
+    assert conv.backward(x, grad_out, full).shape == x.shape
+    assert skipped.grad.tobytes() == full.grad.tobytes()
 
 
 # (layer class, geometry, input length) of the shipped model's six layers
@@ -263,7 +263,8 @@ def test_every_pass_gives_the_same_bytes_on_a_fresh_and_a_stale_workspace(cls, g
         return x, rng.normal(size=layer.forward(x).shape)
 
     def passes(ws):
-        return [a.copy() for a in (layer.forward(x, ws), *layer.backward(x, grad_out, ws))]
+        return [a.copy() for a in (layer.forward(x, ws), layer.backward(x, grad_out, ws),
+                                   *ws.grads[id(layer)])]
     x, grad_out = inputs(batch)
     fresh = passes(nn.Workspace([layer]))
     assert layer.forward(x).tobytes() == fresh[0].tobytes()
@@ -291,8 +292,9 @@ def test_every_pass_writes_its_layers_dtype_whatever_the_input_dtype():
         arrays = [conv.forward(x, forward_ws), trans.forward(short, forward_ws),
                   dense.forward(flat, forward_ws)]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-    arrays = [*conv.backward(x, short, ws), *trans.backward(short, long, ws),
-              *dense.backward(flat, short[:, 0], ws)]
+    arrays = [conv.backward(x, short, ws), trans.backward(short, long, ws),
+              dense.backward(flat, short[:, 0], ws), *ws.grads[id(conv)],
+              *ws.grads[id(trans)], *ws.grads[id(dense)]]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     assert {a.dtype for a in ws.arrays.values()} == {np.dtype(np.float32)}
 
@@ -346,12 +348,11 @@ class TestGradients:
             out = dense.forward(flat)
             g_out = out - target
             ws = nn.Workspace([conv, trans, dense])
-            g_flat, g_dw, g_db = dense.backward(flat, g_out, ws)
-            g_h2 = g_flat.reshape(h2.shape)
-            g_h1, g_tw, g_tb = trans.backward(h1, g_h2, ws)
-            g_x, g_cw, g_cb = conv.backward(x, g_h1, ws)
+            g_flat = dense.backward(flat, g_out, ws)
+            g_h1 = trans.backward(h1, g_flat.reshape(h2.shape), ws)
+            g_x = conv.backward(x, g_h1, ws)
 
-            analytic = [g_x, g_cw, g_cb, g_tw, g_tb, g_dw, g_db]
+            analytic = [g_x, *ws.grads[id(conv)], *ws.grads[id(trans)], *ws.grads[id(dense)]]
             numeric = finite_diff(loss, [x, conv.w, conv.b, trans.w, trans.b,
                                          dense.w, dense.b])
             for a, n in zip(analytic, numeric):

@@ -634,10 +634,10 @@ def test_each_layers_backward_is_the_other_layers_forward(geometry, seed):
     x = rng.normal(size=(batch, n_in, c_in))
     ws = nn.Workspace([conv, tr])
     grad_short = rng.normal(size=(batch, conv.out_length(n_in), c_out))
-    grad_x = conv.backward(x, grad_short, ws)[0]
+    grad_x = conv.backward(x, grad_short, ws)
     assert np.max(np.abs(grad_x - tr.forward(grad_short)[:, :n_in])) < 1e-12
     grad_long = rng.normal(size=(batch, tr.out_length(grad_short.shape[1]), c_in))
-    grad_h = tr.backward(grad_short, grad_long, ws)[0]
+    grad_h = tr.backward(grad_short, grad_long, ws)
     assert np.max(np.abs(grad_h - conv.forward(grad_long))) < 1e-12
 
 
@@ -700,7 +700,7 @@ def test_both_short_to_long_passes_match_a_per_tap_scatter(geometry, dtype, seed
     length = (n_short - 1) * stride + int(rng.integers(1, stride + 1))
     x = rng.normal(size=(batch, length, c_long)).astype(dtype)
     grad_out = rng.normal(size=(batch, conv.out_length(length), c_short)).astype(dtype)
-    within_bound(lambda w: conv.backward(x, grad_out, w)[0], nn.Workspace([tr, conv]), grad_out,
+    within_bound(lambda w: conv.backward(x, grad_out, w), nn.Workspace([tr, conv]), grad_out,
                  conv.w.transpose(0, 2, 1), length)
 
 
@@ -725,7 +725,9 @@ def test_conv_bias_gradients_equal_a_row_by_row_sum_bit_for_bit(geometry, dtype,
     x = rng.normal(size=(batch, n_in, c_in)).astype(dtype)
     for layer in (conv, tr):
         grad_out = rng.normal(size=(batch, layer.out_length(n_in), c_out)).astype(dtype)
-        grad_b = layer.backward(x, grad_out, nn.Workspace([layer]))[2]
+        ws = nn.Workspace([layer])
+        layer.backward(x, grad_out, ws)
+        _, grad_b = ws.grads[id(layer)]
         assert grad_b.tobytes() == row_by_row_sum(grad_out.reshape(-1, c_out)).tobytes()
 
 
@@ -762,7 +764,8 @@ def test_every_pass_on_a_stale_workspace_gives_a_fresh_ones_bytes(geometry, d_in
 
     def passes(runs, ws):
         return [a.tobytes() for layer, x, grad_out in runs
-                for a in (layer.forward(x, ws), *layer.backward(x, grad_out, ws))]
+                for a in (layer.forward(x, ws), layer.backward(x, grad_out, ws),
+                          *ws.grads[id(layer)])]
 
     runs = cases(batch)
     fresh = passes(runs, nn.Workspace(layers))

@@ -734,7 +734,7 @@ class TestLabels:
         p.write_text("track_id,class\n" + rows)
         with pytest.raises(td.MalformedRecord, match=re.escape(reason)) as exc:
             td.load_labels(p)
-        assert exc.value.position == line
+        assert str(exc.value).startswith(f"{p} line {line}: ")
         assert f"labels.csv line {line}:" in str(exc.value)
 
 
@@ -894,7 +894,7 @@ class TestRunwayTable:
         p.write_text(RUNWAY_CSV + "KXYZ-36," + ",".join(list(row.values())[1:]) + "\n")
         with pytest.raises(td.MalformedRecord, match=re.escape(f"{field} must be {rule}")) as exc:
             td.load_runways(p)
-        assert exc.value.position == 4
+        assert str(exc.value).startswith(f"{p} line 4: ")
         assert "runways.csv line 4" in str(exc.value)
 
     @pytest.mark.parametrize("before, runway_id, line", [
@@ -906,7 +906,7 @@ class TestRunwayTable:
         p.write_text(RUNWAY_CSV + before + runway_id + ",40.0,-86.0,600.0,360,8000.0\n")
         with pytest.raises(td.MalformedRecord, match=re.escape("centerline_course must be")) as exc:
             td.load_runways(p)
-        assert exc.value.position == line
+        assert str(exc.value).startswith(f"{p} line {line}: ")
         assert f"runways.csv line {line}:" in str(exc.value)
 
     @pytest.mark.parametrize("row, reason", [
@@ -918,7 +918,7 @@ class TestRunwayTable:
         p.write_text(RUNWAY_CSV + row + "\n")
         with pytest.raises(td.MalformedRecord, match=re.escape(reason)) as exc:
             td.load_runways(p)
-        assert exc.value.position == 4
+        assert str(exc.value).startswith(f"{p} line 4: ")
 
     def test_geometry_at_the_edges_of_its_ranges_loads(self, tmp_path):
         p = tmp_path / "runways.csv"
@@ -986,7 +986,7 @@ class TestRegistrationTable:
                      "N208SH,,X,Y,ROTORCRAFT,\nN9,B00009,X,Y,BALLOON,\n")
         with pytest.raises(td.MalformedRecord) as exc:
             td.load_registration(p)
-        assert exc.value.position == 9
+        assert str(exc.value).startswith(f"{p} line 9: ")
         p.write_text(REGISTRATION_CSV + '\nN7,B00007,"R44\nII",ROBINSON,ROTORCRAFT,R44\n'
                      "N208SH,,X,Y,ROTORCRAFT,\n")
         assert td.load_registration(p).duplicates == ["line 8: duplicate n_number N208SH"]
@@ -996,7 +996,7 @@ class TestRegistrationTable:
         p.write_text(REGISTRATION_CSV + " ,B00009,X,Y,ROTORCRAFT,R44\n")
         with pytest.raises(td.MalformedRecord, match="empty n_number") as exc:
             td.load_registration(p)
-        assert exc.value.position == 5
+        assert str(exc.value).startswith(f"{p} line 5: ")
 
     def test_unknown_aircraft_class_rejected(self, tmp_path):
         p = tmp_path / "reg.csv"

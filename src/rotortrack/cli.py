@@ -333,14 +333,20 @@ def _finite(name: str, text: str) -> float:
     return value
 
 
+# The reasons _result_row writes: idf.decide's, or a WindowingError's after "unclassifiable:".
+_SCORED_REASONS = ("", idf.REASON_MAE, idf.REASON_SCORE, f"{idf.REASON_MAE};{idf.REASON_SCORE}")
+_UNCLASSIFIABLE_REASONS = {cls.reason for cls in td.WindowingError.__subclasses__()}
+
+
 def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     """Parse results.csv back into results plus {track_id: reason} of the unclassifiable rows.
 
     A row of the wrong length, with a value of the wrong kind, a non-finite
     number or a repeated track_id is a td.MalformedRecord naming the file and the line.
     So is a row that _result_row would not write: a negative mae, a runway_score outside
-    [0, 1], a prediction of true with reasons or of false without, or an unclassifiable
-    row with a mae, a runway_score or true.
+    [0, 1], a prediction of true with reasons or of false without, reasons idf.decide
+    does not give, or an unclassifiable row with a mae, a runway_score, true or a reason
+    no td.WindowingError gives.
     """
     results: list[idf.ClassificationResult] = []
     unclassifiable: dict[str, str] = {}
@@ -355,7 +361,10 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
                 if (mae, score, pred) != ("", "", "false"):
                     raise ValueError("an unclassifiable row has an empty mae and runway_score "
                                      f"and false, got {mae!r}, {score!r} and {pred!r}")
-                unclassifiable[track_id] = reasons.split(":", 1)[1]
+                unclassifiable[track_id] = reason = reasons.split(":", 1)[1]
+                if reason not in _UNCLASSIFIABLE_REASONS:
+                    raise ValueError(f"an unclassifiable row's reason must be one of "
+                                     f"{sorted(_UNCLASSIFIABLE_REASONS)}, got {reason!r}")
             elif pred not in ("true", "false"):
                 raise ValueError(f"pred_is_helicopter must be true or false, got {pred!r}")
             else:
@@ -369,6 +378,10 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
                 if result.pred_is_helicopter == bool(result.reasons):
                     raise ValueError("pred_is_helicopter is true exactly when reasons are empty, "
                                      f"got {pred} with reasons {reasons!r}")
+                if reasons not in _SCORED_REASONS:
+                    raise ValueError(f"reasons must be empty, {idf.REASON_MAE}, "
+                                     f"{idf.REASON_SCORE} or both joined by ';' in that order, "
+                                     f"got {reasons!r}")
                 results.append(result)
         except ValueError as e:
             raise td.MalformedRecord(path, line_no, str(e)) from None
@@ -417,10 +430,17 @@ def cmd_validate(cfg: dict, paths: Paths) -> None:
 def cmd_report(cfg: dict, paths: Paths) -> None:
     """write a consolidated text report"""
     thresholds = _read_thresholds(paths)
-    numbers = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable", "precision", "recall")
+    counts = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable")
+    ratios = ("precision", "recall")
     path = paths.input("metrics")
-    metrics = _read_json_object(path, numbers, nullable=("precision", "recall"))
-    _refuse_unknown_keys(path, metrics, numbers + ("venn",))   # validate writes venn; unread here
+    metrics = _read_json_object(path, counts + ratios, nullable=ratios)
+    _refuse_unknown_keys(path, metrics, counts + ratios + ("venn",))   # venn goes unread here
+    for key in counts:
+        if not isinstance(metrics[key], int) or metrics[key] < 0:
+            raise CliError(f"{path}: {key!r} must be an integer >= 0, got {metrics[key]!r}")
+    for key in ratios:
+        if metrics[key] is not None and not 0 <= metrics[key] <= 1:
+            raise CliError(f"{path}: {key!r} must be null or in [0, 1], got {metrics[key]!r}")
     venn_txt = "".join(td.utf8_lines(paths.input("venn_txt")))
 
     def ratio(value) -> str:

@@ -6,14 +6,17 @@ array of POINT_DTYPE (t, lat, lon, alt, course, gs), and the geometry below
 works on its columns.  What a parse of a track file found is kept in a checked
 binary sidecar next to it, so that later loads of the same bytes skip the
 parse.  A parse writes each track's points to the sidecar as its line is
-parsed, then the header, and returns what the sidecar reads back, as a later
-load does: one array of all points, read, hashed and checked once, whose row
-runs are the tracks' points.  Arrival windows are the last 100 track points at
-or before the point of closest approach to the runway threshold.  No function
-here changes its inputs, but closest_approach_index memoises its results on the
-track, so the runway pick, the windowing and the runway score compute each
-(track, threshold) pair once between them.  Threads may share loaded data: two
-that race on one pair both compute the same values.
+parsed, then the header, and returns what the sidecar reads back: one array of
+all points, read, hashed and checked once, whose row runs are the tracks'
+points.  A later load reads that array at the first points read of any of its
+tracks, so reading identity fields alone reads no point.  Arrival windows are
+the last 100 track points at or before the point of closest approach to the
+runway threshold.  No function here changes its inputs, but
+closest_approach_index memoises its results on the track, so the runway pick,
+the windowing and the runway score compute each (track, threshold) pair once
+between them.  Threads may share loaded data: two that race on one pair both
+compute the same values, and the first points read of a load holds a lock of
+that load, so its rows are read once.
 """
 
 from __future__ import annotations
@@ -23,15 +26,17 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import operator
 import os
 import re
 import struct
 import tempfile
+import threading
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -98,7 +103,8 @@ class Track:
     """One surveillance track.  points is a read-only array of POINT_DTYPE, oldest first:
     points["lat"] is a column and points[i].lat a value.  (t, lat, lon, alt, course, gs)
     tuples are converted on construction; an array of POINT_DTYPE is kept without a copy,
-    through a read-only view.  A Track is immutable: to change its points, build a new one."""
+    through a read-only view.  A Track is immutable: to change its points, build a new one.
+    A warm load's tracks get their points at the first points read of any of them."""
 
     track_id: str
     points: np.ndarray
@@ -111,15 +117,27 @@ class Track:
     scratchpad_runway: Optional[bool] = None
     # {(threshold lat, lon): (index, NM)}, filled by closest_approach_index
     _approach: dict = field(init=False, repr=False)
+    # the rows of the sidecar load that sets points, for a track built from one
+    _rows: Optional[_SidecarRows] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_approach", {})
+        if isinstance(self.points, _SidecarRows):   # points stays unset until they are read
+            object.__setattr__(self, "_rows", self.points)
+            object.__delattr__(self, "points")
+            return
         points = np.asarray(self.points, dtype=POINT_DTYPE)
         if points.ndim != 1:   # numpy spreads each value of a list row over all six fields
             raise TrackDataError("points must be point tuples or a 1-D POINT_DTYPE array")
         points = points.view()
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_approach", {})
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset, as points is before its sidecar rows are read
+        if name == "points" and self._rows is not None:
+            self._rows.fill()
+        return object.__getattribute__(self, name)
 
 
 @dataclass(slots=True, frozen=True)
@@ -346,7 +364,7 @@ def _parse_track(line: str) -> tuple[Optional[Track], Optional[str]]:
     values = _point_array(raw_points)
     if values is None:
         return None, _first_point_error(raw_points)
-    return _track_of(obj, values)
+    return _track_of(obj, values.view(POINT_DTYPE)[:, 0])
 
 
 def _plain_text(val) -> bool:
@@ -355,9 +373,9 @@ def _plain_text(val) -> bool:
     return isinstance(val, str) and _encodable(val) and "\0" not in val
 
 
-def _track_of(obj: dict, values: np.ndarray) -> tuple[Optional[Track], Optional[str]]:
-    """The Track of a record's wire-keyed fields and its checked (n, 6) point values, or
-    the reason a field is refused.  Every loaded track passes here, parsed or not."""
+def _track_of(obj: dict, points) -> tuple[Optional[Track], Optional[str]]:
+    """The Track of a record's wire-keyed fields and its checked points (or the sidecar rows
+    that set them), or the reason a field is refused.  Every loaded track passes here."""
     scratch = obj.get("scratchpad_runway")
     if scratch is not None and not isinstance(scratch, bool):
         return None, "scratchpad_runway must be a boolean when present"
@@ -365,7 +383,7 @@ def _track_of(obj: dict, values: np.ndarray) -> tuple[Optional[Track], Optional[
         val = obj.get(key)
         if val is not None and not _plain_text(val):
             return None, f"{key} must be a string without lone surrogates or NUL when present"
-    return Track(obj["track_id"], values.view(POINT_DTYPE)[:, 0], scratchpad_runway=scratch,
+    return Track(obj["track_id"], points, scratchpad_runway=scratch,
                  **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
 
 
@@ -384,10 +402,13 @@ def load_tracks(path) -> LoadResult:
     line is parsed, then the header.  It returns what the sidecar reads back, as a later
     load whose SHA-256 of the file's bytes matches the sidecar's does without parsing: the
     same LoadResult, bit for bit, whose tracks' points are row runs of one array that
-    cannot be made writable.  A sidecar that is missing, stale or fails any check is
-    ignored, and the file is parsed and the sidecar rewritten; where none can be written,
-    the parse streams to memory and is read back from there.  So a sidecar never changes
-    what a load returns, or makes one fail.  LoadResult.parsed says which this load did.
+    cannot be made writable, though a later load reads the rows at the first points read of
+    any of its tracks.  A sidecar that is missing, stale or fails any check (for the rows,
+    at that read, with a logged warning) is ignored, and the file is parsed and the sidecar
+    rewritten; where none can be written, the parse streams to memory and is read back from
+    there.  So a sidecar never changes what a load returns, or makes one fail; but that
+    first points read raises TrackDataError when the file, changed since the load, no longer
+    parses to its tracks and rejects.  LoadResult.parsed says whether this load parsed.
 
     A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
     lone "\\r" is JSON whitespace, and reject line numbers count "\\n".  A parse decodes
@@ -403,19 +424,21 @@ def load_tracks(path) -> LoadResult:
 # part once, in the order a parse finds it: each track's points as little-endian float64
 # rows, in track order; the header, compact JSON of {"tracks": [[the _RECORD_KEYS values,
 # point count], ...], "rejects": [[line, reason], ...]}; the end record of magic, format
-# version, the parsed bytes' SHA-256 and the header's length; and the SHA-256 of all that.
-# _SIDECAR_VERSION changes with the layout or with what a parse returns (2: a lone "\r" ends
-# no line; 3: the header moved from the front to behind the rows, so a parse writes it last).
+# version, the parsed bytes' and the rows' SHA-256 and the header's length; and the SHA-256
+# of the header and end record.  _SIDECAR_VERSION changes with the layout or with what a
+# parse returns (2: a lone "\r" ends no line; 3: the header moved behind the rows, so a parse
+# writes it last; 4: the rows' own digest, so a load can read them at its first points read).
 _SIDECAR_SUFFIX = ".rtcache"
 _SIDECAR_MAGIC = b"RTTC"
-_SIDECAR_VERSION = 3
-_SIDECAR_END = struct.Struct("<4sI32sI")
+_SIDECAR_VERSION = 4
+_SIDECAR_END = struct.Struct("<4sI32s32sI")
 _DIGEST_LEN = 32
 _SIDECAR_TAIL = _SIDECAR_END.size + _DIGEST_LEN   # the end record and the checksum
 _HASH_CHUNK = 1 << 16
 _ROW_DTYPE = np.dtype("<f8")
 _ROW_BYTES = len(_POINT_KEYS) * _ROW_DTYPE.itemsize
 _RECORD_KEYS = ("track_id", *_STRING_KEYS, "scratchpad_runway")
+_log = logging.getLogger(__name__)
 
 
 def _sidecar_path(path) -> str:
@@ -494,10 +517,11 @@ def _parse_into(path, sink) -> LoadResult:
             del track
     digest = source.digest()
     header = _sidecar_header(records, rejects)
-    trailer = header + _SIDECAR_END.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(header))
-    check.update(trailer)
-    sink.write(trailer + check.digest())
-    result = _sidecar_result(sink, digest)
+    trailer = header + _SIDECAR_END.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest,
+                                         check.digest(), len(header))
+    sink.write(trailer + hashlib.sha256(trailer).digest())
+    result, rows = _sidecar_result(sink, digest, path)
+    rows.read(sink)
     result.parsed = True
     return result
 
@@ -523,25 +547,25 @@ def _read_sidecar(path) -> Optional[LoadResult]:
     None when there is no sidecar, it is for other bytes, or it fails any check."""
     try:
         with open(_sidecar_path(path), "rb") as fh:
-            return _sidecar_result(fh, _file_sha256(path))
+            return _sidecar_result(fh, _file_sha256(path), path)[0]
     except (OSError, ValueError, TypeError, LookupError, RecursionError):
         return None
 
 
-def _sidecar_result(fh, digest: bytes) -> LoadResult:
-    """The sidecar in the seekable binary stream fh, checked as a model file is: magic and
-    version, the parsed bytes' digest (which must be digest), exact lengths, the trailing
-    checksum, one header form, and every track and reject as a parse would give it.  Any
-    defect raises ValueError (or TypeError or LookupError from a header of the wrong shape).
-    The end record is read first, then the header, then all point rows, from the start, into
-    one array that is hashed and checked once and made read-only; each track's points are
-    its run of rows.  No size is allocated before the stream's length bounds it."""
+def _sidecar_result(fh, digest: bytes, path) -> tuple[LoadResult, _SidecarRows]:
+    """The sidecar of path in the seekable binary stream fh, checked as a model file is, all
+    but its point rows: magic and version, the parsed bytes' digest (which must be digest),
+    exact lengths, the checksum of header and end record, one header form, and every track
+    and reject as a parse would give it; and the rows that set its tracks' points when read.
+    Any defect raises ValueError (or TypeError or LookupError from a header of the wrong
+    shape).  The end record is read, then the header, and no row.  No size is allocated
+    before the stream's length bounds it."""
     size = fh.seek(0, os.SEEK_END)
     if size < _SIDECAR_TAIL:
         raise ValueError("sidecar ends early")
     fh.seek(size - _SIDECAR_TAIL)
     end, checksum = _read_exactly(fh, _SIDECAR_END.size), _read_exactly(fh, _DIGEST_LEN)
-    magic, version, source, header_len = _SIDECAR_END.unpack(end)
+    magic, version, source, rows_digest, header_len = _SIDECAR_END.unpack(end)
     if magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION:
         raise ValueError("not a sidecar of this version")
     rows_len = size - _SIDECAR_TAIL - header_len
@@ -551,30 +575,20 @@ def _sidecar_result(fh, digest: bytes) -> LoadResult:
         raise ValueError("sidecar of other bytes")
     fh.seek(rows_len)
     header = _read_exactly(fh, header_len)
+    if hashlib.sha256(header + end).digest() != checksum:
+        raise ValueError("sidecar checksum mismatch")
     doc = json.loads(header.decode())
-    rows = doc["tracks"]
-    counts = [row[-1] for row in rows]
+    records = doc["tracks"]
+    counts = [row[-1] for row in records]
     if not all(type(n) is int and n > 0 and len(row) == len(_RECORD_KEYS) + 1
-               for n, row in zip(counts, rows)):
+               for n, row in zip(counts, records)):
         raise ValueError("sidecar track row of another form")
     if _ROW_BYTES * sum(counts) != rows_len:
         raise ValueError("sidecar length is not its header's")
-    ends = np.cumsum(counts, dtype=np.int64)   # an int64 array for no tracks too
-    values = np.empty((rows_len // _ROW_BYTES, len(_POINT_KEYS)), _ROW_DTYPE)
-    fh.seek(0)
-    if fh.readinto(values) != rows_len:
-        raise ValueError("sidecar ends early")
-    check = hashlib.sha256(values)
-    check.update(header + end)
-    if check.digest() != checksum:
-        raise ValueError("sidecar checksum mismatch")
-    values = _checked(values.astype(np.float64, copy=False), ends)
-    if values is None:
-        raise ValueError("sidecar points a parse would refuse")
-    values.setflags(write=False)
+    rows = _SidecarRows(path, header, rows_digest, [0, *accumulate(counts)])
     tracks = []
-    for row, a, b in zip(rows, [0, *ends.tolist()], ends.tolist()):
-        track, err = _track_of(dict(zip(_RECORD_KEYS, row)), values[a:b])
+    for row in records:
+        track, err = _track_of(dict(zip(_RECORD_KEYS, row)), rows)
         if err is not None or not track.track_id:   # the rules leave None or a string
             raise ValueError("sidecar track a parse would refuse")
         tracks.append(track)
@@ -585,9 +599,60 @@ def _sidecar_result(fh, digest: bytes) -> LoadResult:
             and len({t.track_id for t in tracks}) == len(tracks)):
         raise ValueError("sidecar result a parse would not give")
     # every row _track_of accepts is the _record of its track
-    if _sidecar_header(rows, rejects) != header:
+    if _sidecar_header(records, rejects) != header:
         raise ValueError("sidecar header is not the one its result writes")
-    return LoadResult(tracks, rejects)
+    rows.tracks = tuple(tracks)
+    return LoadResult(tracks, rejects), rows
+
+
+class _SidecarRows:
+    """The point rows of one sidecar load, which set its tracks' points once: at once for a
+    parse, at the first points read of any track under a lock of the load for a later load.
+    Where that read fails, the file is parsed again, and the parse's points are taken if it
+    finds the loaded tracks and rejects."""
+
+    def __init__(self, path, header: bytes, digest: bytes, bounds: list):
+        self._lock = threading.Lock()
+        self._path, self._header, self._digest = path, header, digest
+        self._bounds = bounds   # 0, then the row each track's points end before
+        self.tracks: Optional[tuple] = ()   # None once their points are set
+
+    def read(self, fh) -> None:
+        """Set the tracks' points to the row runs of the sidecar in the binary stream fh, read
+        from the start into one array that is hashed and checked once and made read-only."""
+        bounds = self._bounds
+        values = np.empty((bounds[-1], len(_POINT_KEYS)), _ROW_DTYPE)
+        fh.seek(0)
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError("sidecar ends early")
+        if hashlib.sha256(values).digest() != self._digest:
+            raise ValueError("sidecar rows checksum mismatch")
+        values = _checked(values.astype(np.float64, copy=False), bounds[1:])
+        if values is None:
+            raise ValueError("sidecar points a parse would refuse")
+        values.setflags(write=False)
+        self._set([values[a:b].view(POINT_DTYPE)[:, 0] for a, b in zip(bounds, bounds[1:])])
+
+    def fill(self) -> None:
+        """Set the tracks' points from the sidecar of path, or from a parse, once."""
+        with self._lock:
+            if self.tracks is None:
+                return
+            try:
+                with open(_sidecar_path(self._path), "rb") as fh:
+                    self.read(fh)
+            except (OSError, ValueError) as e:   # a sidecar missing, replaced or damaged
+                _log.warning("%s: its sidecar's point rows failed a check (%s); parsing it again",
+                             self._path, e)
+                parse = _parse_file(self._path)
+                if _sidecar_header(list(map(_record, parse.tracks)), parse.rejects) != self._header:
+                    raise TrackDataError(f"{self._path} changed after it was loaded") from None
+                self._set([track.points for track in parse.tracks])
+
+    def _set(self, runs: list) -> None:
+        for track, points in zip(self.tracks, runs):
+            object.__setattr__(track, "points", points)
+        self.tracks = None
 
 
 def track_to_json(track: Track) -> str:

@@ -137,6 +137,34 @@ class TestPipelineArtifacts:
         assert loads == [f"INFO loaded {name}: 56 tracks, 1 rejected lines, parsed",
                          f"INFO loaded {name}: 56 tracks, 1 rejected lines, read from its sidecar"]
 
+    def test_validate_reads_no_point_of_a_warm_load(self, pipeline, tmp_path, capsys):
+        work = copy_inputs(pipeline, tmp_path / "warm", (
+            "tracks.jsonl", "tracks.jsonl.rtcache", "model.rtae", "thresholds.json",
+            "runways.csv", "results.csv", "registration.csv", "heli_types.txt"))
+        sidecar = work / "tracks.jsonl.rtcache"
+        good = sidecar.read_bytes()
+        header_len = td._SIDECAR_END.unpack_from(good, len(good) - td._SIDECAR_TAIL)[-1]
+        rows_len = len(good) - td._SIDECAR_TAIL - header_len
+        # rows that fail their digest, under the header, end record and checksum they had
+        sidecar.write_bytes(bytes(rows_len) + good[rows_len:])
+        with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
+            assert run("--out-dir", str(work), "validate") == 0
+        for name in ("validation.csv", "metrics.json"):
+            assert (work / name).read_bytes() == (pipeline / name).read_bytes(), name
+        capsys.readouterr()
+        with mock.patch.object(td, "_parse_file", wraps=td._parse_file) as parse:
+            assert run("--out-dir", str(work), "classify") == 0
+        assert parse.call_count == 1
+        assert (work / "results.csv").read_bytes() == (pipeline / "results.csv").read_bytes()
+        assert sidecar.read_bytes() == good
+        # the load is logged before its first points read finds the rows bad and parses
+        name = work / "tracks.jsonl"
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith(("INFO loaded ", "WARNING "))] == [
+            f"INFO loaded {name}: 56 tracks, 0 rejected lines, read from its sidecar",
+            f"WARNING {name}: its sidecar's point rows failed a check "
+            "(sidecar rows checksum mismatch); parsing it again"]
+
     def test_classification_matches_library_decision(self, pipeline):
         model = ae.load(pipeline / "model.rtae")
         th = json.loads((pipeline / "thresholds.json").read_text())

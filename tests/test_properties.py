@@ -417,22 +417,29 @@ FLIPPED_FILE = b"".join(td.track_to_json(td.Track(tid, [(1.0, 40.0, -86.0, 900.0
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_a_sidecar_with_any_byte_changed_never_fails_a_load(workdir, data):
-    """Unsigned, the change is refused and the file parsed; with the checksum recomputed,
-    the load may read changed values a parse could give, but never raises."""
+    """Unsigned, the change is refused and the file parsed, at the load or at its first
+    points read; with the rows digest (for a change in the rows) and the checksum
+    recomputed, the load may read changed values a parse could give, but never raises."""
     path = workdir / "flipped.jsonl"
     path.write_bytes(FLIPPED_FILE)
     sidecar_of(path).unlink(missing_ok=True)
     expected = comparable(td.load_tracks(path))
     good = sidecar_of(path).read_bytes()
+    end_at = len(good) - td._SIDECAR_TAIL
+    rows_len = end_at - td._SIDECAR_END.unpack_from(good, end_at)[-1]
     resign = data.draw(st.booleans())
     at = data.draw(st.integers(0, len(good) - (33 if resign else 1)))
     changed = good[:at] + bytes([good[at] ^ data.draw(st.integers(1, 255))]) + good[at + 1:]
     if resign:
-        changed = changed[:-32] + hashlib.sha256(changed[:-32]).digest()
+        end = list(td._SIDECAR_END.unpack_from(changed, end_at))
+        if at < rows_len:
+            end[3] = hashlib.sha256(changed[:rows_len]).digest()
+        tail = changed[rows_len:end_at] + td._SIDECAR_END.pack(*end)
+        changed = changed[:rows_len] + tail + hashlib.sha256(tail).digest()
     sidecar_of(path).write_bytes(changed)
-    loaded = td.load_tracks(path)
+    loaded = comparable(td.load_tracks(path))
     if not resign:
-        assert comparable(loaded) == expected
+        assert loaded == expected
         assert sidecar_of(path).read_bytes() == good
 
 

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -15,6 +16,7 @@ import stat
 import struct
 import sys
 import threading
+import time
 import weakref
 from unittest import mock
 
@@ -384,23 +386,30 @@ def snapshot(result):
 
 
 def end_record(data):
-    """The (magic, version, source digest, header length) of a sidecar's end record."""
+    """The (magic, version, source digest, rows digest, header length) of a sidecar's end
+    record."""
     return td._SIDECAR_END.unpack_from(data, len(data) - td._SIDECAR_TAIL)
+
+
+def rows_length(data):
+    """The length of a sidecar's point rows, which come first."""
+    return len(data) - td._SIDECAR_TAIL - end_record(data)[-1]
 
 
 def resigned(data, edit=None, separators=(",", ":"), **end):
     """The sidecar data with its header or point rows edited, or an end record field
-    replaced, and the checksum recomputed, so that only the check under test can refuse it."""
-    fields = dict(zip(("magic", "version", "source", "header_len"), end_record(data)))
-    start = len(data) - td._SIDECAR_TAIL - fields["header_len"]
+    replaced, and the rows digest and the checksum recomputed, so that only the check under
+    test can refuse it."""
+    fields = dict(zip(("magic", "version", "source", "rows", "header_len"), end_record(data)))
+    start = rows_length(data)
     rows = np.frombuffer(data[:start], "<f8").copy()
     doc = json.loads(data[start:-td._SIDECAR_TAIL])
     if edit is not None:
         edit(doc, rows)
     header = json.dumps(doc, separators=separators).encode()
-    fields = {**fields, "header_len": len(header), **end}
-    body = rows.tobytes() + header + td._SIDECAR_END.pack(*fields.values())
-    return body + hashlib.sha256(body).digest()
+    fields = {**fields, "rows": hashlib.sha256(rows).digest(), "header_len": len(header), **end}
+    tail = header + td._SIDECAR_END.pack(*fields.values())
+    return rows.tobytes() + tail + hashlib.sha256(tail).digest()
 
 
 def flipped(find):
@@ -463,6 +472,9 @@ DAMAGE = {
     "rejects_out_of_order": edited(lambda doc, rows: doc["rejects"].append([1, "x"])),
     "reject_of_three_fields": edited(lambda doc, rows: doc["rejects"][0].append(1)),
 }
+# the damage a load finds only when it reads the point rows, at its first points read
+ROW_DAMAGE = ("flipped_point_byte", "lat_out_of_bounds", "nan_time", "time_not_increasing",
+              "time_equal_at_first_tracks_end", "time_equal_at_second_tracks_start")
 
 
 class TestSidecar:
@@ -479,17 +491,116 @@ class TestSidecar:
             # is refused for what it changes
             assert resigned(data) == data
 
-    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
-    def test_a_damaged_sidecar_is_ignored_and_rewritten(self, tmp_path, damage):
+    @pytest.mark.parametrize("damage", [name for name in DAMAGE if name not in ROW_DAMAGE])
+    def test_a_sidecar_damaged_outside_its_rows_is_ignored_and_rewritten_at_load(self, tmp_path,
+                                                                               damage):
         p = tracks_file(tmp_path)
-        first = td.load_tracks(p)
+        expected = snapshot(parsed(p))
+        td.load_tracks(p)
         good = sidecar_of(p).read_bytes()
-        sidecar_of(p).write_bytes(damage(good))
+        sidecar_of(p).write_bytes(DAMAGE[damage](good))
         with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
             again = td.load_tracks(p)
-        assert parse.call_count == 3
-        assert snapshot(again) == snapshot(first)
+            assert parse.call_count == 3 and again.parsed
+            assert snapshot(again) == expected
         assert sidecar_of(p).read_bytes() == good
+
+    @pytest.mark.parametrize("damage", ROW_DAMAGE)
+    def test_a_sidecar_with_damaged_rows_is_ignored_and_rewritten_at_the_first_points_read(
+            self, tmp_path, damage):
+        p = tracks_file(tmp_path)
+        expected = snapshot(parsed(p))
+        td.load_tracks(p)
+        good = sidecar_of(p).read_bytes()
+        sidecar_of(p).write_bytes(DAMAGE[damage](good))
+        with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            again = td.load_tracks(p)
+            assert parse.call_count == 0 and not again.parsed
+            assert len(again.tracks[-1].points) == 3
+            assert parse.call_count == 3
+            assert snapshot(again) == expected
+            assert parse.call_count == 3
+        assert sidecar_of(p).read_bytes() == good
+
+    def test_a_warm_load_whose_points_are_never_read_reads_no_row_byte(self, tmp_path):
+        p = tracks_file(tmp_path)
+        expected = snapshot(parsed(p))
+        td.load_tracks(p)
+        good = sidecar_of(p).read_bytes()
+        # rows that fail their digest, which any read of them would find
+        sidecar_of(p).write_bytes(bytes(rows_length(good)) + good[rows_length(good):])
+        with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
+            loaded = td.load_tracks(p)
+            identities = [tuple(getattr(t, f.name) for f in dataclasses.fields(t)
+                                if f.init and f.name != "points") for t in loaded.tracks]
+        assert identities == [v[:1] + v[2:] for v in expected[0]]
+        assert loaded.rejects == expected[1] and not loaded.parsed
+        with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            assert snapshot(loaded) == expected
+        assert parse.call_count == 3
+        assert sidecar_of(p).read_bytes() == good
+
+    def test_a_file_changed_between_the_load_and_the_first_points_read_is_named(self, tmp_path):
+        p = tracks_file(tmp_path)
+        td.load_tracks(p)
+        loaded = td.load_tracks(p)
+        assert not loaded.parsed
+        p.write_bytes(p.read_bytes().replace(b"T101", b"T909"))   # the same rows
+        sidecar_of(p).unlink()
+        with pytest.raises(td.TrackDataError, match=re.escape(f"{p} changed after it was loaded")):
+            loaded.tracks[0].points
+        assert [t.track_id for t in td.load_tracks(p).tracks] == ["T100", "T909"]
+
+    def test_a_rows_read_that_fails_logs_one_warning_naming_the_file_and_the_check(
+            self, tmp_path, caplog):
+        p = tracks_file(tmp_path)
+        td.load_tracks(p)
+        sidecar_of(p).write_bytes(DAMAGE["flipped_point_byte"](sidecar_of(p).read_bytes()))
+        loaded = td.load_tracks(p)
+        with caplog.at_level(logging.INFO, logger="rotortrack"):
+            for track in loaded.tracks:
+                track.points
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("rotortrack.trackdata", "WARNING", f"{p}: its sidecar's point rows failed a check "
+             "(sidecar rows checksum mismatch); parsing it again")]
+
+    def test_threads_that_race_on_the_first_points_read_read_the_rows_once(self, tmp_path):
+        p = tmp_path / "tracks.jsonl"
+        write_jsonl(p, [dict(GOOD_LINE, track_id=f"T{i}") for i in range(40)])
+        expected = snapshot(parsed(p))
+        td.load_tracks(p)
+        loaded = td.load_tracks(p)
+        read, reads, got, errors = td._SidecarRows.read, [], [], []
+
+        def slow_read(rows, fh):   # widens the window in which a second read could start
+            reads.append(rows)
+            time.sleep(0.01)
+            return read(rows, fh)
+
+        start = threading.Barrier(8, timeout=60)
+
+        def work(step):
+            try:   # each thread reads the tracks in its own order
+                start.wait()
+                got.append([t.points.tobytes() for t in loaded.tracks[::step]][::step])
+            except Exception as e:   # reported by the assertion below
+                errors.append(e)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(td._SidecarRows, "read", slow_read):
+                threads = [threading.Thread(target=work, args=(1 - 2 * (i % 2),))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(reads) == 1
+        assert got == [[v[1] for v in expected[0]]] * 8
+        assert snapshot(loaded) == expected
 
     def test_loaded_points_cannot_be_made_writable(self, tmp_path):
         p = tracks_file(tmp_path)
@@ -564,7 +675,7 @@ class TestSidecar:
         with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
             assert snapshot(td.load_tracks(p)) == snapshot(first)
         assert parse.call_count == 3
-        assert end_record(sidecar_of(p).read_bytes())[1] == 3
+        assert end_record(sidecar_of(p).read_bytes())[1] == 4
         assert stat.S_IMODE(sidecar_of(p).stat().st_mode) == 0o644
         with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
             assert snapshot(td.load_tracks(p)) == snapshot(first)
@@ -573,12 +684,27 @@ class TestSidecar:
         p = tracks_file(tmp_path)
         first = td.load_tracks(p)
         good = sidecar_of(p).read_bytes()
-        magic, _, source, header_len = end_record(good)
-        start = len(good) - td._SIDECAR_TAIL - header_len
+        magic, _, source, _, header_len = end_record(good)
+        start = rows_length(good)
         # version 2's layout: magic, version, source digest and header length, the header,
         # the point rows and the checksum of all that
         body = (struct.pack("<4sI32sI", magic, 2, source, header_len)
                 + good[start:-td._SIDECAR_TAIL] + good[:start])
+        sidecar_of(p).write_bytes(body + hashlib.sha256(body).digest())
+        with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            again = td.load_tracks(p)
+        assert parse.call_count == 3 and again.parsed
+        assert snapshot(again) == snapshot(first)
+        assert sidecar_of(p).read_bytes() == good
+
+    def test_a_version_3_sidecar_is_parsed_and_rewritten(self, tmp_path):
+        p = tracks_file(tmp_path)
+        first = td.load_tracks(p)
+        good = sidecar_of(p).read_bytes()
+        magic, _, source, _, header_len = end_record(good)
+        # version 3's layout: the point rows, the header, an end record of magic, version,
+        # source digest and header length, and the checksum of all that
+        body = good[:-td._SIDECAR_TAIL] + struct.pack("<4sI32sI", magic, 3, source, header_len)
         sidecar_of(p).write_bytes(body + hashlib.sha256(body).digest())
         with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
             again = td.load_tracks(p)

@@ -24,8 +24,10 @@ full record:
   just before and after the stage, so that records made in different phases
   compare.
 
-A timing, and each metric with its unit, is recorded as its median,
-interquartile range and sample count.
+The record's cli.rss_scaling holds, for each stage, the 10x scenario's median
+peak RSS over the default scenario's, so that how a stage's memory grows with
+the tracks file reads off one number.  A timing, and each metric with its unit,
+is recorded as its median, interquartile range and sample count.
 --quick makes one CLI pass, warm_train included, over 40/8/8 tracks at 2
 epochs and runs no perfbench.  The script exits 1 when any perfbench run
 fails or reports "correct": false, when a CLI stage exits non-zero, or when
@@ -271,6 +273,13 @@ def record_cli(ref: Reference, scenarios: dict) -> dict:
     return out
 
 
+def rss_scaling(cli: dict) -> dict:
+    """{stage: the 10x scenario's median peak RSS over the default scenario's}."""
+    default, scaled = cli["default"]["stages"], cli["10x"]["stages"]
+    return {stage: scaled[stage]["peak_rss_mb"]["median"] / default[stage]["peak_rss_mb"]["median"]
+            for stage in default if stage in scaled}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="the JSON file to write")
@@ -278,16 +287,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="one CLI pass over 40/8/8 tracks at 2 epochs, no perfbench")
     args = parser.parse_args(argv)
     with Reference() as ref:
+        perfbench = {} if args.quick else record_perfbench(ref)
+        cli = record_cli(ref, QUICK_SCENARIOS if args.quick else SCENARIOS)
         record = {
             **provenance(),
             "quick": args.quick,
             "env": ref.info["env"],
-            "perfbench": {} if args.quick else record_perfbench(ref),
-            "cli": record_cli(ref, QUICK_SCENARIOS if args.quick else SCENARIOS),
+            "perfbench": perfbench,
+            "cli": {**cli, "rss_scaling": rss_scaling(cli)} if "10x" in cli else cli,
             "reference_s": {**summary(ref.times), "fast_phase": ref.info["fast_phase_s"]},
         }
-    record["correct"] = all(part["correct"] for section in ("perfbench", "cli")
-                            for part in record[section].values())
+    record["correct"] = all(part["correct"] for part in (*perfbench.values(), *cli.values()))
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}: correct {str(record['correct']).lower()}")
     return 0 if record["correct"] else 1

@@ -6,17 +6,19 @@ array of POINT_DTYPE (t, lat, lon, alt, course, gs), and the geometry below
 works on its columns.  What a parse of a track file found is kept in a checked
 binary sidecar next to it, so that later loads of the same bytes skip the
 parse.  A parse writes each track's points to the sidecar as its line is
-parsed, then the header, and returns what the sidecar reads back: one array of
-all points, read, hashed and checked once, whose row runs are the tracks'
-points.  A later load reads that array at the first points read of any of its
-tracks, so reading identity fields alone reads no point.  Arrival windows are
-the last 100 track points at or before the point of closest approach to the
-runway threshold.  No function here changes its inputs, but
-closest_approach_index memoises its results on the track, so the runway pick,
-the windowing and the runway score compute each (track, threshold) pair once
-between them.  Threads may share loaded data: two that race on one pair both
-compute the same values, and the first points read of a load holds a lock of
-that load, so its rows are read once.
+parsed, then the header, and returns what the sidecar holds.  Every load reads
+its tracks' points from the sidecar a block at a time, on demand: a block is a
+run of whole tracks of at most _CHECK_ROWS rows, or one longer track, with its
+own digest.  The first points read of a track reads, hashes and checks its
+block and drops the block read before, so reading identity fields alone reads
+no point, and a pass in track order reads each row once and holds one block.
+Arrival windows are the last 100 track points at or before the point of
+closest approach to the runway threshold.  No function here changes its
+inputs, but closest_approach_index memoises its results on the track, so the
+runway pick, the windowing and the runway score compute each (track,
+threshold) pair once between them.  Threads may share loaded data: two that
+race on one pair both compute the same values, and a load reads its blocks
+under a lock of that load.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -104,7 +106,8 @@ class Track:
     points["lat"] is a column and points[i].lat a value.  (t, lat, lon, alt, course, gs)
     tuples are converted on construction; an array of POINT_DTYPE is kept without a copy,
     through a read-only view.  A Track is immutable: to change its points, build a new one.
-    A warm load's tracks get their points at the first points read of any of them."""
+    A loaded track's points are set while its block of the load is read in: reading them
+    reads the block again once another block of the load has been read since."""
 
     track_id: str
     points: np.ndarray
@@ -117,13 +120,13 @@ class Track:
     scratchpad_runway: Optional[bool] = None
     # {(threshold lat, lon): (index, NM)}, filled by closest_approach_index
     _approach: dict = field(init=False, repr=False)
-    # the rows of the sidecar load that sets points, for a track built from one
-    _rows: Optional[_SidecarRows] = field(default=None, init=False, repr=False)
+    # the block of a sidecar load whose rows set points, for a track built from one
+    _block: Optional[_Block] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_approach", {})
-        if isinstance(self.points, _SidecarRows):   # points stays unset until they are read
-            object.__setattr__(self, "_rows", self.points)
+        if isinstance(self.points, _Block):   # points stays unset until its block is read
+            object.__setattr__(self, "_block", self.points)
             object.__delattr__(self, "points")
             return
         points = np.asarray(self.points, dtype=POINT_DTYPE)
@@ -134,9 +137,9 @@ class Track:
         object.__setattr__(self, "points", points)
 
     def __getattr__(self, name):
-        # reached only when a slot is unset, as points is before its sidecar rows are read
-        if name == "points" and self._rows is not None:
-            self._rows.fill()
+        # reached only when a slot is unset, as points is while its block is not read in
+        if name == "points" and self._block is not None:
+            return self._block.rows.points(self, self._block.index)
         return object.__getattribute__(self, name)
 
 
@@ -274,7 +277,7 @@ _LOW = np.array([_POINT_RULES.get(k, (-_BIG, _BIG))[0] for k in _POINT_KEYS])
 _HIGH = np.array([_POINT_RULES.get(k, (-_BIG, _BIG))[1] for k in _POINT_KEYS])
 _point_values = operator.itemgetter(*_POINT_KEYS)
 _NUMBER_TYPES = frozenset((int, float))
-_CHECK_ROWS = 1 << 14   # the rows _checked compares at a time
+_CHECK_ROWS = 1 << 14   # the rows _checked compares at a time, and a load's block holds
 
 
 def _first_point_error(raw_points: list) -> Optional[str]:
@@ -399,16 +402,19 @@ def load_tracks(path) -> LoadResult:
 
     The file's bytes are parsed once.  The first load streams what it finds to a sidecar,
     <path>.rtcache, next to the file, writing each byte once: each track's points as its
-    line is parsed, then the header.  It returns what the sidecar reads back, as a later
-    load whose SHA-256 of the file's bytes matches the sidecar's does without parsing: the
-    same LoadResult, bit for bit, whose tracks' points are row runs of one array that
-    cannot be made writable, though a later load reads the rows at the first points read of
-    any of its tracks.  A sidecar that is missing, stale or fails any check (for the rows,
-    at that read, with a logged warning) is ignored, and the file is parsed and the sidecar
-    rewritten; where none can be written, the parse streams to memory and is read back from
-    there.  So a sidecar never changes what a load returns, or makes one fail; but that
-    first points read raises TrackDataError when the file, changed since the load, no longer
-    parses to its tracks and rejects.  LoadResult.parsed says whether this load parsed.
+    line is parsed, then the header.  It returns what the sidecar holds, as a later load
+    whose SHA-256 of the file's bytes matches the sidecar's does without parsing: the same
+    LoadResult, bit for bit, whose tracks' points are read-only row runs that cannot be made
+    writable.  Every load reads the points from its sidecar a block of tracks at a time, at
+    the first points read of a track of the block, and drops the block read before: a pass
+    in track order reads, hashes and checks each row once and holds one block, and a track
+    of a block dropped since reads its block again.  A sidecar that is missing, stale or
+    fails any check (for a block's rows, at its read, with a logged warning) is ignored, and
+    the file is parsed and the sidecar rewritten; where none can be written, the parse
+    streams to memory and its blocks are read from there.  So a sidecar never changes what a
+    load returns, or makes one fail; but a block read raises TrackDataError when the file,
+    changed since the load, no longer parses to its tracks and rejects.  LoadResult.parsed
+    says whether this load parsed.
 
     A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
     lone "\\r" is JSON whitespace, and reject line numbers count "\\n".  A parse decodes
@@ -423,15 +429,17 @@ def load_tracks(path) -> LoadResult:
 # The sidecar of a parsed track file, whose bytes depend only on the parsed bytes, holds each
 # part once, in the order a parse finds it: each track's points as little-endian float64
 # rows, in track order; the header, compact JSON of {"tracks": [[the _RECORD_KEYS values,
-# point count], ...], "rejects": [[line, reason], ...]}; the end record of magic, format
-# version, the parsed bytes' and the rows' SHA-256 and the header's length; and the SHA-256
-# of the header and end record.  _SIDECAR_VERSION changes with the layout or with what a
-# parse returns (2: a lone "\r" ends no line; 3: the header moved behind the rows, so a parse
-# writes it last; 4: the rows' own digest, so a load can read them at its first points read).
+# point count], ...], "rejects": [[line, reason], ...]}; the SHA-256 of each block's rows
+# (see _block_starts); the end record of magic, format version, the parsed bytes' SHA-256,
+# the block count and the header's length; and the SHA-256 of the header, block digests and
+# end record.  _SIDECAR_VERSION changes with the layout or with what a parse returns (2: a
+# lone "\r" ends no line; 3: the header moved behind the rows, so a parse writes it last;
+# 4: the rows' own digest, so a load can read them at its first points read; 5: a digest
+# per block, so a load can read them a block at a time).
 _SIDECAR_SUFFIX = ".rtcache"
 _SIDECAR_MAGIC = b"RTTC"
-_SIDECAR_VERSION = 4
-_SIDECAR_END = struct.Struct("<4sI32s32sI")
+_SIDECAR_VERSION = 5
+_SIDECAR_END = struct.Struct("<4sI32sII")
 _DIGEST_LEN = 32
 _SIDECAR_TAIL = _SIDECAR_END.size + _DIGEST_LEN   # the end record and the checksum
 _HASH_CHUNK = 1 << 16
@@ -461,12 +469,25 @@ def _rows(track: Track) -> np.ndarray:
     return track.points.view(np.float64).astype(_ROW_DTYPE, copy=False)
 
 
+def _block_starts(counts: list) -> list:
+    """The index of each block's first track, then len(counts), for tracks of these point
+    counts.  A block is a run of whole tracks of at most _CHECK_ROWS rows, or one track of
+    more; a track starts a new block when it would take its block past that."""
+    starts, rows = [], 0
+    for i, n in enumerate(counts):
+        if not starts or rows + n > _CHECK_ROWS:
+            starts.append(i)
+            rows = 0
+        rows += n
+    return [*starts, len(counts)]
+
+
 def _parse_file(path) -> LoadResult:
     """What _parse_into returns for the file at path, with the sidecar written to a
     temporary file beside it that is renamed into place, with the read and write bits of
-    the file at path, once it has been read back.  Where that file cannot be made or
-    written, the parse is made into memory instead, from the start; a rename that fails is
-    skipped, and an interrupted parse re-raises.  None of these leaves a temporary file."""
+    the file at path, and read from there.  Where that file cannot be made, written or
+    renamed, the parse is made into memory instead, from the start, and read from there;
+    an interrupted parse re-raises.  None of these leaves a temporary file."""
     sidecar = _sidecar_path(path)
     result = None
     with contextlib.suppress(OSError):
@@ -475,24 +496,27 @@ def _parse_file(path) -> LoadResult:
         try:
             with open(fd, "w+b") as sink:
                 os.chmod(tmp, os.stat(path).st_mode & 0o666)   # mkstemp makes it 0o600
-                result = _parse_into(path, sink)
+                result = _parse_into(path, sink, sidecar)
             os.replace(tmp, sidecar)
         except BaseException:
+            result = None   # its blocks would be read from a sidecar that is not there
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
             raise
     return _parse_into(path, io.BytesIO()) if result is None else result
 
 
-def _parse_into(path, sink) -> LoadResult:
-    """The LoadResult _sidecar_result reads back from the sidecar of the file at path, which
-    this writes to sink.  One binary pass over the file's lines, each ended by "\\n" (see
-    load_tracks), hashes them and writes each accepted track's rows to sink as soon as its
-    line is parsed, keeping only its header record: no line's bytes outlive its decode, and
-    no parsed point array outlives its line.  The header, end record and checksum follow."""
-    records, ids, rejects = [], set(), []
-    source, check = hashlib.sha256(), hashlib.sha256()
-    line_no = 0
+def _parse_into(path, sink, pages=None) -> LoadResult:
+    """The LoadResult of the sidecar of the file at path, which this writes to sink, whose
+    blocks are read from pages: a sidecar's path, or by default sink itself.  One binary
+    pass over the file's lines, each ended by "\\n" (see load_tracks), hashes them and writes
+    each accepted track's rows to sink as soon as its line is parsed, hashing each block's
+    rows as it goes and keeping only the track's header record: no line's bytes outlive its
+    decode, and no parsed point array outlives its line.  The header, block digests, end
+    record and checksum follow; of what sink holds, only they are read back."""
+    records, ids, rejects, digests = [], set(), [], []
+    source, block = hashlib.sha256(), hashlib.sha256()
+    line_no = block_rows = 0
     with open(path, "rb") as fh:
         for raw in fh:   # counted here, as enumerate's reused tuple would keep the last line
             line_no += 1
@@ -510,18 +534,24 @@ def _parse_into(path, sink) -> LoadResult:
             else:
                 ids.add(track.track_id)
                 records.append(_record(track))
+                n = len(track.points)
+                if block_rows and block_rows + n > _CHECK_ROWS:   # a new block, as _block_starts
+                    digests.append(block.digest())
+                    block, block_rows = hashlib.sha256(), 0
+                block_rows += n
                 rows = _rows(track)
-                check.update(rows)
+                block.update(rows)
                 sink.write(rows)
                 del rows
             del track
+    if block_rows:
+        digests.append(block.digest())
     digest = source.digest()
     header = _sidecar_header(records, rejects)
-    trailer = header + _SIDECAR_END.pack(_SIDECAR_MAGIC, _SIDECAR_VERSION, digest,
-                                         check.digest(), len(header))
+    trailer = header + b"".join(digests) + _SIDECAR_END.pack(
+        _SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(digests), len(header))
     sink.write(trailer + hashlib.sha256(trailer).digest())
-    result, rows = _sidecar_result(sink, digest, path)
-    rows.read(sink)
+    result = _sidecar_result(sink, digest, path, sink if pages is None else pages)
     result.parsed = True
     return result
 
@@ -545,38 +575,41 @@ def _read_exactly(fh, n: int) -> bytes:
 def _read_sidecar(path) -> Optional[LoadResult]:
     """The LoadResult the sidecar of path holds for the file's bytes as they are now, or
     None when there is no sidecar, it is for other bytes, or it fails any check."""
+    sidecar = _sidecar_path(path)
     try:
-        with open(_sidecar_path(path), "rb") as fh:
-            return _sidecar_result(fh, _file_sha256(path), path)[0]
+        with open(sidecar, "rb") as fh:
+            return _sidecar_result(fh, _file_sha256(path), path, sidecar)
     except (OSError, ValueError, TypeError, LookupError, RecursionError):
         return None
 
 
-def _sidecar_result(fh, digest: bytes, path) -> tuple[LoadResult, _SidecarRows]:
+def _sidecar_result(fh, digest: bytes, path, pages) -> LoadResult:
     """The sidecar of path in the seekable binary stream fh, checked as a model file is, all
     but its point rows: magic and version, the parsed bytes' digest (which must be digest),
-    exact lengths, the checksum of header and end record, one header form, and every track
-    and reject as a parse would give it; and the rows that set its tracks' points when read.
-    Any defect raises ValueError (or TypeError or LookupError from a header of the wrong
-    shape).  The end record is read, then the header, and no row.  No size is allocated
-    before the stream's length bounds it."""
+    exact lengths, the checksum of header, block digests and end record, one header form, a
+    digest per block, and every track and reject as a parse would give it; its tracks' points
+    are read from pages (a sidecar's path, or a stream that holds it) a block at a time.  Any
+    defect raises ValueError (or TypeError or LookupError from a header of the wrong shape).
+    The end record is read, then the header and block digests, and no row.  No size is
+    allocated before the stream's length bounds it."""
     size = fh.seek(0, os.SEEK_END)
     if size < _SIDECAR_TAIL:
         raise ValueError("sidecar ends early")
     fh.seek(size - _SIDECAR_TAIL)
     end, checksum = _read_exactly(fh, _SIDECAR_END.size), _read_exactly(fh, _DIGEST_LEN)
-    magic, version, source, rows_digest, header_len = _SIDECAR_END.unpack(end)
+    magic, version, source, blocks, header_len = _SIDECAR_END.unpack(end)
     if magic != _SIDECAR_MAGIC or version != _SIDECAR_VERSION:
         raise ValueError("not a sidecar of this version")
-    rows_len = size - _SIDECAR_TAIL - header_len
+    rows_len = size - _SIDECAR_TAIL - header_len - _DIGEST_LEN * blocks
     if rows_len < 0:
         raise ValueError("sidecar header runs past its start")
     if source != digest:
         raise ValueError("sidecar of other bytes")
     fh.seek(rows_len)
-    header = _read_exactly(fh, header_len)
-    if hashlib.sha256(header + end).digest() != checksum:
+    tail = _read_exactly(fh, header_len + _DIGEST_LEN * blocks)
+    if hashlib.sha256(tail + end).digest() != checksum:
         raise ValueError("sidecar checksum mismatch")
+    header = tail[:header_len]
     doc = json.loads(header.decode())
     records = doc["tracks"]
     counts = [row[-1] for row in records]
@@ -585,13 +618,18 @@ def _sidecar_result(fh, digest: bytes, path) -> tuple[LoadResult, _SidecarRows]:
         raise ValueError("sidecar track row of another form")
     if _ROW_BYTES * sum(counts) != rows_len:
         raise ValueError("sidecar length is not its header's")
-    rows = _SidecarRows(path, header, rows_digest, [0, *accumulate(counts)])
+    digests = [tail[at:at + _DIGEST_LEN] for at in range(header_len, len(tail), _DIGEST_LEN)]
+    rows = _SidecarRows(path, header, pages, counts, digests)
+    if len(rows.starts) - 1 != blocks:
+        raise ValueError("sidecar block count is not its header's")
     tracks = []
-    for row in records:
-        track, err = _track_of(dict(zip(_RECORD_KEYS, row)), rows)
-        if err is not None or not track.track_id:   # the rules leave None or a string
-            raise ValueError("sidecar track a parse would refuse")
-        tracks.append(track)
+    for index, (first, stop) in enumerate(pairwise(rows.starts)):
+        block = _Block(rows, index)
+        for row in records[first:stop]:
+            track, err = _track_of(dict(zip(_RECORD_KEYS, row)), block)
+            if err is not None or not track.track_id:   # the rules leave None or a string
+                raise ValueError("sidecar track a parse would refuse")
+            tracks.append(track)
     rejects = [tuple(r) for r in doc["rejects"]]
     lines = [line for line, _ in rejects]
     if not (all(type(line) is int and line > 0 and _plain_text(why) for line, why in rejects)
@@ -602,57 +640,88 @@ def _sidecar_result(fh, digest: bytes, path) -> tuple[LoadResult, _SidecarRows]:
     if _sidecar_header(records, rejects) != header:
         raise ValueError("sidecar header is not the one its result writes")
     rows.tracks = tuple(tracks)
-    return LoadResult(tracks, rejects), rows
+    return LoadResult(tracks, rejects)
+
+
+@dataclass(slots=True, frozen=True, eq=False)
+class _Block:
+    """One block of a sidecar load's point rows, which that load's tracks in it hold until
+    their points are read."""
+
+    rows: _SidecarRows
+    index: int
 
 
 class _SidecarRows:
-    """The point rows of one sidecar load, which set its tracks' points once: at once for a
-    parse, at the first points read of any track under a lock of the load for a later load.
-    Where that read fails, the file is parsed again, and the parse's points are taken if it
-    finds the loaded tracks and rejects."""
+    """The point rows of one sidecar load, read from pages (a sidecar's path, or a stream
+    that holds it) a block at a time.  The first points read of a track whose block is not
+    read in reads, hashes and checks that block under a lock of the load, sets the points of
+    its tracks and unsets those of the block read in before, so one block is held.  Where a
+    block fails a check, the file is parsed again; if the parse finds the loaded tracks and
+    rejects, the load reads its blocks from the parse's sidecar from then on, and else the
+    read raises TrackDataError."""
 
-    def __init__(self, path, header: bytes, digest: bytes, bounds: list):
+    def __init__(self, path, header: bytes, pages, counts: list, digests: list):
         self._lock = threading.Lock()
-        self._path, self._header, self._digest = path, header, digest
-        self._bounds = bounds   # 0, then the row each track's points end before
-        self.tracks: Optional[tuple] = ()   # None once their points are set
+        self._path, self._header = path, header
+        self._pages, self._digests = pages, digests   # and each block's SHA-256
+        self._bounds = [0, *accumulate(counts)]   # 0, then the row each track's points end before
+        self.starts = _block_starts(counts)
+        self.tracks: tuple = ()
+        self._held: Optional[int] = None   # the block whose tracks' points are set
 
-    def read(self, fh) -> None:
-        """Set the tracks' points to the row runs of the sidecar in the binary stream fh, read
-        from the start into one array that is hashed and checked once and made read-only."""
-        bounds = self._bounds
-        values = np.empty((bounds[-1], len(_POINT_KEYS)), _ROW_DTYPE)
-        fh.seek(0)
-        if fh.readinto(values) != values.nbytes:
-            raise ValueError("sidecar ends early")
-        if hashlib.sha256(values).digest() != self._digest:
+    def points(self, track: Track, index: int) -> np.ndarray:
+        """The points of track, of block index, with that block read in."""
+        with self._lock:
+            if self._held != index:
+                if self._held is not None:
+                    for held in self._tracks(self._held):
+                        object.__delattr__(held, "points")
+                    self._held = None
+                for each, points in zip(self._tracks(index), self._runs(index)):
+                    object.__setattr__(each, "points", points)
+                self._held = index
+            return object.__getattribute__(track, "points")
+
+    def _tracks(self, index: int) -> tuple:
+        return self.tracks[self.starts[index]:self.starts[index + 1]]
+
+    def _runs(self, index: int) -> list:
+        """The points of block index's tracks, from pages or else from a parse."""
+        try:
+            return self.read(index)
+        except (OSError, ValueError) as e:   # a sidecar missing, replaced or damaged
+            _log.warning("%s: its sidecar's point rows failed a check (%s); parsing it again",
+                         self._path, e)
+        parse = _parse_file(self._path)
+        again = parse.tracks[0]._block.rows if parse.tracks else None
+        if again is None or again._header != self._header:
+            raise TrackDataError(f"{self._path} changed after it was loaded")
+        self._pages, self._digests = again._pages, again._digests
+        try:
+            return self.read(index)
+        except (OSError, ValueError):   # the parse's sidecar changed since it was written
+            raise TrackDataError(f"{self._path} changed after it was loaded") from None
+
+    def read(self, index: int) -> list:
+        """The points of block index's tracks: its rows read from pages into one array,
+        hashed and checked once and made read-only, and cut into the tracks' row runs."""
+        bounds = self._bounds[self.starts[index]:self.starts[index + 1] + 1]
+        first = bounds[0]
+        values = np.empty((bounds[-1] - first, len(_POINT_KEYS)), _ROW_DTYPE)
+        with (open(self._pages, "rb") if isinstance(self._pages, str)
+              else contextlib.nullcontext(self._pages)) as fh:
+            fh.seek(first * _ROW_BYTES)
+            if fh.readinto(values) != values.nbytes:
+                raise ValueError("sidecar ends early")
+        if hashlib.sha256(values).digest() != self._digests[index]:
             raise ValueError("sidecar rows checksum mismatch")
-        values = _checked(values.astype(np.float64, copy=False), bounds[1:])
+        values = _checked(values.astype(np.float64, copy=False), [b - first for b in bounds[1:]])
         if values is None:
             raise ValueError("sidecar points a parse would refuse")
         values.setflags(write=False)
-        self._set([values[a:b].view(POINT_DTYPE)[:, 0] for a, b in zip(bounds, bounds[1:])])
-
-    def fill(self) -> None:
-        """Set the tracks' points from the sidecar of path, or from a parse, once."""
-        with self._lock:
-            if self.tracks is None:
-                return
-            try:
-                with open(_sidecar_path(self._path), "rb") as fh:
-                    self.read(fh)
-            except (OSError, ValueError) as e:   # a sidecar missing, replaced or damaged
-                _log.warning("%s: its sidecar's point rows failed a check (%s); parsing it again",
-                             self._path, e)
-                parse = _parse_file(self._path)
-                if _sidecar_header(list(map(_record, parse.tracks)), parse.rejects) != self._header:
-                    raise TrackDataError(f"{self._path} changed after it was loaded") from None
-                self._set([track.points for track in parse.tracks])
-
-    def _set(self, runs: list) -> None:
-        for track, points in zip(self.tracks, runs):
-            object.__setattr__(track, "points", points)
-        self.tracks = None
+        return [values[a - first:b - first].view(POINT_DTYPE)[:, 0]
+                for a, b in pairwise(bounds)]
 
 
 def track_to_json(track: Track) -> str:

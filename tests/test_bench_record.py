@@ -37,6 +37,17 @@ def test_metrics_are_summarised_over_the_runs_with_their_units():
     }
 
 
+def test_rss_scaling_is_each_stages_10x_median_peak_over_its_default_one():
+    def peaks(**medians):
+        return {"stages": {stage: {"peak_rss_mb": {"median": mb, "iqr": 0.0, "n": 1}}
+                           for stage, mb in medians.items()}}
+    # a 10x pass that stopped early times fewer stages
+    cli = {"default": peaks(train=40.0, classify=32.0), "10x": peaks(train=80.0)}
+    assert recorder.rss_scaling(cli) == {"train": 2.0}
+    cli["10x"] = peaks(train=80.0, classify=40.0)
+    assert recorder.rss_scaling(cli) == {"train": 2.0, "classify": 1.25}
+
+
 READ = ("src/a.py", "scripts/b.py", "perfbench/c.py", "BENCHMARK.json")
 
 

@@ -143,8 +143,8 @@ class TestPipelineArtifacts:
             "runways.csv", "results.csv", "registration.csv", "heli_types.txt"))
         sidecar = work / "tracks.jsonl.rtcache"
         good = sidecar.read_bytes()
-        header_len = td._SIDECAR_END.unpack_from(good, len(good) - td._SIDECAR_TAIL)[-1]
-        rows_len = len(good) - td._SIDECAR_TAIL - header_len
+        *_, blocks, header_len = td._SIDECAR_END.unpack_from(good, len(good) - td._SIDECAR_TAIL)
+        rows_len = len(good) - td._SIDECAR_TAIL - header_len - td._DIGEST_LEN * blocks
         # rows that fail their digest, under the header, end record and checksum they had
         sidecar.write_bytes(bytes(rows_len) + good[rows_len:])
         with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):

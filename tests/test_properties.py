@@ -46,11 +46,9 @@ def finite(lo=None, hi=None, **kw):
 
 
 optional_text = st.none() | st.text()
-points = st.lists(
-    st.tuples(finite(), finite(-90.0, 90.0), finite(-180.0, 180.0), finite(),
-              finite(0.0, 360.0, exclude_max=True), finite(0.0)),
-    min_size=1, max_size=6, unique_by=lambda p: p[0],
-).map(sorted)
+point = st.tuples(finite(), finite(-90.0, 90.0), finite(-180.0, 180.0), finite(),
+                  finite(0.0, 360.0, exclude_max=True), finite(0.0))
+points = st.lists(point, min_size=1, max_size=6, unique_by=lambda p: p[0]).map(sorted)
 tracks = st.builds(
     td.Track, track_id=st.text(min_size=1), points=points, callsign=optional_text,
     mode_s=optional_text, tail_number=optional_text, declared_type=optional_text,
@@ -418,7 +416,7 @@ FLIPPED_FILE = b"".join(td.track_to_json(td.Track(tid, [(1.0, 40.0, -86.0, 900.0
 @given(st.data())
 def test_a_sidecar_with_any_byte_changed_never_fails_a_load(workdir, data):
     """Unsigned, the change is refused and the file parsed, at the load or at its first
-    points read; with the rows digest (for a change in the rows) and the checksum
+    points read; with the block digest (for a change in the rows) and the checksum
     recomputed, the load may read changed values a parse could give, but never raises."""
     path = workdir / "flipped.jsonl"
     path.write_bytes(FLIPPED_FILE)
@@ -426,21 +424,61 @@ def test_a_sidecar_with_any_byte_changed_never_fails_a_load(workdir, data):
     expected = comparable(td.load_tracks(path))
     good = sidecar_of(path).read_bytes()
     end_at = len(good) - td._SIDECAR_TAIL
-    rows_len = end_at - td._SIDECAR_END.unpack_from(good, end_at)[-1]
+    *_, blocks, header_len = td._SIDECAR_END.unpack_from(good, end_at)
+    assert blocks == 1   # the file's two tracks, whose digest follows the header
+    digest_at = end_at - td._DIGEST_LEN
+    rows_len = digest_at - header_len
     resign = data.draw(st.booleans())
     at = data.draw(st.integers(0, len(good) - (33 if resign else 1)))
     changed = good[:at] + bytes([good[at] ^ data.draw(st.integers(1, 255))]) + good[at + 1:]
     if resign:
-        end = list(td._SIDECAR_END.unpack_from(changed, end_at))
         if at < rows_len:
-            end[3] = hashlib.sha256(changed[:rows_len]).digest()
-        tail = changed[rows_len:end_at] + td._SIDECAR_END.pack(*end)
+            changed = (changed[:digest_at] + hashlib.sha256(changed[:rows_len]).digest()
+                       + changed[end_at:])
+        tail = changed[rows_len:-td._DIGEST_LEN]
         changed = changed[:rows_len] + tail + hashlib.sha256(tail).digest()
     sidecar_of(path).write_bytes(changed)
     loaded = comparable(td.load_tracks(path))
     if not resign:
         assert loaded == expected
         assert sidecar_of(path).read_bytes() == good
+
+
+BLOCK_ROWS = 8
+
+
+@st.composite
+def paged_tracks(draw):
+    """Tracks of up to a block's rows each, one of them longer than a block, in file order."""
+    counts = draw(st.lists(st.integers(1, BLOCK_ROWS), min_size=1, max_size=8))
+    counts.insert(draw(st.integers(0, len(counts))),
+                  draw(st.integers(BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)))
+    return [td.Track(f"T{i}", draw(st.lists(point, min_size=n, max_size=n,
+                                            unique_by=lambda p: p[0]).map(sorted)))
+            for i, n in enumerate(counts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(paged_tracks(), st.data())
+def test_blocks_read_in_any_order_give_a_parses_points(workdir, given_tracks, data):
+    """Cold in two directories, then warm, each track's points are read in a random order,
+    repeats included; two cold loads of the same bytes write the same sidecar."""
+    paths = [workdir / name / "paged.jsonl" for name in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+        td.save_tracks(given_tracks, path)
+        sidecar_of(path).unlink(missing_ok=True)
+    parse = [td._parse_track(td.track_to_json(t))[0].points.tobytes() for t in given_tracks]
+    n = len(given_tracks)
+    with mock.patch.object(td, "_CHECK_ROWS", BLOCK_ROWS):
+        loads = [td.load_tracks(paths[0]), td.load_tracks(paths[1]), td.load_tracks(paths[0])]
+        assert [load.parsed for load in loads] == [True, True, False]
+        assert sidecar_of(paths[0]).read_bytes() == sidecar_of(paths[1]).read_bytes()
+        for load in loads:
+            order = data.draw(st.permutations(range(n)))
+            order += data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+            for i in order:
+                assert load.tracks[i].points.tobytes() == parse[i]
 
 
 # --------------------------------------------------------------------------

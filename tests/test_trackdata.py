@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import gc
 import hashlib
 import io
@@ -386,29 +387,40 @@ def snapshot(result):
 
 
 def end_record(data):
-    """The (magic, version, source digest, rows digest, header length) of a sidecar's end
+    """The (magic, version, source digest, block count, header length) of a sidecar's end
     record."""
     return td._SIDECAR_END.unpack_from(data, len(data) - td._SIDECAR_TAIL)
 
 
 def rows_length(data):
     """The length of a sidecar's point rows, which come first."""
-    return len(data) - td._SIDECAR_TAIL - end_record(data)[-1]
+    _, _, _, blocks, header_len = end_record(data)
+    return len(data) - td._SIDECAR_TAIL - header_len - td._DIGEST_LEN * blocks
+
+
+def block_digests(doc, rows):
+    """The SHA-256 of each block of these rows, cut by the header's point counts; the last
+    block runs to the end of the rows."""
+    counts = [row[-1] for row in doc["tracks"]]
+    starts = td._block_starts(counts)
+    cuts = [6 * int(sum(counts[:s])) for s in starts[:-1]] + [len(rows)]
+    return [hashlib.sha256(rows[a:b]).digest() for a, b in zip(cuts, cuts[1:])]
 
 
 def resigned(data, edit=None, separators=(",", ":"), **end):
     """The sidecar data with its header or point rows edited, or an end record field
-    replaced, and the rows digest and the checksum recomputed, so that only the check under
-    test can refuse it."""
-    fields = dict(zip(("magic", "version", "source", "rows", "header_len"), end_record(data)))
+    replaced, and the block digests and the checksum recomputed, so that only the check
+    under test can refuse it."""
+    fields = dict(zip(("magic", "version", "source", "blocks", "header_len"), end_record(data)))
     start = rows_length(data)
     rows = np.frombuffer(data[:start], "<f8").copy()
-    doc = json.loads(data[start:-td._SIDECAR_TAIL])
+    doc = json.loads(data[start:start + fields["header_len"]])
     if edit is not None:
         edit(doc, rows)
     header = json.dumps(doc, separators=separators).encode()
-    fields = {**fields, "rows": hashlib.sha256(rows).digest(), "header_len": len(header), **end}
-    tail = header + td._SIDECAR_END.pack(*fields.values())
+    digests = block_digests(doc, rows)
+    fields = {**fields, "blocks": len(digests), "header_len": len(header), **end}
+    tail = header + b"".join(digests) + td._SIDECAR_END.pack(*fields.values())
     return rows.tobytes() + tail + hashlib.sha256(tail).digest()
 
 
@@ -441,10 +453,13 @@ DAMAGE = {
     "flipped_header_byte": flipped(lambda data: data.index(b"T100")),   # to "U100"
     "flipped_point_byte": flipped(lambda data: 8),   # in the first point's lat
     "flipped_checksum_byte": flipped(lambda data: -1),
+    "flipped_block_digest_byte": flipped(lambda data: -td._SIDECAR_TAIL - 1),
     # the rest carry a recomputed checksum
     "other_magic": lambda data: resigned(data, magic=b"RTAE"),
     "other_version": lambda data: resigned(data, version=td._SIDECAR_VERSION + 1),
     "other_source": lambda data: resigned(data, source=bytes(32)),
+    "other_block_count": lambda data: resigned(bytes(td._DIGEST_LEN) + data,
+                                               blocks=end_record(data)[3] + 1),
     "huge_header_length": lambda data: resigned(data, header_len=2**32 - 1),
     "spaced_header": lambda data: resigned(data, separators=(", ", ": ")),
     "extra_header_key": edited(lambda doc, rows: doc.update(x=1)),
@@ -623,9 +638,10 @@ class TestSidecar:
 
     @pytest.mark.parametrize("failure", ["read_only_directory", "no_temporary_file",
                                          "failed_rename", "write_fails_mid_parse"])
-    def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, failure):
+    def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, failure, caplog):
         p = tracks_file(tmp_path)
         expected = snapshot(parsed(p))
+        caplog.set_level(logging.INFO, logger="rotortrack")
 
         class FullOnTheSecondWrite(io.FileIO):
             writes = 0
@@ -652,12 +668,15 @@ class TestSidecar:
         try:
             if failure == "read_only_directory" and os.access(tmp_path, os.W_OK):
                 pytest.skip("this user writes to read-only directories")
-            with fails.get(failure, contextlib.nullcontext()):
+            # a block a track, so that each track's points are read on their own
+            with fails.get(failure, contextlib.nullcontext()), \
+                    mock.patch.object(td, "_CHECK_ROWS", 3):
                 assert snapshot(td.load_tracks(p)) == expected
                 assert snapshot(td.load_tracks(p)) == expected
         finally:
             tmp_path.chmod(0o755)
         assert os.listdir(tmp_path) == ["tracks.jsonl"]
+        assert caplog.records == []   # no block was read from a sidecar that is not there
 
     @pytest.mark.parametrize("mode", [0o644, 0o640], ids=["0o644", "0o640"])
     def test_the_sidecar_takes_the_tracks_files_read_and_write_bits(self, tmp_path, mode):
@@ -675,7 +694,7 @@ class TestSidecar:
         with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
             assert snapshot(td.load_tracks(p)) == snapshot(first)
         assert parse.call_count == 3
-        assert end_record(sidecar_of(p).read_bytes())[1] == 4
+        assert end_record(sidecar_of(p).read_bytes())[1] == td._SIDECAR_VERSION
         assert stat.S_IMODE(sidecar_of(p).stat().st_mode) == 0o644
         with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
             assert snapshot(td.load_tracks(p)) == snapshot(first)
@@ -697,15 +716,22 @@ class TestSidecar:
         assert snapshot(again) == snapshot(first)
         assert sidecar_of(p).read_bytes() == good
 
-    def test_a_version_3_sidecar_is_parsed_and_rewritten(self, tmp_path):
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_a_sidecar_of_one_rows_digest_or_none_is_parsed_and_rewritten(self, tmp_path,
+                                                                          version):
         p = tracks_file(tmp_path)
         first = td.load_tracks(p)
         good = sidecar_of(p).read_bytes()
         magic, _, source, _, header_len = end_record(good)
+        rows_end = rows_length(good)
         # version 3's layout: the point rows, the header, an end record of magic, version,
-        # source digest and header length, and the checksum of all that
-        body = good[:-td._SIDECAR_TAIL] + struct.pack("<4sI32sI", magic, 3, source, header_len)
-        sidecar_of(p).write_bytes(body + hashlib.sha256(body).digest())
+        # source digest and header length, and the checksum of the header and end record;
+        # version 4 adds the rows' digest to the end record
+        rows_digest = [hashlib.sha256(good[:rows_end]).digest()] if version == 4 else []
+        end = struct.pack(f"<4sI32s{'32s' * len(rows_digest)}I", magic, version, source,
+                          *rows_digest, header_len)
+        tail = good[rows_end:rows_end + header_len] + end
+        sidecar_of(p).write_bytes(good[:rows_end] + tail + hashlib.sha256(tail).digest())
         with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
             again = td.load_tracks(p)
         assert parse.call_count == 3 and again.parsed
@@ -778,6 +804,158 @@ class TestSidecar:
         shutil.copyfile(p, other)
         td.load_tracks(other)
         assert sidecar_of(other).read_bytes() == first
+
+
+def blocks_file(directory, n=7):
+    """n tracks of three points each, none of whose points are another's."""
+    p = directory / "tracks.jsonl"
+    write_jsonl(p, [dict(GOOD_LINE, track_id=f"T{i}", points=[
+        dict(q, t=q["t"] + 10 * i, lat=40.0 + i) for q in GOOD_LINE["points"]]) for i in range(n)])
+    return p
+
+
+# two tracks of three points a block, so that blocks_file's seven tracks make four blocks,
+# the last of them T6 alone
+two_tracks_a_block = functools.partial(mock.patch.object, td, "_CHECK_ROWS", 6)
+
+
+class TestBlocks:
+    def test_a_block_is_a_run_of_whole_tracks_and_a_longer_track_is_one_alone(self):
+        with mock.patch.object(td, "_CHECK_ROWS", 6):
+            assert td._block_starts([3, 3, 10, 2, 2, 2, 1]) == [0, 2, 3, 6, 7]
+            assert td._block_starts([6, 7, 1]) == [0, 1, 2, 3]
+            assert td._block_starts([]) == [0]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_a_pass_in_track_order_reads_each_block_once_and_holds_one(self, tmp_path, warm):
+        p = blocks_file(tmp_path)
+        with two_tracks_a_block():
+            expected = snapshot(parsed(p))
+            if warm:
+                td.load_tracks(p)
+            loaded = td.load_tracks(p)
+            assert loaded.parsed is not warm
+            read, reads, bases = td._SidecarRows.read, [], []
+
+            def counted(rows, index):
+                reads.append(index)
+                return read(rows, index)
+
+            with mock.patch.object(td._SidecarRows, "read", counted):
+                for track in loaded.tracks:
+                    # the array that owns the points' memory, which every view of them keeps
+                    bases.append(weakref.ref(track.points.base))
+                    gc.collect()   # so that only a live reference can keep a block
+                    assert len({id(base()) for base in bases if base() is not None}) == 1
+                assert reads == [0, 1, 2, 3]
+                blocks = [base() for base in bases]
+                assert blocks[:-1] == [None] * 6 and blocks[-1] is not None
+                # a track of a block dropped since reads its block again
+                assert loaded.tracks[2].points.tobytes() == expected[0][2][1]
+                assert reads == [0, 1, 2, 3, 1]
+        assert snapshot(loaded) == expected
+
+    def test_each_block_of_a_sidecar_has_its_own_digest(self, tmp_path):
+        p = blocks_file(tmp_path)
+        with two_tracks_a_block():
+            td.load_tracks(p)
+        data = sidecar_of(p).read_bytes()
+        assert end_record(data)[3] == 4
+        rows = np.frombuffer(data[:rows_length(data)], "<f8")
+        digests = data[-td._SIDECAR_TAIL - 4 * td._DIGEST_LEN:-td._SIDECAR_TAIL]
+        # six values a row: rows 0-5, 6-11 and 12-17 in pairs of tracks, and T6's 18-20
+        assert [hashlib.sha256(rows[a:b]).digest() for a, b in ((0, 36), (36, 72), (72, 108),
+                                                                 (108, 126))] == \
+            [digests[i:i + td._DIGEST_LEN] for i in range(0, len(digests), td._DIGEST_LEN)]
+
+    def test_damage_in_the_last_block_is_found_at_its_first_read(self, tmp_path, caplog):
+        p = blocks_file(tmp_path)
+        with two_tracks_a_block():
+            expected = snapshot(parsed(p))
+            td.load_tracks(p)
+            good = sidecar_of(p).read_bytes()
+            # the sign and exponent byte of the last point's gs, in T6's block
+            sidecar_of(p).write_bytes(flipped(lambda data: rows_length(data) - 1)(good))
+            loaded = td.load_tracks(p)
+            with caplog.at_level(logging.INFO, logger="rotortrack"):
+                for track in loaded.tracks[:-1]:
+                    track.points
+                assert caplog.records == []
+                with mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+                    loaded.tracks[-1].points
+                assert parse.call_count == 7
+                assert snapshot(loaded) == expected
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", f"{p}: its sidecar's point rows failed a check "
+             "(sidecar rows checksum mismatch); parsing it again")]
+        assert sidecar_of(p).read_bytes() == good
+
+    def test_a_file_changed_between_a_first_and_a_last_block_read_is_named(self, tmp_path):
+        p = blocks_file(tmp_path)
+        with two_tracks_a_block():
+            td.load_tracks(p)
+            loaded = td.load_tracks(p)
+            first = loaded.tracks[0].points
+            lines = p.read_bytes().splitlines(keepends=True)
+            p.write_bytes(b"".join(lines[:1] + lines[2:]))   # T1 goes, so T6's rows move
+            td.load_tracks(p)   # and another load of the file rewrites the sidecar
+            with pytest.raises(td.TrackDataError,
+                               match=re.escape(f"{p} changed after it was loaded")):
+                loaded.tracks[-1].points
+        assert first.tobytes() == values(td.load_tracks(p).tracks[0])[1]
+
+    def test_a_sidecar_replaced_again_after_the_reparse_is_named(self, tmp_path):
+        p = blocks_file(tmp_path)
+        parse_file = td._parse_file
+
+        def parse_then_another_load_rewrites(path):
+            # the re-parse writes its sidecar, and another load, of changed bytes, replaces it
+            result = parse_file(path)
+            other = tmp_path / "other.jsonl"
+            write_jsonl(other, [GOOD_LINE])
+            td.load_tracks(other)
+            shutil.copyfile(sidecar_of(other), sidecar_of(p))
+            return result
+
+        with two_tracks_a_block():
+            td.load_tracks(p)
+            sidecar_of(p).write_bytes(DAMAGE["flipped_point_byte"](sidecar_of(p).read_bytes()))
+            loaded = td.load_tracks(p)
+            with mock.patch.object(td, "_parse_file", side_effect=parse_then_another_load_rewrites):
+                with pytest.raises(td.TrackDataError,
+                                   match=re.escape(f"{p} changed after it was loaded")):
+                    loaded.tracks[0].points
+
+    def test_threads_that_read_the_blocks_in_opposite_orders_get_the_parses_points(
+            self, tmp_path):
+        p = blocks_file(tmp_path, n=40)
+        with two_tracks_a_block():
+            expected = snapshot(parsed(p))
+            td.load_tracks(p)
+            loaded = td.load_tracks(p)
+            got, errors = [], []
+            start = threading.Barrier(8, timeout=60)
+
+            def work(step):
+                try:   # each thread reads the tracks in its own order, over all 20 blocks
+                    start.wait()
+                    got.append([t.points.tobytes() for t in loaded.tracks[::step]][::step])
+                except Exception as e:   # reported by the assertion below
+                    errors.append(e)
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=work, args=(1 - 2 * (i % 2),))
+                           for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(t.is_alive() for t in threads) and not errors
+            assert got == [[v[1] for v in expected[0]]] * 8
+            assert snapshot(loaded) == expected
 
 
 class TestWindowing:

@@ -1,14 +1,11 @@
 """Deterministic synthetic arrival scenarios for the identification pipeline.
 
-Three traffic classes land at one synthetic airport: helicopters fly
+Three traffic classes land at one synthetic `Airport`: helicopters fly
 curved, low-altitude paths to an off-runway pad; general aviation joins a
 short final from an angled entry leg; commercial traffic flies a long
 stabilized final.  Every track is the first draw of its own RNG stream,
 derived from (scenario seed, class, index), so output is byte-for-byte
-reproducible regardless of generation order.  That helicopters stay out
-of the final approach corridor and clear of the threshold follows from
-where the pad sits: tests/test_synthgen.py checks it, and generation does
-not enforce it.
+reproducible regardless of generation order.
 
 Ground-truth classes are returned as (track_id, class) pairs and are never
 stored on the Track records themselves.  A matching synthetic registration
@@ -39,21 +36,23 @@ NM_TO_M = 1852.0
 KT_TO_MPS = 1852.0 / 3600.0
 FT_TO_M = 0.3048
 
-DEFAULT_RUNWAY = Runway(
-    runway_id="07L",
-    threshold_lat=36.085,
-    threshold_lon=-115.137,
-    threshold_elev=2145.0,
-    centerline_course=71.0,
-    length=10500.0,
-)
 
-# Helicopter arrival geometry: one fixed pad site expressed as (bearing offset
-# from the runway course in degrees, range from the threshold in NM).  The pad
-# sits well off the final-approach corridor, so the score gate holds for every
-# generated helicopter.  The corridor and the threshold ring follow from this
-# position alone; tests/test_synthgen.py checks them, and generation does not.
-_PAD_SITE = (62.0, 1.35)
+@dataclass(frozen=True)
+class Airport:
+    """Where a scenario lands: its code, its runway, and its helicopter pad as
+    (bearing offset from the runway course in degrees, range from the
+    threshold in NM).  The pad's position alone keeps helicopters out of the
+    final-approach corridor and clear of the threshold ring, so under the
+    score gate; generation does not check it, tests/test_synthgen.py does."""
+
+    code: str
+    runway: Runway
+    pad: tuple[float, float]
+
+
+DEFAULT_AIRPORT = Airport("SYN", Runway("07L", 36.085, -115.137, 2145.0, 71.0, 10500.0),
+                          pad=(62.0, 1.35))
+
 _HELI_START_NM = (3.4, 4.2)
 _HELI_START_BEARING_DEG = (-12.0, 12.0)   # the start's bearing from the pad, less the pad's
 _HELI_SPEED_KT = (58.0, 88.0)
@@ -153,8 +152,8 @@ class _Sample:
     gs: float
 
 
-def _to_track(samples: list[_Sample], track_id: str, t0: float, identity: dict) -> Track:
-    rw = DEFAULT_RUNWAY
+def _to_track(samples: list[_Sample], track_id: str, t0: float, identity: dict,
+              rw: Runway) -> Track:
     points = []
     for i, s in enumerate(samples):
         lat, lon = _en_to_latlon(s.east, s.north, rw)
@@ -171,10 +170,9 @@ def _advance(pos: list[float], heading: float, v: float) -> None:
     pos[1] += step * un
 
 
-def _roll_out(samples: list[_Sample], pos: list[float], seconds: int, decel_kt: float,
-              floor_kt: float) -> None:
+def _roll_out(samples: list[_Sample], pos: list[float], rw: Runway, seconds: int,
+              decel_kt: float, floor_kt: float) -> None:
     """Append a ground roll down the centerline, slowing by decel_kt a second to floor_kt."""
-    rw = DEFAULT_RUNWAY
     v = samples[-1].gs
     for i in range(seconds):
         gs = max(floor_kt, v - decel_kt * (i + 1))
@@ -182,8 +180,8 @@ def _roll_out(samples: list[_Sample], pos: list[float], seconds: int, decel_kt: 
         samples.append(_Sample(pos[0], pos[1], rw.threshold_elev, rw.centerline_course, gs))
 
 
-def _fly_commercial(rng: np.random.Generator) -> list[_Sample]:
-    rw = DEFAULT_RUNWAY
+def _fly_commercial(rng: np.random.Generator, airport: Airport) -> list[_Sample]:
+    rw = airport.runway
     theta = rw.centerline_course
     d0 = rng.uniform(8.0, 11.0)
     v0 = rng.uniform(*_COMMERCIAL_SPEED_KT)
@@ -206,12 +204,12 @@ def _fly_commercial(rng: np.random.Generator) -> list[_Sample]:
         _advance(pos, heading, v)
         if _along_nm(pos[0], pos[1], rw) >= 0.0:
             break
-    _roll_out(samples, pos, seconds=6, decel_kt=20.0, floor_kt=25.0)
+    _roll_out(samples, pos, rw, seconds=6, decel_kt=20.0, floor_kt=25.0)
     return samples
 
 
-def _fly_ga(rng: np.random.Generator) -> list[_Sample]:
-    rw = DEFAULT_RUNWAY
+def _fly_ga(rng: np.random.Generator, airport: Airport) -> list[_Sample]:
+    rw = airport.runway
     theta = rw.centerline_course
     final_d = rng.uniform(3.0, 5.5)
     entry_d = rng.uniform(1.5, 3.0)
@@ -245,13 +243,13 @@ def _fly_ga(rng: np.random.Generator) -> list[_Sample]:
         _advance(pos, heading, v)
         if _along_nm(pos[0], pos[1], rw) >= 0.0:
             break
-    _roll_out(samples, pos, seconds=4, decel_kt=15.0, floor_kt=15.0)
+    _roll_out(samples, pos, rw, seconds=4, decel_kt=15.0, floor_kt=15.0)
     return samples
 
 
-def _fly_helicopter(rng: np.random.Generator) -> list[_Sample]:
-    rw = DEFAULT_RUNWAY
-    off, pad_r = _PAD_SITE
+def _fly_helicopter(rng: np.random.Generator, airport: Airport) -> list[_Sample]:
+    rw = airport.runway
+    off, pad_r = airport.pad
     pad_bearing = (rw.centerline_course + off) % 360.0
     pe, pn = _unit(pad_bearing)
     pad = (pad_r * NM_TO_M * pe, pad_r * NM_TO_M * pn)
@@ -300,8 +298,8 @@ def _fly_helicopter(rng: np.random.Generator) -> list[_Sample]:
 _TAIL_LETTERS = "ABCDEFGHJKLMNPQRSTUVWXYZ"   # no I or O, as in real tail numbers
 
 
-def _identity(rng: np.random.Generator, cls: str, global_idx: int,
-              catalog: tuple) -> tuple[dict, RegistrationRecord | None]:
+def _identity(rng: np.random.Generator, cls: str, global_idx: int, catalog: tuple,
+              airport: Airport) -> tuple[dict, RegistrationRecord | None]:
     tail = "N" + str(301 + global_idx) + "".join(
         _TAIL_LETTERS[int(rng.integers(len(_TAIL_LETTERS)))] for _ in range(2))
     mode_s = f"A{global_idx:05X}"
@@ -329,7 +327,7 @@ def _identity(rng: np.random.Generator, cls: str, global_idx: int,
         callsign = f"LIFE{10 + global_idx % 89}"
     else:
         scratchpad = bool(rng.random() < (0.9 if cls == CLASS_COMMERCIAL else 0.5))
-        runway_id = DEFAULT_RUNWAY.runway_id if rng.random() < 0.9 else None
+        runway_id = airport.runway.runway_id if rng.random() < 0.9 else None
         callsign = f"SWA{100 + global_idx}" if cls == CLASS_COMMERCIAL else tail
 
     identity = {
@@ -337,7 +335,7 @@ def _identity(rng: np.random.Generator, cls: str, global_idx: int,
         "mode_s": mode_s if has_mode_s else None,
         "tail_number": tail if has_tail else None,
         "declared_type": declared,
-        "arrival_airport": "SYN",
+        "arrival_airport": airport.code,
         "runway_id": runway_id,
         "scratchpad_runway": scratchpad,
     }
@@ -361,7 +359,7 @@ class Scenario:
     tracks: list[Track]
     labels: list[tuple[str, str]]                     # (track_id, class)
     registration: list[RegistrationRecord]
-    runway: Runway = DEFAULT_RUNWAY
+    runway: Runway
     heli_types: frozenset = frozenset(d for _, _, d in HELI_CATALOG)
 
 
@@ -380,18 +378,19 @@ def generate(spec: ScenarioSpec) -> Scenario:
     registration: list[RegistrationRecord] = []
     counts = ((CLASS_HELICOPTER, spec.helicopters), (CLASS_GA, spec.ga),
               (CLASS_COMMERCIAL, spec.commercial))
+    airport = DEFAULT_AIRPORT
     global_idx = 0
     for cls, n in counts:
         code, fly, catalog, prefix = _CLASSES[cls]
         for i in range(n):
             rng = np.random.default_rng([spec.seed, _STREAM_DOMAIN, code, i])
-            samples = fly(rng)   # before _identity, which draws from the same stream
+            samples = fly(rng, airport)   # before _identity, which draws from the same stream
             track_id = f"{prefix}{i:04d}"
-            identity, reg = _identity(rng, cls, global_idx, catalog)
+            identity, reg = _identity(rng, cls, global_idx, catalog, airport)
             t0 = 1_700_000_000.0 + 3600.0 * global_idx
-            tracks.append(_to_track(samples, track_id, t0, identity))
+            tracks.append(_to_track(samples, track_id, t0, identity, airport.runway))
             labels.append((track_id, cls))
             if reg is not None:
                 registration.append(reg)
             global_idx += 1
-    return Scenario(tracks=tracks, labels=labels, registration=registration)
+    return Scenario(tracks, labels, registration, airport.runway)

@@ -29,6 +29,11 @@ MIN_POINTS = 130
 MIN_CLOSEST = 110
 TAIL_WINDOW = 20
 
+# Pads and a runway unlike DEFAULT_AIRPORT's: a flier that still flew to the
+# default pad or runway would fail TestMovedAirport's checks.
+MOVED_PADS = ((-62.0, 1.35), (120.0, 1.35), (20.0, 1.0))
+MOVED_RUNWAY = td.Runway("25R", 36.0, -115.0, 1000.0, 250.0, 8000.0)
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -40,13 +45,24 @@ def tracks_of(scenario, cls):
     return [t for t in scenario.tracks if labels[t.track_id] == cls]
 
 
-def in_corridor(east_m, north_m, runway):
-    lo, hi = _CORRIDOR_ALONG_NM
+def along_cross_m(east_m, north_m, runway):
+    """A point's offset along and across the runway's centerline, in meters."""
     course = math.radians(runway.centerline_course)
     de, dn = math.sin(course), math.cos(course)   # the unit vector along the centerline
-    along = (east_m * de + north_m * dn) / sg.NM_TO_M
-    cross = (east_m * dn - north_m * de) / sg.NM_TO_M
-    return abs(cross) * sg.NM_TO_M / sg.FT_TO_M < _CORRIDOR_HALF_WIDTH_FT and lo < along < hi
+    return east_m * de + north_m * dn, east_m * dn - north_m * de
+
+
+def in_corridor(east_m, north_m, runway):
+    lo, hi = _CORRIDOR_ALONG_NM
+    along, cross = along_cross_m(east_m, north_m, runway)
+    return abs(cross) / sg.FT_TO_M < _CORRIDOR_HALF_WIDTH_FT and lo < along / sg.NM_TO_M < hi
+
+
+def streams(cls):
+    """The RNG streams generate would give a class for seeds 1-3 and every 50th index."""
+    code = sg._CLASSES[cls][0]
+    return (np.random.default_rng([seed, sg._STREAM_DOMAIN, code, i])
+            for seed in (1, 2, 3) for i in range(0, 1000, 50))
 
 
 def assert_shape(n_points, closest):
@@ -107,18 +123,17 @@ class TestShape:
 
     @pytest.mark.parametrize("cls", td.TRACK_CLASSES)
     def test_every_flier_keeps_its_shape_over_many_streams(self, cls):
-        # each class's flier alone, on the streams generate would give it for
-        # seeds 1-3 and every 50th index; helicopters also keep their clearances
-        code, fly, _, _ = sg._CLASSES[cls]
-        for seed in (1, 2, 3):
-            for i in range(0, 1000, 50):
-                samples = fly(np.random.default_rng([seed, sg._STREAM_DOMAIN, code, i]))
-                dists = [math.hypot(s.east, s.north) / sg.NM_TO_M for s in samples]
-                assert_shape(len(samples), dists.index(min(dists)))
-                if cls == td.CLASS_HELICOPTER:
-                    assert min(dists) >= _HELI_MIN_THRESHOLD_NM
-                    assert not any(in_corridor(s.east, s.north, sg.DEFAULT_RUNWAY)
-                                   for s in samples)
+        # each class's flier alone, on many of its streams; helicopters also
+        # keep their clearances
+        fly = sg._CLASSES[cls][1]
+        for rng in streams(cls):
+            samples = fly(rng, sg.DEFAULT_AIRPORT)
+            dists = [math.hypot(s.east, s.north) / sg.NM_TO_M for s in samples]
+            assert_shape(len(samples), dists.index(min(dists)))
+            if cls == td.CLASS_HELICOPTER:
+                assert min(dists) >= _HELI_MIN_THRESHOLD_NM
+                assert not any(in_corridor(s.east, s.north, sg.DEFAULT_AIRPORT.runway)
+                               for s in samples)
 
     def test_every_track_yields_an_arrival_window(self, scenario):
         for t in scenario.tracks:
@@ -128,6 +143,33 @@ class TestShape:
     def test_negative_counts_rejected(self):
         with pytest.raises(sg.ScenarioError):
             sg.ScenarioSpec(seed=1, helicopters=-1, ga=0, commercial=0)
+
+
+class TestMovedAirport:
+    """Each flier lands at the airport it is given, not at DEFAULT_AIRPORT."""
+
+    @pytest.mark.parametrize("pad", MOVED_PADS)
+    def test_helicopters_set_down_on_the_pad_they_are_given(self, pad):
+        airport = dataclasses.replace(sg.DEFAULT_AIRPORT, pad=pad)
+        offset, range_nm = pad
+        bearing = math.radians(airport.runway.centerline_course + offset)
+        pad_en = (range_nm * sg.NM_TO_M * math.sin(bearing),
+                  range_nm * sg.NM_TO_M * math.cos(bearing))
+        fly = sg._CLASSES[td.CLASS_HELICOPTER][1]
+        for rng in streams(td.CLASS_HELICOPTER):
+            end = fly(rng, airport)[-1]
+            assert math.hypot(end.east - pad_en[0], end.north - pad_en[1]) < 70.0
+
+    @pytest.mark.parametrize("cls", [td.CLASS_GA, td.CLASS_COMMERCIAL])
+    def test_fixed_wing_rolls_out_on_the_runway_it_is_given(self, cls):
+        airport = dataclasses.replace(sg.DEFAULT_AIRPORT, runway=MOVED_RUNWAY)
+        fly = sg._CLASSES[cls][1]
+        for rng in streams(cls):
+            end = fly(rng, airport)[-1]
+            along, cross = along_cross_m(end.east, end.north, MOVED_RUNWAY)
+            assert abs(cross) < 10.0
+            assert along > 0.0
+            assert end.alt == MOVED_RUNWAY.threshold_elev
 
 
 class TestHelicopterGeometry:
@@ -180,6 +222,11 @@ class TestHelicopterGeometry:
 
 
 class TestIdentities:
+    def test_every_track_names_the_default_airport_and_its_runway(self, scenario):
+        assert scenario.runway == sg.DEFAULT_AIRPORT.runway
+        assert {t.arrival_airport for t in scenario.tracks} == {sg.DEFAULT_AIRPORT.code}
+        assert {t.runway_id for t in scenario.tracks} == {None, sg.DEFAULT_AIRPORT.runway.runway_id}
+
     def test_tails_are_unique(self, scenario):
         tails = [t.tail_number for t in scenario.tracks if t.tail_number]
         assert len(tails) == len(set(tails))

@@ -139,7 +139,7 @@ class Track:
     def __getattr__(self, name):
         # reached only when a slot is unset, as points is while its block is not read in
         if name == "points" and self._block is not None:
-            return self._block.rows.points(self, self._block.index)
+            return self._block.rows.points(self)
         return object.__getattribute__(self, name)
 
 
@@ -390,11 +390,11 @@ def _track_of(obj: dict, points) -> tuple[Optional[Track], Optional[str]]:
                  **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False, frozen=True)
 class LoadResult:
     tracks: list[Track]
     rejects: list[tuple[int, str]]   # (1-based line number, reason)
-    parsed: bool = False   # False when read from the sidecar
+    parsed: bool   # False when read from the sidecar
 
 
 def load_tracks(path) -> LoadResult:
@@ -507,13 +507,13 @@ def _parse_file(path) -> LoadResult:
 
 
 def _parse_into(path, sink, pages=None) -> LoadResult:
-    """The LoadResult of the sidecar of the file at path, which this writes to sink, whose
-    blocks are read from pages: a sidecar's path, or by default sink itself.  One binary
-    pass over the file's lines, each ended by "\\n" (see load_tracks), hashes them and writes
-    each accepted track's rows to sink as soon as its line is parsed, hashing each block's
-    rows as it goes and keeping only the track's header record: no line's bytes outlive its
-    decode, and no parsed point array outlives its line.  The header, block digests, end
-    record and checksum follow; of what sink holds, only they are read back."""
+    """The LoadResult, with parsed True, of the sidecar of the file at path, which this writes
+    to sink, whose blocks are read from pages: a sidecar's path, or by default sink itself.
+    One binary pass over the file's lines, each ended by "\\n" (see load_tracks), hashes them
+    and writes each accepted track's rows to sink as soon as its line is parsed, hashing each
+    block's rows as it goes and keeping only the track's header record: no line's bytes
+    outlive its decode, and no parsed point array outlives its line.  The header, block
+    digests, end record and checksum follow; of what sink holds, only they are read back."""
     records, ids, rejects, digests = [], set(), [], []
     source, block = hashlib.sha256(), hashlib.sha256()
     line_no = block_rows = 0
@@ -551,9 +551,7 @@ def _parse_into(path, sink, pages=None) -> LoadResult:
     trailer = header + b"".join(digests) + _SIDECAR_END.pack(
         _SIDECAR_MAGIC, _SIDECAR_VERSION, digest, len(digests), len(header))
     sink.write(trailer + hashlib.sha256(trailer).digest())
-    result = _sidecar_result(sink, digest, path, sink if pages is None else pages)
-    result.parsed = True
-    return result
+    return _sidecar_result(sink, digest, path, sink if pages is None else pages, parsed=True)
 
 
 def _file_sha256(path) -> bytes:
@@ -578,20 +576,21 @@ def _read_sidecar(path) -> Optional[LoadResult]:
     sidecar = _sidecar_path(path)
     try:
         with open(sidecar, "rb") as fh:
-            return _sidecar_result(fh, _file_sha256(path), path, sidecar)
+            return _sidecar_result(fh, _file_sha256(path), path, sidecar, parsed=False)
     except (OSError, ValueError, TypeError, LookupError, RecursionError):
         return None
 
 
-def _sidecar_result(fh, digest: bytes, path, pages) -> LoadResult:
+def _sidecar_result(fh, digest: bytes, path, pages, parsed: bool) -> LoadResult:
     """The sidecar of path in the seekable binary stream fh, checked as a model file is, all
     but its point rows: magic and version, the parsed bytes' digest (which must be digest),
     exact lengths, the checksum of header, block digests and end record, one header form, a
     digest per block, and every track and reject as a parse would give it; its tracks' points
-    are read from pages (a sidecar's path, or a stream that holds it) a block at a time.  Any
-    defect raises ValueError (or TypeError or LookupError from a header of the wrong shape).
-    The end record is read, then the header and block digests, and no row.  No size is
-    allocated before the stream's length bounds it."""
+    are read from pages (a sidecar's path, or a stream that holds it) a block at a time, each
+    _Block built with the list of its own tracks.  parsed is the caller's: True from a parse.
+    Any defect raises ValueError (or TypeError or LookupError from a header of the wrong
+    shape).  The end record is read, then the header and block digests, and no row.  No size
+    is allocated before the stream's length bounds it."""
     size = fh.seek(0, os.SEEK_END)
     if size < _SIDECAR_TAIL:
         raise ValueError("sidecar ends early")
@@ -624,12 +623,13 @@ def _sidecar_result(fh, digest: bytes, path, pages) -> LoadResult:
         raise ValueError("sidecar block count is not its header's")
     tracks = []
     for index, (first, stop) in enumerate(pairwise(rows.starts)):
-        block = _Block(rows, index)
+        block = _Block(rows, index, [])
         for row in records[first:stop]:
             track, err = _track_of(dict(zip(_RECORD_KEYS, row)), block)
             if err is not None or not track.track_id:   # the rules leave None or a string
                 raise ValueError("sidecar track a parse would refuse")
-            tracks.append(track)
+            block.tracks.append(track)
+        tracks += block.tracks
     rejects = [tuple(r) for r in doc["rejects"]]
     lines = [line for line, _ in rejects]
     if not (all(type(line) is int and line > 0 and _plain_text(why) for line, why in rejects)
@@ -639,27 +639,27 @@ def _sidecar_result(fh, digest: bytes, path, pages) -> LoadResult:
     # every row _track_of accepts is the _record of its track
     if _sidecar_header(records, rejects) != header:
         raise ValueError("sidecar header is not the one its result writes")
-    rows.tracks = tuple(tracks)
-    return LoadResult(tracks, rejects)
+    return LoadResult(tracks, rejects, parsed)
 
 
 @dataclass(slots=True, frozen=True, eq=False)
 class _Block:
-    """One block of a sidecar load's point rows, which that load's tracks in it hold until
-    their points are read."""
+    """One block of a sidecar load's point rows and the list of the load's tracks in it, which
+    hold it until their points are read: reading the block sets those tracks' points."""
 
     rows: _SidecarRows
     index: int
+    tracks: list   # its tracks, in load order, which _sidecar_result appends as it builds them
 
 
 class _SidecarRows:
     """The point rows of one sidecar load, read from pages (a sidecar's path, or a stream
     that holds it) a block at a time.  The first points read of a track whose block is not
     read in reads, hashes and checks that block under a lock of the load, sets the points of
-    its tracks and unsets those of the block read in before, so one block is held.  Where a
-    block fails a check, the file is parsed again; if the parse finds the loaded tracks and
-    rejects, the load reads its blocks from the parse's sidecar from then on, and else the
-    read raises TrackDataError."""
+    the tracks its _Block lists, unsets those the _Block held before lists, and holds it.
+    Where a block fails a check, the file is parsed again; if the parse finds the loaded
+    tracks and rejects, the load reads its blocks from the parse's sidecar from then on, and
+    else the read raises TrackDataError."""
 
     def __init__(self, path, header: bytes, pages, counts: list, digests: list):
         self._lock = threading.Lock()
@@ -667,24 +667,21 @@ class _SidecarRows:
         self._pages, self._digests = pages, digests   # and each block's SHA-256
         self._bounds = [0, *accumulate(counts)]   # 0, then the row each track's points end before
         self.starts = _block_starts(counts)
-        self.tracks: tuple = ()
-        self._held: Optional[int] = None   # the block whose tracks' points are set
+        self._held: Optional[_Block] = None   # the block whose tracks' points are set
 
-    def points(self, track: Track, index: int) -> np.ndarray:
-        """The points of track, of block index, with that block read in."""
+    def points(self, track: Track) -> np.ndarray:
+        """The points of track, with its block read in."""
+        block = track._block
         with self._lock:
-            if self._held != index:
+            if self._held is not block:
                 if self._held is not None:
-                    for held in self._tracks(self._held):
+                    for held in self._held.tracks:
                         object.__delattr__(held, "points")
                     self._held = None
-                for each, points in zip(self._tracks(index), self._runs(index)):
+                for each, points in zip(block.tracks, self._runs(block.index)):
                     object.__setattr__(each, "points", points)
-                self._held = index
+                self._held = block
             return object.__getattribute__(track, "points")
-
-    def _tracks(self, index: int) -> tuple:
-        return self.tracks[self.starts[index]:self.starts[index + 1]]
 
     def _runs(self, index: int) -> list:
         """The points of block index's tracks, from pages or else from a parse."""

@@ -904,6 +904,32 @@ class TestBlocks:
                 loaded.tracks[-1].points
         assert first.tobytes() == values(td.load_tracks(p).tracks[0])[1]
 
+    def test_a_replaced_track_keeps_its_points_and_a_load_is_not_reassigned(self, tmp_path):
+        p = blocks_file(tmp_path)
+        with two_tracks_a_block():
+            expected = snapshot(parsed(p))
+            td.load_tracks(p)
+            loaded = td.load_tracks(p)
+            copy = dataclasses.replace(loaded.tracks[2])   # T2, of block 1 with T3
+            assert type(copy) is td.Track and copy._block is None
+            assert values(copy) == expected[0][2]
+            read, reads = td._SidecarRows.read, []
+
+            def counted(rows, index):
+                reads.append(index)
+                return read(rows, index)
+
+            with mock.patch.object(td._SidecarRows, "read", counted):
+                for track in loaded.tracks[:2] + loaded.tracks[4:]:
+                    track.points
+            assert reads == [0, 2, 3]
+            with pytest.raises(AttributeError):   # the slot, not __getattr__: T2's block is out
+                td.Track.points.__get__(loaded.tracks[2], td.Track)
+            assert td.Track.points.__get__(copy, td.Track).tobytes() == expected[0][2][1]
+        for f in dataclasses.fields(loaded):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(loaded, f.name, getattr(loaded, f.name))
+
     def test_a_sidecar_replaced_again_after_the_reparse_is_named(self, tmp_path):
         p = blocks_file(tmp_path)
         parse_file = td._parse_file

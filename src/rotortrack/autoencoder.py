@@ -276,14 +276,12 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
                 f"window from track {w.source_track_id} is tagged {w.label!r}, not "
                 f"{CLASS_HELICOPTER!r}; refusing to train on it")
 
-    data = np.stack([w.values for w in windows]).astype(model.spec.dtype)
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(data))
+    order = rng.permutation(len(windows))
+    data = np.stack([windows[i].values for i in order], dtype=model.spec.dtype)
     # MIN_TRAIN_WINDOWS and the fixed fraction leave training windows after the split
     n_val = max(1, round(config.validation_fraction * len(data)))
-    val = data[order[:n_val]]
-    tr = data[order[n_val:]]
-    del data   # the split holds copies
+    val, tr = data[:n_val], data[n_val:]
 
     # One flat vector holds every parameter, so one Adam update covers the
     # model; the workspace keeps every pass's arrays from step to step.
@@ -291,6 +289,7 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
     flat = nn.flatten(layers)
     ws = nn.Workspace(layers)
     state = nn.adam_init(flat)
+    val_rec = np.empty_like(val)   # the split's reconstruction, filled a batch at a time
 
     history: list[EpochStats] = []
     best_val = np.inf
@@ -310,7 +309,10 @@ def train(model: ModelParams, windows: Sequence[FeatureWindow],
             batch_losses.append(loss)
             _backward(trail, nn.mae_grad(batch, rec), ws)
             nn.adam_step(flat, ws.grad, state)
-        val_mae = nn.mae(val, _forward(model, val, ws=ws))
+        for start in range(0, len(val), config.batch_size):
+            stop = start + config.batch_size
+            val_rec[start:stop] = _forward(model, val[start:stop], ws=ws)
+        val_mae = nn.mae(val, val_rec)
         if not np.isfinite(val_mae):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         history.append(EpochStats(epoch, float(np.mean(batch_losses)), val_mae))

@@ -353,6 +353,29 @@ class TestWorkspace:
         assert all(arrays == after_first_epoch for _, arrays in seen[2:])
         assert {key: id(a) for key, a in spaces[0].arrays.items()} == after_first_epoch
 
+    def test_a_validation_split_past_one_batch_is_forwarded_a_batch_at_a_time(self, monkeypatch):
+        rows = []   # batch rows of every forward pass that writes into the workspace
+        forward = ae._forward
+
+        def spy(model, x, trail=None, ws=None):
+            if ws is not None:
+                rows.append(len(x))
+            return forward(model, x, trail, ws)
+        monkeypatch.setattr(ae, "_forward", spy)
+        wins, cfg = sine_windows(200, seed=5), ae.TrainConfig(epochs=2, seed=3)
+        model = ae.build(SMALL_SPEC)
+        history = ae.train(model, wins, cfg)
+        assert max(rows) <= ae.TrainConfig.batch_size
+        # per epoch: 160 training windows in five batches, then 40 held out in two
+        assert rows == ([32] * 5 + [32, 8]) * 2
+        # the loop forwards the split whole, which can change its MAE's last bits
+        reference = ae.build(SMALL_SPEC)
+        expected = train_on_fresh_workspaces(reference, wins, cfg)
+        assert [h.train_mae for h in history] == [h.train_mae for h in expected]
+        assert [h.val_mae for h in history] == pytest.approx([h.val_mae for h in expected],
+                                                             rel=1e-12)
+        assert parameter_bytes(model) == parameter_bytes(reference)
+
     def test_first_stage_keeps_no_input_gradient(self, spaces):
         model = ae.build(SMALL_SPEC)
         ae.train(model, sine_windows(36, seed=5), SHORT_BATCHES)

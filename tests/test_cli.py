@@ -756,6 +756,12 @@ class TestConfigMerge:
         assert moved.labels == tmp_path / "out" / "labels.csv"
         assert moved.model == tmp_path / "out" / "model.rtae"
 
+    def test_an_unknown_path_name_is_an_attribute_error(self, tmp_path):
+        paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
+        with pytest.raises(AttributeError, match="no_such_file"):
+            paths.no_such_file
+        assert getattr(paths, "no_such_file", None) is None
+
     def test_missing_input_has_a_named_error(self, tmp_path):
         paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
         with pytest.raises(cli.CliError, match="tracks.jsonl"):

@@ -184,6 +184,18 @@ class TestClassifyTrack:
         assert outcomes[1].reason == "fewer_than_100_points"
         assert outcomes[2] == idf.classify(model, th, last, RUNWAY)
 
+    def test_classify_tracks_finds_a_track_without_points_too_short_with_or_without_runway_id(self):
+        model = training_windows_and_model()
+        th = idf.Thresholds(mae_threshold=0.5)
+        runways = {"FAR": td.Runway("FAR", 45.0, -80.0, 0.0, 90.0, 5000.0), "KXYZ-27": RUNWAY}
+        bare, named = td.Track("T1", []), td.Track("T2", [], runway_id="KXYZ-27")
+        last = td.Track("T3", self.approach().points)
+        outcomes = idf.classify_tracks(model, th, [bare, named, last], runways)
+        assert [(o.track_id, type(o)) for o in outcomes[:2]] == [("T1", idf.Unclassifiable),
+                                                                 ("T2", idf.Unclassifiable)]
+        assert [o.reason for o in outcomes[:2]] == ["fewer_than_100_points"] * 2
+        assert outcomes[2] == idf.classify(model, th, last, RUNWAY)
+
     def test_model_without_stats_is_refused(self):
         model = training_windows_and_model()
         model.norm_stats = None

@@ -170,6 +170,14 @@ class TestClosestApproachMemo:
         assert td.closest_approach_index(moved, RUNWAY)[0] == 120
         assert td.closest_approach_index(track, RUNWAY)[0] == 180
 
+    def test_an_unknown_attribute_of_a_track_is_an_attribute_error(self, tmp_path):
+        p = tracks_file(tmp_path)
+        td.load_tracks(p)
+        for track in (approach_track(), td.load_tracks(p).tracks[0]):   # built, then paged
+            with pytest.raises(AttributeError, match="no_such_field"):
+                track.no_such_field
+            assert getattr(track, "no_such_field", None) is None
+
 
 GOOD_LINE = {
     "track_id": "T100",
@@ -578,6 +586,22 @@ class TestSidecar:
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
             ("rotortrack.trackdata", "WARNING", f"{p}: its sidecar's point rows failed a check "
              "(sidecar rows checksum mismatch); parsing it again")]
+
+    def test_a_sidecar_cut_short_after_a_warm_load_is_parsed_again_at_the_first_points_read(
+            self, tmp_path, caplog):
+        p = tracks_file(tmp_path)
+        expected = snapshot(parsed(p))
+        td.load_tracks(p)
+        good = sidecar_of(p).read_bytes()
+        loaded = td.load_tracks(p)
+        assert not loaded.parsed
+        sidecar_of(p).write_bytes(good[:rows_length(good) // 2])
+        with caplog.at_level(logging.INFO, logger="rotortrack"):
+            assert snapshot(loaded) == expected
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("rotortrack.trackdata", "WARNING", f"{p}: its sidecar's point rows failed a check "
+             "(sidecar ends early); parsing it again")]
+        assert sidecar_of(p).read_bytes() == good
 
     def test_threads_that_race_on_the_first_points_read_read_the_rows_once(self, tmp_path):
         p = tmp_path / "tracks.jsonl"
@@ -1146,6 +1170,13 @@ class TestNormStats:
                        for i, w in enumerate(wins)])
         assert np.max(np.abs(zs.mean(axis=0))) < 1e-12
         assert np.max(np.abs(zs.std(axis=0) - 1.0)) < 1e-12
+
+    def test_windows_of_another_shape_are_refused(self):
+        short = [w[:td.WINDOW_LEN // 2] for w in random_windows(3, seed=3)]
+        shapes = r"windows must be \(100, 6\), got \(50, 6\)"
+        with pytest.raises(td.TrackDataError, match=shapes) as exc:
+            td.fit_norm_stats(short)
+        assert not isinstance(exc.value, td.ZeroVarianceFeature)
 
     def test_wrong_window_shape_rejected(self):
         stats = td.fit_norm_stats(random_windows(3, seed=3))

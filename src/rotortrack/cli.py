@@ -107,24 +107,18 @@ def load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-class Paths:
-    """The config's input paths and the fixed output names, resolved against the output directory."""
+def _paths(cfg: dict, out_dir: str) -> SimpleNamespace:
+    """out_dir, and the config's input paths and the fixed output names resolved against it
+    once: an absolute input path replaces out_dir."""
+    out = Path(out_dir)
+    files = {**cfg["paths"], **OUTPUTS}
+    return SimpleNamespace(out_dir=out, **{name: out / file for name, file in files.items()})
 
-    def __init__(self, cfg: dict, out_dir: str):
-        self.out_dir = Path(out_dir)
-        self._files = {**cfg["paths"], **OUTPUTS}
 
-    def __getattr__(self, name: str) -> Path:
-        try:
-            return self.out_dir / self._files[name]   # an absolute input path replaces out_dir
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def input(self, name: str) -> Path:
-        p = getattr(self, name)
-        if not p.is_file():
-            raise CliError(f"required input file not found: {p}")
-        return p
+def _input(path: Path) -> Path:
+    if not path.is_file():
+        raise CliError(f"required input file not found: {path}")
+    return path
 
 
 def _atomic_write(path: Path, write_fn: Callable[[Path], None]) -> None:
@@ -176,8 +170,8 @@ def _write_records(path: Path, fields: Sequence[str], records) -> None:
 # --------------------------------------------------------------------------
 # shared stage helpers
 
-def _load_tracks(paths: Paths) -> list[td.Track]:
-    path = paths.input("tracks")
+def _load_tracks(paths: SimpleNamespace) -> list[td.Track]:
+    path = _input(paths.tracks)
     result = td.load_tracks(path)
     log.info("loaded %s: %d tracks, %d rejected lines, %s", path, len(result.tracks),
              len(result.rejects), "parsed" if result.parsed else "read from its sidecar")
@@ -188,13 +182,13 @@ def _load_tracks(paths: Paths) -> list[td.Track]:
     return result.tracks
 
 
-def _per_helicopter(paths: Paths, stage: str,
+def _per_helicopter(paths: SimpleNamespace, stage: str,
                     fn: Callable[[td.Track, td.Runway], object]) -> dict[str, object]:
     """td.per_helicopter over the input files, logging each skipped track and, once, the
     helicopter labels that name no loaded track, naming the stage."""
     tracks = _load_tracks(paths)
-    labels = td.load_labels(paths.input("labels"))
-    out, skipped = td.per_helicopter(tracks, labels, td.load_runways(paths.input("runways")), fn)
+    labels = td.load_labels(_input(paths.labels))
+    out, skipped = td.per_helicopter(tracks, labels, td.load_runways(_input(paths.runways)), fn)
     for track_id, e in skipped:
         log.warning("%s track %s skipped: %s", stage, track_id, e)
     loaded = {track.track_id for track in tracks}
@@ -240,8 +234,8 @@ def _refuse_unknown_keys(path: Path, doc: dict, keys: tuple[str, ...]) -> None:
         raise CliError(f"{path} holds unknown keys {unknown}; it names only {list(keys)}")
 
 
-def _read_thresholds(paths: Paths) -> idf.Thresholds:
-    path = paths.input("thresholds")
+def _read_thresholds(paths: SimpleNamespace) -> idf.Thresholds:
+    path = _input(paths.thresholds)
     keys = ("mae_threshold", "percentile", "runway_score_threshold")
     doc = _read_json_object(path, keys)
     _refuse_unknown_keys(path, doc, keys)
@@ -254,7 +248,7 @@ def _read_thresholds(paths: Paths) -> idf.Thresholds:
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_synth(cfg: dict, paths: Paths) -> None:
+def cmd_synth(cfg: dict, paths: SimpleNamespace) -> None:
     """generate a synthetic labeled scenario"""
     scenario = sg.generate(cfg["synth"])
     log.info("generated %d tracks (seed %d)", len(scenario.tracks), cfg["synth"].seed)
@@ -266,12 +260,13 @@ def cmd_synth(cfg: dict, paths: Paths) -> None:
                 + "".join(d + "\n" for d in sorted(scenario.heli_types)))
 
 
-def cmd_train(cfg: dict, paths: Paths) -> None:
+def cmd_train(cfg: dict, paths: SimpleNamespace) -> None:
     """train the autoencoder on labeled helicopter windows"""
     raw = _per_helicopter(paths, "training", td.arrival_features)
     log.info("training on %d helicopter windows", len(raw))
     stats = td.fit_norm_stats(list(raw.values()))
-    windows = [td.normalize(r, stats, i, td.CLASS_HELICOPTER) for i, r in raw.items()]
+    # each raw window goes as it is normalized, so training holds one form of each
+    windows = [td.normalize(raw.pop(i), stats, i, td.CLASS_HELICOPTER) for i in list(raw)]
 
     model = ae.build(cfg["autoencoder"])
     history = ae.train(model, windows, cfg["training"])
@@ -286,9 +281,9 @@ def cmd_train(cfg: dict, paths: Paths) -> None:
                [["epoch", "train_mae", "val_mae"]] + [dataclasses.astuple(h) for h in history])
 
 
-def cmd_calibrate(cfg: dict, paths: Paths) -> None:
+def cmd_calibrate(cfg: dict, paths: SimpleNamespace) -> None:
     """set the MAE threshold from training errors"""
-    model = ae.load(paths.input("model"))
+    model = ae.load(_input(paths.model))
     maes = list(_per_helicopter(paths, "calibration", lambda track, runway:
                                 idf.window_mae(model, track, runway)).values())
     thresholds = idf.Thresholds(idf.calibrate(maes))
@@ -313,12 +308,12 @@ def _result_row(outcome) -> list:
             ";".join(outcome.reasons)]
 
 
-def cmd_classify(cfg: dict, paths: Paths) -> None:
+def cmd_classify(cfg: dict, paths: SimpleNamespace) -> None:
     """classify every track in the tracks file"""
-    model = ae.load(paths.input("model"))
+    model = ae.load(_input(paths.model))
     thresholds = _read_thresholds(paths)
     tracks = _load_tracks(paths)
-    runways = td.load_runways(paths.input("runways"))
+    runways = td.load_runways(_input(paths.runways))
     outcomes = idf.classify_tracks(model, thresholds, tracks, runways)
     results = [o for o in outcomes if isinstance(o, idf.ClassificationResult)]
     log.info("classified %d tracks: %d helicopters, %d unclassifiable",
@@ -388,14 +383,14 @@ def read_results(path) -> tuple[list[idf.ClassificationResult], dict[str, str]]:
     return results, unclassifiable
 
 
-def cmd_validate(cfg: dict, paths: Paths) -> None:
+def cmd_validate(cfg: dict, paths: SimpleNamespace) -> None:
     """check predictions against the registration table"""
-    results, unclassifiable = read_results(paths.input("results"))
+    results, unclassifiable = read_results(_input(paths.results))
     tracks = _load_tracks(paths)
-    table = td.load_registration(paths.input("registration"))
+    table = td.load_registration(_input(paths.registration))
     for msg in table.duplicates:
         log.warning("registration: %s", msg)
-    heli_types = vl.load_heli_types(paths.input("heli_types"))
+    heli_types = vl.load_heli_types(_input(paths.heli_types))
     records, metrics, venn, pseudo_types = vl.validate_predictions(
         results, unclassifiable, {t.track_id: t for t in tracks}, table, heli_types)
 
@@ -427,12 +422,12 @@ def cmd_validate(cfg: dict, paths: Paths) -> None:
              metrics.tp, metrics.fp, metrics.fn, metrics.tn, metrics.unmatched)
 
 
-def cmd_report(cfg: dict, paths: Paths) -> None:
+def cmd_report(cfg: dict, paths: SimpleNamespace) -> None:
     """write a consolidated text report"""
     thresholds = _read_thresholds(paths)
     counts = ("tp", "fp", "fn", "tn", "unmatched", "unclassifiable")
     ratios = ("precision", "recall")
-    path = paths.input("metrics")
+    path = _input(paths.metrics)
     metrics = _read_json_object(path, counts + ratios, nullable=ratios)
     _refuse_unknown_keys(path, metrics, counts + ratios + ("venn",))   # venn goes unread here
     for key in counts:
@@ -441,7 +436,7 @@ def cmd_report(cfg: dict, paths: Paths) -> None:
     for key in ratios:
         if metrics[key] is not None and not 0 <= metrics[key] <= 1:
             raise CliError(f"{path}: {key!r} must be null or in [0, 1], got {metrics[key]!r}")
-    venn_txt = "".join(td.utf8_lines(paths.input("venn_txt")))
+    venn_txt = "".join(td.utf8_lines(_input(paths.venn_txt)))
 
     def ratio(value) -> str:
         return "n/a" if value is None else f"{value:.4f}"
@@ -508,7 +503,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 handlers.enter_context(_attached(logging.FileHandler(args.log_file),
                                                  "%(asctime)s %(levelname)s %(message)s"))
             cfg = load_config(args.config)
-            paths = Paths(cfg, args.out_dir)
+            paths = _paths(cfg, args.out_dir)
             paths.out_dir.mkdir(parents=True, exist_ok=True)
             _COMMANDS[args.command](cfg, paths)
         except (CliError, td.TrackDataError, ae.AutoencoderError, idf.IdentifyError,

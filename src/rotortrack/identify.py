@@ -131,10 +131,8 @@ def classify_tracks(model: ae.ModelParams, thresholds: Thresholds, tracks: Seque
     for track in tracks:
         try:
             outcomes.append(classify(model, thresholds, track, td.pick_runway(track, runways)))
-        except Unclassifiable as e:
-            outcomes.append(Unclassifiable(e.track_id, e.reason))   # without the traceback's frames
-        except td.WindowingError as e:   # pick_runway's: a track with no points has no nearest runway
-            outcomes.append(Unclassifiable(track.track_id, e.reason))
+        except (Unclassifiable, td.WindowingError) as e:   # the latter pick_runway's, on no points
+            outcomes.append(Unclassifiable(track.track_id, e.reason))   # without the traceback
     return outcomes
 
 

@@ -412,8 +412,8 @@ def load_tracks(path) -> LoadResult:
     fails any check (for a block's rows, at its read, with a logged warning) is ignored, and
     the file is parsed and the sidecar rewritten; where none can be written, the parse
     streams to memory and its blocks are read from there.  So a sidecar never changes what a
-    load returns, or makes one fail; but a block read raises TrackDataError when the file,
-    changed since the load, no longer parses to its tracks and rejects.  LoadResult.parsed
+    load returns, or makes one fail; but a block read raises TrackDataError when the file's
+    bytes have changed since the load, even to the same tracks and rejects.  LoadResult.parsed
     says whether this load parsed.
 
     A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
@@ -618,7 +618,7 @@ def _sidecar_result(fh, digest: bytes, path, pages, parsed: bool) -> LoadResult:
     if _ROW_BYTES * sum(counts) != rows_len:
         raise ValueError("sidecar length is not its header's")
     digests = [tail[at:at + _DIGEST_LEN] for at in range(header_len, len(tail), _DIGEST_LEN)]
-    rows = _SidecarRows(path, header, pages, counts, digests)
+    rows = _SidecarRows(path, source, pages, counts, digests)
     if len(rows.starts) - 1 != blocks:
         raise ValueError("sidecar block count is not its header's")
     tracks = []
@@ -657,13 +657,13 @@ class _SidecarRows:
     that holds it) a block at a time.  The first points read of a track whose block is not
     read in reads, hashes and checks that block under a lock of the load, sets the points of
     the tracks its _Block lists, unsets those the _Block held before lists, and holds it.
-    Where a block fails a check, the file is parsed again; if the parse finds the loaded
-    tracks and rejects, the load reads its blocks from the parse's sidecar from then on, and
-    else the read raises TrackDataError."""
+    Where a block fails a check, the file is parsed again; if the parse is of the bytes the
+    load read (their SHA-256 is the load's), the load reads its blocks from the parse's sidecar
+    from then on, and else the read raises TrackDataError."""
 
-    def __init__(self, path, header: bytes, pages, counts: list, digests: list):
+    def __init__(self, path, source: bytes, pages, counts: list, digests: list):
         self._lock = threading.Lock()
-        self._path, self._header = path, header
+        self._path, self._source = path, source   # the SHA-256 of the bytes the load read
         self._pages, self._digests = pages, digests   # and each block's SHA-256
         self._bounds = [0, *accumulate(counts)]   # 0, then the row each track's points end before
         self.starts = _block_starts(counts)
@@ -692,7 +692,7 @@ class _SidecarRows:
                          self._path, e)
         parse = _parse_file(self._path)
         again = parse.tracks[0]._block.rows if parse.tracks else None
-        if again is None or again._header != self._header:
+        if again is None or again._source != self._source:
             raise TrackDataError(f"{self._path} changed after it was loaded")
         self._pages, self._digests = again._pages, again._digests
         try:

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -10,6 +11,7 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -216,6 +218,29 @@ class TestPipelineArtifacts:
             assert run("--out-dir", str(work), "--config", str(work / "cfg.json"),
                        "--log-file", str(tmp_path / "log.txt"), "train") == 0
         assert logged in (tmp_path / "log.txt").read_text(encoding="utf-8")
+
+    def test_train_drops_each_raw_window_before_training(self, pipeline, tmp_path):
+        # training holds the normalized windows alone: no raw window outlives its normalize
+        work = copy_inputs(pipeline, tmp_path / "work", ("tracks.jsonl", "labels.csv",
+                                                         "runways.csv"))
+        (work / "cfg.json").write_text(json.dumps({"training": {"epochs": 1}}))
+        features, train, raws, alive = td.arrival_features, ae.train, [], []
+
+        def watched_features(track, runway):
+            raw = features(track, runway)
+            raws.append(weakref.ref(raw))
+            return raw
+
+        def watched_train(model, windows, config):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in raws))
+            assert len(windows) == len(raws)
+            return train(model, windows, config)
+
+        with mock.patch.object(cli.td, "arrival_features", watched_features), \
+                mock.patch.object(cli.ae, "train", watched_train):
+            assert run("--out-dir", str(work), "--config", str(work / "cfg.json"), "train") == 0
+        assert len(raws) == 40 and alive == [0]
 
     def test_readme_library_example_runs_on_a_run_directory(self, pipeline, capsys):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -743,7 +768,7 @@ class TestConfigMerge:
         assert {f.name for f in dataclasses.fields(cls)} == set(settable)
 
     def test_paths_resolve_against_out_dir(self, tmp_path):
-        paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
+        paths = cli._paths(cli.DEFAULT_CONFIG, str(tmp_path))
         assert paths.tracks == tmp_path / "tracks.jsonl"
         assert paths.model == tmp_path / "model.rtae"
         assert paths.out_dir == tmp_path
@@ -751,21 +776,21 @@ class TestConfigMerge:
         elsewhere = tmp_path / "study" / "tracks.jsonl"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"paths": {"tracks": str(elsewhere)}}))
-        moved = cli.Paths(cli.load_config(str(path)), str(tmp_path / "out"))
+        moved = cli._paths(cli.load_config(str(path)), str(tmp_path / "out"))
         assert moved.tracks == elsewhere
         assert moved.labels == tmp_path / "out" / "labels.csv"
         assert moved.model == tmp_path / "out" / "model.rtae"
 
     def test_an_unknown_path_name_is_an_attribute_error(self, tmp_path):
-        paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
+        paths = cli._paths(cli.DEFAULT_CONFIG, str(tmp_path))
         with pytest.raises(AttributeError, match="no_such_file"):
             paths.no_such_file
         assert getattr(paths, "no_such_file", None) is None
 
     def test_missing_input_has_a_named_error(self, tmp_path):
-        paths = cli.Paths(cli.DEFAULT_CONFIG, str(tmp_path))
+        paths = cli._paths(cli.DEFAULT_CONFIG, str(tmp_path))
         with pytest.raises(cli.CliError, match="tracks.jsonl"):
-            paths.input("tracks")
+            cli._input(paths.tracks)
 
 
 class TestMalformedConfig:

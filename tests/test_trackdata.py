@@ -406,6 +406,12 @@ def rows_length(data):
     return len(data) - td._SIDECAR_TAIL - header_len - td._DIGEST_LEN * blocks
 
 
+def header_of(data):
+    """A sidecar's header, which follows its point rows."""
+    start = rows_length(data)
+    return data[start:start + end_record(data)[4]]
+
+
 def block_digests(doc, rows):
     """The SHA-256 of each block of these rows, cut by the header's point counts; the last
     block runs to the end of the rows."""
@@ -927,6 +933,23 @@ class TestBlocks:
                                match=re.escape(f"{p} changed after it was loaded")):
                 loaded.tracks[-1].points
         assert first.tobytes() == values(td.load_tracks(p).tracks[0])[1]
+
+    def test_a_file_rewritten_with_other_values_under_the_same_tracks_is_named(self, tmp_path):
+        # the same tracks, point counts and rejects, so a parse of either version writes the
+        # same sidecar header; only the SHA-256 of the bytes tells their points apart
+        p = blocks_file(tmp_path)
+        with two_tracks_a_block():
+            td.load_tracks(p)
+            header = header_of(sidecar_of(p).read_bytes())
+            loaded = td.load_tracks(p)
+            assert set(loaded.tracks[0].points["alt"].tolist()) == {1600.0}
+            p.write_bytes(p.read_bytes().replace(b'"alt": 1600.0', b'"alt": 2000.0'))
+            rewritten = td.load_tracks(p)   # and this load rewrites the sidecar
+            assert rewritten.parsed and header_of(sidecar_of(p).read_bytes()) == header
+            with pytest.raises(td.TrackDataError,
+                               match=re.escape(f"{p} changed after it was loaded")):
+                loaded.tracks[-1].points
+            assert set(rewritten.tracks[-1].points["alt"].tolist()) == {2000.0}
 
     def test_a_replaced_track_keeps_its_points_and_a_load_is_not_reassigned(self, tmp_path):
         p = blocks_file(tmp_path)

@@ -5,17 +5,18 @@ registration rows arrive as CSV.  A track's points are a read-only float64
 array of POINT_DTYPE (t, lat, lon, alt, course, gs), and the geometry below
 works on its columns.  What a parse of a track file found is kept in a checked
 binary sidecar next to it, so that later loads of the same bytes skip the
-parse.  A parse writes each track's points to the sidecar as its line is
-parsed, then the header, and returns what the sidecar holds.  Every load reads
-its tracks' points from the sidecar a block at a time, on demand: a block is a
-run of whole tracks of at most _CHECK_ROWS rows, or one longer track, with its
-own digest.  The first points read of a track reads, hashes and checks its
-block and drops the block read before, so reading identity fields alone reads
-no point, and a pass in track order reads each row once and holds one block.
-Arrival windows are the last 100 track points at or before the point of
-closest approach to the runway threshold.  No function here changes its
-inputs, but closest_approach_index memoises its results on the track, so the
-runway pick, the windowing and the runway score compute each (track,
+parse.  A parse writes each line's record and point rows to the sidecar as the
+line is parsed, building no track, then the header, and returns what the
+sidecar holds: the sidecar reader builds every track a load returns.  Every
+load reads its tracks' points from the sidecar a block at a time, on demand: a
+block is a run of whole tracks of at most _CHECK_ROWS rows, or one longer
+track, with its own digest.  The first points read of a track reads, hashes and
+checks its block and drops the block read before, so reading identity fields
+alone reads no point, and a pass in track order reads each row once and holds
+one block.  Arrival windows are the last 100 track points at or before the
+point of closest approach to the runway threshold.  No function here changes
+its inputs, but closest_approach_index memoises its results on the track, so
+the runway pick, the windowing and the runway score compute each (track,
 threshold) pair once between them.  Threads may share loaded data: two that
 race on one pair both compute the same values, and a load reads its blocks
 under a lock of that load.
@@ -36,6 +37,7 @@ import re
 import struct
 import tempfile
 import threading
+import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, chain, pairwise
@@ -100,8 +102,14 @@ _POINT_KEYS = ("t", "lat", "lon", "alt", "course", "gs")
 POINT_DTYPE = np.dtype((np.record, [(k, np.float64) for k in _POINT_KEYS]))
 
 
+class _Referable:
+    """Gives a slotted subclass a __weakref__ slot, which Python 3.10's dataclass cannot add."""
+
+    __slots__ = ("__weakref__",)
+
+
 @dataclass(slots=True, eq=False, frozen=True)
-class Track:
+class Track(_Referable):
     """One surveillance track.  points is a read-only array of POINT_DTYPE, oldest first:
     points["lat"] is a column and points[i].lat a value.  (t, lat, lon, alt, course, gs)
     tuples are converted on construction; an array of POINT_DTYPE is kept without a copy,
@@ -340,34 +348,8 @@ def _checked(values: np.ndarray, ends) -> Optional[np.ndarray]:
 _STRING_KEYS = {"callsign": "callsign", "mode_s": "mode_s", "tail_number": "tail_number",
                 "aircraft_type": "declared_type", "arrival_airport": "arrival_airport",
                 "runway_id": "runway_id"}
-
-
-def _parse_track(line: str) -> tuple[Optional[Track], Optional[str]]:
-    """The track of one JSON Lines line, or the reason it is rejected.  The line is
-    decoded whole by json.loads; its points are checked as one array, and a line they
-    fail is checked point by point for the reason."""
-    if not _encodable(line):
-        return None, "invalid UTF-8"
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        return None, f"invalid JSON: {e.msg}"
-    except ValueError:      # an integer of more digits than int() converts
-        return None, "invalid JSON: integer with too many digits"
-    except RecursionError:
-        return None, "invalid JSON: nested too deeply"
-    if not isinstance(obj, dict):
-        return None, "record is not a JSON object"
-    track_id = obj.get("track_id")
-    if not isinstance(track_id, str) or not track_id:
-        return None, "missing or empty track_id"
-    raw_points = obj.get("points")
-    if not isinstance(raw_points, list) or not raw_points:
-        return None, "missing or empty points array"
-    values = _point_array(raw_points)
-    if values is None:
-        return None, _first_point_error(raw_points)
-    return _track_of(obj, values.view(POINT_DTYPE)[:, 0])
+# The wire keys of a track's sidecar record, whose last value is the track's point count
+_RECORD_KEYS = ("track_id", *_STRING_KEYS, "scratchpad_runway")
 
 
 def _plain_text(val) -> bool:
@@ -376,18 +358,49 @@ def _plain_text(val) -> bool:
     return isinstance(val, str) and _encodable(val) and "\0" not in val
 
 
-def _track_of(obj: dict, points) -> tuple[Optional[Track], Optional[str]]:
-    """The Track of a record's wire-keyed fields and its checked points (or the sidecar rows
-    that set them), or the reason a field is refused.  Every loaded track passes here."""
-    scratch = obj.get("scratchpad_runway")
+def _record_error(record: list) -> Optional[str]:
+    """The reason a track's sidecar record (its _RECORD_KEYS values, then its point count)
+    is refused, or None: the one field rule of the parse and of the sidecar reader."""
+    *texts, scratch, _ = record
     if scratch is not None and not isinstance(scratch, bool):
-        return None, "scratchpad_runway must be a boolean when present"
-    for key in ("track_id", *_STRING_KEYS):
-        val = obj.get(key)
+        return "scratchpad_runway must be a boolean when present"
+    for key, val in zip(_RECORD_KEYS, texts):
         if val is not None and not _plain_text(val):
-            return None, f"{key} must be a string without lone surrogates or NUL when present"
-    return Track(obj["track_id"], points, scratchpad_runway=scratch,
-                 **{name: obj.get(key) for key, name in _STRING_KEYS.items()}), None
+            return f"{key} must be a string without lone surrogates or NUL when present"
+    return None
+
+
+def _parse_track(line: str) -> tuple[Optional[list], Optional[np.ndarray], Optional[str]]:
+    """(record, rows, None) for one JSON Lines line, as its track's sidecar holds them: its
+    record, and its checked point rows as little-endian float64; or (None, None, the reason
+    it is rejected).  No Track is built.  The line is decoded whole by json.loads; its
+    points are checked as one array, and a line they fail is checked point by point for the
+    reason.  Its fields are checked last, by _record_error."""
+    if not _encodable(line):
+        return None, None, "invalid UTF-8"
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        return None, None, f"invalid JSON: {e.msg}"
+    except ValueError:      # an integer of more digits than int() converts
+        return None, None, "invalid JSON: integer with too many digits"
+    except RecursionError:
+        return None, None, "invalid JSON: nested too deeply"
+    if not isinstance(obj, dict):
+        return None, None, "record is not a JSON object"
+    track_id = obj.get("track_id")
+    if not isinstance(track_id, str) or not track_id:
+        return None, None, "missing or empty track_id"
+    raw_points = obj.get("points")
+    if not isinstance(raw_points, list) or not raw_points:
+        return None, None, "missing or empty points array"
+    values = _point_array(raw_points)
+    if values is None:
+        return None, None, _first_point_error(raw_points)
+    record = [*map(obj.get, _RECORD_KEYS), len(values)]
+    if err := _record_error(record):
+        return None, None, err
+    return record, values.astype(_ROW_DTYPE, copy=False), None
 
 
 @dataclass(slots=True, eq=False, frozen=True)
@@ -401,20 +414,22 @@ def load_tracks(path) -> LoadResult:
     """Read a JSON Lines track file; bad lines are reported in LoadResult.rejects.
 
     The file's bytes are parsed once.  The first load streams what it finds to a sidecar,
-    <path>.rtcache, next to the file, writing each byte once: each track's points as its
-    line is parsed, then the header.  It returns what the sidecar holds, as a later load
-    whose SHA-256 of the file's bytes matches the sidecar's does without parsing: the same
+    <path>.rtcache, next to the file, writing each byte once: each line's record and point
+    rows as the line is parsed, building no track, then the header.  It returns what the
+    sidecar holds, whose reader builds each track a load returns once, as a later load whose
+    SHA-256 of the file's bytes matches the sidecar's does without parsing: the same
     LoadResult, bit for bit, whose tracks' points are read-only row runs that cannot be made
     writable.  Every load reads the points from its sidecar a block of tracks at a time, at
     the first points read of a track of the block, and drops the block read before: a pass
     in track order reads, hashes and checks each row once and holds one block, and a track
-    of a block dropped since reads its block again.  A sidecar that is missing, stale or
-    fails any check (for a block's rows, at its read, with a logged warning) is ignored, and
-    the file is parsed and the sidecar rewritten; where none can be written, the parse
-    streams to memory and its blocks are read from there.  So a sidecar never changes what a
-    load returns, or makes one fail; but a block read raises TrackDataError when the file's
-    bytes have changed since the load, even to the same tracks and rejects.  LoadResult.parsed
-    says whether this load parsed.
+    of a block dropped since reads its block again.  No reference cycle holds a load, so a
+    dropped one frees its rows at once.  A sidecar that is missing, stale or fails any check
+    (for a block's rows, at its read, with a logged warning) is ignored, and the file is
+    parsed and the sidecar rewritten; where none can be written, the parse streams to memory
+    and its blocks are read from there.  So a sidecar never changes what a load returns, or
+    makes one fail; but a block read raises TrackDataError when the file's bytes have
+    changed since the load, even to the same tracks and rejects.  LoadResult.parsed says
+    whether this load parsed.
 
     A line ends at "\\n", as JSON Lines define: a "\\r\\n" ending loads as "\\n" does, a
     lone "\\r" is JSON whitespace, and reject line numbers count "\\n".  A parse decodes
@@ -445,7 +460,6 @@ _SIDECAR_TAIL = _SIDECAR_END.size + _DIGEST_LEN   # the end record and the check
 _HASH_CHUNK = 1 << 16
 _ROW_DTYPE = np.dtype("<f8")
 _ROW_BYTES = len(_POINT_KEYS) * _ROW_DTYPE.itemsize
-_RECORD_KEYS = ("track_id", *_STRING_KEYS, "scratchpad_runway")
 _log = logging.getLogger(__name__)
 
 
@@ -453,20 +467,9 @@ def _sidecar_path(path) -> str:
     return os.fsdecode(path) + _SIDECAR_SUFFIX
 
 
-def _record(track: Track) -> list:
-    """A track's row of the sidecar header: its _RECORD_KEYS values and its point count."""
-    return [track.track_id, *(getattr(track, name) for name in _STRING_KEYS.values()),
-            track.scratchpad_runway, len(track.points)]
-
-
 def _sidecar_header(records: list, rejects: list) -> bytes:
     """The header of these track records and rejects, the one form _sidecar_result accepts."""
     return json.dumps({"tracks": records, "rejects": rejects}, separators=(",", ":")).encode()
-
-
-def _rows(track: Track) -> np.ndarray:
-    """A track's point values as the sidecar holds them: little-endian float64, row by row."""
-    return track.points.view(np.float64).astype(_ROW_DTYPE, copy=False)
 
 
 def _block_starts(counts: list) -> list:
@@ -510,9 +513,9 @@ def _parse_into(path, sink, pages=None) -> LoadResult:
     """The LoadResult, with parsed True, of the sidecar of the file at path, which this writes
     to sink, whose blocks are read from pages: a sidecar's path, or by default sink itself.
     One binary pass over the file's lines, each ended by "\\n" (see load_tracks), hashes them
-    and writes each accepted track's rows to sink as soon as its line is parsed, hashing each
-    block's rows as it goes and keeping only the track's header record: no line's bytes
-    outlive its decode, and no parsed point array outlives its line.  The header, block
+    and writes each accepted line's rows to sink as soon as it is parsed, hashing each
+    block's rows as it goes and keeping only the line's header record; it builds no Track.
+    No line's bytes outlive its decode, and no parsed point array outlives its line.  The header, block
     digests, end record and checksum follow; of what sink holds, only they are read back."""
     records, ids, rejects, digests = [], set(), [], []
     source, block = hashlib.sha256(), hashlib.sha256()
@@ -525,25 +528,22 @@ def _parse_into(path, sink, pages=None) -> LoadResult:
             del raw
             if line.isspace():
                 continue
-            track, err = _parse_track(line)
+            record, rows, err = _parse_track(line)
             del line
-            if err is None and track.track_id in ids:
-                err = f"duplicate track_id {track.track_id!r}"
+            if err is None and record[0] in ids:
+                err = f"duplicate track_id {record[0]!r}"
             if err is not None:
                 rejects.append((line_no, err))
             else:
-                ids.add(track.track_id)
-                records.append(_record(track))
-                n = len(track.points)
-                if block_rows and block_rows + n > _CHECK_ROWS:   # a new block, as _block_starts
+                ids.add(record[0])
+                records.append(record)
+                if block_rows and block_rows + len(rows) > _CHECK_ROWS:   # as _block_starts
                     digests.append(block.digest())
                     block, block_rows = hashlib.sha256(), 0
-                block_rows += n
-                rows = _rows(track)
+                block_rows += len(rows)
                 block.update(rows)
                 sink.write(rows)
-                del rows
-            del track
+            del rows
     if block_rows:
         digests.append(block.digest())
     digest = source.digest()
@@ -585,12 +585,14 @@ def _sidecar_result(fh, digest: bytes, path, pages, parsed: bool) -> LoadResult:
     """The sidecar of path in the seekable binary stream fh, checked as a model file is, all
     but its point rows: magic and version, the parsed bytes' digest (which must be digest),
     exact lengths, the checksum of header, block digests and end record, one header form, a
-    digest per block, and every track and reject as a parse would give it; its tracks' points
-    are read from pages (a sidecar's path, or a stream that holds it) a block at a time, each
-    _Block built with the list of its own tracks.  parsed is the caller's: True from a parse.
-    Any defect raises ValueError (or TypeError or LookupError from a header of the wrong
-    shape).  The end record is read, then the header and block digests, and no row.  No size
-    is allocated before the stream's length bounds it."""
+    digest per block, and every track and reject as a parse would give it; its tracks'
+    points are read from pages (a sidecar's path, or a stream that holds it) a block at a
+    time, each _Block built with weak references to its own tracks.  This is the one place a
+    loaded Track is built, once per track, its record passed by _record_error as a parse
+    passes it.  parsed is the caller's: True from a parse.  Any defect raises ValueError (or
+    TypeError or LookupError from a header of the wrong shape).  The end record is read,
+    then the header and block digests, and no row.  No size is allocated before the stream's
+    length bounds it."""
     size = fh.seek(0, os.SEEK_END)
     if size < _SIDECAR_TAIL:
         raise ValueError("sidecar ends early")
@@ -624,19 +626,20 @@ def _sidecar_result(fh, digest: bytes, path, pages, parsed: bool) -> LoadResult:
     tracks = []
     for index, (first, stop) in enumerate(pairwise(rows.starts)):
         block = _Block(rows, index, [])
-        for row in records[first:stop]:
-            track, err = _track_of(dict(zip(_RECORD_KEYS, row)), block)
-            if err is not None or not track.track_id:   # the rules leave None or a string
+        for record in records[first:stop]:
+            if _record_error(record) or not record[0]:   # the rule leaves None or a string
                 raise ValueError("sidecar track a parse would refuse")
-            block.tracks.append(track)
-        tracks += block.tracks
+            track_id, *texts, scratch, _ = record
+            tracks.append(Track(track_id, block, scratchpad_runway=scratch,
+                                **dict(zip(_STRING_KEYS.values(), texts))))
+            block.tracks.append(weakref.ref(tracks[-1]))
     rejects = [tuple(r) for r in doc["rejects"]]
     lines = [line for line, _ in rejects]
     if not (all(type(line) is int and line > 0 and _plain_text(why) for line, why in rejects)
             and lines == sorted(set(lines))
             and len({t.track_id for t in tracks}) == len(tracks)):
         raise ValueError("sidecar result a parse would not give")
-    # every row _track_of accepts is the _record of its track
+    # a parse writes the header of the records it accepts, so they must re-encode to it
     if _sidecar_header(records, rejects) != header:
         raise ValueError("sidecar header is not the one its result writes")
     return LoadResult(tracks, rejects, parsed)
@@ -644,19 +647,21 @@ def _sidecar_result(fh, digest: bytes, path, pages, parsed: bool) -> LoadResult:
 
 @dataclass(slots=True, frozen=True, eq=False)
 class _Block:
-    """One block of a sidecar load's point rows and the list of the load's tracks in it, which
-    hold it until their points are read: reading the block sets those tracks' points."""
+    """One block of a sidecar load's point rows and weak references to the load's tracks in
+    it, which hold it: reading the block sets the points of those still alive.  Nothing a
+    track reaches refers back to it strongly, so a dropped load is freed at once."""
 
     rows: _SidecarRows
     index: int
-    tracks: list   # its tracks, in load order, which _sidecar_result appends as it builds them
+    tracks: list   # a weakref.ref of each track, in load order, appended as it is built
 
 
 class _SidecarRows:
     """The point rows of one sidecar load, read from pages (a sidecar's path, or a stream
     that holds it) a block at a time.  The first points read of a track whose block is not
     read in reads, hashes and checks that block under a lock of the load, sets the points of
-    the tracks its _Block lists, unsets those the _Block held before lists, and holds it.
+    the live tracks its _Block lists, unsets those of the list it held before, and holds
+    that list (of weak references, so the rows it set are freed with the tracks).
     Where a block fails a check, the file is parsed again; if the parse is of the bytes the
     load read (their SHA-256 is the load's), the load reads its blocks from the parse's sidecar
     from then on, and else the read raises TrackDataError."""
@@ -667,20 +672,20 @@ class _SidecarRows:
         self._pages, self._digests = pages, digests   # and each block's SHA-256
         self._bounds = [0, *accumulate(counts)]   # 0, then the row each track's points end before
         self.starts = _block_starts(counts)
-        self._held: Optional[_Block] = None   # the block whose tracks' points are set
+        self._held: list = []   # the _Block.tracks whose live tracks' points are set
 
     def points(self, track: Track) -> np.ndarray:
         """The points of track, with its block read in."""
         block = track._block
         with self._lock:
-            if self._held is not block:
-                if self._held is not None:
-                    for held in self._held.tracks:
-                        object.__delattr__(held, "points")
-                    self._held = None
-                for each, points in zip(block.tracks, self._runs(block.index)):
-                    object.__setattr__(each, "points", points)
-                self._held = block
+            if self._held is not block.tracks:
+                for held in filter(None, (ref() for ref in self._held)):
+                    object.__delattr__(held, "points")
+                self._held = []
+                for ref, points in zip(block.tracks, self._runs(block.index)):
+                    if (each := ref()) is not None:
+                        object.__setattr__(each, "points", points)
+                self._held = block.tracks
             return object.__getattribute__(track, "points")
 
     def _runs(self, index: int) -> list:

@@ -468,7 +468,7 @@ def test_blocks_read_in_any_order_give_a_parses_points(workdir, given_tracks, da
         path.parent.mkdir(exist_ok=True)
         td.save_tracks(given_tracks, path)
         sidecar_of(path).unlink(missing_ok=True)
-    parse = [td._parse_track(td.track_to_json(t))[0].points.tobytes() for t in given_tracks]
+    parse = [td._parse_track(td.track_to_json(t))[1].tobytes() for t in given_tracks]
     n = len(given_tracks)
     with mock.patch.object(td, "_CHECK_ROWS", BLOCK_ROWS):
         loads = [td.load_tracks(paths[0]), td.load_tracks(paths[1]), td.load_tracks(paths[0])]

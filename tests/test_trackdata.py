@@ -47,6 +47,13 @@ def values(track):
                  for f in dataclasses.fields(track) if f.init)
 
 
+def parsed_values(line):
+    """values() of the track a load builds of one line, from the record and rows its parse
+    returns; a record's values after track_id are those of the Track fields after points."""
+    record, rows, _ = td._parse_track(line)
+    return (record[0], rows.tobytes(), *record[1:-1])
+
+
 def scalar_nm(point, runway):
     """A point's distance to the runway threshold, in NM, one point at a time."""
     return math.hypot(*td.en_offset_km(point.lat, point.lon, runway.threshold_lat,
@@ -294,7 +301,7 @@ class TestLoadTracks:
         res = td.load_tracks(p)
         assert res.rejects == rejects
         assert [values(t) for t in res.tracks] == (
-            [values(td._parse_track(a)[0]), values(td._parse_track(b)[0])] if loaded else [])
+            [parsed_values(a), parsed_values(b)] if loaded else [])
 
     def test_undecodable_bytes_reject_only_their_line(self, tmp_path):
         p = tmp_path / "tracks.jsonl"
@@ -666,6 +673,48 @@ class TestSidecar:
         with mock.patch.object(td, "_parse_track", side_effect=AssertionError("parsed")):
             assert snapshot(td.load_tracks(p)) == snapshot(changed)
 
+    def test_a_load_builds_each_track_it_returns_once(self, tmp_path):
+        """A parse builds no track: only the sidecar reader does, cold or warm."""
+        p = tracks_file(tmp_path)
+        post_init, built = td.Track.__post_init__, []
+
+        def counted(track):
+            built.append(track.track_id)
+            post_init(track)
+
+        with mock.patch.object(td.Track, "__post_init__", counted):
+            for cold in (True, False):
+                built.clear()
+                loaded = td.load_tracks(p)
+                assert loaded.parsed is cold
+                assert built == [t.track_id for t in loaded.tracks] == ["T100", "T101"]
+
+    def test_a_sidecar_read_short_is_ignored_and_rewritten_with_no_warning(self, tmp_path,
+                                                                           caplog):
+        p = tracks_file(tmp_path)
+        first = td.load_tracks(p)
+        good, before = sidecar_of(p).read_bytes(), sidecar_of(p).stat()
+
+        class OneByteShort(io.FileIO):
+            def read(self, size=-1):
+                return super().read(size)[:-1]
+
+        def open_one_byte_short(file, *args, **kwargs):
+            # the sidecar's reader; the tracks file and mkstemp's descriptor open as they are
+            if file == os.fsdecode(sidecar_of(p)):
+                return OneByteShort(file, "rb")
+            return open(file, *args, **kwargs)
+
+        with caplog.at_level(logging.INFO, logger="rotortrack"), \
+                mock.patch.object(td, "open", open_one_byte_short, create=True), \
+                mock.patch.object(td, "_parse_track", wraps=td._parse_track) as parse:
+            again = td.load_tracks(p)
+            assert parse.call_count == 3 and again.parsed
+            assert snapshot(again) == snapshot(first)
+        assert caplog.records == []
+        assert sidecar_of(p).read_bytes() == good
+        assert sidecar_of(p).stat().st_ino != before.st_ino   # renamed into place anew
+
     @pytest.mark.parametrize("failure", ["read_only_directory", "no_temporary_file",
                                          "failed_rename", "write_fails_mid_parse"])
     def test_a_sidecar_that_cannot_be_written_is_skipped(self, tmp_path, failure, caplog):
@@ -780,15 +829,17 @@ class TestSidecar:
 
     def test_an_interrupted_sidecar_write_raises_and_leaves_no_temporary_file(self, tmp_path):
         p = tracks_file(tmp_path)
-        rows, written = td._rows, []
+        parse, records = td._parse_track, []
 
-        def interrupted_on_the_second_track(track):
-            written.append(track)
-            if len(written) == 2:
+        def interrupted_on_the_second_track(line):
+            record, rows, err = parse(line)
+            if record is not None:
+                records.append(record)
+            if len(records) == 2:
                 raise KeyboardInterrupt
-            return rows(track)
+            return record, rows, err
 
-        with mock.patch.object(td, "_rows", side_effect=interrupted_on_the_second_track):
+        with mock.patch.object(td, "_parse_track", side_effect=interrupted_on_the_second_track):
             with pytest.raises(KeyboardInterrupt):
                 td.load_tracks(p)
         assert os.listdir(tmp_path) == ["tracks.jsonl"]
@@ -811,10 +862,10 @@ class TestSidecar:
         def parse_with_the_last_points_dead(line):
             gc.collect()   # so that only a live reference can keep them
             assert all(points() is None for points in last_points), "points outlived their line"
-            track, err = parse(line)
-            # the array that owns the points' memory, which every view of them keeps
-            last_points[:] = [weakref.ref(track.points.base)]
-            return track, err
+            record, rows, err = parse(line)
+            # the array that owns the rows' memory, which every view of them keeps
+            last_points[:] = [weakref.ref(rows.base)]
+            return record, rows, err
 
         with mock.patch.object(td, "_parse_track", side_effect=parse_with_the_last_points_dead):
             loaded = td.load_tracks(p)
@@ -976,6 +1027,51 @@ class TestBlocks:
         for f in dataclasses.fields(loaded):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(loaded, f.name, getattr(loaded, f.name))
+
+    @pytest.mark.parametrize("route", ["sidecar", "in_memory"])
+    def test_a_dropped_load_is_freed_without_the_cyclic_gc(self, tmp_path, route):
+        """No reference cycle holds a load: its rows, and a parse's in-memory sidecar, go
+        with its last reference, with the cyclic GC off."""
+        p = tracks_file(tmp_path)
+
+        def no_temporary_file(*args, **kwargs):
+            # a new error each time: one raised again would keep, through its traceback,
+            # the frame of _parse_file that returned the load
+            raise PermissionError(13, "Permission denied")
+
+        no_sidecar = mock.patch.object(td.tempfile, "mkstemp", no_temporary_file)
+        with no_sidecar if route == "in_memory" else contextlib.nullcontext():
+            td.load_tracks(p)
+            gc.disable()
+            try:
+                loaded = td.load_tracks(p)
+                assert loaded.parsed is (route == "in_memory")
+                # the array that owns the points' memory, which every view of them keeps
+                held = [weakref.ref(loaded.tracks[0].points.base),
+                        weakref.ref(loaded.tracks[0]._block.rows._pages)
+                        if route == "in_memory" else lambda: None]
+                del loaded
+                assert [ref() is None for ref in held] == [True, True]
+            finally:
+                gc.enable()
+
+    def test_a_track_kept_from_a_dropped_load_frees_the_rest_and_reads_its_points(
+            self, tmp_path):
+        p = blocks_file(tmp_path)
+        with two_tracks_a_block():
+            expected = snapshot(parsed(p))
+            td.load_tracks(p)
+            gc.disable()
+            try:
+                loaded = td.load_tracks(p)
+                first = weakref.ref(loaded.tracks[0].points.base)   # block 0's, held
+                kept = loaded.tracks[2]
+                del loaded
+                assert first() is None
+                # evicts block 0 past its dead tracks, and sets T2's points but not T3's
+                assert kept.points.tobytes() == expected[0][2][1]
+            finally:
+                gc.enable()
 
     def test_a_sidecar_replaced_again_after_the_reparse_is_named(self, tmp_path):
         p = blocks_file(tmp_path)

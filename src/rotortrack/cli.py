@@ -250,14 +250,24 @@ def _read_thresholds(paths: SimpleNamespace) -> idf.Thresholds:
 
 def cmd_synth(cfg: dict, paths: SimpleNamespace) -> None:
     """generate a synthetic labeled scenario"""
-    scenario = sg.generate(cfg["synth"])
-    log.info("generated %d tracks (seed %d)", len(scenario.tracks), cfg["synth"].seed)
-    _atomic_write(paths.tracks, lambda tmp: td.save_tracks(scenario.tracks, tmp))
-    _write_csv(paths.labels, [td.LABEL_FIELDS, *scenario.labels])
-    _write_records(paths.runways, td.RUNWAY_FIELDS, [scenario.runway])
-    _write_records(paths.registration, td.REGISTRATION_FIELDS, scenario.registration)
+    labels: list[tuple[str, str]] = []
+    registration: list[td.RegistrationRecord] = []
+
+    def tracks():
+        # each track is written, then dropped, before the next is drawn
+        for track, cls, reg in sg.generate(cfg["synth"]):
+            labels.append((track.track_id, cls))
+            if reg is not None:
+                registration.append(reg)
+            yield track
+
+    _atomic_write(paths.tracks, lambda tmp: td.save_tracks(tracks(), tmp))
+    log.info("generated %d tracks (seed %d)", len(labels), cfg["synth"].seed)
+    _write_csv(paths.labels, [td.LABEL_FIELDS, *labels])
+    _write_records(paths.runways, td.RUNWAY_FIELDS, [sg.DEFAULT_AIRPORT.runway])
+    _write_records(paths.registration, td.REGISTRATION_FIELDS, registration)
     _write_text(paths.heli_types, "# helicopter type designators\n"
-                + "".join(d + "\n" for d in sorted(scenario.heli_types)))
+                + "".join(d + "\n" for d in sorted(sg.HELI_TYPES)))
 
 
 def cmd_train(cfg: dict, paths: SimpleNamespace) -> None:

@@ -7,17 +7,18 @@ stabilized final.  Every track is the first draw of its own RNG stream,
 derived from (scenario seed, class, index), so output is byte-for-byte
 reproducible regardless of generation order.
 
-Ground-truth classes are returned as (track_id, class) pairs and are never
-stored on the Track records themselves.  A matching synthetic registration
-table and a helicopter type-designator list come with them, so the whole
+Each track is yielded as it is drawn, with its ground-truth class, which is
+never stored on the Track record itself, and its synthetic registration
+record.  With `HELI_TYPES`, the helicopter type-designator list, the whole
 pipeline, including validation, runs hermetically.  This module only
-generates; the command line writes the files.
+generates; the command line writes each track as it comes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -86,6 +87,7 @@ HELI_CATALOG = (
     ("AS350 B2", "AIRBUS HELICOPTERS", "AS50"),
     ("S-76C", "SIKORSKY", "S76"),
 )
+HELI_TYPES = frozenset(d for _, _, d in HELI_CATALOG)
 GA_CATALOG = (
     ("172S", "CESSNA", "C172"),
     ("PA-28-181", "PIPER", "P28A"),
@@ -352,17 +354,6 @@ def _identity(rng: np.random.Generator, cls: str, global_idx: int, catalog: tupl
     return identity, reg
 
 
-@dataclass
-class Scenario:
-    """Everything one synthetic run produces."""
-
-    tracks: list[Track]
-    labels: list[tuple[str, str]]                     # (track_id, class)
-    registration: list[RegistrationRecord]
-    runway: Runway
-    heli_types: frozenset = frozenset(d for _, _, d in HELI_CATALOG)
-
-
 # class -> (RNG stream code, flier, registration catalog, track-id prefix)
 _CLASSES = {
     CLASS_HELICOPTER: (1, _fly_helicopter, HELI_CATALOG, "H"),
@@ -371,11 +362,10 @@ _CLASSES = {
 }
 
 
-def generate(spec: ScenarioSpec) -> Scenario:
-    """Produce the full scenario; identical spec gives identical output."""
-    tracks: list[Track] = []
-    labels: list[tuple[str, str]] = []
-    registration: list[RegistrationRecord] = []
+def generate(spec: ScenarioSpec) -> Iterator[tuple[Track, str, RegistrationRecord | None]]:
+    """Yield each track with its class and its registration record (None when it
+    shows neither tail nor mode-S code), in file order; identical spec gives
+    identical output.  Nothing holds a track once it is yielded."""
     counts = ((CLASS_HELICOPTER, spec.helicopters), (CLASS_GA, spec.ga),
               (CLASS_COMMERCIAL, spec.commercial))
     airport = DEFAULT_AIRPORT
@@ -385,12 +375,7 @@ def generate(spec: ScenarioSpec) -> Scenario:
         for i in range(n):
             rng = np.random.default_rng([spec.seed, _STREAM_DOMAIN, code, i])
             samples = fly(rng, airport)   # before _identity, which draws from the same stream
-            track_id = f"{prefix}{i:04d}"
             identity, reg = _identity(rng, cls, global_idx, catalog, airport)
             t0 = 1_700_000_000.0 + 3600.0 * global_idx
-            tracks.append(_to_track(samples, track_id, t0, identity, airport.runway))
-            labels.append((track_id, cls))
-            if reg is not None:
-                registration.append(reg)
+            yield _to_track(samples, f"{prefix}{i:04d}", t0, identity, airport.runway), cls, reg
             global_idx += 1
-    return Scenario(tracks, labels, registration, airport.runway)

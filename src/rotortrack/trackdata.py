@@ -41,7 +41,7 @@ import weakref
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, chain, pairwise
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -736,7 +736,7 @@ def track_to_json(track: Track) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def save_tracks(tracks: Sequence[Track], path) -> None:
+def save_tracks(tracks: Iterable[Track], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for track in tracks:
             fh.write(track_to_json(track))

@@ -7,6 +7,7 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -15,6 +16,7 @@ import weakref
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import bench_record as bench
@@ -915,7 +917,43 @@ def without_thread_counts(**extra):
     return {**env, **extra}
 
 
+# What the default six stages write under OPENBLAS_CORETYPE=Haswell, one of
+# OpenBLAS's two AVX2 kernels, on one thread.  OpenBLAS picks its GEMM kernel
+# by CPU, and the AVX-512 kernels write other model bytes (BENCH_49.json,
+# cli.default), as do older kernels; each kernel repeats its own.
+HASWELL_DIGESTS = {
+    "tracks.jsonl": "62ea57f6807fffd3c0809ff492c38c9adae9a3cfe076d92b14fd3cea97073ff8",
+    "model.rtae": "34ca12449c0f88dc1764780bd982d23e2e5bce07f9be5ab4b5f81a2350820fdf",
+    "thresholds.json": "30847e88c55c9fd25fab397c4710d8e8cd90cb823b3ad81e9da4bb0177d629d8",
+    "results.csv": "7ed23c6ad15bf6ed4a66593d4e5729106de456b486db40b3f020e8d733ea5649",
+    "validation.csv": "e8eebd416a5182939fcd6ffe1d00282b0507d0863b009e72bff6b6e37c5d42e3",
+    "metrics.json": "2a5557e9b9a362ed62b4aed93b22c60abc092ce67928379af85d10e9e4acb6c4",
+    "report.txt": "59d9c761a163f7b3d4672d2e792fa330e4a569d12647e3bf07d11c0a1958b10b",
+}
+
+
+def no_haswell_kernel():
+    """Why this host cannot run OpenBLAS's Haswell kernel, or None if it can."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return f"OpenBLAS's Haswell kernel is x86-64 code; this host is {platform.machine()}"
+    core = getattr(np, "_core", None) or np.core   # np.core before numpy 2
+    if not core._multiarray_umath.__cpu_features__.get("AVX2"):
+        return "numpy reports no AVX2, which OpenBLAS's Haswell kernel needs"
+    return None
+
+
 class TestEntryModule:
+    def test_the_haswell_kernel_writes_its_recorded_bytes(self, tmp_path):
+        if reason := no_haswell_kernel():
+            pytest.skip(reason)
+        env = without_thread_counts(OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE="Haswell")
+        for stage in bench.STAGES:
+            subprocess.run([sys.executable, "-m", "rotortrack", "--out-dir", str(tmp_path), stage],
+                           env=env, check=True, capture_output=True)
+        assert set(HASWELL_DIGESTS) == set(bench.BYTE_COMPARED)
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in HASWELL_DIGESTS} == HASWELL_DIGESTS
+
     def test_unset_thread_count_writes_the_bytes_one_thread_does(self, tmp_path):
         # The default scenario's last training batch of each epoch holds 16 windows,
         # whose weight-gradient GEMM sums in another order on more than one BLAS thread;

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -35,14 +36,36 @@ MOVED_PADS = ((-62.0, 1.35), (120.0, 1.35), (20.0, 1.0))
 MOVED_RUNWAY = td.Runway("25R", 36.0, -115.0, 1000.0, 250.0, 8000.0)
 
 
+# synth's five files for the default scenario, by their SHA-256
+DEFAULT_DIGESTS = {
+    "tracks.jsonl": "62ea57f6807fffd3c0809ff492c38c9adae9a3cfe076d92b14fd3cea97073ff8",
+    "labels.csv": "af4a3ace04f62b068fc536f89d08ab5f1026a390351166ff271c3326e94becb0",
+    "runways.csv": "41df2a522fbdf77b5d44da959be25afa9848e29e70935d3319945d93a5de1303",
+    "registration.csv": "2035635bcfa73f92b186b48e27b689468c5c88f164584248f529b078f64cf935",
+    "heli_types.txt": "6dc86cbef5166fb736d5439703d59a3339a58796cee180b61c3ba68c91d489a5",
+}
+
+
 @pytest.fixture(scope="module")
-def scenario():
-    return sg.generate(SPEC)
+def drawn():
+    """SPEC's (track, class, registration record or None) triples, gathered from the stream."""
+    return list(sg.generate(SPEC))
 
 
-def tracks_of(scenario, cls):
-    labels = dict(scenario.labels)
-    return [t for t in scenario.tracks if labels[t.track_id] == cls]
+def tracks(drawn):
+    return [t for t, _, _ in drawn]
+
+
+def labels(drawn):
+    return [(t.track_id, cls) for t, cls, _ in drawn]
+
+
+def registration(drawn):
+    return [reg for _, _, reg in drawn if reg is not None]
+
+
+def tracks_of(drawn, cls):
+    return [t for t, c, _ in drawn if c == cls]
 
 
 def along_cross_m(east_m, north_m, runway):
@@ -72,54 +95,57 @@ def assert_shape(n_points, closest):
 
 
 class TestDeterminism:
-    def test_same_spec_reproduces_every_byte(self, scenario):
-        again = sg.generate(SPEC)
-        assert [td.track_to_json(t) for t in again.tracks] == \
-               [td.track_to_json(t) for t in scenario.tracks]
-        assert again.labels == scenario.labels
-        assert again.registration == scenario.registration
+    def test_same_spec_reproduces_every_byte(self, drawn):
+        again = list(sg.generate(SPEC))
+        assert [td.track_to_json(t) for t in tracks(again)] == \
+               [td.track_to_json(t) for t in tracks(drawn)]
+        assert labels(again) == labels(drawn)
+        assert registration(again) == registration(drawn)
 
-    def test_different_seed_changes_tracks(self, scenario):
-        other = sg.generate(sg.ScenarioSpec(seed=12, helicopters=2, ga=0, commercial=0))
-        assert td.track_to_json(other.tracks[0]) != td.track_to_json(scenario.tracks[0])
+    def test_different_seed_changes_tracks(self, drawn):
+        other, _, _ = next(sg.generate(sg.ScenarioSpec(seed=12, helicopters=2, ga=0,
+                                                        commercial=0)))
+        assert td.track_to_json(other) != td.track_to_json(tracks(drawn)[0])
 
     def test_default_scenario_matches_the_recorded_digest(self, tmp_path):
-        # the default tracks.jsonl (BENCH_35.json, cli.default), which every default run reads
-        p = tmp_path / "tracks.jsonl"
-        td.save_tracks(sg.generate(sg.ScenarioSpec()).tracks, p)
-        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "62ea57f6807fffd3c0809ff492c38c9adae9a3cfe076d92b14fd3cea97073ff8")
+        # the default tracks.jsonl (BENCH_35.json, cli.default), which every default run
+        # reads, and the four files synth writes beside it, so a stream that reordered
+        # the labels or the registration rows would fail too
+        assert cli.main(["--out-dir", str(tmp_path), "synth"]) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in DEFAULT_DIGESTS} == DEFAULT_DIGESTS
 
-    def test_helicopter_streams_are_stable_under_counts(self, scenario):
+    def test_helicopter_streams_are_stable_under_counts(self, drawn):
         # fewer helicopters must not change the ones that remain; later
         # classes shift identity assignment, so only the first class is stable
         small = sg.generate(sg.ScenarioSpec(seed=11, helicopters=3, ga=2, commercial=1))
-        want = {t.track_id: td.track_to_json(t) for t in scenario.tracks}
-        for t in small.tracks:
+        want = {t.track_id: td.track_to_json(t) for t in tracks(drawn)}
+        for t, _, _ in small:
             if t.track_id.startswith("H"):
                 assert td.track_to_json(t) == want[t.track_id]
 
 
 class TestShape:
-    def test_counts_labels_and_ids_line_up(self, scenario):
-        assert len(scenario.tracks) == 56
-        assert [t.track_id for t in scenario.tracks] == [tid for tid, _ in scenario.labels]
-        labels = dict(scenario.labels)
-        assert sum(c == td.CLASS_HELICOPTER for c in labels.values()) == 24
-        assert sum(c == td.CLASS_GA for c in labels.values()) == 16
-        assert sum(c == td.CLASS_COMMERCIAL for c in labels.values()) == 16
-        assert scenario.tracks[0].track_id == "H0000"
+    def test_counts_labels_and_ids_line_up(self, drawn):
+        assert len(tracks(drawn)) == 56
+        assert [t.track_id for t in tracks(drawn)] == [tid for tid, _ in labels(drawn)]
+        by_id = dict(labels(drawn))
+        assert sum(c == td.CLASS_HELICOPTER for c in by_id.values()) == 24
+        assert sum(c == td.CLASS_GA for c in by_id.values()) == 16
+        assert sum(c == td.CLASS_COMMERCIAL for c in by_id.values()) == 16
+        assert tracks(drawn)[0].track_id == "H0000"
 
-    def test_every_track_survives_a_strict_reload(self, scenario, tmp_path):
+    def test_every_track_survives_a_strict_reload(self, drawn, tmp_path):
         p = tmp_path / "tracks.jsonl"
-        td.save_tracks(scenario.tracks, p)
+        td.save_tracks(tracks(drawn), p)
         res = td.load_tracks(p)
         assert res.rejects == []
-        assert len(res.tracks) == len(scenario.tracks)
+        assert len(res.tracks) == len(tracks(drawn))
 
-    def test_every_track_is_long_and_ends_at_its_closest_approach(self, scenario):
-        for t in scenario.tracks:
-            assert_shape(len(t.points), td.closest_approach_index(t, scenario.runway)[0])
+    def test_every_track_is_long_and_ends_at_its_closest_approach(self, drawn):
+        for t in tracks(drawn):
+            assert_shape(len(t.points),
+                         td.closest_approach_index(t, sg.DEFAULT_AIRPORT.runway)[0])
 
     @pytest.mark.parametrize("cls", td.TRACK_CLASSES)
     def test_every_flier_keeps_its_shape_over_many_streams(self, cls):
@@ -135,9 +161,9 @@ class TestShape:
                 assert not any(in_corridor(s.east, s.north, sg.DEFAULT_AIRPORT.runway)
                                for s in samples)
 
-    def test_every_track_yields_an_arrival_window(self, scenario):
-        for t in scenario.tracks:
-            win = td.window_arrival(t, scenario.runway)
+    def test_every_track_yields_an_arrival_window(self, drawn):
+        for t in tracks(drawn):
+            win = td.window_arrival(t, sg.DEFAULT_AIRPORT.runway)
             assert len(win) == td.WINDOW_LEN
 
     def test_negative_counts_rejected(self):
@@ -173,87 +199,82 @@ class TestMovedAirport:
 
 
 class TestHelicopterGeometry:
-    def test_keeps_clear_of_the_threshold_ring(self, scenario):
-        rw = scenario.runway
-        for t in tracks_of(scenario, td.CLASS_HELICOPTER):
+    def test_keeps_clear_of_the_threshold_ring(self, drawn):
+        rw = sg.DEFAULT_AIRPORT.runway
+        for t in tracks_of(drawn, td.CLASS_HELICOPTER):
             closest = min(math.hypot(*td.en_offset_km(p.lat, p.lon, rw.threshold_lat,
                                                       rw.threshold_lon)) / td.KM_PER_NM
                           for p in t.points)
             assert closest >= _HELI_MIN_THRESHOLD_NM
 
-    def test_stays_out_of_the_approach_corridor(self, scenario):
-        for t in tracks_of(scenario, td.CLASS_HELICOPTER):
+    def test_stays_out_of_the_approach_corridor(self, drawn):
+        rw = sg.DEFAULT_AIRPORT.runway
+        for t in tracks_of(drawn, td.CLASS_HELICOPTER):
             for p in t.points:
-                east, north = td.en_offset_km(p.lat, p.lon,
-                                              scenario.runway.threshold_lat,
-                                              scenario.runway.threshold_lon)
-                assert not in_corridor(east * 1000.0, north * 1000.0, scenario.runway), \
+                east, north = td.en_offset_km(p.lat, p.lon, rw.threshold_lat, rw.threshold_lon)
+                assert not in_corridor(east * 1000.0, north * 1000.0, rw), \
                     f"{t.track_id} entered the corridor"
 
-    def test_helicopter_scores_stay_under_the_gate(self, scenario):
-        for t in tracks_of(scenario, td.CLASS_HELICOPTER):
-            score = rs.runway_score(rs.score_inputs_for_track(t, scenario.runway))
+    def test_helicopter_scores_stay_under_the_gate(self, drawn):
+        for t in tracks_of(drawn, td.CLASS_HELICOPTER):
+            score = rs.runway_score(rs.score_inputs_for_track(t, sg.DEFAULT_AIRPORT.runway))
             assert score < 0.4
 
-    def test_fixed_wing_scores_clear_the_gate(self, scenario):
+    def test_fixed_wing_scores_clear_the_gate(self, drawn):
         for cls in (td.CLASS_GA, td.CLASS_COMMERCIAL):
-            for t in tracks_of(scenario, cls):
-                score = rs.runway_score(rs.score_inputs_for_track(t, scenario.runway))
+            for t in tracks_of(drawn, cls):
+                score = rs.runway_score(rs.score_inputs_for_track(t, sg.DEFAULT_AIRPORT.runway))
                 assert score > 0.6
 
-    def test_fixed_wing_lands_on_centerline_helicopters_do_not(self, scenario):
-        lat_of = {cls: [rs.score_inputs_for_track(t, scenario.runway).lateral_deviation_ft
-                        for t in tracks_of(scenario, cls)]
+    def test_fixed_wing_lands_on_centerline_helicopters_do_not(self, drawn):
+        rw = sg.DEFAULT_AIRPORT.runway
+        lat_of = {cls: [rs.score_inputs_for_track(t, rw).lateral_deviation_ft
+                        for t in tracks_of(drawn, cls)]
                   for cls in td.TRACK_CLASSES}
         assert min(lat_of[td.CLASS_HELICOPTER]) > 2000.0
         assert max(lat_of[td.CLASS_GA]) < 500.0
         assert max(lat_of[td.CLASS_COMMERCIAL]) < 500.0
 
-    def test_groundspeed_ordering_across_classes(self, scenario):
-        mean_gs = {cls: np.mean([p.gs for t in tracks_of(scenario, cls)
+    def test_groundspeed_ordering_across_classes(self, drawn):
+        mean_gs = {cls: np.mean([p.gs for t in tracks_of(drawn, cls)
                                  for p in t.points])
                    for cls in td.TRACK_CLASSES}
         assert (mean_gs[td.CLASS_HELICOPTER] < mean_gs[td.CLASS_GA]
                 < mean_gs[td.CLASS_COMMERCIAL])
 
-    def test_helicopters_never_claim_a_scratchpad_runway(self, scenario):
-        for t in tracks_of(scenario, td.CLASS_HELICOPTER):
+    def test_helicopters_never_claim_a_scratchpad_runway(self, drawn):
+        for t in tracks_of(drawn, td.CLASS_HELICOPTER):
             assert not t.scratchpad_runway
 
 
 class TestIdentities:
-    def test_every_track_names_the_default_airport_and_its_runway(self, scenario):
-        assert scenario.runway == sg.DEFAULT_AIRPORT.runway
-        assert {t.arrival_airport for t in scenario.tracks} == {sg.DEFAULT_AIRPORT.code}
-        assert {t.runway_id for t in scenario.tracks} == {None, sg.DEFAULT_AIRPORT.runway.runway_id}
+    def test_every_track_names_the_default_airport_and_its_runway(self, drawn):
+        assert {t.arrival_airport for t in tracks(drawn)} == {sg.DEFAULT_AIRPORT.code}
+        assert {t.runway_id for t in tracks(drawn)} == {None, sg.DEFAULT_AIRPORT.runway.runway_id}
 
-    def test_tails_are_unique(self, scenario):
-        tails = [t.tail_number for t in scenario.tracks if t.tail_number]
+    def test_tails_are_unique(self, drawn):
+        tails = [t.tail_number for t in tracks(drawn) if t.tail_number]
         assert len(tails) == len(set(tails))
 
-    def test_registration_class_matches_track_label(self, scenario):
+    def test_registration_class_matches_track_label(self, drawn):
         # a track may hide its tail number yet still be registered; such
         # rows are reachable through the mode-S code instead
-        labels = dict(scenario.labels)
-        by_tail = {t.tail_number: labels[t.track_id]
-                   for t in scenario.tracks if t.tail_number}
-        by_mode_s = {t.mode_s: labels[t.track_id]
-                     for t in scenario.tracks if t.mode_s}
-        for rec in scenario.registration:
+        by_tail = {t.tail_number: cls for t, cls, _ in drawn if t.tail_number}
+        by_mode_s = {t.mode_s: cls for t, cls, _ in drawn if t.mode_s}
+        for rec in registration(drawn):
             cls = by_tail.get(rec.n_number) or by_mode_s.get(rec.mode_s_code)
             assert cls is not None, f"registration row {rec.n_number} has no track"
             want_rotor = cls == td.CLASS_HELICOPTER
             assert (rec.aircraft_class is td.AircraftClass.ROTORCRAFT) is want_rotor
 
-    def test_helicopter_designators_come_from_the_catalog(self, scenario):
-        assert scenario.heli_types == frozenset(d for _, _, d in sg.HELI_CATALOG)
-        for rec in scenario.registration:
+    def test_helicopter_designators_come_from_the_catalog(self, drawn):
+        assert sg.HELI_TYPES == frozenset(d for _, _, d in sg.HELI_CATALOG)
+        for rec in registration(drawn):
             if rec.aircraft_class is td.AircraftClass.ROTORCRAFT:
-                assert rec.type_designator in scenario.heli_types
+                assert rec.type_designator in sg.HELI_TYPES
 
-    def test_some_tracks_carry_only_vague_declared_types(self, scenario):
-        declared = [t.declared_type for t in scenario.tracks
-                    if dict(scenario.labels)[t.track_id] == td.CLASS_HELICOPTER]
+    def test_some_tracks_carry_only_vague_declared_types(self, drawn):
+        declared = [t.declared_type for t in tracks_of(drawn, td.CLASS_HELICOPTER)]
         assert any(d in va.PSEUDO_TYPES for d in declared if d)
         assert any(d is None for d in declared)
 
@@ -269,19 +290,41 @@ class TestSynthFiles:
         assert cli.main(["--out-dir", str(d), "--config", str(cfg), "synth"]) == 0
         return d
 
-    def test_labels_round_trip(self, scenario, out):
-        assert td.load_labels(out / "labels.csv") == dict(scenario.labels)
+    def test_labels_round_trip(self, drawn, out):
+        assert td.load_labels(out / "labels.csv") == dict(labels(drawn))
 
-    def test_registration_round_trip(self, scenario, out):
+    def test_registration_round_trip(self, drawn, out):
         table = td.load_registration(out / "registration.csv")
         # every synthetic row has its own tail, so the tail index holds every row in order
-        assert list(table.by_tail.values()) == scenario.registration
+        assert list(table.by_tail.values()) == registration(drawn)
         assert table.duplicates == []
-        for rec in scenario.registration:
+        for rec in registration(drawn):
             assert table.lookup_tail(rec.n_number).type_designator == rec.type_designator
 
-    def test_runway_round_trip(self, scenario, out):
-        assert td.load_runways(out / "runways.csv") == {scenario.runway.runway_id: scenario.runway}
+    def test_runway_round_trip(self, out):
+        rw = sg.DEFAULT_AIRPORT.runway
+        assert td.load_runways(out / "runways.csv") == {rw.runway_id: rw}
 
-    def test_heli_types_round_trip(self, scenario, out):
-        assert va.load_heli_types(out / "heli_types.txt") == scenario.heli_types
+    def test_heli_types_round_trip(self, out):
+        assert va.load_heli_types(out / "heli_types.txt") == sg.HELI_TYPES
+
+    def test_synth_holds_no_track_past_its_line(self, tmp_path, monkeypatch):
+        # A track is dropped once its line is written: while track i is
+        # written, track i - 1 may still be bound to a loop variable, but no
+        # earlier track may be alive.  A scenario held whole would keep them all.
+        written = []
+        held = {}   # index of a track written -> earlier tracks still alive then
+        to_json = td.track_to_json
+
+        def track_to_json(track):
+            if alive := [i for i, ref in enumerate(written[:-1]) if ref() is not None]:
+                held[len(written)] = alive
+            written.append(weakref.ref(track))
+            return to_json(track)
+
+        monkeypatch.setattr(td, "track_to_json", track_to_json)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": dataclasses.asdict(SPEC)}))
+        assert cli.main(["--out-dir", str(tmp_path), "--config", str(cfg), "synth"]) == 0
+        assert len(written) == 56
+        assert held == {}

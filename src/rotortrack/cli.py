@@ -149,15 +149,12 @@ def _cell(value):
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
-    # Python 3.10's csv.writer cannot write NUL, so no Python may.  csv.writer
-    # quotes a field holding a character of its lineterminator and makes one
-    # write per row, so rows written with "\r\n" quote a lone \r as well, and
-    # can then end in "\n" alone.
-    cells = [[_cell(v) for v in row] for row in rows]
-    if any(isinstance(c, str) and "\0" in c for row in cells for c in row):
-        raise CliError(f"{path}: a cell holds NUL, which Python 3.10's csv module cannot write")
+    # csv.writer quotes a field holding a character of its lineterminator and
+    # makes one write per row, so rows written with "\r\n" quote a lone \r as
+    # well, and can then end in "\n" alone.
     lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(cells)
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(
+        [_cell(v) for v in row] for row in rows)
     text = "".join(line[:-2] + "\n" for line in lines)
     _atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8", newline=""))
 

@@ -102,14 +102,8 @@ _POINT_KEYS = ("t", "lat", "lon", "alt", "course", "gs")
 POINT_DTYPE = np.dtype((np.record, [(k, np.float64) for k in _POINT_KEYS]))
 
 
-class _Referable:
-    """Gives a slotted subclass a __weakref__ slot, which Python 3.10's dataclass cannot add."""
-
-    __slots__ = ("__weakref__",)
-
-
-@dataclass(slots=True, eq=False, frozen=True)
-class Track(_Referable):
+@dataclass(slots=True, eq=False, frozen=True, weakref_slot=True)
+class Track:
     """One surveillance track.  points is a read-only array of POINT_DTYPE, oldest first:
     points["lat"] is a column and points[i].lat a value.  (t, lat, lon, alt, course, gs)
     tuples are converted on construction; an array of POINT_DTYPE is kept without a copy,
@@ -237,22 +231,16 @@ def closest_approach_index(track: Track, runway: Runway) -> tuple[int, float]:
 def _closest_approach(track: Track, ref_lat: float, ref_lon: float) -> tuple[int, float]:
     """closest_approach_index, computed.  The minimum is found with np.hypot; every
     point within _NEAR_TIE of it is measured again with math.hypot, so index and
-    distance are those of a scalar math.hypot loop over the points."""
+    distance are those of a scalar math.hypot loop over the points: (0, inf) if all NaN."""
     pts = track.points
     if not len(pts):
         raise FewerThan100Points(f"track {track.track_id} has no points")
     east, north = en_offset_km(pts["lat"], pts["lon"], ref_lat, ref_lon)
     dist = np.hypot(east, north)
-    near = np.flatnonzero(dist <= dist.min() * _NEAR_TIE)
-    if len(near) == 1:   # no near tie to break
-        i = int(near[0])
-        return i, math.hypot(east[i], north[i]) / KM_PER_NM
-    best_i, best_d = 0, math.inf
-    for i, e, n in zip(near.tolist(), east[near].tolist(), north[near].tolist()):
-        d = math.hypot(e, n) / KM_PER_NM
-        if d < best_d:
-            best_i, best_d = i, d
-    return best_i, best_d
+    near = np.flatnonzero(dist <= dist[dist.argmin()] * _NEAR_TIE).tolist()
+    d, i = min(((math.hypot(east[i], north[i]) / KM_PER_NM, i) for i in near),
+               default=(math.inf, 0))
+    return i, d
 
 
 def course_diff_deg(a: float, b: float) -> float:
@@ -353,9 +341,9 @@ _RECORD_KEYS = ("track_id", *_STRING_KEYS, "scratchpad_runway")
 
 
 def _plain_text(val) -> bool:
-    """Whether val is a string without lone surrogates or NUL (which Python 3.10's csv
-    module refuses): the rule for every string a loaded track or reject carries."""
-    return isinstance(val, str) and _encodable(val) and "\0" not in val
+    """Whether val is a string without lone surrogates: the rule for every string a loaded
+    track or reject carries."""
+    return isinstance(val, str) and _encodable(val)
 
 
 def _record_error(record: list) -> Optional[str]:
@@ -366,7 +354,7 @@ def _record_error(record: list) -> Optional[str]:
         return "scratchpad_runway must be a boolean when present"
     for key, val in zip(_RECORD_KEYS, texts):
         if val is not None and not _plain_text(val):
-            return f"{key} must be a string without lone surrogates or NUL when present"
+            return f"{key} must be a string without lone surrogates when present"
     return None
 
 
@@ -450,14 +438,13 @@ def load_tracks(path) -> LoadResult:
 # end record.  _SIDECAR_VERSION changes with the layout or with what a parse returns (2: a
 # lone "\r" ends no line; 3: the header moved behind the rows, so a parse writes it last;
 # 4: the rows' own digest, so a load can read them at its first points read; 5: a digest
-# per block, so a load can read them a block at a time).
+# per block, so a load can read them a block at a time; 6: NUL is text).
 _SIDECAR_SUFFIX = ".rtcache"
 _SIDECAR_MAGIC = b"RTTC"
-_SIDECAR_VERSION = 5
+_SIDECAR_VERSION = 6
 _SIDECAR_END = struct.Struct("<4sI32sII")
 _DIGEST_LEN = 32
 _SIDECAR_TAIL = _SIDECAR_END.size + _DIGEST_LEN   # the end record and the checksum
-_HASH_CHUNK = 1 << 16
 _ROW_DTYPE = np.dtype("<f8")
 _ROW_BYTES = len(_POINT_KEYS) * _ROW_DTYPE.itemsize
 _log = logging.getLogger(__name__)
@@ -554,15 +541,6 @@ def _parse_into(path, sink, pages=None) -> LoadResult:
     return _sidecar_result(sink, digest, path, sink if pages is None else pages, parsed=True)
 
 
-def _file_sha256(path) -> bytes:
-    """The SHA-256 of the file at path, read in fixed-size chunks."""
-    sha256, chunk = hashlib.sha256(), bytearray(_HASH_CHUNK)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(chunk):
-            sha256.update(memoryview(chunk)[:n])
-    return sha256.digest()
-
-
 def _read_exactly(fh, n: int) -> bytes:
     data = fh.read(n)
     if len(data) != n:
@@ -575,8 +553,9 @@ def _read_sidecar(path) -> Optional[LoadResult]:
     None when there is no sidecar, it is for other bytes, or it fails any check."""
     sidecar = _sidecar_path(path)
     try:
-        with open(sidecar, "rb") as fh:
-            return _sidecar_result(fh, _file_sha256(path), path, sidecar, parsed=False)
+        with open(sidecar, "rb") as fh, open(path, "rb") as src:
+            digest = hashlib.file_digest(src, "sha256").digest()
+            return _sidecar_result(fh, digest, path, sidecar, parsed=False)
     except (OSError, ValueError, TypeError, LookupError, RecursionError):
         return None
 
@@ -848,15 +827,12 @@ def normalize(raw_window: np.ndarray, stats: NormStats, source_track_id: str,
 # label, runway and registration tables
 
 def utf8_lines(path, newline: Optional[str] = None) -> list[str]:
-    """The lines of the text file at path; a line that is not UTF-8, or holds NUL (which
-    Python 3.10's csv reader refuses), is a MalformedRecord."""
+    """The lines of the text file at path; a line that is not UTF-8 is a MalformedRecord."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
         lines = fh.readlines()
     for line_no, line in enumerate(lines, start=1):
         if not _encodable(line):
             raise MalformedRecord(path, line_no, "invalid UTF-8")
-        if "\0" in line:
-            raise MalformedRecord(path, line_no, "line contains NUL")
     return lines
 
 

@@ -439,10 +439,35 @@ class TestCliBehavior:
         assert f"{name} line 2: invalid UTF-8" in capsys.readouterr().err
 
     def test_a_csv_cell_holding_nul_is_refused_naming_the_file(self, tmp_path):
+        """NUL is text: the cell is written, and read back as it was."""
         path = tmp_path / "results.csv"
-        with pytest.raises(cli.CliError, match=f"{path}: a cell holds NUL"):
-            cli._write_csv(path, [cli.RESULTS_HEADER, ["a\x00b", None, None, False, ""]])
-        assert not path.exists()
+        result = idf.decide("a\x00b", 0.5, 0.5, idf.Thresholds(0.01))
+        cli._write_csv(path, [cli.RESULTS_HEADER, cli._result_row(result)])
+        assert cli.read_results(path) == ([result], {})
+
+    def test_a_helicopter_whose_id_and_callsign_hold_nul_runs_through_every_stage(self,
+                                                                                 tmp_path):
+        cfg = tmp_path / "smoke.json"   # the CI smoke run's config
+        cfg.write_text(json.dumps({"synth": {"helicopters": 40, "ga": 8, "commercial": 8},
+                                   "training": {"epochs": 2}}))
+        base = ("--out-dir", str(tmp_path), "--config", str(cfg))
+        assert run(*base, "synth") == 0
+        with open(tmp_path / "labels.csv", newline="") as fh:
+            labels = list(csv.reader(fh))
+        row = next(row for row in labels if row[1] == "helicopter")
+        old, row[0] = row[0], row[0] + "\0x"
+        with open(tmp_path / "labels.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(labels)
+        tracks = [dataclasses.replace(t, track_id=row[0], callsign="LIFE\x001")
+                  if t.track_id == old else t
+                  for t in td.load_tracks(tmp_path / "tracks.jsonl").tracks]
+        td.save_tracks(tracks, tmp_path / "tracks.jsonl")
+        for command in ("train", "calibrate", "classify", "validate", "report"):
+            assert run(*base, command) == 0, f"{command} failed"
+        results, unclassifiable = cli.read_results(tmp_path / "results.csv")
+        assert row[0] in [r.track_id for r in results] + list(unclassifiable)
+        with open(tmp_path / "validation.csv", newline="") as fh:
+            assert row[0] in [cells[0] for cells in csv.reader(fh)]
 
     def test_undecodable_byte_in_a_track_line_rejects_only_that_line(self, pipeline, tmp_path,
                                                                      capsys):
